@@ -89,8 +89,10 @@ class SweepCoordinator:
             if task.spec_hash in self.cache:
                 self._hit_hashes.add(task.spec_hash)
                 self.queue.put(task, state="done")
-            else:
-                self.queue.put(task)
+            elif not self.queue.put(task):
+                # Already queued.  If it sits in done its cache entry has
+                # since been lost or corrupted: run the cell again.
+                self.queue.reopen(task.name)
         self.manifest = manifest
         return manifest
 

@@ -30,6 +30,10 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.logsetup import get_logger
+
+logger = get_logger("cluster.fsqueue")
+
 #: Version tag written into task files.
 TASK_SCHEMA = "sweep_task/v1"
 
@@ -52,13 +56,22 @@ def write_json_atomic(path: str, data: Dict[str, Any], tmp_dir: str) -> None:
 
 
 def read_json(path: str) -> Optional[Dict[str, Any]]:
-    """Read a JSON file; ``None`` if it vanished (lost a rename race) or is
-    mid-write by a non-atomic writer (never the queue's own files)."""
+    """Read a JSON object; ``None`` if the file vanished (lost a rename
+    race) or is mid-write by a non-atomic writer (never the queue's own
+    files).  Fail closed on corruption too: bytes that are not UTF-8 and
+    valid JSON that is not an object are reported and read as absent, so
+    the caller recomputes instead of trusting or crashing on them."""
     try:
-        with open(path) as handle:
-            return json.load(handle)
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
     except (FileNotFoundError, json.JSONDecodeError):
         return None
+    except UnicodeDecodeError:
+        data = None
+    if not isinstance(data, dict):
+        logger.warning("ignoring corrupt JSON file %s", path)
+        return None
+    return data
 
 
 @dataclass
@@ -205,6 +218,14 @@ class FileQueue:
         except (FileNotFoundError, OSError):
             pass
         self._drop_lease(name, owner)
+
+    def reopen(self, name: str) -> None:
+        """Return a done task to pending: its cached result is gone or no
+        longer trusted, so the cell has to run again."""
+        try:
+            os.rename(self._task_path("done", name), self._task_path("pending", name))
+        except (FileNotFoundError, OSError):
+            pass
 
     def requeue_stale(self, now: Optional[float] = None) -> List[str]:
         """Move leased tasks whose lease expired (or vanished) back to pending.

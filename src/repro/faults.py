@@ -31,6 +31,7 @@ from repro.net.link import Link
 from repro.router.nodes import BorderRouter, NetworkNode
 from repro.sim.randomness import SeededRandom, stable_seed
 from repro.topology.base import Topology
+from repro.topology.dynamic import edge_key, new_counters
 
 
 @dataclass
@@ -130,7 +131,7 @@ class FaultInjector:
     # event execution
     # ------------------------------------------------------------------
     def _link_effectively_up(self, link: Link) -> bool:
-        key = frozenset((link.a.name, link.b.name))
+        key = edge_key(link.a.name, link.b.name)
         if key in self._admin_down:
             return False
         return (link.a.name not in self._crashed
@@ -142,7 +143,7 @@ class FaultInjector:
         record: Dict[str, Any] = {"time": event.time, "kind": kind,
                                   "target": event.target}
         if event.link is not None:
-            key = frozenset(event.endpoints)
+            key = edge_key(*event.endpoints)
             if kind == "link_down":
                 self._admin_down.add(key)
             else:
@@ -167,8 +168,7 @@ class FaultInjector:
             record.update(self.topology.reroute_incremental(
                 downed=downed, restored=restored))
         else:
-            record.update(anchors_recomputed=0, dijkstras=0,
-                          routes_installed=0, routes_removed=0)
+            record.update(new_counters())
         self.timeline.append(record)
         for observer in self.observers:
             observer(record)

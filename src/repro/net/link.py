@@ -54,6 +54,15 @@ class LinkStats:
         return min(1.0, (self.bytes_delivered * 8) / (bandwidth_bps * elapsed))
 
 
+def _observed(observer, link: "Link", sink: PacketSink, deliver):
+    """``deliver`` with ``observer(link, sink, payload)`` called first."""
+    def _traced_deliver(payload) -> None:
+        observer(link, sink, payload)
+        deliver(payload)
+
+    return _traced_deliver
+
+
 class _Pipe:
     """One direction of a link: queue -> serializer -> propagation -> sink.
 
@@ -98,14 +107,16 @@ class _Pipe:
         self._fl_q = 0.0      # fluid queue level, bytes
         self._fl_t = 0.0      # time of the last fluid-state update
         self._fl_adm = 0.0    # fair-share admission credit for single packets
-        # Fault-injection state.  ``_down_at`` is the simulation time the
-        # pipe went down (None while up); the saved bound methods restore
-        # whatever send path — per-packet or fluid — was active before the
-        # fault.  ``_fl_gen`` invalidates in-flight _fl_release events when
-        # a fault resets the fluid state; it stays 0 on fault-free runs.
+        # Swappable state: train mode (above), admin down, taps and divert.
+        # ``_down_at`` is the simulation time the pipe went down (None while
+        # up).  These four are the whole input of _rebind(), which alone
+        # decides what send / send_train / _deliver* / _emit_* resolve to.
+        # ``_fl_gen`` invalidates in-flight _fl_release events when a fault
+        # resets the fluid state; it stays 0 on fault-free runs.
         self._down_at: Optional[float] = None
-        self._saved_send = None
-        self._saved_send_train = None
+        self._packet_taps: tuple = ()
+        self._train_taps: tuple = ()
+        self._export = None
         self._fl_gen = 0
 
     @property
@@ -185,33 +196,61 @@ class _Pipe:
         stats.bytes_delivered += packet.size
         self._sink.receive_packet(packet, self._link)
 
+    def _rebind(self) -> None:
+        """Derive every swappable entry point from the pipe's state.
+
+        The one dispatch point: mode x up/down x tapped x diverted.  Only
+        the state setters (``enable_train_mode``, ``set_down``, ``set_up``,
+        ``tap``, ``divert``) call it, never a packet, and an entry point
+        whose state is at its default keeps *no* instance attribute — the
+        class method is reached directly, so an idle, untapped, local,
+        per-packet pipe pays exactly zero.
+        """
+        d = self.__dict__
+        for name in ("send", "send_train", "_deliver", "_deliver_train",
+                     "_emit_packet", "_emit_train"):
+            if name in d:
+                del d[name]
+        # From here on ``self.<name>`` is the class's own bound method.
+        if self._down_at is not None:
+            d["send"] = self._send_down
+            d["send_train"] = self._send_train_down
+        elif self._train_mode:
+            d["send"] = self._fluid_send_packet
+        # Observers fire at delivery time, before the sink forwards, with
+        # ``(link, sink, packet_or_train)``; a later tap wraps an earlier.
+        for name, taps in (("_deliver", self._packet_taps),
+                           ("_deliver_train", self._train_taps)):
+            if taps:
+                deliver = getattr(self, name)
+                for observer in taps:
+                    deliver = _observed(observer, self._link, self._sink,
+                                        deliver)
+                d[name] = deliver
+        export = self._export
+        if export is not None:
+            sim = self._sim
+
+            def _export_packet(dt: float, packet: Packet) -> None:
+                export(sim._now + dt, False, packet)
+
+            def _export_train(dt: float, train: PacketTrain) -> None:
+                export(sim._now + dt, True, train)
+
+            d["_emit_packet"] = _export_packet
+            d["_emit_train"] = _export_train
+
     def tap(self, packet_observer=None, train_observer=None) -> None:
         """Observe deliveries on this pipe (the tracing plane's link hook).
 
-        Installs by overriding the bound delivery attributes — the same
-        idiom ``enable_train_mode`` and ``set_down`` use for the send path —
-        so untapped pipes (every non-observed run) pay exactly zero.  The
-        observer fires at delivery time, before the sink forwards, with
-        ``(link, sink, packet_or_train)``.
+        Untapped pipes (every non-observed run) pay exactly zero; see
+        :meth:`_rebind`.
         """
-        link = self._link
-        sink = self._sink
         if packet_observer is not None:
-            inner_deliver = self._deliver
-
-            def _traced_deliver(packet: Packet) -> None:
-                packet_observer(link, sink, packet)
-                inner_deliver(packet)
-
-            self._deliver = _traced_deliver  # type: ignore[method-assign]
+            self._packet_taps += (packet_observer,)
         if train_observer is not None:
-            inner_deliver_train = self._deliver_train
-
-            def _traced_deliver_train(train: PacketTrain) -> None:
-                train_observer(link, sink, train)
-                inner_deliver_train(train)
-
-            self._deliver_train = _traced_deliver_train  # type: ignore[method-assign]
+            self._train_taps += (train_observer,)
+        self._rebind()
 
     # ------------------------------------------------------------------
     # fault injection: administrative up/down
@@ -230,10 +269,7 @@ class _Pipe:
             return
         now = self._sim._now
         self._down_at = now
-        self._saved_send = self.send
-        self._saved_send_train = self.send_train
-        self.send = self._send_down  # type: ignore[method-assign]
-        self.send_train = self._send_train_down  # type: ignore[method-assign]
+        self._rebind()
         flushed = self._queue.clear()
         if flushed:
             stats = self.stats
@@ -249,14 +285,11 @@ class _Pipe:
             self._fl_adm = 0.0
 
     def set_up(self) -> None:
-        """Recover this direction: restore whichever send path was active."""
+        """Recover this direction onto whichever send path its mode calls for."""
         if self._down_at is None:
             return
         self._down_at = None
-        self.send = self._saved_send  # type: ignore[method-assign]
-        self.send_train = self._saved_send_train  # type: ignore[method-assign]
-        self._saved_send = None
-        self._saved_send_train = None
+        self._rebind()
         if self._train_mode:
             self._fl_t = self._sim._now
 
@@ -304,14 +337,14 @@ class _Pipe:
     def enable_train_mode(self) -> None:
         """Flip this pipe to fluid serialization (train-mode experiments).
 
-        Per-packet sends are redirected by overriding the bound ``send``
-        attribute, so packet-mode pipes pay zero extra cost.
+        Per-packet sends are redirected by :meth:`_rebind`, so packet-mode
+        pipes pay zero extra cost; a pipe that is down stays down.
         """
         if self._train_mode:
             return
         self._train_mode = True
         self._fl_t = self._sim._now
-        self.send = self._fluid_send_packet  # type: ignore[method-assign]
+        self._rebind()
 
     def _fl_advance(self, now: float) -> None:
         """Advance the fluid queue level to ``now`` (clamped to [0, cap])."""
@@ -479,7 +512,7 @@ class _Pipe:
     # hooks instead of calling ``schedule_fire`` directly.  On an unsharded
     # run they are exactly that call; on a sharded run the coordinator marks
     # each *cut* pipe — one whose sender and receiver live in different
-    # shards — by swapping the bound attribute via :meth:`divert`, so the
+    # shards — through :meth:`divert` (state for :meth:`_rebind`), so the
     # admitted traffic is captured (with its absolute arrival time) instead
     # of delivered locally, shipped to the receiving shard at the next
     # window barrier, and re-entered there via :meth:`inject`.  Admission,
@@ -504,16 +537,8 @@ class _Pipe:
         lands beyond the current window — the receiving shard learns about
         the arrival at the next barrier, before its clock gets there.
         """
-        sim = self._sim
-
-        def _export_packet(dt: float, packet: Packet) -> None:
-            export(sim._now + dt, False, packet)
-
-        def _export_train(dt: float, train: PacketTrain) -> None:
-            export(sim._now + dt, True, train)
-
-        self._emit_packet = _export_packet  # type: ignore[method-assign]
-        self._emit_train = _export_train  # type: ignore[method-assign]
+        self._export = export
+        self._rebind()
 
     def inject(self, when: float, is_train: bool, payload) -> None:
         """Deliver a cross-shard arrival at absolute time ``when``.
@@ -660,13 +685,6 @@ class Link:
             return self.a
         raise ValueError(f"{getattr(node, 'name', node)} is not attached to link {self.name}")
 
-    def _pipe_for_sender(self, sender: PacketSink) -> _Pipe:
-        if sender is self.a:
-            return self._pipe_to_b
-        if sender is self.b:
-            return self._pipe_to_a
-        raise ValueError(f"{getattr(sender, 'name', sender)} is not attached to link {self.name}")
-
     def pipe_toward(self, node: PacketSink) -> _Pipe:
         """The directional pipe whose *receiver* is ``node``.
 
@@ -685,19 +703,11 @@ class Link:
     # ------------------------------------------------------------------
     def stats_toward(self, node: PacketSink) -> LinkStats:
         """Transmission stats for the direction whose receiver is ``node``."""
-        if node is self.b:
-            return self._pipe_to_b.stats
-        if node is self.a:
-            return self._pipe_to_a.stats
-        raise ValueError(f"{getattr(node, 'name', node)} is not attached to link {self.name}")
+        return self.pipe_toward(node).stats
 
     def queue_toward(self, node: PacketSink) -> DropTailQueue:
         """The queue feeding the direction whose receiver is ``node``."""
-        if node is self.b:
-            return self._pipe_to_b.queue
-        if node is self.a:
-            return self._pipe_to_a.queue
-        raise ValueError(f"{getattr(node, 'name', node)} is not attached to link {self.name}")
+        return self.pipe_toward(node).queue
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         mbps = self.bandwidth_bps / 1e6

@@ -2,10 +2,10 @@
 
 At 10k ASes a full route install (every destination on every router) is
 ~10^8 table entries — far beyond what a scenario that touches a handful of
-victim/attacker networks needs.  This manager reuses the anchor-group idea
-from :mod:`repro.topology.dynamic` (single-homed hosts fold into their
-access router's anchor) and installs routes **one destination anchor at a
-time**, on demand:
+victim/attacker networks needs.  This manager is the valley-free solver of
+:class:`repro.topology.dynamic.IncrementalRouting` — anchor groups, the
+edge-usage index, the install loop and ``apply`` all live there — and
+installs routes **one destination anchor at a time**, on demand:
 
 * :meth:`attach` hangs an ``miss_handler`` off every router's
   :class:`~repro.router.routing.RoutingTable`.  The first packet toward an
@@ -13,99 +13,58 @@ time**, on demand:
   destination's anchor — one valley-free computation, routes installed on
   every router — then the lookup retries and the per-table memo makes
   every subsequent packet a single dict hit.
-* An edge-usage index (installed next-hop edges per anchor) makes fault
-  recomputation incremental: ``link_down`` re-solves only the
+* Only materialised anchors are *tracked*: ``link_down`` re-solves the
   materialised anchors whose routes crossed the edge; ``link_up``
   re-solves every materialised anchor (policy preference is not a
   distance metric, so the Dijkstra improvement test from the shortest-path
-  world does not transfer — re-solving the materialised shards is exact
-  and, because shards are lazy, cheap).
-
-The manager is API-compatible with ``DynamicRouting.apply`` (same stats
-keys), so :class:`repro.faults.FaultInjector` drives policy topologies
-unchanged.
+  world does not transfer — a restored edge can create a *preferred*, not
+  just shorter, route anywhere; re-solving the materialised shards is
+  exact and, because shards are lazy, cheap).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
+
+import networkx as nx
 
 from repro.net.address import IPAddress
-from repro.net.link import Link
-from repro.router.nodes import Host, NetworkNode
 from repro.routing_policy.relationships import RelationshipMap
 from repro.routing_policy.valley_free import PolicyRoute, valley_free_routes
+from repro.topology.dynamic import IncrementalRouting, edge_key, new_counters
 
 
-def _edge_key(a: str, b: str) -> Tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
-
-
-class PolicyRoutingManager:
+class PolicyRoutingManager(IncrementalRouting):
     """Installs valley-free routes lazily, one destination anchor at a time."""
 
     def __init__(self, topo, relationships: RelationshipMap) -> None:
-        self._topo = topo
+        super().__init__(topo)
         self.relationships = relationships
-        self._prefixes = topo._destination_prefixes()
-        self._routers: List[NetworkNode] = [
-            node for node in topo.nodes.values() if not isinstance(node, Host)
-        ]
-        self._router_names: Set[str] = {r.name for r in self._routers}
-        # Anchor groups: anchor -> [(member, extra hops)], single-homed
-        # hosts folded into their access router (same shape as
-        # topology.dynamic.DynamicRouting).
-        self._groups: Dict[str, List[Tuple[str, int]]] = {}
-        folded: Dict[str, List[str]] = {}
-        for name, node in topo.nodes.items():
-            if isinstance(node, Host) and len(node.links) == 1:
-                neighbor = node.links[0].other_end(node)
-                if not isinstance(neighbor, Host):
-                    folded.setdefault(neighbor.name, []).append(name)
-                    continue
-            self._groups[name] = [(name, 0)]
-        for anchor, hosts in folded.items():
-            group = self._groups.setdefault(anchor, [(anchor, 0)])
-            group.extend((host, 1) for host in hosts)
-        self._fold_anchor: Dict[str, str] = {
-            host: anchor for anchor, hosts in folded.items() for host in hosts
-        }
         # Address -> anchor, for resolving lookup misses.  Covers every
         # node address exactly; destinations inside a declared local prefix
         # (e.g. an unused address in a stub's /24) resolve by containment.
         self._addr_anchor: Dict[int, str] = {}
         for name, node in topo.nodes.items():
-            anchor = self._fold_anchor.get(name, name)
-            if anchor not in self._groups:
-                continue
+            anchor = self.anchor_of(name)
             for address in node.addresses:
                 self._addr_anchor[address.value] = anchor
         self._local_prefix_anchors: List[Tuple[object, str]] = []
-        for name in self._groups:
-            node = topo.nodes[name]
-            for prefix in getattr(node, "local_prefixes", ()):
-                self._local_prefix_anchors.append((prefix, name))
         # Remote installs skip folded hosts whose /32 falls inside one of
         # the anchor's declared local prefixes: longest-prefix-match on the
         # anchor's aggregate reaches them anyway, and at 10k routers the
         # per-host rows dominate shard size.  The anchor itself still gets
         # exact /32 routes over the access links.
-        self._remote_members: Dict[str, List[Tuple[str, int]]] = {}
+        self._remote_members = {}
         for anchor, group in self._groups.items():
             locals_ = list(getattr(topo.nodes[anchor], "local_prefixes", ()))
-            remote: List[Tuple[str, int]] = []
-            for member, extra in group:
-                if extra and locals_:
-                    address = topo.nodes[member].address
-                    if any(p.contains(address) for p in locals_):
-                        continue
-                remote.append((member, extra))
-            self._remote_members[anchor] = remote
+            self._local_prefix_anchors.extend((p, anchor) for p in locals_)
+            self._remote_members[anchor] = [
+                (member, extra) for member, extra in group
+                if not (extra and any(p.contains(topo.nodes[member].address)
+                                      for p in locals_))]
         # Materialised shards: anchor -> {router: PolicyRoute}.
         self._materialized: Dict[str, Dict[str, PolicyRoute]] = {}
-        self._anchor_edges: Dict[str, Set[Tuple[str, str]]] = {}
-        self._edge_anchors: Dict[Tuple[str, str], Set[str]] = {}
-        self.stats = {"anchors_materialized": 0, "routes_installed": 0}
+        self.stats["anchors_materialized"] = 0
 
     # ------------------------------------------------------------------
     # wiring
@@ -132,9 +91,24 @@ class PolicyRoutingManager:
                 return name
         return None
 
-    def anchor_of(self, name: str) -> str:
-        """The anchor a node folds into (itself unless a folded host)."""
-        return self._fold_anchor.get(name, name)
+    # ------------------------------------------------------------------
+    # the solver
+    # ------------------------------------------------------------------
+    def solve(self, anchor: str) -> Dict[str, Tuple[str, int]]:
+        """One valley-free solve; recording the shard is what makes
+        ``anchor`` tracked."""
+        routes = valley_free_routes(anchor, self.relationships,
+                                    edge_up=self._edge_up)
+        self._materialized[anchor] = routes
+        return {name: (route.next_hop, route.hops)
+                for name, route in routes.items()}
+
+    def _edge_up(self, a: str, b: str) -> bool:
+        down = self._topo._down_edges
+        return not down or edge_key(a, b) not in down
+
+    def tracked(self) -> Collection[str]:
+        return self._materialized
 
     # ------------------------------------------------------------------
     # materialisation
@@ -147,83 +121,16 @@ class PolicyRoutingManager:
         """Compute and install valley-free routes toward ``anchor``.
 
         Idempotent: an already-materialised anchor is returned as-is;
-        fault handling re-solves via :meth:`_recompute_anchor` instead.
+        fault handling re-solves it through the core's ``apply`` instead.
         """
         existing = self._materialized.get(anchor)
         if existing is not None:
             return existing
         if anchor not in self._groups:
             raise KeyError(f"unknown destination anchor {anchor!r}")
-        routes = valley_free_routes(anchor, self.relationships,
-                                    edge_up=self._edge_up)
-        self._install(anchor, routes, {"routes_installed": 0,
-                                       "routes_removed": 0})
-        self._materialized[anchor] = routes
+        self._recompute(anchor, new_counters())
         self.stats["anchors_materialized"] += 1
-        return routes
-
-    def _edge_up(self, a: str, b: str) -> bool:
-        down = self._topo._down_edges
-        return not down or frozenset((a, b)) not in down
-
-    def _install(self, anchor: str, routes: Dict[str, PolicyRoute],
-                 stats: Dict[str, int]) -> None:
-        topo = self._topo
-        prefixes = self._prefixes
-        group = self._groups[anchor]
-        remote = self._remote_members[anchor]
-        edges: Set[Tuple[str, str]] = set()
-        for router in self._routers:
-            name = router.name
-            table = router.routing
-            if name == anchor:
-                # The anchor reaches its own folded hosts over their
-                # access links (the valley-free solve is router-level).
-                for member, extra in group:
-                    if not extra:
-                        continue
-                    link = topo.link_between(name, member)
-                    for prefix in prefixes[member]:
-                        self._install_one(table, prefix, link, extra, stats)
-                    edges.add(_edge_key(name, member))
-                continue
-            route = routes.get(name)
-            if route is None:
-                for member, extra in remote:
-                    for prefix in prefixes[member]:
-                        if table.remove_route(prefix):
-                            stats["routes_removed"] += 1
-                continue
-            link = topo.link_between(name, route.next_hop)
-            for member, extra in remote:
-                metric = route.hops + extra
-                for prefix in prefixes[member]:
-                    self._install_one(table, prefix, link, metric, stats)
-            edges.add(_edge_key(name, route.next_hop))
-        edges.update(_edge_key(anchor, member)
-                     for member, extra in group if extra)
-        self._set_anchor_edges(anchor, edges)
-        self.stats["routes_installed"] += stats["routes_installed"]
-
-    @staticmethod
-    def _install_one(table, prefix, link, metric: int,
-                     stats: Dict[str, int]) -> None:
-        existing = table.route_for(prefix)
-        if (existing is not None and existing.link is link
-                and existing.metric == metric):
-            return  # unchanged: keep the lookup memo warm
-        table.add_route(prefix, link, metric=metric)
-        stats["routes_installed"] += 1
-
-    def _set_anchor_edges(self, anchor: str, edges: Set[Tuple[str, str]]) -> None:
-        old = self._anchor_edges.get(anchor, set())
-        for key in old - edges:
-            anchors = self._edge_anchors.get(key)
-            if anchors is not None:
-                anchors.discard(anchor)
-        for key in edges - old:
-            self._edge_anchors.setdefault(key, set()).add(anchor)
-        self._anchor_edges[anchor] = edges
+        return self._materialized[anchor]
 
     # ------------------------------------------------------------------
     # path queries
@@ -232,11 +139,10 @@ class PolicyRoutingManager:
         """Router names along the installed policy path (materialises the
         destination shard on demand).  Raises ``networkx.NetworkXNoPath``
         when policy or faults leave no route."""
-        import networkx as nx
         routes = self.materialize(destination_anchor)
         path = [source]
         current = source
-        limit = len(self._router_names) + 1
+        limit = len(self._routers) + 1
         while current != destination_anchor:
             route = routes.get(current)
             if route is None or len(path) > limit:
@@ -245,37 +151,3 @@ class PolicyRoutingManager:
             current = route.next_hop
             path.append(current)
         return path
-
-    # ------------------------------------------------------------------
-    # fault handling (FaultInjector-compatible)
-    # ------------------------------------------------------------------
-    def apply(self, *, downed: Iterable[Link] = (),
-              restored: Iterable[Link] = ()) -> Dict[str, int]:
-        """Re-solve the materialised anchors a link flip can affect.
-
-        ``link_down`` is exact via the edge-usage index; ``link_up``
-        re-solves every materialised shard (a restored edge can create a
-        *preferred* — not just shorter — route anywhere, and shards are
-        few because they are lazy).  Unmaterialised anchors need nothing:
-        their first use computes against the current live edge set.
-        """
-        stats = {"anchors_recomputed": 0, "dijkstras": 0,
-                 "routes_installed": 0, "routes_removed": 0}
-        affected: Set[str] = set()
-        for link in downed:
-            key = _edge_key(link.a.name, link.b.name)
-            affected.update(a for a in self._edge_anchors.get(key, ())
-                            if a in self._materialized)
-        if list(restored):
-            affected.update(self._materialized)
-        for anchor in sorted(affected):
-            self._recompute_anchor(anchor, stats)
-        return stats
-
-    def _recompute_anchor(self, anchor: str, stats: Dict[str, int]) -> None:
-        routes = valley_free_routes(anchor, self.relationships,
-                                    edge_up=self._edge_up)
-        stats["anchors_recomputed"] += 1
-        stats["dijkstras"] += 1
-        self._install(anchor, routes, stats)
-        self._materialized[anchor] = routes

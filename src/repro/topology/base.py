@@ -22,6 +22,7 @@ from repro.net.address import AddressAllocator, IPAddress, Prefix
 from repro.net.link import Link
 from repro.router.nodes import BorderRouter, Host, NetworkNode
 from repro.sim.engine import Simulator
+from repro.topology.dynamic import DynamicRouting, edge_key
 
 #: Default link speeds (bits per second) by tier.
 ACCESS_BANDWIDTH = 100e6
@@ -50,6 +51,8 @@ class Topology:
         # exists once churn is requested.
         self._live_graph: Optional[nx.Graph] = None
         self._down_edges: set = set()
+        #: Bumped on every link flip; rerouting caches key on it.
+        self.link_epoch = 0
         self._dynamic = None
 
     # ------------------------------------------------------------------
@@ -145,19 +148,19 @@ class Topology:
         key = (link.a.name, link.b.name)
         if self._live_graph is None:
             self._live_graph = self.graph.copy()
+        self.link_epoch += 1
         if up:
             data = self.graph.get_edge_data(*key)
             self._live_graph.add_edge(*key, **data)
-            self._down_edges.discard(frozenset(key))
+            self._down_edges.discard(edge_key(*key))
         else:
             self._live_graph.remove_edge(*key)
-            self._down_edges.add(frozenset(key))
+            self._down_edges.add(edge_key(*key))
         return True
 
     def ensure_dynamic_routing(self):
         """Build (once) and return the incremental-rerouting helper."""
         if self._dynamic is None:
-            from repro.topology.dynamic import DynamicRouting
             self._dynamic = DynamicRouting(self)
         return self._dynamic
 

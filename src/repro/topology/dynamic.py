@@ -1,34 +1,42 @@
-"""Incremental route recomputation for fault injection.
+"""Incremental route recomputation: one core, two solvers.
 
 A full :meth:`repro.topology.base.Topology.build_routes` pays one
 single-source Dijkstra per router — fine once at construction, far too much
-per fault event on a fleet-scale topology.  This module recomputes only the
-*destinations whose installed routes actually changed*:
+per fault event on a fleet-scale topology.  :class:`IncrementalRouting`
+recomputes only the *destinations whose installed routes actually changed*:
 
 * Destinations are grouped into **anchors**.  A single-homed host folds into
   its access router's anchor (its shortest-path tree is the router's tree
   plus one access edge), so a 200-AS / 2000-host fleet has ~200 anchors, not
   ~2200 destinations.
 * An **edge-usage index** maps each graph edge to the anchors whose installed
-  routing trees traverse it.  The index is read straight out of the installed
-  routing tables (memoized dict lookups), so building it costs no Dijkstras.
-* ``link_down`` recomputes exactly the anchors whose trees used the edge.
-  This is *exact*: a shortest-path tree that does not contain the removed
-  edge is still a valid shortest-path tree of the reduced graph.
-* ``link_up`` finds the anchors whose distance could strictly improve via
-  the restored edge — two Dijkstras from the edge endpoints (with the edge
-  temporarily removed) identify every anchor where ``|d_u(a) - d_v(a)| >
-  w(u,v)``, the classical incremental-SPF improvement test.  Ties keep the
-  previously installed (still shortest) routes, preserving determinism.
+  routing trees traverse it.
+* ``link_down`` recomputes exactly the tracked anchors whose trees used the
+  edge.  This is *exact*: a routing tree that does not contain the removed
+  edge is still a valid tree of the reduced graph.
+* ``link_up`` recomputes the tracked anchors the solver says the restored
+  edge can affect (by default all of them).
 
-Each affected anchor costs one single-source Dijkstra; every route of its
-group is reinstalled through :meth:`RoutingTable.add_route`, which clears the
+Each affected anchor costs one :meth:`~IncrementalRouting.solve`; its rows
+are reinstalled through :meth:`RoutingTable.add_route`, which clears the
 per-node lookup memo, so forwarding flips atomically at the fault event.
+A subclass supplies exactly three things: ``solve``, which anchors are
+``tracked``, and ``restored_affects``.
+
+:class:`DynamicRouting` is the flat shortest-path solver: every anchor is
+tracked, the index is read straight out of the tables ``build_routes``
+installed (memoized dict lookups, no Dijkstras), and a restored edge
+re-solves only the anchors whose distance could strictly improve via it —
+two Dijkstras from the edge endpoints (with the edge temporarily removed)
+identify every anchor where ``|d_u(a) - d_v(a)| > w(u,v)``, the classical
+incremental-SPF improvement test.  Ties keep the previously installed (still
+shortest) routes, preserving determinism.  The valley-free solver is
+:class:`repro.routing_policy.manager.PolicyRoutingManager`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -37,12 +45,21 @@ from repro.router.nodes import Host, NetworkNode
 
 _EPS = 1e-12
 
+EdgeKey = Tuple[str, str]
 
-def _edge_key(a: str, b: str) -> Tuple[str, str]:
+
+def edge_key(a: str, b: str) -> EdgeKey:
+    """The one undirected-edge key: endpoint names in sorted order."""
     return (a, b) if a <= b else (b, a)
 
 
-class DynamicRouting:
+def new_counters() -> Dict[str, int]:
+    """The per-event work counters ``apply`` returns, all zero."""
+    return {"anchors_recomputed": 0, "dijkstras": 0,
+            "routes_installed": 0, "routes_removed": 0}
+
+
+class IncrementalRouting:
     """Delta-updates a topology's installed routes as links fail/recover."""
 
     def __init__(self, topo) -> None:
@@ -55,59 +72,68 @@ class DynamicRouting:
         # anchor itself is always first with extra 0; folded hosts add one
         # access hop to the anchor's path metric.
         self._groups: Dict[str, List[Tuple[str, int]]] = {}
-        folded: Dict[str, List[str]] = {}
+        # Folded host -> its anchor.  Solvers work on the router-level graph:
+        # a degree-1 leaf is never interior to a path.
+        self._fold_anchor: Dict[str, str] = {}
         for name, node in topo.nodes.items():
             if isinstance(node, Host) and len(node.links) == 1:
                 neighbor = node.links[0].other_end(node)
                 if not isinstance(neighbor, Host):
-                    folded.setdefault(neighbor.name, []).append(name)
+                    self._fold_anchor[name] = neighbor.name
                     continue
             self._groups[name] = [(name, 0)]
-        for anchor, hosts in folded.items():
-            group = self._groups.setdefault(anchor, [(anchor, 0)])
-            group.extend((host, 1) for host in hosts)
-        # Folded host -> its anchor; these degree-1 leaves are dropped from
-        # the Dijkstra graph (they are never interior to a shortest path),
-        # which shrinks a host-heavy fleet graph by ~6x per recompute.
-        self._fold_anchor: Dict[str, str] = {
-            host: anchor for anchor, hosts in folded.items() for host in hosts
-        }
-        # Edge-usage index, derived from the routes build_routes installed.
-        self._anchor_edges: Dict[str, Set[Tuple[str, str]]] = {}
-        self._edge_anchors: Dict[Tuple[str, str], Set[str]] = {}
-        for anchor in self._groups:
-            self._set_anchor_edges(anchor, self._installed_edges(anchor))
+        for host, anchor in self._fold_anchor.items():
+            self._groups.setdefault(anchor, [(anchor, 0)]).append((host, 1))
+        # The rows of a group installed on routers *other than* the anchor;
+        # a solver may narrow this (the anchor always gets its access rows).
+        self._remote_members = self._groups
+        self._anchor_edges: Dict[str, Set[EdgeKey]] = {}
+        self._edge_anchors: Dict[EdgeKey, Set[str]] = {}
+        #: Cumulative install work (never reset); see _recompute.
+        self.stats = {"routes_installed": 0}
+
+    # ------------------------------------------------------------------
+    # what a solver supplies
+    # ------------------------------------------------------------------
+    def solve(self, anchor: str) -> Dict[str, Tuple[str, int]]:
+        """``{router: (next_hop, hops)}`` toward ``anchor`` over the live
+        edge set; routers absent from the result have no route."""
+        raise NotImplementedError
+
+    def tracked(self) -> Collection[str]:
+        """The anchors whose installed rows this core keeps current."""
+        return self._groups
+
+    def restored_affects(self, link: Link,
+                         stats: Dict[str, int]) -> Iterable[str]:
+        """Tracked anchors that may route differently once ``link`` is back."""
+        return self.tracked()
+
+    def anchor_of(self, name: str) -> str:
+        """The anchor a node folds into (itself unless a folded host)."""
+        return self._fold_anchor.get(name, name)
 
     # ------------------------------------------------------------------
     # index maintenance
     # ------------------------------------------------------------------
-    def _installed_edges(self, anchor: str) -> Set[Tuple[str, str]]:
+    def _installed_edges(self, anchor: str) -> Set[EdgeKey]:
         """Edges the currently installed routes toward ``anchor`` traverse."""
-        topo = self._topo
-        address = topo.nodes[anchor].address
-        edges: Set[Tuple[str, str]] = set()
+        address = self._topo.nodes[anchor].address
+        edges = {edge_key(anchor, member)
+                 for member, extra in self._groups[anchor] if extra}
         for router in self._routers:
             if router.name == anchor:
                 continue
             route = router.routing.lookup(address)
             if route is None or route.link is None:
                 continue
-            neighbor = route.link.other_end(router)
-            edges.add(_edge_key(router.name, neighbor.name))
-        edges.update(self._static_group_edges(anchor))
+            edges.add(edge_key(router.name, route.link.other_end(router).name))
         return edges
 
-    def _static_group_edges(self, anchor: str) -> Iterable[Tuple[str, str]]:
-        """Access edges of the hosts folded into ``anchor``'s group."""
-        return (_edge_key(anchor, member)
-                for member, extra in self._groups.get(anchor, ()) if extra)
-
-    def _set_anchor_edges(self, anchor: str, edges: Set[Tuple[str, str]]) -> None:
+    def _set_anchor_edges(self, anchor: str, edges: Set[EdgeKey]) -> None:
         old = self._anchor_edges.get(anchor, set())
         for key in old - edges:
-            anchors = self._edge_anchors.get(key)
-            if anchors is not None:
-                anchors.discard(anchor)
+            self._edge_anchors[key].discard(anchor)
         for key in edges - old:
             self._edge_anchors.setdefault(key, set()).add(anchor)
         self._anchor_edges[anchor] = edges
@@ -117,32 +143,88 @@ class DynamicRouting:
     # ------------------------------------------------------------------
     def apply(self, *, downed: Iterable[Link] = (),
               restored: Iterable[Link] = ()) -> Dict[str, int]:
-        """Recompute the anchors affected by the given link flips.
+        """Recompute the tracked anchors affected by the given link flips.
 
         ``downed``/``restored`` links must already be reflected in the
         topology's live graph (``Topology.set_link_state`` runs first).
-        Returns deterministic work counters.
+        Untracked anchors need nothing: their first use solves against the
+        live edge set.  Returns deterministic work counters.
         """
-        stats = {"anchors_recomputed": 0, "dijkstras": 0,
-                 "routes_installed": 0, "routes_removed": 0}
-        graph = self._reduced_graph()
+        stats = new_counters()
+        tracked = self.tracked()
         affected: Set[str] = set()
         for link in downed:
-            key = _edge_key(link.a.name, link.b.name)
-            affected.update(self._edge_anchors.get(key, ()))
+            key = edge_key(link.a.name, link.b.name)
+            affected.update(anchor for anchor in self._edge_anchors.get(key, ())
+                            if anchor in tracked)
         for link in restored:
-            # A folded host's access edge returning affects exactly its
-            # anchor's group (the improvement test below cannot see leaves
-            # that were projected out of the graph).
-            fold = (self._fold_anchor.get(link.a.name)
-                    or self._fold_anchor.get(link.b.name))
-            if fold is not None:
-                affected.add(fold)
-            else:
-                affected.update(self._improved_anchors(link, graph, stats))
+            affected.update(self.restored_affects(link, stats))
         for anchor in sorted(affected):
-            self._recompute_anchor(anchor, graph, stats)
+            self._recompute(anchor, stats)
         return stats
+
+    def _recompute(self, anchor: str, stats: Dict[str, int]) -> None:
+        """One solve, then bring every router's rows for the group in line:
+        unchanged ``(link, metric)`` rows are skipped (the lookup memo stays
+        warm), unreachable routers have theirs withdrawn so stale routes
+        cannot forward into a black hole."""
+        routes = self.solve(anchor)
+        stats["dijkstras"] += 1
+        stats["anchors_recomputed"] += 1
+        link_data = self._topo.graph.get_edge_data
+        prefixes = self._prefixes
+        remote = self._remote_members[anchor]
+        access = [(member, extra)
+                  for member, extra in self._groups[anchor] if extra]
+        edges = {edge_key(anchor, member) for member, _ in access}
+        installed = 0
+        for router in self._routers:
+            name = router.name
+            table = router.routing
+            if name == anchor:
+                # The anchor reaches its own folded hosts over their access
+                # links (solvers are router-level): one next hop per host.
+                via = [(link_data(name, member)["link"], 0, [(member, extra)])
+                       for member, extra in access]
+            else:
+                hop = routes.get(name)
+                if hop is None:
+                    for member, _ in remote:
+                        for prefix in prefixes[member]:
+                            if table.remove_route(prefix):
+                                stats["routes_removed"] += 1
+                    continue
+                next_hop, hops = hop
+                edges.add(edge_key(name, next_hop))
+                via = ((link_data(name, next_hop)["link"], hops, remote),)
+            for link, hops, members in via:
+                for member, extra in members:
+                    metric = hops + extra
+                    for prefix in prefixes[member]:
+                        existing = table.route_for(prefix)
+                        if (existing is not None and existing.link is link
+                                and existing.metric == metric):
+                            continue
+                        table.add_route(prefix, link, metric=metric)
+                        installed += 1
+        self._set_anchor_edges(anchor, edges)
+        stats["routes_installed"] += installed
+        # The cumulative figure adds the *event's running total* per solve,
+        # not this solve's rows: that is the number bench/baseline.json
+        # records for hier_churn, so it stays until the baseline is re-cut.
+        self.stats["routes_installed"] += stats["routes_installed"]
+
+
+class DynamicRouting(IncrementalRouting):
+    """The flat solver: delay-weighted Dijkstra over the router graph."""
+
+    def __init__(self, topo) -> None:
+        super().__init__(topo)
+        self._graph: Optional[nx.Graph] = None
+        self._graph_epoch = -1
+        # Edge-usage index, derived from the routes build_routes installed.
+        for anchor in self._groups:
+            self._set_anchor_edges(anchor, self._installed_edges(anchor))
 
     def _reduced_graph(self) -> nx.Graph:
         """The live routing graph with folded (degree-1) hosts projected out.
@@ -150,20 +232,37 @@ class DynamicRouting:
         A degree-1 node is never interior to a shortest path, so router
         paths — and therefore every installed route and metric — are
         identical to what the full graph yields, at a fraction of the
-        per-Dijkstra cost.  Copied fresh per fault event so it always
-        reflects the current up/down edge set.
+        per-Dijkstra cost (a host-heavy fleet graph shrinks ~6x).  Copied
+        fresh after every link flip so it always reflects the current
+        up/down edge set.
         """
-        reduced = self._topo.routing_graph.copy()
-        reduced.remove_nodes_from(self._fold_anchor)
-        return reduced
+        topo = self._topo
+        if self._graph_epoch != topo.link_epoch:
+            self._graph = topo.routing_graph.copy()
+            self._graph.remove_nodes_from(self._fold_anchor)
+            self._graph_epoch = topo.link_epoch
+        return self._graph
 
-    def _improved_anchors(self, link: Link, graph: nx.Graph,
-                          stats: Dict[str, int]) -> Set[str]:
+    def solve(self, anchor: str) -> Dict[str, Tuple[str, int]]:
+        paths = nx.single_source_dijkstra_path(self._reduced_graph(), anchor,
+                                               weight="delay")
+        return {name: (path[-2], len(path) - 1)
+                for name, path in paths.items() if len(path) > 1}
+
+    def restored_affects(self, link: Link,
+                         stats: Dict[str, int]) -> Iterable[str]:
         """Anchors whose shortest distance strictly improves via ``link``."""
         u, v = link.a.name, link.b.name
+        # A folded host's access edge returning affects exactly its anchor's
+        # group (the improvement test below cannot see leaves that were
+        # projected out of the graph).
+        fold = self._fold_anchor.get(u) or self._fold_anchor.get(v)
+        if fold is not None:
+            return (fold,)
+        graph = self._reduced_graph()
         data = graph.get_edge_data(u, v)
         if data is None:  # pragma: no cover - defensive
-            return set(self._groups)
+            return self._groups
         weight = data["delay"]
         graph.remove_edge(u, v)
         try:
@@ -182,44 +281,3 @@ class DynamicRouting:
             if abs(da - db) > weight + _EPS:
                 improved.add(anchor)
         return improved
-
-    def _recompute_anchor(self, anchor: str, graph: nx.Graph,
-                          stats: Dict[str, int]) -> None:
-        prefixes = self._prefixes
-        group = self._groups[anchor]
-        paths = nx.single_source_dijkstra_path(graph, anchor, weight="delay")
-        stats["dijkstras"] += 1
-        stats["anchors_recomputed"] += 1
-        edges: Set[Tuple[str, str]] = set()
-        for router in self._routers:
-            name = router.name
-            if name == anchor:
-                continue
-            path = paths.get(name)
-            if path is None or len(path) < 2:
-                # Unreachable after the fault: withdraw the whole group so
-                # stale routes cannot forward into a black hole.
-                for member, extra in group:
-                    for prefix in prefixes[member]:
-                        if router.routing.remove_route(prefix):
-                            stats["routes_removed"] += 1
-                continue
-            next_hop = path[-2]
-            data = graph.get_edge_data(name, next_hop)
-            if data is None:  # pragma: no cover - graph/link desync guard
-                continue
-            link = data["link"]
-            base_metric = len(path) - 1
-            table = router.routing
-            for member, extra in group:
-                metric = base_metric + extra
-                for prefix in prefixes[member]:
-                    existing = table.route_for(prefix)
-                    if (existing is not None and existing.link is link
-                            and existing.metric == metric):
-                        continue  # unchanged: keep the lookup memo warm
-                    table.add_route(prefix, link, metric=metric)
-                    stats["routes_installed"] += 1
-            edges.add(_edge_key(name, next_hop))
-        edges.update(self._static_group_edges(anchor))
-        self._set_anchor_edges(anchor, edges)

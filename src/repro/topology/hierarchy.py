@@ -42,6 +42,7 @@ from repro.topology.base import (
     REGIONAL_DELAY,
     Topology,
 )
+from repro.topology.dynamic import edge_key
 
 #: Tier labels used in ``tier_of`` and deployment-locus selection.
 TIER1, TIER2, STUB = 1, 2, 3
@@ -61,7 +62,6 @@ class PolicyTopology(Topology):
                  address_pool: Union[str, Prefix] = "10.0.0.0/8") -> None:
         super().__init__(sim, address_pool)
         self.relationships = RelationshipMap()
-        self._policy: Optional[PolicyRoutingManager] = None
 
     # ------------------------------------------------------------------
     # relationship-annotated linking
@@ -85,13 +85,6 @@ class PolicyTopology(Topology):
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    @property
-    def policy(self) -> PolicyRoutingManager:
-        """The (lazily created) policy-routing manager."""
-        if self._policy is None:
-            self._policy = PolicyRoutingManager(self, self.relationships)
-        return self._policy
-
     def build_routes(self) -> None:
         """Install host defaults and arm lazy valley-free materialisation.
 
@@ -106,8 +99,13 @@ class PolicyTopology(Topology):
         self.policy.attach()
 
     def ensure_dynamic_routing(self) -> PolicyRoutingManager:
-        """Fault rerouting goes through the policy manager (same API)."""
-        return self.policy
+        """The (lazily created) policy-routing manager: the valley-free
+        solver of the incremental-reroute core, so faults drive it as is."""
+        if self._dynamic is None:
+            self._dynamic = PolicyRoutingManager(self, self.relationships)
+        return self._dynamic
+
+    policy = property(ensure_dynamic_routing)
 
     def path_between(self, a: Union[str, NetworkNode],
                      b: Union[str, NetworkNode]) -> List[str]:
@@ -126,7 +124,7 @@ class PolicyTopology(Topology):
         anchor_b = policy.anchor_of(node_b.name)
         for host, anchor in ((node_a, anchor_a), (node_b, anchor_b)):
             if (host.name != anchor
-                    and frozenset((host.name, anchor)) in self._down_edges):
+                    and edge_key(host.name, anchor) in self._down_edges):
                 raise nx.NetworkXNoPath(
                     f"access link of {host.name} is down")
         if anchor_a == anchor_b:

@@ -11,6 +11,7 @@ The headline guarantees under test:
 """
 
 import json
+import logging
 import os
 import threading
 
@@ -274,6 +275,36 @@ class TestWorkerAndCoordinator:
         assert resumed.to_json() == serial.to_json()
         assert resumed.provenance["cache"]["hits"] == 1
         assert resumed.provenance["resumed"] is True
+
+    def test_corrupt_cache_entries_are_misses_and_recomputed(self, tmp_path,
+                                                             caplog):
+        base = default_flood_spec(duration=1.0)
+        grid = {"defense.backend": ["aitf", "pushback", "none"]}
+        serial = SweepRunner(workers=1).run_grid(base, grid)
+        coordinator = SweepCoordinator(str(tmp_path))
+        coordinator.submit(base, grid)
+        ClusterWorker(str(tmp_path), worker_id="w1",
+                      poll_interval=0.01).run(max_cells=2, idle_timeout=5.0)
+        # Mid-sweep, two finished entries rot on disk: one into bytes that
+        # are not UTF-8, one into valid JSON that is not an object.
+        cache = coordinator.cache
+        first, second = cache.keys()
+        for key, junk in ((first, b"\xff\xfe\x00garbage"), (second, b"[]")):
+            with open(cache.path_for(key), "wb") as handle:
+                handle.write(junk)
+        # The handler goes on the module's own logger: CLI tests earlier in
+        # the process may have switched propagation off on "repro".
+        queue_log = logging.getLogger("repro.cluster.fsqueue")
+        queue_log.addHandler(caplog.handler)
+        try:
+            assert cache.get(first) is None and cache.get(second) is None
+        finally:
+            queue_log.removeHandler(caplog.handler)
+        assert caplog.text.count("ignoring corrupt JSON file") == 2
+        resumed = SweepCoordinator(str(tmp_path)).run_grid(base, grid,
+                                                           resume=True)
+        assert resumed.to_json() == serial.to_json()
+        assert resumed.provenance["cache"] == {"hits": 0, "misses": 3}
 
     def test_resume_with_a_different_grid_is_rejected(self, tmp_path):
         base = default_flood_spec(duration=1.0)

@@ -128,3 +128,25 @@ class TestReadmeLinks:
         for page in sorted(os.listdir(DOCS_DIR)):
             assert f"docs/{page}" in readme, (
                 f"README.md does not link docs/{page}")
+
+
+class TestPerformanceTables:
+    def test_reroute_counter_table_is_the_recorded_baseline(self):
+        """PERFORMANCE.md's per-fault work counters are not hand-kept: the
+        rows between the markers must equal ``bench/baseline.json``."""
+        import json
+
+        text = _read(REPO_ROOT, "PERFORMANCE.md")
+        table = text.split("<!-- reroute-counters:begin -->")[1] \
+                    .split("<!-- reroute-counters:end -->")[0]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in table.strip().splitlines()[2:]]
+        recorded = json.loads(_read(REPO_ROOT, "bench", "baseline.json"))
+        keys = ("events", "anchors_recomputed", "dijkstras",
+                "routes_installed", "routes_removed")
+        assert [row[0].split("`")[1] for row in rows] == \
+            ["fleet_churn", "hier_churn"]
+        for row in rows:
+            layer = recorded["workloads"][row[0].split("`")[1]]["per_layer"]
+            assert [int(cell) for cell in row[2:]] == \
+                [layer[f"faults.{key}"] for key in keys], row[0]
