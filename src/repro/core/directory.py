@@ -24,13 +24,28 @@ class NodeDirectory:
 
     def __init__(self) -> None:
         self._by_name: Dict[str, NetworkNode] = {}
+        #: ``address.value`` -> owning node, filled at :meth:`register` and
+        #: by scan hits, so :meth:`node_owning` is one dict probe instead of
+        #: an ``owns_address`` pass over every registered node.
+        self._by_address: Dict[int, NetworkNode] = {}
 
     # ------------------------------------------------------------------
     # population
     # ------------------------------------------------------------------
     def register(self, node: NetworkNode) -> None:
         """Add a node; re-registering the same name replaces the entry."""
+        replaced = self._by_name.get(node.name)
         self._by_name[node.name] = node
+        if replaced is not None and replaced is not node:
+            # The newcomer takes the old entry's place in scan order.
+            self._by_address.clear()
+            indexed = self._by_name.values()
+        else:
+            indexed = (node,)
+        for owner in indexed:
+            for address in owner.addresses:
+                # First registered wins, as in the scan the index stands in for.
+                self._by_address.setdefault(address.value, owner)
 
     def register_all(self, nodes: Iterable[NetworkNode]) -> None:
         """Register many nodes at once."""
@@ -64,8 +79,13 @@ class NodeDirectory:
     def node_owning(self, address: Union[str, IPAddress]) -> Optional[NetworkNode]:
         """The node that owns ``address`` exactly (not prefix-served)."""
         address = IPAddress.parse(address)
+        node = self._by_address.get(address.value)
+        if node is not None:
+            return node
+        # Not indexed: an address added to a node after it was registered.
         for node in self._by_name.values():
             if node.owns_address(address):
+                self._by_address[address.value] = node
                 return node
         return None
 

@@ -99,6 +99,10 @@ class Prefix:
         mask = (_MAX_IPV4 << (32 - self.length)) & _MAX_IPV4 if self.length else 0
         object.__setattr__(self, "_mask", mask)
         object.__setattr__(self, "_network_value", self.network.value)
+        #: ``network << 6 | length``: one int that identifies the prefix, so
+        #: routing tables key their rows on it and an exact-match probe for
+        #: an address is ``value << 6 | 32`` with no object built or hashed.
+        object.__setattr__(self, "key", (self.network.value << 6) | self.length)
         if self.network.value & ~mask & _MAX_IPV4:
             raise ValueError(
                 f"network {self.network} has host bits set for /{self.length}"

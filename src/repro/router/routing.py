@@ -36,21 +36,26 @@ class RoutingTable:
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        #: Routes keyed by prefix (one route per prefix); the sorted scan
-        #: list is materialised lazily so topology builders can install
-        #: thousands of routes without a rebuild-and-resort per insert.
-        self._by_prefix: Dict[Prefix, Route] = {}
-        self._sorted: Optional[List[Route]] = None
+        #: Rows keyed by :attr:`Prefix.key` (one int per prefix, one row per
+        #: prefix), in installation order.  Int keys hash at C level, and a
+        #: /32 row — always the longest match for its address — is found by
+        #: probing ``address.value << 6 | 32`` directly.
+        self._rows: Dict[int, Route] = {}
+        #: Rows shorter than /32, longest first: the only ones a lookup
+        #: scans, and only when the exact-match probe misses.  Materialised
+        #: lazily so builders can install thousands of rows without a
+        #: re-sort per insert.
+        self._scan: Optional[List[Route]] = None
         self._default: Optional[Route] = None
-        #: Memoized destination value (int) -> route.  Routes are static once
-        #: a topology is built, so the per-packet lookup collapses to one
-        #: int-keyed dict hit (C-level hashing); any table mutation
-        #: invalidates the whole memo.
+        #: Memoized destination value (int) -> route, so the per-packet
+        #: lookup is one int-keyed dict hit.  A /32 row changing drops only
+        #: its own address; a shorter row or the default changing drops the
+        #: whole memo; a call that changes nothing drops nothing.
         self._cache: dict = {}
         #: Optional miss hook: ``miss_handler(destination) -> bool`` is
         #: invoked when no explicit route matches (before the default-route
         #: fallback).  Returning True means routes were installed and the
-        #: scan should be retried once.  Lazily materialised routing shards
+        #: match should be retried once.  Lazily materialised routing shards
         #: (repro.routing_policy) hang off this; the per-packet hot path is
         #: untouched because resolved lookups hit the memo above.
         self.miss_handler = None
@@ -59,14 +64,26 @@ class RoutingTable:
     # ------------------------------------------------------------------
     # population
     # ------------------------------------------------------------------
+    def install(self, prefix: Prefix, link, metric: int = 0) -> bool:
+        """Make the row for ``prefix`` read ``(link, metric)``.
+
+        Returns True when a row was added or replaced; an already-matching
+        row is left alone (same :class:`Route` object, memo untouched).
+        """
+        rows = self._rows
+        key = prefix.key
+        row = rows.get(key)
+        if row is not None and row.link is link and row.metric == metric:
+            return False
+        rows[key] = Route(prefix, link, metric)
+        self._invalidate(prefix)
+        return True
+
     def add_route(self, prefix: Union[str, Prefix], link, metric: int = 0) -> Route:
         """Add (or replace) a route for ``prefix`` via ``link``."""
         prefix = Prefix.parse(prefix)
-        route = Route(prefix=prefix, link=link, metric=metric)
-        self._by_prefix[prefix] = route
-        self._sorted = None
-        self._cache.clear()
-        return route
+        self.install(prefix, link, metric)
+        return self._rows[prefix.key]
 
     def set_default(self, link, metric: int = 0) -> Route:
         """Install a default route (0.0.0.0/0) via ``link``."""
@@ -76,38 +93,51 @@ class RoutingTable:
 
     def route_for(self, prefix: Union[str, Prefix]) -> Optional[Route]:
         """The route installed for exactly ``prefix``, if any (no LPM)."""
-        return self._by_prefix.get(Prefix.parse(prefix))
+        return self._rows.get(Prefix.parse(prefix).key)
 
     def remove_route(self, prefix: Union[str, Prefix]) -> bool:
         """Remove the route for exactly ``prefix``.  Returns True if it existed."""
         prefix = Prefix.parse(prefix)
-        existed = self._by_prefix.pop(prefix, None) is not None
-        self._sorted = None
-        self._cache.clear()
-        return existed
+        if self._rows.pop(prefix.key, None) is None:
+            return False
+        self._invalidate(prefix)
+        return True
 
     def clear(self) -> None:
         """Remove every route, including the default."""
-        self._by_prefix.clear()
-        self._sorted = None
+        self._rows.clear()
+        self._scan = None
         self._default = None
         self._cache.clear()
 
-    @property
-    def _routes(self) -> List[Route]:
-        """Routes sorted longest-prefix-first, materialised on demand, so
-        lookup is a linear scan that stops at the first match."""
-        routes = self._sorted
-        if routes is None:
-            routes = self._sorted = sorted(
-                self._by_prefix.values(),
-                key=lambda r: (-r.prefix.length, r.metric),
-            )
-        return routes
+    def _invalidate(self, prefix: Prefix) -> None:
+        """Forget what the changed row for ``prefix`` could have answered."""
+        if prefix.length == 32:
+            self._cache.pop(prefix.network.value, None)
+        else:
+            self._scan = None
+            self._cache.clear()
 
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------
+    def _match(self, destination: IPAddress) -> Optional[Route]:
+        """The longest explicit row containing ``destination``: its /32 if
+        installed, else the first hit among the shorter rows."""
+        route = self._rows.get((destination.value << 6) | 32)
+        if route is not None:
+            return route
+        scan = self._scan
+        if scan is None:
+            scan = self._scan = sorted(
+                (r for r in self._rows.values() if r.prefix.length < 32),
+                key=lambda r: -r.prefix.length,
+            )
+        for candidate in scan:
+            if candidate.matches(destination):
+                return candidate
+        return None
+
     def lookup(self, destination: Union[str, IPAddress]) -> Optional[Route]:
         """Longest-prefix-match lookup; falls back to the default route."""
         if destination.__class__ is not IPAddress:
@@ -115,11 +145,7 @@ class RoutingTable:
         route = self._cache.get(destination.value, _MISS)
         if route is not _MISS:
             return route
-        route = None
-        for candidate in self._routes:
-            if candidate.matches(destination):
-                route = candidate
-                break
+        route = self._match(destination)
         if route is None and self.miss_handler is not None and not self._miss_active:
             self._miss_active = True
             try:
@@ -127,10 +153,7 @@ class RoutingTable:
             finally:
                 self._miss_active = False
             if installed:
-                for candidate in self._routes:
-                    if candidate.matches(destination):
-                        route = candidate
-                        break
+                route = self._match(destination)
         if route is None:
             route = self._default
         self._cache[destination.value] = route
@@ -149,8 +172,10 @@ class RoutingTable:
     # inspection
     # ------------------------------------------------------------------
     def routes(self) -> List[Route]:
-        """All explicit routes (excludes the default)."""
-        return list(self._routes)
+        """All explicit routes (excludes the default), longest prefix first,
+        then by metric, then in installation order."""
+        return sorted(self._rows.values(),
+                      key=lambda r: (-r.prefix.length, r.metric))
 
     @property
     def default_route(self) -> Optional[Route]:
@@ -158,4 +183,4 @@ class RoutingTable:
         return self._default
 
     def __len__(self) -> int:
-        return len(self._by_prefix) + (1 if self._default else 0)
+        return len(self._rows) + (1 if self._default else 0)

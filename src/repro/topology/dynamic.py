@@ -18,14 +18,22 @@ recomputes only the *destinations whose installed routes actually changed*:
   edge can affect (by default all of them).
 
 Each affected anchor costs one :meth:`~IncrementalRouting.solve`; its rows
-are reinstalled through :meth:`RoutingTable.add_route`, which clears the
-per-node lookup memo, so forwarding flips atomically at the fault event.
+are brought in line through :meth:`RoutingTable.install`, which replaces
+only the rows that differ — a replaced /32 drops its own address from the
+per-node lookup memo, a replaced shorter prefix drops the memo — so
+forwarding flips atomically at the fault event, and routers none of whose
+rows moved keep their memos warm.
 A subclass supplies exactly three things: ``solve``, which anchors are
 ``tracked``, and ``restored_affects``.
 
+The leaf fold and the router projection (:func:`fold_leaves`,
+:func:`project_routers`) are the ones ``build_routes`` itself computes
+routes on, so the core and the builder agree on what an anchor is.
+
 :class:`DynamicRouting` is the flat shortest-path solver: every anchor is
 tracked, the index is read straight out of the tables ``build_routes``
-installed (memoized dict lookups, no Dijkstras), and a restored edge
+installed (one exact-match /32 probe per anchor per router — no prefix
+scan, no Dijkstras), and a restored edge
 re-solves only the anchors whose distance could strictly improve via it —
 two Dijkstras from the edge endpoints (with the edge temporarily removed)
 identify every anchor where ``|d_u(a) - d_v(a)| > w(u,v)``, the classical
@@ -53,6 +61,39 @@ def edge_key(a: str, b: str) -> EdgeKey:
     return (a, b) if a <= b else (b, a)
 
 
+def fold_leaves(topo) -> Dict[str, str]:
+    """Single-homed host -> the non-host node it hangs off.
+
+    Such a host is a degree-1 leaf: never interior to a path, and its own
+    shortest-path tree is its neighbour's plus the one access edge.  Route
+    computation (:meth:`Topology.build_routes` and every solver here) runs
+    on the graph without these leaves and lets them inherit their
+    neighbour's next hop at one extra hop.  Multi-homed hosts, hosts behind
+    other hosts and every non-host node stay in the graph.
+    """
+    fold: Dict[str, str] = {}
+    for name, node in topo.nodes.items():
+        if isinstance(node, Host) and len(node.links) == 1:
+            neighbor = node.links[0].other_end(node)
+            if not isinstance(neighbor, Host):
+                fold[name] = neighbor.name
+    return fold
+
+
+def project_routers(graph: nx.Graph, fold: Dict[str, str]) -> nx.Graph:
+    """A copy of ``graph`` without the folded leaves.
+
+    Removing degree-1 nodes changes neither the distances nor networkx's
+    heap tie-breaking among the remaining nodes (a leaf only ever relaxes
+    its already-settled neighbour), so paths over the projection are the
+    full graph's paths, at a fraction of the per-Dijkstra cost: a
+    host-heavy fleet graph shrinks ~6x.
+    """
+    projected = graph.copy()
+    projected.remove_nodes_from(fold)
+    return projected
+
+
 def new_counters() -> Dict[str, int]:
     """The per-event work counters ``apply`` returns, all zero."""
     return {"anchors_recomputed": 0, "dijkstras": 0,
@@ -72,18 +113,13 @@ class IncrementalRouting:
         # anchor itself is always first with extra 0; folded hosts add one
         # access hop to the anchor's path metric.
         self._groups: Dict[str, List[Tuple[str, int]]] = {}
-        # Folded host -> its anchor.  Solvers work on the router-level graph:
-        # a degree-1 leaf is never interior to a path.
-        self._fold_anchor: Dict[str, str] = {}
-        for name, node in topo.nodes.items():
-            if isinstance(node, Host) and len(node.links) == 1:
-                neighbor = node.links[0].other_end(node)
-                if not isinstance(neighbor, Host):
-                    self._fold_anchor[name] = neighbor.name
-                    continue
-            self._groups[name] = [(name, 0)]
+        # Folded host -> its anchor; solvers work on the router-level graph.
+        self._fold_anchor = fold_leaves(topo)
+        for name in topo.nodes:
+            if name not in self._fold_anchor:
+                self._groups[name] = [(name, 0)]
         for host, anchor in self._fold_anchor.items():
-            self._groups.setdefault(anchor, [(anchor, 0)]).append((host, 1))
+            self._groups[anchor].append((host, 1))
         # The rows of a group installed on routers *other than* the anchor;
         # a solver may narrow this (the anchor always gets its access rows).
         self._remote_members = self._groups
@@ -164,49 +200,61 @@ class IncrementalRouting:
         return stats
 
     def _recompute(self, anchor: str, stats: Dict[str, int]) -> None:
-        """One solve, then bring every router's rows for the group in line:
-        unchanged ``(link, metric)`` rows are skipped (the lookup memo stays
-        warm), unreachable routers have theirs withdrawn so stale routes
-        cannot forward into a black hole."""
+        """One solve, then bring every router's rows for the group in line
+        through :meth:`RoutingTable.install`: an unchanged ``(link, metric)``
+        row is one keyed probe and leaves the table's lookup memo alone;
+        unreachable routers have their rows withdrawn so stale routes cannot
+        forward into a black hole (withdrawing an absent row is a no-op).
+
+        A group's rows on one router are a function of that router's single
+        next hop and distance toward the anchor, and only ``build_routes``
+        and this method write them, so they move together: a router whose
+        first row is already in line is done after that one probe, and the
+        work is routers + rows changed, not routers x rows."""
         routes = self.solve(anchor)
         stats["dijkstras"] += 1
         stats["anchors_recomputed"] += 1
         link_data = self._topo.graph.get_edge_data
         prefixes = self._prefixes
-        remote = self._remote_members[anchor]
-        access = [(member, extra)
-                  for member, extra in self._groups[anchor] if extra]
-        edges = {edge_key(anchor, member) for member, _ in access}
+        edges: Set[EdgeKey] = set()
         installed = 0
+        # The anchor reaches its own folded hosts over their access links
+        # (solvers are router-level): one next hop per host.
+        install = self._topo.nodes[anchor].routing.install
+        for member, extra in self._groups[anchor]:
+            if extra:
+                edges.add(edge_key(anchor, member))
+                link = link_data(anchor, member)["link"]
+                for prefix in prefixes[member]:
+                    if install(prefix, link, extra):
+                        installed += 1
+        # Every other router holds the same rows, (prefix, extra hops), via
+        # its one next hop toward the anchor.
+        remote = [(prefix, extra)
+                  for member, extra in self._remote_members[anchor]
+                  for prefix in prefixes[member]]
         for router in self._routers:
             name = router.name
-            table = router.routing
             if name == anchor:
-                # The anchor reaches its own folded hosts over their access
-                # links (solvers are router-level): one next hop per host.
-                via = [(link_data(name, member)["link"], 0, [(member, extra)])
-                       for member, extra in access]
-            else:
-                hop = routes.get(name)
-                if hop is None:
-                    for member, _ in remote:
-                        for prefix in prefixes[member]:
-                            if table.remove_route(prefix):
-                                stats["routes_removed"] += 1
-                    continue
-                next_hop, hops = hop
-                edges.add(edge_key(name, next_hop))
-                via = ((link_data(name, next_hop)["link"], hops, remote),)
-            for link, hops, members in via:
-                for member, extra in members:
-                    metric = hops + extra
-                    for prefix in prefixes[member]:
-                        existing = table.route_for(prefix)
-                        if (existing is not None and existing.link is link
-                                and existing.metric == metric):
-                            continue
-                        table.add_route(prefix, link, metric=metric)
-                        installed += 1
+                continue
+            table = router.routing
+            hop = routes.get(name)
+            if hop is None:
+                for prefix, _ in remote:
+                    if table.remove_route(prefix):
+                        stats["routes_removed"] += 1
+                continue
+            next_hop, hops = hop
+            edges.add(edge_key(name, next_hop))
+            link = link_data(name, next_hop)["link"]
+            install = table.install
+            changed = 0
+            for prefix, extra in remote:
+                if install(prefix, link, hops + extra):
+                    changed += 1
+                elif not changed:
+                    break  # first row in line: so is the rest of the group
+            installed += changed
         self._set_anchor_edges(anchor, edges)
         stats["routes_installed"] += installed
         # The cumulative figure adds the *event's running total* per solve,
@@ -227,19 +275,12 @@ class DynamicRouting(IncrementalRouting):
             self._set_anchor_edges(anchor, self._installed_edges(anchor))
 
     def _reduced_graph(self) -> nx.Graph:
-        """The live routing graph with folded (degree-1) hosts projected out.
-
-        A degree-1 node is never interior to a shortest path, so router
-        paths — and therefore every installed route and metric — are
-        identical to what the full graph yields, at a fraction of the
-        per-Dijkstra cost (a host-heavy fleet graph shrinks ~6x).  Copied
+        """The live routing graph with folded hosts projected out, copied
         fresh after every link flip so it always reflects the current
-        up/down edge set.
-        """
+        up/down edge set."""
         topo = self._topo
         if self._graph_epoch != topo.link_epoch:
-            self._graph = topo.routing_graph.copy()
-            self._graph.remove_nodes_from(self._fold_anchor)
+            self._graph = project_routers(topo.routing_graph, self._fold_anchor)
             self._graph_epoch = topo.link_epoch
         return self._graph
 

@@ -2,7 +2,8 @@
 
 from repro.core.directory import NodeDirectory
 from repro.core.events import EventType, ProtocolEventLog
-from repro.router.nodes import BorderRouter, Host
+from repro.net.address import IPAddress
+from repro.router.nodes import BorderRouter, Host, NetworkNode
 from repro.sim.engine import Simulator
 
 
@@ -108,3 +109,44 @@ class TestNodeDirectory:
         directory.register(host)
         assert len(directory) == 1
         assert len(directory.nodes()) == 1
+
+    def test_reverse_lookup_does_not_scan_registered_nodes(self, monkeypatch):
+        host, router = self._nodes()
+        directory = NodeDirectory()
+        directory.register_all([host, router])
+        scans = []
+        monkeypatch.setattr(
+            NetworkNode, "owns_address",
+            lambda self, address: scans.append(self.name) or False)
+        assert directory.node_owning("10.0.0.1") is host
+        assert directory.node_owning(router.address) is router
+        assert scans == []
+        # an unknown address still falls back to (and fails) the full scan
+        assert directory.node_owning("9.9.9.9") is None
+        assert scans == ["G_host", "G_gw1"]
+
+    def test_address_added_after_registration_resolves_and_is_indexed(self):
+        host, router = self._nodes()
+        directory = NodeDirectory()
+        directory.register_all([host, router])
+        router.add_address("10.0.9.9")
+        assert directory.node_owning("10.0.9.9") is router
+        assert directory._by_address[IPAddress.parse("10.0.9.9").value] is router
+
+    def test_first_registered_owner_wins_and_replacement_takes_its_place(self):
+        host, router = self._nodes()
+        sim = Simulator()
+        twin = Host(sim, "twin", "10.0.0.1")
+        directory = NodeDirectory()
+        directory.register_all([host, twin, router])
+        assert directory.node_owning("10.0.0.1") is host
+        # Same name, new node: the old one's addresses go with it, and the
+        # newcomer stands where the old entry stood in registration order.
+        renumbered = Host(sim, "G_host", "10.0.0.7")
+        directory.register(renumbered)
+        assert directory.node_owning("10.0.0.7") is renumbered
+        assert directory.node_owning("10.0.0.1") is twin
+        shadow = Host(sim, "G_host", "10.0.0.254")
+        directory.register(shadow)
+        assert directory.node_owning("10.0.0.254") is shadow
+        assert directory.node_owning("10.0.0.7") is None

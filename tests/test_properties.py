@@ -8,7 +8,9 @@ from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue
 from repro.router.filter_table import FilterTable, FilterTableFullError
 from repro.router.policer import TokenBucket
+from repro.router.routing import Route, RoutingTable
 from repro.sim.engine import Simulator
+from repro.topology.powerlaw import build_powerlaw_internet
 
 
 addresses = st.integers(min_value=0, max_value=(1 << 32) - 1).map(IPAddress)
@@ -106,6 +108,140 @@ class TestFilterTableProperties:
             table.install(FlowLabel.from_source(IPAddress(index + 1)), duration)
         clock["now"] = 11.0  # past the longest possible expiry
         assert table.occupancy == 0
+
+
+# A universe small enough (four addresses, mostly /32 operations, every
+# other operation a lookup) that memoized answers, changes to the very row
+# that produced them, and covering shorter prefixes collide all the time.
+def _covering(address, length):
+    """The /``length`` prefix that contains ``address``."""
+    return Prefix(IPAddress(address.value >> (32 - length) << (32 - length)),
+                  length)
+
+
+lpm_addresses = st.builds(
+    lambda net, host: IPAddress(0x0A000000 | (net << 8) | host),
+    st.integers(min_value=0, max_value=1), st.integers(min_value=0, max_value=1))
+lpm_prefixes = st.builds(_covering, lpm_addresses,
+                         st.sampled_from([0, 24, 31] + [32] * 6))
+lpm_links = st.sampled_from(["via-a", "via-b", "via-c"])
+lpm_lookup = st.tuples(st.just("lookup"), lpm_addresses)
+lpm_ops = st.one_of(
+    st.tuples(st.just("install"), lpm_prefixes, lpm_links,
+              st.integers(min_value=0, max_value=2)),
+    st.tuples(st.just("remove"), lpm_prefixes),
+    st.tuples(st.just("default"), lpm_links),
+    lpm_lookup, lpm_lookup, lpm_lookup,
+)
+
+
+def _longest_match(model, address):
+    """Brute force: every row, keep the longest prefix that contains it."""
+    best = None
+    for prefix, (link, metric) in model.items():
+        if prefix.contains(address) and (best is None
+                                         or prefix.length > best[0].length):
+            best = (prefix, link, metric)
+    return best
+
+
+class TestRoutingTableProperties:
+    @given(st.lists(lpm_ops, min_size=8, max_size=60),
+           st.dictionaries(lpm_addresses, st.sampled_from([24, 32]), max_size=2))
+    @settings(max_examples=200, deadline=None)
+    def test_lookup_equals_brute_force_longest_match(self, ops, lazy):
+        """Through any interleaving of install / remove / set_default /
+        lookup, with a miss handler that materialises a /32 or a /24 on
+        demand, the table (exact probe, shorter-prefix scan, memo) answers
+        what a scan of every row would."""
+        table = RoutingTable()
+        model = {}
+        default = None
+        materialised = []
+
+        def on_miss(address):
+            length = lazy.get(address)
+            if length is None:
+                return False
+            prefix = _covering(address, length)
+            model[prefix] = ("via-lazy", 9)
+            table.install(prefix, "via-lazy", 9)
+            materialised.append(address)
+            return True
+
+        table.miss_handler = on_miss
+        for op in ops:
+            if op[0] == "install":
+                _, prefix, link, metric = op
+                changed = model.get(prefix) != (link, metric)
+                assert table.install(prefix, link, metric) == changed
+                model[prefix] = (link, metric)
+            elif op[0] == "remove":
+                assert table.remove_route(op[1]) == (
+                    model.pop(op[1], None) is not None)
+            elif op[0] == "default":
+                default = table.set_default(op[1])
+            else:
+                address = op[1]
+                unrouted = _longest_match(model, address) is None
+                del materialised[:]
+                got = table.lookup(address)
+                # the handler fires exactly when no explicit row matches
+                assert materialised == (
+                    [address] if unrouted and address in lazy else [])
+                want = _longest_match(model, address)
+                if want is None:
+                    assert got is default
+                else:
+                    assert (got.prefix, got.link, got.metric) == want
+                assert table.next_link(address) is (
+                    got.link if got is not None else None)
+        assert {route.prefix: (route.link, route.metric)
+                for route in table.routes()} == model
+
+
+class TestRoutingWorkGate:
+    """Deterministic work, no clock: a regression to scanning rows fails
+    here by count of ``Route.matches`` calls."""
+
+    @staticmethod
+    def _count_matches(monkeypatch):
+        calls = []
+        matches = Route.matches
+        monkeypatch.setattr(
+            Route, "matches",
+            lambda self, destination: calls.append(self) or matches(
+                self, destination))
+        return calls
+
+    def test_an_installed_host_row_is_found_without_scanning(self, monkeypatch):
+        table = RoutingTable()
+        for net in range(100):
+            table.add_route(f"10.{net}.0.0/24", "aggregate")
+            for host in range(1, 10):
+                table.add_route(f"10.{net}.0.{host}/32", "host", metric=host)
+        assert len(table) == 1000
+        calls = self._count_matches(monkeypatch)
+        for net in range(100):
+            route = table.lookup(f"10.{net}.0.7")
+            assert (route.link, route.metric) == ("host", 7)
+        assert calls == []
+        # No /32: only the hundred shorter rows are candidates, and the
+        # answer is memoized.
+        assert table.lookup("10.99.0.200").link == "aggregate"
+        assert 0 < len(calls) <= 100
+        assert all(route.prefix.length < 32 for route in calls)
+        del calls[:]
+        assert table.lookup("10.99.0.200").link == "aggregate"
+        assert calls == []
+
+    def test_building_the_reroute_index_scans_no_rows(self, monkeypatch):
+        fleet = build_powerlaw_internet(autonomous_systems=60,
+                                        hosts_per_leaf=4, seed=11)
+        calls = self._count_matches(monkeypatch)
+        core = fleet.topology.ensure_dynamic_routing()
+        assert len(core._anchor_edges) >= 60
+        assert calls == []
 
 
 class TestTokenBucketProperties:

@@ -16,6 +16,7 @@ import random
 import pytest
 
 from repro.router.nodes import Host
+from repro.router.routing import RoutingTable
 from repro.routing_policy import PolicyRoutingManager
 from repro.topology.dynamic import (
     DynamicRouting,
@@ -130,6 +131,31 @@ class TestCoreContract:
                 assert _rows(topo, core) == pristine
         assert total["anchors_recomputed"] > 0
         assert total["routes_installed"] > 0
+
+    def test_recompute_probes_routers_plus_changed_rows(self, build,
+                                                        monkeypatch):
+        """A group's rows on one router move together, so a recompute
+        costs one ``install`` probe per router whose rows are in line and
+        one per row on the routers that moved — not routers x rows."""
+        topo, core = build()
+        probes = []
+        install = RoutingTable.install
+        monkeypatch.setattr(
+            RoutingTable, "install",
+            lambda self, prefix, link, metric=0:
+                probes.append(1) or install(self, prefix, link, metric))
+        widest = max(sum(len(core._prefixes[member])
+                         for member, _ in core._groups[anchor])
+                     for anchor in core.tracked())
+        for link, up in _script(topo, core, seed=3):
+            assert topo.set_link_state(link, up)
+            del probes[:]
+            stats = topo.reroute_incremental(
+                **{"restored" if up else "downed": [link]})
+            assert len(probes) <= (
+                stats["anchors_recomputed"] * len(core._routers)
+                + widest * stats["routes_installed"])
+            assert stats["routes_installed"] <= len(probes)
 
     def test_link_no_tracked_anchor_uses_costs_nothing(self, build):
         topo, core = build()

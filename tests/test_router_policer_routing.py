@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.address import IPAddress
+from repro.net.address import IPAddress, Prefix
 from repro.net.packet import Packet
 from repro.router.ingress import IngressFilter
 from repro.router.policer import TokenBucket
@@ -126,6 +126,56 @@ class TestRoutingTable:
         assert table.remove_route("10.0.0.0/24")
         assert not table.remove_route("10.0.0.0/24")
         assert table.lookup("10.0.0.5") is None
+
+    def test_calls_that_change_nothing_keep_the_memo_and_the_scan_list(self):
+        # _recompute withdraws every prefix of every unreachable router and
+        # re-installs every unchanged row: neither may cold-start a table.
+        table = RoutingTable()
+        coarse, host = FakeLink("coarse"), FakeLink("host")
+        table.add_route("10.0.0.0/8", coarse)
+        table.add_route("10.1.2.3/32", host, metric=2)
+        table.lookup("10.1.2.3"), table.lookup("10.9.9.9")
+        memo, scan = dict(table._cache), table._scan
+        assert len(memo) == 2 and scan is not None
+
+        assert not table.remove_route("10.7.7.7/32")
+        assert not table.remove_route("10.7.0.0/16")
+        row = table.route_for("10.1.2.3/32")
+        assert not table.install(row.prefix, host, 2)
+        assert table.add_route("10.1.2.3/32", host, metric=2) is row
+        assert table.add_route("10.0.0.0/8", coarse) is table.route_for("10.0.0.0/8")
+        assert table._cache == memo and table._scan is scan
+
+    def test_a_host_row_changing_drops_only_its_own_memo_entry(self):
+        table = RoutingTable()
+        coarse, old, new = FakeLink("coarse"), FakeLink("old"), FakeLink("new")
+        table.add_route("10.0.0.0/8", coarse)
+        table.add_route("10.1.2.3/32", old)
+        assert table.next_link("10.1.2.3") is old
+        assert table.next_link("10.9.9.9") is coarse
+        scan = table._scan
+
+        assert table.install(Prefix.parse("10.1.2.3/32"), new, 1)
+        assert set(table._cache) == {IPAddress.parse("10.9.9.9").value}
+        assert table._scan is scan
+        assert table.next_link("10.1.2.3") is new
+        assert table.remove_route("10.1.2.3/32")
+        assert table.next_link("10.1.2.3") is coarse
+        # a shorter row can answer for any address: everything goes
+        table.add_route("10.1.0.0/16", new)
+        assert not table._cache and table._scan is None
+        assert table.next_link("10.1.2.3") is new
+
+    def test_routes_are_longest_first_then_metric_then_installation_order(self):
+        table = RoutingTable()
+        link = FakeLink("x")
+        table.add_route("10.0.0.2/32", link, metric=3)
+        table.add_route("10.0.0.0/8", link)
+        table.add_route("10.0.0.1/32", link, metric=1)
+        table.add_route("10.0.0.3/32", link, metric=3)
+        table.add_route("10.0.0.2/32", link, metric=3)  # keeps its place
+        assert [str(route.prefix) for route in table.routes()] == [
+            "10.0.0.1/32", "10.0.0.2/32", "10.0.0.3/32", "10.0.0.0/8"]
 
     def test_len_counts_default(self):
         table = RoutingTable()
