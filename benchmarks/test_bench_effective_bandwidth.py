@@ -14,8 +14,7 @@ import pytest
 
 from repro.analysis.formulas import effective_bandwidth_reduction
 from repro.analysis.report import ResultTable, format_ratio
-from repro.core.config import AITFConfig
-from repro.scenarios.flood_defense import FloodDefenseScenario
+from repro.experiments import ExperimentRunner, default_flood_spec
 
 from benchmarks.conftest import run_once
 
@@ -27,22 +26,14 @@ def run_sweep(filter_timeouts=(10.0, 20.0, 40.0)):
     """Measure the effective-bandwidth ratio for several values of T."""
     rows = []
     for filter_timeout in filter_timeouts:
-        config = AITFConfig(
-            filter_timeout=filter_timeout,
-            temporary_filter_timeout=0.6,
-            attacker_grace_period=0.5,
-        )
-        scenario = FloodDefenseScenario(
-            aitf_enabled=True,
-            config=config,
-            attack_rate_pps=800.0,
-            detection_delay=DETECTION_DELAY,
-            victim_gateway_delay=VICTIM_GATEWAY_DELAY,
-            non_cooperating=("B_host",),
-            disconnection_enabled=False,
-        )
-        # Measure over a full blocking period plus the initial exposure.
-        result = scenario.run(duration=filter_timeout + 1.0)
+        spec = default_flood_spec(
+            attack_pps=800.0, detection_delay=DETECTION_DELAY,
+            filter_timeout=filter_timeout, temporary_filter_timeout=0.6,
+            topology_params={"victim_gateway_delay": VICTIM_GATEWAY_DELAY},
+            # Measure over a full blocking period plus the initial exposure.
+            duration=filter_timeout + 1.0,
+        ).with_overrides({"aitf.attacker_grace_period": 0.5})
+        result = ExperimentRunner().run(spec)
         predicted = effective_bandwidth_reduction(
             1, DETECTION_DELAY, VICTIM_GATEWAY_DELAY, filter_timeout)
         rows.append((filter_timeout, predicted, result.effective_bandwidth_ratio))

@@ -13,9 +13,8 @@ took, and whether the endgame disconnection happened.
 import pytest
 
 from repro.analysis.report import ResultTable
-from repro.core.config import AITFConfig
 from repro.core.events import EventType
-from repro.scenarios.flood_defense import FloodDefenseScenario
+from repro.experiments import ExperimentRunner, default_flood_spec
 
 from benchmarks.conftest import run_once
 
@@ -29,21 +28,20 @@ def run_escalation_sweep():
         # Ttmp must cover traceback + the 3-way handshake (Section IV-B); the
         # paper's example uses 0.6 s.  A shorter Ttmp makes the victim's
         # gateway mistake handshake latency for non-cooperation.
-        config = AITFConfig(filter_timeout=30.0, temporary_filter_timeout=0.8,
-                            attacker_grace_period=0.5)
-        scenario = FloodDefenseScenario(
-            aitf_enabled=True,
-            config=config,
-            attack_rate_pps=800.0,
+        spec = default_flood_spec(
+            attack_pps=800.0, duration=8.0,
+            filter_timeout=30.0, temporary_filter_timeout=0.8,
             non_cooperating=non_cooperating,
-            disconnection_enabled=True,
-        )
-        result = scenario.run(duration=8.0)
-        log = scenario.deployment.event_log
+            defense_params={"disconnection_enabled": True},
+        ).with_overrides({"aitf.attacker_grace_period": 0.5})
+        execution = ExperimentRunner().prepare(spec)
+        result = execution.run()
+        log = execution.backend.deployment.event_log
         filter_nodes = sorted({e.node for e in log.of_type(EventType.FILTER_INSTALLED)})
         disconnectors = sorted({e.node for e in log.of_type(EventType.DISCONNECTION)
                                 if e.details.get("link_found")})
-        rows.append((bad_gateways, result, filter_nodes, disconnectors))
+        rows.append((bad_gateways, result.defense_stats["escalation_rounds"],
+                     result.effective_bandwidth_ratio, filter_nodes, disconnectors))
     return rows
 
 
@@ -56,29 +54,29 @@ def test_bench_escalation_pushes_filtering_one_node_per_round(benchmark):
          "attack leak ratio"],
     )
     expected_filter_node = {0: "B_gw1", 1: "B_gw2", 2: "B_gw3"}
-    for bad_gateways, result, filter_nodes, disconnectors in rows:
-        table.add_row(bad_gateways, max(1, result.escalation_rounds),
+    for bad_gateways, rounds, leak, filter_nodes, disconnectors in rows:
+        table.add_row(bad_gateways, max(1, rounds),
                       ",".join(filter_nodes) or "-",
                       ",".join(disconnectors) or "-",
-                      f"{result.effective_bandwidth_ratio:.4f}")
+                      f"{leak:.4f}")
     table.add_note("paper example: B_gw1 refuses -> B_gw2 filters in round 2, etc.; "
                    "all refuse -> G_gw3 disconnects from B_gw3")
     table.print()
 
-    for bad_gateways, result, filter_nodes, disconnectors in rows:
+    for bad_gateways, rounds, leak, filter_nodes, disconnectors in rows:
         if bad_gateways == 0:
-            assert result.escalation_rounds == 0
+            assert rounds == 0
             assert filter_nodes == ["B_gw1"]
         elif bad_gateways < 3:
             # Filtering lands on the closest cooperative attacker-side gateway,
             # after exactly one escalation round per refusing gateway.
             assert expected_filter_node[bad_gateways] in filter_nodes
-            assert result.escalation_rounds == bad_gateways + 1
+            assert rounds == bad_gateways + 1
         else:
             # Worst case: the victim's side disconnects from the bad peer.
             assert "G_gw3" in disconnectors
         # In every case the victim stays protected.
-        assert result.effective_bandwidth_ratio < 0.1
+        assert leak < 0.1
 
 
 @pytest.mark.benchmark(group="E6-escalation")
@@ -86,13 +84,11 @@ def test_bench_each_round_involves_exactly_four_nodes(benchmark):
     """The Section V comparison point: an AITF round touches 4 nodes, not the
     whole path."""
     def run():
-        config = AITFConfig(filter_timeout=30.0, temporary_filter_timeout=0.8)
-        scenario = FloodDefenseScenario(
-            aitf_enabled=True, config=config, attack_rate_pps=600.0,
-            non_cooperating=("B_host",), disconnection_enabled=False,
-        )
-        scenario.run(duration=4.0)
-        return scenario.deployment.event_log
+        execution = ExperimentRunner().prepare(default_flood_spec(
+            attack_pps=600.0, duration=4.0,
+            filter_timeout=30.0, temporary_filter_timeout=0.8))
+        execution.run()
+        return execution.backend.deployment.event_log
 
     log = run_once(benchmark, run)
     active_nodes = {e.node for e in log

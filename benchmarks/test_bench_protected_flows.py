@@ -14,34 +14,37 @@ import pytest
 
 from repro.analysis.formulas import protected_flows
 from repro.analysis.report import ResultTable
-from repro.core.config import AITFConfig
-from repro.scenarios.resources import VictimGatewayResourceScenario
+from repro.experiments import ExperimentRunner, default_victim_resource_spec
 
 from benchmarks.conftest import run_once
 
 FILTER_TIMEOUT = 20.0
 
 
+def prepare_victim_gateway(request_rate, accept_rate, send_rate, duration):
+    return ExperimentRunner().prepare(default_victim_resource_spec(
+        request_rate=request_rate, sources=30, duration=duration,
+        aitf={"filter_timeout": FILTER_TIMEOUT,
+              "temporary_filter_timeout": 0.5,
+              "default_accept_rate": accept_rate,
+              "default_send_rate": send_rate,
+              "verification_enabled": False}))
+
+
 def run_protection_sweep(request_rates=(10.0, 25.0, 50.0), duration=10.0):
     """For each contract rate R1, count flows concurrently protected."""
     rows = []
     for rate in request_rates:
-        config = AITFConfig(
-            filter_timeout=FILTER_TIMEOUT,
-            temporary_filter_timeout=0.5,
-            default_accept_rate=rate,
-            default_send_rate=max(rate, 10.0),
-            verification_enabled=False,
-        )
-        scenario = VictimGatewayResourceScenario(
-            config=config, request_rate=rate, sources=30)
-        result = scenario.run(duration=duration)
+        execution = prepare_victim_gateway(rate, rate, max(rate, 10.0), duration)
+        requests = execution.run().collector_stats["requests"]
         predicted_nv = protected_flows(rate, FILTER_TIMEOUT)
         # Flows protected simultaneously at the end of the run: every accepted
         # request whose T-second block is still live, visible as shadow entries.
-        measured_live = scenario.victim_gateway_agent.shadow_cache.occupancy
-        rows.append((rate, predicted_nv, result.requests_accepted,
-                     result.requests_policed, measured_live, duration))
+        gateway_agent = execution.backend.deployment.gateway_agent(
+            execution.handle.victim_gateway.name)
+        measured_live = gateway_agent.shadow_cache.occupancy
+        rows.append((rate, predicted_nv, requests["requests_accepted"],
+                     requests["requests_policed"], measured_live, duration))
     return rows
 
 
@@ -72,24 +75,19 @@ def test_bench_protected_flows_scale_with_r1_times_t(benchmark):
 def test_bench_requests_beyond_contract_rate_are_policed(benchmark):
     """Offering requests at 5x the contract rate must not inflate protection."""
     def run():
-        config = AITFConfig(
-            filter_timeout=FILTER_TIMEOUT, temporary_filter_timeout=0.5,
-            default_accept_rate=10.0, default_send_rate=50.0,
-            verification_enabled=False,
-        )
-        scenario = VictimGatewayResourceScenario(config=config, request_rate=50.0,
-                                                 sources=30)
-        return scenario.run(duration=5.0)
+        result = prepare_victim_gateway(50.0, 10.0, 50.0, duration=5.0).run()
+        return (result.workload_stats[0]["requests_sent"],
+                result.collector_stats["requests"])
 
-    result = run_once(benchmark, run)
+    requests_sent, requests = run_once(benchmark, run)
     table = ResultTable(
         "E2b: over-rate requests are dropped by contract policing",
         ["offered req", "accepted", "policed", "contract rate"],
     )
-    table.add_row(result.requests_sent, result.requests_accepted,
-                  result.requests_policed, "10 req/s")
+    table.add_row(requests_sent, requests["requests_accepted"],
+                  requests["requests_policed"], "10 req/s")
     table.print()
-    assert result.requests_policed > 0
+    assert requests["requests_policed"] > 0
     # Acceptance stays near the contract rate x duration (10/s * 5 s = 50).
-    assert result.requests_accepted <= 80
-    assert result.requests_accepted >= 40
+    assert requests["requests_accepted"] <= 80
+    assert requests["requests_accepted"] >= 40

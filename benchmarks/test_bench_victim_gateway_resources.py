@@ -15,8 +15,7 @@ import pytest
 
 from repro.analysis.formulas import victim_gateway_filters, victim_gateway_shadow_entries
 from repro.analysis.report import ResultTable
-from repro.core.config import AITFConfig
-from repro.scenarios.resources import VictimGatewayResourceScenario
+from repro.experiments import ExperimentRunner, default_victim_resource_spec
 
 from benchmarks.conftest import run_once
 
@@ -24,21 +23,22 @@ FILTER_TIMEOUT = 30.0
 TTMP = 0.5
 
 
-def run_resource_sweep(request_rates=(20.0, 50.0, 100.0), duration=4.0):
-    rows = []
-    for rate in request_rates:
-        config = AITFConfig(
-            filter_timeout=FILTER_TIMEOUT,
-            temporary_filter_timeout=TTMP,
-            default_accept_rate=rate,
-            default_send_rate=max(rate, 10.0),
-            verification_enabled=False,
-        )
-        scenario = VictimGatewayResourceScenario(config=config, request_rate=rate,
-                                                 sources=40)
-        result = scenario.run(duration=duration)
-        rows.append((rate, result))
-    return rows
+def run_victim_gateway(rate, ttmp=TTMP, duration=4.0):
+    """Drive the gateway at ``rate`` req/s; (peak filters, peak shadow, accepted)."""
+    spec = default_victim_resource_spec(
+        request_rate=rate, sources=40, duration=duration,
+        aitf={"filter_timeout": FILTER_TIMEOUT,
+              "temporary_filter_timeout": ttmp,
+              "default_accept_rate": rate,
+              "default_send_rate": max(rate, 10.0),
+              "verification_enabled": False})
+    stats = ExperimentRunner().run(spec).collector_stats
+    return (stats["victim-gw-filters"]["peak"], stats["victim-gw-shadow"]["peak"],
+            stats["requests"]["requests_accepted"])
+
+
+def run_resource_sweep(request_rates=(20.0, 50.0, 100.0)):
+    return [(rate, *run_victim_gateway(rate)) for rate in request_rates]
 
 
 @pytest.mark.benchmark(group="E3-victim-gateway-resources")
@@ -49,27 +49,27 @@ def test_bench_victim_gateway_filter_occupancy_tracks_r1_ttmp(benchmark):
         ["R1 (req/s)", "paper nv=R1*Ttmp", "peak filters", "paper mv=R1*T",
          "shadow @4s", "flows handled"],
     )
-    for rate, result in rows:
+    for rate, peak_filters, peak_shadow, accepted in rows:
         table.add_row(
             f"{rate:.0f}",
             victim_gateway_filters(rate, TTMP),
-            int(result.peak_filter_occupancy),
+            int(peak_filters),
             victim_gateway_shadow_entries(rate, FILTER_TIMEOUT),
-            int(result.peak_shadow_occupancy),
-            result.requests_accepted,
+            int(peak_shadow),
+            accepted,
         )
     table.add_note("paper example: R1=100/s, Ttmp=0.6s -> nv=60 filters for Nv=6000 flows")
     table.print()
 
-    for rate, result in rows:
+    for rate, peak_filters, peak_shadow, accepted in rows:
         predicted = victim_gateway_filters(rate, TTMP)
         # Peak wire-speed occupancy stays in the neighbourhood of R1*Ttmp...
-        assert result.peak_filter_occupancy <= 1.6 * predicted + 2
-        assert result.peak_filter_occupancy >= 0.5 * predicted
+        assert peak_filters <= 1.6 * predicted + 2
+        assert peak_filters >= 0.5 * predicted
         # ...which is far below the number of flows being protected.
-        assert result.peak_filter_occupancy < 0.2 * result.requests_accepted
+        assert peak_filters < 0.2 * accepted
         # The DRAM shadow grows with every accepted request (capped by mv).
-        assert result.peak_shadow_occupancy >= 0.9 * result.requests_accepted
+        assert peak_shadow >= 0.9 * accepted
 
 
 @pytest.mark.benchmark(group="E3-victim-gateway-resources")
@@ -77,28 +77,18 @@ def test_bench_ttmp_ablation_filter_cost(benchmark):
     """Ablation: keeping the temporary filter for T instead of Ttmp explodes
     the wire-speed footprint — the reason the shadow cache exists at all."""
     def run():
-        results = {}
-        for ttmp, label in ((0.5, "Ttmp=0.5s"), (8.0, "Ttmp=8s (towards T)")):
-            config = AITFConfig(
-                filter_timeout=FILTER_TIMEOUT,
-                temporary_filter_timeout=ttmp,
-                default_accept_rate=50.0,
-                default_send_rate=50.0,
-                verification_enabled=False,
-            )
-            scenario = VictimGatewayResourceScenario(config=config,
-                                                     request_rate=50.0, sources=40)
-            results[label] = scenario.run(duration=4.0)
-        return results
+        return {label: run_victim_gateway(50.0, ttmp=ttmp)[0]
+                for ttmp, label in ((0.5, "Ttmp=0.5s"),
+                                    (8.0, "Ttmp=8s (towards T)"))}
 
     results = run_once(benchmark, run)
     table = ResultTable(
         "E3b ablation: temporary-filter lifetime vs wire-speed filter cost (R1=50/s)",
         ["Ttmp", "peak wire-speed filters"],
     )
-    for label, result in results.items():
-        table.add_row(label, int(result.peak_filter_occupancy))
+    for label, peak_filters in results.items():
+        table.add_row(label, int(peak_filters))
     table.print()
-    small = results["Ttmp=0.5s"].peak_filter_occupancy
-    large = results["Ttmp=8s (towards T)"].peak_filter_occupancy
+    small = results["Ttmp=0.5s"]
+    large = results["Ttmp=8s (towards T)"]
     assert large > 4 * small

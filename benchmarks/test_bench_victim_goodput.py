@@ -15,8 +15,7 @@ plus the time AITF took to restore it.
 import pytest
 
 from repro.analysis.report import ResultTable, format_bps
-from repro.core.config import AITFConfig
-from repro.scenarios.flood_defense import FloodDefenseScenario
+from repro.experiments import ExperimentRunner, default_flood_spec
 
 from benchmarks.conftest import run_once
 
@@ -29,17 +28,13 @@ def run_goodput_sweep(multipliers=(0.5, 1.0, 2.0, 4.0)):
     for multiplier in multipliers:
         attack_pps = (TAIL_CIRCUIT_BPS * multiplier) / (1000 * 8)
         results = {}
-        for aitf_enabled in (False, True):
-            scenario = FloodDefenseScenario(
-                aitf_enabled=aitf_enabled,
-                config=AITFConfig(filter_timeout=30.0, temporary_filter_timeout=0.6),
-                attack_rate_pps=attack_pps,
-                legit_rate_pps=LEGIT_RATE_PPS,
-                tail_circuit_bandwidth=TAIL_CIRCUIT_BPS,
-                detection_delay=0.1,
-            )
-            results[aitf_enabled] = scenario.run(duration=8.0)
-        rows.append((multiplier, results[False], results[True]))
+        for defense in ("none", "aitf"):
+            results[defense] = ExperimentRunner().run(default_flood_spec(
+                defense=defense, attack_pps=attack_pps, legit_pps=LEGIT_RATE_PPS,
+                filter_timeout=30.0, temporary_filter_timeout=0.6,
+                topology_params={"tail_circuit_bandwidth": TAIL_CIRCUIT_BPS},
+                detection_delay=0.1, duration=8.0))
+        rows.append((multiplier, results["none"], results["aitf"]))
     return rows
 
 

@@ -12,26 +12,24 @@ for the most interesting one (everything non-cooperative).
 Run:  python examples/escalation_and_disconnection.py
 """
 
-from repro import AITFConfig
+from repro import ExperimentRunner, default_flood_spec
 from repro.analysis.report import ResultTable, format_ratio
 from repro.core.events import EventType
-from repro.scenarios.flood_defense import FloodDefenseScenario
 
 ATTACKER_SIDE = ("B_gw1", "B_gw2", "B_gw3")
 
 
 def run_case(bad_gateways: int):
-    config = AITFConfig(filter_timeout=30.0, temporary_filter_timeout=0.8,
-                        attacker_grace_period=0.5)
-    scenario = FloodDefenseScenario(
-        aitf_enabled=True,
-        config=config,
-        attack_rate_pps=800,
+    """One case: the event log of the live deployment, plus the result."""
+    spec = default_flood_spec(
+        attack_pps=800, duration=8.0,
+        filter_timeout=30.0, temporary_filter_timeout=0.8,
         non_cooperating=("B_host",) + ATTACKER_SIDE[:bad_gateways],
-        disconnection_enabled=True,
-    )
-    result = scenario.run(duration=8.0)
-    return scenario, result
+        defense_params={"disconnection_enabled": True},
+    ).with_overrides({"aitf.attacker_grace_period": 0.5})
+    execution = ExperimentRunner().prepare(spec)
+    result = execution.run()
+    return execution.backend.deployment.event_log, result
 
 
 def main() -> None:
@@ -41,19 +39,16 @@ def main() -> None:
         ["non-cooperating gateways", "rounds", "blocked by", "disconnected by",
          "attack leak"],
     )
-    last_scenario = None
     for bad in range(4):
-        scenario, result = run_case(bad)
-        log = scenario.deployment.event_log
+        log, result = run_case(bad)
         blockers = sorted({e.node for e in log.of_type(EventType.FILTER_INSTALLED)})
         disconnectors = sorted({e.node for e in log.of_type(EventType.DISCONNECTION)
                                 if e.details.get("link_found")})
         table.add_row(", ".join(ATTACKER_SIDE[:bad]) or "(none)",
-                      max(1, result.escalation_rounds),
+                      max(1, result.defense_stats["escalation_rounds"]),
                       ", ".join(blockers) or "-",
                       ", ".join(disconnectors) or "-",
                       format_ratio(result.effective_bandwidth_ratio))
-        last_scenario = scenario
     table.print()
 
     print("\nProtocol timeline for the worst case (B_gw1, B_gw2 and B_gw3 all refuse):\n")
@@ -62,7 +57,7 @@ def main() -> None:
         EventType.TEMP_FILTER_INSTALLED, EventType.FILTER_INSTALLED,
         EventType.ESCALATION, EventType.DISCONNECTION, EventType.FLOW_STOPPED,
     }
-    for event in last_scenario.deployment.event_log:
+    for event in log:
         if event.event_type not in interesting:
             continue
         details = ", ".join(f"{k}={v}" for k, v in event.details.items()

@@ -15,14 +15,9 @@ with it ablated — and prints the difference.
 Run:  python examples/onoff_attack.py
 """
 
+from repro import ExperimentRunner
 from repro.analysis.report import ResultTable, format_ratio
-from repro.scenarios.onoff import OnOffScenario
-
-
-def run(shadow_enabled: bool):
-    scenario = OnOffScenario(shadow_enabled=shadow_enabled)
-    result = scenario.run(duration=20.0)
-    return scenario, result
+from repro.experiments import default_onoff_spec
 
 
 def main() -> None:
@@ -34,11 +29,14 @@ def main() -> None:
     )
     for shadow_enabled, label in ((True, "with DRAM shadow cache"),
                                   (False, "shadow cache ablated")):
-        scenario, result = run(shadow_enabled)
-        table.add_row(label, result.attack_cycles, result.packets_sent,
-                      result.packets_received,
+        execution = ExperimentRunner().prepare(
+            default_onoff_spec(shadow_enabled=shadow_enabled, duration=20.0))
+        result = execution.run()
+        attack, defense = result.workload_stats[0], result.defense_stats
+        table.add_row(label, attack["cycles_completed"], attack["packets_sent"],
+                      execution.attack_meters[0].packets,
                       format_ratio(result.effective_bandwidth_ratio),
-                      result.shadow_hits, result.escalation_rounds or "-")
+                      defense["shadow_hits"], defense["escalation_rounds"] or "-")
     table.add_note("with the shadow, the second burst is caught instantly and the "
                    "filter is pushed to the next provider up the path")
     table.print()

@@ -14,11 +14,10 @@ plan.
 Run:  python examples/provider_capacity_planning.py
 """
 
-from repro import AITFConfig
+from repro import ExperimentRunner
 from repro.analysis.report import ResultTable
 from repro.contracts.contract import ContractBook
-from repro.contracts.provisioning import provision_client, provision_provider
-from repro.scenarios.resources import VictimGatewayResourceScenario
+from repro.experiments import default_victim_resource_spec
 
 #: The protocol timeouts the provider operates with (the paper's examples).
 FILTER_TIMEOUT = 60.0        # T
@@ -38,8 +37,6 @@ def plan_with_formulas() -> ResultTable:
     book = ContractBook()
     for name, accept_rate, send_rate in CLIENTS:
         book.add(name, accept_rate, send_rate)
-    provider_plan = provision_provider(book, FILTER_TIMEOUT, TEMPORARY_FILTER_TIMEOUT)
-    client_plan = provision_client(book, FILTER_TIMEOUT)
 
     table = ResultTable(
         "Provisioning plan from the Section IV formulas (T=60 s, Ttmp=0.6 s)",
@@ -47,15 +44,17 @@ def plan_with_formulas() -> ResultTable:
          "DRAM entries mv=R1*T", "protected flows Nv=R1*T",
          "attacker-side filters na=R2*T"],
     )
+    # A provider must serve all clients simultaneously, so totals are sums.
+    totals = [0, 0, 0]
     for name, accept_rate, send_rate in CLIENTS:
         contract = book.get(name)
-        table.add_row(name, f"{accept_rate:.0f}",
-                      contract.victim_side_filters(TEMPORARY_FILTER_TIMEOUT),
-                      contract.victim_side_shadow_entries(FILTER_TIMEOUT),
-                      contract.protected_flows(FILTER_TIMEOUT),
-                      contract.attacker_side_filters(FILTER_TIMEOUT))
-    table.add_row("TOTAL", "-", provider_plan.filter_slots,
-                  provider_plan.shadow_entries, "-", client_plan.filter_slots)
+        sizes = (contract.victim_side_filters(TEMPORARY_FILTER_TIMEOUT),
+                 contract.victim_side_shadow_entries(FILTER_TIMEOUT),
+                 contract.attacker_side_filters(FILTER_TIMEOUT))
+        totals = [total + size for total, size in zip(totals, sizes)]
+        table.add_row(name, f"{accept_rate:.0f}", sizes[0], sizes[1],
+                      contract.protected_flows(FILTER_TIMEOUT), sizes[2])
+    table.add_row("TOTAL", "-", totals[0], totals[1], "-", totals[2])
     table.add_note("wire-speed slots needed: victim-side total + attacker-side total; "
                    "a few hundred slots protect against tens of thousands of flows")
     return table
@@ -63,22 +62,23 @@ def plan_with_formulas() -> ResultTable:
 
 def validate_by_simulation() -> ResultTable:
     """Drive one contract (enterprise-a, R1=100/s) at full rate and measure."""
-    config = AITFConfig(filter_timeout=20.0,
-                        temporary_filter_timeout=TEMPORARY_FILTER_TIMEOUT,
-                        default_accept_rate=100.0, default_send_rate=100.0,
-                        verification_enabled=False)
-    scenario = VictimGatewayResourceScenario(config=config, request_rate=100.0,
-                                             sources=40)
-    result = scenario.run(duration=5.0)
+    spec = default_victim_resource_spec(
+        request_rate=100.0, sources=40, duration=5.0,
+        aitf={"filter_timeout": 20.0,
+              "temporary_filter_timeout": TEMPORARY_FILTER_TIMEOUT,
+              "default_accept_rate": 100.0, "default_send_rate": 100.0,
+              "verification_enabled": False})
+    stats = ExperimentRunner().run(spec).collector_stats
     table = ResultTable(
         "Validation: provider driven at R1=100 req/s for 5 s (T=20 s here)",
         ["quantity", "formula", "measured peak"],
     )
-    table.add_row("wire-speed filters", result.predicted_filters,
-                  int(result.peak_filter_occupancy))
+    table.add_row("wire-speed filters", stats["paper"]["predicted_filters"],
+                  int(stats["victim-gw-filters"]["peak"]))
     table.add_row("DRAM shadow entries (grows toward mv)",
-                  result.predicted_shadow_entries, int(result.peak_shadow_occupancy))
-    table.add_row("requests accepted", "-", result.requests_accepted)
+                  stats["paper"]["predicted_shadow_entries"],
+                  int(stats["victim-gw-shadow"]["peak"]))
+    table.add_row("requests accepted", "-", stats["requests"]["requests_accepted"])
     return table
 
 

@@ -7,7 +7,7 @@ the good host, lets AITF do its thing, and prints what happened:
     python examples/quickstart.py
 """
 
-from repro import FloodDefenseScenario
+from repro import ExperimentRunner, default_flood_spec
 from repro.analysis.report import format_bps, format_ratio, format_seconds
 
 
@@ -16,13 +16,15 @@ def main() -> None:
 
     # A 12 Mbps flood against a 10 Mbps tail circuit, with AITF deployed on
     # every host and border router.
-    scenario = FloodDefenseScenario(
-        aitf_enabled=True,
-        attack_rate_pps=1500,      # 12 Mbps of attack traffic
-        legit_rate_pps=400,        # 3.2 Mbps of legitimate traffic
+    spec = default_flood_spec(
+        defense="aitf",
+        attack_pps=1500,           # 12 Mbps of attack traffic
+        legit_pps=400,             # 3.2 Mbps of legitimate traffic
         detection_delay=0.1,       # Td: the victim notices within 100 ms
+        duration=10.0,
     )
-    result = scenario.run(duration=10.0)
+    result = ExperimentRunner().run(spec)
+    attacker_gw_block = result.defense_stats["time_to_attacker_gateway_filter"]
 
     print(f"attack offered          : {format_bps(result.attack_offered_bps)}")
     print(f"attack reaching victim  : {format_bps(result.attack_received_bps)} "
@@ -31,15 +33,14 @@ def main() -> None:
           f"{format_bps(result.legit_offered_bps)} offered")
     print(f"time to first block     : {format_seconds(result.time_to_first_block)} "
           f"(temporary filter at the victim's gateway)")
-    print(f"attacker's gateway block: {format_seconds(result.time_to_attacker_gateway_filter)} "
+    print(f"attacker's gateway block: {format_seconds(attacker_gw_block)} "
           f"after the attack started")
     print(f"filters used            : {int(result.victim_gateway_peak_filters)} at the "
           f"victim's gateway, {int(result.attacker_gateway_peak_filters)} at the attacker's")
 
-    # The same attack with AITF switched off, for contrast.
-    baseline = FloodDefenseScenario(aitf_enabled=False, attack_rate_pps=1500,
-                                    legit_rate_pps=400)
-    undefended = baseline.run(duration=10.0)
+    # The same attack with no defense at all, for contrast.
+    undefended = ExperimentRunner().run(
+        spec.with_overrides({"defense.backend": "none"}))
     print(f"\nwithout AITF the attack delivers "
           f"{format_bps(undefended.attack_received_bps)} to the victim and "
           f"legitimate goodput drops to {format_bps(undefended.legit_goodput_bps)}")

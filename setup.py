@@ -15,11 +15,18 @@ minimal environments.  Lint configuration (ruff) therefore lives in
 ``ruff.toml``.
 """
 
+import re
+
 from setuptools import find_packages, setup
+
+# One source of truth for the version: read it (no import, so installing
+# needs none of the package's dependencies) from the package itself.
+with open("src/repro/__init__.py") as handle:
+    VERSION = re.search(r'^__version__ = "([^"]+)"', handle.read(), re.M).group(1)
 
 setup(
     name="repro-aitf",
-    version="0.4.0",
+    version=VERSION,
     description=("Reproduction of AITF: Active Internet Traffic Filtering "
                  "(Argyraki & Cheriton, USENIX 2005)"),
     package_dir={"": "src"},

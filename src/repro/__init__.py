@@ -12,7 +12,7 @@ The package is organised bottom-up:
   filtering, and the host / border-router node classes.
 * :mod:`repro.traceback` — route-record shim and probabilistic edge-marking
   traceback.
-* :mod:`repro.contracts` — filtering contracts (R1/R2) and provisioning.
+* :mod:`repro.contracts` — filtering contracts (R1/R2).
 * :mod:`repro.core` — the AITF protocol itself (the paper's contribution).
 * :mod:`repro.attacks` — floods, on-off attacks, spoofing, zombie armies,
   legitimate traffic, and malicious uses of AITF.
@@ -22,23 +22,15 @@ The package is organised bottom-up:
 * :mod:`repro.analysis` — Section IV formulas, meters, and report tables.
 * :mod:`repro.experiments` — the unified experiment API: declarative specs,
   pluggable defense backends (aitf / pushback / ingress-dpf / manual /
-  none), and the parallel sweep runner.
-* :mod:`repro.scenarios` — the classic end-to-end scenarios, now thin shims
-  over :mod:`repro.experiments`.
+  none), and the parallel sweep runner.  Every experiment is an
+  :class:`ExperimentSpec`; the paper's canonical ones come from the
+  ``default_*_spec`` builders and are committed under ``examples/specs/``.
 
 Quickstart::
 
     from repro import ExperimentRunner, default_flood_spec
 
     result = ExperimentRunner().run(default_flood_spec(defense="aitf"))
-    print(result.effective_bandwidth_ratio, result.legit_goodput_bps)
-
-or, through the legacy scenario surface::
-
-    from repro import FloodDefenseScenario
-
-    scenario = FloodDefenseScenario(aitf_enabled=True)
-    result = scenario.run(duration=10.0)
     print(result.effective_bandwidth_ratio, result.legit_goodput_bps)
 """
 
@@ -67,12 +59,6 @@ from repro.experiments import (
     expand_grid,
 )
 from repro.net import FlowLabel, IPAddress, Packet, Prefix
-from repro.scenarios import (
-    AttackerGatewayResourceScenario,
-    FloodDefenseScenario,
-    OnOffScenario,
-    VictimGatewayResourceScenario,
-)
 from repro.sim import Simulator
 from repro.topology import (
     Topology,
@@ -107,10 +93,6 @@ __all__ = [
     "build_dumbbell",
     "build_provider_tree",
     "build_powerlaw_internet",
-    "FloodDefenseScenario",
-    "OnOffScenario",
-    "VictimGatewayResourceScenario",
-    "AttackerGatewayResourceScenario",
     "ExperimentSpec",
     "TopologySpec",
     "DefenseSpec",

@@ -1,4 +1,4 @@
-"""``python -m repro`` — run AITF scenarios from the command line."""
+"""``python -m repro`` — run AITF experiments from the command line."""
 
 import sys
 

@@ -1,4 +1,4 @@
-"""Command-line interface: declarative experiments plus the classic scenarios.
+"""Command-line interface: every experiment is a declarative spec.
 
 A downstream user who just wants to see AITF work (or to sweep a parameter
 from a shell script) should not have to write Python.  The CLI is built on
@@ -25,11 +25,11 @@ the observability plane (:mod:`repro.obs`)::
     python -m repro trace diff   packet.jsonl train.jsonl
     python -m repro profile --spec experiment.json --top 15
 
-and keeps the original scenario families as thin shims over the same API::
+the paper's other canonical experiments are committed specs, and the engine
+benchmarks ride along::
 
-    python -m repro flood    --duration 10 --attack-pps 1500 --seed 7
-    python -m repro onoff    --duration 20 --no-shadow
-    python -m repro resources --role victim --rate 100
+    python -m repro run      --spec examples/specs/onoff_aitf.json
+    python -m repro run      --spec examples/specs/victim_resources.json
     python -m repro bench    --output BENCH_engine.json
 
 Each subcommand prints a small result table and exits 0; `--json` switches
@@ -58,7 +58,6 @@ from repro.analysis.report import (
     format_seconds,
     result_to_dict,
 )
-from repro.core.config import AITFConfig
 from repro.experiments import (
     DEFENSES,
     OBSERVE_CHANNELS,
@@ -78,12 +77,6 @@ from repro.obs import (
     load_trace,
     provenance_summary,
     setup_logging,
-)
-from repro.scenarios.flood_defense import FloodDefenseScenario
-from repro.scenarios.onoff import OnOffScenario
-from repro.scenarios.resources import (
-    AttackerGatewayResourceScenario,
-    VictimGatewayResourceScenario,
 )
 
 logger = get_logger("cli")
@@ -139,18 +132,43 @@ def _parse_fault(text: str) -> Dict[str, Any]:
     return fault
 
 
+#: Convenience flags (by argparse dest) that shape the default flood spec,
+#: with the spec field each one sets there — what ``--set`` must name instead
+#: when the spec comes from a file.
+_FLOOD_FLAGS = {
+    "attack_pps": "workloads.1.params.rate_pps",
+    "legit_pps": "workloads.0.params.rate_pps",
+    "detection_delay": "detection_delay",
+}
+
+
+def _reject_flood_flags_with_spec_file(parser: argparse.ArgumentParser,
+                                       args: argparse.Namespace) -> None:
+    """Fail closed: a flood convenience flag next to ``--spec``/``--request``
+    would be ignored and the table printed for the wrong experiment."""
+    source = next((flag for flag in ("spec", "request")
+                   if getattr(args, flag, None)), None)
+    if source is None:
+        return
+    for dest, path in _FLOOD_FLAGS.items():
+        if getattr(args, dest, None) is not None:
+            parser.error(
+                f"--{dest.replace('_', '-')} only shapes the default flood "
+                f"spec and cannot be combined with --{source}; override the "
+                f"file's field with --set PATH=VALUE instead (in a flood "
+                f"spec: --set {path}=N)")
+
+
 def _base_spec(args: argparse.Namespace) -> ExperimentSpec:
     """The spec behind ``run``/``compare``/``sweep``: a file, or the canonical
     flood experiment built from the convenience flags."""
     if getattr(args, "spec", None):
         spec = ExperimentSpec.load(args.spec)
     else:
+        flags = {dest: getattr(args, dest) for dest in _FLOOD_FLAGS
+                 if getattr(args, dest) is not None}
         spec = default_flood_spec(
-            topology=getattr(args, "topology", "") or "figure1",
-            attack_pps=args.attack_pps,
-            legit_pps=args.legit_pps,
-            detection_delay=args.detection_delay,
-        )
+            topology=getattr(args, "topology", "") or "figure1", **flags)
     overrides: Dict[str, Any] = {}
     if getattr(args, "spec", None) and getattr(args, "topology", None):
         overrides["topology.kind"] = args.topology
@@ -190,6 +208,14 @@ def _experiment_table(result) -> ResultTable:
                    "control_messages"):
             continue
         table.add_row(f"[{result.defense}] {key}", value)
+    for index, stats in enumerate(result.workload_stats):
+        for key, value in stats.items():
+            if key not in ("kind", "role", "offered_bps"):
+                table.add_row(f"[workload {index} {stats['kind']}] {key}", value)
+    for collector_id, stats in result.collector_stats.items():
+        for key, value in stats.items():
+            if key != "kind":
+                table.add_row(f"[{collector_id}] {key}", value)
     return table
 
 
@@ -590,86 +616,8 @@ def run_paper(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# classic scenario subcommands (shims over the experiment API)
+# engine benchmarks
 # ----------------------------------------------------------------------
-def run_flood(args: argparse.Namespace) -> int:
-    """The Figure-1 flood-defense scenario."""
-    non_cooperating: List[str] = ["B_host"]
-    non_cooperating += [name.strip() for name in args.non_cooperating.split(",") if name.strip()]
-    config = AITFConfig(filter_timeout=args.filter_timeout,
-                        temporary_filter_timeout=args.ttmp)
-    scenario = FloodDefenseScenario(
-        aitf_enabled=not args.no_aitf,
-        config=config,
-        attack_rate_pps=args.attack_pps,
-        legit_rate_pps=args.legit_pps,
-        detection_delay=args.detection_delay,
-        non_cooperating=tuple(dict.fromkeys(non_cooperating)),
-        seed=args.seed if args.seed is not None else 0,
-    )
-    result = scenario.run(duration=args.duration)
-    table = ResultTable("Flood defense", ["metric", "value"])
-    table.add_row("AITF enabled", not args.no_aitf)
-    table.add_row("attack offered", format_bps(result.attack_offered_bps))
-    table.add_row("attack reaching victim", format_bps(result.attack_received_bps))
-    table.add_row("effective-bandwidth ratio", format_ratio(result.effective_bandwidth_ratio))
-    table.add_row("legitimate goodput", format_bps(result.legit_goodput_bps))
-    table.add_row("time to first block",
-                  format_seconds(result.time_to_first_block)
-                  if result.time_to_first_block is not None else "never")
-    table.add_row("escalation rounds", result.escalation_rounds)
-    table.add_row("disconnections", result.disconnections)
-    emit_result(result, table, args.json)
-    return 0
-
-
-def run_onoff(args: argparse.Namespace) -> int:
-    """The on-off attack scenario."""
-    scenario = OnOffScenario(shadow_enabled=not args.no_shadow,
-                             seed=args.seed if args.seed is not None else 0)
-    result = scenario.run(duration=args.duration)
-    table = ResultTable("On-off attack", ["metric", "value"])
-    table.add_row("shadow cache enabled", not args.no_shadow)
-    table.add_row("attack cycles", result.attack_cycles)
-    table.add_row("packets sent / received",
-                  f"{result.packets_sent} / {result.packets_received}")
-    table.add_row("leak ratio", format_ratio(result.effective_bandwidth_ratio))
-    table.add_row("shadow hits", result.shadow_hits)
-    table.add_row("escalation rounds", result.escalation_rounds)
-    emit_result(result, table, args.json)
-    return 0
-
-
-def run_resources(args: argparse.Namespace) -> int:
-    """Resource provisioning measurements (victim side or attacker side)."""
-    seed = args.seed if args.seed is not None else 0
-    if args.role == "victim":
-        scenario = VictimGatewayResourceScenario(request_rate=args.rate, seed=seed)
-        result = scenario.run(duration=args.duration)
-        table = ResultTable("Victim-gateway resources", ["metric", "value"])
-        table.add_row("request rate R1", f"{args.rate:.0f}/s")
-        table.add_row("requests accepted", result.requests_accepted)
-        table.add_row("requests policed", result.requests_policed)
-        table.add_row("peak wire-speed filters", int(result.peak_filter_occupancy))
-        table.add_row("paper nv = R1*Ttmp", result.predicted_filters)
-        table.add_row("peak shadow entries", int(result.peak_shadow_occupancy))
-        table.add_row("paper mv = R1*T", result.predicted_shadow_entries)
-    else:
-        scenario = AttackerGatewayResourceScenario(request_rate=args.rate,
-                                                   filter_timeout=args.filter_timeout,
-                                                   seed=seed)
-        result = scenario.run(duration=args.duration)
-        table = ResultTable("Attacker-side resources", ["metric", "value"])
-        table.add_row("request rate R2", f"{args.rate:.0f}/s")
-        table.add_row("requests honoured", result.requests_delivered)
-        table.add_row("gateway peak filters", int(result.gateway_peak_filter_occupancy))
-        table.add_row("attacker-host peak filters",
-                      int(result.attacker_host_peak_filter_occupancy))
-        table.add_row("paper na = R2*T", result.predicted_filters)
-    emit_result(result, table, args.json)
-    return 0
-
-
 def run_bench(args: argparse.Namespace) -> int:
     """Engine throughput benchmarks; optionally writes BENCH_engine.json.
     ``--suite sweep`` benchmarks sweep execution (cells/sec, serial vs
@@ -1053,12 +1001,15 @@ def _add_spec_flags(parser: argparse.ArgumentParser, *,
                         help="topology registry name (figure1, dumbbell, tree, powerlaw)")
     parser.add_argument("--duration", type=float, default=duration_default,
                         help="simulated horizon in seconds")
-    parser.add_argument("--attack-pps", type=float, default=1500.0,
-                        help="flood rate for the default spec (ignored with --spec)")
-    parser.add_argument("--legit-pps", type=float, default=400.0,
-                        help="legitimate rate for the default spec (ignored with --spec)")
-    parser.add_argument("--detection-delay", type=float, default=0.1,
-                        help="Td for the default spec (ignored with --spec)")
+    parser.add_argument("--attack-pps", type=float, default=None,
+                        help="flood rate for the default spec (default 1500; "
+                             "rejected with --spec/--request, use --set)")
+    parser.add_argument("--legit-pps", type=float, default=None,
+                        help="legitimate rate for the default spec (default "
+                             "400; rejected with --spec/--request, use --set)")
+    parser.add_argument("--detection-delay", type=float, default=None,
+                        help="Td for the default spec (default 0.1; rejected "
+                             "with --spec/--request, use --set)")
     parser.add_argument("--set", action="append", type=_parse_assignment,
                         metavar="PATH=VALUE", default=[],
                         help="override any spec field by dotted path "
@@ -1207,37 +1158,6 @@ def build_parser() -> argparse.ArgumentParser:
     paper.add_argument("--timeout", type=float, default=None,
                        help="per-grid cluster timeout in seconds")
     paper.set_defaults(func=run_paper)
-
-    flood = subparsers.add_parser("flood", help="one flood against the Figure-1 victim")
-    flood.add_argument("--duration", type=float, default=10.0)
-    flood.add_argument("--attack-pps", type=float, default=1500.0)
-    flood.add_argument("--legit-pps", type=float, default=400.0)
-    flood.add_argument("--detection-delay", type=float, default=0.1)
-    flood.add_argument("--filter-timeout", type=float, default=60.0)
-    flood.add_argument("--ttmp", type=float, default=0.6)
-    flood.add_argument("--no-aitf", action="store_true",
-                       help="run the undefended baseline")
-    flood.add_argument("--non-cooperating", default="",
-                       help="comma-separated gateway names that ignore AITF "
-                            "(e.g. B_gw1,B_gw2)")
-    flood.add_argument("--seed", type=int, default=None)
-    flood.set_defaults(func=run_flood)
-
-    onoff = subparsers.add_parser("onoff", help="pulsed attack behind a bad gateway")
-    onoff.add_argument("--duration", type=float, default=20.0)
-    onoff.add_argument("--no-shadow", action="store_true",
-                       help="ablate the DRAM shadow cache")
-    onoff.add_argument("--seed", type=int, default=None)
-    onoff.set_defaults(func=run_onoff)
-
-    resources = subparsers.add_parser("resources", help="router resource measurements")
-    resources.add_argument("--role", choices=("victim", "attacker"), default="victim")
-    resources.add_argument("--rate", type=float, default=100.0,
-                           help="contract request rate (R1 or R2)")
-    resources.add_argument("--duration", type=float, default=5.0)
-    resources.add_argument("--filter-timeout", type=float, default=20.0)
-    resources.add_argument("--seed", type=int, default=None)
-    resources.set_defaults(func=run_resources)
 
     topo = subparsers.add_parser(
         "topo", help="build a registered topology and describe it")
@@ -1420,6 +1340,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    _reject_flood_flags_with_spec_file(parser, args)
     setup_logging(verbose=args.verbose, quiet=args.quiet)
     return args.func(args)
 

@@ -9,13 +9,9 @@ number of filters a router must provision (Section IV-B/C).
 """
 
 from repro.contracts.contract import ContractBook, ContractStats, FilteringContract
-from repro.contracts.provisioning import ProvisioningPlan, provision_provider, provision_client
 
 __all__ = [
     "FilteringContract",
     "ContractBook",
     "ContractStats",
-    "ProvisioningPlan",
-    "provision_provider",
-    "provision_client",
 ]

@@ -62,6 +62,7 @@ from repro.experiments.spec import (
     canonical_spec_json,
     default_attacker_resource_spec,
     default_flood_spec,
+    default_onoff_spec,
     default_victim_resource_spec,
     spec_hash,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "ExperimentSpec",
     "apply_override",
     "default_flood_spec",
+    "default_onoff_spec",
     "default_victim_resource_spec",
     "default_attacker_resource_spec",
     "MetricCollector",

@@ -1,13 +1,12 @@
 """Execute an :class:`ExperimentSpec` and produce an :class:`ExperimentResult`.
 
 The runner is the single harness behind the CLI, the sweep runner, the
-legacy scenario shims and the engine benchmarks.  It wires an experiment in
-a fixed, documented order — topology, defense deploy, workloads, defense
-arm, meters — and starts traffic in spec order followed by the occupancy
-samplers.  That order matters: it reproduces the construction/start sequence
-of the original hand-written scenarios bit for bit (pinned by the golden
-determinism tests), so moving a scenario onto a spec does not move a single
-metric.
+paper benchmarks and the engine benchmarks.  It wires an experiment in a
+fixed, documented order — topology, defense deploy, workloads, defense arm,
+meters — and starts traffic in spec order followed by the occupancy
+samplers.  That order matters: it is the construction/start sequence the
+golden determinism values were recorded under, so changing it moves
+metrics.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ class ExperimentExecution:
     """A fully wired experiment, ready to run.
 
     Exists separately from :class:`ExperimentRunner` so callers that need
-    the live objects — the legacy scenario shims exposing ``.deployment``,
+    the live objects — examples reading ``backend.deployment.event_log``,
     the benchmarks counting generated packets — can reach topology handles,
     workload generators and meters before and after the run.
     """
@@ -109,7 +108,7 @@ class ExperimentExecution:
         self.backend.arm(self)
 
         # Spec-declared metric collectors (occupancy samplers start after
-        # the workloads, in spec order — the legacy scenarios' sequence).
+        # the workloads, in spec order — the golden recordings' sequence).
         self.collectors: List[MetricCollector] = []
         seen_ids: set = set()
         for index, collector_spec in enumerate(spec.collectors):
@@ -282,7 +281,8 @@ class ExperimentRunner:
     """Build and run experiments from declarative specs."""
 
     def prepare(self, spec: ExperimentSpec) -> ExperimentExecution:
-        """Wire everything up without running (benchmarks and shims use this)."""
+        """Wire everything up without running (for callers that need the
+        live objects: ``.backend.deployment``, ``.handle``, ``.collectors``)."""
         return ExperimentExecution(spec)
 
     def run(self, spec: ExperimentSpec,

@@ -585,9 +585,9 @@ def default_flood_spec(
     """The paper's canonical experiment: one flood plus legitimate traffic
     on the Figure-1 topology, under any registered defense backend.
 
-    This is the spec behind ``repro run`` defaults, the ``flood`` CLI shim,
-    the :class:`~repro.scenarios.flood_defense.FloodDefenseScenario` shim and
-    the flood engine benchmarks — one definition, many harnesses.
+    This is the spec behind ``repro run`` defaults, the E1/E6/E11
+    benchmarks and the flood engine benchmarks — one definition, many
+    harnesses.
 
     ``topology`` may name any registered topology.  The figure1-specific
     defaults (an extra good host for legitimate traffic, ``B_host`` refusing
@@ -619,6 +619,51 @@ def default_flood_spec(
     )
 
 
+def default_onoff_spec(
+    *,
+    shadow_enabled: bool = True,
+    duration: float = 20.0,
+    seed: int = 0,
+) -> ExperimentSpec:
+    """Experiment E7 (Sections II-B, IV-A.1 with n >= 1): an on-off attacker
+    behind a non-cooperating gateway on the Figure-1 topology.
+
+    The attacker's cadence hugs the temporary-filter lifetime (Ttmp = 0.5 s):
+    it stops early enough (0.5 Ttmp) that the victim's gateway believes the
+    attacker's gateway took over, stays silent until the temporary filter
+    has lapsed (1.5 Ttmp), then resumes.  ``shadow_enabled=False`` ablates
+    the DRAM shadow cache that keeps the effective bandwidth bounded.
+    Committed as ``examples/specs/onoff_aitf.json``.
+    """
+    ttmp = 0.5
+    return ExperimentSpec(
+        name="onoff",
+        topology=TopologySpec("figure1", {}),
+        defense=DefenseSpec("aitf", {
+            "non_cooperating": ["B_host", "B_gw1"],
+            "disconnection_enabled": False,
+            "shadow_enabled": shadow_enabled,
+        }),
+        workloads=(
+            WorkloadSpec("onoff", {
+                "rate_pps": 1000.0,
+                "on_duration": ttmp * 0.5,
+                "off_duration": ttmp * 1.5,
+                "start": 0.2,
+            }),
+        ),
+        aitf={"filter_timeout": 30.0,
+              "temporary_filter_timeout": ttmp,
+              "attacker_grace_period": 1.0},
+        detection_delay=0.05,
+        duration=duration,
+        seed=seed,
+        # Occupancy sampling purges expired filter entries eagerly; staying
+        # off keeps the event sequence bit-identical to the golden recording.
+        sample_occupancy=False,
+    )
+
+
 def default_victim_resource_spec(
     *,
     request_rate: float = 100.0,
@@ -633,10 +678,10 @@ def default_victim_resource_spec(
     driven with filtering requests at the contract rate R1 while its
     wire-speed filter table and DRAM shadow cache are sampled.
 
-    ``aitf`` overrides the legacy scenario's configuration (filter timeout
-    60 s, Ttmp 0.6 s, contract rates equal to ``request_rate``).  This spec
-    is what :class:`repro.scenarios.resources.VictimGatewayResourceScenario`
-    is a shim over, and what the committed E2/E3 grids are built from.
+    ``aitf`` replaces the default configuration (filter timeout 60 s, Ttmp
+    0.6 s, contract rates equal to ``request_rate``).  Committed as
+    ``examples/specs/victim_resources.json``; the E2/E3 grids are built
+    from it.
     """
     aitf_config: Dict[str, Any] = dict(aitf) if aitf else {
         "filter_timeout": 60.0,
@@ -682,9 +727,8 @@ def default_attacker_resource_spec(
     the attacker host itself) honours filtering requests arriving at rate R2
     while both filter tables are sampled against na = R2*T.
 
-    This spec is what
-    :class:`repro.scenarios.resources.AttackerGatewayResourceScenario` is a
-    shim over, and what the committed E4/E5 grid is built from.
+    Committed as ``examples/specs/attacker_resources.json``; the E4/E5 grid
+    is built from it.
     """
     aitf_config: Dict[str, Any] = dict(aitf) if aitf else {
         "filter_timeout": filter_timeout,

@@ -275,9 +275,7 @@ class FilterRequestStream:
             raise ValueError("filter-requests rate must be positive")
         self.ctx = ctx
         self.rate = rate
-        #: None = follow the experiment horizon, resolved at start() so the
-        #: scenario shims can retarget the spec's duration without
-        #: rebuilding the wired experiment.
+        #: None = follow the experiment horizon (the spec's duration).
         self.duration = duration
         self.start_time = start_time
         self.requests_sent = 0
@@ -295,7 +293,7 @@ class FilterRequestStream:
         return 0.0
 
     def start(self) -> None:
-        """Schedule every request up front (legacy scenario order)."""
+        """Schedule every request up front (the golden recordings' order)."""
         deployment = getattr(self.ctx.backend, "deployment", None)
         if deployment is None or not hasattr(deployment, "host_agent"):
             raise ValueError(

@@ -1,36 +1,10 @@
-"""Pre-wired end-to-end scenarios shared by the examples and the benchmarks.
+"""Emptied: the scenario classes that lived here are gone.
 
-* :class:`FloodDefenseScenario` — one flood, one victim, Figure 1 topology;
-  the scenario behind the effective-bandwidth, goodput and escalation
-  experiments.
-* :class:`OnOffScenario` — the on-off attacker behind a non-cooperating
-  gateway; exercises the shadow cache and escalation.
-* :class:`VictimGatewayResourceScenario` / :class:`AttackerGatewayResourceScenario`
-  — request-rate driven resource measurements behind the Section IV formulas.
+Every experiment is an :class:`repro.experiments.ExperimentSpec` run by
+:class:`repro.experiments.ExperimentRunner`; the paper's canonical ones come
+from the ``default_*_spec`` builders in :mod:`repro.experiments.spec` and are
+committed as JSON under ``examples/specs/`` (``repro run --spec FILE``).
 
-``FloodDefenseScenario`` and ``OnOffScenario`` are thin shims over the
-unified experiment API (:mod:`repro.experiments`): they translate their
-constructor arguments into an :class:`repro.experiments.ExperimentSpec` and
-delegate to the experiment runner.  New experiments should compose specs
-directly rather than add scenario classes.
+The package name stays only because ``bench/layers.py`` maps every package
+under ``src/repro/``; it goes when that map drops the ``scenarios`` entry.
 """
-
-from repro.scenarios.flood_defense import FloodDefenseResult, FloodDefenseScenario
-from repro.scenarios.onoff import OnOffResult, OnOffScenario
-from repro.scenarios.resources import (
-    AttackerGatewayResourceScenario,
-    AttackerResourceResult,
-    VictimGatewayResourceScenario,
-    VictimResourceResult,
-)
-
-__all__ = [
-    "FloodDefenseScenario",
-    "FloodDefenseResult",
-    "OnOffScenario",
-    "OnOffResult",
-    "VictimGatewayResourceScenario",
-    "VictimResourceResult",
-    "AttackerGatewayResourceScenario",
-    "AttackerResourceResult",
-]

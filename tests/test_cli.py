@@ -5,7 +5,14 @@ import os
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _base_spec, build_parser, main
+from repro.experiments import default_flood_spec, default_onoff_spec
+
+SPECS_DIR = os.path.join(os.path.dirname(__file__), "..", "examples", "specs")
+GRIDS_DIR = os.path.join(SPECS_DIR, "grids")
+FLOOD_SPEC, ONOFF_SPEC, VICTIM_SPEC, ATTACKER_SPEC = (
+    os.path.join(SPECS_DIR, f"{name}.json") for name in (
+        "flood_aitf", "onoff_aitf", "victim_resources", "attacker_resources"))
 
 
 class TestParser:
@@ -14,34 +21,56 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_flood_defaults(self):
-        args = build_parser().parse_args(["flood"])
-        assert args.command == "flood"
-        assert args.duration == 10.0
-        assert not args.no_aitf
+        """No flag and no spec file: ``run`` is the canonical flood experiment."""
+        args = build_parser().parse_args(["run"])
+        assert (args.attack_pps, args.legit_pps, args.detection_delay) == (None,) * 3
+        assert _base_spec(args) == default_flood_spec()
+        args = build_parser().parse_args(["run", "--attack-pps", "800"])
+        assert _base_spec(args) == default_flood_spec(attack_pps=800.0)
 
     def test_onoff_and_resources_flags(self):
-        args = build_parser().parse_args(["onoff", "--no-shadow"])
-        assert args.no_shadow
-        args = build_parser().parse_args(["resources", "--role", "attacker",
-                                          "--rate", "2"])
-        assert args.role == "attacker"
-        assert args.rate == 2.0
+        """What the removed flags spelled is a ``--spec`` file plus ``--set``."""
+        args = build_parser().parse_args([
+            "run", "--spec", ONOFF_SPEC, "--set", "defense.params.shadow_enabled=false"])
+        assert _base_spec(args) == default_onoff_spec(shadow_enabled=False)
+        args = build_parser().parse_args([
+            "run", "--spec", ATTACKER_SPEC, "--set", "workloads.0.params.rate=2"])
+        assert _base_spec(args).workloads[0].params["rate"] == 2
 
     def test_unknown_command_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["not-a-command"])
+        for command in ("not-a-command", "flood", "onoff", "resources"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command])
+
+    @pytest.mark.parametrize("command", [
+        "run --spec {spec}", "compare --spec {spec}",
+        "sweep --spec {spec} --param seed=1,2", "sweep --request {grid}",
+        "trace record --spec {spec}", "profile --spec {spec}"])
+    def test_flood_flags_fail_closed_next_to_a_spec_file(self, capsys, command):
+        """They used to be silently ignored: a table for the wrong experiment."""
+        argv = command.format(
+            spec=VICTIM_SPEC, grid=os.path.join(GRIDS_DIR, "failover.json")).split()
+        for flag in ("--attack-pps", "--legit-pps", "--detection-delay"):
+            with pytest.raises(SystemExit) as error:
+                main([*argv, flag, "9999"])
+            assert error.value.code == 2
+            message = capsys.readouterr().err
+            assert flag in message and "--set PATH=VALUE" in message
 
 
 class TestFloodCommand:
+    """``repro run`` on the canonical flood (what ``repro flood`` was)."""
+
     def test_table_output(self, capsys):
-        code = main(["flood", "--duration", "4", "--attack-pps", "800"])
+        code = main(["run", "--spec", FLOOD_SPEC,
+                     "--set", "workloads.1.params.rate_pps=800"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "Flood defense" in out
+        assert "Experiment: flood-aitf [aitf]" in out
         assert "effective-bandwidth ratio" in out
 
     def test_json_output_is_parseable(self, capsys):
-        code = main(["--json", "flood", "--duration", "4", "--attack-pps", "800"])
+        code = main(["--json", "run", "--duration", "4", "--attack-pps", "800"])
         out = capsys.readouterr().out
         assert code == 0
         payload = json.loads(out)
@@ -49,52 +78,60 @@ class TestFloodCommand:
         assert payload["time_to_first_block"] is not None
 
     def test_no_aitf_baseline(self, capsys):
-        code = main(["--json", "flood", "--duration", "4", "--no-aitf"])
+        code = main(["--json", "run", "--duration", "4", "--defense", "none"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["time_to_first_block"] is None
         assert payload["effective_bandwidth_ratio"] > 0.2
 
     def test_non_cooperating_list(self, capsys):
-        code = main(["--json", "flood", "--duration", "6",
-                     "--non-cooperating", "B_gw1", "--filter-timeout", "30",
-                     "--ttmp", "0.8"])
+        code = main(["--json", "run", "--duration", "6",
+                     "--set", 'defense.params.non_cooperating=["B_host","B_gw1"]',
+                     "--set", "aitf.filter_timeout=30",
+                     "--set", "aitf.temporary_filter_timeout=0.8"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert payload["escalation_rounds"] >= 2
+        assert payload["defense_stats"]["escalation_rounds"] >= 2
 
 
 class TestOnOffCommand:
     def test_runs_and_reports(self, capsys):
-        code = main(["--json", "onoff", "--duration", "8"])
+        code = main(["--json", "run", "--spec", ONOFF_SPEC, "--duration", "8"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert payload["attack_cycles"] >= 2
+        assert payload["workload_stats"][0]["cycles_completed"] >= 2
 
 
 class TestResourcesCommand:
     def test_victim_role(self, capsys):
-        code = main(["--json", "resources", "--role", "victim", "--rate", "50",
-                     "--duration", "3"])
+        code = main(["--json", "run", "--spec", VICTIM_SPEC,
+                     "--set", "workloads.0.params.rate=50", "--duration", "3"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert payload["requests_sent"] == 150
-        assert payload["predicted_filters"] > 0
+        assert payload["workload_stats"][0]["requests_sent"] == 150
+        assert payload["collector_stats"]["paper"]["predicted_filters"] > 0
 
     def test_attacker_role(self, capsys):
-        code = main(["--json", "resources", "--role", "attacker", "--rate", "2",
-                     "--duration", "6", "--filter-timeout", "10"])
-        payload = json.loads(capsys.readouterr().out)
+        code = main(["--json", "run", "--spec", ATTACKER_SPEC, "--duration", "6",
+                     "--set", "workloads.0.params.rate=2",
+                     "--set", "aitf.filter_timeout=10"])
+        stats = json.loads(capsys.readouterr().out)["collector_stats"]
         assert code == 0
-        assert payload["predicted_filters"] == 20
-        assert payload["gateway_peak_filter_occupancy"] >= 5
+        assert stats["paper"]["predicted_attacker_filters"] == 20
+        assert stats["attacker-gw-filters"]["peak"] >= 5
 
     def test_table_output(self, capsys):
-        code = main(["resources", "--role", "victim", "--rate", "20",
-                     "--duration", "2"])
+        """Workload and collector stats reach the table, not only ``--json``."""
+        code = main(["run", "--spec", VICTIM_SPEC, "--duration", "2",
+                     "--set", "workloads.0.params.rate=20"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "Victim-gateway resources" in out
+        assert "Experiment: victim-gateway-resources [aitf]" in out
+        for row in ("[workload 0 filter-requests] requests_sent",
+                    "[victim-gw-filters] peak", "[victim-gw-shadow] peak",
+                    "[requests] requests_accepted", "[requests] requests_policed",
+                    "[paper] predicted_filters", "[paper] predicted_shadow_entries"):
+            assert row in out
 
 
 class TestRunCommand:
@@ -115,12 +152,8 @@ class TestRunCommand:
         assert payload["schema"] == "experiment_result/v1"
         assert payload["defense_stats"]["backend"] == defense
 
-    def test_spec_file_plus_set_overrides(self, capsys, tmp_path):
-        from repro.experiments import default_flood_spec
-
-        path = tmp_path / "spec.json"
-        default_flood_spec(duration=2.0).save(str(path))
-        code = main(["--json", "run", "--spec", str(path),
+    def test_spec_file_plus_set_overrides(self, capsys):
+        code = main(["--json", "run", "--spec", FLOOD_SPEC, "--duration", "2",
                      "--set", "workloads.1.params.rate_pps=800",
                      "--defense", "none"])
         payload = json.loads(capsys.readouterr().out)
@@ -195,16 +228,17 @@ class TestSweepCommand:
 
 
 class TestSeedFlagOnClassicCommands:
+    """``--seed`` on the invocations that replaced the classic commands."""
+
     def test_flood_seed_round_trips(self, capsys):
-        code = main(["--json", "flood", "--duration", "2", "--seed", "5"])
+        code = main(["--json", "run", "--spec", FLOOD_SPEC, "--seed", "5"])
         assert code == 0
-        json.loads(capsys.readouterr().out)  # parses
+        assert json.loads(capsys.readouterr().out)["spec"]["seed"] == 5
 
     def test_onoff_and_resources_accept_seed(self):
-        args = build_parser().parse_args(["onoff", "--seed", "3"])
-        assert args.seed == 3
-        args = build_parser().parse_args(["resources", "--seed", "3"])
-        assert args.seed == 3
+        for path in (ONOFF_SPEC, VICTIM_SPEC):
+            args = build_parser().parse_args(["run", "--spec", path, "--seed", "3"])
+            assert _base_spec(args).seed == 3
         args = build_parser().parse_args(["bench", "--seed", "3"])
         assert args.seed == 3
 
@@ -320,10 +354,6 @@ class TestReportCommand:
         bogus.write_text('{"hello": 1}')
         with pytest.raises(ValueError, match="unrecognised"):
             main(["report", str(bogus)])
-
-
-GRIDS_DIR = os.path.join(os.path.dirname(__file__), "..", "examples",
-                         "specs", "grids")
 
 
 def _write_tiny_grid(tmp_path):

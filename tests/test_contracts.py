@@ -1,9 +1,8 @@
-"""Unit tests for filtering contracts and provisioning."""
+"""Unit tests for filtering contracts."""
 
 import pytest
 
 from repro.contracts.contract import ContractBook, FilteringContract
-from repro.contracts.provisioning import provision_client, provision_provider
 
 
 class FakeClock:
@@ -90,30 +89,3 @@ class TestContractBook:
         assert book.get("a").accept_rate == 7.0
         assert len(book) == 1
 
-
-class TestProvisioning:
-    def _book(self):
-        book = ContractBook()
-        book.add("client1", accept_rate=100.0, send_rate=1.0)
-        book.add("client2", accept_rate=50.0, send_rate=2.0)
-        return book
-
-    def test_provider_plan_matches_formulas(self):
-        plan = provision_provider(self._book(), filter_timeout=60.0,
-                                  temporary_filter_timeout=0.6)
-        assert plan.per_contract["client1"] == 60
-        assert plan.per_contract["client2"] == 30
-        assert plan.filter_slots == 90
-        assert plan.shadow_entries == 6000 + 3000
-
-    def test_client_plan_matches_formulas(self):
-        plan = provision_client(self._book(), filter_timeout=60.0)
-        assert plan.per_contract["client1"] == 60
-        assert plan.per_contract["client2"] == 120
-        assert plan.filter_slots == 180
-
-    def test_fits(self):
-        plan = provision_provider(self._book(), 60.0, 0.6)
-        assert plan.fits(filter_capacity=100, shadow_capacity=10000)
-        assert not plan.fits(filter_capacity=50)
-        assert not plan.fits(filter_capacity=100, shadow_capacity=100)

@@ -19,15 +19,15 @@ import dataclasses
 
 import pytest
 
-from repro.core.config import AITFConfig
-from repro.scenarios.flood_defense import FloodDefenseScenario
-from repro.scenarios.onoff import OnOffScenario
-from repro.scenarios.resources import (
-    AttackerGatewayResourceScenario,
-    VictimGatewayResourceScenario,
+from repro.experiments import (
+    ExperimentRunner,
+    default_attacker_resource_spec,
+    default_flood_spec,
+    default_onoff_spec,
+    default_victim_resource_spec,
 )
 
-#: FloodDefenseResult of the seed implementation, default parameters, 10 s.
+#: Flood metrics of the seed implementation, default parameters, 10 s.
 GOLDEN_FLOOD_DEFAULT = {
     "duration": 10.0,
     "attack_offered_bps": 12000000.0,
@@ -61,7 +61,7 @@ GOLDEN_FLOOD_ESCALATION = {
     "requests_sent_by_victim": 1,
 }
 
-#: OnOffResult of the seed implementation, default parameters, 20 s.
+#: On-off metrics of the seed implementation, default parameters, 20 s.
 GOLDEN_ONOFF_DEFAULT = {
     "duration": 20.0,
     "offered_bps": 2000000.0,
@@ -75,7 +75,7 @@ GOLDEN_ONOFF_DEFAULT = {
 }
 
 
-#: VictimResourceResult of the legacy (pre-spec-shim) implementation:
+#: Victim-gateway metrics of the legacy (hand-wired) implementation:
 #: R1 = 50/s over a 20-source dumbbell for 3 s, T = 20 s, Ttmp = 0.5 s.
 GOLDEN_VICTIM_R50 = {
     "request_rate": 50.0,
@@ -104,7 +104,7 @@ GOLDEN_VICTIM_NONCOOP = {
     "predicted_protected_flows": 2400,
 }
 
-#: AttackerResourceResult of the legacy implementation, default parameters.
+#: Attacker-side metrics of the legacy implementation, default parameters.
 GOLDEN_ATTACKER_DEFAULT = {
     "request_rate": 1.0,
     "duration": 10.0,
@@ -114,7 +114,7 @@ GOLDEN_ATTACKER_DEFAULT = {
     "predicted_filters": 60,
 }
 
-#: AttackerResourceResult at R2 = 2/s, T = 20 s, run past T.
+#: Attacker-side metrics at R2 = 2/s, T = 20 s, run past T.
 GOLDEN_ATTACKER_R2 = {
     "request_rate": 2.0,
     "duration": 15.0,
@@ -125,8 +125,7 @@ GOLDEN_ATTACKER_R2 = {
 }
 
 
-def _assert_exact(result, golden: dict) -> None:
-    actual = dataclasses.asdict(result)
+def _assert_exact(actual: dict, golden: dict) -> None:
     for key, expected in golden.items():
         assert actual[key] == expected, (
             f"{key}: expected {expected!r} (seed), got {actual[key]!r} — "
@@ -134,69 +133,90 @@ def _assert_exact(result, golden: dict) -> None:
         )
 
 
+def _run(spec) -> dict:
+    """Run ``spec`` and flatten what it reports into the golden dicts' key
+    names (the result fields of the implementations they were recorded from)."""
+    execution = ExperimentRunner().prepare(spec)
+    result = execution.run()
+    workload, stats = result.workload_stats[-1], result.collector_stats
+    flat = {**result.defense_stats, **workload, **dataclasses.asdict(result)}
+    if "victim-gw-filters" in stats:
+        flat.update({**stats["requests"], **stats["paper"],
+                     "request_rate": workload["rate"],
+                     "peak_filter_occupancy": stats["victim-gw-filters"]["peak"],
+                     "peak_shadow_occupancy": stats["victim-gw-shadow"]["peak"]})
+    elif "attacker-gw-filters" in stats:
+        flat.update(
+            request_rate=workload["rate"],
+            requests_delivered=stats["requests"]["filters_installed"],
+            gateway_peak_filter_occupancy=stats["attacker-gw-filters"]["peak"],
+            attacker_host_peak_filter_occupancy=stats["attacker-host-filters"]["peak"],
+            predicted_filters=stats["paper"]["predicted_attacker_filters"])
+    elif workload["kind"] == "onoff":
+        flat.update(offered_bps=result.attack_offered_bps,
+                    received_bps=result.attack_received_bps,
+                    attack_cycles=workload["cycles_completed"],
+                    packets_received=execution.attack_meters[0].packets)
+    return flat
+
+
 class TestSeedGoldenMetrics:
     def test_flood_default_matches_seed_exactly(self):
-        result = FloodDefenseScenario().run(duration=10.0)
-        _assert_exact(result, GOLDEN_FLOOD_DEFAULT)
+        _assert_exact(_run(default_flood_spec()), GOLDEN_FLOOD_DEFAULT)
 
     def test_flood_escalation_matches_seed_exactly(self):
-        scenario = FloodDefenseScenario(
+        spec = default_flood_spec(
             non_cooperating=("B_host", "B_gw1"),
-            disconnection_enabled=True,
-        )
-        _assert_exact(scenario.run(duration=10.0), GOLDEN_FLOOD_ESCALATION)
+            defense_params={"disconnection_enabled": True})
+        _assert_exact(_run(spec), GOLDEN_FLOOD_ESCALATION)
 
     def test_onoff_matches_seed_exactly(self):
-        _assert_exact(OnOffScenario().run(duration=20.0), GOLDEN_ONOFF_DEFAULT)
+        _assert_exact(_run(default_onoff_spec()), GOLDEN_ONOFF_DEFAULT)
 
 
 class TestResourceShimGoldenMetrics:
-    """The resource scenarios became shims over the spec API (filter-requests
-    workload + collectors); the golden values were recorded from the legacy
-    hand-wired classes, so every metric must come out bit-for-bit identical."""
+    """The resource experiments are specs (filter-requests workload +
+    collectors); the golden values were recorded from the legacy hand-wired
+    classes, so every metric must come out bit-for-bit identical."""
 
     def test_victim_r50_matches_legacy_exactly(self):
-        config = AITFConfig(filter_timeout=20.0, temporary_filter_timeout=0.5,
-                            default_accept_rate=50.0, default_send_rate=50.0)
-        scenario = VictimGatewayResourceScenario(config=config,
-                                                 request_rate=50.0, sources=20)
-        _assert_exact(scenario.run(duration=3.0), GOLDEN_VICTIM_R50)
+        spec = default_victim_resource_spec(
+            request_rate=50.0, sources=20, duration=3.0,
+            aitf={"filter_timeout": 20.0, "temporary_filter_timeout": 0.5,
+                  "default_accept_rate": 50.0, "default_send_rate": 50.0})
+        _assert_exact(_run(spec), GOLDEN_VICTIM_R50)
 
     def test_victim_noncooperative_matches_legacy_exactly(self):
-        scenario = VictimGatewayResourceScenario(
-            request_rate=40.0, sources=10,
+        spec = default_victim_resource_spec(
+            request_rate=40.0, sources=10, duration=4.0,
             cooperative_attacker_side=False, seed=3)
-        _assert_exact(scenario.run(duration=4.0), GOLDEN_VICTIM_NONCOOP)
+        _assert_exact(_run(spec), GOLDEN_VICTIM_NONCOOP)
 
     def test_attacker_default_matches_legacy_exactly(self):
-        _assert_exact(AttackerGatewayResourceScenario().run(duration=10.0),
+        _assert_exact(_run(default_attacker_resource_spec()),
                       GOLDEN_ATTACKER_DEFAULT)
 
     def test_attacker_r2_matches_legacy_exactly(self):
-        scenario = AttackerGatewayResourceScenario(request_rate=2.0,
-                                                   filter_timeout=20.0)
-        _assert_exact(scenario.run(duration=15.0), GOLDEN_ATTACKER_R2)
+        spec = default_attacker_resource_spec(
+            request_rate=2.0, filter_timeout=20.0, duration=15.0)
+        _assert_exact(_run(spec), GOLDEN_ATTACKER_R2)
 
     def test_victim_repeats_identically(self):
-        first = dataclasses.asdict(
-            VictimGatewayResourceScenario(request_rate=30.0, sources=10).run(3.0))
-        second = dataclasses.asdict(
-            VictimGatewayResourceScenario(request_rate=30.0, sources=10).run(3.0))
-        assert first == second
+        spec = default_victim_resource_spec(request_rate=30.0, sources=10,
+                                            duration=3.0)
+        assert _run(spec) == _run(spec)
 
 
 class TestRunToRunDeterminism:
     @pytest.mark.parametrize("kwargs", [
         {},
-        {"attack_rate_pps": 3000.0, "detection_delay": 0.05},
-        {"aitf_enabled": False},
+        {"attack_pps": 3000.0, "detection_delay": 0.05},
+        {"defense": "none"},
     ])
     def test_flood_repeats_identically(self, kwargs):
-        first = dataclasses.asdict(FloodDefenseScenario(**kwargs).run(duration=5.0))
-        second = dataclasses.asdict(FloodDefenseScenario(**kwargs).run(duration=5.0))
-        assert first == second
+        spec = default_flood_spec(duration=5.0, **kwargs)
+        assert _run(spec) == _run(spec)
 
     def test_onoff_repeats_identically(self):
-        first = dataclasses.asdict(OnOffScenario().run(duration=10.0))
-        second = dataclasses.asdict(OnOffScenario().run(duration=10.0))
-        assert first == second
+        spec = default_onoff_spec(duration=10.0)
+        assert _run(spec) == _run(spec)

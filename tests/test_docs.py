@@ -9,9 +9,11 @@ fails CI.
 
 import argparse
 import os
+import runpy
 
 import pytest
 
+import repro
 from repro.cli import build_parser
 from repro.experiments import COLLECTORS, DEFENSES, TOPOLOGIES, WORKLOADS
 
@@ -150,3 +152,12 @@ class TestPerformanceTables:
             layer = recorded["workloads"][row[0].split("`")[1]]["per_layer"]
             assert [int(cell) for cell in row[2:]] == \
                 [layer[f"faults.{key}"] for key in keys], row[0]
+
+
+def test_setup_py_installs_the_package_version(monkeypatch):
+    """One source of truth: what pip installs is ``repro.__version__``."""
+    installed = {}
+    monkeypatch.setattr("setuptools.setup", installed.update)
+    monkeypatch.chdir(REPO_ROOT)
+    runpy.run_path("setup.py")
+    assert installed["version"] == repro.__version__

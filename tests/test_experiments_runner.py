@@ -1,4 +1,4 @@
-"""Tests for the experiment runner: uniform backends, shim fidelity, E9."""
+"""Tests for the experiment runner: uniform backends, seed plumbing, E9."""
 
 
 import pytest
@@ -10,8 +10,6 @@ from repro.experiments import (
     WorkloadSpec,
     default_flood_spec,
 )
-from repro.scenarios.flood_defense import FloodDefenseScenario
-from repro.scenarios.onoff import OnOffScenario
 
 #: Every registered defense backend must run the flood spec.
 ALL_BACKENDS = ("aitf", "pushback", "ingress-dpf", "manual", "none")
@@ -121,45 +119,12 @@ def short_defense():
     return DefenseSpec("pushback", {})
 
 
-class TestShimFidelity:
-    """The legacy scenario classes are shims over the experiment API and must
-    reproduce the pre-refactor numbers bit for bit (the golden values live in
-    test_determinism.py; here we pin shim == direct-runner equality)."""
-
-    def test_flood_scenario_equals_direct_runner_result(self):
-        scenario = FloodDefenseScenario()
-        legacy = scenario.run(duration=5.0)
-        direct = ExperimentRunner().run(scenario.spec, duration=5.0)
-        assert legacy.attack_received_bps == direct.attack_received_bps
-        assert legacy.effective_bandwidth_ratio == direct.effective_bandwidth_ratio
-        assert legacy.legit_goodput_bps == direct.legit_goodput_bps
-        assert legacy.time_to_first_block == direct.defense_stats["time_to_first_block"]
-        assert legacy.victim_gateway_peak_filters == direct.victim_gateway_peak_filters
-
-    def test_flood_scenario_exposes_live_objects(self):
-        scenario = FloodDefenseScenario()
-        scenario.run(duration=3.0)
-        assert scenario.deployment is not None
-        assert scenario.deployment.event_log.max_round() >= 0
-        assert scenario.attack.packets_sent > 0
-        assert scenario.legit.packets_offered > 0
-        assert scenario.sim.now == pytest.approx(3.0)
-
-    def test_onoff_scenario_equals_direct_runner_result(self):
-        scenario = OnOffScenario()
-        legacy = scenario.run(duration=8.0)
-        direct = ExperimentRunner().run(scenario.spec, duration=8.0)
-        assert legacy.received_bps == direct.attack_received_bps
-        assert legacy.offered_bps == direct.attack_offered_bps
-        assert legacy.shadow_hits == direct.defense_stats["shadow_hits"]
-        assert legacy.attack_cycles == direct.workload_stats[0]["cycles_completed"]
-
+class TestPreparedExecution:
     def test_seed_is_plumbed_into_the_deployment(self):
-        a = FloodDefenseScenario(seed=1)
-        b = FloodDefenseScenario(seed=2)
-        assert a.spec.seed == 1 and b.spec.seed == 2
-        assert a.deployment.gateway_agent("G_gw1").rng.seed != \
-            b.deployment.gateway_agent("G_gw1").rng.seed
+        a, b = (ExperimentRunner().prepare(default_flood_spec(seed=seed))
+                for seed in (1, 2))
+        assert a.backend.deployment.gateway_agent("G_gw1").rng.seed != \
+            b.backend.deployment.gateway_agent("G_gw1").rng.seed
 
 
 class TestRunnerWorkloads:

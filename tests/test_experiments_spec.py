@@ -1,6 +1,8 @@
 """Tests for experiment specs: JSON round-trips, registries, overrides."""
 
+import glob
 import json
+import os
 
 import pytest
 
@@ -14,7 +16,10 @@ from repro.experiments import (
     TopologySpec,
     WorkloadSpec,
     apply_override,
+    default_attacker_resource_spec,
     default_flood_spec,
+    default_onoff_spec,
+    default_victim_resource_spec,
     expand_grid,
 )
 from repro.experiments.sweep import derive_cell_seed
@@ -204,7 +209,6 @@ class TestCanonicalSpecHash:
             base.with_overrides({"defense.backend": "pushback"}))
 
     def test_hash_is_stable_across_process_boundaries(self):
-        import os
         import subprocess
         import sys
 
@@ -240,3 +244,34 @@ class TestCanonicalSpecHash:
 
         with pytest.raises(ValueError, match="unknown experiment spec"):
             spec_hash({"schema": "experiment_spec/v1", "bogus_key": 1})
+
+
+SPECS_DIR = os.path.join(os.path.dirname(__file__), "..", "examples", "specs")
+
+#: Committed specs that must stay byte-equal to their builder's output.
+BUILT_SPECS = {
+    "onoff_aitf.json": default_onoff_spec,
+    "victim_resources.json": default_victim_resource_spec,
+    "attacker_resources.json": default_attacker_resource_spec,
+}
+
+
+def _committed_specs():
+    """Every committed experiment_spec/v1 file, and every grid's base spec."""
+    for path in sorted(glob.glob(f"{SPECS_DIR}/**/*.json", recursive=True)):
+        with open(path) as handle:
+            data = json.load(handle)
+        data = data.get("base_spec", data)
+        if data.get("schema") == "experiment_spec/v1":
+            yield pytest.param(data, id=os.path.relpath(path, SPECS_DIR))
+
+
+class TestCommittedSpecs:
+    @pytest.mark.parametrize("data", _committed_specs())
+    def test_committed_spec_loads_strictly_and_wires(self, data):
+        ExperimentRunner().prepare(ExperimentSpec.from_dict(data))
+
+    @pytest.mark.parametrize("name", sorted(BUILT_SPECS))
+    def test_built_spec_file_is_its_builders_output(self, name):
+        with open(os.path.join(SPECS_DIR, name)) as handle:
+            assert handle.read() == BUILT_SPECS[name]().to_json() + "\n"
