@@ -12,18 +12,25 @@ that promise honest:
   a pinned vector.  A change that makes the hot path pay for tracing while
   it is off either leaves a hook behind or fires an extra event, and trips
   this on any host, every time.
+* **enabled-tracing work gate** — equally clock-free: with the ``packet``
+  channel on, the run formats no address, every stored row is a tuple the
+  cyclic collector has untracked, and reading the rows back yields exactly
+  the dicts the pre-row callbacks (kept below as the oracle) built per
+  packet.
 * **enabled-tracing sanity** — per-channel overhead is measured in-process
   (off vs each channel vs everything on) and printed, not gated; the
   full-fat configuration must still finish and produce records.
 """
 
 import dataclasses
+import gc
 import time
 
 import pytest
 
 from repro.analysis.report import ResultTable
 from repro.experiments import ExperimentRunner, ObserveSpec, default_flood_spec
+from repro.net.address import IPAddress
 
 from benchmarks.conftest import run_once
 
@@ -55,6 +62,87 @@ def test_disabled_tracing_leaves_no_hook_and_adds_no_work(mode):
     assert execution.backend.deployment.event_log._listeners == []
     execution.run()
     assert execution.sim.stats() == PINNED_SIM_STATS[mode]
+
+
+# ----------------------------------------------------------------------
+# tracing on: rows at write time, dicts only on read
+# ----------------------------------------------------------------------
+def _oracle_packet_records(spec):
+    """The ``packet`` channel as the callbacks before compact rows built it.
+
+    Runs ``spec`` unobserved with the old ``on_packet`` / ``on_block``
+    bodies tapped in: one dict and two formatted addresses per event.
+    """
+    execution = ExperimentRunner().prepare(spec)
+    sim = execution.sim
+    records = []
+    filter_ids = {}
+
+    def on_packet(link, sink, packet):
+        fields = {
+            "link": link.name, "node": sink.name,
+            "src": str(packet.src), "dst": str(packet.dst),
+            "size": packet.size,
+        }
+        if packet.kind.value != "data":
+            fields["kind"] = packet.kind.value
+        if packet.flow_tag:
+            fields["flow"] = packet.flow_tag
+        records.append({"t": sim._now, "ch": "packet", "ev": "deliver",
+                        **fields})
+
+    def on_block(table, entry, packet, count):
+        records.append({
+            "t": sim._now, "ch": "packet", "ev": "filter_block",
+            "node": table.name or "", "src": str(packet.src),
+            "dst": str(packet.dst), "count": count,
+            "filter_id": filter_ids.setdefault(entry.filter_id,
+                                               len(filter_ids) + 1)})
+
+    for link in execution.handle.topology.links:
+        link.tap(packet_observer=on_packet)
+    for router in execution.handle.topology.border_routers():
+        router.filter_table.tap(on_block)
+    execution.run()
+    return records
+
+
+def _run_counting_address_formats(execution, monkeypatch) -> int:
+    """Run ``execution``; how many times did it call ``IPAddress.__str__``?"""
+    calls = [0]
+    render = IPAddress.__str__
+
+    def counting(address):
+        calls[0] += 1
+        return render(address)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(IPAddress, "__str__", counting)
+        execution.run()
+    return calls[0]
+
+
+def test_enabled_packet_tracing_stores_untracked_rows_and_formats_nothing(
+        monkeypatch):
+    """A traced run pays one flat tuple per packet; dicts appear on read."""
+    base = default_flood_spec(attack_pps=1500.0, duration=4.0, seed=0)
+    spec = dataclasses.replace(base, observe=ObserveSpec(channels=("packet",)))
+    # The protocol agents format a handful of addresses into their event
+    # log whether or not anything observes; tracing must add none.
+    untraced = _run_counting_address_formats(
+        ExperimentRunner().prepare(base), monkeypatch)
+    execution = ExperimentRunner().prepare(spec)
+    assert _run_counting_address_formats(execution, monkeypatch) == untraced
+    assert untraced < 10
+
+    recorder = execution.observer.recorder
+    oracle = _oracle_packet_records(base)
+    assert {r["ev"] for r in oracle} == {"deliver", "filter_block"}
+    gc.collect()
+    assert len(recorder._rows) == len(oracle)
+    assert all(type(row) is tuple and not gc.is_tracked(row)
+               for row in recorder._rows)
+    assert list(recorder.records()) == oracle
 
 
 # ----------------------------------------------------------------------

@@ -77,6 +77,7 @@ from repro.obs import (
     load_trace,
     provenance_summary,
     setup_logging,
+    write_trace,
 )
 
 logger = get_logger("cli")
@@ -830,11 +831,7 @@ def run_trace_filter(args: argparse.Namespace) -> int:
     header = dict(header)
     header["channels"] = [c for c in header.get("channels", channels)
                           if c in channels]
-    with open(args.output, "w") as handle:
-        for obj in [header, *kept]:
-            handle.write(json.dumps(obj, sort_keys=True,
-                                    separators=(",", ":")))
-            handle.write("\n")
+    write_trace(args.output, header, kept)
     if args.json:
         print(json.dumps({"trace": args.output, "records": len(kept),
                           "of": len(records)}, sort_keys=True))

@@ -11,7 +11,8 @@ Pieces:
 
 * :mod:`repro.obs.trace` — the :class:`TraceRecorder`: deterministic,
   seed-stamped JSONL records on named channels (``packet``, ``train``,
-  ``aitf-control``, ``routing``, ``fault``).
+  ``aitf-control``, ``routing``, ``fault``), stored as compact rows and
+  rendered when read.
 * :mod:`repro.obs.metrics` — the :class:`MetricsRegistry`: counters, gauges
   and sampled time series that backends and collectors publish into,
   serialized uniformly into ``experiment_result/v1``.
@@ -35,12 +36,14 @@ from repro.obs.trace import (
     TRACE_SCHEMA,
     TraceRecorder,
     load_trace,
+    write_trace,
 )
 
 __all__ = [
     "TRACE_SCHEMA",
     "TraceRecorder",
     "load_trace",
+    "write_trace",
     "MetricsRegistry",
     "ExperimentObserver",
     "FlightRecorder",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 #: Milestone fields compared by :func:`diff_timelines`, in display order.
 MILESTONES = ("requested_at", "temp_filter_at", "handshake_confirmed_at",
@@ -95,7 +95,7 @@ class RequestTimeline:
 class FlightRecorder:
     """Reconstructs per-request timelines from ``aitf-control`` records."""
 
-    def __init__(self, records: List[Dict[str, Any]]) -> None:
+    def __init__(self, records: Iterable[Dict[str, Any]]) -> None:
         self._timelines: Dict[int, RequestTimeline] = {}
         for record in records:
             if record.get("ch") != "aitf-control":
@@ -113,7 +113,7 @@ class FlightRecorder:
     @classmethod
     def from_recorder(cls, recorder: Any) -> "FlightRecorder":
         """Build from a live :class:`~repro.obs.trace.TraceRecorder`."""
-        return cls(list(recorder.records("aitf-control")))
+        return cls(recorder.records("aitf-control"))
 
     # ------------------------------------------------------------------
     # folding

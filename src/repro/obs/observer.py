@@ -28,8 +28,15 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.core.events import EventType, ProtocolEvent
+from repro.net.packet import PacketKind
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TraceRecorder
+from repro.obs.trace import (
+    PACKET_BLOCK,
+    PACKET_DELIVER,
+    TRAIN_BLOCK,
+    TRAIN_DELIVER,
+    TraceRecorder,
+)
 
 _JSON_SCALARS = (str, int, float, bool, type(None))
 
@@ -109,46 +116,40 @@ class ExperimentObserver:
             event_log.subscribe(on_protocol_event)
 
         # --- links: packet / train deliveries ---------------------------
+        # The per-packet callbacks append one flat row of ints, floats and
+        # strings (shapes in repro.obs.trace); addresses are formatted and
+        # record dicts built only when the trace is read.
         if want_packet or want_train:
+            row = recorder.row
+            data = PacketKind.DATA
             on_packet = None
             on_train = None
             if want_packet:
                 def on_packet(link: Any, sink: Any, packet: Any) -> None:
-                    fields: Dict[str, Any] = {
-                        "link": link.name, "node": sink.name,
-                        "src": str(packet.src), "dst": str(packet.dst),
-                        "size": packet.size,
-                    }
-                    if packet.kind.value != "data":
-                        fields["kind"] = packet.kind.value
-                    if packet.flow_tag:
-                        fields["flow"] = packet.flow_tag
-                    recorder.emit("packet", sim._now, "deliver", **fields)
+                    kind = packet.kind
+                    row((PACKET_DELIVER, sim._now, link.name, sink.name,
+                         packet.src.value, packet.dst.value, packet.size,
+                         None if kind is data else kind.value,
+                         packet.flow_tag))
             if want_train:
                 def on_train(link: Any, sink: Any, train: Any) -> None:
                     template = train.template
-                    fields = {
-                        "link": link.name, "node": sink.name,
-                        "src": str(template.src), "dst": str(template.dst),
-                        "count": train.count, "interval": train.interval,
-                        "size": template.size,
-                    }
-                    if template.flow_tag:
-                        fields["flow"] = template.flow_tag
-                    recorder.emit("train", sim._now, "deliver", **fields)
+                    row((TRAIN_DELIVER, sim._now, link.name, sink.name,
+                         template.src.value, template.dst.value, train.count,
+                         train.interval, template.size, template.flow_tag))
             for link in execution.handle.topology.links:
                 link.tap(packet_observer=on_packet, train_observer=on_train)
 
             # Filter-table blocks are where the defense bites traffic;
             # record them on the engine-matching channel.
+            sole_block = PACKET_BLOCK if want_packet else TRAIN_BLOCK
+
             def on_block(table: Any, entry: Any, packet: Any,
                          count: int) -> None:
-                channel = ("train" if (count > 1 or not want_packet)
-                           and want_train else "packet")
-                recorder.emit(channel, sim._now, "filter_block",
-                              node=table.name or "", src=str(packet.src),
-                              dst=str(packet.dst), count=count,
-                              filter_id=_dense(filter_ids, entry.filter_id))
+                row((TRAIN_BLOCK if count > 1 and want_train else sole_block,
+                     sim._now, table.name or "", packet.src.value,
+                     packet.dst.value, count,
+                     _dense(filter_ids, entry.filter_id)))
 
             for router in execution.handle.topology.border_routers():
                 router.filter_table.tap(on_block)

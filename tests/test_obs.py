@@ -16,6 +16,7 @@ The load-bearing guarantees pinned here:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -33,7 +34,6 @@ from repro.experiments import (
 from repro.obs import (
     FlightRecorder,
     MetricsRegistry,
-    TraceRecorder,
     diff_timelines,
     format_cell_line,
     load_trace,
@@ -146,14 +146,84 @@ class TestTraceDeterminism:
         with pytest.raises(ValueError, match="not a trace file"):
             load_trace(str(path))
 
-    def test_max_records_truncates_loudly(self):
-        recorder = TraceRecorder(("packet",), max_records=2)
-        for i in range(5):
-            recorder.emit("packet", float(i), "deliver", link="l")
-        assert len(recorder) == 2
-        assert recorder.truncated == 3
-        assert recorder.counts()["packet"] == 5
-        assert recorder.summary()["truncated"] == 3
+    @pytest.mark.parametrize("damage", ["[]", '"deliver"', "42", "{not json"])
+    def test_load_trace_rejects_a_damaged_record_line(self, tmp_path, damage):
+        spec = observed(default_flood_spec(duration=1.0))
+        execution, _ = run_observed(spec)
+        path = tmp_path / "trace.jsonl"
+        execution.observer.recorder.write_jsonl(str(path), spec)
+        lines = path.read_text().splitlines()
+        lines.insert(3, damage)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"{path}:4: "):
+            load_trace(str(path))
+
+    def test_write_jsonl_streams_the_same_bytes_as_to_lines(self, tmp_path):
+        spec = observed(default_flood_spec(duration=1.0),
+                        channels=OBSERVE_CHANNELS)
+        execution, _ = run_observed(spec)
+        recorder = execution.observer.recorder
+        path = tmp_path / "trace.jsonl"
+        recorder.write_jsonl(str(path), spec)
+        lines = recorder.to_lines(spec)
+        assert path.read_text() == "\n".join(lines) + "\n"
+        streamed = recorder.iter_lines(spec)
+        assert not isinstance(streamed, (list, tuple))
+        assert list(streamed) == lines
+
+
+#: SHA-256 of ``repro trace record --duration 3 --channels all`` (default
+#: flood spec) per engine, computed on the commit before trace rows became
+#: compact tuples.  A rendering change that moves one byte fails this.
+GOLDEN_TRACE_SHA256 = {
+    "packet": "afdaa0b9a03866a4987900c510c30fafde3f5b75c18c4a39bf572f7d57c0b286",
+    "train": "b0f30af8a5abf30f6aa7b8a9781bc2297f31bafe7597ed310087037958d18a24",
+}
+
+
+class TestTraceBytes:
+    @pytest.mark.parametrize("mode", sorted(GOLDEN_TRACE_SHA256))
+    def test_recorded_trace_matches_the_golden_hash(self, tmp_path, mode):
+        path = tmp_path / "trace.jsonl"
+        assert main(["--quiet", "trace", "record", "--duration", "3",
+                     "--channels", "all", "--set", f"engine.mode={mode}",
+                     "--output", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() \
+            == GOLDEN_TRACE_SHA256[mode]
+
+    @pytest.mark.parametrize("mode", ["packet", "train"])
+    def test_trace_counts_conserve_deliveries_blocks_and_events(self, mode):
+        # Every delivery and every block is on the packet or train channel,
+        # every protocol event is one aitf-control record: the trace is the
+        # run's ledger, not a sample of it.
+        spec = observed(
+            default_flood_spec(attack_pps=1500.0, duration=4.0
+                               ).with_overrides({"engine.mode": mode}),
+            channels=("packet", "train", "aitf-control"))
+        execution, result = run_observed(spec)
+        topology = execution.handle.topology
+        delivered = sum(link.stats_toward(end).packets_delivered
+                        for link in topology.links
+                        for end in (link.a, link.b))
+        blocked = sum(router.filter_table.packets_blocked
+                      for router in topology.border_routers())
+        assert delivered > 0 and blocked > 0
+        traffic = [r for r in execution.observer.recorder.records()
+                   if r["ch"] in ("packet", "train")]
+        assert sum(r.get("count", 1) for r in traffic
+                   if r["ev"] == "deliver") == delivered
+        assert sum(r["count"] for r in traffic
+                   if r["ev"] == "filter_block") == blocked
+        trace = result.observability["trace"]
+        assert trace["channels"]["packet"] + trace["channels"]["train"] \
+            == len(traffic)
+        if mode == "packet":
+            assert trace["channels"] == {
+                "packet": delivered + blocked, "train": 0,
+                "aitf-control": len(execution.backend.deployment.event_log)}
+        assert trace["channels"]["aitf-control"] \
+            == len(execution.backend.deployment.event_log)
+        assert trace["records"] == sum(trace["channels"].values())
 
 
 # ----------------------------------------------------------------------
@@ -320,6 +390,21 @@ class TestTraceCli:
         assert header["channels"] == ["aitf-control"]
         assert records
         assert all(r["ch"] == "aitf-control" for r in records)
+
+    def test_show_exits_in_one_line_on_a_damaged_trace(self, tmp_path):
+        path = self.record(tmp_path)
+        with open(path, "a") as handle:
+            handle.write("[]\n")
+        lines = len(path.read_text().splitlines())
+        for command in (["trace", "show", str(path)],
+                        ["trace", "diff", str(path), str(path)],
+                        ["trace", "filter", str(path), "--channel",
+                         "aitf-control", "--output", str(tmp_path / "x")]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(command)
+            assert str(exit_info.value) == (
+                f"repro trace: {path}:{lines}: trace record is not a JSON "
+                "object (got list)")
 
     def test_filter_rejects_unknown_channels(self, tmp_path):
         path = self.record(tmp_path)
