@@ -1,7 +1,9 @@
 """Packaging for the AITF reproduction.
 
 ``pip install -e .`` gives the ``repro`` package and its one hard
-dependency (networkx, used by the power-law topology builder).  Extras:
+dependency, networkx — no longer imported by a run (routes are computed on
+the topology's own adjacency), it serves the ``Topology.graph`` analysis
+views, ``bench/gen_workloads.py`` and the test oracles.  Extras:
 
 * ``plot`` — matplotlib, for ``repro report --plot`` / ``repro paper
   --renderer mpl`` (the builtin SVG renderer needs nothing);

@@ -479,7 +479,7 @@ def run_topo(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         policy.materialize(policy.anchor_of(handle.victim_gateway.name))
         route_seconds = time.perf_counter() - start
-        entries = sum(len(router.routing.routes())
+        entries = sum(router.routing.row_count()
                       for router in topo.border_routers())
         table.add_row("routing entries (victim anchor)", entries)
         table.add_row("route wall-clock", format_seconds(route_seconds))

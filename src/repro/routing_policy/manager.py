@@ -26,11 +26,10 @@ from __future__ import annotations
 
 from typing import Collection, Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.net.address import IPAddress
 from repro.routing_policy.relationships import RelationshipMap
 from repro.routing_policy.valley_free import PolicyRoute, valley_free_routes
+from repro.topology.adjacency import no_path
 from repro.topology.dynamic import IncrementalRouting, edge_key, new_counters
 
 
@@ -146,7 +145,7 @@ class PolicyRoutingManager(IncrementalRouting):
         while current != destination_anchor:
             route = routes.get(current)
             if route is None or len(path) > limit:
-                raise nx.NetworkXNoPath(
+                raise no_path(
                     f"no valley-free route from {source} to {destination_anchor}")
             current = route.next_hop
             path.append(current)

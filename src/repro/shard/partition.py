@@ -107,13 +107,13 @@ def _find(root: Dict[str, str], name: str) -> str:
     return name
 
 
-def _router_neighbors(graph, name: str, router_names) -> List[str]:
-    return sorted(n for n in graph.neighbors(name) if n in router_names)
+def _router_neighbors(adjacency, name: str, router_names) -> List[str]:
+    return sorted(n for n in adjacency[name] if n in router_names)
 
 
 def _fold_units(handle, router_names: List[str]) -> Dict[str, str]:
     """Merge stubs into providers; returns the union-find parent map."""
-    graph = handle.topology.graph
+    adjacency = handle.topology.adjacency
     names = set(router_names)
     root = {name: name for name in router_names}
     tier_of = getattr(handle.raw, "tier_of", None)
@@ -124,7 +124,7 @@ def _fold_units(handle, router_names: List[str]) -> Dict[str, str]:
         for name in router_names:
             if tier_of.get(name) != stub_tier:
                 continue
-            nbrs = _router_neighbors(graph, name, names)
+            nbrs = _router_neighbors(adjacency, name, names)
             providers = [n for n in nbrs
                          if tier_of.get(n, stub_tier) < stub_tier]
             target = providers[0] if providers else (nbrs[0] if nbrs else None)
@@ -134,7 +134,7 @@ def _fold_units(handle, router_names: List[str]) -> Dict[str, str]:
     # Flat topology: single-homed routers join their only neighbour (the
     # guard keeps two mutually single-homed routers from forming a cycle).
     for name in router_names:
-        nbrs = _router_neighbors(graph, name, names)
+        nbrs = _router_neighbors(adjacency, name, names)
         if len(nbrs) == 1 and _find(root, nbrs[0]) != name:
             root[name] = nbrs[0]
     return root

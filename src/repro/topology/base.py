@@ -6,22 +6,33 @@ final.  The concrete builders (:mod:`repro.topology.figure1`,
 :mod:`repro.topology.tree`, :mod:`repro.topology.powerlaw`) are thin layers
 over this class.
 
-Routing is computed with networkx shortest paths over the node graph, then
-frozen into each node's longest-prefix-match table — the paper treats routing
-as a given (BGP convergence is out of scope), so static routes are the right
-fidelity.
+Routing is computed with delay-weighted shortest paths over the topology's
+own adjacency (:mod:`repro.topology.adjacency`), then frozen into each
+node's longest-prefix-match table — the paper treats routing as a given (BGP
+convergence is out of scope), so static routes are the right fidelity.
+networkx is not imported by a run; :attr:`Topology.graph` and
+:attr:`Topology.routing_graph` render ``nx.Graph`` views on first access,
+for analysis and as the oracle the native search is tested against.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, Union
 
-import networkx as nx
-
 from repro.net.address import AddressAllocator, IPAddress, Prefix
 from repro.net.link import Link
 from repro.router.nodes import BorderRouter, Host, NetworkNode
 from repro.sim.engine import Simulator
+from repro.topology.adjacency import (
+    Adjacency,
+    add_edge,
+    copy_without,
+    first_hops,
+    no_path,
+    nx_view,
+    remove_edge,
+    shortest_path_tree,
+)
 from repro.topology.dynamic import (
     DynamicRouting,
     edge_key,
@@ -49,13 +60,17 @@ class Topology:
         self.allocator = AddressAllocator(address_pool)
         self.nodes: Dict[str, NetworkNode] = {}
         self.links: List[Link] = []
-        self.graph = nx.Graph()
-        # Fault-injection state: the live graph (built graph minus downed
+        #: The as-built shape, ``{name: {neighbour: link}}`` in creation /
+        #: connection order (the order equal-cost ties break in).
+        self.adjacency: Adjacency = {}
+        # Fault-injection state: the live adjacency (as built minus downed
         # edges) materialises lazily on the first fault, so fault-free runs
-        # never copy the graph; the dynamic-routing helper likewise only
-        # exists once churn is requested.
-        self._live_graph: Optional[nx.Graph] = None
+        # never copy it; the dynamic-routing helper likewise only exists
+        # once churn is requested.
+        self._live_adjacency: Optional[Adjacency] = None
         self._down_edges: set = set()
+        # nx.Graph renderings of the two adjacencies, dropped on any change.
+        self._views: dict = {}
         #: Bumped on every link flip; rerouting caches key on it.
         self.link_epoch = 0
         self._dynamic = None
@@ -76,8 +91,7 @@ class Topology:
             address = (self.allocator.allocate_host(prefix) if prefix is not None
                        else self.allocator.allocate_host())
         host = Host(self.sim, name, address, network=network)
-        self.nodes[name] = host
-        self.graph.add_node(name)
+        self._add_node(host)
         return host
 
     def add_border_router(self, name: str, network: str,
@@ -92,8 +106,7 @@ class Topology:
                               filter_capacity=filter_capacity)
         if local_prefix is not None:
             router.add_local_prefix(local_prefix)
-        self.nodes[name] = router
-        self.graph.add_node(name)
+        self._add_node(router)
         return router
 
     def allocate_network_prefix(self, length: int = 24) -> Prefix:
@@ -115,7 +128,8 @@ class Topology:
         node_a.attach_link(link)
         node_b.attach_link(link)
         self.links.append(link)
-        self.graph.add_edge(node_a.name, node_b.name, link=link, delay=delay)
+        add_edge(self.adjacency, link)
+        self._views.clear()
         return link
 
     def link_between(self, a: Union[str, NetworkNode],
@@ -123,25 +137,46 @@ class Topology:
         """The link directly connecting two nodes, if any."""
         node_a = self._resolve(a)
         node_b = self._resolve(b)
-        data = self.graph.get_edge_data(node_a.name, node_b.name)
-        return data["link"] if data else None
+        return self.adjacency[node_a.name].get(node_b.name)
 
     # ------------------------------------------------------------------
     # fault injection / route churn
     # ------------------------------------------------------------------
     @property
-    def routing_graph(self) -> nx.Graph:
-        """The graph live routes are computed over.
+    def routing_adjacency(self) -> Adjacency:
+        """The adjacency live routes are computed over.
 
-        Identical to :attr:`graph` until a fault downs a link; afterwards it
-        is the built graph minus the currently-down edges, so path queries
-        (:meth:`path_between`, :meth:`border_router_path`) and incremental
-        recomputation see the network as it is *now*.
+        Identical to :attr:`adjacency` until a fault downs a link;
+        afterwards it is the built shape minus the currently-down edges, so
+        path queries (:meth:`path_between`, :meth:`border_router_path`) and
+        incremental recomputation see the network as it is *now*.
         """
-        return self._live_graph if self._live_graph is not None else self.graph
+        live = self._live_adjacency
+        return live if live is not None else self.adjacency
+
+    @property
+    def graph(self):
+        """The as-built shape as an ``nx.Graph`` (see
+        :func:`repro.topology.adjacency.nx_view`): a detached rendering,
+        rebuilt after the topology next changes."""
+        return self._view("graph", self.adjacency)
+
+    @property
+    def routing_graph(self):
+        """:attr:`routing_adjacency` as an ``nx.Graph``; the same object as
+        :attr:`graph` until a fault downs a link."""
+        if self._live_adjacency is None:
+            return self.graph
+        return self._view("routing_graph", self._live_adjacency)
+
+    def _view(self, name: str, adjacency: Adjacency):
+        view = self._views.get(name)
+        if view is None:
+            view = self._views[name] = nx_view(adjacency)
+        return view
 
     def set_link_state(self, link: Link, up: bool) -> bool:
-        """Bring ``link`` up or down, keeping the live graph in sync.
+        """Bring ``link`` up or down, keeping the live adjacency in sync.
 
         Returns True when the state actually changed.  Routing tables are
         *not* touched here — call :meth:`reroute_incremental` (or a full
@@ -150,17 +185,19 @@ class Topology:
         changed = link.set_up() if up else link.set_down()
         if not changed:
             return False
-        key = (link.a.name, link.b.name)
-        if self._live_graph is None:
-            self._live_graph = self.graph.copy()
+        if self._live_adjacency is None:
+            self._live_adjacency = copy_without(self.adjacency)
         self.link_epoch += 1
+        self._views.clear()
+        key = edge_key(link.a.name, link.b.name)
         if up:
-            data = self.graph.get_edge_data(*key)
-            self._live_graph.add_edge(*key, **data)
-            self._down_edges.discard(edge_key(*key))
+            # Re-inserted, so the restored edge is now its endpoints' *last*
+            # neighbour: equal-cost tie-breaking after link_up depends on it.
+            add_edge(self._live_adjacency, link)
+            self._down_edges.discard(key)
         else:
-            self._live_graph.remove_edge(*key)
-            self._down_edges.add(edge_key(*key))
+            remove_edge(self._live_adjacency, link)
+            self._down_edges.add(key)
         return True
 
     def ensure_dynamic_routing(self):
@@ -191,47 +228,59 @@ class Topology:
         Hosts get a default route pointing at their (single) access link.
         Routers get one route per destination prefix: the destination set is
         every node's own addresses (/32) plus every declared local prefix,
-        with next hops taken from networkx shortest paths weighted by link
-        delay.
+        with next hops taken from shortest paths weighted by link delay.
 
         One source-rooted Dijkstra runs per *router* (hosts only ever need
-        their default route), over the router projection of the graph: a
+        their default route), over the router projection of the adjacency: a
         single-homed host is never interior to a path, so it is folded out
         and inherits its access router's next hop at one extra hop (see
         :func:`repro.topology.dynamic.fold_leaves`).  On a host-heavy fleet
-        that is ~6x fewer nodes per search, and every installed row — and
-        the order rows are installed in — is what the full-graph sweep
-        yields (``tests/test_route_build.py`` keeps that sweep as the
+        that is ~6x fewer nodes per search.
+
+        A router's rows toward one anchor are a function of its single next
+        hop and distance to it, so that is what is resolved per (router,
+        anchor) — two shared :meth:`RoutingTable.next_hop` records, the
+        anchor's own rows and its folded hosts' one hop further — and the
+        table takes all its rows in one :meth:`RoutingTable.install_rows`.
+        Every installed row, and the order rows are installed in, is what a
+        per-router sweep of the full graph yields
+        (``tests/test_route_build.py`` keeps that sweep, on networkx, as the
         oracle).
         """
         fold = fold_leaves(self)
-        graph = project_routers(self.graph, fold)
-        # (destination, the projected node it rides on, extra hops, prefixes)
-        destinations = [(name, fold.get(name, name), int(name in fold), prefixes)
-                        for name, prefixes in self._destination_prefixes().items()
-                        if prefixes]
+        adjacency = project_routers(self.adjacency, fold)
+        # Every row a router may hold, in installation order: its key and
+        # the (anchor, extra hops) group whose next hop it shares.  A
+        # router's *own* folded hosts are the exception — one access link
+        # each — so their row positions are kept per anchor.
+        keys: List[int] = []
+        groups: List[Tuple[str, int]] = []
+        access_rows: Dict[str, List[Tuple[int, str]]] = {}
+        for name, prefixes in self._destination_prefixes().items():
+            anchor, extra = fold.get(name, name), int(name in fold)
+            for prefix in prefixes:
+                if extra:
+                    access_rows.setdefault(anchor, []).append((len(keys), name))
+                keys.append(prefix.key)
+                groups.append((anchor, extra))
         for node in self.nodes.values():
             if isinstance(node, Host):
                 self._install_host_default(node)
                 continue
             name = node.name
-            links = {neighbor: data["link"]
-                     for neighbor, data in self.graph.adj[name].items()}
-            paths = nx.single_source_dijkstra_path(graph, name, weight="delay")
-            install = node.routing.install
-            for target, anchor, extra, prefixes in destinations:
-                if anchor == name:
-                    if not extra:
-                        continue  # the router itself
-                    link, metric = links[target], 1
-                else:
-                    path = paths.get(anchor)
-                    if path is None:
-                        continue
-                    link = links[path[1]]
-                    metric = len(path) - 1 + extra
-                for prefix in prefixes:
-                    install(prefix, link, metric)
+            links = self.adjacency[name]
+            next_hop = node.routing.next_hop
+            records = {}
+            tree = shortest_path_tree(adjacency, name)
+            for anchor, (first, hops) in first_hops(*tree, name).items():
+                link = links[first]
+                records[anchor, 0] = next_hop(link, hops)
+                if anchor in access_rows:
+                    records[anchor, 1] = next_hop(link, hops + 1)
+            rows = list(map(records.get, groups))
+            for index, host in access_rows.get(name, ()):
+                rows[index] = next_hop(links[host], 1)
+            node.routing.install_rows(keys, rows)
 
     def _install_host_default(self, host: Host) -> None:
         if not host.links:
@@ -270,14 +319,20 @@ class Topology:
                      b: Union[str, NetworkNode]) -> List[str]:
         """Node names along the delay-shortest *live* path from a to b.
 
-        Computed over :attr:`routing_graph`, so after a fault the answer
+        Computed over :attr:`routing_adjacency`, so after a fault the answer
         reflects the rerouted network, not the as-built one.  Raises
         ``networkx.NetworkXNoPath`` when a fault has disconnected the pair.
         """
-        node_a = self._resolve(a)
-        node_b = self._resolve(b)
-        return nx.dijkstra_path(self.routing_graph, node_a.name, node_b.name,
-                                weight="delay")
+        source = self._resolve(a).name
+        target = self._resolve(b).name
+        dist, pred = shortest_path_tree(self.routing_adjacency, source, target)
+        if target not in dist:
+            raise no_path(f"Node {target} not reachable from {source}")
+        path = [target]
+        while path[-1] != source:
+            path.append(pred[path[-1]])
+        path.reverse()
+        return path
 
     def border_router_path(self, source: Union[str, NetworkNode],
                            destination: Union[str, NetworkNode]) -> Tuple[str, ...]:
@@ -292,6 +347,11 @@ class Topology:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _add_node(self, node: NetworkNode) -> None:
+        self.nodes[node.name] = node
+        self.adjacency[node.name] = {}
+        self._views.clear()
+
     def _resolve(self, node: Union[str, NetworkNode]) -> NetworkNode:
         if isinstance(node, NetworkNode):
             return node

@@ -46,10 +46,15 @@ from __future__ import annotations
 
 from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.net.link import Link
 from repro.router.nodes import Host, NetworkNode
+from repro.topology.adjacency import (
+    Adjacency,
+    add_edge,
+    copy_without,
+    remove_edge,
+    shortest_path_tree,
+)
 
 _EPS = 1e-12
 
@@ -80,18 +85,16 @@ def fold_leaves(topo) -> Dict[str, str]:
     return fold
 
 
-def project_routers(graph: nx.Graph, fold: Dict[str, str]) -> nx.Graph:
-    """A copy of ``graph`` without the folded leaves.
+def project_routers(adjacency: Adjacency, fold: Dict[str, str]) -> Adjacency:
+    """A copy of ``adjacency`` without the folded leaves.
 
-    Removing degree-1 nodes changes neither the distances nor networkx's
-    heap tie-breaking among the remaining nodes (a leaf only ever relaxes
-    its already-settled neighbour), so paths over the projection are the
-    full graph's paths, at a fraction of the per-Dijkstra cost: a
-    host-heavy fleet graph shrinks ~6x.
+    Removing degree-1 nodes changes neither the distances nor the heap
+    tie-breaking among the remaining nodes (a leaf only ever relaxes its
+    already-settled neighbour), so paths over the projection are the full
+    graph's paths, at a fraction of the per-Dijkstra cost: a host-heavy
+    fleet graph shrinks ~6x.
     """
-    projected = graph.copy()
-    projected.remove_nodes_from(fold)
-    return projected
+    return copy_without(adjacency, fold)
 
 
 def new_counters() -> Dict[str, int]:
@@ -160,10 +163,9 @@ class IncrementalRouting:
         for router in self._routers:
             if router.name == anchor:
                 continue
-            route = router.routing.lookup(address)
-            if route is None or route.link is None:
-                continue
-            edges.add(edge_key(router.name, route.link.other_end(router).name))
+            link = router.routing.next_link(address)
+            if link is not None:
+                edges.add(edge_key(router.name, link.other_end(router).name))
         return edges
 
     def _set_anchor_edges(self, anchor: str, edges: Set[EdgeKey]) -> None:
@@ -214,7 +216,7 @@ class IncrementalRouting:
         routes = self.solve(anchor)
         stats["dijkstras"] += 1
         stats["anchors_recomputed"] += 1
-        link_data = self._topo.graph.get_edge_data
+        links = self._topo.adjacency
         prefixes = self._prefixes
         edges: Set[EdgeKey] = set()
         installed = 0
@@ -224,7 +226,7 @@ class IncrementalRouting:
         for member, extra in self._groups[anchor]:
             if extra:
                 edges.add(edge_key(anchor, member))
-                link = link_data(anchor, member)["link"]
+                link = links[anchor][member]
                 for prefix in prefixes[member]:
                     if install(prefix, link, extra):
                         installed += 1
@@ -246,7 +248,7 @@ class IncrementalRouting:
                 continue
             next_hop, hops = hop
             edges.add(edge_key(name, next_hop))
-            link = link_data(name, next_hop)["link"]
+            link = links[name][next_hop]
             install = table.install
             changed = 0
             for prefix, extra in remote:
@@ -268,27 +270,36 @@ class DynamicRouting(IncrementalRouting):
 
     def __init__(self, topo) -> None:
         super().__init__(topo)
-        self._graph: Optional[nx.Graph] = None
+        self._graph: Optional[Adjacency] = None
         self._graph_epoch = -1
         # Edge-usage index, derived from the routes build_routes installed.
         for anchor in self._groups:
             self._set_anchor_edges(anchor, self._installed_edges(anchor))
 
-    def _reduced_graph(self) -> nx.Graph:
-        """The live routing graph with folded hosts projected out, copied
-        fresh after every link flip so it always reflects the current
-        up/down edge set."""
+    def _reduced_graph(self) -> Adjacency:
+        """The live adjacency with folded hosts projected out, copied fresh
+        after every link flip so it always reflects the current up/down
+        edge set."""
         topo = self._topo
         if self._graph_epoch != topo.link_epoch:
-            self._graph = project_routers(topo.routing_graph, self._fold_anchor)
+            self._graph = project_routers(topo.routing_adjacency,
+                                          self._fold_anchor)
             self._graph_epoch = topo.link_epoch
         return self._graph
 
     def solve(self, anchor: str) -> Dict[str, Tuple[str, int]]:
-        paths = nx.single_source_dijkstra_path(self._reduced_graph(), anchor,
-                                               weight="delay")
-        return {name: (path[-2], len(path) - 1)
-                for name, path in paths.items() if len(path) > 1}
+        dist, pred = shortest_path_tree(self._reduced_graph(), anchor)
+        # In settling order a predecessor's hop count is known first; a
+        # router's next hop toward the anchor is its predecessor in the
+        # anchor-rooted tree.
+        hops = {anchor: 0}
+        routes: Dict[str, Tuple[str, int]] = {}
+        for name in dist:
+            if name != anchor:
+                before = pred[name]
+                hops[name] = hops[before] + 1
+                routes[name] = (before, hops[name])
+        return routes
 
     def restored_affects(self, link: Link,
                          stats: Dict[str, int]) -> Iterable[str]:
@@ -301,17 +312,18 @@ class DynamicRouting(IncrementalRouting):
         if fold is not None:
             return (fold,)
         graph = self._reduced_graph()
-        data = graph.get_edge_data(u, v)
-        if data is None:  # pragma: no cover - defensive
+        if v not in graph.get(u, ()):  # pragma: no cover - defensive
             return self._groups
-        weight = data["delay"]
-        graph.remove_edge(u, v)
+        # Searched with the edge taken out, then put back — last among its
+        # endpoints' neighbours, where the solves that follow will find it.
+        remove_edge(graph, link)
         try:
-            du = nx.single_source_dijkstra_path_length(graph, u, weight="delay")
-            dv = nx.single_source_dijkstra_path_length(graph, v, weight="delay")
+            du, _ = shortest_path_tree(graph, u)
+            dv, _ = shortest_path_tree(graph, v)
         finally:
-            graph.add_edge(u, v, **data)
+            add_edge(graph, link)
         stats["dijkstras"] += 2
+        weight = link.delay
         inf = float("inf")
         improved: Set[str] = set()
         for anchor in self._groups:

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
-import networkx as nx
-
 from repro.net.address import Prefix
 from repro.router.nodes import BorderRouter, Host, NetworkNode
 from repro.routing_policy.manager import PolicyRoutingManager
@@ -42,6 +40,7 @@ from repro.topology.base import (
     REGIONAL_DELAY,
     Topology,
 )
+from repro.topology.adjacency import no_path
 from repro.topology.dynamic import edge_key
 
 #: Tier labels used in ``tier_of`` and deployment-locus selection.
@@ -125,8 +124,7 @@ class PolicyTopology(Topology):
         for host, anchor in ((node_a, anchor_a), (node_b, anchor_b)):
             if (host.name != anchor
                     and edge_key(host.name, anchor) in self._down_edges):
-                raise nx.NetworkXNoPath(
-                    f"access link of {host.name} is down")
+                raise no_path(f"access link of {host.name} is down")
         if anchor_a == anchor_b:
             path = [anchor_a]
         else:

@@ -17,10 +17,9 @@ Each AS becomes one border router plus ``hosts_per_leaf`` end-hosts on stub
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-import networkx as nx
+from typing import Dict, List, Optional, Tuple
 
 from repro.router.nodes import BorderRouter, Host
 from repro.sim.engine import Simulator
@@ -66,6 +65,35 @@ class PowerLawInternet:
         return None
 
 
+def barabasi_albert_edges(n: int, m: int, seed: int) -> List[Tuple[int, int]]:
+    """Edges of a Barabási–Albert graph on nodes ``0..n-1``: a star on
+    ``m + 1`` nodes, then each new node attaches to ``m`` distinct existing
+    nodes drawn with probability proportional to their degree.
+
+    The draw sequence over ``random.Random(seed)`` and the edge order (by
+    lower endpoint, then by when the edge was added) are those of
+    ``list(nx.barabasi_albert_graph(n, m, seed).edges)`` — held equal in
+    ``tests/test_native_graph.py`` — so a seed names the same fleet
+    whatever networkx is installed, or none.
+    """
+    if m < 1 or m >= n:
+        raise ValueError(
+            f"Barabási–Albert network must have m >= 1 and m < n, m = {m}, n = {n}")
+    rng = random.Random(seed)
+    higher: List[List[int]] = [[] for _ in range(n)]  # node -> later neighbours
+    higher[0] = list(range(1, m + 1))
+    repeated = [0] * m + higher[0]  # each node once per incident edge
+    for source in range(m + 1, n):
+        targets = set()
+        while len(targets) < m:
+            targets.add(rng.choice(repeated))
+        for target in targets:
+            higher[target].append(source)
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+    return [(a, b) for a in range(n) for b in higher[a]]
+
+
 def build_powerlaw_internet(
     sim: Simulator = None,
     *,
@@ -91,17 +119,17 @@ def build_powerlaw_internet(
     """
     if autonomous_systems < 3:
         raise ValueError("need at least 3 autonomous systems")
-    as_graph = nx.barabasi_albert_graph(autonomous_systems, attachment_edges, seed=seed)
+    as_edges = barabasi_albert_edges(autonomous_systems, attachment_edges, seed)
     topo = Topology(sim)
     rng = SeededRandom(seed, name="powerlaw")
 
     routers: List[BorderRouter] = []
-    for as_index in as_graph.nodes:
+    for as_index in range(autonomous_systems):
         name = f"as{as_index}"
         router = topo.add_border_router(name, name, filter_capacity=filter_capacity)
         routers.append(router)
 
-    for a, b in as_graph.edges:
+    for a, b in as_edges:
         topo.connect(f"as{a}", f"as{b}",
                      bandwidth_bps=BACKBONE_BANDWIDTH,
                      delay=rng.uniform(0.5, 1.5) * REGIONAL_DELAY)
@@ -109,9 +137,8 @@ def build_powerlaw_internet(
     leaf_routers: List[BorderRouter] = []
     core_routers: List[BorderRouter] = []
     hosts_by_leaf: Dict[str, List[Host]] = {}
-    for as_index in as_graph.nodes:
-        router = topo.node(f"as{as_index}")
-        if as_graph.degree[as_index] <= leaf_degree_threshold:
+    for router in routers:
+        if len(topo.adjacency[router.name]) <= leaf_degree_threshold:
             leaf_routers.append(router)  # type: ignore[arg-type]
         else:
             core_routers.append(router)  # type: ignore[arg-type]

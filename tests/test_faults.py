@@ -336,6 +336,26 @@ class TestIncrementalReroute:
             assert router.routing.lookup(failover.b_host.address) is None
         assert_routes_match_shortest_paths(topo, topo.hosts())
 
+    def test_path_query_across_a_faulted_away_cut_raises_no_path(self):
+        failover = build_failover()
+        topo = failover.topology
+        b_host, g_host = failover.b_host.name, failover.g_host.name
+        built = topo.path_between(b_host, g_host)
+        assert topo.set_link_state(failover.primary_uplink, False)
+        detour = topo.path_between(b_host, g_host)
+        assert detour != built and "T2" in detour
+        assert topo.set_link_state(failover.backup_uplink, False)
+        # The links still exist (and the as-built shape still has them);
+        # the live query must not route through them.
+        assert topo.link_between("B_gw", "T1") is failover.primary_uplink
+        for a, b in ((b_host, g_host), (g_host, b_host)):
+            with pytest.raises(nx.NetworkXNoPath):
+                topo.path_between(a, b)
+        with pytest.raises(nx.NetworkXNoPath):
+            topo.border_router_path(b_host, g_host)
+        assert topo.set_link_state(failover.backup_uplink, True)
+        assert topo.path_between(b_host, g_host) == detour
+
     def test_fleet_equivalence_and_cheapness(self):
         # On an AS-scale topology a single link fault must (a) reinstall
         # exactly the shortest paths of the reduced graph and (b) cost far

@@ -8,7 +8,7 @@ from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue
 from repro.router.filter_table import FilterTable, FilterTableFullError
 from repro.router.policer import TokenBucket
-from repro.router.routing import Route, RoutingTable
+from repro.router.routing import RoutingTable
 from repro.sim.engine import Simulator
 from repro.topology.powerlaw import build_powerlaw_internet
 
@@ -191,7 +191,7 @@ class TestRoutingTableProperties:
                     [address] if unrouted and address in lazy else [])
                 want = _longest_match(model, address)
                 if want is None:
-                    assert got is default
+                    assert got == default
                 else:
                     assert (got.prefix, got.link, got.metric) == want
                 assert table.next_link(address) is (
@@ -201,18 +201,23 @@ class TestRoutingTableProperties:
 
 
 class TestRoutingWorkGate:
-    """Deterministic work, no clock: a regression to scanning rows fails
-    here by count of ``Route.matches`` calls."""
+    """Deterministic work, no clock: the rows shorter than /32 are the only
+    ones a lookup walks, and walking them starts with (re)building the scan
+    list — so a regression to scanning fails here by count of those builds
+    and by the size of what they return."""
 
     @staticmethod
-    def _count_matches(monkeypatch):
-        calls = []
-        matches = Route.matches
-        monkeypatch.setattr(
-            Route, "matches",
-            lambda self, destination: calls.append(self) or matches(
-                self, destination))
-        return calls
+    def _count_scans(monkeypatch):
+        scans = []
+        shorter_rows = RoutingTable._shorter_rows
+
+        def counted(self):
+            scan = shorter_rows(self)
+            scans.append(len(scan))
+            return scan
+
+        monkeypatch.setattr(RoutingTable, "_shorter_rows", counted)
+        return scans
 
     def test_an_installed_host_row_is_found_without_scanning(self, monkeypatch):
         table = RoutingTable()
@@ -221,27 +226,26 @@ class TestRoutingWorkGate:
             for host in range(1, 10):
                 table.add_route(f"10.{net}.0.{host}/32", "host", metric=host)
         assert len(table) == 1000
-        calls = self._count_matches(monkeypatch)
+        scans = self._count_scans(monkeypatch)
         for net in range(100):
             route = table.lookup(f"10.{net}.0.7")
-            assert (route.link, route.metric) == ("host", 7)
-        assert calls == []
+            assert (route.prefix.length, route.link, route.metric) == (32, "host", 7)
+        assert scans == []
         # No /32: only the hundred shorter rows are candidates, and the
         # answer is memoized.
         assert table.lookup("10.99.0.200").link == "aggregate"
-        assert 0 < len(calls) <= 100
-        assert all(route.prefix.length < 32 for route in calls)
-        del calls[:]
+        assert scans == [100]
         assert table.lookup("10.99.0.200").link == "aggregate"
-        assert calls == []
+        assert table.lookup("10.98.0.200").prefix == Prefix.parse("10.98.0.0/24")
+        assert scans == [100]
 
     def test_building_the_reroute_index_scans_no_rows(self, monkeypatch):
         fleet = build_powerlaw_internet(autonomous_systems=60,
                                         hosts_per_leaf=4, seed=11)
-        calls = self._count_matches(monkeypatch)
+        scans = self._count_scans(monkeypatch)
         core = fleet.topology.ensure_dynamic_routing()
         assert len(core._anchor_edges) >= 60
-        assert calls == []
+        assert scans == []
 
 
 class TestTokenBucketProperties:

@@ -123,17 +123,49 @@ class TestAgainstTheFullGraphSweep:
         assert r1.lookup(topo.nodes["bare_h"].address).metric == 3
         assert r1.route_for(Prefix(topo.nodes["island"].address, 32)) is None
 
-    def test_rebuild_after_growth_installs_the_new_rows_only(self):
+    def test_rebuild_after_growth_installs_the_new_rows_only(self, monkeypatch):
         topo = awkward_topology()
-        before = {name: {id(route) for route in node.routing.routes()}
-                  for name, node in topo.nodes.items()}
+        routers = [node for name, node in topo.nodes.items()
+                   if not isinstance(node, Host) and name != "island"]
+        before = {node.name: rows(node.routing) for node in routers}
+        probe = topo.nodes["r2_h"].address
+        warm = {node.name: node.routing.next_link(probe) for node in routers}
+
+        changed = {}
+        install_rows = RoutingTable.install_rows
+
+        def counted(self, keys, records):
+            changed[self.name] = install_rows(self, keys, records)
+            return changed[self.name]
+
+        monkeypatch.setattr(RoutingTable, "install_rows", counted)
         topo.connect(topo.add_host("late", "r4"), "r4")
         topo.build_routes()
         assert_matches_reference(topo)
-        for name, node in topo.nodes.items():
-            if isinstance(node, Host) or name == "island":
-                continue
-            fresh = [route for route in node.routing.routes()
-                     if id(route) not in before[name]]
-            assert [route.prefix for route in fresh] == \
-                [Prefix(topo.nodes["late"].address, 32)], name
+        late = Prefix(topo.nodes["late"].address, 32)
+        for node in routers:
+            assert changed[node.name] == 1, node.name
+            fresh = [row for row in rows(node.routing)
+                     if row not in before[node.name]]
+            assert [prefix for prefix, _, _ in fresh] == [late], node.name
+        assert changed["island"] == 0
+
+        # One new /32 drops one address from a memo: the answers looked up
+        # before the rebuild are still served without running a match.
+        matched = []
+        match = RoutingTable._match
+        monkeypatch.setattr(
+            RoutingTable, "_match",
+            lambda self, value: matched.append(value) or match(self, value))
+        assert {node.name: node.routing.next_link(probe)
+                for node in routers} == warm
+        assert matched == []
+
+        # A build over an unchanged topology changes nothing anywhere.
+        changed.clear()
+        topo.build_routes()
+        assert set(changed) == {node.name for node in routers} | {"island"}
+        assert not any(changed.values())
+        assert {node.name: node.routing.next_link(probe)
+                for node in routers} == warm
+        assert matched == []

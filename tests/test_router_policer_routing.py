@@ -127,24 +127,41 @@ class TestRoutingTable:
         assert not table.remove_route("10.0.0.0/24")
         assert table.lookup("10.0.0.5") is None
 
-    def test_calls_that_change_nothing_keep_the_memo_and_the_scan_list(self):
+    def test_calls_that_change_nothing_keep_the_memo_and_the_scan_list(
+            self, monkeypatch):
         # _recompute withdraws every prefix of every unreachable router and
         # re-installs every unchanged row: neither may cold-start a table.
         table = RoutingTable()
         coarse, host = FakeLink("coarse"), FakeLink("host")
         table.add_route("10.0.0.0/8", coarse)
         table.add_route("10.1.2.3/32", host, metric=2)
-        table.lookup("10.1.2.3"), table.lookup("10.9.9.9")
-        memo, scan = dict(table._cache), table._scan
-        assert len(memo) == 2 and scan is not None
+        assert table.next_link("10.1.2.3") is host
+        assert table.next_link("10.9.9.9") is coarse
 
         assert not table.remove_route("10.7.7.7/32")
         assert not table.remove_route("10.7.0.0/16")
         row = table.route_for("10.1.2.3/32")
         assert not table.install(row.prefix, host, 2)
-        assert table.add_route("10.1.2.3/32", host, metric=2) is row
-        assert table.add_route("10.0.0.0/8", coarse) is table.route_for("10.0.0.0/8")
-        assert table._cache == memo and table._scan is scan
+        assert not table.install_rows([row.prefix.key, 0],
+                                      [table.next_hop(host, 2), None])
+        assert table.add_route("10.1.2.3/32", host, metric=2) == row
+        assert table.add_route("10.0.0.0/8", coarse) == table.route_for("10.0.0.0/8")
+
+        # Both answers still come from the memo (no match is run), and an
+        # address seen for the first time walks the scan list already built.
+        matched, scans = [], []
+        match, shorter_rows = RoutingTable._match, RoutingTable._shorter_rows
+        monkeypatch.setattr(
+            RoutingTable, "_match",
+            lambda self, value: matched.append(value) or match(self, value))
+        monkeypatch.setattr(
+            RoutingTable, "_shorter_rows",
+            lambda self: scans.append(1) or shorter_rows(self))
+        assert table.next_link("10.1.2.3") is host
+        assert table.next_link("10.9.9.9") is coarse
+        assert matched == []
+        assert table.next_link("10.8.8.8") is coarse
+        assert matched == [IPAddress.parse("10.8.8.8").value] and scans == []
 
     def test_a_host_row_changing_drops_only_its_own_memo_entry(self):
         table = RoutingTable()
