@@ -10,10 +10,11 @@ Runs the same four-cell sweep three ways and shows the cluster guarantees:
 3. resumed — the identical sweep submitted again finishes instantly with
    100% cell-cache hits (no simulator runs at all).
 
-Every piece is a plain file in the queue directory: tasks move between
-``pending/``, ``leased/`` and ``done/`` by atomic rename, results live in a
-content-addressed cache keyed by each cell's canonical spec hash, and the
-provenance sidecar records who computed what.
+Every piece is a plain file in the queue directory: ``run.json`` describes
+the cells, empty task markers move between ``pending/``, ``leased/`` and
+``done/`` by atomic rename, results live in a content-addressed cache keyed
+by each cell's canonical spec hash, and the provenance sidecar records who
+computed what.
 
     python examples/cluster_sweep.py
 """
@@ -55,11 +56,13 @@ def main() -> None:
         coordinator = SweepCoordinator(cluster_dir)
         coordinator.submit(base, GRID)
         workers = [start_worker(cluster_dir) for _ in range(2)]
-        # participate=False: the two subprocess workers do all the computing
-        # (a coordinator normally pitches in; here we want to *see* fan-out).
-        merged = coordinator.execute(participate=False, timeout=120)
+        # The two subprocess workers do all the computing: they exit when
+        # the run is complete, and merge() collects what they published.
+        # (coordinator.execute() would pitch in alongside them; here we
+        # want to *see* fan-out.)
         for worker in workers:
-            worker.wait(timeout=60)
+            worker.wait(timeout=120)
+        merged = coordinator.merge()
 
         identical = merged.to_json() == serial.to_json()
         print(f"   merged document byte-identical to serial: {identical}")

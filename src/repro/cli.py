@@ -72,9 +72,9 @@ from repro.experiments import (
 from repro.obs import (
     FlightRecorder,
     diff_timelines,
-    format_cell_line,
     get_logger,
     load_trace,
+    log_cell_progress,
     provenance_summary,
     setup_logging,
     write_trace,
@@ -265,14 +265,6 @@ def run_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _log_cell_progress(info: Dict[str, Any]) -> None:
-    """SweepRunner progress callback: one INFO line per finished cell."""
-    logger.info("%s", format_cell_line(
-        info["position"], info["total"], info["spec_hash"],
-        wall_seconds=info.get("wall_seconds"),
-        cached=bool(info.get("cached"))))
-
-
 def run_sweep(args: argparse.Namespace) -> int:
     """``repro sweep``: expand a parameter grid and run cells in parallel —
     on a local process pool, or distributed over a shared ``--cluster``
@@ -346,7 +338,8 @@ def run_sweep(args: argparse.Namespace) -> int:
         # resume, timeout) are CLI errors, not tracebacks.
         try:
             coordinator = SweepCoordinator(args.cluster,
-                                           lease_seconds=args.lease)
+                                           lease_seconds=args.lease,
+                                           progress=log_cell_progress)
             manifest = coordinator.submit(base, grid,
                                           reseed=reseed,
                                           resume=args.resume)
@@ -368,7 +361,7 @@ def run_sweep(args: argparse.Namespace) -> int:
         mode_note = f"cluster {args.cluster}"
     else:
         sweep = SweepRunner(workers=args.workers,
-                            progress=_log_cell_progress).run_grid(
+                            progress=log_cell_progress).run_grid(
             base, grid, reseed=reseed)
         mode_note = f"{args.workers} workers"
     logger.info("%s", provenance_summary(sweep.provenance))
@@ -876,13 +869,12 @@ def run_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _redteam_executor(args: argparse.Namespace) -> Any:
-    """The cache-fronted cell executor shared by the redteam subcommands."""
+def _redteam_executor(args: argparse.Namespace) -> SweepRunner:
+    """The cache-fronted sweep runner shared by the redteam subcommands."""
     from repro.cluster.cache import CellCache
-    from repro.redteam import CellExecutor
 
     cache = CellCache(args.cache) if args.cache else None
-    return CellExecutor(cache=cache, workers=args.workers)
+    return SweepRunner(workers=args.workers, cache=cache)
 
 
 def _load_json_or_die(path: str, what: str) -> Dict[str, Any]:

@@ -85,9 +85,6 @@ class CellCache:
         """Where the entry for ``key`` lives (two-digit fan-out)."""
         return os.path.join(self.root, key[:2], f"{key}.json")
 
-    def __contains__(self, key: str) -> bool:
-        return self.get(key) is not None
-
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The full cache entry for ``key`` (schema, result, execution
         record), or ``None`` on a miss — including entries computed by a
@@ -102,11 +99,6 @@ class CellCache:
             return None
         logger.debug("cell cache hit %s", key[:12])
         return entry
-
-    def get_result(self, key: str) -> Optional[Dict[str, Any]]:
-        """Just the cell result for ``key``, or ``None`` on a miss."""
-        entry = self.get(key)
-        return None if entry is None else entry.get("result")
 
     def put(self, key: str, result: Dict[str, Any], *,
             worker: str = "", wall_seconds: float = 0.0) -> None:

@@ -1,7 +1,8 @@
 """A durable, multi-process work queue backed by a shared directory.
 
-Tasks are JSON files that move between three subdirectories as their state
-changes::
+Tasks are empty *marker* files, named after a cell of the run manifest
+(``run.json``, the only place a cell is described), that move between three
+subdirectories as their state changes::
 
     tasks/pending/00003.json   ->   tasks/leased/00003.json   ->   tasks/done/00003.json
 
@@ -27,15 +28,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.logsetup import get_logger
 
 logger = get_logger("cluster.fsqueue")
-
-#: Version tag written into task files.
-TASK_SCHEMA = "sweep_task/v1"
 
 _STATES = ("pending", "leased", "done")
 
@@ -74,34 +71,6 @@ def read_json(path: str) -> Optional[Dict[str, Any]]:
     return data
 
 
-@dataclass
-class Task:
-    """One claimed work item: a sweep cell and where its spec lives."""
-
-    name: str
-    index: int
-    overrides: Dict[str, Any]
-    seed: int
-    spec: Dict[str, Any]
-    spec_hash: str
-
-    @classmethod
-    def from_dict(cls, name: str, data: Dict[str, Any]) -> "Task":
-        return cls(name=name, index=int(data["index"]),
-                   overrides=dict(data["overrides"]), seed=int(data["seed"]),
-                   spec=dict(data["spec"]), spec_hash=str(data["spec_hash"]))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": TASK_SCHEMA,
-            "index": self.index,
-            "overrides": self.overrides,
-            "seed": self.seed,
-            "spec": self.spec,
-            "spec_hash": self.spec_hash,
-        }
-
-
 class FileQueue:
     """The file-backed task queue inside a cluster directory."""
 
@@ -113,6 +82,8 @@ class FileQueue:
                            for state in _STATES}
         for path in (self.tmp_dir, self.lease_dir, *self._state_dirs.values()):
             os.makedirs(path, exist_ok=True)
+        #: Pending names from the last listing, next to claim at the end.
+        self._backlog: List[str] = []
 
     # ------------------------------------------------------------------
     # paths and listings
@@ -143,23 +114,39 @@ class FileQueue:
     # ------------------------------------------------------------------
     # enqueue
     # ------------------------------------------------------------------
-    def put(self, task: Task, *, state: str = "pending") -> bool:
-        """Enqueue ``task`` unless it already exists in any state.
+    def put(self, name: str, *, state: str = "pending") -> bool:
+        """Enqueue the marker ``name`` unless it already exists in any state.
 
         ``state="done"`` records a task that needs no work (its result was
         already in the cache when the run was submitted).  Returns whether
-        the task was newly written.
+        the marker was newly created.
         """
-        if self.state_of(task.name) is not None:
+        if self.state_of(name) is not None:
             return False
-        write_json_atomic(self._task_path(state, task.name), task.to_dict(),
-                          self.tmp_dir)
+        with open(self._task_path(state, name), "w"):
+            pass
         return True
 
     # ------------------------------------------------------------------
     # claim / lease lifecycle
     # ------------------------------------------------------------------
-    def claim(self, worker_id: str, lease_seconds: float) -> Optional[Task]:
+    def _move(self, name: str, source: str, target: str) -> bool:
+        """One state transition: a single atomic rename.
+
+        ``False`` means ``name`` was not in ``source`` — someone else moved
+        it first, the lost race every caller tolerates.  Any other
+        ``OSError`` (a read-only, full or permission-denied directory)
+        propagates: swallowing it would leave the run waiting forever on
+        cells that can never move.
+        """
+        try:
+            os.rename(self._task_path(source, name),
+                      self._task_path(target, name))
+        except FileNotFoundError:
+            return False
+        return True
+
+    def claim(self, worker_id: str, lease_seconds: float) -> Optional[str]:
         """Atomically claim one pending task; ``None`` if none were left.
 
         The pending->leased rename is the claim: when several workers race
@@ -169,19 +156,24 @@ class FileQueue:
         :meth:`requeue_stale` would misread as a dead worker); a loser's
         lease file is harmless — it carries a valid expiry, is overwritten
         by the winner's heartbeats, and is swept once the task completes.
+
+        Candidates come from a remembered listing of ``pending/`` that is
+        only refreshed once it runs out, so draining a grid costs one
+        directory scan per listing rather than one per claim; names other
+        workers took since the listing are skipped by a cheap existence
+        check before any lease is written.
         """
-        for name in self.names("pending"):
-            pending, leased = self._task_path("pending", name), self._task_path("leased", name)
+        while True:
+            if not self._backlog:
+                self._backlog = self.names("pending")[::-1]
+                if not self._backlog:
+                    return None
+            name = self._backlog.pop()
+            if not os.path.exists(self._task_path("pending", name)):
+                continue  # taken since the listing
             self.heartbeat(name, worker_id, lease_seconds)
-            try:
-                os.rename(pending, leased)
-            except (FileNotFoundError, OSError):
-                continue  # another worker won this task
-            data = read_json(leased)
-            if data is None:  # requeued from under us before we could read it
-                continue
-            return Task.from_dict(name, data)
-        return None
+            if self._move(name, "pending", "leased"):
+                return name
 
     def heartbeat(self, name: str, worker_id: str, lease_seconds: float) -> None:
         """Refresh the lease on a claimed task (workers call this while a
@@ -203,29 +195,20 @@ class FileQueue:
         only dropped if it still names that worker, so a late completer
         cannot delete the live lease of whoever re-claimed the task.
         """
-        try:
-            os.rename(self._task_path("leased", name), self._task_path("done", name))
-            moved = True
-        except (FileNotFoundError, OSError):
-            moved = self.state_of(name) == "done"
+        moved = (self._move(name, "leased", "done")
+                 or self.state_of(name) == "done")
         self._drop_lease(name, owner)
         return moved
 
     def release(self, name: str, owner: Optional[str] = None) -> None:
         """Return a leased task to pending (graceful give-back)."""
-        try:
-            os.rename(self._task_path("leased", name), self._task_path("pending", name))
-        except (FileNotFoundError, OSError):
-            pass
+        self._move(name, "leased", "pending")
         self._drop_lease(name, owner)
 
     def reopen(self, name: str) -> None:
         """Return a done task to pending: its cached result is gone or no
         longer trusted, so the cell has to run again."""
-        try:
-            os.rename(self._task_path("done", name), self._task_path("pending", name))
-        except (FileNotFoundError, OSError):
-            pass
+        self._move(name, "done", "pending")
 
     def requeue_stale(self, now: Optional[float] = None) -> List[str]:
         """Move leased tasks whose lease expired (or vanished) back to pending.
@@ -244,12 +227,8 @@ class FileQueue:
             # back in pending another worker may claim it immediately, and a
             # drop after the rename could delete that claimant's fresh lease.
             self._drop_lease(name)
-            try:
-                os.rename(self._task_path("leased", name),
-                          self._task_path("pending", name))
-            except (FileNotFoundError, OSError):
-                continue  # completed or requeued by someone else
-            requeued.append(name)
+            if self._move(name, "leased", "pending"):
+                requeued.append(name)
         # Sweep orphan leases left by lost claim races on tasks that have
         # since completed (they never expire on their own).
         for entry in os.listdir(self.lease_dir):

@@ -1,12 +1,15 @@
 """The durable record of what a cluster sweep *is*.
 
 ``run.json`` in the cluster directory pins the sweep's identity: the base
-spec, the grid, the reseed policy, and every expanded cell (index,
-overrides, seed, concrete spec, content hash).  It is written once when the
-sweep is submitted; workers read it to know when the run is complete, and
-``--resume`` validates against it so a coordinator restarted with a
-*different* grid fails loudly instead of silently merging two different
-experiments into one document.
+spec, the grid, the reseed policy, and every expanded cell as the record
+:meth:`repro.experiments.sweep.SweepCell.to_dict` renders (index,
+overrides, seed, concrete spec, content hash).  It is the *only*
+description of a cell: queue tasks are empty markers named after a
+position in ``cells`` (:func:`cell_name`), and workers, the coordinator
+and the merge all read the cell from here.  It is written once when the
+sweep is submitted, and ``--resume`` validates against it so a coordinator
+restarted with a *different* grid fails loudly instead of silently merging
+two different experiments into one document.
 
 The manifest deliberately stores the fully expanded cells rather than
 re-deriving them on resume: a resumed run must finish exactly the cells the
@@ -20,9 +23,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.cluster.fsqueue import Task, read_json, write_json_atomic
+from repro.cluster.fsqueue import read_json, write_json_atomic
 from repro.experiments.spec import ExperimentSpec
-from repro.experiments.sweep import SweepCell, expand_grid
+from repro.experiments.sweep import expand_grid
 
 #: Version tag written into run manifests.
 MANIFEST_SCHEMA = "sweep_run/v1"
@@ -46,19 +49,12 @@ class RunManifest:
               *, reseed: bool = True) -> "RunManifest":
         """Expand ``grid`` over ``base`` into a manifest (pure; shares
         :func:`repro.experiments.sweep.expand_grid` with the local path)."""
-        cells = expand_grid(base, grid, reseed=reseed)
         return cls(
             base_spec=base.to_dict(),
             grid={key: list(values) for key, values in grid.items()},
             reseed=reseed,
-            cells=[{
-                "index": cell.index,
-                "name": cell_name(cell.index),
-                "overrides": dict(cell.overrides),
-                "seed": cell.spec.seed,
-                "spec": cell.spec.to_dict(),
-                "spec_hash": cell.spec_hash,
-            } for cell in cells],
+            cells=[cell.to_dict()
+                   for cell in expand_grid(base, grid, reseed=reseed)],
         )
 
     # ------------------------------------------------------------------
@@ -100,35 +96,30 @@ class RunManifest:
         write_json_atomic(self.path_in(cluster_dir), self.to_dict(), tmp_dir)
 
     # ------------------------------------------------------------------
-    # identity and tasks
+    # identity
     # ------------------------------------------------------------------
-    def identity_json(self) -> str:
-        """Canonical text of what makes two submissions the same sweep."""
-        return json.dumps(
-            {"base_spec": self.base_spec, "grid": self.grid, "reseed": self.reseed},
-            sort_keys=True, separators=(",", ":"))
-
-    def matches(self, other: "RunManifest") -> bool:
-        """Whether ``other`` describes the same sweep (resume validation)."""
-        return self.identity_json() == other.identity_json()
-
-    def tasks(self) -> List[Task]:
-        """One queue task per cell, in grid order."""
-        return [Task(name=cell["name"], index=cell["index"],
-                     overrides=dict(cell["overrides"]), seed=cell["seed"],
-                     spec=dict(cell["spec"]), spec_hash=cell["spec_hash"])
-                for cell in self.cells]
-
-    def sweep_cells(self) -> List[SweepCell]:
-        """The cells as :class:`SweepCell` objects (for the shared merge)."""
-        return [SweepCell(index=cell["index"], overrides=dict(cell["overrides"]),
-                          spec=ExperimentSpec.from_dict(cell["spec"]))
-                for cell in self.cells]
+    def describes(self, base: ExperimentSpec,
+                  grid: Mapping[str, Sequence[Any]], *, reseed: bool = True) -> bool:
+        """Whether a submission of ``base`` x ``grid`` is this same sweep
+        (resume validation) — decided without expanding the grid."""
+        return identity_json(self.base_spec, self.grid, self.reseed) == \
+            identity_json(base.to_dict(), grid, reseed)
 
     def __len__(self) -> int:
         return len(self.cells)
 
 
-def cell_name(index: int) -> str:
-    """Queue task name for cell ``index`` (zero-padded so listings sort)."""
-    return f"{index:05d}"
+def identity_json(base_spec: Mapping[str, Any],
+                   grid: Mapping[str, Sequence[Any]], reseed: bool) -> str:
+    """Canonical text of what makes two submissions the same sweep."""
+    return json.dumps(
+        {"base_spec": base_spec,
+         "grid": {key: list(values) for key, values in grid.items()},
+         "reseed": reseed},
+        sort_keys=True, separators=(",", ":"))
+
+
+def cell_name(position: int) -> str:
+    """Queue marker name for the cell at ``position`` of the manifest
+    (zero-padded so listings sort); ``int(name)`` is the way back."""
+    return f"{position:05d}"

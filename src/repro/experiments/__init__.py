@@ -72,7 +72,6 @@ from repro.experiments.sweep import (
     SweepCell,
     SweepResult,
     SweepRunner,
-    cell_document,
     derive_cell_seed,
     execute_cell,
     expand_grid,
@@ -89,7 +88,6 @@ __all__ = [
     "PROVENANCE_SCHEMA",
     "canonical_spec_json",
     "spec_hash",
-    "cell_document",
     "execute_cell",
     "merge_cell_documents",
     "provenance_sidecar_path",

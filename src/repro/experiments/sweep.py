@@ -6,19 +6,21 @@ a deterministic seed derived from the base seed and the cell's overrides (a
 stable SHA-256 derivation — independent of Python's hash randomisation, of
 grid insertion order, and of how many workers later execute the sweep).
 
-``SweepRunner`` executes the cells serially or on a ``concurrent.futures``
-process pool.  Cells are independent simulations, specs cross the process
-boundary as JSON-able dicts, and results are reassembled in cell order — so
-the output document is byte-identical whatever the worker count, which the
-determinism tests pin.
+Running the cells is two independent decisions and one shared body:
 
-The cell-level building blocks — :func:`execute_cell`, :func:`cell_document`
-and :func:`merge_cell_documents` — are pure functions shared with the
-distributed path (:mod:`repro.cluster`): a coordinator/worker sweep over a
-shared queue directory assembles its merged document through exactly the
-same code, which is what makes cluster output byte-identical to a serial
-run.  Everything execution-dependent (worker count, cache hits, wall-clock)
-lives in a separate *provenance* record, never in the document itself.
+- **where results persist** — nowhere, or a content-addressed cell cache
+  (:class:`repro.cluster.CellCache`);
+- **who executes the misses** — this process, the local process pool
+  (:class:`SweepRunner`), or the workers of a shared queue directory
+  (:mod:`repro.cluster`);
+- :class:`CellResolver` is everything else, written once: cache-first
+  lookup, execute, publish, the progress callback, the provenance record
+  and the merge.  Every mode produces its bytes through it, which is what
+  makes a serial run, a pool run and a killed-and-resumed cluster run of
+  one grid byte-identical.
+
+Everything execution-dependent (worker count, cache hits, wall-clock) lives
+in a separate *provenance* record, never in the document itself.
 """
 
 from __future__ import annotations
@@ -31,10 +33,14 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.spec import ExperimentSpec, spec_hash
+from repro.obs.logsetup import get_logger
+
+logger = get_logger("experiments.sweep")
 
 #: Version tag written into serialized sweep documents.
 SWEEP_SCHEMA = "experiment_sweep/v1"
@@ -66,10 +72,22 @@ class SweepCell:
     overrides: Dict[str, Any]
     spec: ExperimentSpec
 
-    @property
+    @cached_property
     def spec_hash(self) -> str:
-        """Content address of this cell (see :func:`repro.experiments.spec.spec_hash`)."""
+        """Content address of this cell (see
+        :func:`repro.experiments.spec.spec_hash`), computed once."""
         return spec_hash(self.spec)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The cell *record*: the one description of a cell that every
+        executor works from and that a cluster run's ``run.json`` stores."""
+        return {
+            "index": self.index,
+            "overrides": dict(self.overrides),
+            "seed": self.spec.seed,
+            "spec": self.spec.to_dict(),
+            "spec_hash": self.spec_hash,
+        }
 
 
 def axis_paths(axis: str) -> List[str]:
@@ -127,46 +145,40 @@ def expand_grid(base: ExperimentSpec, grid: Mapping[str, Sequence[Any]],
 
 
 def execute_cell(spec_data: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one cell from its dict form (module-level so it pickles).
+    """Run one cell from its dict form.
 
     This is *the* cell executor: the local process pool, the cluster worker
-    daemon and the coordinator's inline execution all call it, so a cell
-    computes the same result dict wherever it lands.
+    daemon and the coordinator's inline execution all reach it through
+    :func:`execute_cell_timed`, so a cell computes the same result dict
+    wherever it lands.
     """
     spec = ExperimentSpec.from_dict(spec_data)
     return ExperimentRunner().run(spec).to_dict()
 
 
-def _execute_cell_timed(spec_data: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
-    """``execute_cell`` plus the wall-clock it took (for provenance)."""
+def execute_cell_timed(spec_data: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
+    """``execute_cell`` plus the wall-clock it took, measured where the
+    cell runs (module-level so it pickles into a pool child)."""
     start = time.perf_counter()
     result = execute_cell(spec_data)
     return result, time.perf_counter() - start
 
 
-def cell_document(index: int, overrides: Mapping[str, Any], seed: int,
-                  result: Dict[str, Any]) -> Dict[str, Any]:
-    """The per-cell entry of an ``experiment_sweep/v1`` document."""
-    return {
-        "index": index,
-        "overrides": dict(overrides),
-        "seed": seed,
-        "result": result,
-    }
-
-
-def merge_cell_documents(cells: Sequence[SweepCell],
+def merge_cell_documents(cells: Sequence[Mapping[str, Any]],
                          results: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Assemble per-cell documents in grid order.
+    """Assemble the ``cells`` of an ``experiment_sweep/v1`` document, in
+    grid order.
 
-    ``results`` must align with ``cells``; how they were computed (serial,
-    process pool, cluster cache) is irrelevant — this is the single merge
-    path, so every execution mode emits the same document.
+    ``cells`` are cell records (:meth:`SweepCell.to_dict`) and ``results``
+    must align with them; how the results were computed (serial, process
+    pool, cluster cache) is irrelevant — this is the single merge path, so
+    every execution mode emits the same document.
     """
     if len(cells) != len(results):
         raise ValueError(
             f"{len(cells)} cells but {len(results)} results to merge")
-    return [cell_document(cell.index, cell.overrides, cell.spec.seed, result)
+    return [{"index": cell["index"], "overrides": dict(cell["overrides"]),
+             "seed": cell["seed"], "result": result}
             for cell, result in zip(cells, results)]
 
 
@@ -227,6 +239,95 @@ def provenance_sidecar_path(output_path: str) -> str:
     return output_path + ".provenance.json"
 
 
+class CellResolver:
+    """One pass over a list of cell records: what every execution mode shares.
+
+    The caller decides where results persist (``cache``: ``None``, or an
+    object with :class:`repro.cluster.CellCache`'s ``get`` / ``put``) and
+    who executes a miss (it calls :meth:`execute` to run the cell in this
+    process, or hands a result computed elsewhere to :meth:`publish`).  The
+    resolver does the rest, once: cache-first :meth:`lookup`, publishing to
+    the cache, the per-cell ``progress`` callback (a plain info dict:
+    position, total, index, spec_hash, seed, wall_seconds, worker, cached —
+    called exactly once per cell, in completion order) and, when every cell
+    is resolved, the merged document with its provenance record
+    (:meth:`sweep_result`).  Progress and provenance never touch results,
+    which always merge in grid order.
+    """
+
+    def __init__(self, cells: Sequence[Mapping[str, Any]], *, cache: Any = None,
+                 progress: Optional[Callable[[Dict[str, Any]], None]] = None,
+                 worker: str = "") -> None:
+        self.cells = cells
+        self.cache = cache
+        self.progress = progress
+        self.worker = worker
+        self.results: List[Optional[Dict[str, Any]]] = [None] * len(cells)
+        #: Per-cell provenance records; ``None`` marks an unresolved cell.
+        self.records: List[Optional[Dict[str, Any]]] = [None] * len(cells)
+
+    def lookup(self, position: int, *, cached: bool = True) -> bool:
+        """Resolve ``position`` from the cache; whether it was there.
+
+        The entry is read once and kept for the merge: a position that is
+        already resolved is not read (or reported) again.  ``cached`` is
+        what the record says of it: ``False`` for a result this same run
+        computed (on another worker) and the caller is merely collecting.
+        """
+        if self.records[position] is not None:
+            return True
+        if self.cache is None:
+            return False
+        entry = self.cache.get(self.cells[position]["spec_hash"])
+        if entry is None or "result" not in entry:
+            return False
+        self._resolve(position, entry["result"], entry.get("wall_seconds", 0.0),
+                      entry.get("worker", ""), cached)
+        return True
+
+    def execute(self, position: int) -> None:
+        """Run ``position`` in this process and publish its result."""
+        self.publish(position, *execute_cell_timed(self.cells[position]["spec"]))
+
+    def publish(self, position: int, result: Dict[str, Any],
+                wall_seconds: float) -> None:
+        """Record a freshly computed result (and persist it, given a cache)."""
+        if self.cache is not None:
+            self.cache.put(self.cells[position]["spec_hash"], result,
+                           worker=self.worker, wall_seconds=wall_seconds)
+        self._resolve(position, result, wall_seconds, self.worker, False)
+
+    def _resolve(self, position: int, result: Dict[str, Any],
+                 wall_seconds: float, worker: str, cached: bool) -> None:
+        cell = self.cells[position]
+        self.results[position] = result
+        record = {"index": cell["index"], "spec_hash": cell["spec_hash"],
+                  "seed": cell["seed"], "wall_seconds": wall_seconds,
+                  "worker": worker, "cached": cached}
+        self.records[position] = record
+        if self.progress is not None:
+            self.progress({"position": position, "total": len(self.cells),
+                           **record})
+
+    def sweep_result(self, base_spec: Dict[str, Any],
+                     grid: Dict[str, List[Any]],
+                     **provenance: Any) -> SweepResult:
+        """The merged sweep and its provenance record (``provenance`` adds
+        the mode's own fields: mode, workers, wall_seconds, …)."""
+        hits = sum(record["cached"] for record in self.records)
+        return SweepResult(
+            base_spec=base_spec,
+            grid=grid,
+            cells=merge_cell_documents(self.cells, self.results),
+            provenance={
+                **provenance,
+                "root_seed": base_spec.get("seed"),
+                "cache": {"hits": hits, "misses": len(self.cells) - hits},
+                "cells": self.records,
+            },
+        )
+
+
 #: Persistent process pools shared by every SweepRunner in this process,
 #: keyed by worker count.  Pool startup (interpreter spawn + imports) used
 #: to be paid per sweep, which made a 2-worker pool *slower* than serial on
@@ -255,32 +356,45 @@ def _shutdown_shared_pools() -> None:  # pragma: no cover - process teardown
 
 
 class SweepRunner:
-    """Expand a grid and run every cell, optionally in parallel.
+    """Expand a grid and run every cell in this process or on its pool.
 
-    ``workers <= 1`` runs serially in-process.  ``workers > 1`` dispatches
-    chunks of cells onto a *persistent* ``ProcessPoolExecutor`` shared
-    across sweeps (see :data:`_SHARED_POOLS`): pool startup is paid once
-    per process instead of once per sweep, and chunked dispatch amortises
-    the per-task pickling round-trip.  If the platform cannot spawn worker
-    processes the runner degrades to serial execution rather than failing
-    the sweep.  Results are identical either way.
+    ``workers <= 1`` executes cache misses serially in-process.
+    ``workers > 1`` dispatches chunks of them onto a *persistent*
+    ``ProcessPoolExecutor`` shared across sweeps (see
+    :data:`_SHARED_POOLS`): pool startup is paid once per process instead
+    of once per sweep, and chunked dispatch amortises the per-task pickling
+    round-trip.  If the platform cannot spawn worker processes the runner
+    logs a warning, finishes the sweep serially and says so in the
+    provenance (``effective_workers``, ``fallback``).  Results are
+    identical either way.
 
-    For fan-out beyond one machine — or crash-safe, cache-accelerated
-    re-runs — see :class:`repro.cluster.SweepCoordinator`, which shares this
-    class's expansion and merge code.
+    ``cache`` (a :class:`repro.cluster.CellCache`) makes the run
+    cache-first: hits skip the simulator and misses are published back so
+    the next run hits.  ``hits`` / ``misses`` / ``wall_seconds`` are running
+    totals over every :meth:`run_cells` call on this runner, for callers
+    (the red-team loop) that issue many small batches and report once.
+
+    For fan-out beyond one machine — or crash-safe re-runs — see
+    :class:`repro.cluster.SweepCoordinator`, which drives the same
+    :class:`CellResolver` from a shared queue directory.
     """
 
     def __init__(self, workers: int = 1,
-                 progress: Optional[Callable[[Dict[str, Any]], None]] = None
-                 ) -> None:
+                 progress: Optional[Callable[[Dict[str, Any]], None]] = None,
+                 cache: Any = None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        #: Called once per finished cell with a plain info dict (position,
-        #: total, index, spec_hash, seed, wall_seconds, cached) — the sweep
-        #: progress plane.  Pool runs report in completion order; progress
-        #: never touches results, which always merge in grid order.
+        #: Per-cell progress callback (see :class:`CellResolver`).
         self.progress = progress
+        self.cache = cache
+        self.hits = 0
+        self.misses = 0
+        self.wall_seconds = 0.0
+
+    def cache_stats(self) -> Dict[str, int]:
+        """Running hit/miss totals (provenance material)."""
+        return {"hits": self.hits, "misses": self.misses}
 
     def run_grid(self, base: ExperimentSpec, grid: Mapping[str, Sequence[Any]],
                  *, reseed: bool = True) -> SweepResult:
@@ -293,84 +407,50 @@ class SweepRunner:
                   base_spec: Optional[Dict[str, Any]] = None,
                   grid: Optional[Dict[str, List[Any]]] = None) -> SweepResult:
         """Run pre-expanded cells; results come back in cell order."""
-        spec_dicts = [cell.spec.to_dict() for cell in cells]
-        notify = None
-        if self.progress is not None:
-            total = len(cells)
-
-            def notify(position: int, cell_wall: float) -> None:
-                cell = cells[position]
-                self.progress({
-                    "position": position, "total": total,
-                    "index": cell.index, "spec_hash": cell.spec_hash,
-                    "seed": cell.spec.seed, "wall_seconds": cell_wall,
-                    "cached": False,
-                })
-
+        resolver = CellResolver([cell.to_dict() for cell in cells],
+                                cache=self.cache, progress=self.progress,
+                                worker="local")
         start = time.perf_counter()
-        timed = self._execute_all(spec_dicts, notify)
+        misses = [position for position in range(len(cells))
+                  if not resolver.lookup(position)]
+        effective_workers, fallback = 1, None
+        if self.workers > 1 and len(misses) > 1:
+            try:
+                self._execute_on_pool(resolver, misses)
+                effective_workers = self.workers
+            except (OSError, concurrent.futures.BrokenExecutor) as error:
+                # Sandboxes without fork/spawn still get a correct sweep:
+                # whatever the pool did not finish runs serially below.  A
+                # broken pool is discarded so the next sweep starts fresh.
+                _discard_pool(self.workers)
+                fallback = f"{type(error).__name__}: {error}"
+                logger.warning("process pool of %d workers unavailable (%s); "
+                               "running the remaining cells serially",
+                               self.workers, fallback)
+        for position in misses:
+            if resolver.records[position] is None:
+                resolver.execute(position)
         wall = time.perf_counter() - start
-        results = [result for result, _ in timed]
-        base_spec = base_spec or {}
-        return SweepResult(
-            base_spec=base_spec,
-            grid=grid or {},
-            cells=merge_cell_documents(cells, results),
-            provenance={
-                "mode": "local",
-                "workers": self.workers,
-                "root_seed": base_spec.get("seed"),
-                "cache": {"hits": 0, "misses": len(cells)},
-                "wall_seconds": wall,
-                "cells": [
-                    {"index": cell.index, "spec_hash": cell.spec_hash,
-                     "seed": cell.spec.seed, "wall_seconds": cell_wall,
-                     "cached": False}
-                    for cell, (_, cell_wall) in zip(cells, timed)
-                ],
-            },
-        )
+        self.hits += len(cells) - len(misses)
+        self.misses += len(misses)
+        self.wall_seconds += wall
+        return resolver.sweep_result(
+            base_spec or {}, grid or {}, mode="local", workers=self.workers,
+            effective_workers=effective_workers, fallback=fallback,
+            wall_seconds=wall)
 
-    def _execute_all(
-            self, spec_dicts: List[Dict[str, Any]],
-            notify: Optional[Callable[[int, float], None]] = None,
-    ) -> List[Tuple[Dict[str, Any], float]]:
-        if self.workers <= 1 or len(spec_dicts) <= 1:
-            return self._execute_serial(spec_dicts, notify)
+    def _execute_on_pool(self, resolver: CellResolver,
+                         misses: List[int]) -> None:
         # The pool is keyed (and sized) by the *requested* worker count, not
         # clamped to the grid: differently sized grids then reuse one pool
         # instead of accumulating a pool per distinct min(workers, cells).
-        busy = min(self.workers, len(spec_dicts))
+        busy = min(self.workers, len(misses))
         # Cells per dispatched task: big enough to amortise pickling, small
         # enough that every worker gets at least a couple of chunks (load
         # balancing when cell durations vary across the grid).
-        chunksize = max(1, math.ceil(len(spec_dicts) / (busy * 4)))
-        try:
-            pool = _shared_pool(self.workers)
-            timed: List[Tuple[Dict[str, Any], float]] = []
-            for position, entry in enumerate(
-                    pool.map(_execute_cell_timed, spec_dicts,
-                             chunksize=chunksize)):
-                timed.append(entry)
-                if notify is not None:
-                    notify(position, entry[1])
-            return timed
-        except (OSError, PermissionError, concurrent.futures.process.BrokenProcessPool):
-            # Sandboxes without fork/spawn still get a correct (serial)
-            # sweep; a broken pool is discarded so the next sweep retries
-            # from a fresh one.
-            _discard_pool(self.workers)
-            return self._execute_serial(spec_dicts, notify)
-
-    @staticmethod
-    def _execute_serial(
-            spec_dicts: List[Dict[str, Any]],
-            notify: Optional[Callable[[int, float], None]] = None,
-    ) -> List[Tuple[Dict[str, Any], float]]:
-        timed = []
-        for position, spec_data in enumerate(spec_dicts):
-            entry = _execute_cell_timed(spec_data)
-            timed.append(entry)
-            if notify is not None:
-                notify(position, entry[1])
-        return timed
+        chunksize = max(1, math.ceil(len(misses) / (busy * 4)))
+        specs = [resolver.cells[position]["spec"] for position in misses]
+        timed = _shared_pool(self.workers).map(execute_cell_timed, specs,
+                                               chunksize=chunksize)
+        for position, (result, wall_seconds) in zip(misses, timed):
+            resolver.publish(position, result, wall_seconds)

@@ -31,7 +31,11 @@ from repro.obs.flight import FlightRecorder, RequestTimeline, diff_timelines
 from repro.obs.logsetup import get_logger, setup_logging
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import ExperimentObserver
-from repro.obs.progress import format_cell_line, provenance_summary
+from repro.obs.progress import (
+    format_cell_line,
+    log_cell_progress,
+    provenance_summary,
+)
 from repro.obs.trace import (
     TRACE_SCHEMA,
     TraceRecorder,
@@ -51,6 +55,7 @@ __all__ = [
     "diff_timelines",
     "provenance_summary",
     "format_cell_line",
+    "log_cell_progress",
     "setup_logging",
     "get_logger",
 ]

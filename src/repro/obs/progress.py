@@ -12,6 +12,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Optional
 
+from repro.obs.logsetup import get_logger
+
+logger = get_logger("progress")
+
 
 def format_cell_line(index: int, total: int, spec_hash: str,
                      wall_seconds: Optional[float] = None,
@@ -27,6 +31,15 @@ def format_cell_line(index: int, total: int, spec_hash: str,
     if cached:
         parts.append("(cached)")
     return "  ".join(parts)
+
+
+def log_cell_progress(info: Mapping[str, Any]) -> None:
+    """Sweep progress callback: one INFO line per finished cell, whichever
+    executor finished it (see :class:`repro.experiments.sweep.CellResolver`)."""
+    logger.info("%s", format_cell_line(
+        info["position"], info["total"], info["spec_hash"],
+        wall_seconds=info.get("wall_seconds"),
+        cached=bool(info.get("cached"))))
 
 
 def provenance_summary(provenance: Mapping[str, Any]) -> str:

@@ -38,9 +38,8 @@ from repro.experiments.request import (
     resolve_request,
 )
 from repro.experiments.sweep import SweepResult, SweepRunner
-from repro.experiments.spec import ExperimentSpec
 from repro.obs.logsetup import get_logger
-from repro.obs.progress import provenance_summary
+from repro.obs.progress import log_cell_progress, provenance_summary
 
 logger = get_logger("paper")
 
@@ -82,16 +81,16 @@ def discover_grids(grids_dir: str) -> List[str]:
 def _execute_request(request: SweepRequest, *, workers: int,
                      cluster_dir: Optional[str],
                      timeout: Optional[float]) -> SweepResult:
-    base: ExperimentSpec = request.base
     if cluster_dir:
         from repro.cluster import SweepCoordinator
 
-        coordinator = SweepCoordinator(os.path.join(cluster_dir, request.name))
-        coordinator.submit(base, request.grid, reseed=request.reseed,
-                           resume=True)
-        return coordinator.execute(timeout=timeout)
-    return SweepRunner(workers=workers).run_grid(base, request.grid,
-                                                 reseed=request.reseed)
+        return SweepCoordinator(
+            os.path.join(cluster_dir, request.name),
+            progress=log_cell_progress).run_grid(
+                request.base, request.grid, reseed=request.reseed,
+                resume=True, timeout=timeout)
+    return SweepRunner(workers=workers, progress=log_cell_progress).run_grid(
+        request.base, request.grid, reseed=request.reseed)
 
 
 def run_grid(path: str, output_dir: str, *, quick: bool = False,

@@ -22,14 +22,15 @@ routers.  This package turns that question into a closed loop:
     the cheapest one that restores goodput.  Emits ``repair_report/v1``
     stamped with a canonical run-hash so CI can replay it byte-for-byte.
 
-Every cell is executed through :class:`repro.redteam.executor.CellExecutor`
-— :class:`~repro.experiments.sweep.SweepRunner` underneath, fronted by the
-content-addressed :class:`~repro.cluster.cache.CellCache` — so the loop is
-bit-deterministic across worker counts and a ``verify`` replay is served
-almost entirely from cache.
+Every cell is executed through one
+:class:`~repro.experiments.sweep.SweepRunner` — serial or process pool,
+optionally fronted by the content-addressed
+:class:`~repro.cluster.cache.CellCache` — so the loop is bit-deterministic
+across worker counts and a ``verify`` replay is served almost entirely from
+cache.  The runner's running hit/miss/wall totals feed the provenance
+sidecars, never the canonical documents.
 """
 
-from repro.redteam.executor import CellExecutor
 from repro.redteam.repair import (
     REPAIR_SCHEMA,
     report_run_hash,
@@ -41,7 +42,6 @@ from repro.redteam.search import SEARCH_SCHEMA, run_search, write_search
 from repro.redteam.spec import REDTEAM_SPEC_SCHEMA, RedTeamSpec, RepairCandidate
 
 __all__ = [
-    "CellExecutor",
     "REDTEAM_SPEC_SCHEMA",
     "REPAIR_SCHEMA",
     "RedTeamSpec",

@@ -24,9 +24,8 @@ import hashlib
 import json
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.experiments.sweep import SweepCell
+from repro.experiments.sweep import SweepCell, SweepRunner
 from repro.obs.logsetup import get_logger
-from repro.redteam.executor import CellExecutor
 from repro.redteam.search import (
     SEARCH_SCHEMA,
     metric_value,
@@ -49,7 +48,7 @@ def report_run_hash(report: Mapping[str, Any]) -> str:
 
 
 def run_repair(spec: RedTeamSpec, search_document: Mapping[str, Any], *,
-               executor: CellExecutor) -> Dict[str, Any]:
+               executor: SweepRunner) -> Dict[str, Any]:
     """Repair every collapse cell of ``search_document``; returns the
     ``repair_report/v1`` document, run-hash stamped."""
     if search_document.get("schema") != SEARCH_SCHEMA:
@@ -77,7 +76,7 @@ def run_repair(spec: RedTeamSpec, search_document: Mapping[str, Any], *,
             repaired = SweepCell(
                 index=0, overrides=overrides,
                 spec=spec.base.with_overrides(overrides))
-            result = executor.run_cells([repaired])[0]
+            result = executor.run_cells([repaired]).cells[0]["result"]
             value = metric_value(result, metric)
             restored = value >= threshold
             trials.append({
@@ -131,7 +130,7 @@ def write_report(report: Mapping[str, Any], path: str) -> None:
 
 def verify_replay(spec: RedTeamSpec, search_document: Mapping[str, Any],
                   report: Mapping[str, Any], *,
-                  executor: CellExecutor) -> Dict[str, Any]:
+                  executor: SweepRunner) -> Dict[str, Any]:
     """Replay search + repair and compare against recorded documents.
 
     Returns a verdict dict: per-document byte/hash matches, the replayed

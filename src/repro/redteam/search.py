@@ -31,9 +31,8 @@ import itertools
 import json
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-from repro.experiments.sweep import SweepCell, derive_cell_seed
+from repro.experiments.sweep import SweepCell, SweepRunner, derive_cell_seed
 from repro.obs.logsetup import get_logger
-from repro.redteam.executor import CellExecutor
 from repro.redteam.spec import RedTeamSpec
 
 logger = get_logger("redteam.search")
@@ -79,7 +78,7 @@ def _cell_for(spec: RedTeamSpec, paths: Sequence[str],
 
 
 def run_search(spec: RedTeamSpec, *,
-               executor: CellExecutor) -> Dict[str, Any]:
+               executor: SweepRunner) -> Dict[str, Any]:
     """Run the adaptive search; returns the ``redteam_search/v1`` document.
 
     The document is canonical and execution-independent; read cache and
@@ -111,7 +110,8 @@ def run_search(spec: RedTeamSpec, *,
 
         cells = [_cell_for(spec, paths, ladders, coordinate, position)
                  for position, coordinate in enumerate(frontier)]
-        results = executor.run_cells(cells)
+        results = [document["result"]
+                   for document in executor.run_cells(cells).cells]
         for coordinate, cell, result in zip(frontier, cells, results):
             value = metric_value(result, spec.metric)
             evaluated[coordinate] = {
@@ -177,7 +177,7 @@ def write_search(document: Mapping[str, Any], path: str) -> None:
         handle.write(search_to_json(document))
 
 
-def search_provenance(executor: CellExecutor,
+def search_provenance(executor: SweepRunner,
                       document: Mapping[str, Any]) -> Dict[str, Any]:
     """The execution-dependent sidecar record for one search run."""
     from repro.experiments.sweep import PROVENANCE_SCHEMA

@@ -101,7 +101,6 @@ class TestRegistryDocs:
 class TestSchemaDocs:
     def test_every_schema_tag_documented(self, architecture_md):
         from repro.cluster.cache import CACHE_SCHEMA
-        from repro.cluster.fsqueue import TASK_SCHEMA
         from repro.cluster.manifest import MANIFEST_SCHEMA
         from repro.experiments.request import SWEEP_REQUEST_SCHEMA
         from repro.experiments.runner import RESULT_SCHEMA
@@ -116,7 +115,7 @@ class TestSchemaDocs:
         )
 
         for schema in (SPEC_SCHEMA, RESULT_SCHEMA, SWEEP_SCHEMA,
-                       PROVENANCE_SCHEMA, SWEEP_REQUEST_SCHEMA, TASK_SCHEMA,
+                       PROVENANCE_SCHEMA, SWEEP_REQUEST_SCHEMA,
                        MANIFEST_SCHEMA, CACHE_SCHEMA, TRACE_SCHEMA,
                        BENCH_SCHEMA, SWEEP_BENCH_SCHEMA,
                        REDTEAM_SPEC_SCHEMA, SEARCH_SCHEMA, REPAIR_SCHEMA):

@@ -135,7 +135,8 @@ class TestSharedMergePath:
         grid = {"defense.backend": ["aitf", "none"]}
         cells = expand_grid(base, grid)
         merged = merge_cell_documents(
-            cells, [execute_cell(c.spec.to_dict()) for c in cells])
+            [c.to_dict() for c in cells],
+            [execute_cell(c.spec.to_dict()) for c in cells])
         assert merged == SweepRunner(workers=1).run_grid(base, grid).cells
 
     def test_merge_rejects_misaligned_results(self):
@@ -143,4 +144,95 @@ class TestSharedMergePath:
 
         cells = expand_grid(default_flood_spec(), {"duration": [1.0, 2.0]})
         with pytest.raises(ValueError, match="2 cells but 1"):
-            merge_cell_documents(cells, [{}])
+            merge_cell_documents([c.to_dict() for c in cells], [{}])
+
+
+class TestOneExecutor:
+    """Serial, pool and cache-fronted runs share one resolve / publish /
+    progress / provenance path (``CellResolver``)."""
+
+    def test_pool_failure_falls_back_loudly_and_says_so_in_provenance(
+            self, monkeypatch, caplog):
+        import logging
+
+        from repro.experiments import sweep as sweep_module
+
+        def no_pool(workers):
+            raise OSError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(sweep_module, "_shared_pool", no_pool)
+        base = default_flood_spec(duration=1.0)
+        seen = []
+        # The handler goes on the module's own logger: CLI tests earlier in
+        # the process may have switched propagation off on "repro".
+        sweep_log = logging.getLogger("repro.experiments.sweep")
+        sweep_log.addHandler(caplog.handler)
+        try:
+            degraded = SweepRunner(workers=2, progress=seen.append).run_grid(
+                base, small_grid())
+        finally:
+            sweep_log.removeHandler(caplog.handler)
+        assert "running the remaining cells serially" in caplog.text
+        provenance = degraded.provenance
+        assert provenance["workers"] == 2            # what was asked for
+        assert provenance["effective_workers"] == 1  # what actually ran
+        assert "resource temporarily unavailable" in provenance["fallback"]
+        assert sorted(info["position"] for info in seen) == [0, 1, 2, 3]
+        serial = SweepRunner(workers=1).run_grid(base, small_grid())
+        assert serial.provenance["effective_workers"] == 1
+        assert serial.provenance["fallback"] is None
+        # ... in the sidecar only: the canonical document does not change.
+        assert degraded.to_json() == serial.to_json()
+        assert "fallback" not in degraded.to_json()
+
+    def test_pool_run_records_its_effective_workers(self):
+        sweep = SweepRunner(workers=2).run_grid(
+            default_flood_spec(duration=1.0), small_grid())
+        assert sweep.provenance["effective_workers"] == 2
+        assert sweep.provenance["fallback"] is None
+
+    def test_spec_hash_is_computed_once_per_cell(self, monkeypatch, tmp_path):
+        from repro.cluster import CellCache
+        from repro.experiments import spec as spec_module
+        from repro.experiments import sweep as sweep_module
+
+        calls = []
+        real = spec_module.spec_hash
+
+        def counting(spec):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(spec_module, "spec_hash", counting)
+        monkeypatch.setattr(sweep_module, "spec_hash", counting)
+        # Progress, provenance, cache lookup and publish all want the hash.
+        SweepRunner(progress=lambda info: None,
+                    cache=CellCache(str(tmp_path))).run_grid(
+            default_flood_spec(duration=1.0), small_grid())
+        assert len(calls) == 4
+
+    def test_cache_fronted_runs_hit_report_and_stay_byte_identical(
+            self, tmp_path):
+        from repro.cluster import CellCache
+
+        base = default_flood_spec(duration=1.0)
+        plain = SweepRunner().run_grid(base, small_grid())
+        cache = CellCache(str(tmp_path))
+        seen = []
+        runner = SweepRunner(workers=2, cache=cache, progress=seen.append)
+        cold = runner.run_grid(base, small_grid())
+        assert cold.provenance["cache"] == {"hits": 0, "misses": 4}
+        assert len(cache.keys()) == 4
+        # Widen the grid: only the two new cells miss (and reach the pool).
+        wider = dict(small_grid(), **{"defense.backend":
+                                      ["aitf", "none", "pushback"]})
+        warm = runner.run_grid(base, wider)
+        assert warm.provenance["cache"] == {"hits": 4, "misses": 2}
+        assert runner.cache_stats() == {"hits": 4, "misses": 6}
+        assert cold.to_json() == plain.to_json()
+        assert warm.to_json() == SweepRunner().run_grid(base, wider).to_json()
+        # Every cell of both runs was reported exactly once.
+        assert sorted(info["position"] for info in seen[:4]) == [0, 1, 2, 3]
+        assert sorted((info["position"], info["cached"])
+                      for info in seen[4:]) == [
+            (0, True), (1, True), (2, True), (3, True), (4, False), (5, False)]

@@ -18,8 +18,8 @@ import pytest
 
 from repro.cluster.cache import CellCache
 from repro.experiments.spec import ExperimentSpec
+from repro.experiments.sweep import SweepRunner
 from repro.redteam import (
-    CellExecutor,
     RedTeamSpec,
     RepairCandidate,
     report_run_hash,
@@ -120,7 +120,7 @@ class TestRedTeamSpecFile:
 # ----------------------------------------------------------------------
 class TestSearch:
     def test_finds_the_collapse_cell(self):
-        document = run_search(mini_spec(), executor=CellExecutor())
+        document = run_search(mini_spec(), executor=SweepRunner())
         assert document["schema"] == "redteam_search/v1"
         cells = document["cells"]
         assert [cell["overrides"]["workloads.2.params.rate"]
@@ -132,10 +132,10 @@ class TestSearch:
 
     def test_byte_identical_across_worker_counts_and_reruns(self):
         spec = mini_spec()
-        serial = search_to_json(run_search(spec, executor=CellExecutor()))
-        again = search_to_json(run_search(spec, executor=CellExecutor()))
+        serial = search_to_json(run_search(spec, executor=SweepRunner()))
+        again = search_to_json(run_search(spec, executor=SweepRunner()))
         pooled = search_to_json(
-            run_search(spec, executor=CellExecutor(workers=2)))
+            run_search(spec, executor=SweepRunner(workers=2)))
         assert serial == again == pooled
 
     def test_refinement_probes_ladder_neighbours_of_collapse(self):
@@ -147,7 +147,7 @@ class TestSearch:
         spec = mini_spec(
             axes={"workloads.2.params.rate": [2.0, 3.0, 60.0, 80.0]},
             initial_step=3, rounds=1)
-        document = run_search(spec, executor=CellExecutor())
+        document = run_search(spec, executor=SweepRunner())
         rates = [cell["overrides"]["workloads.2.params.rate"]
                  for cell in document["cells"]]
         assert rates == [2.0, 60.0, 80.0]
@@ -157,7 +157,7 @@ class TestSearch:
 
     def test_max_cells_truncates_deterministically(self):
         spec = mini_spec(max_cells=1, rounds=0)
-        document = run_search(spec, executor=CellExecutor())
+        document = run_search(spec, executor=SweepRunner())
         assert document["truncated"] is True
         assert len(document["cells"]) == 1
         assert document["cells"][0]["overrides"][
@@ -180,7 +180,7 @@ class TestRepairAndVerify:
         """One shared search + repair over a class-scoped cell cache."""
         cache = CellCache(str(tmp_path_factory.mktemp("cells")))
         spec = mini_spec()
-        executor = CellExecutor(cache=cache)
+        executor = SweepRunner(cache=cache)
         search = run_search(spec, executor=executor)
         report = run_repair(spec, search, executor=executor)
         return {"cache": cache, "spec": spec, "search": search,
@@ -208,7 +208,7 @@ class TestRepairAndVerify:
         assert report_run_hash(tampered) != report["run_hash"]
 
     def test_verify_replays_from_cache(self, loop):
-        executor = CellExecutor(cache=loop["cache"])
+        executor = SweepRunner(cache=loop["cache"])
         verdict = verify_replay(loop["spec"], loop["search"], loop["report"],
                                 executor=executor)
         assert verdict["verified"] is True
@@ -221,7 +221,7 @@ class TestRepairAndVerify:
     def test_verify_rejects_a_tampered_report(self, loop):
         tampered = copy.deepcopy(loop["report"])
         tampered["repairs"][0]["repair"]["name"] = "free-lunch"
-        executor = CellExecutor(cache=loop["cache"])
+        executor = SweepRunner(cache=loop["cache"])
         verdict = verify_replay(loop["spec"], loop["search"], tampered,
                                 executor=executor)
         assert verdict["stamp_valid"] is False
@@ -235,12 +235,12 @@ class TestRepairAndVerify:
     def test_repair_requires_a_search_document(self):
         with pytest.raises(ValueError, match="redteam_search/v1"):
             run_repair(mini_spec(), {"schema": "experiment_sweep/v1"},
-                       executor=CellExecutor())
+                       executor=SweepRunner())
 
     def test_repair_requires_candidates(self, loop):
         with pytest.raises(ValueError, match="repair candidates"):
             run_repair(mini_spec(repairs=[]), loop["search"],
-                       executor=CellExecutor())
+                       executor=SweepRunner())
 
 
 # ----------------------------------------------------------------------
@@ -249,5 +249,5 @@ class TestRepairAndVerify:
 class TestDocuments:
     def test_search_document_is_json_pure(self):
         document = run_search(mini_spec(max_cells=1, rounds=0),
-                              executor=CellExecutor())
+                              executor=SweepRunner())
         assert json.loads(search_to_json(document)) == document
