@@ -105,40 +105,25 @@ class FlowMeter:
         self.first_arrival: Optional[float] = None
         self.last_arrival: Optional[float] = None
         self._buckets: Dict[int, int] = {}
-        host.on_receive(self._observe, train_callback=self._observe_train)
+        host.on_receive(self._observe)
 
-    def _observe(self, packet: Packet) -> None:
+    def _observe(self, packet: Packet, train=None) -> None:
+        """Count a delivered packet, or a whole train spread over its span.
+
+        A train's packets are bucketed at their nominal arrival times (first
+        packet now, then one interval apart), so the rate series is the same
+        shape per-packet delivery records, at one call per train.
+        """
         if not self.label.matches(packet):
             return
+        count, interval = (1, 0.0) if train is None else (train.count, train.interval)
         now = self.host.sim.now
-        self.packets += 1
-        self.bytes += packet.size
-        if self.first_arrival is None:
-            self.first_arrival = now
-        self.last_arrival = now
-        bucket = int(now / self.bucket_seconds)
-        self._buckets[bucket] = self._buckets.get(bucket, 0) + packet.size
-
-    def _observe_train(self, train) -> None:
-        """Aggregated delivery: exact counts, packets spread over the span.
-
-        The train's packets are bucketed at their nominal arrival times
-        (first packet now, then one interval apart), so the rate series is
-        the same shape per-packet mode would record, at one call per train.
-        """
-        template = train.template
-        if not self.label.matches(template):
-            return
-        now = self.host.sim.now
-        count = train.count
-        size = template.size
-        interval = train.interval
         self.packets += count
-        self.bytes += count * size
+        self.bytes += count * packet.size
         if self.first_arrival is None:
             self.first_arrival = now
         self.last_arrival = now + (count - 1) * interval
-        _spread_train_buckets(self._buckets, now, interval, count, size,
+        _spread_train_buckets(self._buckets, now, interval, count, packet.size,
                               self.bucket_seconds)
 
     # ------------------------------------------------------------------
@@ -184,28 +169,17 @@ class GoodputMeter:
         self.packets = 0
         self.bytes = 0
         self._buckets: Dict[int, int] = {}
-        host.on_receive(self._observe, train_callback=self._observe_train)
+        host.on_receive(self._observe)
 
-    def _observe(self, packet: Packet) -> None:
+    def _observe(self, packet: Packet, train=None) -> None:
+        """Count a delivered packet, or a train bucketed at nominal times."""
         if not packet.flow_tag.startswith(self.flow_tag_prefix):
             return
-        self.packets += 1
-        self.bytes += packet.size
-        bucket = int(self.host.sim.now / self.bucket_seconds)
-        self._buckets[bucket] = self._buckets.get(bucket, 0) + packet.size
-
-    def _observe_train(self, train) -> None:
-        """Aggregated delivery: exact counts, bucketed at nominal times."""
-        template = train.template
-        if not template.flow_tag.startswith(self.flow_tag_prefix):
-            return
-        count = train.count
-        size = template.size
+        count, interval = (1, 0.0) if train is None else (train.count, train.interval)
         self.packets += count
-        self.bytes += count * size
-        _spread_train_buckets(self._buckets, self.host.sim.now,
-                              train.interval, count, size,
-                              self.bucket_seconds)
+        self.bytes += count * packet.size
+        _spread_train_buckets(self._buckets, self.host.sim.now, interval,
+                              count, packet.size, self.bucket_seconds)
 
     def goodput_bps(self, start: float, end: float) -> float:
         """Average goodput over [start, end] in bits per second."""

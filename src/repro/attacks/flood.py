@@ -27,34 +27,24 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Union
 
+from repro.attacks.base import TrafficSource
 from repro.net.address import IPAddress
 from repro.net.flowlabel import FlowLabel
 from repro.net.packet import Packet, Protocol
-from repro.net.train import PacketTrain
 from repro.router.nodes import Host
-from repro.sim.process import BatchedProcess, PeriodicProcess, TrainProcess
+from repro.sim.process import PeriodicProcess
 from repro.sim.randomness import SeededRandom, stable_seed
 
 
-class FloodAttack:
+class FloodAttack(TrafficSource):
     """A constant-rate flood from one host toward one victim address.
 
-    Emission is batched: one wakeup pre-schedules a train of packet sends
-    with the correct inter-packet spacing instead of paying full periodic
-    bookkeeping per packet, and each packet is cloned from a prebuilt
-    template rather than reconstructed field by field.
-
-    In **train mode** (``train_mode=True``, used by experiments whose spec
-    sets ``engine.mode = "train"``) the generator goes one step further and
-    emits one :class:`~repro.net.train.PacketTrain` of up to ``max_train``
-    packets per wakeup — the per-packet cost disappears entirely.  Variants
-    whose packets differ per emission (spoofed sources) set
-    ``supports_trains = False`` and keep batched per-packet emission even
-    when the experiment asks for trains.
+    Emission is :class:`~repro.attacks.base.TrafficSource`'s: batched
+    per-packet ticks by default, one :class:`~repro.net.train.PacketTrain`
+    of up to ``max_train`` packets per wakeup when the experiment's engine
+    aggregates (``engine.mode = "train"``), each packet cloned from a
+    prebuilt template rather than reconstructed field by field.
     """
-
-    #: Whether this generator's packets are homogeneous enough to aggregate.
-    supports_trains = True
 
     def __init__(
         self,
@@ -68,54 +58,21 @@ class FloodAttack:
         start_time: float = 0.0,
         duration: Optional[float] = None,
         flow_tag: str = "attack",
-        batch_size: int = 64,
-        train_mode: bool = False,
-        max_train: int = 256,
+        max_train: int = 1,
         max_span: Optional[float] = None,
         horizon: Optional[float] = None,
     ) -> None:
-        if rate_pps <= 0:
-            raise ValueError("rate_pps must be positive")
+        super().__init__(attacker, f"flood-{attacker.name}", rate_pps=rate_pps,
+                         packet_size=packet_size, start_delay=start_time,
+                         max_train=max_train, max_span=max_span, horizon=horizon)
         self.attacker = attacker
         self.victim = IPAddress.parse(victim)
-        self.rate_pps = rate_pps
-        self.packet_size = packet_size
         self.protocol = protocol
         self.dst_port = dst_port
         self.start_time = start_time
         self.duration = duration
         self.flow_tag = flow_tag
-        self.packets_sent = 0
-        self.packets_suppressed = 0
         self._stopped_labels: List[FlowLabel] = []
-        self._template: Optional[Packet] = None
-        self._interval = 1.0 / rate_pps
-        self._send = attacker.send  # bound once; this fires per packet
-        if train_mode and self.supports_trains:
-            self._process = TrainProcess(
-                attacker.sim,
-                interval=self._interval,
-                callback=self._emit_train,
-                start_delay=start_time,
-                max_train=max_train,
-                max_span=max_span,
-                horizon=horizon,
-                name=f"flood-{attacker.name}",
-            )
-            if duration is not None:
-                # Trains cannot be retracted, so the end-of-attack stop is a
-                # hard (exclusive) emission bound — matching per-packet mode,
-                # where the stop event wins the tie against a same-time tick.
-                self._process.limit_until = start_time + duration
-        else:
-            self._process = BatchedProcess(
-                attacker.sim,
-                interval=self._interval,
-                callback=self._emit,
-                start_delay=start_time,
-                batch_size=batch_size,
-                name=f"flood-{attacker.name}",
-            )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -124,8 +81,9 @@ class FloodAttack:
         """Begin flooding at ``start_time``; returns self for chaining."""
         self._process.start()
         if self.duration is not None:
-            self.attacker.sim.schedule(self.start_time + self.duration, self.stop,
-                                       name="flood-end")
+            end = self.start_time + self.duration
+            self._stop_emitting_at(end)
+            self.attacker.sim.schedule(end, self.stop, name="flood-end")
         return self
 
     def stop(self) -> None:
@@ -149,48 +107,6 @@ class FloodAttack:
             return True
         return False
 
-    # ------------------------------------------------------------------
-    # emission
-    # ------------------------------------------------------------------
-    def _emit(self) -> None:
-        template = self._template
-        # Inline the common template-clone case; _next_packet stays the
-        # override point for variants with per-packet headers.
-        packet = template.clone() if template is not None else self._next_packet()
-        if self._send(packet):
-            self.packets_sent += 1
-        else:
-            self.packets_suppressed += 1
-
-    def _emit_train(self, count: int) -> None:
-        """Train-mode emission: one aggregated object for ``count`` packets.
-
-        The first-hop pipe shrinks ``train.count`` in place when its queue
-        tail-drops part of the train, so sent/suppressed split exactly as
-        per-packet mode's per-send booleans would have split them.
-        """
-        template = self._template
-        if template is None:
-            template = self._template = self._build_packet()
-        train = PacketTrain(template.clone(), count, self._interval)
-        if self.attacker.send_train(train):
-            self.packets_sent += train.count
-            self.packets_suppressed += count - train.count
-        else:
-            self.packets_suppressed += count
-
-    def _next_packet(self) -> Packet:
-        """The per-emission packet; clones a cached template on the hot path.
-
-        Subclasses whose packets differ per emission (spoofed sources)
-        override this; subclasses whose headers change over time (protocol
-        switching) invalidate :attr:`_template` instead.
-        """
-        template = self._template
-        if template is None:
-            template = self._template = self._build_packet()
-        return template.clone()
-
     def _build_packet(self) -> Packet:
         return Packet.data(
             src=self.attacker.address,
@@ -206,25 +122,18 @@ class FloodAttack:
         """The label a victim would use to block this flood."""
         return FlowLabel.between(self.attacker.address, self.victim)
 
-    @property
-    def offered_rate_bps(self) -> float:
-        """The attack's offered load in bits per second."""
-        return self.rate_pps * self.packet_size * 8
-
 
 class SpoofedFloodAttack(FloodAttack):
     """A flood whose packets carry forged source addresses.
 
-    In per-packet mode every packet draws a fresh source.  In train mode the
-    draw happens once per *train*: all ``max_train`` packets of one emission
-    share a spoofed source, so the flood still rotates sources (one per
-    train, from the same seeded stream) while staying aggregable — ingress
-    filtering and the handshake see the same per-source dynamics at train
-    granularity.  Packet counts are identical across modes (pinned by the
+    Every *emission* draws a fresh source: per packet by default, once per
+    train when the engine aggregates — all packets of one train share a
+    spoofed source, so the flood still rotates sources (from the same
+    seeded stream) while staying aggregable, and ingress filtering and the
+    handshake see the same per-source dynamics at train granularity.
+    Packet counts are identical across engines (pinned by the
     emission-parity tests); the source *sequence* is coarser by design.
     """
-
-    supports_trains = True
 
     def __init__(
         self,
@@ -241,22 +150,9 @@ class SpoofedFloodAttack(FloodAttack):
         self._spoof_pool = [IPAddress.parse(a) for a in spoof_pool] if spoof_pool else []
 
     def _next_packet(self) -> Packet:
-        # Every packet carries a freshly drawn source, so there is no
+        # Every emission carries a freshly drawn source, so there is no
         # reusable template for this variant.
         return self._build_packet()
-
-    def _emit_train(self, count: int) -> None:
-        """One train per emission, one freshly drawn source per train.
-
-        The template is never cached — each train re-draws, so the spoofed
-        source keeps rotating at train granularity.
-        """
-        train = PacketTrain(self._build_packet(), count, self._interval)
-        if self.attacker.send_train(train):
-            self.packets_sent += train.count
-            self.packets_suppressed += count - train.count
-        else:
-            self.packets_suppressed += count
 
     def _build_packet(self) -> Packet:
         claimed = self._pick_spoofed_source()
@@ -292,14 +188,13 @@ class ProtocolSwitchingAttack(FloodAttack):
         (Protocol.ICMP.value, None),
     )
 
-    #: Headers change on a schedule, so a train spanning a switch boundary
-    #: would carry the previous incarnation's label past the switch —
-    #: exactly the per-incarnation dynamics this attack exists to model.
-    #: Per-packet emission keeps every switch instantaneous.
-    supports_trains = False
-
     def __init__(self, attacker: Host, victim: Union[str, IPAddress],
                  *, switch_interval: float = 2.0, **kwargs) -> None:
+        # Headers change on a schedule, so a train spanning a switch boundary
+        # would carry the previous incarnation's label past the switch —
+        # exactly the per-incarnation dynamics this attack exists to model.
+        # Per-packet emission keeps every switch instantaneous.
+        kwargs["max_train"] = 1
         super().__init__(attacker, victim, **kwargs)
         if switch_interval <= 0:
             raise ValueError("switch_interval must be positive")

@@ -16,26 +16,22 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
+from repro.attacks.base import TrafficSource
 from repro.net.address import IPAddress
 from repro.net.packet import Packet, Protocol
-from repro.net.train import PacketTrain
 from repro.router.nodes import Host
-from repro.sim.process import BatchedProcess, TrainProcess
 from repro.sim.randomness import SeededRandom, stable_seed
 
 
-class LegitimateTraffic:
+class LegitimateTraffic(TrafficSource):
     """Constant-rate traffic from one well-behaved host to a destination.
 
-    Supports the same opt-in train mode as the attack generators: constant
-    rate and a fixed template make the flow perfectly homogeneous, so one
+    Emits through the same :class:`~repro.attacks.base.TrafficSource` path as
+    the attack generators: constant rate and a fixed template make the flow
+    perfectly homogeneous, so under an aggregating engine one
     :class:`~repro.net.train.PacketTrain` per wakeup carries the goodput
-    workload.  ``PoissonTraffic`` draws random inter-arrivals and aggregates
-    them natively (see its docstring) rather than via :class:`TrainProcess`.
+    workload.
     """
-
-    #: Whether this generator's packets are homogeneous enough to aggregate.
-    supports_trains = True
 
     def __init__(
         self,
@@ -48,48 +44,23 @@ class LegitimateTraffic:
         dst_port: int = 443,
         start_time: float = 0.0,
         duration: Optional[float] = None,
-        train_mode: bool = False,
-        max_train: int = 256,
+        max_train: int = 1,
         max_span: Optional[float] = None,
         horizon: Optional[float] = None,
     ) -> None:
-        if rate_pps <= 0:
-            raise ValueError("rate_pps must be positive")
+        super().__init__(sender, f"legit-{sender.name}", rate_pps=rate_pps,
+                         packet_size=packet_size, start_delay=start_time,
+                         max_train=max_train, max_span=max_span, horizon=horizon)
         self.sender = sender
         self.destination = IPAddress.parse(destination)
-        self.rate_pps = rate_pps
-        self.packet_size = packet_size
         self.protocol = protocol
         self.dst_port = dst_port
         self.start_time = start_time
         self.duration = duration
-        #: Packets the generator tried to send (including ones suppressed at
-        #: the sender, e.g. by an AITF outbound filter installed on the host).
-        self.packets_offered = 0
-        self.packets_sent = 0
         self.packets_received = 0
         self.bytes_received = 0
         self._receiver_hooked = False
         self._flow_tag = f"legit-{sender.name}"
-        self._template: Optional[Packet] = None
-        self._interval = 1.0 / rate_pps
-        self._send = sender.send  # bound once; this fires per packet
-        if train_mode and self.supports_trains:
-            self._process = TrainProcess(
-                sender.sim, self._interval, self._emit_train,
-                start_delay=start_time, max_train=max_train,
-                max_span=max_span, horizon=horizon,
-                name=f"legit-{sender.name}",
-            )
-            if duration is not None:
-                # Exclusive bound: per-packet mode's end-of-traffic stop event
-                # wins the tie against a tick at the exact same time.
-                self._process.limit_until = start_time + duration
-        else:
-            self._process = BatchedProcess(
-                sender.sim, self._interval, self._emit,
-                start_delay=start_time, name=f"legit-{sender.name}",
-            )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -98,8 +69,9 @@ class LegitimateTraffic:
         """Begin sending; returns self for chaining."""
         self._process.start()
         if self.duration is not None:
-            self.sender.sim.schedule(self.start_time + self.duration,
-                                     self._process.stop, name="legit-end")
+            end = self.start_time + self.duration
+            self._stop_emitting_at(end)
+            self.sender.sim.schedule(end, self._process.stop, name="legit-end")
         return self
 
     def stop(self) -> None:
@@ -111,17 +83,11 @@ class LegitimateTraffic:
         if self._receiver_hooked:
             return
         self._receiver_hooked = True
-        receiver.on_receive(self._count_delivery,
-                            train_callback=self._count_train_delivery)
+        receiver.on_receive(self._count_delivery)
 
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------
-    @property
-    def offered_rate_bps(self) -> float:
-        """Offered load in bits per second."""
-        return self.rate_pps * self.packet_size * 8
-
     @property
     def delivery_ratio(self) -> float:
         """Fraction of *offered* packets that reached the destination.
@@ -143,94 +109,51 @@ class LegitimateTraffic:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _emit(self) -> None:
-        template = self._template
-        if template is None:
-            template = self._template = Packet.data(
-                src=self.sender.address,
-                dst=self.destination,
-                protocol=self.protocol,
-                dst_port=self.dst_port,
-                size=self.packet_size,
-                flow_tag=self._flow_tag,
-            )
-        packet = template.clone()
-        self.packets_offered += 1
-        if self._send(packet):  # send() stamps created_at
-            self.packets_sent += 1
+    def _build_packet(self) -> Packet:
+        return Packet.data(
+            src=self.sender.address,
+            dst=self.destination,
+            protocol=self.protocol,
+            dst_port=self.dst_port,
+            size=self.packet_size,
+            flow_tag=self._flow_tag,
+        )
 
-    def _emit_train(self, count: int, interval: Optional[float] = None) -> None:
-        """Train-mode emission: ``count`` packets as one aggregated object.
-
-        ``interval`` defaults to the generator's fixed spacing;
-        :class:`PoissonTraffic` passes the mean of its drawn gaps instead so
-        the train's span matches the per-packet emission times it replaces.
-        """
-        template = self._template
-        if template is None:
-            template = self._template = Packet.data(
-                src=self.sender.address,
-                dst=self.destination,
-                protocol=self.protocol,
-                dst_port=self.dst_port,
-                size=self.packet_size,
-                flow_tag=self._flow_tag,
-            )
-        self.packets_offered += count
-        train = PacketTrain(template.clone(), count,
-                            interval if interval is not None else self._interval)
-        if self.sender.send_train(train):
-            # The first-hop pipe shrinks train.count on partial tail-drop.
-            self.packets_sent += train.count
-
-    def _count_delivery(self, packet: Packet) -> None:
+    def _count_delivery(self, packet: Packet, train=None) -> None:
         if packet.flow_tag == self._flow_tag:
-            self.packets_received += 1
-            self.bytes_received += packet.size
-
-    def _count_train_delivery(self, train) -> None:
-        if train.template.flow_tag == self._flow_tag:
-            self.packets_received += train.count
-            self.bytes_received += train.count * train.template.size
+            count = 1 if train is None else train.count
+            self.packets_received += count
+            self.bytes_received += count * packet.size
 
 
 class PoissonTraffic(LegitimateTraffic):
     """Legitimate traffic with exponentially distributed inter-arrivals.
 
-    Train mode is supported natively rather than through
-    :class:`~repro.sim.process.TrainProcess`: the generator keeps its own
-    self-rescheduling wakeup, but in train mode each wakeup eagerly draws
-    inter-arrival gaps from the *same* seeded stream as per-packet mode —
-    one draw per packet, in the same order — and packs the accepted gaps
-    into one :class:`~repro.net.train.PacketTrain` whose span equals the
-    drawn arrival span (interval = mean drawn gap).  Accumulation stops at
-    ``max_train`` packets, when the span would exceed ``max_span``, or when
-    the next arrival would land at/after the end of the flow; the rejected
-    draw becomes the next wakeup time, so its packet opens the next train.
-    Emission *counts* are therefore bit-identical across modes (pinned by
-    the emission-parity tests); only intra-train spacing is smoothed.
+    The generator keeps its own self-rescheduling wakeup (the inherited
+    fixed-interval scheduler is never started): each wakeup draws
+    inter-arrival gaps from the seeded stream —
+    one draw per packet, in the same order whatever ``max_train`` is — and
+    packs the accepted gaps into one :class:`~repro.net.train.PacketTrain`
+    whose span equals the drawn arrival span (interval = mean drawn gap).
+    Accumulation stops at ``max_train`` packets (so the default, 1, is plain
+    per-packet Poisson emission), when the span would exceed ``max_span``,
+    or when the next arrival would land at/after the end of the flow; the
+    rejected draw becomes the next wakeup time, so its packet opens the next
+    train.  Emission *counts* are therefore bit-identical across engines
+    (pinned by the emission-parity tests); only intra-train spacing is
+    smoothed.
     """
-
-    #: Trains are built natively (see class docstring), not via TrainProcess.
-    supports_trains = False
 
     def __init__(self, sender: Host, destination: Union[str, IPAddress],
                  *, rng: Optional[SeededRandom] = None, **kwargs) -> None:
         super().__init__(sender, destination, **kwargs)
         self._rng = rng or SeededRandom(stable_seed("poisson", sender.name),
                                         name=f"poisson-{sender.name}")
-        self._train_mode = bool(kwargs.get("train_mode", False))
-        self._max_train = int(kwargs.get("max_train", 256))
-        self._max_span = kwargs.get("max_span")
-        self._horizon = kwargs.get("horizon")
-        # Replace the fixed-interval process with a self-rescheduling one.
-        self._process.stop()
         self._running = False
 
     def start(self) -> "PoissonTraffic":
         self._running = True
-        emit = self._poisson_emit_train if self._train_mode else self._poisson_emit
-        self.sender.sim.schedule(self.start_time, emit, name="poisson-start")
+        self.sender.sim.schedule(self.start_time, self._wakeup, name="poisson-start")
         if self.duration is not None:
             self.sender.sim.schedule(self.start_time + self.duration, self.stop,
                                      name="poisson-end")
@@ -239,23 +162,15 @@ class PoissonTraffic(LegitimateTraffic):
     def stop(self) -> None:
         self._running = False
 
-    def _poisson_emit(self) -> None:
-        if not self._running:
-            return
-        self._emit()
-        gap = self._rng.expovariate(self.rate_pps)
-        self.sender.sim.schedule(gap, self._poisson_emit, name="poisson-next")
-
-    def _poisson_emit_train(self) -> None:
-        """One wakeup, one train: same draws as per-packet mode, aggregated.
+    def _wakeup(self) -> None:
+        """One wakeup, one emission: a lone packet or an aggregated train.
 
         The packet that triggered this wakeup is offset 0; every accepted
         gap extends the train; the first rejected gap schedules the next
-        wakeup (so every drawn gap is consumed exactly once, preserving the
-        per-packet RNG sequence).  Boundary conditions mirror per-packet
-        mode exactly: the end-of-flow stop event wins a same-time tie
-        (strict ``<`` against the limit), while the simulation horizon is
-        inclusive (``sim.run(until)`` fires events at exactly ``until``).
+        wakeup (so every drawn gap is consumed exactly once, whatever the
+        aggregation bound).  The end-of-flow stop event wins a same-time
+        tie (strict ``<`` against the limit), while the simulation horizon
+        is inclusive (``sim.run(until)`` fires events at exactly ``until``).
         """
         if not self._running:
             return
@@ -279,5 +194,5 @@ class PoissonTraffic(LegitimateTraffic):
         if count == 1:
             self._emit()
         else:
-            self._emit_train(count, offset / (count - 1))
-        sim.schedule(candidate, self._poisson_emit_train, name="poisson-next")
+            self._emit(count, offset / (count - 1))
+        sim.schedule(candidate, self._wakeup, name="poisson-next")

@@ -77,7 +77,7 @@ class RequestForger:
             created_at=self.host.sim.now,
             spoofed_src=self.host.address if self.spoof_source else None,
         )
-        self.host.originate_packet(packet)
+        self.host.send(packet)
         self.requests_sent += 1
         return request
 
@@ -102,7 +102,7 @@ class CompromisedRouterBehaviour:
         self._original_handler = router.handle_packet
         router.handle_packet = self._intercept  # type: ignore[assignment]
 
-    def _intercept(self, packet: Packet, link) -> None:
+    def _intercept(self, packet: Packet, link, *train_args) -> None:
         if packet.kind is PacketKind.VERIFICATION_QUERY and not self.router.owns_address(packet.dst):
             query: VerificationQuery = packet.payload
             reply = query.matching_reply(confirmed=True, responder=packet.dst)
@@ -113,11 +113,11 @@ class CompromisedRouterBehaviour:
                 payload=reply,
                 created_at=self.router.sim.now,
             )
-            self.router.originate_packet(forged)
+            self.router.send(forged)
             self.replies_forged += 1
             if self.suppress_query:
                 return
-        self._original_handler(packet, link)
+        self._original_handler(packet, link, *train_args)
 
     def detach(self) -> None:
         """Restore the router's normal behaviour."""

@@ -18,21 +18,21 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
+from repro.attacks.base import TrafficSource
 from repro.net.address import IPAddress
 from repro.net.flowlabel import FlowLabel
 from repro.net.packet import Packet, Protocol
-from repro.net.train import PacketTrain
 from repro.router.nodes import Host
-from repro.sim.process import BatchedProcess, Timer, TrainProcess
+from repro.sim.process import Timer
 
 
-class OnOffAttack:
+class OnOffAttack(TrafficSource):
     """A flood that alternates between bursting and going silent.
 
-    In train mode each on-phase emits aggregated packet trains whose length
-    is clipped to the phase boundary (``TrainProcess.limit_until``), so a
-    train never leaks into an off-period — the duty cycle the shadow cache
-    has to catch is preserved exactly.
+    Under an aggregating engine each on-phase emits packet trains whose
+    length is clipped to the phase boundary, so a train never leaks into an
+    off-period — the duty cycle the shadow cache has to catch is preserved
+    exactly.
     """
 
     def __init__(
@@ -47,43 +47,24 @@ class OnOffAttack:
         start_time: float = 0.0,
         cycles: Optional[int] = None,
         protocol: str = Protocol.UDP.value,
-        train_mode: bool = False,
-        max_train: int = 256,
+        max_train: int = 1,
         max_span: Optional[float] = None,
         horizon: Optional[float] = None,
     ) -> None:
-        if rate_pps <= 0:
-            raise ValueError("rate_pps must be positive")
         if on_duration <= 0 or off_duration <= 0:
             raise ValueError("on/off durations must be positive")
+        super().__init__(attacker, f"onoff-{attacker.name}", rate_pps=rate_pps,
+                         packet_size=packet_size, max_train=max_train,
+                         max_span=max_span, horizon=horizon)
         self.attacker = attacker
         self.victim = IPAddress.parse(victim)
-        self.rate_pps = rate_pps
-        self.packet_size = packet_size
         self.on_duration = on_duration
         self.off_duration = off_duration
         self.start_time = start_time
         self.cycles_limit = cycles
         self.protocol = protocol
-        self.packets_sent = 0
-        self.packets_suppressed = 0
         self.cycles_completed = 0
         self._stopped = False
-        self._template: Optional[Packet] = None
-        self._interval = 1.0 / rate_pps
-        self._train_mode = train_mode
-        self._send = attacker.send  # bound once; this fires per packet
-        if train_mode:
-            self._emitter = TrainProcess(
-                attacker.sim, self._interval, self._emit_train,
-                max_train=max_train, max_span=max_span, horizon=horizon,
-                name=f"onoff-{attacker.name}",
-            )
-        else:
-            self._emitter = BatchedProcess(
-                attacker.sim, self._interval, self._emit,
-                name=f"onoff-{attacker.name}",
-            )
         self._phase_timer = Timer(attacker.sim, self._toggle, name="onoff-phase")
         self._in_on_phase = False
 
@@ -99,7 +80,7 @@ class OnOffAttack:
     def stop(self) -> None:
         """Abort the attack entirely."""
         self._stopped = True
-        self._emitter.stop()
+        self._process.stop()
         self._phase_timer.cancel()
 
     @property
@@ -112,11 +93,6 @@ class OnOffAttack:
         """The label a victim would use to block this attack."""
         return FlowLabel.between(self.attacker.address, self.victim)
 
-    @property
-    def offered_rate_bps(self) -> float:
-        """Offered load during an on-phase, in bits per second."""
-        return self.rate_pps * self.packet_size * 8
-
     # ------------------------------------------------------------------
     # phases
     # ------------------------------------------------------------------
@@ -124,16 +100,14 @@ class OnOffAttack:
         if self._stopped:
             return
         self._in_on_phase = True
-        if self._train_mode:
-            # Trains must not cross the end of this on-phase (the bound is
-            # exclusive: per-packet mode's phase timer also wins ties).
-            self._emitter.limit_until = self.attacker.sim.now + self.on_duration
-        self._emitter.start()
+        # Trains must not cross the end of this on-phase.
+        self._stop_emitting_at(self.attacker.sim.now + self.on_duration)
+        self._process.start()
         self._phase_timer.start(self.on_duration)
 
     def _begin_off_phase(self) -> None:
         self._in_on_phase = False
-        self._emitter.stop()
+        self._process.stop()
         self.cycles_completed += 1
         if self.cycles_limit is not None and self.cycles_completed >= self.cycles_limit:
             self._stopped = True
@@ -148,39 +122,11 @@ class OnOffAttack:
         else:
             self._begin_on_phase()
 
-    # ------------------------------------------------------------------
-    # emission
-    # ------------------------------------------------------------------
-    def _emit(self) -> None:
-        template = self._template
-        if template is None:
-            template = self._template = Packet.data(
-                src=self.attacker.address,
-                dst=self.victim,
-                protocol=self.protocol,
-                size=self.packet_size,
-                flow_tag="onoff-attack",
-            )
-        packet = template.clone()
-        if self._send(packet):  # send() stamps created_at
-            self.packets_sent += 1
-        else:
-            self.packets_suppressed += 1
-
-    def _emit_train(self, count: int) -> None:
-        template = self._template
-        if template is None:
-            template = self._template = Packet.data(
-                src=self.attacker.address,
-                dst=self.victim,
-                protocol=self.protocol,
-                size=self.packet_size,
-                flow_tag="onoff-attack",
-            )
-        train = PacketTrain(template.clone(), count, self._interval)
-        if self.attacker.send_train(train):
-            # The first-hop pipe shrinks train.count on partial tail-drop.
-            self.packets_sent += train.count
-            self.packets_suppressed += count - train.count
-        else:
-            self.packets_suppressed += count
+    def _build_packet(self) -> Packet:
+        return Packet.data(
+            src=self.attacker.address,
+            dst=self.victim,
+            protocol=self.protocol,
+            size=self.packet_size,
+            flow_tag="onoff-attack",
+        )

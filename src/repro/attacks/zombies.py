@@ -34,8 +34,7 @@ class ZombieArmy:
         spoofed: bool = False,
         duration: Optional[float] = None,
         rng: Optional[SeededRandom] = None,
-        train_mode: bool = False,
-        max_train: int = 256,
+        max_train: int = 1,
         max_span: Optional[float] = None,
         horizon: Optional[float] = None,
     ) -> None:
@@ -54,8 +53,7 @@ class ZombieArmy:
                 duration=duration,
                 flow_tag="zombie-attack",
                 # Spoofed zombies aggregate too: one freshly drawn source
-                # per train (see SpoofedFloodAttack._emit_train).
-                train_mode=train_mode,
+                # per train (see SpoofedFloodAttack).
                 max_train=max_train,
                 max_span=max_span,
                 horizon=horizon,

@@ -125,7 +125,6 @@ class PushbackAgent:
         self._reviewer = PeriodicProcess(router.sim, review_interval, self._review,
                                          name=f"pushback-review-{router.name}")
         router.conditioners.append(self._condition)
-        router.train_conditioners.append(self._condition_train)
         self._previous_control_handler = router.control_handler
         router.control_handler = self._handle_control
 
@@ -152,43 +151,32 @@ class PushbackAgent:
             self._reviewer.start()
         return limiter
 
-    def _condition(self, packet: Packet, link: Link) -> bool:
+    def _condition(self, packet: Packet, link: Link, train=None) -> int:
+        """How many of the packets pass the first limiter matching them.
+
+        Two algorithms, selected by what arrived.  A lone packet is dropped
+        with the limiter's drop probability by a seeded coin flip.  A train
+        is rate-conditioned by count scaling: its bytes feed the
+        arrival-rate estimator at once, and the pass count is the *expected*
+        number of per-packet survivors — ``count * (1 - p)`` with the
+        fractional remainder carried between trains in the limiter's
+        ``_train_credit`` — so the conditioned rate converges on per-packet
+        mode's without any random draws (trains stay deterministic and
+        shard-order-independent).
+        """
+        count = 1 if train is None else train.count
         for limiter in self.limiters.values():
             if limiter.aggregate.matches(packet):
-                limiter.record_arrival(self.router.sim.now, packet.size)
-                if self._rng.chance(limiter.drop_probability):
-                    limiter.packets_dropped += 1
-                    return False
-                limiter.packets_passed += 1
-                return True
-        return True
-
-    def _condition_train(self, train, link: Link) -> int:
-        """Train-aware :meth:`_condition`: rate-condition by count scaling.
-
-        The whole train's bytes feed the arrival-rate estimator at once, and
-        the pass count is the *expected* number of per-packet survivors —
-        ``count * (1 - p)`` with the fractional remainder carried between
-        trains in the limiter's ``_train_credit`` — so the conditioned rate
-        converges on per-packet mode's without any random draws (trains stay
-        deterministic and shard-order-independent).  Returns how many of the
-        train's packets pass; the router scales the train, no explosion.
-        """
-        template = train.template
-        count = train.count
-        for limiter in self.limiters.values():
-            if limiter.aggregate.matches(template):
-                limiter.record_arrival(self.router.sim.now,
-                                       count * template.size)
+                limiter.record_arrival(self.router.sim.now, count * packet.size)
                 p = limiter.drop_probability
-                if p <= 0.0:
-                    limiter.packets_passed += count
-                    return count
-                keep = count * (1.0 - p) + limiter._train_credit
-                passed = int(keep)
-                if passed > count:
+                if train is None:
+                    passed = 0 if self._rng.chance(p) else 1
+                elif p <= 0.0:
                     passed = count
-                limiter._train_credit = min(keep - passed, 1.0)
+                else:
+                    keep = count * (1.0 - p) + limiter._train_credit
+                    passed = min(int(keep), count)
+                    limiter._train_credit = min(keep - passed, 1.0)
                 limiter.packets_dropped += count - passed
                 limiter.packets_passed += passed
                 return passed
@@ -218,7 +206,7 @@ class PushbackAgent:
                 payload=request,
                 created_at=self.router.sim.now,
             )
-            self.router.originate_packet(packet)
+            self.router.send(packet)
             self.requests_sent += 1
 
     def _upstream_neighbors(self, aggregate: FlowLabel) -> List[BorderRouter]:

@@ -82,30 +82,22 @@ class RateBasedDetector:
         self._known_bad_labels: Set[FlowLabel] = set()
         self.detections = 0
 
-        agent.host.on_receive(self.observe, train_callback=self.observe_train)
+        agent.host.on_receive(self.observe)
 
     # ------------------------------------------------------------------
     # packet observation
     # ------------------------------------------------------------------
-    def observe(self, packet: Packet) -> None:
-        """Feed one received data packet to the detector."""
-        self._ingest(packet, packet.size, 1)
+    def observe(self, packet: Packet, train=None) -> None:
+        """Feed one received data packet, or a whole train, to the detector.
 
-    def observe_train(self, train) -> None:
-        """Feed an aggregated train of received packets to the detector.
-
-        The byte accounting is exact (one window sample of ``count * size``
-        bytes at the train's delivery time); only the intra-train sample
+        A train's byte accounting is exact (one window sample of ``count *
+        size`` bytes at its delivery time); only the intra-train sample
         spread collapses, which moves threshold crossings by at most one
         train span.
         """
-        self._ingest(train.template, train.count * train.template.size,
-                     train.count)
-
-    def _ingest(self, template: Packet, total_bytes: int, count: int) -> None:
-        """Shared observation body for per-packet and train delivery."""
+        total_bytes = packet.size if train is None else train.count * packet.size
         now = self.agent.host.sim.now
-        label = FlowLabel.between(template.src, template.dst)
+        label = FlowLabel.between(packet.src, packet.dst)
         if label in self._known_bad_labels:
             # Reappearing flow: report immediately (footnote 8 of the
             # paper) — once per observation.  Per-packet mode reports per
@@ -114,9 +106,9 @@ class RateBasedDetector:
             # atomically and cannot be cut short retroactively, so one
             # report per train is the closer approximation (and avoids
             # count-fold control-plane spam from a single delivery).
-            self._report(label, template, now)
+            self._report(label, packet, now)
             return
-        key = (template.src.value, template.dst.value)
+        key = (packet.src.value, packet.dst.value)
         track = self._flows.setdefault(key, _FlowTrack())
         track.samples.append((now, total_bytes))
         track.bytes_in_window += total_bytes
@@ -133,7 +125,7 @@ class RateBasedDetector:
             return
         if now - track.flagged_at >= self.detection_delay:
             track.reported = True
-            self._report(label, template, now)
+            self._report(label, packet, now)
 
     def _report(self, label: FlowLabel, packet: Packet, now: float) -> None:
         self.detections += 1
@@ -180,7 +172,7 @@ class ExplicitDetector:
         self.detections = 0
         self.redetections = 0
 
-        agent.host.on_receive(self.observe, train_callback=self.observe_train)
+        agent.host.on_receive(self.observe)
 
     def mark_undesired(self, source: IPAddress) -> None:
         """Declare traffic from ``source`` undesired from now on."""
@@ -190,8 +182,14 @@ class ExplicitDetector:
         """Stop treating ``source`` as undesired (future flows are tolerated)."""
         self._undesired_sources.discard(IPAddress.parse(source))
 
-    def observe(self, packet: Packet) -> None:
-        """Report the packet's flow if its source has been marked undesired."""
+    def observe(self, packet: Packet, train=None) -> None:
+        """Report the packet's flow if its source has been marked undesired.
+
+        The decision is per-flow, so a train needs nothing beyond its
+        template — and its delivery time is its first packet's exact arrival
+        time, which keeps the detection timestamp (and therefore the
+        filtering-response metric) identical to per-packet mode.
+        """
         if packet.src not in self._undesired_sources:
             return
         key = (packet.src.value, packet.dst.value)
@@ -226,11 +224,3 @@ class ExplicitDetector:
                          attack_path=path, name="explicit-detection")
         else:
             self.agent.request_filtering(label, attack_path=path)
-
-    def observe_train(self, train) -> None:
-        """Train-mode :meth:`observe`: the decision is per-flow, so one call
-        covers the whole train — and the train's delivery time is its first
-        packet's exact arrival time, which keeps the detection timestamp
-        (and therefore the filtering-response metric) identical to
-        per-packet mode."""
-        self.observe(train.template)

@@ -135,8 +135,7 @@ class GatewayAgent:
         if config.victim_gateway_filter_capacity is not None:
             router.filter_table.capacity = config.victim_gateway_filter_capacity
         router.control_handler = self._handle_control
-        router.add_forward_observer(self._observe_forwarded,
-                                    train_observer=self._observe_forwarded_train)
+        router.add_forward_observer(self._observe_forwarded)
 
     # ------------------------------------------------------------------
     # public inspection helpers (used by tests and benchmarks)
@@ -383,25 +382,18 @@ class GatewayAgent:
         # Either way the temporary filter is allowed to lapse; the shadow
         # entry keeps watching for the flow to reappear.
 
-    def _observe_forwarded(self, packet: Packet, link: Link) -> None:
-        """Forward-path hook: catch on-off flows against the shadow cache."""
-        entry = self.shadow_cache.match_packet(packet)
+    def _observe_forwarded(self, packet: Packet, link: Link, train=None) -> None:
+        """Forward-path hook: catch on-off flows against the shadow cache.
+
+        A train is homogeneous, so one lookup advances the reappearance
+        counter by its full packet count and the reaction (re-protect +
+        escalate, both grace-throttled) fires once per train, exactly as it
+        effectively does once per packet burst in per-packet mode.
+        """
+        entry = self.shadow_cache.match_packet(
+            packet, 1 if train is None else train.count)
         if entry is not None:
             self._on_shadow_hit(entry, packet)
-
-    def _observe_forwarded_train(self, train, link: Link) -> None:
-        """Train-mode forward hook: one shadow lookup for a whole train.
-
-        A train is homogeneous, so either every packet matches a shadowed
-        label or none does; :meth:`ShadowCache.match_train` advances the
-        reappearance counter by the full packet count and the reaction
-        (re-protect + escalate, both grace-throttled) fires once per train
-        exactly as it effectively does once per packet burst in per-packet
-        mode.
-        """
-        entry = self.shadow_cache.match_train(train.template, train.count)
-        if entry is not None:
-            self._on_shadow_hit(entry, train.template)
 
     def _on_shadow_hit(self, entry: ShadowEntry,
                        packet: Optional[Packet] = None) -> None:
@@ -794,4 +786,4 @@ class GatewayAgent:
         if self.router.owns_address(destination):
             self.router.deliver_locally(packet, None)
             return True
-        return self.router.originate_packet(packet)
+        return self.router.send(packet)

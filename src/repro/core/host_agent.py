@@ -183,9 +183,13 @@ class HostAgent:
                         generators_stopped=stopped_anything)
         return True
 
-    def _outbound_guard(self, packet: Packet) -> bool:
-        """Drop outbound data packets matching a self-installed filter."""
-        return self.outbound_filters.blocks(packet) is None
+    def _outbound_guard(self, packet: Packet, count: int) -> bool:
+        """Drop outbound data packets matching a self-installed filter.
+
+        A train leaves (or is suppressed) whole: interval 0 makes the verdict
+        at its first packet cover all ``count``, counted as ``count``.
+        """
+        return self.outbound_filters.blocks_train(packet, count, 0.0)[0] is None
 
     # ------------------------------------------------------------------
     # control-plane handling

@@ -97,16 +97,15 @@ class _SingleAttackHandle(WorkloadHandle):
 def _train_kwargs(ctx: Any) -> Dict[str, Any]:
     """Generator kwargs carrying the experiment's engine selection.
 
-    In train mode every generator learns the aggregation bound and the run
-    horizon (trains must not outlive the simulation, or the emitted-packet
-    count would differ from per-packet mode); generators that cannot
-    aggregate ignore the hint on their own.
+    On the train engine every generator learns the aggregation bound and
+    the run horizon (trains must not outlive the simulation, or the
+    emitted-packet count would differ from per-packet emission); on the
+    packet engine generators keep their default, ``max_train = 1``.
     """
     engine = getattr(ctx, "engine", None)
     if engine is None or engine.mode != "train":
         return {}
-    kwargs = {"train_mode": True, "max_train": engine.max_train,
-              "horizon": ctx.spec.duration}
+    kwargs = {"max_train": engine.max_train, "horizon": ctx.spec.duration}
     if engine.max_span is not None:
         kwargs["max_span"] = engine.max_span
     return kwargs

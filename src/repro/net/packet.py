@@ -228,19 +228,6 @@ class Packet:
         packet.packet_id = _next_packet_id()
         return packet
 
-    def replicate(self) -> "Packet":
-        """A mid-path copy: fresh id, *preserved* route record and timestamps.
-
-        :meth:`clone` is for generators (empty route record); ``replicate``
-        is for splitting an aggregated packet train back into individual
-        packets partway across the network — each copy must keep the border
-        routers already crossed, or the AITF attack path would be truncated.
-        """
-        packet = self.clone()
-        packet.created_at = self.created_at
-        packet.route_record = list(self.route_record)
-        return packet
-
     def copy_for_forwarding(self) -> "Packet":
         """Packets are mutated in place as they are forwarded; links do not copy.
 

@@ -9,19 +9,23 @@ simulator event.  Every component it crosses multiplies its per-packet
 accounting by ``count`` and computes serialization timing in closed form,
 so the per-packet Python cost disappears from the hot path.
 
-Wherever a decision genuinely is per-packet the train *splits* instead of
-approximating silently:
+Routers and hosts do not have a second code path for trains: the node data
+path in :mod:`repro.router.nodes` is written once over "``count`` copies of
+this packet", and a train passes its template, its count and itself.
+Wherever a decision genuinely is per-packet the train *splits* or *scales*
+instead of approximating silently:
 
 * a wire-speed filter expiring mid-train blocks only the leading packets —
   :meth:`repro.router.FilterTable.blocks_train` returns the blocked prefix
   and the remainder re-enters the router when the filter has lapsed;
-* a router with traffic conditioners (Pushback rate limiters) explodes the
-  train back into individual packets at their nominal arrival times;
-* generators whose packets differ per emission (spoofed sources, Poisson
-  arrivals) never aggregate in the first place.
+* a traffic conditioner (Pushback rate limiters) returns how many of the
+  train's packets pass and the router scales the count, keeping the span;
+* generators whose packets differ per emission draw once per train (a
+  spoofed flood rotates its forged source per train) or pack their drawn
+  arrivals into one train (Poisson gaps; interval = mean drawn gap).
 
 Trains exist only when an experiment opts in (``ExperimentSpec.engine`` =
-``{"mode": "train"}``); the default per-packet path never sees them and
+``{"mode": "train"}``); the default per-packet engine never creates one and
 stays byte-identical.
 """
 

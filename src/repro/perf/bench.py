@@ -231,7 +231,7 @@ def _run_fleet(autonomous_systems: float = 200, hosts_per_leaf: float = 10,
         deployment.set_cooperative(zombie.name, False)
         attack = FloodAttack(zombie, victim.address, rate_pps=rate_pps,
                              start_time=0.05 + 0.001 * index,
-                             train_mode=train, max_train=int(max_train),
+                             max_train=int(max_train) if train else 1,
                              horizon=duration)
         attacks.append(attack)
         attack.start()

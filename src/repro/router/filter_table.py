@@ -222,25 +222,8 @@ class FilterTable:
         self.packets_checked += 1
         if not self._entries:
             return None
-        heap = self._expiry_heap
         now = self._clock()
-        if heap and heap[0][0] <= now:
-            self._purge_expired()
-            if not self._entries:
-                return None
-        best: Optional[FilterEntry] = None
-        bucket = self._exact.get((packet.src.value << 32) | packet.dst.value)
-        if bucket:
-            for entry in bucket:
-                if entry.exact_only or entry.label.matches(packet):
-                    best = entry
-                    break
-        for entry in self._residual:
-            if (best is not None and entry.filter_id > best.filter_id):
-                break
-            if entry.label.matches(packet):
-                best = entry
-                break
+        best = self._match(packet, now)
         if best is not None:
             best.packets_blocked += 1
             best.bytes_blocked += packet.size
@@ -265,34 +248,13 @@ class FilterTable:
         would have left.  Re-submitted remainders pass
         ``count_checked=False`` so ``packets_checked`` counts each packet
         exactly once, as per-packet mode would.
-
-        The match lookup below mirrors :meth:`blocks` line for line rather
-        than sharing a helper — :meth:`blocks` is the per-packet forwarding
-        hot path and must not pay an extra call; keep the two in sync.
         """
         if count_checked:
             self.packets_checked += count
         if not self._entries:
             return None, 0
-        heap = self._expiry_heap
         now = self._clock()
-        if heap and heap[0][0] <= now:
-            self._purge_expired()
-            if not self._entries:
-                return None, 0
-        best: Optional[FilterEntry] = None
-        bucket = self._exact.get((template.src.value << 32) | template.dst.value)
-        if bucket:
-            for entry in bucket:
-                if entry.exact_only or entry.label.matches(template):
-                    best = entry
-                    break
-        for entry in self._residual:
-            if best is not None and entry.filter_id > best.filter_id:
-                break
-            if entry.label.matches(template):
-                best = entry
-                break
+        best = self._match(template, now)
         if best is None:
             return None, 0
         # Packet i (nominal time now + i*interval) is blocked while the
@@ -310,6 +272,28 @@ class FilterTable:
         best.last_blocked_at = now + (blocked - 1) * interval
         self.packets_blocked += blocked
         return best, blocked
+
+    def _match(self, packet: Packet, now: float) -> Optional[FilterEntry]:
+        """Purge what expired by ``now``, then return the earliest-installed
+        live filter matching ``packet`` (the one lookup behind both
+        :meth:`blocks` and :meth:`blocks_train`)."""
+        heap = self._expiry_heap
+        if heap and heap[0][0] <= now:
+            self._purge_expired()
+        best: Optional[FilterEntry] = None
+        bucket = self._exact.get((packet.src.value << 32) | packet.dst.value)
+        if bucket:
+            for entry in bucket:
+                if entry.exact_only or entry.label.matches(packet):
+                    best = entry
+                    break
+        for entry in self._residual:
+            if best is not None and entry.filter_id > best.filter_id:
+                break
+            if entry.label.matches(packet):
+                best = entry
+                break
+        return best
 
     def has_filter_for(self, label: FlowLabel) -> bool:
         """True when a live filter covers ``label``."""

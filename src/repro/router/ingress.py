@@ -70,42 +70,23 @@ class IngressFilter:
     # ------------------------------------------------------------------
     # packet path
     # ------------------------------------------------------------------
-    def check(self, packet: Packet, link) -> bool:
-        """Validate the packet's claimed source against the link's policy.
+    def check(self, packet: Packet, link, count: int = 1) -> bool:
+        """Validate the claimed source of ``count`` identical packets against
+        the link's policy.
 
-        Returns True when the packet should be forwarded.  Links without a
+        Returns True when they should be forwarded.  Links without a
         registered policy (e.g. provider-facing uplinks) are not checked —
-        ingress filtering only applies at the customer edge.
-        """
-        prefixes = self._allowed.get(id(link))
-        if not prefixes:
-            return True
-        stats = self.stats
-        stats.packets_checked += 1
-        src_value = packet.src.value
-        for prefix in prefixes:
-            if (src_value & prefix._mask) == prefix._network_value:
-                stats.packets_passed += 1
-                return True
-        self.stats.spoofed_detected += 1
-        if self.enforce:
-            self.stats.spoofed_dropped += 1
-            return False
-        return True
-
-    def check_train(self, template: Packet, count: int, link) -> bool:
-        """Train-mode :meth:`check`: one verdict for ``count`` identical packets.
-
-        Every packet in a train carries the same claimed source, so the
-        policy decision is made once and the counters are multiplied — the
-        exact statistics a per-packet walk would have accumulated.
+        ingress filtering only applies at the customer edge.  A packet train
+        shares one claimed source, so the verdict is made once and every
+        counter advances by ``count`` — the statistics a per-packet walk
+        would have accumulated.
         """
         prefixes = self._allowed.get(id(link))
         if not prefixes:
             return True
         stats = self.stats
         stats.packets_checked += count
-        src_value = template.src.value
+        src_value = packet.src.value
         for prefix in prefixes:
             if (src_value & prefix._mask) == prefix._network_value:
                 stats.packets_passed += count

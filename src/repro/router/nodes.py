@@ -5,11 +5,14 @@ routers.  Internal routers do not participate, so the simulator does not
 model them — a multi-hop AD interior is folded into the latency of the links
 between border routers.
 
-:class:`NetworkNode` carries everything common to both: attached links, a
-static routing table, local delivery and disconnection state.
-:class:`Host` adds a single address, applications (receive callbacks) and a
-default gateway.  :class:`BorderRouter` adds the data-plane pipeline every
-forwarded packet goes through:
+:class:`NetworkNode` carries the data path, written once over "``count``
+copies of this packet" (a lone packet is ``count = 1``, a
+:class:`~repro.net.train.PacketTrain` passes its template, its count and
+itself): attached links, a static routing table, origination behind an
+optional outbound guard, local delivery to applications (receive callbacks)
+and disconnection state.  :class:`Host` adds a single address and a default
+gateway.  :class:`BorderRouter` adds the pipeline every forwarded data packet
+goes through:
 
     ingress filter -> wire-speed filter table -> route-record stamp -> route lookup -> link
 
@@ -34,8 +37,10 @@ from repro.router.ingress import IngressFilter
 from repro.router.routing import RoutingTable
 from repro.sim.engine import Simulator
 
-PacketCallback = Callable[[Packet], None]
-ForwardObserver = Callable[[Packet, Link], None]
+#: Hooks are handed the train when there is one: ``(packet)`` or
+#: ``(template, train)``; ``(packet, link)`` or ``(template, link, train)``.
+PacketCallback = Callable[..., None]
+ForwardObserver = Callable[..., None]
 ControlHandler = Callable[[Packet, Link], None]
 
 #: Module-local alias: enum member lookups cost an attribute access per
@@ -78,6 +83,15 @@ class NetworkNode:
         self.disconnected_links: Set[int] = set()
         #: Invoked for control (AITF/pushback) packets addressed to this node.
         self.control_handler: Optional[ControlHandler] = None
+        #: Applications: invoked for data packets addressed to this node.
+        self._receive_callbacks: List[PacketCallback] = []
+        #: Optional outbound guard installed by the AITF host agent: a
+        #: cooperative attacker stops its own undesired flows by dropping
+        #: them here before they reach the access link (Section IV-D — the
+        #: client needs na = R2*T filters of its own).  Called with the
+        #: packet and how many copies of it are about to leave.
+        self.outbound_guard: Optional[Callable[[Packet, int], bool]] = None
+        self.stats_outbound_suppressed = 0
 
     # ------------------------------------------------------------------
     # wiring
@@ -104,6 +118,17 @@ class NetworkNode:
             raise RuntimeError(f"node {self.name} has no address assigned")
         return min(self.addresses)
 
+    def on_receive(self, callback: PacketCallback) -> None:
+        """Register an application callback invoked for every delivered data packet.
+
+        A lone packet arrives as ``callback(packet)``.  When a whole
+        :class:`~repro.net.train.PacketTrain` is delivered at once (train
+        engine) the call is ``callback(template, train)`` — once, never
+        replayed per packet — so a callback that only takes the packet fails
+        loudly there instead of under-counting.
+        """
+        self._receive_callbacks.append(callback)
+
     def link_to(self, neighbor: "NetworkNode") -> Optional[Link]:
         """The direct link to ``neighbor``, if one exists."""
         for link in self.links:
@@ -127,93 +152,64 @@ class NetworkNode:
         return id(link) in self.disconnected_links
 
     # ------------------------------------------------------------------
-    # receive path
+    # receive path (a lone packet is the default arguments; a train passes
+    # its template, its count and itself)
     # ------------------------------------------------------------------
-    def receive_packet(self, packet: Packet, link: Link) -> None:
-        """Entry point called by links delivering a packet to this node."""
+    def receive_packet(self, packet: Packet, link: Link, count: int = 1,
+                       train: Optional[PacketTrain] = None) -> None:
+        """Entry point called by links delivering traffic to this node."""
         stats = self.stats
-        stats.packets_received += 1
-        stats.bytes_received += packet.size
-        if id(link) in self.disconnected_links:
-            stats.packets_dropped_disconnected += 1
-            return
-        self.handle_packet(packet, link)
-
-    def handle_packet(self, packet: Packet, link: Link) -> None:
-        """Dispatch an accepted packet.  Subclasses refine this."""
-        # packet.dst is always an IPAddress, so the set probe needs no parse.
-        if packet.dst in self.addresses:
-            self.deliver_locally(packet, link)
-        else:
-            self.forward_packet(packet, link)
-
-    def deliver_locally(self, packet: Packet, link: Optional[Link]) -> None:
-        """The packet is addressed to this node."""
-        stats = self.stats
-        stats.packets_delivered += 1
-        stats.bytes_delivered += packet.size
-        if packet.kind is not _DATA and self.control_handler is not None:
-            self.control_handler(packet, link)
-
-    def forward_packet(self, packet: Packet, incoming: Optional[Link]) -> None:
-        """Route a transit packet toward its destination."""
-        stats = self.stats
-        packet.ttl -= 1
-        if packet.ttl <= 0:
-            stats.packets_dropped_ttl += 1
-            return
-        out_link = self.routing.next_link(packet.dst)
-        if out_link is None:
-            stats.packets_dropped_no_route += 1
-            return
-        if id(out_link) in self.disconnected_links:
-            stats.packets_dropped_disconnected += 1
-            return
-        stats.packets_forwarded += 1
-        out_link.send(packet, self)
-
-    # ------------------------------------------------------------------
-    # train path (train-mode experiments only; see repro.net.train)
-    # ------------------------------------------------------------------
-    def receive_train(self, train: PacketTrain, link: Link) -> None:
-        """Entry point called by fluid links delivering an aggregated train."""
-        stats = self.stats
-        count = train.count
         stats.packets_received += count
-        stats.bytes_received += count * train.template.size
+        stats.bytes_received += count * packet.size
         if id(link) in self.disconnected_links:
             stats.packets_dropped_disconnected += count
             return
-        self.handle_train(train, link)
+        self.handle_packet(packet, link, count, train)
 
-    def handle_train(self, train: PacketTrain, link: Link) -> None:
-        """Dispatch an accepted train.  Subclasses refine this."""
-        if train.template.dst in self.addresses:
-            self.deliver_train_locally(train, link)
+    def receive_train(self, train: PacketTrain, link: Link) -> None:
+        """The :class:`~repro.net.link.PacketSink` adapter fluid pipes call."""
+        self.receive_packet(train.template, link, train.count, train)
+
+    def handle_packet(self, packet: Packet, link: Link, count: int = 1,
+                      train: Optional[PacketTrain] = None) -> None:
+        """Dispatch accepted traffic.  Subclasses refine this."""
+        # packet.dst is always an IPAddress, so the set probe needs no parse.
+        if packet.dst in self.addresses:
+            self.deliver_locally(packet, link, count, train)
         else:
-            self.forward_train(train, link)
+            self.forward_packet(packet, link, count, train)
 
-    def deliver_train_locally(self, train: PacketTrain, link: Optional[Link]) -> None:
-        """The train is addressed to this node (trains are always data)."""
+    def deliver_locally(self, packet: Packet, link: Optional[Link],
+                        count: int = 1,
+                        train: Optional[PacketTrain] = None) -> None:
+        """The traffic is addressed to this node."""
         stats = self.stats
-        stats.packets_delivered += train.count
-        stats.bytes_delivered += train.count * train.template.size
+        stats.packets_delivered += count
+        stats.bytes_delivered += count * packet.size
+        if packet.kind is not _DATA:
+            if self.control_handler is not None:
+                self.control_handler(packet, link)
+        elif train is None:
+            for callback in self._receive_callbacks:
+                callback(packet)
+        else:
+            for callback in self._receive_callbacks:
+                callback(packet, train)
 
-    def forward_train(self, train: PacketTrain, incoming: Optional[Link]) -> None:
-        """Route a transit train toward its destination, count-multiplied.
+    def forward_packet(self, packet: Packet, incoming: Optional[Link],
+                       count: int = 1,
+                       train: Optional[PacketTrain] = None) -> None:
+        """Route transit traffic toward its destination.
 
-        The template is mutated exactly as a lone packet would be (one TTL
-        decrement per hop — every packet in a train is identical, so one
-        decrement stands for all of them).
+        A train's template is mutated exactly as a lone packet would be (one
+        TTL decrement per hop stands for every identical packet in it).
         """
         stats = self.stats
-        template = train.template
-        count = train.count
-        template.ttl -= 1
-        if template.ttl <= 0:
+        packet.ttl -= 1
+        if packet.ttl <= 0:
             stats.packets_dropped_ttl += count
             return
-        out_link = self.routing.next_link(template.dst)
+        out_link = self.routing.next_link(packet.dst)
         if out_link is None:
             stats.packets_dropped_no_route += count
             return
@@ -221,20 +217,37 @@ class NetworkNode:
             stats.packets_dropped_disconnected += count
             return
         stats.packets_forwarded += count
-        out_link.send_train(train, self)
+        if train is None:
+            out_link.send(packet, self)
+        else:
+            out_link.send_train(train, self)
 
     # ------------------------------------------------------------------
     # send path
     # ------------------------------------------------------------------
-    def originate_packet(self, packet: Packet) -> bool:
-        """Send a packet created by this node."""
+    def send(self, packet: Packet, count: int = 1,
+             train: Optional[PacketTrain] = None) -> bool:
+        """Send ``count`` copies of a packet created by this node — the
+        entry point for traffic generators and protocol agents alike.
+
+        Data packets pass the outbound guard first (control packets always
+        go out, otherwise a host that filtered itself could never send or
+        answer AITF messages).  A train is homogeneous, so the guard's
+        verdict and the one route lookup cover all ``count`` packets.
+        """
+        if packet.kind is _DATA and self.outbound_guard is not None:
+            if not self.outbound_guard(packet, count):
+                self.stats_outbound_suppressed += count
+                return False
         packet.created_at = self.sim._now
-        self.stats.packets_originated += 1
+        self.stats.packets_originated += count
         out_link = self.routing.next_link(packet.dst)
         if out_link is None or id(out_link) in self.disconnected_links:
-            self.stats.packets_dropped_no_route += 1
+            self.stats.packets_dropped_no_route += count
             return False
-        return out_link.send(packet, self)
+        if train is None:
+            return out_link.send(packet, self)
+        return out_link.send_train(train, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}({self.name})"
@@ -247,100 +260,10 @@ class Host(NetworkNode):
                  network: str = "") -> None:
         super().__init__(sim, name, network)
         self.add_address(address)
-        self._receive_callbacks: List[PacketCallback] = []
-        #: Parallel to ``_receive_callbacks``: an optional train-aware
-        #: variant per callback (None = replay the per-packet callback once
-        #: per packet in the train).
-        self._train_receivers: List[Optional[Callable[[PacketTrain], None]]] = []
-        #: Optional outbound guard installed by the AITF host agent: a
-        #: cooperative attacker stops its own undesired flows by dropping
-        #: them here before they reach the access link (Section IV-D — the
-        #: client needs na = R2*T filters of its own).
-        self.outbound_guard: Optional[Callable[[Packet], bool]] = None
-        self.stats_outbound_suppressed = 0
-
-    def on_receive(self, callback: PacketCallback,
-                   train_callback: Optional[Callable[[PacketTrain], None]] = None) -> None:
-        """Register an application callback invoked for every delivered data packet.
-
-        ``train_callback`` is the aggregated variant used when a whole
-        :class:`~repro.net.train.PacketTrain` is delivered at once (train
-        mode).  Callbacks without one are invoked once per packet in the
-        train with the shared template — exact counts, collapsed timing.
-        """
-        self._receive_callbacks.append(callback)
-        self._train_receivers.append(train_callback)
 
     def set_gateway(self, link: Link) -> None:
         """Point the default route at the access link."""
         self.routing.set_default(link)
-
-    def deliver_locally(self, packet: Packet, link: Optional[Link]) -> None:
-        # Mirrors NetworkNode.deliver_locally inline: this runs once per
-        # delivered packet and is the goodput hot path.
-        stats = self.stats
-        stats.packets_delivered += 1
-        stats.bytes_delivered += packet.size
-        if packet.kind is _DATA:
-            for callback in self._receive_callbacks:
-                callback(packet)
-        elif self.control_handler is not None:
-            self.control_handler(packet, link)
-
-    def send(self, packet: Packet) -> bool:
-        """Convenience wrapper used by traffic generators.
-
-        Data packets pass the outbound guard first (control packets always
-        go out, otherwise a host that filtered itself could never send or
-        answer AITF messages).  The origination step is inlined — this is
-        the entry point for every generated packet (keep in sync with
-        :meth:`NetworkNode.originate_packet`).
-        """
-        if packet.kind is _DATA and self.outbound_guard is not None:
-            if not self.outbound_guard(packet):
-                self.stats_outbound_suppressed += 1
-                return False
-        packet.created_at = self.sim._now
-        self.stats.packets_originated += 1
-        out_link = self.routing.next_link(packet.dst)
-        if out_link is None or id(out_link) in self.disconnected_links:
-            self.stats.packets_dropped_no_route += 1
-            return False
-        return out_link.send(packet, self)
-
-    # ------------------------------------------------------------------
-    # train path
-    # ------------------------------------------------------------------
-    def deliver_train_locally(self, train: PacketTrain, link: Optional[Link]) -> None:
-        stats = self.stats
-        count = train.count
-        template = train.template
-        stats.packets_delivered += count
-        stats.bytes_delivered += count * template.size
-        for index, callback in enumerate(self._receive_callbacks):
-            train_callback = self._train_receivers[index]
-            if train_callback is not None:
-                train_callback(train)
-            else:
-                for _ in range(count):
-                    callback(template)
-
-    def send_train(self, train: PacketTrain) -> bool:
-        """Train-mode :meth:`send`: one guard check and one route lookup for
-        the whole train (trains are homogeneous, so both decisions are
-        per-flow, not per-packet)."""
-        template = train.template
-        count = train.count
-        if self.outbound_guard is not None and not self.outbound_guard(template):
-            self.stats_outbound_suppressed += count
-            return False
-        template.created_at = self.sim._now
-        self.stats.packets_originated += count
-        out_link = self.routing.next_link(template.dst)
-        if out_link is None or id(out_link) in self.disconnected_links:
-            self.stats.packets_dropped_no_route += count
-            return False
-        return out_link.send_train(train, self)
 
 
 class BorderRouter(NetworkNode):
@@ -377,24 +300,16 @@ class BorderRouter(NetworkNode):
         #: (after filtering); the AITF victim-gateway agent uses this for
         #: on-off detection against its shadow cache.
         self.forward_observers: List[ForwardObserver] = []
-        #: Parallel to ``forward_observers``: optional train-aware variants
-        #: (None = call the per-packet observer once with the template).
-        self._train_forward_observers: List[Optional[Callable[[PacketTrain, Link], None]]] = []
         #: Border routers stamp the route-record shim unless disabled (the
         #: probabilistic-traceback ablation turns this off).
         self.stamp_route_record = True
-        #: Traffic conditioners run after the filter table and may drop the
-        #: packet by returning False; the Pushback baseline installs its
-        #: aggregate rate-limiters here.
-        self.conditioners: List[Callable[[Packet, Link], bool]] = []
-        #: Parallel to ``conditioners``: optional train-aware variants taking
-        #: ``(train, link)`` and returning how many of the train's packets
-        #: pass (0..count).  A conditioner installed without its train
-        #: variant forces :meth:`handle_train` to explode trains back into
-        #: packets at this router; with one, trains are rate-conditioned by
-        #: count scaling and never explode (see
-        #: :meth:`repro.baselines.pushback.PushbackAgent._condition_train`).
-        self.train_conditioners: List[Callable[[PacketTrain, Link], int]] = []
+        #: Traffic conditioners run after the filter table and return how
+        #: many of the packets pass: a bool for a lone packet
+        #: (``conditioner(packet, link)``), 0..count for a train
+        #: (``conditioner(template, link, train)``), which the router then
+        #: scales.  The Pushback baseline installs its aggregate
+        #: rate-limiters here.
+        self.conditioners: List[Callable[..., int]] = []
         #: Prefixes served by this router's AD (used by topology builders and
         #: by the protocol layer to tell "my client" from "transit").
         self.local_prefixes: List[Prefix] = []
@@ -413,114 +328,68 @@ class BorderRouter(NetworkNode):
         address = IPAddress.parse(address)
         return any(prefix.contains(address) for prefix in self.local_prefixes)
 
-    def add_forward_observer(
-        self,
-        observer: ForwardObserver,
-        train_observer: Optional[Callable[[PacketTrain, Link], None]] = None,
-    ) -> None:
-        """Register a hook called for every data packet about to be forwarded.
-
-        ``train_observer`` is the aggregated variant invoked when a whole
-        packet train is forwarded (train mode); observers that do not
-        provide one are called once per train with the shared template.
-        """
+    def add_forward_observer(self, observer: ForwardObserver) -> None:
+        """Register a hook called for all data about to be forwarded:
+        ``observer(packet, link)`` for a lone packet, ``observer(template,
+        link, train)`` once for a whole train."""
         self.forward_observers.append(observer)
-        self._train_forward_observers.append(train_observer)
 
     # ------------------------------------------------------------------
     # pipeline
     # ------------------------------------------------------------------
-    def handle_packet(self, packet: Packet, link: Link) -> None:
+    def handle_packet(self, packet: Packet, link: Link, count: int = 1,
+                      train: Optional[PacketTrain] = None,
+                      count_checked: bool = True) -> None:
+        """The forwarding pipeline, for a lone packet or a whole train.
+
+        Label-level decisions (ingress policy, filter match, route) are made
+        once and multiplied by ``count``.  The two genuinely per-packet
+        decision points split or scale a train instead: a filter expiring
+        mid-train blocks only the leading packets and the remainder
+        re-enters here at its own nominal time, and traffic conditioners
+        (Pushback rate limiters) scale the count.  Both dispatch on ``train
+        is None``, never on ``count == 1`` — splits and scaling leave
+        one-packet trains, which must stay trains.
+        """
         if packet.dst in self.addresses:
-            self.deliver_locally(packet, link)
+            self.deliver_locally(packet, link, count, train)
             return
         if packet.kind is not _DATA:
             # Control traffic is forwarded without data-plane filtering so a
             # victim can always reach its gateway, and gateways each other.
-            self.forward_packet(packet, link)
+            self.forward_packet(packet, link, count, train)
             return
+        # A split remainder (count_checked False) already passed ingress and
+        # had its filter-table check counted: it must re-*decide* (a newer
+        # filter may block it) without re-*counting*.
         ingress = self.ingress
-        if (ingress._allowed.get(id(link)) is not None
-                and not ingress.check(packet, link)):
-            self.stats.packets_dropped_ingress += 1
-            return
-        blocking = self.filter_table.blocks(packet)
-        if blocking is not None:
-            self.stats.packets_dropped_filter += 1
-            return
-        for conditioner in self.conditioners:
-            if not conditioner(packet, link):
-                self.stats.packets_dropped_filter += 1
-                return
-        if self.stamp_route_record:
-            # Inline stamp_route: self.name is interned at construction and
-            # this runs once per forwarded packet per router.
-            record = packet.route_record
-            name = self.name
-            if not record or record[-1] != name:
-                record.append(name)
-        for observer in self.forward_observers:
-            observer(packet, link)
-        self.forward_packet(packet, link)
-
-    # ------------------------------------------------------------------
-    # train pipeline
-    # ------------------------------------------------------------------
-    def handle_train(self, train: PacketTrain, link: Link) -> None:
-        """The forwarding pipeline applied to a whole train at once.
-
-        Label-level decisions (ingress policy, filter match, route) are made
-        once and multiplied by the count.  The genuinely per-packet decision
-        points split or scale the train instead: a filter expiring mid-train
-        blocks only the leading packets and the remainder re-enters this
-        pipeline at its own nominal time, and traffic conditioners (Pushback
-        rate limiters) scale the count via their train-aware variants.  A
-        conditioner installed *without* a train variant falls back to
-        exploding the train into individual packets — correctness over speed
-        for third-party conditioners that never learned about trains.
-        """
-        template = train.template
-        count = train.count
-        if template.dst in self.addresses:
-            self.deliver_train_locally(train, link)
-            return
-        if self.conditioners and len(self.train_conditioners) != len(self.conditioners):
-            self._explode_train(train, link)
-            return
-        if not self.ingress.check_train(template, count, link):
+        if (count_checked and ingress._allowed.get(id(link)) is not None
+                and not ingress.check(packet, link, count)):
             self.stats.packets_dropped_ingress += count
             return
-        self._train_filter_stage(train, link, True)
-
-    def _train_filter_stage(self, train: PacketTrain, link: Link,
-                            first_pass: bool) -> None:
-        """Filter check onward for a (possibly re-submitted) train.
-
-        Split remainders re-enter here rather than :meth:`handle_train`:
-        ingress already passed them and their filter-table check was
-        already counted, so a re-entry must re-*decide* (a newer filter may
-        block the remainder) without re-*counting* — per-packet mode checks
-        each packet exactly once.
-        """
-        template = train.template
-        count = train.count
-        entry, blocked = self.filter_table.blocks_train(
-            template, count, train.interval, count_checked=first_pass)
-        if blocked:
-            self.stats.packets_dropped_filter += blocked
-            remaining = count - blocked
-            if remaining <= 0:
+        if train is None:
+            if self.filter_table.blocks(packet) is not None:
+                self.stats.packets_dropped_filter += 1
                 return
-            # Split: the filter expires mid-train.  The unblocked remainder
-            # re-arrives when its first packet is nominally due, at which
-            # point the expired filter has been purged (or a newer one
-            # blocks it again — the re-entry re-decides).
-            train.count = remaining
-            self.sim.fire_at(self.sim._now + blocked * train.interval,
-                             self._train_filter_stage, train, link, False)
-            return
-        for conditioner in self.train_conditioners:
-            passed = conditioner(train, link)
+        else:
+            _, blocked = self.filter_table.blocks_train(
+                packet, count, train.interval, count_checked)
+            if blocked:
+                self.stats.packets_dropped_filter += blocked
+                if blocked < count:
+                    # Split: the filter expires mid-train.  The remainder
+                    # re-arrives when its first packet is nominally due, at
+                    # which point the expired filter has been purged.
+                    train.count = count - blocked
+                    self.sim.fire_at(self.sim._now + blocked * train.interval,
+                                     self.handle_packet, packet, link,
+                                     train.count, train, False)
+                return
+        for conditioner in self.conditioners:
+            if train is None:
+                passed = conditioner(packet, link)
+            else:
+                passed = conditioner(packet, link, train)
             if passed < count:
                 self.stats.packets_dropped_filter += count - passed
                 if passed <= 0:
@@ -528,40 +397,19 @@ class BorderRouter(NetworkNode):
                 # Count scaling: the survivors keep the train's span (their
                 # mean spacing is what per-packet random drops produce), so
                 # the offered rate downstream shrinks by the drop fraction.
-                span = count * train.interval
-                train.count = passed
-                train.interval = span / passed
-                count = passed
+                train.interval = count * train.interval / passed
+                train.count = count = passed
         if self.stamp_route_record:
-            record = template.route_record
+            # Inline stamp_route: self.name is interned at construction and
+            # this runs once per forwarded packet per router.
+            record = packet.route_record
             name = self.name
             if not record or record[-1] != name:
                 record.append(name)
-        observers = self.forward_observers
-        if observers:
-            train_observers = self._train_forward_observers
-            for index, observer in enumerate(observers):
-                train_observer = train_observers[index]
-                if train_observer is not None:
-                    train_observer(train, link)
-                else:
-                    observer(template, link)
-        self.forward_train(train, link)
-
-    def _explode_train(self, train: PacketTrain, link: Link) -> None:
-        """Fall back to per-packet processing at this router.
-
-        Each packet re-enters :meth:`handle_packet` at its nominal arrival
-        time with a replicated header (fresh id, preserved route record) and
-        continues individually from here on — correctness over speed at the
-        few routers whose decisions cannot be aggregated.
-        """
-        sim = self.sim
-        fire_at = sim.fire_at
-        handle = self.handle_packet
-        template = train.template
-        interval = train.interval
-        when = sim._now
-        for _ in range(train.count):
-            fire_at(when, handle, template.replicate(), link)
-            when += interval
+        if train is None:
+            for observer in self.forward_observers:
+                observer(packet, link)
+        else:
+            for observer in self.forward_observers:
+                observer(packet, link, train)
+        self.forward_packet(packet, link, count, train)

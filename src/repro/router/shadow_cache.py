@@ -125,32 +125,16 @@ class ShadowCache:
                 return entry
         return None
 
-    def match_packet(self, packet: Packet) -> Optional[ShadowEntry]:
+    def match_packet(self, packet: Packet, count: int = 1) -> Optional[ShadowEntry]:
         """Return the live shadow entry matching ``packet``, if any.
 
         This is the on-off detection path: a data packet that matches a
         shadowed label means the attack resumed after the temporary filter
         was removed.  Runs once per forwarded packet at every AITF gateway,
         so the empty cache (the overwhelmingly common state) must not even
-        read the clock.
-        """
-        if not self._entries:
-            return None
-        now = self._clock()
-        for entry in self._entries.values():
-            if entry.is_expired(now):
-                continue
-            if entry.label.matches(packet):
-                entry.reappearances += 1
-                return entry
-        return None
-
-    def match_train(self, template: Packet, count: int) -> Optional[ShadowEntry]:
-        """Train-mode :meth:`match_packet`: ``count`` identical packets at once.
-
-        A whole train either matches a shadowed label or none of it does, so
-        the lookup runs once and ``reappearances`` is advanced by the full
-        packet count — the multiply-by-count accounting the on-off resource
+        read the clock.  ``count`` identical packets (a train) either all
+        match or none does, so the lookup runs once and ``reappearances``
+        advances by the full count — the accounting the on-off resource
         formulas read.
         """
         if not self._entries:
@@ -159,7 +143,7 @@ class ShadowCache:
         for entry in self._entries.values():
             if entry.is_expired(now):
                 continue
-            if entry.label.matches(template):
+            if entry.label.matches(packet):
                 entry.reappearances += count
                 return entry
         return None

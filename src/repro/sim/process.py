@@ -224,12 +224,6 @@ class BatchedProcess:
         """Seconds between consecutive firings."""
         return self._interval
 
-    def set_interval(self, interval: float) -> None:
-        """Change the firing period; takes effect at the next wakeup."""
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        self._interval = float(interval)
-
     def start(self) -> None:
         """Begin firing.  The first tick happens after ``start_delay`` seconds."""
         if self._running:
@@ -379,12 +373,6 @@ class TrainProcess:
     def interval(self) -> float:
         """Seconds between consecutive ticks inside a train."""
         return self._interval
-
-    def set_interval(self, interval: float) -> None:
-        """Change the tick period; takes effect at the next train."""
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        self._interval = float(interval)
 
     def start(self) -> None:
         """Begin firing.  The first train starts after ``start_delay`` seconds."""

@@ -1,5 +1,7 @@
 """Unit tests for attack and legitimate-traffic generators."""
 
+import hashlib
+
 import pytest
 
 from repro.attacks.flood import FloodAttack, ProtocolSwitchingAttack, SpoofedFloodAttack
@@ -7,6 +9,9 @@ from repro.attacks.legitimate import LegitimateTraffic, PoissonTraffic
 from repro.attacks.onoff import OnOffAttack
 from repro.attacks.zombies import ZombieArmy
 from repro.net.flowlabel import FlowLabel
+from repro.net.link import Link
+from repro.router.nodes import Host
+from repro.sim.engine import Simulator
 from repro.sim.randomness import SeededRandom
 from repro.topology.figure1 import build_figure1
 from repro.topology.tree import build_dumbbell
@@ -231,3 +236,90 @@ class TestLegitimateTraffic:
         sent = traffic.packets_sent
         figure1.sim.run(until=2.0)
         assert traffic.packets_sent == sent
+
+
+class _StampSink:
+    """The far end of the host's access link: keeps every arriving packet's
+    emission stamp and claimed source."""
+
+    name = "sink"
+
+    def __init__(self):
+        self.stamps = []
+
+    def receive_packet(self, packet, link, count=1):
+        self.stamps += [(packet.created_at, packet.src.value)] * count
+
+    def receive_train(self, train, link):
+        self.receive_packet(train.template, link, train.count)
+
+
+#: generator -> (packets_sent, packets_suppressed, packets_offered, first
+#: and last emission time, sha256[:16] of repr([(created_at, src), ...])),
+#: recorded on the parent of PR 18 (commit c132f81) from its ``_emit`` /
+#: ``_poisson_emit`` per-packet paths: 2 s, the host's outbound guard
+#: refusing everything in [0.6, 0.8).
+PER_PACKET_EMISSION = {
+    "flood": (521, 80, 601, 0.1, 1.599999999999977, "04d6cd83816ca70c"),
+    "spoofed": (539, 61, 600, 0.0, 1.9966666666666857, "8bf42b7c2b211fed"),
+    "legitimate": (438, 50, 488, 0.05, 1.9980000000000016, "97d96491ba0841b5"),
+    "poisson": (316, 42, 358, 0.0, 1.673094067570273, "79c9b90f159ac84e"),
+    "onoff": (500, 100, 600, 0.1, 1.8980000000000004, "c5cca239866f3ac2"),
+}
+
+GENERATORS = {
+    "flood": lambda h: FloodAttack(h, "10.0.1.1", rate_pps=400.0,
+                                   start_time=0.1, duration=1.5),
+    "spoofed": lambda h: SpoofedFloodAttack(h, "10.0.1.1", rate_pps=300.0,
+                                            rng=SeededRandom(7)),
+    "legitimate": lambda h: LegitimateTraffic(h, "10.0.1.1", rate_pps=250.0,
+                                              start_time=0.05),
+    "poisson": lambda h: PoissonTraffic(h, "10.0.1.1", rate_pps=200.0,
+                                        duration=1.7, rng=SeededRandom(9)),
+    "onoff": lambda h: OnOffAttack(h, "10.0.1.1", rate_pps=500.0,
+                                   on_duration=0.3, off_duration=0.2,
+                                   start_time=0.1),
+}
+
+
+class TestOneEmissionPath:
+    """Every generator emits through ``TrafficSource._emit``; at the default
+    ``max_train = 1`` that path must be the old per-packet one, tick for
+    tick and draw for draw."""
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_default_max_train_reproduces_per_packet_emission(self, name):
+        sim = Simulator()
+        host = Host(sim, "h", "10.0.0.1")
+        sink = _StampSink()
+        link = Link(sim, host, sink, bandwidth_bps=1e9, delay=0.001)
+        host.attach_link(link)
+        host.set_gateway(link)
+        host.outbound_guard = lambda packet, count: not (0.6 <= sim.now < 0.8)
+        generator = GENERATORS[name](host)
+        generator.start()
+        sim.run(until=2.0)
+        digest = hashlib.sha256(repr(sink.stamps).encode()).hexdigest()[:16]
+        assert (generator.packets_sent, generator.packets_suppressed,
+                generator.packets_offered, sink.stamps[0][0],
+                sink.stamps[-1][0], digest) == PER_PACKET_EMISSION[name]
+
+    def test_train_and_packet_emission_offer_the_same_packets(self):
+        # One path, two schedulers: the same ticks leave the host whether
+        # they are emitted one by one or 16 to a train.
+        offered = []
+        for max_train in (1, 16):
+            sim = Simulator()
+            host = Host(sim, "h", "10.0.0.1")
+            sink = _StampSink()
+            link = Link(sim, host, sink, bandwidth_bps=1e9, delay=0.001)
+            link.enable_train_mode()
+            host.attach_link(link)
+            host.set_gateway(link)
+            flood = FloodAttack(host, "10.0.1.1", rate_pps=400.0, start_time=0.1,
+                                duration=1.5, max_train=max_train, horizon=2.0)
+            flood.start()
+            sim.run(until=2.0)
+            offered.append((flood.packets_sent, flood.packets_suppressed,
+                            len(sink.stamps)))
+        assert offered[0] == offered[1] == (601, 0, 601)

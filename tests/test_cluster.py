@@ -352,8 +352,7 @@ class TestWorkerAndCoordinator:
         assert resumed.provenance["cache"]["hits"] == 1
         assert resumed.provenance["resumed"] is True
 
-    def test_corrupt_cache_entries_are_misses_and_recomputed(self, tmp_path,
-                                                             caplog):
+    def test_corrupt_cache_entries_are_misses_and_recomputed(self, tmp_path):
         base = default_flood_spec(duration=1.0)
         grid = {"defense.backend": ["aitf", "pushback", "none"]}
         serial = SweepRunner(workers=1).run_grid(base, grid)
@@ -368,15 +367,20 @@ class TestWorkerAndCoordinator:
         for key, junk in ((first, b"\xff\xfe\x00garbage"), (second, b"[]")):
             with open(cache.path_for(key), "wb") as handle:
                 handle.write(junk)
-        # The handler goes on the module's own logger: CLI tests earlier in
-        # the process may have switched propagation off on "repro".
+        # Count on a private handler on the module's own logger.  caplog's
+        # handler also sits on the root logger, so sharing it counts a record
+        # twice whenever "repro" still propagates (run alone) and once when
+        # an earlier CLI test switched propagation off (full suite).
+        warnings = []
+        handler = logging.Handler()
+        handler.emit = lambda record: warnings.append(record.getMessage())
         queue_log = logging.getLogger("repro.cluster.fsqueue")
-        queue_log.addHandler(caplog.handler)
+        queue_log.addHandler(handler)
         try:
             assert cache.get(first) is None and cache.get(second) is None
         finally:
-            queue_log.removeHandler(caplog.handler)
-        assert caplog.text.count("ignoring corrupt JSON file") == 2
+            queue_log.removeHandler(handler)
+        assert sum("ignoring corrupt JSON file" in w for w in warnings) == 2
         resumed = SweepCoordinator(str(tmp_path)).run_grid(base, grid,
                                                            resume=True)
         assert resumed.to_json() == serial.to_json()

@@ -82,7 +82,7 @@ class TestVictimGatewayRole:
                                    attack_path=env.figure1.attack_path)
         packet = Packet.control(env.figure1.b_gw2.address, env.figure1.g_gw1.address,
                                 PacketKind.FILTERING_REQUEST, request)
-        env.figure1.b_gw2.originate_packet(packet)
+        env.figure1.b_gw2.send(packet)
         env.sim.run(until=1.0)
         rejected = env.log.of_type(EventType.REQUEST_REJECTED)
         assert any(e.node == "G_gw1"

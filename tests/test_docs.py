@@ -8,6 +8,8 @@ fails CI.
 """
 
 import argparse
+import ast
+import glob
 import os
 import runpy
 
@@ -151,6 +153,69 @@ class TestPerformanceTables:
             layer = recorded["workloads"][row[0].split("`")[1]]["per_layer"]
             assert [int(cell) for cell in row[2:]] == \
                 [layer[f"faults.{key}"] for key in keys], row[0]
+
+
+#: Names the packet/train twins above the link went by (PR 18 merged them
+#: into one data path and one emission path).  ``net/link.py`` keeps its two
+#: link models and their state; calling ``Link.enable_train_mode()`` is fine.
+TWIN_NAMES = frozenset({
+    "handle_train", "forward_train", "deliver_train_locally",
+    "_train_filter_stage", "_explode_train", "check_train", "match_train",
+    "_train_receivers", "_train_forward_observers", "train_conditioners",
+    "supports_trains", "_emit_train", "train_mode", "_train_mode",
+})
+ONE_PATH_PACKAGES = ("router", "attacks", "core", "analysis", "baselines",
+                     "experiments")
+
+
+def _twin_definitions(source, where="<source>"):
+    """Every place ``source`` defines or passes a name in TWIN_NAMES: a
+    function, a parameter, a keyword argument, an assigned name or
+    attribute.  Reading an attribute or calling a method is not a definition."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            names = [node.name] + [a.arg for a in (
+                args.posonlyargs + args.args + args.kwonlyargs)]
+        elif isinstance(node, ast.keyword):
+            names = [node.arg]
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names = [node.attr]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names = [node.id]
+        else:
+            continue
+        found += [f"{where}:{node.lineno}: {name}"
+                  for name in names if name in TWIN_NAMES]
+    return found
+
+
+class TestTwinCensus:
+    def test_no_packet_train_twin_is_defined_above_the_link(self):
+        found = []
+        for package in ONE_PATH_PACKAGES:
+            pattern = os.path.join(REPO_ROOT, "src", "repro", package, "*.py")
+            paths = sorted(glob.glob(pattern))
+            assert paths, f"no sources under {pattern}"
+            for path in paths:
+                found += _twin_definitions(_read(path), os.path.relpath(path, REPO_ROOT))
+        assert not found, (
+            "a packet/train twin is back above the link — the node data path "
+            "and the generator emission path are written once over "
+            "(packet, count, train):\n  " + "\n  ".join(found))
+
+    def test_the_census_sees_definitions_and_ignores_uses(self):
+        assert len(_twin_definitions(
+            "class R:\n"
+            "    supports_trains = True\n"
+            "    def handle_train(self, train, train_mode=False):\n"
+            "        self._train_receivers = []\n"
+            "        make(train_mode=True)\n")) == 5
+        assert _twin_definitions(
+            "link.enable_train_mode()\n"
+            "if pipe._train_mode:\n"
+            "    speedup = doc['train_mode_speedup']\n") == []
 
 
 def test_setup_py_installs_the_package_version(monkeypatch):

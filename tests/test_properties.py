@@ -4,11 +4,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net.address import IPAddress, Prefix
 from repro.net.flowlabel import FlowLabel
+from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue
+from repro.net.train import PacketTrain
 from repro.router.filter_table import FilterTable, FilterTableFullError
+from repro.router.nodes import BorderRouter
 from repro.router.policer import TokenBucket
 from repro.router.routing import RoutingTable
+from repro.router.shadow_cache import ShadowCache
 from repro.sim.engine import Simulator
 from repro.topology.powerlaw import build_powerlaw_internet
 
@@ -309,3 +313,103 @@ class TestSimulatorProperties:
             sim.run(until=horizon * fraction)
             observed.append(sim.now)
         assert observed == sorted(observed)
+
+
+class _Sink:
+    """A link end that only counts what reaches it."""
+
+    def __init__(self, name):
+        self.name = name
+        self.packets = 0
+
+    def receive_packet(self, packet, link):
+        self.packets += 1
+
+    def receive_train(self, train, link):
+        self.packets += train.count
+
+
+#: Exactly representable, so nominal times computed as ``start + i * GAP``
+#: and as a filter's ``now + (blocked - 1) * interval`` agree to the bit.
+_GAP = 2.0 ** -7
+_START = 1.0
+
+router_stages = st.fixed_dictionaries({
+    "n": st.integers(min_value=1, max_value=12),
+    # None: no policy on the in-link; otherwise (enforce, source is legitimate)
+    "ingress": st.one_of(st.none(), st.tuples(st.booleans(), st.booleans())),
+    # None: no filter; otherwise the filter outlives this many packets of the
+    # train (0: lapsed before it arrives; >= n: outlives all of it)
+    "filter_covers": st.one_of(st.none(), st.integers(min_value=0, max_value=14)),
+    "shadowed": st.booleans(),
+    "disconnected": st.sampled_from([None, "in", "out"]),
+    "ttl": st.sampled_from([1, 64]),
+    "routed": st.booleans(),
+})
+
+
+def _run_router_stages(stages, as_train):
+    """Inject ``n`` copies of one packet into a configured BorderRouter —
+    as one train, or as lone packets at the train's nominal times — and
+    return every counter the pipeline keeps."""
+    sim = Simulator()
+    router = BorderRouter(sim, "r", "10.0.2.1")
+    upstream, downstream = _Sink("up"), _Sink("down")
+    link_in = Link(sim, upstream, router, bandwidth_bps=1e9, delay=0.001)
+    link_out = Link(sim, router, downstream, bandwidth_bps=1e9, delay=0.001)
+    if as_train:
+        link_out.enable_train_mode()
+    if stages["routed"]:
+        router.routing.add_route("10.0.1.1/32", link_out)
+    src = "10.0.0.1"
+    if stages["ingress"] is not None:
+        enforce, legitimate = stages["ingress"]
+        router.ingress.enforce = enforce
+        router.ingress.allow(link_in, "10.0.0.0/24" if legitimate else "10.9.0.0/24")
+    entry = None
+    if stages["filter_covers"] is not None:
+        entry = router.filter_table.install(
+            FlowLabel.between(src, "10.0.1.1"),
+            _START + (stages["filter_covers"] - 0.5) * _GAP)
+    shadow = ShadowCache(clock=lambda: sim.now)
+    shadowed = shadow.log(FlowLabel.between(src, "10.0.1.1"), 60.0) \
+        if stages["shadowed"] else None
+    router.add_forward_observer(
+        lambda packet, link, train=None: shadow.match_packet(
+            packet, 1 if train is None else train.count))
+    if stages["disconnected"] is not None:
+        router.disconnect_link(link_in if stages["disconnected"] == "in" else link_out)
+
+    template = Packet.data(IPAddress.parse(src), IPAddress.parse("10.0.1.1"), size=500)
+    template.ttl = stages["ttl"]
+    n = stages["n"]
+    if as_train:
+        sim.fire_at(_START, router.receive_train,
+                    PacketTrain(template, n, _GAP), link_in)
+    else:
+        for i in range(n):
+            sim.fire_at(_START + i * _GAP, router.receive_packet,
+                        template.clone(), link_in)
+    sim.run()
+    table = router.filter_table
+    return {
+        "node": router.stats,
+        "ingress": router.ingress.stats,
+        "table": (table.packets_checked, table.packets_blocked),
+        "entry": entry and (entry.packets_blocked, entry.bytes_blocked,
+                            entry.last_blocked_at),
+        "reappearances": shadowed and shadowed.reappearances,
+        "forwarded_to_sink": downstream.packets,
+    }
+
+
+class TestOneRouterPipeline:
+    """The data path is written once over "count copies of this packet":
+    whatever the stages decide, a train of n must leave the counters n lone
+    packets at its nominal times leave."""
+
+    @given(router_stages)
+    @settings(max_examples=300, deadline=None)
+    def test_train_of_n_counts_as_n_lone_packets(self, stages):
+        assert _run_router_stages(stages, as_train=True) == \
+            _run_router_stages(stages, as_train=False)

@@ -21,6 +21,8 @@ nothing here touches it.
 """
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -29,6 +31,7 @@ from repro.experiments import (
     ExperimentRunner,
     ExperimentSpec,
     default_flood_spec,
+    default_onoff_spec,
     spec_hash,
 )
 from repro.net.address import IPAddress
@@ -81,17 +84,6 @@ class TestPacketTrain:
             PacketTrain(make_template(), 0, 0.01)
         with pytest.raises(ValueError):
             PacketTrain(make_template(), 1, -0.01)
-
-    def test_replicate_preserves_route_record_and_creation_time(self):
-        packet = make_template()
-        packet.created_at = 1.5
-        packet.stamp_route("gw1")
-        packet.stamp_route("gw2")
-        copy = packet.replicate()
-        assert copy.route_record == ["gw1", "gw2"]
-        assert copy.route_record is not packet.route_record
-        assert copy.created_at == 1.5
-        assert copy.packet_id != packet.packet_id
 
 
 class TestTrainProcess:
@@ -559,3 +551,41 @@ class TestTrainModeDeterminism:
         assert train_attack.cycles_completed == packet_attack.cycles_completed
         # Phase-clipped trains: emission counts agree exactly per duty cycle.
         assert train_attack.packets_sent == packet_attack.packets_sent
+
+
+class TestOnePathCorners:
+    @pytest.mark.parametrize("mode", ["packet", "train"])
+    def test_host_outbound_guard_counts_a_suppressed_train_as_its_packets(
+            self, mode):
+        # A cooperating on-off attacker filters itself.  Its host's filter
+        # table must count every suppressed *packet* in both engines; the
+        # train engine used to count one check and one block per train
+        # (11 blocked against 2,757 suppressed).
+        spec = default_onoff_spec(duration=12.0).with_overrides(
+            {"defense.params.non_cooperating": [], "engine.mode": mode})
+        execution = ExperimentRunner().prepare(spec)
+        execution.run()
+        host = execution.attack_workloads()[0].attacker
+        table = execution.backend.deployment.host_agent(host.name).outbound_filters
+        assert host.stats_outbound_suppressed == 2757
+        assert table.packets_blocked == host.stats_outbound_suppressed
+        assert table.packets_checked == 3007
+        assert sum(entry.bytes_blocked for entry in table.entries()) == 2757000
+
+    def test_train_engine_with_max_train_1_is_pinned(self):
+        # ``max_train = 1`` selects per-packet emission, so this corner now
+        # sends lone packets over fluid links where it used to send one-tick
+        # trains (which the pipe unwraps on entry).  No committed spec uses
+        # it; the digest is the parent of PR 18's result document, so it
+        # cannot change silently.
+        spec = default_flood_spec(duration=4.0).with_overrides(
+            {"engine.mode": "train", "engine.max_train": 1})
+        execution = ExperimentRunner().prepare(spec)
+        document = execution.run().to_dict()
+        assert document["time_to_first_block"] == 0.16389920000000013
+        assert document["attack_received_bps"] == 354285.71428571426
+        assert document["workload_stats"][1]["packets_sent"] == 5251
+        assert execution.sim.events_processed == 18245
+        text = json.dumps(document, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ddb900d5c4da0a8feca037eaff789255735f6458689c5db4760b997b5649950c")
