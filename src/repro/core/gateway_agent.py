@@ -28,7 +28,7 @@ code regardless of where it sits on the path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.contracts.contract import ContractBook

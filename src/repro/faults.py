@@ -106,9 +106,9 @@ class FaultInjector:
                 events.append(_ResolvedFault(kind=fault.kind, time=when,
                                              node=node))
         injector = cls(topology=topology, events=events, deployment=deployment)
-        # Build the incremental-routing index now, from the pristine tables
-        # build_routes installed: one exact-match /32 probe per anchor per
-        # router (no row scan, no Dijkstra), paid only by fault runs.
+        # Build the incremental-routing helper now (anchor groups and their
+        # rows; no table is read, no Dijkstra run), so that the first fault
+        # event pays for its re-solves only.
         topology.ensure_dynamic_routing()
         return injector
 

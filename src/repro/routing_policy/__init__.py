@@ -9,7 +9,6 @@ both.
 
 from repro.routing_policy.relationships import RelationshipMap
 from repro.routing_policy.valley_free import (
-    CLASS_NAMES,
     CUSTOMER,
     PEER,
     PROVIDER,
@@ -19,7 +18,6 @@ from repro.routing_policy.valley_free import (
 from repro.routing_policy.manager import PolicyRoutingManager
 
 __all__ = [
-    "CLASS_NAMES",
     "CUSTOMER",
     "PEER",
     "PROVIDER",

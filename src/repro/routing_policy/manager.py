@@ -4,7 +4,7 @@ At 10k ASes a full route install (every destination on every router) is
 ~10^8 table entries — far beyond what a scenario that touches a handful of
 victim/attacker networks needs.  This manager is the valley-free solver of
 :class:`repro.topology.dynamic.IncrementalRouting` — anchor groups, the
-edge-usage index, the install loop and ``apply`` all live there — and
+remembered solves, the install loop and ``apply`` all live there — and
 installs routes **one destination anchor at a time**, on demand:
 
 * :meth:`attach` hangs an ``miss_handler`` off every router's
@@ -26,11 +26,11 @@ from __future__ import annotations
 
 from typing import Collection, Dict, List, Optional, Tuple
 
-from repro.net.address import IPAddress
+from repro.net.address import IPAddress, Prefix
 from repro.routing_policy.relationships import RelationshipMap
-from repro.routing_policy.valley_free import PolicyRoute, valley_free_routes
+from repro.routing_policy.valley_free import PolicyRoutes, solve_valley_free
 from repro.topology.adjacency import no_path
-from repro.topology.dynamic import IncrementalRouting, edge_key, new_counters
+from repro.topology.dynamic import IncrementalRouting, new_counters
 
 
 class PolicyRoutingManager(IncrementalRouting):
@@ -47,22 +47,9 @@ class PolicyRoutingManager(IncrementalRouting):
             anchor = self.anchor_of(name)
             for address in node.addresses:
                 self._addr_anchor[address.value] = anchor
-        self._local_prefix_anchors: List[Tuple[object, str]] = []
-        # Remote installs skip folded hosts whose /32 falls inside one of
-        # the anchor's declared local prefixes: longest-prefix-match on the
-        # anchor's aggregate reaches them anyway, and at 10k routers the
-        # per-host rows dominate shard size.  The anchor itself still gets
-        # exact /32 routes over the access links.
-        self._remote_members = {}
-        for anchor, group in self._groups.items():
-            locals_ = list(getattr(topo.nodes[anchor], "local_prefixes", ()))
-            self._local_prefix_anchors.extend((p, anchor) for p in locals_)
-            self._remote_members[anchor] = [
-                (member, extra) for member, extra in group
-                if not (extra and any(p.contains(topo.nodes[member].address)
-                                      for p in locals_))]
-        # Materialised shards: anchor -> {router: PolicyRoute}.
-        self._materialized: Dict[str, Dict[str, PolicyRoute]] = {}
+        self._local_prefix_anchors: List[Tuple[Prefix, str]] = [
+            (prefix, anchor) for anchor in self._groups
+            for prefix in getattr(topo.nodes[anchor], "local_prefixes", ())]
         self.stats["anchors_materialized"] = 0
 
     # ------------------------------------------------------------------
@@ -75,7 +62,7 @@ class PolicyRoutingManager(IncrementalRouting):
 
     def _on_miss(self, destination: IPAddress) -> bool:
         anchor = self.anchor_for_address(destination)
-        if anchor is None or anchor in self._materialized:
+        if anchor is None or anchor in self._solved:
             return False
         self.materialize(anchor)
         return True
@@ -93,43 +80,48 @@ class PolicyRoutingManager(IncrementalRouting):
     # ------------------------------------------------------------------
     # the solver
     # ------------------------------------------------------------------
-    def solve(self, anchor: str) -> Dict[str, Tuple[str, int]]:
-        """One valley-free solve; recording the shard is what makes
-        ``anchor`` tracked."""
-        routes = valley_free_routes(anchor, self.relationships,
-                                    edge_up=self._edge_up)
-        self._materialized[anchor] = routes
-        return {name: (route.next_hop, route.hops)
-                for name, route in routes.items()}
-
-    def _edge_up(self, a: str, b: str) -> bool:
-        down = self._topo._down_edges
-        return not down or edge_key(a, b) not in down
+    def solve(self, anchor: str) -> PolicyRoutes:
+        """One valley-free solve over the edges that are up now."""
+        return solve_valley_free(self.relationships.index(), anchor,
+                                 self._topo._down_edges)
 
     def tracked(self) -> Collection[str]:
-        return self._materialized
+        """The materialised anchors: the ones the core remembers a solve
+        of."""
+        return self._solved
+
+    def _remote_rows(self, anchor: str) -> List[Tuple[Prefix, int]]:
+        """Remote installs skip a folded host's /32 inside one of the
+        anchor's declared local prefixes: longest-prefix-match on the
+        anchor's aggregate reaches it anyway, and at 10k routers the
+        per-host rows dominate shard size.  (The anchor itself still gets
+        exact /32 routes over the access links.)"""
+        aggregates = getattr(self._topo.nodes[anchor], "local_prefixes", ())
+        return [(prefix, extra)
+                for prefix, extra in super()._remote_rows(anchor)
+                if not (extra and any(aggregate.contains(prefix.network)
+                                      for aggregate in aggregates))]
 
     # ------------------------------------------------------------------
     # materialisation
     # ------------------------------------------------------------------
     @property
     def materialized_anchors(self) -> Tuple[str, ...]:
-        return tuple(self._materialized)
+        return tuple(self._solved)
 
-    def materialize(self, anchor: str) -> Dict[str, PolicyRoute]:
-        """Compute and install valley-free routes toward ``anchor``.
+    def materialize(self, anchor: str) -> PolicyRoutes:
+        """Compute and install valley-free routes toward ``anchor``; returns
+        them as the installed solve reads, ``{router: PolicyRoute}``.
 
         Idempotent: an already-materialised anchor is returned as-is;
         fault handling re-solves it through the core's ``apply`` instead.
         """
-        existing = self._materialized.get(anchor)
-        if existing is not None:
-            return existing
-        if anchor not in self._groups:
-            raise KeyError(f"unknown destination anchor {anchor!r}")
-        self._recompute(anchor, new_counters())
-        self.stats["anchors_materialized"] += 1
-        return self._materialized[anchor]
+        if anchor not in self._solved:
+            if anchor not in self._groups:
+                raise KeyError(f"unknown destination anchor {anchor!r}")
+            self._recompute(anchor, new_counters())
+            self.stats["anchors_materialized"] += 1
+        return self._solved[anchor]
 
     # ------------------------------------------------------------------
     # path queries

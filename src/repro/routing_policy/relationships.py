@@ -4,14 +4,28 @@ A :class:`RelationshipMap` annotates the router-level graph with the
 Gao–Rexford edge types that drive valley-free route selection: a
 customer→provider edge is "uphill", provider→customer is "downhill", and
 peer–peer edges are flat.  Adjacency queries return name-sorted tuples so
-every consumer (BFS fronts, relaxation loops, tie-breaks) sees the same
-order regardless of the order edges were declared in — route computation
-must be byte-identical across builder insertion order and worker processes.
+every consumer sees the same order regardless of the order edges were
+declared in — route computation must be byte-identical across builder
+insertion order and worker processes.  The solver reads the same thing as
+ints (:meth:`RelationshipMap.index`): nodes numbered in name order, so that
+comparing two indices compares the names.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Set, Tuple
+
+
+class RelationshipIndex(NamedTuple):
+    """A :class:`RelationshipMap` as ints: node ``i`` is ``names[i]``, and
+    ``providers[i]`` / ``customers[i]`` / ``peers[i]`` are its neighbours'
+    indices in ascending (= name) order."""
+
+    names: Tuple[str, ...]
+    index_of: Dict[str, int]
+    providers: Tuple[Tuple[int, ...], ...]
+    customers: Tuple[Tuple[int, ...], ...]
+    peers: Tuple[Tuple[int, ...], ...]
 
 
 class RelationshipMap:
@@ -21,7 +35,7 @@ class RelationshipMap:
         self._providers: Dict[str, Set[str]] = {}
         self._customers: Dict[str, Set[str]] = {}
         self._peers: Dict[str, Set[str]] = {}
-        self._sorted: Dict[Tuple[str, str], Tuple[str, ...]] = {}
+        self._index: Optional[RelationshipIndex] = None
 
     # ------------------------------------------------------------------
     # population
@@ -33,7 +47,7 @@ class RelationshipMap:
         self._check_new_edge(customer, provider)
         self._providers.setdefault(customer, set()).add(provider)
         self._customers.setdefault(provider, set()).add(customer)
-        self._sorted.clear()
+        self._index = None
 
     def add_peer(self, a: str, b: str) -> None:
         """Declare a settlement-free peering between ``a`` and ``b``."""
@@ -42,7 +56,7 @@ class RelationshipMap:
         self._check_new_edge(a, b)
         self._peers.setdefault(a, set()).add(b)
         self._peers.setdefault(b, set()).add(a)
-        self._sorted.clear()
+        self._index = None
 
     def _check_new_edge(self, a: str, b: str) -> None:
         if self.relationship(a, b) is not None:
@@ -53,23 +67,27 @@ class RelationshipMap:
     # ------------------------------------------------------------------
     def providers_of(self, name: str) -> Tuple[str, ...]:
         """Providers of ``name``, name-sorted."""
-        return self._adjacent("providers", self._providers, name)
+        return tuple(sorted(self._providers.get(name, ())))
 
     def customers_of(self, name: str) -> Tuple[str, ...]:
         """Customers of ``name``, name-sorted."""
-        return self._adjacent("customers", self._customers, name)
+        return tuple(sorted(self._customers.get(name, ())))
 
     def peers_of(self, name: str) -> Tuple[str, ...]:
         """Peers of ``name``, name-sorted."""
-        return self._adjacent("peers", self._peers, name)
+        return tuple(sorted(self._peers.get(name, ())))
 
-    def _adjacent(self, kind: str, table: Dict[str, Set[str]],
-                  name: str) -> Tuple[str, ...]:
-        key = (kind, name)
-        cached = self._sorted.get(key)
-        if cached is None:
-            cached = self._sorted[key] = tuple(sorted(table.get(name, ())))
-        return cached
+    def index(self) -> RelationshipIndex:
+        """The int form the solver runs on, built on first use and dropped
+        by :meth:`add_customer` / :meth:`add_peer`."""
+        if self._index is None:
+            names = self.nodes()
+            index_of = {name: i for i, name in enumerate(names)}
+            self._index = RelationshipIndex(names, index_of, *(
+                tuple(tuple(sorted(index_of[n] for n in table.get(name, ())))
+                      for name in names)
+                for table in (self._providers, self._customers, self._peers)))
+        return self._index
 
     def relationship(self, a: str, b: str) -> Optional[str]:
         """The a→b edge type: "up" (b is a's provider), "down", "peer", None."""

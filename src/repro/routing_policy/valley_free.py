@@ -15,34 +15,34 @@ Instead of shortest paths, interdomain routes follow business policy:
 
 The computation is **per destination** (one anchor at a time) so 10k-AS
 routing tables can be materialised lazily — a destination nobody sends to
-costs nothing.  Three stages, each O(V+E):
+costs nothing.  Three stages, each at most O(V+E):
 
 1. *customer routes*: BFS from the destination along customer→provider
    edges — a node is reached iff the destination is in its customer cone;
-2. *peer routes*: one peer hop from any customer-routed node;
-3. *provider routes*: multi-source unit-weight Dijkstra seeded with every
-   routed node, relaxing provider→customer edges downward (a node with a
-   route exports it to its customers).
+2. *peer routes*: one peer hop out of the customer-routed region;
+3. *provider routes*: every routed node exports downhill along
+   provider→customer edges, one hop count at a time.
 
 **Pinned preference tie-break** (regression-tested): routes compare by the
 tuple ``(class_rank, hops, next_hop_name)`` — class 0 customer / 1 peer /
 2 provider, then fewest AS hops, then the lexicographically smallest next
-hop.  This makes the computation deterministic across edge insertion
-order, worker processes, and networkx versions (networkx is not consulted
-at all here).
+hop — so the result does not depend on edge insertion order or the worker
+process.  The solver runs on :meth:`RelationshipMap.index`, where the
+smaller index *is* the smaller name: each hop count's nodes export in index
+order, and the first route to reach a node is its best.
+``tests/valley_free_oracle.py`` keeps the name-keyed heap implementation
+this replaced, as the oracle.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, Dict, NamedTuple, Optional
+from typing import (Callable, Collection, Iterator, List, Mapping, NamedTuple,
+                    Optional, Tuple)
 
-from repro.routing_policy.relationships import RelationshipMap
+from repro.routing_policy.relationships import RelationshipIndex, RelationshipMap
 
 #: Route-class ranks in preference order (smaller wins).
 CUSTOMER, PEER, PROVIDER = 0, 1, 2
-
-CLASS_NAMES = {CUSTOMER: "customer", PEER: "peer", PROVIDER: "provider"}
 
 
 class PolicyRoute(NamedTuple):
@@ -52,9 +52,95 @@ class PolicyRoute(NamedTuple):
     hops: int       # AS-path length in hops
     next_hop: str   # direct-neighbor router name
 
-    @property
-    def route_class(self) -> str:
-        return CLASS_NAMES[self.rank]
+
+class PolicyRoutes(Mapping[str, PolicyRoute]):
+    """One destination's routes as flat lists over the relationship index,
+    read by name as ``{router_name: PolicyRoute}`` (rendered per read).
+
+    ``next_hop[i]`` is the index of ``names[i]``'s next hop: ``-1`` for the
+    destination, and — with ``rank[i]`` and ``hops[i]`` — for a node with no
+    policy-compliant route (the destination is outside its customer cone
+    and no peer/provider export reaches it; possible after link failures).
+    """
+
+    def __init__(self, index: RelationshipIndex) -> None:
+        self.names, self.index_of = index.names, index.index_of
+        self.rank = [-1] * len(self.names)
+        self.hops = [-1] * len(self.names)
+        self.next_hop = [-1] * len(self.names)
+
+    def __getitem__(self, name: str) -> PolicyRoute:
+        i = self.index_of[name]
+        if self.next_hop[i] < 0:
+            raise KeyError(name)
+        return PolicyRoute(self.rank[i], self.hops[i],
+                           self.names[self.next_hop[i]])
+
+    def __iter__(self) -> Iterator[str]:
+        return (name for name, hop in zip(self.names, self.next_hop)
+                if hop >= 0)
+
+    def __len__(self) -> int:
+        return len(self.names) - self.next_hop.count(-1)
+
+
+def solve_valley_free(index: RelationshipIndex, destination: str,
+                      failed: Collection[Tuple[str, str]] = (),
+                      ) -> PolicyRoutes:
+    """Best valley-free route from every AS toward ``destination``;
+    ``failed`` names the unusable edges, either end first (pairs that are
+    no edge of the index — a downed access link — change nothing)."""
+    routes = PolicyRoutes(index)
+    rank, hops, next_hop = routes.rank, routes.hops, routes.next_hop
+    start = index.index_of.get(destination)
+    if start is None:
+        return routes  # no relationships: nobody has a route to it
+    providers, customers, peers = index.providers, index.customers, index.peers
+    if failed:
+        # The ends of a failed edge get their neighbour tuples re-cut
+        # without it; every other node's are the index's own.
+        providers, customers, peers = map(list, (providers, customers, peers))
+        for a, b in failed:
+            if a in index.index_of and b in index.index_of:
+                a, b = index.index_of[a], index.index_of[b]
+                for neighbours in (providers, customers, peers):
+                    neighbours[a] = tuple(n for n in neighbours[a] if n != b)
+                    neighbours[b] = tuple(n for n in neighbours[b] if n != a)
+
+    def export(level: List[int], neighbours, route_class: int,
+               into: List[int]) -> None:
+        """Offer the routes of ``level``'s nodes to their still-unrouted
+        ``neighbours`` — in index order, so that the first offer a node
+        gets is from the smallest next hop."""
+        for node in sorted(level):
+            for other in neighbours[node]:
+                if rank[other] < 0:
+                    rank[other] = route_class
+                    hops[other] = hops[node] + 1
+                    next_hop[other] = node
+                    into.append(other)
+
+    # levels[h]: the nodes whose route is h hops long.
+    # Stage 1 — customer routes: BFS up provider edges.
+    rank[start], hops[start] = CUSTOMER, 0
+    levels = [[start]]
+    while levels[-1]:
+        levels.append([])
+        export(levels[-2], providers, CUSTOMER, levels[-1])
+    # Stage 2 — peer routes: one peer hop out of the customer-routed
+    # region, nearest first; they join the levels once all are found.
+    peer_routed: List[int] = []
+    for level in levels:
+        export(level, peers, PEER, peer_routed)
+    for node in peer_routed:
+        levels[hops[node]].append(node)  # at most the empty last level
+    # Stage 3 — provider routes: every routed node exports downhill.
+    for distance, level in enumerate(levels):  # grows while it is walked
+        if level:
+            if level is levels[-1]:
+                levels.append([])
+            export(level, customers, PROVIDER, levels[distance + 1])
+    return routes
 
 
 def valley_free_routes(
@@ -62,80 +148,16 @@ def valley_free_routes(
     rels: RelationshipMap,
     *,
     edge_up: Optional[Callable[[str, str], bool]] = None,
-) -> Dict[str, PolicyRoute]:
-    """Best valley-free route from every AS toward ``destination``.
+) -> PolicyRoutes:
+    """:func:`solve_valley_free` by name: ``{router_name: PolicyRoute}`` for
+    every AS with a policy-compliant route toward ``destination``.
 
-    Returns ``{router_name: PolicyRoute}`` for every AS with a policy-
-    compliant route; ASes absent from the result have none (the
-    destination is outside their customer cone and no peer/provider
-    exports reach them — possible after link failures).  ``edge_up(a, b)``
-    filters failed links; by default every declared edge is usable.
+    ``edge_up(a, b)`` filters failed links — asked per declared edge, not
+    per direction, so it must not depend on the order of its arguments; by
+    default every declared edge is usable.
     """
-    if edge_up is None:
-        def edge_up(a: str, b: str) -> bool:
-            return True
-
-    # Stage 1 — customer routes: BFS from the destination up provider
-    # edges.  dist[u] is the hop count of u's best customer route.
-    dist: Dict[str, int] = {destination: 0}
-    frontier = [destination]
-    while frontier:
-        next_frontier = []
-        for node in frontier:
-            for provider in rels.providers_of(node):
-                if provider not in dist and edge_up(node, provider):
-                    dist[provider] = dist[node] + 1
-                    next_frontier.append(provider)
-        frontier = next_frontier
-
-    routes: Dict[str, PolicyRoute] = {}
-    for node, hops in dist.items():
-        if node == destination:
-            continue
-        # The next hop is the name-smallest customer one BFS level closer.
-        best = None
-        for customer in rels.customers_of(node):
-            if dist.get(customer, -1) == hops - 1 and edge_up(node, customer):
-                best = customer
-                break  # customers_of is name-sorted: first match is smallest
-        if best is not None:
-            routes[node] = PolicyRoute(CUSTOMER, hops, best)
-
-    # Stage 2 — peer routes: one peer hop into the customer-routed region.
-    for node in rels.nodes():
-        if node in dist:
-            continue
-        best = None
-        for peer in rels.peers_of(node):
-            peer_dist = dist.get(peer)
-            if peer_dist is None or not edge_up(node, peer):
-                continue
-            candidate = (peer_dist + 1, peer)
-            if best is None or candidate < best:
-                best = candidate
-        if best is not None:
-            routes[node] = PolicyRoute(PEER, best[0], best[1])
-
-    # Stage 3 — provider routes: unit-weight multi-source Dijkstra seeded
-    # with every routed node, relaxing downhill (provider→customer) edges.
-    # Heap entries carry (hops, customer, provider) so equal-hop candidates
-    # resolve to the name-smallest provider.
-    settled: Dict[str, PolicyRoute] = {}
-    heap = []
-    for node in sorted(routes):
-        heapq.heappush(heap, (routes[node].hops, node, None))
-    if destination in rels.nodes():
-        heapq.heappush(heap, (0, destination, None))
-    while heap:
-        hops, node, via = heapq.heappop(heap)
-        if via is not None:
-            if node in routes or node in settled:
-                continue
-            settled[node] = PolicyRoute(PROVIDER, hops, via)
-        for customer in rels.customers_of(node):
-            if customer in routes or customer in settled or customer == destination:
-                continue
-            if edge_up(node, customer):
-                heapq.heappush(heap, (hops + 1, customer, node))
-    routes.update(settled)
-    return routes
+    failed = () if edge_up is None else [
+        (name, other) for name in rels.nodes()
+        for other in rels.providers_of(name) + rels.peers_of(name)
+        if not edge_up(name, other)]
+    return solve_valley_free(rels.index(), destination, failed)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import zlib
+from functools import cached_property
 from typing import Any, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -34,8 +35,14 @@ class SeededRandom:
     def __init__(self, seed: int = 0, name: str = "root") -> None:
         self._seed = int(seed)
         self._name = name
-        self._rng = random.Random(self._seed)
         self._children = 0
+
+    @cached_property
+    def _rng(self) -> random.Random:
+        # Built by the first draw (2.5 kB of state; a fleet forks two streams
+        # per router and draws from almost none).  Seeds and fork order are
+        # fixed at construction, so no stream's draws depend on when.
+        return random.Random(self._seed)
 
     @property
     def seed(self) -> int:

@@ -247,6 +247,8 @@ class Topology:
         (``tests/test_route_build.py`` keeps that sweep, on networkx, as the
         oracle).
         """
+        if self._dynamic is not None:
+            self._dynamic.forget()  # these rows are not the core's own
         fold = fold_leaves(self)
         adjacency = project_routers(self.adjacency, fold)
         # Every row a router may hold, in installation order: its key and

@@ -9,43 +9,33 @@ recomputes only the *destinations whose installed routes actually changed*:
   its access router's anchor (its shortest-path tree is the router's tree
   plus one access edge), so a 200-AS / 2000-host fleet has ~200 anchors, not
   ~2200 destinations.
-* An **edge-usage index** maps each graph edge to the anchors whose installed
-  routing trees traverse it.
-* ``link_down`` recomputes exactly the tracked anchors whose trees used the
-  edge.  This is *exact*: a routing tree that does not contain the removed
-  edge is still a valid tree of the reduced graph.
+* ``link_down`` recomputes exactly the tracked anchors whose installed tree
+  traverses the edge, which the tables say: one of its two endpoints
+  forwards the anchor's rows over it.  This is *exact*: a routing tree that
+  does not contain the removed edge is still a valid tree of the reduced
+  graph.
 * ``link_up`` recomputes the tracked anchors the solver says the restored
   edge can affect (by default all of them).
+* Each affected anchor costs one :meth:`~IncrementalRouting.solve`, answered
+  in indexed form (:class:`Solve`), and an install pass over the routers
+  whose next hop or distance moved since the last solve the core installed
+  (:meth:`~IncrementalRouting._recompute`), so forwarding flips atomically
+  at the fault event and every other router keeps its lookup memo warm.
 
-Each affected anchor costs one :meth:`~IncrementalRouting.solve`; its rows
-are brought in line through :meth:`RoutingTable.install`, which replaces
-only the rows that differ — a replaced /32 drops its own address from the
-per-node lookup memo, a replaced shorter prefix drops the memo — so
-forwarding flips atomically at the fault event, and routers none of whose
-rows moved keep their memos warm.
 A subclass supplies exactly three things: ``solve``, which anchors are
-``tracked``, and ``restored_affects``.
-
-The leaf fold and the router projection (:func:`fold_leaves`,
+``tracked``, and ``restored_affects``: :class:`DynamicRouting` here (flat
+shortest paths) and :class:`repro.routing_policy.manager.PolicyRoutingManager`
+(valley-free).  The leaf fold and the router projection (:func:`fold_leaves`,
 :func:`project_routers`) are the ones ``build_routes`` itself computes
 routes on, so the core and the builder agree on what an anchor is.
-
-:class:`DynamicRouting` is the flat shortest-path solver: every anchor is
-tracked, the index is read straight out of the tables ``build_routes``
-installed (one exact-match /32 probe per anchor per router — no prefix
-scan, no Dijkstras), and a restored edge
-re-solves only the anchors whose distance could strictly improve via it —
-two Dijkstras from the edge endpoints (with the edge temporarily removed)
-identify every anchor where ``|d_u(a) - d_v(a)| > w(u,v)``, the classical
-incremental-SPF improvement test.  Ties keep the previously installed (still
-shortest) routes, preserving determinism.  The valley-free solver is
-:class:`repro.routing_policy.manager.PolicyRoutingManager`.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (Collection, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
+from repro.net.address import Prefix
 from repro.net.link import Link
 from repro.router.nodes import Host, NetworkNode
 from repro.topology.adjacency import (
@@ -103,6 +93,18 @@ def new_counters() -> Dict[str, int]:
             "routes_installed": 0, "routes_removed": 0}
 
 
+class Solve(NamedTuple):
+    """One anchor's routes in indexed form: position ``i`` is node
+    ``names[i]`` (one ``names`` object for every solve of a solver),
+    ``next_hop[i]`` the position of its next hop toward the anchor — ``-1``
+    for none, and for the anchor — and ``hops[i]`` its path length.  The
+    core reads these three fields of whatever ``solve`` returns."""
+
+    names: Sequence[str]
+    next_hop: List[int]
+    hops: List[int]
+
+
 class IncrementalRouting:
     """Delta-updates a topology's installed routes as links fail/recover."""
 
@@ -123,20 +125,18 @@ class IncrementalRouting:
                 self._groups[name] = [(name, 0)]
         for host, anchor in self._fold_anchor.items():
             self._groups[anchor].append((host, 1))
-        # The rows of a group installed on routers *other than* the anchor;
-        # a solver may narrow this (the anchor always gets its access rows).
-        self._remote_members = self._groups
-        self._anchor_edges: Dict[str, Set[EdgeKey]] = {}
-        self._edge_anchors: Dict[EdgeKey, Set[str]] = {}
+        #: Anchor -> the last solve whose rows this core installed.  Only
+        #: rows the core itself wrote are trusted to match it.
+        self._solved: Dict[str, Solve] = {}
         #: Cumulative install work (never reset); see _recompute.
         self.stats = {"routes_installed": 0}
 
     # ------------------------------------------------------------------
     # what a solver supplies
     # ------------------------------------------------------------------
-    def solve(self, anchor: str) -> Dict[str, Tuple[str, int]]:
-        """``{router: (next_hop, hops)}`` toward ``anchor`` over the live
-        edge set; routers absent from the result have no route."""
+    def solve(self, anchor: str) -> Solve:
+        """Every node's next hop and hop count toward ``anchor`` over the
+        live edge set."""
         raise NotImplementedError
 
     def tracked(self) -> Collection[str]:
@@ -152,29 +152,33 @@ class IncrementalRouting:
         """The anchor a node folds into (itself unless a folded host)."""
         return self._fold_anchor.get(name, name)
 
-    # ------------------------------------------------------------------
-    # index maintenance
-    # ------------------------------------------------------------------
-    def _installed_edges(self, anchor: str) -> Set[EdgeKey]:
-        """Edges the currently installed routes toward ``anchor`` traverse."""
-        address = self._topo.nodes[anchor].address
-        edges = {edge_key(anchor, member)
-                 for member, extra in self._groups[anchor] if extra}
-        for router in self._routers:
-            if router.name == anchor:
-                continue
-            link = router.routing.next_link(address)
-            if link is not None:
-                edges.add(edge_key(router.name, link.other_end(router).name))
-        return edges
+    def forget(self) -> None:
+        """Somebody else (``build_routes``) rewrote the tables: each
+        anchor's next re-solve probes every router again."""
+        self._solved.clear()
 
-    def _set_anchor_edges(self, anchor: str, edges: Set[EdgeKey]) -> None:
-        old = self._anchor_edges.get(anchor, set())
-        for key in old - edges:
-            self._edge_anchors[key].discard(anchor)
-        for key in edges - old:
-            self._edge_anchors.setdefault(key, set()).add(anchor)
-        self._anchor_edges[anchor] = edges
+    def _remote_rows(self, anchor: str) -> List[Tuple[Prefix, int]]:
+        """``(prefix, extra hops)`` of the rows every router other than
+        ``anchor`` holds for its group, via its one next hop toward it; a
+        solver may narrow them (the anchor always gets its access rows)."""
+        return [(prefix, extra) for member, extra in self._groups[anchor]
+                for prefix in self._prefixes[member]]
+
+    def _crosses(self, anchor: str, link: Link) -> bool:
+        """Is ``link`` in ``anchor``'s installed tree?  A folded host's
+        access edge is in its anchor's only; any other edge iff one of its
+        ends forwards the group's rows over it — they move together, so
+        the first row speaks for all."""
+        fold = (self._fold_anchor.get(link.a.name)
+                or self._fold_anchor.get(link.b.name))
+        if fold is not None:
+            return fold == anchor
+        for prefix, _ in self._remote_rows(anchor)[:1]:
+            for end in (link.a, link.b):
+                route = end.routing.route_for(prefix)
+                if route is not None and route.link is link:
+                    return True
+        return False
 
     # ------------------------------------------------------------------
     # delta application
@@ -189,12 +193,8 @@ class IncrementalRouting:
         live edge set.  Returns deterministic work counters.
         """
         stats = new_counters()
-        tracked = self.tracked()
-        affected: Set[str] = set()
-        for link in downed:
-            key = edge_key(link.a.name, link.b.name)
-            affected.update(anchor for anchor in self._edge_anchors.get(key, ())
-                            if anchor in tracked)
+        affected = {anchor for link in downed for anchor in self.tracked()
+                    if self._crosses(anchor, link)}
         for link in restored:
             affected.update(self.restored_affects(link, stats))
         for anchor in sorted(affected):
@@ -202,62 +202,71 @@ class IncrementalRouting:
         return stats
 
     def _recompute(self, anchor: str, stats: Dict[str, int]) -> None:
-        """One solve, then bring every router's rows for the group in line
-        through :meth:`RoutingTable.install`: an unchanged ``(link, metric)``
-        row is one keyed probe and leaves the table's lookup memo alone;
-        unreachable routers have their rows withdrawn so stale routes cannot
-        forward into a black hole (withdrawing an absent row is a no-op).
+        """One solve, then bring the group's rows in line through
+        :meth:`RoutingTable.install`: an unchanged ``(link, metric)`` row is
+        one keyed probe and leaves the table's lookup memo alone, a replaced
+        /32 drops only its own address from it; unreachable routers have
+        their rows withdrawn so stale routes cannot forward into a black
+        hole (withdrawing an absent row is a no-op).
 
         A group's rows on one router are a function of that router's single
         next hop and distance toward the anchor, and only ``build_routes``
-        and this method write them, so they move together: a router whose
-        first row is already in line is done after that one probe, and the
-        work is routers + rows changed, not routers x rows."""
-        routes = self.solve(anchor)
+        and this method write them, so they move together.  Against a
+        remembered solve only the routers whose ``(next hop, hops)`` moved
+        are visited at all; with none (first use, or rows ``build_routes``
+        wrote) every router is probed, and one whose first row is already
+        in line is done after that one probe — routers + rows changed, not
+        routers x rows."""
+        solved = self.solve(anchor)
         stats["dijkstras"] += 1
         stats["anchors_recomputed"] += 1
+        names, next_hop, hops = solved.names, solved.next_hop, solved.hops
+        nodes = self._topo.nodes
         links = self._topo.adjacency
-        prefixes = self._prefixes
-        edges: Set[EdgeKey] = set()
         installed = 0
-        # The anchor reaches its own folded hosts over their access links
-        # (solvers are router-level): one next hop per host.
-        install = self._topo.nodes[anchor].routing.install
-        for member, extra in self._groups[anchor]:
-            if extra:
-                edges.add(edge_key(anchor, member))
-                link = links[anchor][member]
-                for prefix in prefixes[member]:
-                    if install(prefix, link, extra):
-                        installed += 1
-        # Every other router holds the same rows, (prefix, extra hops), via
-        # its one next hop toward the anchor.
-        remote = [(prefix, extra)
-                  for member, extra in self._remote_members[anchor]
-                  for prefix in prefixes[member]]
-        for router in self._routers:
-            name = router.name
-            if name == anchor:
+        before = self._solved.get(anchor)
+        if before is not None and before.names is names:
+            moved: Iterable[int] = [
+                i for i, (hop, was_hop, far, was_far) in enumerate(
+                    zip(next_hop, before.next_hop, hops, before.hops))
+                if hop != was_hop or far != was_far]
+        else:
+            moved = range(len(names))
+            # The anchor reaches its own folded hosts over their access
+            # links (solvers are router-level): one next hop per host, the
+            # same after every solve.
+            install = nodes[anchor].routing.install
+            for member, extra in self._groups[anchor]:
+                if extra:
+                    link = links[anchor][member]
+                    for prefix in self._prefixes[member]:
+                        if install(prefix, link, extra):
+                            installed += 1
+        self._solved[anchor] = solved
+        # Every other router holds the same rows via its one next hop
+        # toward the anchor.
+        remote = self._remote_rows(anchor)
+        for i in moved:
+            name = names[i]
+            node = nodes[name]
+            if name == anchor or isinstance(node, Host):
                 continue
-            table = router.routing
-            hop = routes.get(name)
-            if hop is None:
+            table = node.routing
+            if next_hop[i] < 0:
                 for prefix, _ in remote:
                     if table.remove_route(prefix):
                         stats["routes_removed"] += 1
                 continue
-            next_hop, hops = hop
-            edges.add(edge_key(name, next_hop))
-            link = links[name][next_hop]
+            link = links[name][names[next_hop[i]]]
+            distance = hops[i]
             install = table.install
             changed = 0
             for prefix, extra in remote:
-                if install(prefix, link, hops + extra):
+                if install(prefix, link, distance + extra):
                     changed += 1
                 elif not changed:
                     break  # first row in line: so is the rest of the group
             installed += changed
-        self._set_anchor_edges(anchor, edges)
         stats["routes_installed"] += installed
         # The cumulative figure adds the *event's running total* per solve,
         # not this solve's rows: that is the number bench/baseline.json
@@ -266,15 +275,22 @@ class IncrementalRouting:
 
 
 class DynamicRouting(IncrementalRouting):
-    """The flat solver: delay-weighted Dijkstra over the router graph."""
+    """The flat solver: delay-weighted Dijkstra over the router graph.
+
+    Every anchor is tracked; building it reads no table (the rows
+    ``build_routes`` installed are probed by an anchor's first re-solve).
+    A restored edge re-solves only the anchors whose distance could strictly
+    improve via it; ties keep the previously installed (still shortest)
+    routes, preserving determinism.
+    """
 
     def __init__(self, topo) -> None:
         super().__init__(topo)
         self._graph: Optional[Adjacency] = None
         self._graph_epoch = -1
-        # Edge-usage index, derived from the routes build_routes installed.
-        for anchor in self._groups:
-            self._set_anchor_edges(anchor, self._installed_edges(anchor))
+        # Solve positions: every node of the reduced graph, i.e. the anchors.
+        self._names = tuple(self._groups)
+        self._position = {name: i for i, name in enumerate(self._names)}
 
     def _reduced_graph(self) -> Adjacency:
         """The live adjacency with folded hosts projected out, copied fresh
@@ -287,23 +303,27 @@ class DynamicRouting(IncrementalRouting):
             self._graph_epoch = topo.link_epoch
         return self._graph
 
-    def solve(self, anchor: str) -> Dict[str, Tuple[str, int]]:
+    def solve(self, anchor: str) -> Solve:
         dist, pred = shortest_path_tree(self._reduced_graph(), anchor)
         # In settling order a predecessor's hop count is known first; a
         # router's next hop toward the anchor is its predecessor in the
         # anchor-rooted tree.
-        hops = {anchor: 0}
-        routes: Dict[str, Tuple[str, int]] = {}
+        position = self._position
+        next_hop = [-1] * len(position)
+        hops = [0] * len(position)
         for name in dist:
             if name != anchor:
-                before = pred[name]
-                hops[name] = hops[before] + 1
-                routes[name] = (before, hops[name])
-        return routes
+                here, before = position[name], position[pred[name]]
+                next_hop[here] = before
+                hops[here] = hops[before] + 1
+        return Solve(self._names, next_hop, hops)
 
     def restored_affects(self, link: Link,
                          stats: Dict[str, int]) -> Iterable[str]:
-        """Anchors whose shortest distance strictly improves via ``link``."""
+        """Anchors whose shortest distance strictly improves via ``link``:
+        two Dijkstras from its endpoints, with the edge taken out, find every
+        anchor where ``|d_u(a) - d_v(a)| > w(u,v)`` — the classical
+        incremental-SPF improvement test."""
         u, v = link.a.name, link.b.name
         # A folded host's access edge returning affects exactly its anchor's
         # group (the improvement test below cannot see leaves that were

@@ -173,7 +173,7 @@ class TestFaultRerouting:
         routes = net.policy.materialize(anchor)
         topo, rels = net.topology, net.relationships
         # Down the *standby* uplink of a multihomed stub: no installed
-        # route crosses it, so the edge-usage index skips the re-solve.
+        # route crosses it, so neither end forwards over it: no re-solve.
         stub = next(r for r in net.stubs
                     if len(rels.providers_of(r.name)) == 2
                     and r.name != anchor)

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.net.address import IPAddress, Prefix
 from repro.net.flowlabel import FlowLabel
@@ -13,8 +13,10 @@ from repro.router.nodes import BorderRouter
 from repro.router.policer import TokenBucket
 from repro.router.routing import RoutingTable
 from repro.router.shadow_cache import ShadowCache
+from repro.routing_policy import RelationshipMap, valley_free_routes
 from repro.sim.engine import Simulator
 from repro.topology.powerlaw import build_powerlaw_internet
+from tests.valley_free_oracle import heap_valley_free_routes
 
 
 addresses = st.integers(min_value=0, max_value=(1 << 32) - 1).map(IPAddress)
@@ -248,8 +250,51 @@ class TestRoutingWorkGate:
                                         hosts_per_leaf=4, seed=11)
         scans = self._count_scans(monkeypatch)
         core = fleet.topology.ensure_dynamic_routing()
-        assert len(core._anchor_edges) >= 60
+        assert len(core.tracked()) >= 60
         assert scans == []
+
+
+#: (a, b, transit?, failed?) over node numbers: a buys transit from b, or
+#: the two peer; the edge may be among the failed ones.
+relationship_edges = st.lists(
+    st.tuples(st.integers(0, 9), st.integers(0, 9), st.booleans(),
+              st.booleans()), max_size=30)
+
+
+class TestValleyFreeSolverProperties:
+    @given(st.integers(2, 10), relationship_edges)
+    # A BFS level that is not in name order (as09 is found before as05):
+    # as07's next hop must still be the smaller of the two.
+    @example(10, [(0, 1, True, False), (0, 2, True, False),
+                  (1, 9, True, False), (2, 5, True, False),
+                  (9, 7, True, False), (5, 7, True, False)])
+    @settings(max_examples=200, deadline=None)
+    def test_indexed_solver_equals_the_name_keyed_heap_oracle(self, size,
+                                                              edges):
+        """Any declared edge set (cycles and valleys welcome, not only
+        hierarchies) x any failed subset x every destination, one with no
+        relationships included."""
+        names = [f"as{i:02d}" for i in range(size)]
+        rels = RelationshipMap()
+        failed = set()
+        for a, b, transit, fails in edges:
+            a, b = names[a % size], names[b % size]
+            if a != b and rels.relationship(a, b) is None:
+                (rels.add_customer if transit else rels.add_peer)(a, b)
+                if fails:
+                    failed.add(frozenset((a, b)))
+        destinations = names + ["no-relationships"]
+        for down in (set(), failed):
+            def edge_up(a, b):
+                return frozenset((a, b)) not in down
+            for destination in destinations:
+                got = valley_free_routes(destination, rels, edge_up=edge_up)
+                want = heap_valley_free_routes(destination, rels,
+                                               edge_up=edge_up)
+                assert dict(got) == want
+                assert len(got) == len(want)
+                assert all(got.get(name) == want.get(name)
+                           for name in destinations)
 
 
 class TestTokenBucketProperties:

@@ -1,5 +1,7 @@
 """Unit tests for the seeded random streams."""
 
+import random
+
 from repro.sim.randomness import SeededRandom, default_rng
 
 
@@ -31,6 +33,29 @@ class TestDeterminism:
         rng = SeededRandom(0, name="root")
         child = rng.fork("leaf")
         assert child.name == "root/leaf"
+
+    def test_generator_is_built_by_the_first_draw(self):
+        """A fleet forks two streams per router and draws from almost none:
+        an undrawn stream holds no ``random.Random``; a drawn one is
+        ``random.Random(seed)``, draw for draw, whenever it is first used."""
+        parent = SeededRandom(9)
+        early, late = parent.fork("early"), parent.fork("late")
+        assert "_rng" not in vars(parent)
+        assert "_rng" not in vars(early) and "_rng" not in vars(late)
+        reference = random.Random(early.seed)
+        assert early.random() == reference.random()
+        assert isinstance(vars(early)["_rng"], random.Random)
+        assert "_rng" not in vars(late) and "_rng" not in vars(parent)
+        for _ in range(5):
+            assert early.randint(0, 10 ** 6) == reference.randint(0, 10 ** 6)
+            assert early.expovariate(3.0) == reference.expovariate(3.0)
+        assert early.nonce() == reference.getrandbits(64)
+        # Drawing late, after siblings and parent were used, changes nothing.
+        parent.random()
+        reference = random.Random(late.seed)
+        assert [late.uniform(0, 1) for _ in range(5)] == \
+            [reference.uniform(0, 1) for _ in range(5)]
+        assert not hasattr(late, "no_such_attribute")
 
 
 class TestDraws:
