@@ -9,6 +9,8 @@ hosts and routers without changing their behaviour.
   time series; computes the effective bandwidth of an undesired flow
   (the quantity of Section IV-A.1).
 * :class:`GoodputMeter` — legitimate-traffic goodput at a host.
+* :class:`BucketStore` — the bytes-per-time-bucket record under both: a
+  delivered train is one row, counted per packet only where a read asks.
 * :class:`OccupancySampler` — samples a filter table's (or shadow cache's)
   occupancy on a fixed period; reports the peak and the time series, which
   is what the resource benchmarks compare against nv/na/mv.
@@ -17,7 +19,9 @@ hosts and routers without changing their behaviour.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, repeat
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.flowlabel import FlowLabel
 from repro.net.packet import Packet
@@ -34,14 +38,86 @@ def _spread_train_buckets(buckets: Dict[int, int], start: float,
     Deliberately iterative, not closed-form: the ``when += interval`` float
     recurrence is the exact sequence per-packet mode's arrival times follow,
     so every packet lands in the same bucket it would have per-packet — the
-    uncongested-equivalence tests pin windowed rates to the last bit.  The
-    loop runs only at metered hosts, once per *delivered* packet.
+    uncongested-equivalence tests pin windowed rates to the last bit.  This
+    is the reference :class:`BucketStore` answers to; it runs only when a
+    time series is read, never while the simulation does.
     """
     when = start
     for _ in range(count):
         bucket = int(when / bucket_seconds)
         buckets[bucket] = buckets.get(bucket, 0) + size
         when += interval
+
+
+class BucketStore:
+    """Bytes delivered per ``bucket_seconds`` bucket of nominal arrival time.
+
+    A lone packet goes straight into its bucket.  A train is kept as one
+    flat ``(start, interval, count, size)`` row — no work per packet while
+    the simulation runs — and read back two ways, both equal to spreading
+    it with :func:`_spread_train_buckets` when it arrived:
+
+    * :meth:`total` counts a row wholly inside (or outside) the window in
+      one multiplication and walks only a row the window cuts, in C, along
+      the same float recurrence;
+    * :meth:`folded` spreads the pending rows into the buckets, once.
+
+    Times are simulation times: ``start`` and ``interval`` are never
+    negative.
+    """
+
+    __slots__ = ("bucket_seconds", "_buckets", "_rows")
+
+    def __init__(self, bucket_seconds: float) -> None:
+        self.bucket_seconds = bucket_seconds
+        self._buckets: Dict[int, int] = {}
+        self._rows: List[Tuple[float, float, int, int]] = []
+
+    def add(self, start: float, interval: float, count: int, size: int) -> None:
+        """Record ``count`` packets of ``size`` bytes: the first at ``start``,
+        the rest ``interval`` apart."""
+        if count == 1:
+            bucket = int(start / self.bucket_seconds)
+            self._buckets[bucket] = self._buckets.get(bucket, 0) + size
+        else:
+            self._rows.append((start, interval, count, size))
+
+    def total(self, first_bucket: int, last_bucket: int) -> int:
+        """Bytes in buckets ``first_bucket <= last_bucket``, both included."""
+        total = sum(size for bucket, size in self._buckets.items()
+                    if first_bucket <= bucket <= last_bucket)
+        bucket_seconds = self.bucket_seconds
+
+        def bucket_of(when: float) -> int:
+            return int(when / bucket_seconds)
+
+        for start, interval, count, size in self._rows:
+            head = bucket_of(start)
+            # No earlier than the last packet's bucket: each addition of the
+            # recurrence rounds by at most 2**-53 of its (non-negative)
+            # result, so the closed form widened by 1e-15 a packet bounds it.
+            tail = bucket_of((start + (count - 1) * interval)
+                             * (1.0 + count * 1e-15))
+            if head > last_bucket or tail < first_bucket:
+                continue
+            if first_bucket <= head and tail <= last_bucket:
+                total += count * size
+                continue
+            # The window cuts this train (or comes within rounding of it):
+            # bucket numbers never decrease along it, so each edge is a
+            # bisection over its exact packet times.
+            times = list(accumulate(repeat(interval, count - 1), initial=start))
+            total += size * (bisect_right(times, last_bucket, key=bucket_of)
+                             - bisect_left(times, first_bucket, key=bucket_of))
+        return total
+
+    def folded(self) -> Dict[int, int]:
+        """Bytes per bucket, every train spread over the buckets it spans."""
+        for start, interval, count, size in self._rows:
+            _spread_train_buckets(self._buckets, start, interval, count, size,
+                                  self.bucket_seconds)
+        self._rows.clear()
+        return self._buckets
 
 
 class TimeSeries:
@@ -93,19 +169,52 @@ class TimeSeries:
         return total
 
 
-class FlowMeter:
-    """Counts traffic matching a label as it is delivered to a host."""
+class _HostMeter:
+    """What the two host meters share: packet and byte counters, the bucket
+    store a matching delivery is recorded in, and the reads over it."""
 
-    def __init__(self, host: Host, label: FlowLabel, *, bucket_seconds: float = 0.1) -> None:
+    #: Prefix of the time series' name.
+    series_name = ""
+
+    def __init__(self, host: Host, bucket_seconds: float) -> None:
         self.host = host
-        self.label = label
         self.bucket_seconds = bucket_seconds
         self.packets = 0
         self.bytes = 0
+        self._store = BucketStore(bucket_seconds)
+        host.on_receive(self._observe)
+
+    def _observe(self, packet: Packet, train=None) -> None:
+        raise NotImplementedError
+
+    def received_bps(self, start: float, end: float) -> float:
+        """Average received rate over [start, end] in bits per second."""
+        if end <= start:
+            return 0.0
+        total = self._store.total(int(start / self.bucket_seconds),
+                                  int(end / self.bucket_seconds))
+        return (total * 8) / (end - start)
+
+    def rate_series(self) -> TimeSeries:
+        """Received rate per bucket, as a time series in bits per second."""
+        series = TimeSeries(name=f"{self.series_name}@{self.host.name}")
+        buckets = self._store.folded()
+        for bucket in sorted(buckets):
+            series.add(bucket * self.bucket_seconds,
+                       (buckets[bucket] * 8) / self.bucket_seconds)
+        return series
+
+
+class FlowMeter(_HostMeter):
+    """Counts traffic matching a label as it is delivered to a host."""
+
+    series_name = "flow-rate"
+
+    def __init__(self, host: Host, label: FlowLabel, *, bucket_seconds: float = 0.1) -> None:
+        self.label = label
         self.first_arrival: Optional[float] = None
         self.last_arrival: Optional[float] = None
-        self._buckets: Dict[int, int] = {}
-        host.on_receive(self._observe)
+        super().__init__(host, bucket_seconds)
 
     def _observe(self, packet: Packet, train=None) -> None:
         """Count a delivered packet, or a whole train spread over its span.
@@ -123,53 +232,31 @@ class FlowMeter:
         if self.first_arrival is None:
             self.first_arrival = now
         self.last_arrival = now + (count - 1) * interval
-        _spread_train_buckets(self._buckets, now, interval, count, packet.size,
-                              self.bucket_seconds)
+        self._store.add(now, interval, count, packet.size)
 
     # ------------------------------------------------------------------
     # derived measurements
     # ------------------------------------------------------------------
-    def received_bps(self, start: float, end: float) -> float:
-        """Average received rate of the flow over [start, end]."""
-        if end <= start:
-            return 0.0
-        first_bucket = int(start / self.bucket_seconds)
-        last_bucket = int(end / self.bucket_seconds)
-        total = sum(size for bucket, size in self._buckets.items()
-                    if first_bucket <= bucket <= last_bucket)
-        return (total * 8) / (end - start)
-
     def effective_bandwidth_ratio(self, offered_bps: float, start: float, end: float) -> float:
         """Received rate divided by offered rate — the paper's reduction factor r."""
         if offered_bps <= 0:
             return 0.0
         return self.received_bps(start, end) / offered_bps
 
-    def rate_series(self) -> TimeSeries:
-        """Received rate per bucket, as a time series in bits per second."""
-        series = TimeSeries(name=f"flow-rate@{self.host.name}")
-        for bucket in sorted(self._buckets):
-            series.add(bucket * self.bucket_seconds,
-                       (self._buckets[bucket] * 8) / self.bucket_seconds)
-        return series
-
     def active_seconds(self) -> float:
         """Number of bucket-seconds in which at least one packet arrived."""
-        return len(self._buckets) * self.bucket_seconds
+        return len(self._store.folded()) * self.bucket_seconds
 
 
-class GoodputMeter:
+class GoodputMeter(_HostMeter):
     """Measures legitimate goodput delivered to one host."""
+
+    series_name = "goodput"
 
     def __init__(self, host: Host, *, flow_tag_prefix: str = "legit",
                  bucket_seconds: float = 0.1) -> None:
-        self.host = host
         self.flow_tag_prefix = flow_tag_prefix
-        self.bucket_seconds = bucket_seconds
-        self.packets = 0
-        self.bytes = 0
-        self._buckets: Dict[int, int] = {}
-        host.on_receive(self._observe)
+        super().__init__(host, bucket_seconds)
 
     def _observe(self, packet: Packet, train=None) -> None:
         """Count a delivered packet, or a train bucketed at nominal times."""
@@ -178,26 +265,12 @@ class GoodputMeter:
         count, interval = (1, 0.0) if train is None else (train.count, train.interval)
         self.packets += count
         self.bytes += count * packet.size
-        _spread_train_buckets(self._buckets, self.host.sim.now, interval,
-                              count, packet.size, self.bucket_seconds)
+        self._store.add(self.host.sim.now, interval, count, packet.size)
 
-    def goodput_bps(self, start: float, end: float) -> float:
-        """Average goodput over [start, end] in bits per second."""
-        if end <= start:
-            return 0.0
-        first_bucket = int(start / self.bucket_seconds)
-        last_bucket = int(end / self.bucket_seconds)
-        total = sum(size for bucket, size in self._buckets.items()
-                    if first_bucket <= bucket <= last_bucket)
-        return (total * 8) / (end - start)
-
-    def goodput_series(self) -> TimeSeries:
-        """Goodput per bucket, as a time series in bits per second."""
-        series = TimeSeries(name=f"goodput@{self.host.name}")
-        for bucket in sorted(self._buckets):
-            series.add(bucket * self.bucket_seconds,
-                       (self._buckets[bucket] * 8) / self.bucket_seconds)
-        return series
+    #: Average goodput over [start, end] in bits per second.
+    goodput_bps = _HostMeter.received_bps
+    #: Goodput per bucket, as a time series in bits per second.
+    goodput_series = _HostMeter.rate_series
 
 
 class OccupancySampler:

@@ -225,10 +225,7 @@ class ExperimentExecution:
         attack_offered = sum(w.offered_bps for w in self.attack_workloads())
         attack_received = 0.0
         for meter in self.attack_meters:
-            if isinstance(meter, FlowMeter):
-                attack_received += meter.received_bps(*window)
-            else:
-                attack_received += meter.goodput_bps(*window)
+            attack_received += meter.received_bps(*window)
         legit_offered = sum(w.offered_bps for w in self.legit_workloads())
         legit_goodput = self.goodput_meter.goodput_bps(*window)
         defense_stats = self.backend.collect(self)

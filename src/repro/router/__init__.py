@@ -9,6 +9,8 @@ pipeline:
 * :class:`FilterTable` — bounded wire-speed filter slots with expiry.
 * :class:`ShadowCache` — the DRAM log of filtering requests (O(N) entries)
   the victim's gateway uses to catch on-off attackers.
+* :mod:`repro.router.label_index` — the one hash index and expiry heap
+  under both of the above.
 * :class:`TokenBucket` — request-rate policing for filtering contracts.
 * :class:`RoutingTable` — longest-prefix-match static routing.
 * :class:`NetworkNode`, :class:`Host`, :class:`BorderRouter` — the node

@@ -8,27 +8,25 @@ filter table must enforce its bound honestly — when it is full, installs
 fail, and the caller decides what to do about it.
 
 Filters expire on their own after the duration they were installed for.
-Expiry is driven by a min-heap keyed on expiry time, so the per-operation
-purge is O(1) when nothing has expired (the common case on the packet path)
-instead of a full-table sweep.  Occupancy numbers reported to the
-benchmarks reflect live filters only.
+Occupancy numbers reported to the benchmarks reflect live filters only.
 
-The packet path mirrors what the hardware actually does: filters on
-concrete ``(src, dst)`` address pairs — the overwhelming majority AITF ever
-installs — live in an exact-match hash index, and only wildcard or
-prefix-valued labels fall back to a (short) residual scan.
+The packet path mirrors what the hardware actually does: lookups and expiry
+go through :class:`~repro.router.label_index.LabelIndex` (exact-match hash
+index, short residual scan, lazy expiry heap), built on the first install —
+most routers of a large topology never hold a filter.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.flowlabel import FlowLabel
 from repro.net.packet import Packet
+from repro.router.label_index import LabelIndex
 
 
 class FilterTableFullError(RuntimeError):
@@ -36,6 +34,7 @@ class FilterTableFullError(RuntimeError):
 
 
 _filter_ids = itertools.count(1)
+_filter_id = attrgetter("filter_id")
 
 
 @dataclass
@@ -90,16 +89,10 @@ class FilterTable:
         self._clock = clock or (lambda: 0.0)
         #: Primary store, insertion-ordered: filter_id -> entry.
         self._entries: Dict[int, FilterEntry] = {}
-        #: Exact-match index: (src<<32 | dst) int -> entries, insertion-ordered.
-        self._exact: Dict[int, List[FilterEntry]] = {}
-        #: Wildcard / prefix labels that cannot be hash-indexed.
-        self._residual: List[FilterEntry] = []
-        #: Lazy expiry min-heap of (expires_at, filter_id).  Extending a
-        #: filter pushes a fresh record; stale records are skipped on pop.
-        self._expiry_heap: List[Tuple[float, int]] = []
+        #: Lookup and expiry over ``_entries``; None until the first install.
+        self._index: Optional[LabelIndex] = None
         # statistics
         self.total_installed = 0
-        self.total_expired = 0
         self.total_removed = 0
         self.install_failures = 0
         self.peak_occupancy = 0
@@ -122,6 +115,11 @@ class FilterTable:
     def occupancy(self) -> int:
         """Number of live (non-expired) filters."""
         return len(self)
+
+    @property
+    def total_expired(self) -> int:
+        """Filters dropped because their lifetime ran out."""
+        return 0 if self._index is None else self._index.expired
 
     @property
     def is_full(self) -> bool:
@@ -160,13 +158,13 @@ class FilterTable:
         if duration <= 0:
             raise ValueError(f"filter duration must be positive, got {duration}")
         now = self._clock()
-        self._purge_expired()
-        existing = self._find_covering(label)
+        index = self._index
+        if index is None:
+            index = self._index = LabelIndex(self._entries, _filter_id)
+        index.purge(self._clock)
+        existing = index.covering(label)
         if existing is not None:
-            expires = now + duration
-            if expires > existing.expires_at:
-                existing.expires_at = expires
-                heapq.heappush(self._expiry_heap, (expires, existing.filter_id))
+            index.extend(existing, now + duration)
             return existing
         if self.capacity is not None and len(self._entries) >= self.capacity:
             self.install_failures += 1
@@ -179,9 +177,7 @@ class FilterTable:
             expires_at=now + duration,
             reason=reason,
         )
-        self._entries[entry.filter_id] = entry
-        self._index_add(entry)
-        heapq.heappush(self._expiry_heap, (entry.expires_at, entry.filter_id))
+        index.add(entry)
         self.total_installed += 1
         self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
         return entry
@@ -189,30 +185,26 @@ class FilterTable:
     def remove(self, entry_or_id) -> bool:
         """Remove a filter before it expires.  Returns True if it was present."""
         filter_id = entry_or_id.filter_id if isinstance(entry_or_id, FilterEntry) else int(entry_or_id)
-        entry = self._entries.pop(filter_id, None)
-        if entry is not None:
-            self._index_discard(entry)
+        if filter_id in self._entries:
+            self._index.remove(filter_id)
             self.total_removed += 1
             return True
         return False
 
     def remove_matching(self, label: FlowLabel) -> int:
         """Remove every live filter whose label equals ``label``.  Returns the count."""
-        key = label.exact_key
-        candidates = self._exact.get(key, []) if key is not None else self._residual
-        doomed = [entry for entry in candidates if entry.label == label]
+        if not self._entries:
+            return 0
+        doomed = self._index.labelled(label)
         for entry in doomed:
-            del self._entries[entry.filter_id]
-            self._index_discard(entry)
+            self._index.remove(entry.filter_id)
         self.total_removed += len(doomed)
         return len(doomed)
 
     def clear(self) -> None:
         """Drop every filter (used between benchmark iterations)."""
-        self._entries.clear()
-        self._exact.clear()
-        self._residual.clear()
-        self._expiry_heap.clear()
+        if self._index is not None:
+            self._index.clear()
 
     # ------------------------------------------------------------------
     # packet path
@@ -223,7 +215,10 @@ class FilterTable:
         if not self._entries:
             return None
         now = self._clock()
-        best = self._match(packet, now)
+        index = self._index
+        if index.next_expiry <= now:
+            index.expire(now)
+        best = index.match(packet, now)
         if best is not None:
             best.packets_blocked += 1
             best.bytes_blocked += packet.size
@@ -254,7 +249,10 @@ class FilterTable:
         if not self._entries:
             return None, 0
         now = self._clock()
-        best = self._match(template, now)
+        index = self._index
+        if index.next_expiry <= now:
+            index.expire(now)
+        best = index.match(template, now)
         if best is None:
             return None, 0
         # Packet i (nominal time now + i*interval) is blocked while the
@@ -273,32 +271,10 @@ class FilterTable:
         self.packets_blocked += blocked
         return best, blocked
 
-    def _match(self, packet: Packet, now: float) -> Optional[FilterEntry]:
-        """Purge what expired by ``now``, then return the earliest-installed
-        live filter matching ``packet`` (the one lookup behind both
-        :meth:`blocks` and :meth:`blocks_train`)."""
-        heap = self._expiry_heap
-        if heap and heap[0][0] <= now:
-            self._purge_expired()
-        best: Optional[FilterEntry] = None
-        bucket = self._exact.get((packet.src.value << 32) | packet.dst.value)
-        if bucket:
-            for entry in bucket:
-                if entry.exact_only or entry.label.matches(packet):
-                    best = entry
-                    break
-        for entry in self._residual:
-            if best is not None and entry.filter_id > best.filter_id:
-                break
-            if entry.label.matches(packet):
-                best = entry
-                break
-        return best
-
     def has_filter_for(self, label: FlowLabel) -> bool:
         """True when a live filter covers ``label``."""
         self._purge_expired()
-        return self._find_covering(label) is not None
+        return bool(self._entries) and self._index.covering(label) is not None
 
     def tap(self, on_block: Callable[["FilterTable", FilterEntry, Packet, int], None]) -> None:
         """Observe blocked traffic (the tracing plane's filter hook).
@@ -333,77 +309,6 @@ class FilterTable:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _index_add(self, entry: FilterEntry) -> None:
-        label = entry.label
-        key = label.exact_key
-        if key is not None:
-            entry.exact_only = (label.protocol is None
-                                and label.src_port is None
-                                and label.dst_port is None)
-            self._exact.setdefault(key, []).append(entry)
-        else:
-            self._residual.append(entry)
-
-    def _index_discard(self, entry: FilterEntry) -> None:
-        key = entry.label.exact_key
-        if key is not None:
-            bucket = self._exact.get(key)
-            if bucket is not None:
-                try:
-                    bucket.remove(entry)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-                if not bucket:
-                    del self._exact[key]
-        else:
-            try:
-                self._residual.remove(entry)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-
-    def _find_covering(self, label: FlowLabel) -> Optional[FilterEntry]:
-        """The earliest-installed live filter covering ``label``, if any.
-
-        Exact entries can only cover a label with the same concrete
-        ``(src, dst)`` pair, so the search is one bucket plus the residual
-        list — never the full table.
-        """
-        best: Optional[FilterEntry] = None
-        key = label.exact_key
-        if key is not None:
-            bucket = self._exact.get(key)
-            if bucket:
-                for entry in bucket:
-                    if entry.label.covers(label):
-                        best = entry
-                        break
-        for entry in self._residual:
-            if best is not None and entry.filter_id > best.filter_id:
-                break
-            if entry.label.covers(label):
-                best = entry
-                break
-        return best
-
     def _purge_expired(self) -> None:
-        heap = self._expiry_heap
-        if not heap:
-            return
-        now = self._clock()
-        if heap[0][0] > now:
-            return
-        entries = self._entries
-        expired = 0
-        while heap and heap[0][0] <= now:
-            _, filter_id = heapq.heappop(heap)
-            entry = entries.get(filter_id)
-            if entry is None:
-                continue  # removed explicitly; this heap record is stale
-            if entry.expires_at > now:
-                # The filter was extended after this record was pushed; a
-                # fresh record for the new expiry is already in the heap.
-                continue
-            del entries[filter_id]
-            self._index_discard(entry)
-            expired += 1
-        self.total_expired += expired
+        if self._index is not None:
+            self._index.purge(self._clock)

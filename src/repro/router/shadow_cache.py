@@ -9,18 +9,24 @@ immediately (no new detection delay) and escalates.
 
 DRAM is cheap — the cache is sized in entries (mv = R1 * T, Section IV-B)
 rather than in scarce filter slots, and entries age out after T seconds.
+A match is "just a DRAM lookup" (Section IV-A.1, footnote 8): lookups and
+expiry go through the :class:`~repro.router.label_index.LabelIndex` the
+filter table uses, built on the first logged request.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional
 
 from repro.net.flowlabel import FlowLabel
 from repro.net.packet import Packet
+from repro.router.label_index import LabelIndex
 
 _shadow_ids = itertools.count(1)
+_shadow_id = attrgetter("shadow_id")
 
 
 @dataclass
@@ -34,6 +40,9 @@ class ShadowEntry:
     escalations: int = 0
     reappearances: int = 0
     shadow_id: int = field(default_factory=lambda: next(_shadow_ids))
+    #: True when the label constrains nothing beyond the concrete (src, dst)
+    #: pair: an exact-index hit then needs no further match (set on insert).
+    exact_only: bool = False
 
     def is_expired(self, now: float) -> bool:
         """True once the T-second shadow lifetime has elapsed."""
@@ -61,9 +70,11 @@ class ShadowCache:
         self.capacity = capacity
         self.name = name
         self._clock = clock or (lambda: 0.0)
+        #: Primary store, insertion-ordered: shadow_id -> entry.
         self._entries: Dict[int, ShadowEntry] = {}
+        #: Lookup and expiry over ``_entries``; None until the first log.
+        self._index: Optional[LabelIndex] = None
         self.total_logged = 0
-        self.total_expired = 0
         self.insert_failures = 0
         self.peak_occupancy = 0
 
@@ -78,6 +89,11 @@ class ShadowCache:
     def occupancy(self) -> int:
         """Number of live shadow entries."""
         return len(self)
+
+    @property
+    def total_expired(self) -> int:
+        """Entries dropped because their T-second lifetime ran out."""
+        return 0 if self._index is None else self._index.expired
 
     def entries(self) -> List[ShadowEntry]:
         """Snapshot of live shadow entries."""
@@ -96,10 +112,13 @@ class ShadowCache:
         if duration <= 0:
             raise ValueError(f"shadow duration must be positive, got {duration}")
         now = self._clock()
-        self._purge_expired()
+        index = self._index
+        if index is None:
+            index = self._index = LabelIndex(self._entries, _shadow_id)
+        index.purge(self._clock)
         existing = self.find(label)
         if existing is not None:
-            existing.expires_at = max(existing.expires_at, now + duration)
+            index.extend(existing, now + duration)
             return existing
         if self.capacity is not None and len(self._entries) >= self.capacity:
             self.insert_failures += 1
@@ -110,7 +129,7 @@ class ShadowCache:
             expires_at=now + duration,
             requestor=requestor,
         )
-        self._entries[entry.shadow_id] = entry
+        index.add(entry)
         self.total_logged += 1
         self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
         return entry
@@ -118,11 +137,10 @@ class ShadowCache:
     def find(self, label: FlowLabel) -> Optional[ShadowEntry]:
         """Return the live entry with exactly this label, if any."""
         now = self._clock()
-        for entry in self._entries.values():
-            if entry.is_expired(now):
-                continue
-            if entry.label == label:
-                return entry
+        if self._entries:
+            for entry in self._index.labelled(label):
+                if not entry.is_expired(now):
+                    return entry
         return None
 
     def match_packet(self, packet: Packet, count: int = 1) -> Optional[ShadowEntry]:
@@ -139,32 +157,26 @@ class ShadowCache:
         """
         if not self._entries:
             return None
-        now = self._clock()
-        for entry in self._entries.values():
-            if entry.is_expired(now):
-                continue
-            if entry.label.matches(packet):
-                entry.reappearances += count
-                return entry
-        return None
+        entry = self._index.match(packet, self._clock())
+        if entry is not None:
+            entry.reappearances += count
+        return entry
 
     def remove(self, entry: ShadowEntry) -> bool:
         """Remove a shadow entry early.  Returns True if it was present."""
         if entry.shadow_id in self._entries:
-            del self._entries[entry.shadow_id]
+            self._index.remove(entry.shadow_id)
             return True
         return False
 
     def clear(self) -> None:
         """Discard every entry."""
-        self._entries.clear()
+        if self._index is not None:
+            self._index.clear()
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
     def _purge_expired(self) -> None:
-        now = self._clock()
-        expired = [sid for sid, entry in self._entries.items() if entry.is_expired(now)]
-        for sid in expired:
-            del self._entries[sid]
-        self.total_expired += len(expired)
+        if self._index is not None:
+            self._index.purge(self._clock)

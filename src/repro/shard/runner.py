@@ -41,7 +41,6 @@ import multiprocessing
 import traceback
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.metrics import FlowMeter
 from repro.attacks.zombies import ZombieArmy
 from repro.experiments.runner import (
     RESULT_SCHEMA,
@@ -309,10 +308,7 @@ def _collect_partial(execution: ExperimentExecution, partition: Partition,
     window = (execution.attack_window_start, duration)
     attack_received = 0.0
     for meter in execution.attack_meters:
-        if isinstance(meter, FlowMeter):
-            attack_received += meter.received_bps(*window)
-        else:
-            attack_received += meter.goodput_bps(*window)
+        attack_received += meter.received_bps(*window)
     legit_goodput = execution.goodput_meter.goodput_bps(*window)
     defense_stats = execution.backend.collect(execution)
     defense_extras = _defense_extras(execution, owner, shard_id)

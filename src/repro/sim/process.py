@@ -25,6 +25,8 @@ a single aggregated object for all of them (see :mod:`repro.net.train`).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, repeat
 from typing import Any, Callable, Optional
 
 from repro.sim.engine import Event, Simulator
@@ -391,33 +393,26 @@ class TrainProcess:
         if gen != self._gen or not self._running:
             return
         sim = self._sim
-        interval = self._interval
         horizon = self._horizon
-        limit = self.limit_until
         cap = self._max_train
         if self._max_ticks is not None:
-            remaining = self._max_ticks - self._ticks
-            if remaining < cap:
-                cap = remaining
-        # Walk the exact per-tick float recurrence to size this train; the
-        # loop is pure arithmetic (no events), so a train of n ticks costs
-        # n float additions instead of n heap entries.
-        max_span = self._max_span
-        span_limit = sim._now + max_span if max_span is not None else None
-        count = 0
-        when = sim._now
-        while count < cap:
-            if horizon is not None and when > horizon:
-                break
-            if limit is not None and when >= limit:
-                break
-            if span_limit is not None and when > span_limit:
-                break
-            count += 1
-            when += interval
+            cap = min(cap, self._max_ticks - self._ticks)
+        # The tick times this train may cover, and the one after them: the
+        # exact per-tick float recurrence (the same left-to-right additions
+        # as ``when += interval``), run in C.  They never decrease, so each
+        # bound is a bisection — no Python-level work per tick.
+        times = list(accumulate(repeat(self._interval, cap), initial=sim._now))
+        count = len(times) - 1
+        if horizon is not None:
+            count = bisect_right(times, horizon, 0, count)
+        if self.limit_until is not None:
+            count = bisect_left(times, self.limit_until, 0, count)
+        if self._max_span is not None:
+            count = bisect_right(times, sim._now + self._max_span, 0, count)
         if count == 0:
             self.stop()
             return
+        when = times[count]
         self._ticks += count
         if self._callback(count) is False:
             self.stop()

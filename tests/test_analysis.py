@@ -116,6 +116,11 @@ class TestMeters:
         assert goodput.goodput_bps(0.0, 1.0) == pytest.approx(0.8e6, rel=0.15)
         series = goodput.goodput_series()
         assert len(series) > 0
+        # One meter under two names: a tag meter standing in for a flow
+        # meter (a multi-label attack workload) answers the same reads.
+        assert goodput.received_bps(0.0, 1.0) == goodput.goodput_bps(0.0, 1.0)
+        assert goodput.rate_series().values == series.values
+        assert (goodput.rate_series().name, series.name) == ("goodput@G_host",) * 2
 
     def test_occupancy_sampler_tracks_peak(self):
         sim = Simulator()

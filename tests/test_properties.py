@@ -2,6 +2,7 @@
 
 from hypothesis import example, given, settings, strategies as st
 
+from repro.analysis.metrics import BucketStore, _spread_train_buckets
 from repro.net.address import IPAddress, Prefix
 from repro.net.flowlabel import FlowLabel
 from repro.net.link import Link
@@ -15,6 +16,7 @@ from repro.router.routing import RoutingTable
 from repro.router.shadow_cache import ShadowCache
 from repro.routing_policy import RelationshipMap, valley_free_routes
 from repro.sim.engine import Simulator
+from repro.sim.process import TrainProcess
 from repro.topology.powerlaw import build_powerlaw_internet
 from tests.valley_free_oracle import heap_valley_free_routes
 
@@ -458,3 +460,324 @@ class TestOneRouterPipeline:
     def test_train_of_n_counts_as_n_lone_packets(self, stages):
         assert _run_router_stages(stages, as_train=True) == \
             _run_router_stages(stages, as_train=False)
+
+
+# ----------------------------------------------------------------------
+# A train costs O(1) at both ends (PR 20).  Each oracle below keeps the
+# per-packet code its subject replaced as a test-local model; the subject
+# must agree with it to the last bit, not to a tolerance.
+# ----------------------------------------------------------------------
+class _SteppedSim:
+    """The two simulator entry points a TrainProcess uses, stepped by hand."""
+
+    def __init__(self, now):
+        self._now = now
+        self.pending = None
+
+    def schedule_fire(self, delay, callback, *args):
+        self.fire_at(self._now + delay, callback, *args)
+
+    def fire_at(self, when, callback, *args):
+        self.pending = (when, callback, args)
+
+
+def _looped_trains(now, interval, max_train, horizon, limit, max_span,
+                   max_ticks, wakeups):
+    """``(ticks emitted, next wake-up or None once stopped)`` per wake-up, as
+    ``TrainProcess._wakeup`` produced them while it still walked the
+    ``when += interval`` recurrence one Python iteration per tick."""
+    ticks, trains = 0, []
+    for _ in range(wakeups):
+        cap = max_train
+        if max_ticks is not None and max_ticks - ticks < cap:
+            cap = max_ticks - ticks
+        span_limit = now + max_span if max_span is not None else None
+        count, when = 0, now
+        while count < cap:
+            if horizon is not None and when > horizon:
+                break
+            if limit is not None and when >= limit:
+                break
+            if span_limit is not None and when > span_limit:
+                break
+            count += 1
+            when += interval
+        ticks += count
+        stopped = (count == 0
+                   or (max_ticks is not None and ticks >= max_ticks)
+                   or (horizon is not None and when > horizon))
+        trains.append((count, None if stopped else when))
+        if stopped:
+            break
+        now = when
+    return trains
+
+
+@st.composite
+def train_schedules(draw):
+    now = draw(st.floats(min_value=0.0, max_value=1e6))
+    interval = draw(st.one_of(
+        st.floats(min_value=1e-6, max_value=10.0),
+        # so small next to ``now`` that ``when + interval == when``
+        st.just(5e-324), st.just(now * 2.0 ** -60 or 1e-300),
+        # an exact binary fraction: ticks land on the bounds themselves
+        st.sampled_from([2.0 ** -7, 0.25])))
+    max_train = draw(st.integers(min_value=1, max_value=40))
+    # Bounds a few ticks away — at, between and beyond the train's ticks.
+    ticks_away = st.one_of(
+        st.none(),
+        st.integers(min_value=0, max_value=100),
+        st.floats(min_value=0.0, max_value=100.0))
+
+    def span():
+        ticks = draw(ticks_away)
+        return None if ticks is None else ticks * interval
+
+    horizon, limit, max_span = span(), span(), span()
+    return dict(now=now, interval=interval, max_train=max_train,
+                horizon=None if horizon is None else now + horizon,
+                limit=None if limit is None else now + limit,
+                max_span=max_span or None,  # a span is positive
+                max_ticks=draw(st.one_of(
+                    st.none(), st.integers(min_value=0, max_value=120))))
+
+
+class TestTrainSizing:
+    @given(train_schedules())
+    @example(dict(now=1.0, interval=2.0 ** -7, max_train=8,
+                  horizon=1.0 + 5 * 2.0 ** -7, limit=1.0 + 5 * 2.0 ** -7,
+                  max_span=3 * 2.0 ** -7, max_ticks=None))
+    @example(dict(now=1e6, interval=5e-324, max_train=4, horizon=1e6,
+                  limit=None, max_span=1.0, max_ticks=10))
+    @settings(max_examples=400, deadline=None)
+    def test_counts_and_wakeups_equal_the_per_tick_loop(self, drawn):
+        sim = _SteppedSim(drawn["now"])
+        emitted = []
+        process = TrainProcess(sim, drawn["interval"], emitted.append,
+                               max_train=drawn["max_train"],
+                               max_span=drawn["max_span"],
+                               max_ticks=drawn["max_ticks"],
+                               horizon=drawn["horizon"])
+        process.limit_until = drawn["limit"]
+        process.start()
+        trains = []
+        for _ in range(6):
+            sim._now, wakeup, args = sim.pending
+            sim.pending = None
+            before = len(emitted)
+            wakeup(*args)
+            count = emitted[-1] if len(emitted) > before else 0
+            trains.append((count, sim.pending and sim.pending[0]))
+            if sim.pending is None:
+                assert not process.running
+                break
+        assert trains == _looped_trains(
+            drawn["now"], drawn["interval"], drawn["max_train"],
+            drawn["horizon"], drawn["limit"], drawn["max_span"],
+            drawn["max_ticks"], wakeups=6)
+        assert process.ticks == sum(count for count, _ in trains)
+
+
+_BUCKET = 0.1
+
+delivered = st.tuples(
+    # On bucket edges, between them, and late enough for rounding to show.
+    st.one_of(st.integers(min_value=0, max_value=60).map(lambda k: k * _BUCKET),
+              st.floats(min_value=0.0, max_value=6.0),
+              st.floats(min_value=1e5, max_value=1e5 + 6.0)),
+    # interval: a burst (0), whole fractions of a bucket, anything else
+    st.one_of(st.just(0.0),
+              st.integers(min_value=1, max_value=8).map(lambda k: _BUCKET / k),
+              st.floats(min_value=1e-5, max_value=0.05)),
+    st.one_of(st.just(1), st.integers(min_value=1, max_value=300)),
+    st.integers(min_value=1, max_value=1500))
+
+
+class TestBucketStore:
+    @given(st.lists(delivered, min_size=1, max_size=12), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_windows_and_series_equal_eager_spreading(self, rows, data):
+        store, eager = BucketStore(_BUCKET), {}
+        for start, interval, count, size in rows:
+            store.add(start, interval, count, size)
+            _spread_train_buckets(eager, start, interval, count, size, _BUCKET)
+        # Windows that cut trains at either edge: on buckets that hold
+        # something, one beside them, and anywhere.
+        held = sorted(eager)
+        edges = st.one_of(
+            st.sampled_from(held),
+            st.sampled_from(held).map(lambda bucket: bucket + 1),
+            st.sampled_from(held).map(lambda bucket: bucket - 1),
+            st.integers(min_value=0, max_value=held[-1] + 2))
+        for _ in range(6):
+            first, last = sorted((data.draw(edges), data.draw(edges)))
+            assert store.total(first, last) == sum(
+                size for bucket, size in eager.items()
+                if first <= bucket <= last), (first, last)
+        assert store.total(held[0], held[-1]) == sum(eager.values())
+        assert store.folded() == eager
+        # Folded, the store answers from the buckets alone — equally.
+        first, last = sorted((data.draw(edges), data.draw(edges)))
+        assert store.total(first, last) == sum(
+            size for bucket, size in eager.items() if first <= bucket <= last)
+
+
+    def test_a_recurrence_that_drifts_over_a_bucket_edge_is_walked(self):
+        """Summing ``interval`` 43 times lands the last packet one bucket
+        later than ``start + 43 * interval`` does: the closed form may say
+        which trains need walking, never where a packet falls."""
+        for start, interval, count in [(0.0, 0.1, 44), (0.0, 0.1 / 3, 37),
+                                       (0.0, 0.02, 31), (0.1, 0.05, 191)]:
+            store, eager = BucketStore(_BUCKET), {}
+            store.add(start, interval, count, 100)
+            _spread_train_buckets(eager, start, interval, count, 100, _BUCKET)
+            drifted = max(eager)
+            assert drifted == int((start + (count - 1) * interval) / _BUCKET) + 1
+            for first in (0, 1, drifted - 1, drifted):
+                for last in range(first, drifted + 2):
+                    assert store.total(first, last) == sum(
+                        size for bucket, size in eager.items()
+                        if first <= bucket <= last), (start, first, last)
+
+
+class _ScannedShadowCache:
+    """The shadow cache as it was before it had an index: every operation a
+    scan of the entries in insertion order.  Entries are ``[label,
+    expires_at, reappearances, serial]`` lists."""
+
+    def __init__(self, capacity, clock):
+        self.capacity, self.clock = capacity, clock
+        self.entries = []
+        self.total_logged = self.total_expired = 0
+        self.insert_failures = self.peak_occupancy = 0
+
+    def purge(self):
+        now = self.clock()
+        live = [entry for entry in self.entries if now < entry[1]]
+        self.total_expired += len(self.entries) - len(live)
+        self.entries = live
+
+    def __len__(self):
+        self.purge()
+        return len(self.entries)
+
+    def find(self, label):
+        now = self.clock()
+        for entry in self.entries:
+            if now < entry[1] and entry[0] == label:
+                return entry
+        return None
+
+    def log(self, label, duration, serial):
+        now = self.clock()
+        self.purge()
+        existing = self.find(label)
+        if existing is not None:
+            existing[1] = max(existing[1], now + duration)
+            return existing
+        if self.capacity is not None and len(self.entries) >= self.capacity:
+            self.insert_failures += 1
+            return None
+        entry = [label, now + duration, 0, serial]
+        self.entries.append(entry)
+        self.total_logged += 1
+        self.peak_occupancy = max(self.peak_occupancy, len(self.entries))
+        return entry
+
+    def match_packet(self, packet, count):
+        now = self.clock()
+        for entry in self.entries:
+            if now < entry[1] and entry[0].matches(packet):
+                entry[2] += count
+                return entry
+        return None
+
+    def remove(self, serial):
+        kept = [entry for entry in self.entries if entry[3] != serial]
+        removed = len(kept) != len(self.entries)
+        self.entries = kept
+        return removed
+
+
+_SHADOW_SRCS = [IPAddress.parse(f"10.0.0.{host}") for host in (1, 2, 3)]
+_SHADOW_DSTS = [IPAddress.parse(f"10.0.1.{host}") for host in (1, 2)]
+#: Exact, /32-prefix (exact-indexed, unequal to the plain-address label on
+#: the same pair), port-constrained, shorter-prefix and wildcard labels over
+#: six flows, so hash hits, residual hits and their ordering all collide.
+_SHADOW_LABELS = (
+    [FlowLabel.between(src, dst) for src in _SHADOW_SRCS for dst in _SHADOW_DSTS]
+    + [FlowLabel.between(Prefix(src, 32), Prefix(_SHADOW_DSTS[0], 32))
+       for src in _SHADOW_SRCS]
+    + [FlowLabel.between(_SHADOW_SRCS[0], _SHADOW_DSTS[0], dst_port=53),
+       FlowLabel.between("10.0.0.0/30", _SHADOW_DSTS[0]),
+       FlowLabel.between("10.0.0.2/31", None),
+       FlowLabel.from_source(_SHADOW_SRCS[1]),
+       FlowLabel.to_destination(_SHADOW_DSTS[1])])
+
+shadow_operations = st.lists(st.one_of(
+    st.tuples(st.just("log"), st.sampled_from(_SHADOW_LABELS),
+              st.sampled_from([0.5, 1.0, 2.0, 3.5])),
+    st.tuples(st.just("match"), st.sampled_from(_SHADOW_SRCS),
+              st.sampled_from(_SHADOW_DSTS), st.sampled_from([53, 80]),
+              st.integers(min_value=1, max_value=40)),
+    st.tuples(st.just("find"), st.sampled_from(_SHADOW_LABELS)),
+    st.tuples(st.just("advance"), st.sampled_from([0.25, 0.5, 1.0, 2.0])),
+    st.tuples(st.just("remove"), st.integers(min_value=0, max_value=30)),
+    st.tuples(st.just("len")),
+    st.tuples(st.just("clear")),
+), max_size=60)
+
+
+class TestShadowCacheIndex:
+    @given(st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+           shadow_operations)
+    @settings(max_examples=400, deadline=None)
+    def test_every_answer_equals_the_insertion_ordered_scan(self, capacity,
+                                                            operations):
+        clock = {"now": 0.0}
+        cache = ShadowCache(capacity=capacity, clock=lambda: clock["now"])
+        model = _ScannedShadowCache(capacity, lambda: clock["now"])
+        logged = {}  # serial -> the cache's entry
+
+        def same(entry, modelled):
+            if modelled is None:
+                assert entry is None
+            else:
+                assert entry is logged[modelled[3]]
+                assert (entry.label, entry.expires_at, entry.reappearances) \
+                    == tuple(modelled[:3])
+
+        for serial, operation in enumerate(operations):
+            kind, *args = operation
+            if kind == "log":
+                entry = cache.log(*args)
+                modelled = model.log(*args, serial)
+                if modelled is not None:
+                    logged.setdefault(modelled[3], entry)
+                same(entry, modelled)
+            elif kind == "match":
+                src, dst, port, count = args
+                packet = Packet.data(src, dst, dst_port=port)
+                same(cache.match_packet(packet, count),
+                     model.match_packet(packet, count))
+            elif kind == "find":
+                same(cache.find(*args), model.find(*args))
+            elif kind == "advance":
+                clock["now"] += args[0]
+            elif kind == "remove":
+                if args[0] in logged:
+                    assert cache.remove(logged[args[0]]) == model.remove(args[0])
+            elif kind == "len":
+                assert len(cache) == len(model)
+                # Both have swept now, so both have counted every expiry.
+                assert cache.total_expired == model.total_expired
+            else:
+                cache.clear()
+                model.entries = []
+            assert (cache.total_logged, cache.insert_failures,
+                    cache.peak_occupancy) == (
+                model.total_logged, model.insert_failures, model.peak_occupancy)
+        assert [entry.label for entry in cache.entries()] == \
+            [entry[0] for entry in model.entries if clock["now"] < entry[1]]
+        assert len(cache) == len(model)
+        assert cache.total_expired == model.total_expired
