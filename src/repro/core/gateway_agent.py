@@ -106,19 +106,12 @@ class GatewayAgent:
         #: Whether this gateway exercises its right to disconnect
         #: non-cooperating counterparties.
         self.disconnection_enabled = disconnection_enabled
-        self.contracts = ContractBook(
-            clock=lambda: router.sim.now,
-            default_accept_rate=config.default_accept_rate,
-            default_send_rate=config.default_send_rate,
-        )
-        self.shadow_cache = ShadowCache(
-            capacity=config.shadow_cache_capacity,
-            clock=lambda: router.sim.now,
-            name=f"{router.name}-shadow",
-        )
-        self.handshake = HandshakeManager(
-            router.sim, self.rng.fork("handshake"), timeout=config.handshake_timeout
-        )
+        # Behind the three properties below.  The rng is drawn here, not
+        # with the manager it seeds: SeededRandom.fork seeds by fork order.
+        self._contracts: Optional[ContractBook] = None
+        self._shadow: Optional[ShadowCache] = None
+        self._handshake: Optional[HandshakeManager] = None
+        self._handshake_rng = self.rng.fork("handshake")
         #: Labels this gateway itself asked to block (when it plays the
         #: victim role during escalation it may be queried by the handshake).
         self.wanted_blocks: Dict[FlowLabel, float] = {}
@@ -136,6 +129,50 @@ class GatewayAgent:
             router.filter_table.capacity = config.victim_gateway_filter_capacity
         router.control_handler = self._handle_control
         router.add_forward_observer(self._observe_forwarded)
+
+    # ------------------------------------------------------------------
+    # per-gateway books, built by the first request that reaches this
+    # gateway: on a 5,000-AS hierarchy a few dozen agents ever see one.
+    # Plain properties over attributes set in __init__, not
+    # cached_property: that one writes through the instance __dict__, after
+    # which CPython 3.11 reads every attribute of the agent the slow way
+    # (+15 ns a read), the per-packet forward hook's included.
+    # ------------------------------------------------------------------
+    @property
+    def contracts(self) -> ContractBook:
+        """Filtering contracts with this gateway's counterparties."""
+        book = self._contracts
+        if book is None:
+            router = self.router
+            book = self._contracts = ContractBook(
+                clock=lambda: router.sim.now,
+                default_accept_rate=self.config.default_accept_rate,
+                default_send_rate=self.config.default_send_rate,
+            )
+        return book
+
+    @property
+    def shadow_cache(self) -> ShadowCache:
+        """The DRAM log of requests this gateway is still watching for."""
+        cache = self._shadow
+        if cache is None:
+            router = self.router
+            cache = self._shadow = ShadowCache(
+                capacity=self.config.shadow_cache_capacity,
+                clock=lambda: router.sim.now,
+                name=f"{router.name}-shadow",
+            )
+        return cache
+
+    @property
+    def handshake(self) -> HandshakeManager:
+        """Pending 3-way-handshake verifications."""
+        manager = self._handshake
+        if manager is None:
+            manager = self._handshake = HandshakeManager(
+                self.router.sim, self._handshake_rng,
+                timeout=self.config.handshake_timeout)
+        return manager
 
     # ------------------------------------------------------------------
     # public inspection helpers (used by tests and benchmarks)
@@ -390,8 +427,10 @@ class GatewayAgent:
         escalate, both grace-throttled) fires once per train, exactly as it
         effectively does once per packet burst in per-packet mode.
         """
-        entry = self.shadow_cache.match_packet(
-            packet, 1 if train is None else train.count)
+        cache = self._shadow
+        if cache is None:
+            return
+        entry = cache.match_packet(packet, 1 if train is None else train.count)
         if entry is not None:
             self._on_shadow_hit(entry, packet)
 

@@ -11,8 +11,10 @@ metrics.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.analysis.metrics import FlowMeter, GoodputMeter, OccupancySampler
 from repro.core.config import AITFConfig
@@ -75,6 +77,66 @@ class ExperimentResult:
         return result_to_dict(self)
 
 
+class BuildCollector:
+    """The cyclic collector around a build: pause, promote, release.
+
+    Wiring an experiment allocates long-lived state and no garbage, so a
+    collection that runs while the heap grows re-walks it and frees
+    nothing (PERFORMANCE.md, "Set-up outside the collector").  The build
+    therefore runs with the collector paused.  One that outgrew
+    ``threshold0 * threshold1`` — the allocations after which the
+    collector, left on, would itself have begun moving it into the oldest
+    generation — goes to the permanent one, where no pass of the run walks
+    it, until :meth:`release` hands it back:
+    :meth:`ExperimentExecution.run` on every exit path, the sharded
+    parent once its workers are joined.  A smaller one (a figure-1 cell
+    is under a thousand objects) is left to the collector as it is.
+
+    ``gc.unfreeze()`` puts a build into the oldest generation without
+    counting it as pending, so the collector's own trigger for a full
+    pass never sees it (ten 2,000-AS cells in one process: 82 -> 234 MB,
+    no full pass).  The full pass it is owed is made when the next build
+    starts — by then the released one is usually dead — and by nobody
+    else: a process that runs one experiment never pays it.
+
+    The flags are class-level because the permanent generation is
+    process-wide.
+    """
+
+    _frozen = False
+    _owed = False
+
+    @classmethod
+    @contextlib.contextmanager
+    def building(cls) -> Iterator[None]:
+        """Pause around a build; a caller's own ``gc.disable()`` is kept."""
+        # A prepared-and-dropped execution must not stay pinned.
+        cls.release()
+        if not gc.isenabled():
+            yield
+            return
+        if cls._owed:
+            cls._owed = False
+            gc.collect()
+        gc.disable()
+        try:
+            yield
+            young, middle, _ = gc.get_threshold()
+            if gc.get_count()[0] > young * middle:
+                gc.freeze()
+                cls._frozen = True
+        finally:
+            gc.enable()
+
+    @classmethod
+    def release(cls) -> None:
+        """Return a promoted build to the collector (no-op otherwise)."""
+        if cls._frozen:
+            cls._frozen = False
+            cls._owed = True
+            gc.unfreeze()
+
+
 class ExperimentExecution:
     """A fully wired experiment, ready to run.
 
@@ -85,6 +147,10 @@ class ExperimentExecution:
     """
 
     def __init__(self, spec: ExperimentSpec) -> None:
+        with BuildCollector.building():
+            self._wire(spec)
+
+    def _wire(self, spec: ExperimentSpec) -> None:
         self.spec = spec
         self.handle: TopologyHandle = build_topology(spec.topology.kind,
                                                      spec.topology.params)
@@ -203,22 +269,25 @@ class ExperimentExecution:
     def run(self, until: Optional[float] = None) -> ExperimentResult:
         """Run the simulation to ``until`` (default: the spec's duration)."""
         duration = until if until is not None else self.spec.duration
-        if self._ran_until is None:
-            if self.observer is not None:
-                self.observer.start(self, duration)
-            if self.fault_injector is not None:
-                self.fault_injector.start()
-            for workload in self.workloads:
-                workload.start()
-            for collector in self.collectors:
-                collector.start()
-            if self.victim_gw_occupancy is not None:
-                self.victim_gw_occupancy.start()
-            if self.attacker_gw_occupancy is not None:
-                self.attacker_gw_occupancy.start()
-        self.sim.run(until=duration)
-        self._ran_until = duration
-        return self._collect(duration)
+        try:
+            if self._ran_until is None:
+                if self.observer is not None:
+                    self.observer.start(self, duration)
+                if self.fault_injector is not None:
+                    self.fault_injector.start()
+                for workload in self.workloads:
+                    workload.start()
+                for collector in self.collectors:
+                    collector.start()
+                if self.victim_gw_occupancy is not None:
+                    self.victim_gw_occupancy.start()
+                if self.attacker_gw_occupancy is not None:
+                    self.attacker_gw_occupancy.start()
+            self.sim.run(until=duration)
+            self._ran_until = duration
+            return self._collect(duration)
+        finally:
+            BuildCollector.release()
 
     def _collect(self, duration: float) -> ExperimentResult:
         window = (self.attack_window_start, duration)

@@ -10,9 +10,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Deque, Optional, Tuple, Union
 
 from repro.net.packet import Packet
+
+#: What every queue that has not held a packet yet reads as: most pipes of
+#: a large topology never queue anything (an idle pipe serializes on the
+#: bypass, a fluid pipe in closed form), and an empty ``deque`` is 760
+#: bytes.  Tested by identity, so a queue drained to empty keeps its deque.
+_EMPTY: Tuple[Packet, ...] = ()
 
 
 @dataclass
@@ -82,7 +88,7 @@ class DropTailQueue:
         self.capacity_packets = capacity_packets
         self.name = name
         self.stats = QueueStats()
-        self._queue: Deque[Packet] = deque()
+        self._queue: Union[Deque[Packet], Tuple[Packet, ...]] = _EMPTY
         self._bytes = 0
 
     # ------------------------------------------------------------------
@@ -125,6 +131,8 @@ class DropTailQueue:
             stats.dropped += 1
             stats.bytes_dropped += size
             return False
+        if queue is _EMPTY:
+            queue = self._queue = deque()
         queue.append(packet)
         new_bytes = self._bytes = self._bytes + size
         stats.enqueued += 1
@@ -148,6 +156,8 @@ class DropTailQueue:
         stats = self.stats
         size = packet.size
         queue = self._queue
+        if queue is _EMPTY:
+            queue = self._queue = deque()
         queue.append(packet)
         new_bytes = self._bytes = self._bytes + size
         stats.enqueued += 1
@@ -183,6 +193,6 @@ class DropTailQueue:
         discarded = len(self._queue)
         self.stats.flushed += discarded
         self.stats.bytes_flushed += self._bytes
-        self._queue.clear()
+        self._queue = _EMPTY
         self._bytes = 0
         return discarded

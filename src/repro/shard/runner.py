@@ -44,6 +44,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro.attacks.zombies import ZombieArmy
 from repro.experiments.runner import (
     RESULT_SCHEMA,
+    BuildCollector,
     ExperimentExecution,
     ExperimentResult,
 )
@@ -79,16 +80,16 @@ def run_sharded(spec: ExperimentSpec,
             "shard processes, so this run falls back to serial execution "
             "(see docs/sharding.md)", spec.name, shards)
         return execution.run(until=duration)
-    partition = partition_topology(execution.handle, shards)
-    boundaries = _window_boundaries(partition.lookahead, duration)
-    # Anything the defense logged while *building* (pre-fork) is inherited
-    # by every worker; the merge subtracts these duplicated baselines.
-    baseline = execution.backend.collect(execution)
-
     mp = multiprocessing.get_context("fork")
     conns = []
     workers = []
     try:
+        partition = partition_topology(execution.handle, shards)
+        boundaries = _window_boundaries(partition.lookahead, duration)
+        # Anything the defense logged while *building* (pre-fork) is
+        # inherited by every worker; the merge subtracts these duplicated
+        # baselines.
+        baseline = execution.backend.collect(execution)
         for shard_id in range(shards):
             parent_conn, child_conn = mp.Pipe()
             worker = mp.Process(
@@ -109,6 +110,11 @@ def run_sharded(spec: ExperimentSpec,
             if worker.is_alive():
                 worker.terminate()
                 worker.join(timeout=5.0)
+        # A build big enough to be frozen stays frozen across the forks (a
+        # worker's collections then never write to the pages it shares with
+        # the parent); nobody calls execution.run() here, so the parent
+        # hands it back itself.
+        BuildCollector.release()
     return _merge(spec, execution, partition, duration, partials, baseline)
 
 

@@ -1,5 +1,6 @@
 """Tests for the experiment runner: uniform backends, seed plumbing, E9."""
 
+import gc
 
 import pytest
 
@@ -10,6 +11,8 @@ from repro.experiments import (
     WorkloadSpec,
     default_flood_spec,
 )
+from repro.experiments.runner import BuildCollector
+from tests.test_hierarchy import train_spec
 
 #: Every registered defense backend must run the flood spec.
 ALL_BACKENDS = ("aitf", "pushback", "ingress-dpf", "manual", "none")
@@ -167,3 +170,117 @@ class TestRunnerWorkloads:
         )
         with pytest.raises(ValueError, match="no legitimate-sender hosts"):
             ExperimentRunner().run(spec)
+
+
+def frozen_size_spec(**overrides):
+    """A build big enough for ``BuildCollector`` to freeze."""
+    return train_spec(2000, **overrides)
+
+
+@pytest.fixture
+def collector_state():
+    """Start from, and whatever the test does leave behind, a default
+    collector (an earlier test may have prepared a large build and dropped
+    it, which stays frozen until the next build by design)."""
+    BuildCollector.release()
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    yield
+    BuildCollector.release()
+    gc.enable()
+
+
+@pytest.mark.usefixtures("collector_state")
+class TestCollectorStateNeverLeaks:
+    """The build pauses the cyclic collector and may freeze what it built
+    (`BuildCollector`); every way out hands the collector back as found."""
+
+    def test_large_build_is_frozen_until_its_run_returns(self):
+        execution = ExperimentRunner().prepare(frozen_size_spec())
+        assert gc.isenabled()
+        assert gc.get_freeze_count() > 100_000
+        first = execution.run(until=0.4)
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
+        # The second call has nothing to release and freezes nothing.
+        second = execution.run(until=1.0)
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
+        assert first.time_to_first_block is None
+        assert second.time_to_first_block is not None
+
+    def test_small_build_is_never_frozen(self):
+        execution = ExperimentRunner().prepare(default_flood_spec(duration=1.0))
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+        execution.run()
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("broken", [
+        {"defense": {"backend": "aitf", "params": {"deployment": "nowhere"}}},
+        {"collectors": [{"kind": "filter-occupancy"},
+                        {"kind": "filter-occupancy"}]},
+    ], ids=["bad-defense-params", "duplicate-collector-id"])
+    def test_a_build_that_raises_leaves_the_collector_as_found(self, broken):
+        with pytest.raises(ValueError):
+            ExperimentRunner().prepare(frozen_size_spec(**broken))
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+
+    def test_a_caller_who_disabled_the_collector_sees_no_change(
+            self, monkeypatch):
+        calls = []
+        for name in ("enable", "disable", "freeze"):
+            monkeypatch.setattr(
+                gc, name, lambda name=name, real=getattr(gc, name):
+                (calls.append(name), real())[1])
+        gc.disable()
+        del calls[:]
+        execution = ExperimentRunner().prepare(frozen_size_spec())
+        assert not gc.isenabled() and gc.get_freeze_count() == 0
+        execution.run()
+        assert not gc.isenabled() and gc.get_freeze_count() == 0
+        assert calls == []
+
+    def test_run_raising_inside_the_simulator_still_unfreezes(
+            self, monkeypatch):
+        execution = ExperimentRunner().prepare(frozen_size_spec())
+        assert gc.get_freeze_count() > 0
+
+        def broken_run(until=None):
+            raise RuntimeError("event handler blew up")
+
+        monkeypatch.setattr(execution.sim, "run", broken_run)
+        with pytest.raises(RuntimeError, match="blew up"):
+            execution.run()
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
+
+    def test_a_prepared_and_dropped_execution_is_released_by_the_next_build(
+            self, monkeypatch):
+        # Tests and examples prepare only to read .handle or
+        # .backend.deployment; their heap must not stay pinned.
+        dropped = ExperimentRunner().prepare(frozen_size_spec())
+        assert gc.get_freeze_count() > 0
+        del dropped
+        seen = []
+        real_disable = gc.disable
+        monkeypatch.setattr(
+            gc, "disable",
+            lambda: (seen.append(gc.get_freeze_count()), real_disable())[1])
+        ExperimentRunner().prepare(default_flood_spec(duration=1.0))
+        assert seen == [0]
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
+
+    def test_the_next_build_makes_the_full_pass_a_released_build_is_owed(self):
+        # gc.unfreeze() never counted the build as pending, so nothing else
+        # would trigger the pass that reclaims it once it is dead.
+        full_passes = []
+
+        def count(phase, info):
+            if phase == "start" and info["generation"] == 2:
+                full_passes.append(1)
+
+        ExperimentRunner().run(frozen_size_spec())
+        gc.callbacks.append(count)
+        try:
+            ExperimentRunner().prepare(default_flood_spec(duration=1.0))
+            assert len(full_passes) == 1
+            ExperimentRunner().prepare(default_flood_spec(duration=1.0))
+            assert len(full_passes) == 1
+        finally:
+            gc.callbacks.remove(count)

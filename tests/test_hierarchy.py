@@ -40,6 +40,18 @@ def base_spec_dict(locus="all", *, autonomous_systems=300, duration=6.0,
     }
 
 
+def train_spec(autonomous_systems, **overrides):
+    """A one-second train-mode cell on a hierarchy of the given size.
+
+    Its build leaves far more young objects (2,000 ASes: about 117 k) than
+    the 7,000 from which ``BuildCollector`` promotes a build to the
+    permanent generation."""
+    doc = base_spec_dict(autonomous_systems=autonomous_systems, duration=1.0,
+                         mode="train", count=40)
+    doc.update(overrides)
+    return ExperimentSpec.from_dict(doc)
+
+
 class TestBuilder:
     def test_tier_structure(self):
         net = build_hierarchy_internet(autonomous_systems=200, seed=3)

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+from collections import deque
+
 from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.metrics import BucketStore, _spread_train_buckets
@@ -7,7 +9,7 @@ from repro.net.address import IPAddress, Prefix
 from repro.net.flowlabel import FlowLabel
 from repro.net.link import Link
 from repro.net.packet import Packet
-from repro.net.queues import DropTailQueue
+from repro.net.queues import DropTailQueue, QueueStats
 from repro.net.train import PacketTrain
 from repro.router.filter_table import FilterTable, FilterTableFullError
 from repro.router.nodes import BorderRouter
@@ -334,6 +336,108 @@ class TestQueueProperties:
             drained += 1
         assert drained == queue.stats.enqueued
         assert queue.stats.enqueued + queue.stats.dropped == len(sizes)
+
+
+class _EagerQueue:
+    """The drop-tail queue as it was while every queue owned a ``deque``
+    from construction: the model the lazily allocated one must equal."""
+
+    def __init__(self, capacity_bytes, capacity_packets):
+        self.capacity_bytes = capacity_bytes
+        self.capacity_packets = capacity_packets
+        self.stats = QueueStats()
+        self.queue = deque()
+        self.bytes = 0
+
+    def would_drop(self, packet):
+        if (self.capacity_packets is not None
+                and len(self.queue) >= self.capacity_packets):
+            return True
+        return self.bytes + packet.size > self.capacity_bytes
+
+    def enqueue(self, packet):
+        if self.would_drop(packet):
+            self.stats.dropped += 1
+            self.stats.bytes_dropped += packet.size
+            return False
+        return self.enqueue_priority(packet)
+
+    def enqueue_priority(self, packet):
+        stats = self.stats
+        self.queue.append(packet)
+        self.bytes += packet.size
+        stats.enqueued += 1
+        stats.bytes_enqueued += packet.size
+        stats.peak_depth_packets = max(stats.peak_depth_packets,
+                                       len(self.queue))
+        stats.peak_depth_bytes = max(stats.peak_depth_bytes, self.bytes)
+        return True
+
+    def dequeue(self):
+        if not self.queue:
+            return None
+        packet = self.queue.popleft()
+        self.bytes -= packet.size
+        self.stats.dequeued += 1
+        return packet
+
+    def peek(self):
+        return self.queue[0] if self.queue else None
+
+    def clear(self):
+        discarded = len(self.queue)
+        self.stats.flushed += discarded
+        self.stats.bytes_flushed += self.bytes
+        self.queue.clear()
+        self.bytes = 0
+        return discarded
+
+
+queue_operations = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["enqueue", "enqueue_priority", "would_drop"]),
+              st.integers(min_value=1, max_value=1500)),
+    st.tuples(st.sampled_from(["dequeue", "dequeue", "peek", "clear", "len",
+                               "is_empty"])),
+), max_size=80)
+
+
+class TestLazyQueueEqualsEagerQueue:
+    @given(st.integers(min_value=1, max_value=6000),
+           st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
+           queue_operations)
+    @settings(max_examples=300, deadline=None)
+    def test_same_answers_same_stats_one_deque_per_burst(
+            self, capacity_bytes, capacity_packets, operations):
+        queue = DropTailQueue(capacity_bytes, capacity_packets)
+        model = _EagerQueue(capacity_bytes, capacity_packets)
+        source = IPAddress.parse("10.0.0.1")
+        destination = IPAddress.parse("10.0.1.1")
+        assert not isinstance(queue._queue, deque)
+        allocated = None  # the deque in use since the last clear()
+        for kind, *args in operations:
+            if args:
+                packet = Packet.data(source, destination, size=args[0])
+                assert getattr(queue, kind)(packet) == \
+                    getattr(model, kind)(packet)
+            elif kind == "len":
+                assert len(queue) == len(model.queue)
+            elif kind == "is_empty":
+                assert queue.is_empty == (not model.queue)
+            elif kind == "clear":
+                assert queue.clear() == model.clear()
+                allocated = None
+            else:
+                assert getattr(queue, kind)() is getattr(model, kind)()
+            assert queue.stats == model.stats
+            assert queue.bytes_queued == model.bytes
+            assert list(queue._queue) == list(model.queue)
+            if allocated is None:
+                # Nothing accepted since construction or the last clear().
+                if isinstance(queue._queue, deque):
+                    allocated = queue._queue
+            else:
+                # Drained to empty and refilled, it is still the same deque.
+                assert queue._queue is allocated
 
 
 class TestSimulatorProperties:

@@ -18,6 +18,7 @@ Three layers of pinning:
 The serial train engine itself is pinned by test_train_mode.py.
 """
 
+import gc
 import json
 import logging
 
@@ -30,6 +31,8 @@ from repro.experiments import (
 )
 from repro.experiments.topologies import build_topology
 from repro.shard import partition_topology, run_sharded
+from repro.shard import runner as shard_runner
+from tests.test_hierarchy import train_spec
 
 
 def fleet_spec(*, defense="none", shards=0, autonomous_systems=24,
@@ -262,3 +265,42 @@ class TestShardPlumbing:
                    for record in caplog.records)
         assert result_key(fallback_result) == result_key(
             ExperimentRunner().run(serial))
+
+
+class TestShardedRunReleasesTheCollector:
+    """``run_sharded`` builds one execution, forks and never calls its
+    ``run()``: a build big enough to be frozen stays frozen across the
+    fork (the workers' collections leave the shared pages alone) and the
+    parent hands it back once the workers are joined."""
+
+    @staticmethod
+    def _spec(shards=2, **overrides):
+        # 2,000 ASes: big enough for BuildCollector to freeze.
+        return train_spec(
+            2000, engine={"mode": "train", "shards": shards}, **overrides)
+
+    def test_frozen_build_is_forked_frozen_and_released_after_the_join(
+            self, monkeypatch):
+        at_fork = []
+        real_coordinate = shard_runner._coordinate
+
+        def coordinate(*args):
+            at_fork.append(gc.get_freeze_count())
+            return real_coordinate(*args)
+
+        monkeypatch.setattr(shard_runner, "_coordinate", coordinate)
+        was_enabled = gc.isenabled()
+        result = run_sharded(self._spec())
+        assert at_fork and at_fork[0] > 100_000
+        assert gc.get_freeze_count() == 0
+        assert gc.isenabled() == was_enabled
+        assert result.time_to_first_block is not None
+
+    def test_serial_fallback_and_failed_partition_release_too(self):
+        faults = [{"kind": "link_down", "time": 0.3,
+                   "link": ["t1_00", "t1_01"]}]
+        run_sharded(self._spec(faults=faults))
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
+        with pytest.raises(ValueError):
+            run_sharded(self._spec(shards=100_000))
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
