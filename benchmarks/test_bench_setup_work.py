@@ -22,13 +22,27 @@ wall-clock.  Three things an experiment's set-up must not do again:
 
 The deques are found by walking the links, not ``gc.get_objects()``:
 frozen objects are invisible to the latter.
+
+And one thing its run phase must not do: **write routing rows on routers
+that never look a destination up** — a router holds a destination anchor's
+rows once it has asked for them (``routing_policy/manager.py``), so the rows
+a cell ends up holding follow the routers on its traffic's paths, not the
+size of the hierarchy around them (the last two gates below).
 """
 
 import gc
-from collections import deque
+import json
+import os
+from collections import Counter, deque
 
-from repro.experiments import ExperimentRunner, default_flood_spec
+from repro.experiments import (ExperimentRunner, ExperimentSpec,
+                               default_flood_spec)
+from repro.router.routing import RoutingTable
+from repro.topology.dynamic import edge_key
 from tests.test_hierarchy import train_spec
+
+HIER_CHURN = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                          "workloads", "hier_churn.json")
 
 
 class CollectionCounter:
@@ -101,3 +115,92 @@ def test_a_queue_that_never_saw_a_packet_holds_no_deque():
     holding = [queue for queue in queues if isinstance(queue._queue, deque)]
     assert all(queue.stats.enqueued > 0 for queue in holding)
     assert len(holding) < len(queues) // 20
+
+
+def hier_churn_cell(autonomous_systems, fault_link=None):
+    """The bench's ``hier_churn`` cell (train mode, 60 zombies, 8 host
+    stubs) on a hierarchy of another size, without its fault pair or with
+    the pair moved onto ``fault_link``."""
+    with open(HIER_CHURN, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["topology"]["params"]["autonomous_systems"] = autonomous_systems
+    faults = doc.pop("faults")
+    if fault_link is not None:
+        doc["faults"] = [dict(fault, link=list(fault_link)) for fault in faults]
+    return ExperimentSpec.from_dict(doc)
+
+
+class RoutingWork:
+    """What a finished cell's control plane holds, and what it cost."""
+
+    def __init__(self, execution, installs):
+        self.policy = policy = execution.handle.topology.policy
+        self.installs = installs
+        held = [router.routing.row_count()
+                for router in execution.handle.topology.border_routers()]
+        self.rows = sum(held)
+        self.routers_holding = len(held) - held.count(0)
+        #: (router, anchor) pairs with rows: every asker, and each anchor
+        #: for its own access rows.
+        self.holders = len(policy.tracked()) + sum(
+            len(asked) for asked in policy.askers.values())
+        self.widest = max(
+            sum(len(policy._prefixes[member])
+                for member, _ in policy._groups[anchor])
+            for anchor in policy.tracked())
+
+
+def run_counting_installs(spec, monkeypatch):
+    installs = []
+    install = RoutingTable.install
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            RoutingTable, "install",
+            lambda self, prefix, link, metric=0:
+                installs.append(1) or install(self, prefix, link, metric))
+        execution = ExperimentRunner().prepare(spec)
+        execution.run()
+    return execution, RoutingWork(execution, len(installs))
+
+
+def test_rows_held_follow_the_askers_not_the_size_of_the_hierarchy(
+        monkeypatch):
+    """The fault-free ``hier_churn`` cell at 500 and at 2,000 ASes ends
+    holding about the same rows, written by about the same number of
+    ``RoutingTable.install`` calls (156 and 170 of each when this gate was
+    added; the parent, which wrote an anchor's rows on every router, held
+    and installed 7,056 and 28,056 — 14 rows x N)."""
+    small, large = (run_counting_installs(hier_churn_cell(size), monkeypatch)[1]
+                    for size in (500, 2000))
+    for work in (small, large):
+        assert len(work.policy.tracked()) == 7
+        assert 0 < work.rows <= work.holders * work.widest
+        assert work.rows <= work.installs <= work.holders * work.widest
+        assert work.routers_holding <= work.holders < 100
+    for a, b in ((small.rows, large.rows), (small.installs, large.installs)):
+        assert abs(a - b) < 0.25 * min(a, b), (a, b)
+
+
+def test_a_fault_event_moves_rows_on_the_holders_only(monkeypatch):
+    """With the fault pair on the transit link most holders route across,
+    an event's ``routes_installed + routes_removed`` is bounded by the
+    holders (x the widest group), whatever the hierarchy's size."""
+    execution, _ = run_counting_installs(hier_churn_cell(500), monkeypatch)
+    policy = execution.handle.topology.policy
+    crossed = Counter()
+    for anchor, asked in policy.askers.items():
+        routes = policy.materialize(anchor)
+        crossed.update(edge_key(name, routes[name].next_hop)
+                       for name in asked if name in routes)
+    transit = [(count, edge) for edge, count in crossed.items()
+               if not any(end.startswith("st_") for end in edge)]
+    _, link = max(transit)
+
+    execution, work = run_counting_installs(hier_churn_cell(500, link),
+                                            monkeypatch)
+    down, up = execution.fault_injector.timeline
+    assert (down["kind"], up["kind"]) == ("link_down", "link_up")
+    assert 0 < down["anchors_recomputed"] <= up["anchors_recomputed"] == 7
+    for event in (down, up):
+        moved = event["routes_installed"] + event["routes_removed"]
+        assert 0 < moved <= work.holders * work.widest, event

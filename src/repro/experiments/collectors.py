@@ -377,7 +377,8 @@ def _build_churn(ctx: Any, index: int,
     the victim), the goodput dip depth against the pre-fault baseline, the
     recovery time (goodput back above ``recovery_fraction`` x baseline), and
     how many filters the defense (re-)established; plus the injector's
-    timeline with per-event incremental-rerouting costs.  Works with any
+    timeline with per-event incremental-rerouting costs (``routes_installed``
+    / ``routes_removed``: rows on the routers that hold them).  Works with any
     backend (filter counts need ``aitf``); reports zeros when the spec has
     no faults."""
     return _ChurnMetrics(params)

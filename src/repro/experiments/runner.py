@@ -306,9 +306,9 @@ class ExperimentExecution:
                 publish_stats(self.metrics, f"collector.{collector_id}", stats)
         dropped_down = 0
         if self.fault_injector is not None:
-            # Only fault runs can down a link, so everyone else skips the
-            # per-link sweep entirely.
-            for link in self.handle.topology.links:
+            # Only a link the injector took down can have dropped a packet
+            # for being down: those are summed, not every link there is.
+            for link in self.fault_injector.downed_links:
                 dropped_down += (link.stats_toward(link.a).packets_dropped_down
                                  + link.stats_toward(link.b).packets_dropped_down)
         return ExperimentResult(

@@ -117,6 +117,9 @@ class FaultInjector:
         #: link is effectively up only when neither applies.
         self._admin_down: set = set()
         self._crashed: set = set()
+        #: Every link an event of this schedule ever took down: the only
+        #: ones that can have dropped a packet for being down.
+        self.downed_links: set = set()
 
     # ------------------------------------------------------------------
     # scheduling
@@ -164,6 +167,7 @@ class FaultInjector:
             up = self._link_effectively_up(link)
             if self.topology.set_link_state(link, up):
                 (restored if up else downed).append(link)
+        self.downed_links.update(downed)
         record["links_changed"] = len(downed) + len(restored)
         if downed or restored:
             record.update(self.topology.reroute_incremental(

@@ -334,9 +334,11 @@ def _run_hierarchy_routes(autonomous_systems: float = 10000,
     """Valley-free routing: routes installed per wall-second.
 
     Materializes ``anchors`` destination shards on a pre-built hierarchy
-    (construction reported through the setup-cost channel so the number
-    measures the Gao-Rexford solver plus table installs, not graph
-    building).  ``duration`` is unused, kept for harness compatibility.
+    and has every router ask for each — the lazy manager's worst case, and
+    what one shard used to cost up front (construction reported through
+    the setup-cost channel so the number measures the Gao-Rexford solver
+    plus table installs, not graph building).  ``duration`` is unused,
+    kept for harness compatibility.
     Reports (routes_installed, anchors_materialized).
     """
     from repro.topology.hierarchy import build_hierarchy_internet
@@ -349,8 +351,11 @@ def _run_hierarchy_routes(autonomous_systems: float = 10000,
     policy = internet.topology.policy
     setup_seconds = time.perf_counter() - setup_start
 
+    routers = internet.topology.border_routers()
     for router in internet.host_stub_routers[:int(anchors)]:
         policy.materialize(router.name)
+        for asking in routers:
+            asking.routing.next_link(router.address)
     stats = policy.stats
     return (stats["routes_installed"], stats["anchors_materialized"],
             setup_seconds)

@@ -10,30 +10,34 @@ recomputes only the *destinations whose installed routes actually changed*:
   plus one access edge), so a 200-AS / 2000-host fleet has ~200 anchors, not
   ~2200 destinations.
 * ``link_down`` recomputes exactly the tracked anchors whose installed tree
-  traverses the edge, which the tables say: one of its two endpoints
-  forwards the anchor's rows over it.  This is *exact*: a routing tree that
-  does not contain the removed edge is still a valid tree of the reduced
-  graph.
+  traverses the edge, which the remembered solve says: one of its two
+  endpoints has the other as its next hop.  This is *exact*: a routing tree
+  that does not contain the removed edge is still a valid tree of the
+  reduced graph.
 * ``link_up`` recomputes the tracked anchors the solver says the restored
   edge can affect (by default all of them).
 * Each affected anchor costs one :meth:`~IncrementalRouting.solve`, answered
-  in indexed form (:class:`Solve`), and an install pass over the routers
-  whose next hop or distance moved since the last solve the core installed
+  in indexed form (:class:`Solve`), and an install pass over the *holders*
+  — the routers that hold the anchor's rows — whose next hop or distance
+  moved since the last solve the core installed
   (:meth:`~IncrementalRouting._recompute`), so forwarding flips atomically
   at the fault event and every other router keeps its lookup memo warm.
 
-A subclass supplies exactly three things: ``solve``, which anchors are
-``tracked``, and ``restored_affects``: :class:`DynamicRouting` here (flat
-shortest paths) and :class:`repro.routing_policy.manager.PolicyRoutingManager`
-(valley-free).  The leaf fold and the router projection (:func:`fold_leaves`,
-:func:`project_routers`) are the ones ``build_routes`` itself computes
-routes on, so the core and the builder agree on what an anchor is.
+A subclass supplies ``solve``, which anchors are ``tracked``,
+``restored_affects`` and, when not every router holds every tracked
+anchor's rows, ``holders``: :class:`DynamicRouting` here (flat shortest
+paths, rows everywhere) and
+:class:`repro.routing_policy.manager.PolicyRoutingManager` (valley-free,
+rows on the routers that asked).  The leaf fold and the router projection
+(:func:`fold_leaves`, :func:`project_routers`) are the ones ``build_routes``
+itself computes routes on, so the core and the builder agree on what an
+anchor is.
 """
 
 from __future__ import annotations
 
-from typing import (Collection, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Collection, Dict, Iterable, List, Mapping, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
 from repro.net.address import Prefix
 from repro.net.link import Link
@@ -88,19 +92,22 @@ def project_routers(adjacency: Adjacency, fold: Dict[str, str]) -> Adjacency:
 
 
 def new_counters() -> Dict[str, int]:
-    """The per-event work counters ``apply`` returns, all zero."""
+    """The per-event work counters ``apply`` returns, all zero; the two
+    ``routes_*`` count rows on the routers that hold them."""
     return {"anchors_recomputed": 0, "dijkstras": 0,
             "routes_installed": 0, "routes_removed": 0}
 
 
 class Solve(NamedTuple):
     """One anchor's routes in indexed form: position ``i`` is node
-    ``names[i]`` (one ``names`` object for every solve of a solver),
-    ``next_hop[i]`` the position of its next hop toward the anchor — ``-1``
-    for none, and for the anchor — and ``hops[i]`` its path length.  The
-    core reads these three fields of whatever ``solve`` returns."""
+    ``names[i]`` and ``index_of[names[i]] == i`` (one ``names`` / ``index_of``
+    pair for every solve of a solver), ``next_hop[i]`` the position of its
+    next hop toward the anchor — ``-1`` for none, and for the anchor — and
+    ``hops[i]`` its path length.  The core reads these four fields of
+    whatever ``solve`` returns."""
 
     names: Sequence[str]
+    index_of: Mapping[str, int]
     next_hop: List[int]
     hops: List[int]
 
@@ -128,7 +135,7 @@ class IncrementalRouting:
         #: Anchor -> the last solve whose rows this core installed.  Only
         #: rows the core itself wrote are trusted to match it.
         self._solved: Dict[str, Solve] = {}
-        #: Cumulative install work (never reset); see _recompute.
+        #: Rows written since construction (never reset).
         self.stats = {"routes_installed": 0}
 
     # ------------------------------------------------------------------
@@ -152,14 +159,20 @@ class IncrementalRouting:
         """The anchor a node folds into (itself unless a folded host)."""
         return self._fold_anchor.get(name, name)
 
+    def holders(self, anchor: str, solved: Solve) -> Iterable[int]:
+        """Positions in ``solved`` of the routers that hold ``anchor``'s
+        remote rows and are kept in line with its solves: every one, unless
+        the solver writes them on demand."""
+        return range(len(solved.names))
+
     def forget(self) -> None:
         """Somebody else (``build_routes``) rewrote the tables: each
-        anchor's next re-solve probes every router again."""
+        anchor's next solve probes every holder again."""
         self._solved.clear()
 
     def _remote_rows(self, anchor: str) -> List[Tuple[Prefix, int]]:
-        """``(prefix, extra hops)`` of the rows every router other than
-        ``anchor`` holds for its group, via its one next hop toward it; a
+        """``(prefix, extra hops)`` of the rows a holder other than
+        ``anchor`` has for its group, via its one next hop toward it; a
         solver may narrow them (the anchor always gets its access rows)."""
         return [(prefix, extra) for member, extra in self._groups[anchor]
                 for prefix in self._prefixes[member]]
@@ -167,12 +180,21 @@ class IncrementalRouting:
     def _crosses(self, anchor: str, link: Link) -> bool:
         """Is ``link`` in ``anchor``'s installed tree?  A folded host's
         access edge is in its anchor's only; any other edge iff one of its
-        ends forwards the group's rows over it — they move together, so
-        the first row speaks for all."""
+        ends has the other as its next hop in the remembered solve.  Not
+        every router holds the rows, so the tables are asked only when no
+        solve is remembered: then they are ``build_routes``' own, on every
+        router, and a group's rows move together — the first speaks for
+        all."""
         fold = (self._fold_anchor.get(link.a.name)
                 or self._fold_anchor.get(link.b.name))
         if fold is not None:
             return fold == anchor
+        solved = self._solved.get(anchor)
+        if solved is not None:
+            a = solved.index_of.get(link.a.name)
+            b = solved.index_of.get(link.b.name)
+            return (a is not None and b is not None
+                    and (solved.next_hop[a] == b or solved.next_hop[b] == a))
         for prefix, _ in self._remote_rows(anchor)[:1]:
             for end in (link.a, link.b):
                 route = end.routing.route_for(prefix)
@@ -202,51 +224,62 @@ class IncrementalRouting:
         return stats
 
     def _recompute(self, anchor: str, stats: Dict[str, int]) -> None:
-        """One solve, then bring the group's rows in line through
-        :meth:`RoutingTable.install`: an unchanged ``(link, metric)`` row is
-        one keyed probe and leaves the table's lookup memo alone, a replaced
-        /32 drops only its own address from it; unreachable routers have
-        their rows withdrawn so stale routes cannot forward into a black
-        hole (withdrawing an absent row is a no-op).
+        """One solve, then bring the group's rows in line on the routers
+        that hold them (:meth:`holders`, through :meth:`_install`).
 
         A group's rows on one router are a function of that router's single
         next hop and distance toward the anchor, and only ``build_routes``
-        and this method write them, so they move together.  Against a
-        remembered solve only the routers whose ``(next hop, hops)`` moved
+        and the core write them, so they move together.  Against a
+        remembered solve only the holders whose ``(next hop, hops)`` moved
         are visited at all; with none (first use, or rows ``build_routes``
-        wrote) every router is probed, and one whose first row is already
-        in line is done after that one probe — routers + rows changed, not
-        routers x rows."""
+        wrote) every holder is probed, and the anchor's own access rows
+        are written."""
         solved = self.solve(anchor)
         stats["dijkstras"] += 1
         stats["anchors_recomputed"] += 1
-        names, next_hop, hops = solved.names, solved.next_hop, solved.hops
-        nodes = self._topo.nodes
-        links = self._topo.adjacency
-        installed = 0
+        holders = self.holders(anchor, solved)
         before = self._solved.get(anchor)
-        if before is not None and before.names is names:
-            moved: Iterable[int] = [
-                i for i, (hop, was_hop, far, was_far) in enumerate(
-                    zip(next_hop, before.next_hop, hops, before.hops))
-                if hop != was_hop or far != was_far]
+        self._solved[anchor] = solved
+        if before is not None and before.names is solved.names:
+            next_hop, hops = solved.next_hop, solved.hops
+            was_hop, was_far = before.next_hop, before.hops
+            holders = [i for i in holders
+                       if next_hop[i] != was_hop[i] or hops[i] != was_far[i]]
         else:
-            moved = range(len(names))
             # The anchor reaches its own folded hosts over their access
             # links (solvers are router-level): one next hop per host, the
             # same after every solve.
-            install = nodes[anchor].routing.install
+            links = self._topo.adjacency[anchor]
+            install = self._topo.nodes[anchor].routing.install
+            written = 0
             for member, extra in self._groups[anchor]:
                 if extra:
-                    link = links[anchor][member]
+                    link = links[member]
                     for prefix in self._prefixes[member]:
                         if install(prefix, link, extra):
-                            installed += 1
-        self._solved[anchor] = solved
-        # Every other router holds the same rows via its one next hop
-        # toward the anchor.
+                            written += 1
+            stats["routes_installed"] += written
+            self.stats["routes_installed"] += written
+        self._install(anchor, solved, holders, stats)
+
+    def _install(self, anchor: str, solved: Solve, positions: Iterable[int],
+                 stats: Dict[str, int]) -> int:
+        """The one install loop: make the routers at ``positions`` of
+        ``solved`` hold ``anchor``'s remote rows via their next hop toward
+        it, through :meth:`RoutingTable.install` — an unchanged ``(link,
+        metric)`` row is one keyed probe and leaves the table's lookup memo
+        alone, a replaced /32 drops only its own address from it, and a
+        router whose first row is already in line is done after that one
+        probe (routers + rows changed, not routers x rows).  A router the
+        solve leaves unreachable has the rows withdrawn so stale routes
+        cannot forward into a black hole (withdrawing an absent row is a
+        no-op).  Counts into ``stats``; returns the rows written."""
+        names, next_hop, hops = solved.names, solved.next_hop, solved.hops
+        nodes = self._topo.nodes
+        links = self._topo.adjacency
         remote = self._remote_rows(anchor)
-        for i in moved:
+        installed = 0
+        for i in positions:
             name = names[i]
             node = nodes[name]
             if name == anchor or isinstance(node, Host):
@@ -268,10 +301,8 @@ class IncrementalRouting:
                     break  # first row in line: so is the rest of the group
             installed += changed
         stats["routes_installed"] += installed
-        # The cumulative figure adds the *event's running total* per solve,
-        # not this solve's rows: that is the number bench/baseline.json
-        # records for hier_churn, so it stays until the baseline is re-cut.
-        self.stats["routes_installed"] += stats["routes_installed"]
+        self.stats["routes_installed"] += installed
+        return installed
 
 
 class DynamicRouting(IncrementalRouting):
@@ -316,7 +347,7 @@ class DynamicRouting(IncrementalRouting):
                 here, before = position[name], position[pred[name]]
                 next_hop[here] = before
                 hops[here] = hops[before] + 1
-        return Solve(self._names, next_hop, hops)
+        return Solve(self._names, position, next_hop, hops)
 
     def restored_affects(self, link: Link,
                          stats: Dict[str, int]) -> Iterable[str]:

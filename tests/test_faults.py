@@ -542,6 +542,29 @@ class TestFailoverScenario:
                       if e.node == "T2" and e.time > 4.0]
         assert t2_filters, "spliced path never reached the backup transit"
 
+    @pytest.mark.parametrize("schedule", [
+        ({"kind": "link_down", "time": 0.55, "link": ["B_gw", "B_host"]},
+         {"kind": "link_up", "time": 1.0, "link": ["B_gw", "B_host"]}),
+        ({"kind": "router_crash", "time": 0.55, "node": "B_gw"},
+         {"kind": "router_recover", "time": 1.0, "node": "B_gw"}),
+    ], ids=["link-flap", "router-crash"])
+    def test_dropped_down_over_the_downed_links_equals_the_full_walk(
+            self, schedule):
+        """``_collect`` sums ``packets_dropped_down`` over the links the
+        injector ever took down, not over every link of the topology.  The
+        attacker's access link has no detour, so the flood is sent into it
+        while it is down."""
+        execution, result = run_spec(failover_spec(duration=1.5,
+                                                   faults=schedule))
+        topo = execution.handle.topology
+        downed = execution.fault_injector.downed_links
+        expected = ({topo.link_between("B_gw", "B_host")}
+                    if "link" in schedule[0] else set(topo.nodes["B_gw"].links))
+        assert downed == expected and len(downed) < len(topo.links)
+        assert result.packets_dropped_down == sum(
+            link.stats_toward(end).packets_dropped_down
+            for link in topo.links for end in (link.a, link.b)) > 0
+
     def test_churn_metrics_serialize(self, crash_run):
         _, result = crash_run
         doc = result.to_dict()

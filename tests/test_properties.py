@@ -19,6 +19,7 @@ from repro.router.shadow_cache import ShadowCache
 from repro.routing_policy import RelationshipMap, valley_free_routes
 from repro.sim.engine import Simulator
 from repro.sim.process import TrainProcess
+from repro.topology.hierarchy import build_hierarchy_internet
 from repro.topology.powerlaw import build_powerlaw_internet
 from tests.valley_free_oracle import heap_valley_free_routes
 
@@ -299,6 +300,168 @@ class TestValleyFreeSolverProperties:
                 assert len(got) == len(want)
                 assert all(got.get(name) == want.get(name)
                            for name in destinations)
+
+
+def _lazy_hierarchy():
+    """The seeded 300-AS hierarchy of ``tests/test_reroute_core.py``, with
+    what the draws below index into: every router, the destinations (each
+    host stub's host, router and an unused address of its /24, and one
+    address nobody owns) and the links worth flipping — the host stubs'
+    access links and uplinks, and their providers' links to the tiers
+    above."""
+    net = build_hierarchy_internet(autonomous_systems=300, seed=7,
+                                   host_stubs=6, hosts_per_stub=1)
+    topo = net.topology
+    routers = topo.policy._routers
+    destinations = [IPAddress.parse("192.0.2.1")]
+    edges = []
+    for stub in net.host_stub_routers:
+        destinations += [net.hosts_by_stub[stub.name][0].address, stub.address,
+                         IPAddress(stub.local_prefixes[0].network.value + 200)]
+        for link in stub.links:
+            edges.append((link.a.name, link.b.name))
+            provider = link.other_end(stub)
+            edges += [(up.a.name, up.b.name) for up in provider.links
+                      if net.tier_of.get(up.other_end(provider).name, 3) < 3]
+    return net, routers, destinations, sorted(set(edges))
+
+
+_, _ROUTERS, _DESTINATIONS, _EDGES = _lazy_hierarchy()
+
+lazy_ops = st.lists(st.one_of(
+    st.tuples(st.just("lookup"), st.integers(0, len(_ROUTERS) - 1),
+              st.integers(0, len(_DESTINATIONS) - 1)),
+    st.tuples(st.sampled_from(["down", "up"]),
+              st.integers(0, len(_EDGES) - 1), st.just(0)),
+), min_size=4, max_size=24)
+
+
+def _table_rows(router):
+    return {route.prefix: (route.link.name, route.metric)
+            for route in router.routing.routes()}
+
+
+class TestLazyRoutesEqualEveryoneAsked:
+    """A router holds a destination anchor's rows once it has asked for
+    them.  The oracle is the same manager with every router asked — the
+    old eager state, and the lazy design's worst case: through any
+    sequence of lookups and link flips the two forward alike."""
+
+    @staticmethod
+    def _everyone_asks(routers, core, asked):
+        """Every router asks for every anchor materialised since last time."""
+        for anchor in core.tracked():
+            if anchor not in asked:
+                asked.add(anchor)
+                address = next(iter(core._prefixes[anchor])).network
+                for router in routers:
+                    router.routing.next_link(address)
+
+    @staticmethod
+    def _flip(topo, edge, up):
+        link = topo.link_between(*edge)
+        if not topo.set_link_state(link, up):
+            return None
+        return topo.reroute_incremental(
+            **{"restored" if up else "downed": [link]})
+
+    @staticmethod
+    def _crossing(twin, edge):
+        """The tracked anchors with a row over ``edge`` on one of its ends,
+        read off the twin's tables (where everyone holds every row): what a
+        ``link_down`` of it has to re-solve."""
+        core, link = twin.policy, twin.link_between(*edge)
+        return {anchor for anchor in core.tracked()
+                for member, _ in core._groups[anchor]
+                for prefix in core._prefixes[member]
+                for end in (link.a, link.b)
+                if getattr(end.routing.route_for(prefix), "link", None) is link}
+
+    @given(lazy_ops)
+    # st_021's only uplink goes down, two far routers ask for its host (no
+    # route, memoised), the uplink returns: both must forward again.
+    @example([("down", _EDGES.index(("st_021", "t2_14")), 0),
+              ("lookup", 0, 1), ("lookup", 250, 1),
+              ("up", _EDGES.index(("st_021", "t2_14")), 0)])
+    @settings(max_examples=40, deadline=None)
+    def test_any_lookup_and_fault_sequence_forwards_alike(self, ops):
+        lazy_net, lazy_routers, destinations, edges = _lazy_hierarchy()
+        twin_net, twin_routers, _, _ = _lazy_hierarchy()
+        lazy, twin = lazy_net.topology, twin_net.topology
+        everyone = set()
+        looked_up = set()
+        down = set()
+
+        def answer(routers, lookup):
+            link = routers[lookup[0]].routing.next_link(destinations[lookup[1]])
+            return link and link.name
+
+        for kind, *args in ops:
+            if kind == "lookup":
+                assert answer(lazy_routers, args) == answer(twin_routers, args)
+                looked_up.add(tuple(args))
+            else:
+                edge, up = edges[args[0]], kind == "up"
+                solves = (len(twin.policy.tracked()) if up
+                          else len(self._crossing(twin, edge)))
+                stats = self._flip(lazy, edge, up)
+                twin_stats = self._flip(twin, edge, up)
+                assert (stats is None) == (twin_stats is None) == (
+                    (edge in down) != up)
+                if stats is not None:
+                    down.symmetric_difference_update({edge})
+                    for key in ("anchors_recomputed", "dijkstras"):
+                        assert stats[key] == twin_stats[key] == solves
+            self._everyone_asks(twin_routers, twin.policy, everyone)
+            self._assert_subset_and_equal_on_holders(lazy, twin)
+        # Everything restored: every asker forwards as on a topology that
+        # never saw a fault, whatever its table memoised meanwhile.
+        for edge in sorted(down):
+            self._flip(lazy, edge, True)
+            self._flip(twin, edge, True)
+        self._assert_subset_and_equal_on_holders(lazy, twin)
+        fresh_routers = _lazy_hierarchy()[1]
+        for lookup in sorted(looked_up):
+            want = answer(fresh_routers, lookup)
+            assert answer(lazy_routers, lookup) == want
+            assert answer(twin_routers, lookup) == want
+
+    @staticmethod
+    def _assert_subset_and_equal_on_holders(lazy, twin):
+        core = lazy.policy
+        assert set(core.tracked()) == set(twin.policy.tracked())
+        rows = {router.name: _table_rows(router) for router in core._routers}
+        twin_rows = {router.name: _table_rows(router)
+                     for router in twin.policy._routers}
+        holders = set(core.tracked()).union(*core._asked.values())
+        for name, held in rows.items():
+            assert held.items() <= twin_rows[name].items()
+            assert name in holders or not held
+        for anchor, asked in core._asked.items():
+            for prefix, _ in core._remote_rows(anchor):
+                for name in asked:
+                    assert rows[name].get(prefix) == twin_rows[name].get(prefix)
+
+    def test_asker_of_an_unreachable_anchor_forwards_after_link_up(self):
+        net = _lazy_hierarchy()[0]
+        topo, core = net.topology, net.topology.policy
+        victim = net.host_stub_routers[0]
+        host = net.hosts_by_stub[victim.name][0]
+        uplinks = [link for link in victim.links if link.other_end(victim)
+                   is not host]
+        for link in uplinks:
+            assert topo.set_link_state(link, False)
+            topo.reroute_incremental(downed=[link])
+        asker = net.host_stub_routers[-1]
+        assert asker.routing.next_link(host.address) is None
+        assert asker.routing.row_count() == 0
+        assert core._asked[victim.name] == {asker.name}  # a holder all the same
+        for link in uplinks:
+            assert topo.set_link_state(link, True)
+            topo.reroute_incremental(restored=[link])
+        link = asker.routing.next_link(host.address)
+        assert link is not None and link.other_end(asker).name == \
+            core.materialize(victim.name)[asker.name].next_hop
 
 
 class TestTokenBucketProperties:

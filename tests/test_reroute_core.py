@@ -41,16 +41,24 @@ def _flat():
     return topo, core
 
 
+def _hierarchy():
+    return build_hierarchy_internet(autonomous_systems=300, seed=7,
+                                    host_stubs=6, hosts_per_stub=1)
+
+
 def _policy():
-    net = build_hierarchy_internet(autonomous_systems=300, seed=7,
-                                   host_stubs=6, hosts_per_stub=1)
+    net = _hierarchy()
     topo = net.topology
     core = topo.ensure_dynamic_routing()
     assert type(core) is PolicyRoutingManager and core is topo.policy
     # Half of the host stubs are materialised; every other anchor (the
     # other three and ~290 host-less ASes) stays untracked throughout.
+    # Every router asks for their rows: the lazy design's worst case, and
+    # the state the contract below reads trees off.
     for router in net.host_stub_routers[:3]:
         core.materialize(router.name)
+        for asking in core._routers:
+            asking.routing.next_link(router.address)
     return topo, core
 
 
@@ -265,6 +273,78 @@ def test_policy_untracked_anchor_is_solved_only_on_first_use():
     core.materialize(victim)
     assert victim in core.tracked()
     assert victim not in _trees(topo, core).get(uplink, ())
+
+
+def _lazy():
+    """The ``_policy()`` hierarchy with nothing materialised and nobody
+    having asked; its first host stub as the victim."""
+    net = _hierarchy()
+    return net, net.topology.policy, net.host_stub_routers[0]
+
+
+def _rows_held(core):
+    """Router name -> explicit rows in its table, for the routers with any."""
+    return {router.name: router.routing.row_count()
+            for router in core._routers if router.routing.row_count()}
+
+
+def test_policy_materialize_writes_the_anchors_rows_only():
+    net, core, victim = _lazy()
+    assert _rows_held(core) == {}
+    routes = core.materialize(victim.name)
+    assert len(routes) > 250  # the solve is remembered for everyone...
+    hosts = net.hosts_by_stub[victim.name]
+    assert _rows_held(core) == {victim.name: len(hosts)}  # ...rows for one
+    assert core.stats["routes_installed"] == len(hosts)
+
+
+def test_policy_remote_lookup_makes_exactly_that_router_a_holder():
+    net, core, victim = _lazy()
+    host = net.hosts_by_stub[victim.name][0]
+    core.materialize(victim.name)
+    access_only = _rows_held(core)
+    asker, bystander = net.host_stub_routers[1], net.host_stub_routers[2]
+
+    link = asker.routing.next_link(host.address)
+    assert link.other_end(asker).name == core.materialize(
+        victim.name)[asker.name].next_hop
+    remote = len(core._remote_rows(victim.name))
+    assert _rows_held(core) == {**access_only, asker.name: remote}
+    assert core._asked[victim.name] == {asker.name}
+    assert bystander.routing.row_count() == 0
+    # asking again, for the same address or the anchor's own, writes nothing
+    written = core.stats["routes_installed"]
+    assert asker.routing.next_link(host.address) is link
+    assert asker.routing.next_link(victim.address) is link
+    assert core.stats["routes_installed"] == written
+    assert core.stats["anchors_materialized"] == 1
+
+
+def test_policy_forget_then_materialize_realigns_a_holder():
+    net, core, victim = _lazy()
+    host = net.hosts_by_stub[victim.name][0]
+    asker = net.host_stub_routers[1]
+    link = asker.routing.next_link(host.address)
+    held = _rows_held(core)
+    # build_routes()' part of the deal: the tables are somebody else's now
+    asker.routing.clear()
+    core.forget()
+    assert core.tracked() == {} and core._asked[victim.name] == {asker.name}
+    core.materialize(victim.name)
+    assert _rows_held(core) == held
+    assert asker.routing.next_link(host.address) is link
+
+
+def test_policy_first_use_at_the_anchor_forwards_over_the_access_link():
+    """Regression (prototype): the anchor's own miss solved the anchor and
+    wrote its access rows, the handler said "nothing installed on *you*",
+    and the table memoised "no route" over the rows just written."""
+    net, core, victim = _lazy()
+    host = net.hosts_by_stub[victim.name][0]
+    assert victim.name not in core.tracked()
+    link = victim.routing.next_link(host.address)
+    assert link is net.topology.link_between(victim.name, host.name)
+    assert core.stats["anchors_materialized"] == 1
 
 
 def _detour():
