@@ -1,120 +1,137 @@
 """Engine regression gates: deterministic work, and one paired ratio.
 
-The fast-path overhaul (slotted events, fire-and-forget link scheduling,
-indexed filter tables, batched traffic generation) was accepted on a >=3x
-packets/sec improvement over the recorded seed baseline for the canonical
-flood-defense scenario, and this file used to re-measure that number against
-a wall-clock calibration probe on every run.  One module-scoped probe cannot
-follow a host whose speed regime flips within seconds, so that gate failed
-now and then on an unchanged checkout.  What gates now repeats exactly:
+Every case here is an :class:`ExperimentSpec` through
+:class:`ExperimentRunner` — the one way to run an experiment — and what
+gates repeats exactly on any host:
 
-* ``flood``, ``flood_heavy`` and ``scaling`` must generate exactly the pinned
-  number of packets in exactly the pinned number of simulator events — the
-  work the engine does for the scenario, which a change to the fast path
-  (one event per packet again, a generator that drifts) moves and the host
-  cannot.  The calibrated speed-up over the seed is printed, not asserted
-  (the test ids keep their names for the record of past runs);
-* the fleet scenario in train mode must stay >=3x per-packet mode — a ratio
-  of two runs in this process, side by side, so host speed cancels.
+* the canonical flood at 1,500 and 5,000 pps, and a 30-AS power-law fleet
+  under the full AITF stack, must generate exactly the pinned number of
+  packets in exactly the pinned number of simulator events — the work the
+  engine does for the spec, which a change to the fast path (one event per
+  packet again, a generator that drifts) moves and the host cannot.  A
+  count needs no warm-up and no best-of-N, so each spec runs once;
+* the same fleet shape in train mode must stay >=3x per-packet mode — a
+  ratio of two runs in this process, side by side, so host speed cancels;
+  only ``execution.run()`` is timed (the build is the same on both engines).
 """
 
-import json
-import os
+import time
 
 import pytest
 
 from repro.analysis.report import ResultTable
-from repro.perf.bench import SEED_BASELINE, calibrate, run_bench
+from repro.experiments import ExperimentRunner, ExperimentSpec, default_flood_spec
 
 from benchmarks.conftest import run_once
 
-#: What the recorded seed comparison was accepted on; BENCH_engine.json must
-#: still carry it, and the printed speed-up is read against it.
-REQUIRED_SPEEDUP = 3.0
 
-#: ``(packets generated, simulator events)`` per scenario at its default
-#: parameters and seed.
-PINNED_WORK = {
-    "flood": (18250, 43795),
-    "flood_heavy": (51500, 117025),
-    "scaling": (21096, 44493),
-}
+def fleet_spec(autonomous_systems, hosts_per_leaf, zombies, rate_pps,
+               duration, mode="packet"):
+    """A power-law internet whose non-cooperating zombies flood one victim
+    past a legitimate sender, so their gateways block for the whole run."""
+    return ExperimentSpec.from_dict({
+        "schema": "experiment_spec/v1",
+        "name": "fleet-gate",
+        "seed": 11,
+        "duration": duration,
+        "sample_occupancy": False,
+        "topology": {"kind": "powerlaw", "params": {
+            "autonomous_systems": autonomous_systems,
+            "hosts_per_leaf": hosts_per_leaf, "seed": 11}},
+        "defense": {"backend": "aitf",
+                    "params": {"non_cooperating_attackers": True}},
+        "aitf": {"filter_timeout": 30.0, "temporary_filter_timeout": 0.6},
+        "engine": {"mode": mode},
+        "workloads": [
+            {"kind": "legitimate", "params": {"rate_pps": 200.0}},
+            {"kind": "zombies", "params": {
+                "count": zombies, "rate_pps": rate_pps, "start": 0.05}},
+        ],
+    })
 
-#: Path of the checked-in benchmark record (repo root).
-BENCH_JSON = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_engine.json")
+
+def run_fleet(spec):
+    """``(zombie packets, simulator events, seconds inside run())``."""
+    execution = ExperimentRunner().prepare(spec)
+    start = time.perf_counter()
+    result = execution.run()
+    wall = time.perf_counter() - start
+    zombies = result.workload_stats[1]
+    return zombies["packets_sent"], execution.sim.events_processed, wall
 
 
-@pytest.fixture(scope="module")
-def calibration():
-    """One machine-speed probe shared by every test in the module."""
-    return calibrate()
-
-
-def check_pinned_work(benchmark, name, calibration):
-    result = run_once(benchmark, run_bench, name, repeats=3)
-    table = ResultTable(f"Engine throughput: {name}",
-                        ["metric", "value"])
-    table.add_row("packets", f"{result.packets:,}")
-    table.add_row("events", f"{result.events:,}")
-    table.add_row("packets/sec", f"{result.packets_per_sec:,.0f}")
-    table.add_row("events/sec", f"{result.events_per_sec:,.0f}")
-    table.add_row("seed packets/sec (recorded)",
-                  f"{SEED_BASELINE[name]['packets_per_sec']:,.0f}")
-    table.add_row("calibration ops/sec", f"{calibration:,.0f}")
-    table.add_row("speedup vs seed (calibrated, not gated)",
-                  f"{result.speedup_vs_seed(calibration):.2f}x")
+def check_pinned(title, work, pinned):
+    table = ResultTable(f"Engine work: {title}", ["metric", "value"])
+    table.add_row("packets", f"{work[0]:,}")
+    table.add_row("events", f"{work[1]:,}")
     table.print()
-    assert (result.packets, result.events) == PINNED_WORK[name], (
-        f"{name}: the engine now takes {result.events:,} events for "
-        f"{result.packets:,} packets, pinned {PINNED_WORK[name]} — the "
-        "scenario or the fast path's event economy changed (see "
-        "PERFORMANCE.md)"
+    assert work == pinned, (
+        f"{title}: the engine now takes {work[1]:,} events for {work[0]:,} "
+        f"packets, pinned {pinned} — the spec or the fast path's event "
+        "economy changed (see PERFORMANCE.md)"
     )
 
 
-@pytest.mark.parametrize("name", ["flood", "flood_heavy"])
-def test_flood_defense_throughput_at_least_3x_seed(benchmark, name, calibration):
-    check_pinned_work(benchmark, name, calibration)
+@pytest.mark.parametrize("attack_pps, pinned", [
+    pytest.param(1500.0, (18250, 43795), id="flood"),
+    pytest.param(5000.0, (51500, 117025), id="flood_heavy")])
+def test_flood_work_is_pinned(benchmark, attack_pps, pinned):
+    """The flood's and the legitimate sender's offered packets, and the
+    simulator events they took, over 10 s of the canonical spec at seed 0."""
+
+    def measure():
+        execution = ExperimentRunner().prepare(
+            default_flood_spec(attack_pps=attack_pps, duration=10.0, seed=0))
+        execution.run()
+        flood = execution.attack_workloads()[0].generator
+        legit = execution.legit_workloads()[0].generator
+        return (flood.packets_sent + flood.packets_suppressed
+                + legit.packets_offered, execution.sim.events_processed)
+
+    check_pinned(f"flood at {attack_pps:g} pps",
+                 run_once(benchmark, measure), pinned)
 
 
-def test_scaling_throughput_does_not_regress(benchmark, calibration):
-    """The power-law scaling workload exercises topology construction and
-    the full AITF protocol stack, not just the packet fast path."""
-    check_pinned_work(benchmark, "scaling", calibration)
+def test_scaling_work_is_pinned(benchmark):
+    """The event economy of a power-law topology under the full AITF stack
+    (twelve gateways blocking for the whole run), not just the fast path."""
+    spec = fleet_spec(autonomous_systems=30, hosts_per_leaf=2, zombies=12,
+                      rate_pps=400.0, duration=6.0)
+    packets, events, _ = run_once(benchmark, run_fleet, spec)
+    check_pinned("scaling", (packets, events), (28560, 64962))
 
 
-#: Train mode must beat per-packet mode on the fleet scenario by at least
-#: this factor in CI (the recorded full-size run in BENCH_engine.json is
-#: held to >= 5x; the gate runs a scaled-down fleet to stay fast, where
-#: fixed per-run costs weigh heavier, so the bar is the same 3x as above).
+#: Train mode must beat per-packet mode by at least this factor on a fleet
+#: scaled to stay fast in CI, where fixed per-run costs weigh heaviest.
 REQUIRED_TRAIN_SPEEDUP = 3.0
 
-#: Scaled-down fleet for the CI gate: same scenario shape, ~4x smaller.
 FLEET_GATE_PARAMS = dict(autonomous_systems=100, hosts_per_leaf=6,
                          zombies=250, rate_pps=40.0, duration=4.0)
 
 
 def test_fleet_train_mode_at_least_3x_packet_mode(benchmark):
-    """The packet-train engine gate: aggregated emission + fluid links must
-    keep their order-of-magnitude advantage over per-packet simulation on
-    the same fleet-scale scenario."""
+    """Aggregated emission + fluid links must keep their order-of-magnitude
+    advantage over per-packet simulation of the identical spec."""
 
     def measure():
-        train = run_bench("fleet", repeats=1, warmup=False, **FLEET_GATE_PARAMS)
-        packet = run_bench("fleet_packet", repeats=1, warmup=False,
-                           **FLEET_GATE_PARAMS)
-        return train, packet
+        return (run_fleet(fleet_spec(mode="train", **FLEET_GATE_PARAMS)),
+                run_fleet(fleet_spec(mode="packet", **FLEET_GATE_PARAMS)))
 
     train, packet = run_once(benchmark, measure)
-    assert train.packets == packet.packets, (
+    (train_packets, train_events, train_wall) = train
+    (packet_packets, packet_events, packet_wall) = packet
+    assert train_packets == packet_packets, (
         "train and per-packet mode generated different packet counts on the "
-        "identical fleet scenario — the equivalence contract broke"
+        "identical fleet spec — the equivalence contract broke"
     )
-    speedup = train.packets_per_sec / packet.packets_per_sec
+    speedup = packet_wall / train_wall
     table = ResultTable("Fleet: train vs per-packet mode", ["metric", "value"])
-    table.add_row("packets (both modes)", f"{train.packets:,}")
-    table.add_row("train mode pkts/sec", f"{train.packets_per_sec:,.0f}")
-    table.add_row("packet mode pkts/sec", f"{packet.packets_per_sec:,.0f}")
+    table.add_row("packets (train / packet)",
+                  f"{train_packets:,} / {packet_packets:,}")
+    table.add_row("events (train / packet)",
+                  f"{train_events:,} / {packet_events:,}")
+    table.add_row("run() seconds (train / packet)",
+                  f"{train_wall:.3f} / {packet_wall:.3f}")
     table.add_row("train-mode speedup", f"{speedup:.2f}x")
     table.print()
     assert speedup >= REQUIRED_TRAIN_SPEEDUP, (
@@ -122,24 +139,3 @@ def test_fleet_train_mode_at_least_3x_packet_mode(benchmark):
         f"(gate is {REQUIRED_TRAIN_SPEEDUP}x) — the aggregation fast path "
         "regressed (see PERFORMANCE.md, 'Train mode')"
     )
-
-
-def test_bench_engine_json_is_checked_in_and_consistent():
-    """BENCH_engine.json must exist and carry the >=3x flood numbers, the
-    pinned work they were measured on, and the >=5x recorded fleet
-    train-mode speedup."""
-    with open(BENCH_JSON) as handle:
-        doc = json.load(handle)
-    assert doc["schema"] == "bench_engine/v1"
-    assert doc["seed_baseline"] == SEED_BASELINE
-    for name in ("flood", "flood_heavy"):
-        entry = doc["benches"][name]
-        assert entry["speedup_vs_seed"] >= REQUIRED_SPEEDUP
-    for name, work in PINNED_WORK.items():
-        entry = doc["benches"][name]
-        assert (entry["packets"], entry["events"]) == work
-    # The recorded fleet case: train mode >= 5x per-packet mode, and the
-    # perf trajectory history is being accumulated rather than overwritten.
-    assert doc["train_mode_speedup"]["fleet"] >= 5.0
-    assert doc["history"], "BENCH_engine.json should carry a history list"
-    assert doc["history"][-1]["packets_per_sec"].keys() == doc["benches"].keys()

@@ -14,11 +14,12 @@ Two claims guard the sharded engine:
 """
 
 import os
+import time
 
 import pytest
 
 from repro.analysis.report import ResultTable
-from repro.perf.bench import run_bench
+from repro.experiments import ExperimentRunner, ExperimentSpec
 
 from benchmarks.conftest import run_once
 
@@ -27,21 +28,45 @@ REQUIRED_SHARD_SPEEDUP = 3.0
 
 #: Scaled-down fleet for the always-on equivalence gate.
 SMALL_FLEET_PARAMS = dict(autonomous_systems=60, hosts_per_leaf=4,
-                          zombies=100, rate_pps=40.0, duration=2.0)
+                          zombies=100, duration=2.0)
+
+
+def run_fleet(shards, autonomous_systems=200, hosts_per_leaf=10,
+              zombies=1000, duration=5.0):
+    """``(packets sent, wall seconds)`` of the undefended train-mode fleet
+    flood on ``shards`` worker processes (1 = the serial train engine).
+
+    The wall-clock includes the build/fork/partition set-up, identical
+    across shard counts, so the serial-vs-sharded ratio is end to end.
+    """
+    spec = ExperimentSpec.from_dict({
+        "schema": "experiment_spec/v1",
+        "name": "sharded-fleet",
+        "seed": 11,
+        "duration": duration,
+        "topology": {"kind": "powerlaw", "params": {
+            "autonomous_systems": autonomous_systems,
+            "hosts_per_leaf": hosts_per_leaf, "seed": 11}},
+        "defense": {"backend": "none"},
+        "engine": {"mode": "train", "max_train": 256, "shards": shards},
+        "workloads": [{"kind": "zombies", "params": {
+            "count": zombies, "rate_pps": 40.0, "start": 0.05}}],
+    })
+    start = time.perf_counter()
+    result = ExperimentRunner().run(spec)
+    wall = time.perf_counter() - start
+    return sum(w.get("packets_sent", 0) for w in result.workload_stats), wall
 
 
 def test_sharded_fleet_generates_identical_packets(benchmark):
     """2-shard and serial train runs of one spec emit the same packets."""
 
     def measure():
-        serial = run_bench("sharded_fleet_serial", repeats=1, warmup=False,
-                           **SMALL_FLEET_PARAMS)
-        sharded = run_bench("sharded_fleet", repeats=1, warmup=False,
-                            shards=2, **SMALL_FLEET_PARAMS)
-        return serial, sharded
+        return (run_fleet(1, **SMALL_FLEET_PARAMS),
+                run_fleet(2, **SMALL_FLEET_PARAMS))
 
     serial, sharded = run_once(benchmark, measure)
-    assert serial.packets == sharded.packets, (
+    assert serial[0] == sharded[0], (
         "sharded and serial train mode generated different packet counts on "
         "the identical fleet spec — the ownership-gated start (or the "
         "cut-link divert/inject plumbing) lost or duplicated traffic"
@@ -55,20 +80,15 @@ def test_sharded_fleet_generates_identical_packets(benchmark):
 def test_sharded_fleet_at_least_3x_serial(benchmark):
     """8 shards on the full 200-AS fleet must beat 1 shard by >= 3x."""
 
-    def measure():
-        serial = run_bench("sharded_fleet_serial", repeats=1, warmup=False)
-        sharded = run_bench("sharded_fleet", repeats=1, warmup=False,
-                            shards=8)
-        return serial, sharded
-
-    serial, sharded = run_once(benchmark, measure)
-    assert serial.packets == sharded.packets
-    speedup = sharded.packets_per_sec / serial.packets_per_sec
+    serial, sharded = run_once(benchmark,
+                               lambda: (run_fleet(1), run_fleet(8)))
+    assert serial[0] == sharded[0]
+    speedup = serial[1] / sharded[1]
     table = ResultTable("Fleet: sharded vs serial train mode",
                         ["metric", "value"])
-    table.add_row("packets (both)", f"{serial.packets:,}")
-    table.add_row("serial pkts/sec", f"{serial.packets_per_sec:,.0f}")
-    table.add_row("8-shard pkts/sec", f"{sharded.packets_per_sec:,.0f}")
+    table.add_row("packets (both)", f"{serial[0]:,}")
+    table.add_row("serial seconds", f"{serial[1]:.3f}")
+    table.add_row("8-shard seconds", f"{sharded[1]:.3f}")
     table.add_row("shard speedup", f"{speedup:.2f}x")
     table.print()
     assert speedup >= REQUIRED_SHARD_SPEEDUP, (

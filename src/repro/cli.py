@@ -25,12 +25,10 @@ the observability plane (:mod:`repro.obs`)::
     python -m repro trace diff   packet.jsonl train.jsonl
     python -m repro profile --spec experiment.json --top 15
 
-the paper's other canonical experiments are committed specs, and the engine
-benchmarks ride along::
+the paper's other canonical experiments are committed specs::
 
     python -m repro run      --spec examples/specs/onoff_aitf.json
     python -m repro run      --spec examples/specs/victim_resources.json
-    python -m repro bench    --output BENCH_engine.json
 
 Each subcommand prints a small result table and exits 0; `--json` switches
 the output to machine-readable JSON for scripting.  Every subcommand takes
@@ -611,118 +609,6 @@ def run_paper(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# engine benchmarks
-# ----------------------------------------------------------------------
-def run_bench(args: argparse.Namespace) -> int:
-    """Engine throughput benchmarks; optionally writes BENCH_engine.json.
-    ``--suite sweep`` benchmarks sweep execution (cells/sec, serial vs
-    parallel vs cluster) and writes BENCH_sweep.json instead; ``--compare
-    OLD.json NEW.json`` diffs two recorded documents without running
-    anything."""
-    from repro.perf.bench import BENCH_NAMES, calibrate, run_benches, write_bench_json
-
-    if args.compare:
-        return _compare_bench(args)
-    if args.suite == "sweep":
-        return _run_sweep_bench(args)
-    names = BENCH_NAMES if args.scenario == "all" else (args.scenario,)
-    calibration = calibrate()
-    overrides = {} if args.seed is None else {"seed": args.seed}
-    results = run_benches(names, repeats=args.repeats, **overrides)
-    if args.output:
-        doc = write_bench_json(args.output, results, calibration=calibration)
-    else:
-        doc = {
-            "calibration_ops_per_sec": calibration,
-            "benches": {
-                r.name: {**r.__dict__,
-                         "speedup_vs_seed": r.speedup_vs_seed(calibration)}
-                for r in results
-            },
-        }
-    if args.json:
-        print(json.dumps(doc, indent=2, default=str))
-        return 0
-    table = ResultTable("Engine benchmarks",
-                        ["bench", "packets/s", "events/s", "wall s", "vs seed"])
-    for result in results:
-        speedup = result.speedup_vs_seed(calibration)
-        table.add_row(
-            result.name,
-            f"{result.packets_per_sec:,.0f}",
-            f"{result.events_per_sec:,.0f}",
-            f"{result.wall_seconds:.3f}",
-            f"{speedup:.2f}x" if speedup is not None else "-",
-        )
-    table.print()
-    print(f"calibration: {calibration:,.0f} ops/s"
-          + (f"; wrote {args.output}" if args.output else ""))
-    return 0
-
-
-def _compare_bench(args: argparse.Namespace) -> int:
-    """The ``repro bench --compare OLD.json NEW.json`` path: a per-case
-    speedup table tracking the perf trajectory across recorded runs."""
-    from repro.perf.bench import compare_bench_docs
-
-    old_path, new_path = args.compare
-    try:
-        with open(old_path) as handle:
-            old_doc = json.load(handle)
-        with open(new_path) as handle:
-            new_doc = json.load(handle)
-    except (OSError, ValueError) as error:
-        raise SystemExit(f"repro bench --compare: {error}")
-    rows = compare_bench_docs(old_doc, new_doc)
-    if args.json:
-        print(json.dumps({"comparison": rows,
-                          "old_calibration": old_doc.get("calibration_ops_per_sec"),
-                          "new_calibration": new_doc.get("calibration_ops_per_sec")},
-                         indent=2))
-        return 0
-    table = ResultTable(f"Bench comparison: {old_path} -> {new_path}",
-                        ["bench", "old pkts/s", "new pkts/s", "speedup"])
-    for row in rows:
-        old_pps = row["old_packets_per_sec"]
-        new_pps = row["new_packets_per_sec"]
-        table.add_row(
-            row["name"],
-            f"{old_pps:,.0f}" if old_pps is not None else "-",
-            f"{new_pps:,.0f}" if new_pps is not None else "-",
-            f"{row['speedup']:.2f}x" if row["speedup"] is not None else "-",
-        )
-    table.print()
-    old_cal = old_doc.get("calibration_ops_per_sec")
-    new_cal = new_doc.get("calibration_ops_per_sec")
-    if old_cal and new_cal:
-        print(f"calibration: {old_cal:,.0f} -> {new_cal:,.0f} ops/s "
-              f"({new_cal / old_cal:.2f}x machine-speed shift)")
-    return 0
-
-
-def _run_sweep_bench(args: argparse.Namespace) -> int:
-    """The ``repro bench --suite sweep`` path: cells/sec across modes."""
-    from repro.perf.bench import run_sweep_bench_suite, write_sweep_bench_json
-
-    doc = run_sweep_bench_suite(repeats=args.repeats,
-                                seed=args.seed if args.seed is not None else 0)
-    if args.output:
-        write_sweep_bench_json(args.output, doc)
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-    table = ResultTable("Sweep benchmarks",
-                        ["case", "cells", "wall s", "cells/s", "cache hits"])
-    for name, case in doc["cases"].items():
-        table.add_row(name, case["cells"], f"{case['wall_seconds']:.3f}",
-                      f"{case['cells_per_sec']:.2f}", case["cache_hits"])
-    table.print()
-    if args.output:
-        logger.info("wrote %s", args.output)
-    return 0
-
-
-# ----------------------------------------------------------------------
 # observability subcommands (the flight recorder and friends)
 # ----------------------------------------------------------------------
 def _load_trace_or_die(path: str) -> tuple:
@@ -1161,32 +1047,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="override any builder parameter "
                            "(e.g. --set autonomous_systems=10000)")
     topo.set_defaults(func=run_topo)
-
-    bench = subparsers.add_parser(
-        "bench", help="engine throughput benchmarks (see PERFORMANCE.md)")
-    bench.add_argument("--suite", default="engine",
-                       choices=("engine", "sweep"),
-                       help="engine: packet throughput (BENCH_engine.json); "
-                            "sweep: cells/sec across execution modes "
-                            "(BENCH_sweep.json)")
-    from repro.perf.bench import BENCH_NAMES as _bench_names
-
-    bench.add_argument("--scenario", default="all",
-                       choices=("all", *_bench_names),
-                       help="which benchmark to run (engine suite)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="runs per benchmark; the fastest is reported")
-    bench.add_argument("--output", default="",
-                       help="write results to this JSON file "
-                            "(e.g. BENCH_engine.json)")
-    bench.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
-                       default=None,
-                       help="compare two recorded BENCH_engine.json files "
-                            "(per-case speedup table) instead of running")
-    bench.add_argument("--seed", type=int, default=None,
-                       help="seed for the benchmark workloads "
-                            "(default: the recorded-baseline seeds)")
-    bench.set_defaults(func=run_bench)
 
     trace = subparsers.add_parser(
         "trace", help="record and inspect structured experiment traces")

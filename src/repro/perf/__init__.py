@@ -1,38 +1,14 @@
-"""Performance harness: benchmark runners, calibration and profiling helpers.
+"""Profiling helpers behind ``repro profile``.
 
-This package exists so every future PR has a perf trajectory to beat.  It
-provides:
-
-* :mod:`repro.perf.bench` — canonical scenario benchmarks (flood defense at
-  two rates, a power-law-internet scaling workload), a machine-speed
-  calibration probe, and the recorded seed baseline the ``>=3x`` regression
-  gate compares against.
-* :mod:`repro.perf.profiling` — a tiny cProfile wrapper for finding the
-  next hot spot (see PERFORMANCE.md for the workflow).
-
-The ``repro bench`` CLI subcommand drives :func:`repro.perf.bench.run_benches`
-and writes ``BENCH_engine.json``.
+:mod:`repro.perf.profiling` is a tiny cProfile wrapper for finding the next
+hot spot (see PERFORMANCE.md for the workflow).  Measuring is not done here:
+``bench/run.py`` is the one benchmark harness, and the clock-free gates live
+under ``benchmarks/``.
 """
 
-from repro.perf.bench import (
-    BENCH_NAMES,
-    BenchResult,
-    SEED_BASELINE,
-    calibrate,
-    run_bench,
-    run_benches,
-    write_bench_json,
-)
 from repro.perf.profiling import format_hotspots, profile_callable
 
 __all__ = [
-    "BENCH_NAMES",
-    "BenchResult",
-    "SEED_BASELINE",
-    "calibrate",
-    "run_bench",
-    "run_benches",
-    "write_bench_json",
     "format_hotspots",
     "profile_callable",
 ]

@@ -2,9 +2,9 @@
 
 The workflow (documented in PERFORMANCE.md): run any spec under
 :func:`profile_spec` (``repro profile --spec ...`` from the shell), read
-the top entries, fix the biggest one, re-measure with ``repro bench``.
-Keeping the wrapper here means every session profiles the same way and the
-numbers stay comparable.
+the top entries, fix the biggest one, re-measure with paired
+``bench/run.py`` runs.  Keeping the wrapper here means every session
+profiles the same way and the numbers stay comparable.
 """
 
 from __future__ import annotations
@@ -55,11 +55,3 @@ def profile_spec(spec: Any, duration: Optional[float] = None,
             f"events={sim_stats['events_processed']}")
     return head + "\n" + format_hotspots(stats, top=top, sort=sort)
 
-
-def profile_flood(attack_pps: float = 5000.0, duration: float = 10.0,
-                  top: int = 20) -> str:
-    """Profile the canonical flood experiment; returns the hotspot table."""
-    from repro.experiments import default_flood_spec
-
-    spec = default_flood_spec(attack_pps=attack_pps, duration=duration)
-    return profile_spec(spec, top=top)

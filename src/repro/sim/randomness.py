@@ -125,5 +125,5 @@ class SeededRandom:
 
 
 def default_rng(seed: Optional[int] = None) -> SeededRandom:
-    """Convenience constructor used by scenarios: seed 0 unless told otherwise."""
+    """Convenience constructor: seed 0 unless told otherwise."""
     return SeededRandom(0 if seed is None else seed)

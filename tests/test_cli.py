@@ -38,7 +38,7 @@ class TestParser:
         assert _base_spec(args).workloads[0].params["rate"] == 2
 
     def test_unknown_command_rejected(self):
-        for command in ("not-a-command", "flood", "onoff", "resources"):
+        for command in ("not-a-command", "flood", "onoff", "resources", "bench"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command])
 
@@ -239,34 +239,6 @@ class TestSeedFlagOnClassicCommands:
         for path in (ONOFF_SPEC, VICTIM_SPEC):
             args = build_parser().parse_args(["run", "--spec", path, "--seed", "3"])
             assert _base_spec(args).seed == 3
-        args = build_parser().parse_args(["bench", "--seed", "3"])
-        assert args.seed == 3
-
-
-class TestBenchCommand:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.scenario == "all"
-        assert args.repeats == 3
-        assert args.output == ""
-
-    def test_single_scenario_table_output(self, capsys):
-        code = main(["bench", "--scenario", "flood", "--repeats", "1"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "Engine benchmarks" in out
-        assert "flood" in out
-        assert "calibration" in out
-
-    def test_json_output_and_file_writing(self, capsys, tmp_path):
-        target = tmp_path / "BENCH_engine.json"
-        code = main(["--json", "bench", "--scenario", "flood_heavy",
-                     "--repeats", "1", "--output", str(target)])
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert payload["schema"] == "bench_engine/v1"
-        assert "flood_heavy" in payload["benches"]
-        assert json.loads(target.read_text()) == payload
 
 
 class TestClusterSweepCommand:
@@ -510,9 +482,3 @@ class TestPaperCommand:
         with pytest.raises(SystemExit, match="no grid files"):
             main(["paper", "--grids", str(empty)])
 
-
-class TestSweepBenchCommand:
-    def test_parser_suite_flag(self):
-        args = build_parser().parse_args(["bench", "--suite", "sweep"])
-        assert args.suite == "sweep"
-        assert build_parser().parse_args(["bench"]).suite == "engine"

@@ -555,23 +555,3 @@ class TestProgressEverywhere:
         assert main([*args, "--resume"]) == 0
         assert capsys.readouterr().err.count("(cached)") == 2
 
-
-class TestSweepBenchSuite:
-    def test_suite_covers_all_modes_and_survives_repeats(self, tmp_path):
-        from repro.perf.bench import run_sweep_bench_suite, write_sweep_bench_json
-
-        doc = run_sweep_bench_suite(repeats=2)
-        assert doc["schema"] == "bench_sweep/v1"
-        # paper_quick joins the set only when the committed grid files are
-        # reachable from the working directory (pytest may run elsewhere).
-        assert set(doc["cases"]) - {"paper_quick"} == {
-            "serial", "parallel", "cluster_cold", "cluster_warm"}
-        for name, case in doc["cases"].items():
-            if name != "paper_quick":
-                assert case["cells"] == 6
-            assert case["cells_per_sec"] > 0
-        assert doc["cases"]["cluster_warm"]["cache_hits"] == 6
-        assert doc["cases"]["serial"]["cache_hits"] == 0
-        path = tmp_path / "BENCH_sweep.json"
-        written = write_sweep_bench_json(str(path), doc)
-        assert json.loads(path.read_text()) == written == doc

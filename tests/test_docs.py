@@ -11,7 +11,9 @@ import argparse
 import ast
 import glob
 import os
+import re
 import runpy
+import shlex
 
 import pytest
 
@@ -36,6 +38,33 @@ def cli_md():
 @pytest.fixture(scope="module")
 def architecture_md():
     return _read(DOCS_DIR, "architecture.md")
+
+
+def _documented_commands():
+    """``(where, argv)`` of every ``python -m repro ...`` line in a fenced
+    block of the docs: continuation lines joined, comments, pipes,
+    redirections and ``&`` cut, lines with a placeholder skipped."""
+    paths = [os.path.join(REPO_ROOT, "README.md"),
+             os.path.join(REPO_ROOT, "PERFORMANCE.md"),
+             os.path.join(REPO_ROOT, ".claude", "skills", "verify", "SKILL.md"),
+             *sorted(glob.glob(os.path.join(DOCS_DIR, "*.md")))]
+    for path in paths:
+        fenced, pending = False, ""
+        for number, line in enumerate(_read(path).splitlines(), 1):
+            if line.lstrip().startswith("```"):
+                fenced = not fenced
+                continue
+            pending += line.strip()
+            if pending.endswith("\\"):
+                pending = pending[:-1]
+                continue
+            command, pending = pending, ""
+            match = re.search(r"python3? -m repro (.*)", command)
+            if not fenced or match is None or re.search(
+                    r"\$|<\w|\.\.\.", command):
+                continue
+            argv = shlex.split(re.split(r" #|[|>&]", match.group(1))[0])
+            yield f"{os.path.relpath(path, REPO_ROOT)}:{number}", argv
 
 
 def _subparser_choices(parser):
@@ -78,6 +107,20 @@ class TestCliDocs:
                 f"docs/cli.md documents {match!r}, which build_parser() "
                 "does not provide")
 
+    def test_every_documented_command_line_parses(self, capsys):
+        """A doc that names a removed subcommand or flag fails here."""
+        parser = build_parser()
+        commands = list(_documented_commands())
+        assert len(commands) > 50
+        stale = []
+        for where, argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                stale.append(f"{where}: repro {' '.join(argv)}")
+        capsys.readouterr()  # argparse's usage text, one per stale line
+        assert not stale, "docs show commands that do not parse:\n" + "\n".join(stale)
+
 
 class TestRegistryDocs:
     @pytest.mark.parametrize("registry", [TOPOLOGIES, DEFENSES, WORKLOADS,
@@ -109,7 +152,6 @@ class TestSchemaDocs:
         from repro.experiments.spec import SPEC_SCHEMA
         from repro.experiments.sweep import PROVENANCE_SCHEMA, SWEEP_SCHEMA
         from repro.obs.trace import TRACE_SCHEMA
-        from repro.perf.bench import BENCH_SCHEMA, SWEEP_BENCH_SCHEMA
         from repro.redteam import (
             REDTEAM_SPEC_SCHEMA,
             REPAIR_SCHEMA,
@@ -119,7 +161,6 @@ class TestSchemaDocs:
         for schema in (SPEC_SCHEMA, RESULT_SCHEMA, SWEEP_SCHEMA,
                        PROVENANCE_SCHEMA, SWEEP_REQUEST_SCHEMA,
                        MANIFEST_SCHEMA, CACHE_SCHEMA, TRACE_SCHEMA,
-                       BENCH_SCHEMA, SWEEP_BENCH_SCHEMA,
                        REDTEAM_SPEC_SCHEMA, SEARCH_SCHEMA, REPAIR_SCHEMA):
             assert f"`{schema}`" in architecture_md, (
                 f"schema tag {schema!r} missing from docs/architecture.md")

@@ -5,10 +5,8 @@
 * :class:`BatchedProcess` train semantics
 * ``Packet.clone`` and route-record interning
 * the indexed filter table (exact buckets, residual wildcards, expiry heap)
-* the perf harness (calibration, bench runner, JSON writer)
+* the profiling helpers behind ``repro profile``
 """
-
-import json
 
 import pytest
 
@@ -271,33 +269,6 @@ class TestIndexedFilterTable:
 
 
 class TestPerfHarness:
-    def test_calibrate_reports_positive_ops(self):
-        from repro.perf.bench import calibrate
-        assert calibrate(iterations=20_000) > 0
-
-    def test_run_bench_flood_smoke(self):
-        from repro.perf.bench import run_bench
-        result = run_bench("flood", repeats=1, warmup=False, duration=0.5)
-        assert result.packets > 0
-        assert result.packets_per_sec > 0
-        assert result.events >= result.packets
-
-    def test_unknown_bench_rejected(self):
-        from repro.perf.bench import run_bench
-        with pytest.raises(ValueError):
-            run_bench("nope")
-
-    def test_write_bench_json_schema(self, tmp_path):
-        from repro.perf.bench import run_bench, write_bench_json
-        result = run_bench("flood", repeats=1, warmup=False, duration=0.5)
-        path = tmp_path / "BENCH_engine.json"
-        doc = write_bench_json(str(path), [result], calibration=1e6)
-        on_disk = json.loads(path.read_text())
-        assert on_disk == doc
-        assert on_disk["schema"] == "bench_engine/v1"
-        assert "flood" in on_disk["benches"]
-        assert "seed_baseline" in on_disk
-
     def test_profile_helpers_produce_hotspots(self):
         from repro.perf.profiling import format_hotspots, profile_callable
         value, stats = profile_callable(sum, range(1000))
