@@ -173,6 +173,14 @@ def _base_spec(args: argparse.Namespace) -> ExperimentSpec:
         overrides["topology.kind"] = args.topology
     if getattr(args, "defense", None):
         overrides["defense.backend"] = args.defense
+    return _with_run_flags(spec, args, overrides)
+
+
+def _with_run_flags(spec: ExperimentSpec, args: argparse.Namespace,
+                    overrides: Optional[Dict[str, Any]] = None) -> ExperimentSpec:
+    """``spec`` under ``overrides`` plus the flags every spec-running
+    command shares: ``--duration``, ``--seed``, ``--set``, ``--fault``."""
+    overrides = dict(overrides or {})
     if args.duration is not None:
         overrides["duration"] = args.duration
     if args.seed is not None:
@@ -313,18 +321,7 @@ def run_sweep(args: argparse.Namespace) -> int:
             "--workers does not apply with --cluster: parallelism comes "
             "from running `repro worker --cluster DIR` processes")
     if request is not None:
-        base = request.base
-        overrides: Dict[str, Any] = {}
-        if args.duration is not None:
-            overrides["duration"] = args.duration
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        for path, raw in args.set or []:
-            overrides[path] = _parse_value(raw)
-        if args.fault:
-            overrides["faults"] = list(args.fault)
-        if overrides:
-            base = base.with_overrides(overrides)
+        base = _with_run_flags(request.base, args)
         reseed = request.reseed and not args.no_reseed
     else:
         base = _base_spec(args)

@@ -14,12 +14,14 @@ from __future__ import annotations
 import contextlib
 import gc
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.analysis.metrics import FlowMeter, GoodputMeter, OccupancySampler
 from repro.core.config import AITFConfig
 from repro.experiments.backends import DefenseBackend, build_backend
 from repro.experiments.collectors import MetricCollector, build_collector
+from repro.experiments.combine import combine_stats, owned, owns_everything, victim
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.topologies import TopologyHandle, build_topology
 from repro.experiments.workloads import WorkloadHandle, build_workload
@@ -219,20 +221,21 @@ class ExperimentExecution:
                 tag = getattr(workload, "flow_tag", "attack")
                 self.attack_meters.append(GoodputMeter(victim, flow_tag_prefix=tag))
         self.goodput_meter = GoodputMeter(victim)
-        self.victim_gw_occupancy: Optional[OccupancySampler] = None
-        self.attacker_gw_occupancy: Optional[OccupancySampler] = None
+        #: Result field -> (its occupancy sampler, the gateway it samples).
+        self.occupancy: Dict[str, Tuple[OccupancySampler, str]] = {}
         if spec.sample_occupancy:
             victim_gw = self.handle.victim_gateway
-            self.victim_gw_occupancy = OccupancySampler(
+            self.occupancy["victim_gateway_peak_filters"] = (OccupancySampler(
                 self.sim, lambda: victim_gw.filter_table.occupancy,
                 name=f"{victim_gw.name}-filters",
-            )
+            ), victim_gw.name)
             attacker_gw = self._attacker_gateway()
             if attacker_gw is not None:
-                self.attacker_gw_occupancy = OccupancySampler(
-                    self.sim, lambda: attacker_gw.filter_table.occupancy,
-                    name=f"{attacker_gw.name}-filters",
-                )
+                self.occupancy["attacker_gateway_peak_filters"] = (
+                    OccupancySampler(
+                        self.sim, lambda: attacker_gw.filter_table.occupancy,
+                        name=f"{attacker_gw.name}-filters",
+                    ), attacker_gw.name)
         self._ran_until: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -271,46 +274,99 @@ class ExperimentExecution:
         duration = until if until is not None else self.spec.duration
         try:
             if self._ran_until is None:
-                if self.observer is not None:
-                    self.observer.start(self, duration)
-                if self.fault_injector is not None:
-                    self.fault_injector.start()
-                for workload in self.workloads:
-                    workload.start()
-                for collector in self.collectors:
-                    collector.start()
-                if self.victim_gw_occupancy is not None:
-                    self.victim_gw_occupancy.start()
-                if self.attacker_gw_occupancy is not None:
-                    self.attacker_gw_occupancy.start()
+                self.start(duration)
             self.sim.run(until=duration)
             self._ran_until = duration
-            return self._collect(duration)
+            measured = self.measure(duration)
+            if self.metrics is not None:
+                publish_measurement(self.metrics, measured)
+            return self.result(duration, measured,
+                               self.observer.summary(self)
+                               if self.observer is not None else {})
         finally:
             BuildCollector.release()
 
-    def _collect(self, duration: float) -> ExperimentResult:
-        window = (self.attack_window_start, duration)
-        attack_offered = sum(w.offered_bps for w in self.attack_workloads())
-        attack_received = 0.0
-        for meter in self.attack_meters:
-            attack_received += meter.received_bps(*window)
-        legit_offered = sum(w.offered_bps for w in self.legit_workloads())
-        legit_goodput = self.goodput_meter.goodput_bps(*window)
-        defense_stats = self.backend.collect(self)
-        collector_stats = {c.id: c.collect(self) for c in self.collectors}
-        if self.metrics is not None:
-            from repro.obs.metrics import publish_stats
-            publish_stats(self.metrics, "defense", defense_stats)
-            for collector_id, stats in collector_stats.items():
-                publish_stats(self.metrics, f"collector.{collector_id}", stats)
-        dropped_down = 0
+    def start(self, duration: float,
+              owns: Callable[[str], bool] = owns_everything) -> None:
+        """Start traffic and measurement, in the golden recordings' order,
+        on the nodes this process ``owns`` (a shard worker: its shard's).
+        A generator belongs to the node it emits from, a collector or
+        sampler to the node it measures (a location-free one: the victim)."""
+        if self.observer is not None:
+            self.observer.start(self, duration)
         if self.fault_injector is not None:
+            self.fault_injector.start()
+        for workload in self.workloads:
+            workload.start(owns)
+        victim_name = self.handle.victim.name
+        self._owned_collectors = [c for c in self.collectors
+                                  if owns(c.anchor or victim_name)]
+        for collector in self._owned_collectors:
+            collector.start()
+        self._owned_samplers = {field: sampler for field, (sampler, gateway)
+                                in self.occupancy.items() if owns(gateway)}
+        for sampler in self._owned_samplers.values():
+            sampler.start()
+
+    def measure(self, duration: float) -> Dict[str, Any]:
+        """What this process measured by ``duration``: :meth:`result`'s input
+        (a sharded run's parent passes it the shards' :meth:`combine`)."""
+        window = (self.attack_window_start, duration)
+        injector = self.fault_injector
+        peak = {field: sampler.peak
+                for field, sampler in self._owned_samplers.items()}
+        return {
+            "attack_received_bps": sum((meter.received_bps(*window)
+                                        for meter in self.attack_meters), 0.0),
+            "legit_goodput_bps": self.goodput_meter.goodput_bps(*window),
+            "defense_stats": self.backend.collect(self),
+            "collector_stats": {c.id: c.collect(self)
+                                for c in self._owned_collectors},
             # Only a link the injector took down can have dropped a packet
             # for being down: those are summed, not every link there is.
-            for link in self.fault_injector.downed_links:
-                dropped_down += (link.stats_toward(link.a).packets_dropped_down
-                                 + link.stats_toward(link.b).packets_dropped_down)
+            "packets_dropped_down": sum(
+                link.stats_toward(link.a).packets_dropped_down
+                + link.stats_toward(link.b).packets_dropped_down
+                for link in (injector.downed_links
+                             if injector is not None else ())),
+            "victim_gateway_peak_filters":
+                peak.get("victim_gateway_peak_filters"),
+            "attacker_gateway_peak_filters":
+                peak.get("attacker_gateway_peak_filters"),
+            "workload_stats": [w.stats() for w in self.workloads],
+        }
+
+    def combine(self, measures: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+        """One measurement from the shards' (shard 0, which holds the victim
+        and its gateway, first), by the rule each statistic declares."""
+        backend = self.backend
+        rules = {
+            # Every meter attaches at the victim.
+            "attack_received_bps": victim,
+            "legit_goodput_bps": victim,
+            "defense_stats": lambda values: combine_stats(
+                backend.shard_rules, values, f"defense {backend.name!r}"),
+            # A collector ran on the one shard that owns its anchor.
+            "collector_stats": lambda values: {
+                c.id: owned([stats.get(c.id) for stats in values])
+                for c in self.collectors},
+            "workload_stats": lambda values: [
+                combine_stats(w.shard_rules, column, f"workload {w.kind!r}")
+                for w, column in zip(self.workloads, zip(*values))],
+            "victim_gateway_peak_filters": victim,
+            "attacker_gateway_peak_filters": owned,
+            "packets_dropped_down": sum,
+        }
+        return combine_stats(rules, measures, "result")
+
+    def result(self, duration: float, measured: Mapping[str, Any],
+               observability: Dict[str, Any]) -> ExperimentResult:
+        """The result document of a run that measured ``measured``."""
+        attack_offered = sum(w.offered_bps for w in self.attack_workloads())
+        attack_received = measured["attack_received_bps"]
+        legit_offered = sum(w.offered_bps for w in self.legit_workloads())
+        legit_goodput = measured["legit_goodput_bps"]
+        defense_stats = measured["defense_stats"]
         return ExperimentResult(
             schema=RESULT_SCHEMA,
             name=self.spec.name,
@@ -329,18 +385,29 @@ class ExperimentExecution:
             time_to_first_block=defense_stats.get("time_to_first_block"),
             nodes_involved=int(defense_stats.get("nodes_involved", 0)),
             control_messages=int(defense_stats.get("control_messages", 0)),
-            victim_gateway_peak_filters=self.victim_gw_occupancy.peak
-            if self.victim_gw_occupancy is not None else None,
-            attacker_gateway_peak_filters=self.attacker_gw_occupancy.peak
-            if self.attacker_gw_occupancy is not None else None,
-            packets_dropped_down=dropped_down,
+            victim_gateway_peak_filters=measured["victim_gateway_peak_filters"],
+            attacker_gateway_peak_filters=measured[
+                "attacker_gateway_peak_filters"],
+            packets_dropped_down=measured["packets_dropped_down"],
             defense_stats=defense_stats,
-            workload_stats=[w.stats() for w in self.workloads],
-            collector_stats=collector_stats,
-            observability=(self.observer.summary(self)
-                           if self.observer is not None else {}),
+            workload_stats=measured["workload_stats"],
+            collector_stats=measured["collector_stats"],
+            observability=observability,
             spec=self.spec.to_dict(),
         )
+
+
+def publish_measurement(registry: Any, measured: Mapping[str, Any]) -> None:
+    """Publish a run's defense and collector stats into its metrics registry.
+
+    Once per run, on the run's whole measurement: :meth:`ExperimentExecution.run`
+    on its own, the sharded parent on the shards' combined one.
+    """
+    from repro.obs.metrics import publish_stats
+
+    publish_stats(registry, "defense", measured["defense_stats"])
+    for collector_id, stats in measured["collector_stats"].items():
+        publish_stats(registry, f"collector.{collector_id}", stats)
 
 
 class ExperimentRunner:

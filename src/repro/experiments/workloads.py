@@ -4,12 +4,14 @@ Every workload normalises to a :class:`WorkloadHandle` so the runner can
 start it, meter it and report it without knowing what kind of generator sits
 behind it.  Attack workloads additionally expose their flow labels and
 attacker hosts so defense backends can arm themselves (mark detectors,
-schedule manual responses, wire stop callbacks).
+schedule manual responses, wire stop callbacks).  Beside ``stats()`` each
+handle declares ``shard_rules``: how every key it reports combines across
+the shards of a sharded run (:mod:`repro.experiments.combine`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping
+from typing import Any, Callable, Dict, List, Mapping
 
 from repro.attacks.flood import FloodAttack, SpoofedFloodAttack
 from repro.attacks.legitimate import LegitimateTraffic, PoissonTraffic
@@ -17,6 +19,7 @@ from repro.attacks.malicious import RequestForger
 from repro.attacks.onoff import OnOffAttack
 from repro.attacks.zombies import ZombieArmy
 from repro.core.messages import RequestRole
+from repro.experiments.combine import owns_everything, shared
 from repro.experiments.registry import WORKLOADS
 from repro.net.flowlabel import FlowLabel
 from repro.router.nodes import Host
@@ -34,9 +37,16 @@ class WorkloadHandle:
         self.start_time = start_time
         self.params = dict(params)
 
-    def start(self) -> None:
-        """Begin emitting (the generator schedules itself from its start time)."""
-        self.generator.start()
+    def start(self, owns: Callable[[str], bool] = owns_everything) -> None:
+        """Begin emitting (the generator schedules itself from its start
+        time) if this process ``owns`` the node it emits from."""
+        if owns(self.origin):
+            self.generator.start()
+
+    @property
+    def origin(self) -> str:
+        """Name of the node this workload emits from."""
+        return self.generator.sender.name
 
     # -- attack-side surface (legit workloads return empties) ----------
     @property
@@ -63,6 +73,9 @@ class WorkloadHandle:
         return {"kind": self.kind, "role": self.role,
                 "offered_bps": self.offered_bps}
 
+    shard_rules: Dict[str, Any] = dict.fromkeys(
+        ("kind", "role", "offered_bps"), shared)
+
 
 class _SingleAttackHandle(WorkloadHandle):
     """An attack from one host with one (src, dst) flow label."""
@@ -71,6 +84,10 @@ class _SingleAttackHandle(WorkloadHandle):
                  **kwargs: Any) -> None:
         super().__init__(kind, generator, **kwargs)
         self.attacker = attacker
+
+    @property
+    def origin(self) -> str:
+        return self.attacker.name
 
     @property
     def flow_labels(self) -> List[FlowLabel]:
@@ -92,6 +109,9 @@ class _SingleAttackHandle(WorkloadHandle):
             packets_suppressed=self.generator.packets_suppressed,
         )
         return stats
+
+    shard_rules = {**WorkloadHandle.shard_rules,
+                   "packets_sent": sum, "packets_suppressed": sum}
 
 
 def _train_kwargs(ctx: Any) -> Dict[str, Any]:
@@ -176,6 +196,8 @@ class _OnOffHandle(_SingleAttackHandle):
         stats["cycles_completed"] = self.generator.cycles_completed
         return stats
 
+    shard_rules = {**_SingleAttackHandle.shard_rules, "cycles_completed": sum}
+
 
 @WORKLOADS.register("legitimate")
 def _build_legitimate(ctx: Any, index: int, params: Mapping[str, Any]) -> WorkloadHandle:
@@ -239,6 +261,12 @@ class _ZombieHandle(WorkloadHandle):
         super().__init__(kind, army, **kwargs)
         self._zombies = list(zombies)
 
+    def start(self, owns: Callable[[str], bool] = owns_everything) -> None:
+        # One army can span shards: each zombie starts where its host lives.
+        for attack in self.generator.attacks:
+            if owns(attack.attacker.name):
+                attack.start()
+
     @property
     def flow_labels(self) -> List[FlowLabel]:
         return self.generator.flow_labels
@@ -256,6 +284,10 @@ class _ZombieHandle(WorkloadHandle):
                      packets_sent=self.generator.packets_sent,
                      active_count=self.generator.active_count)
         return stats
+
+    # A zombie some shard never started is not active there.
+    shard_rules = {**WorkloadHandle.shard_rules, "zombies": shared,
+                   "packets_sent": sum, "active_count": sum}
 
 
 class FilterRequestStream:
@@ -325,11 +357,19 @@ class _FilterRequestHandle(WorkloadHandle):
 
     role = "control"
 
+    @property
+    def origin(self) -> str:
+        # The requests go out through the victim's own agent.
+        return self.generator.ctx.handle.victim.name
+
     def stats(self) -> Dict[str, Any]:
         stats = super().stats()
         stats["requests_sent"] = self.generator.requests_sent
         stats["rate"] = self.generator.rate
         return stats
+
+    shard_rules = {**WorkloadHandle.shard_rules,
+                   "requests_sent": sum, "rate": shared}
 
 
 @WORKLOADS.register("filter-requests")
@@ -432,17 +472,19 @@ class ForgedRequestStream:
         )
 
 
-class _ForgedRequestHandle(WorkloadHandle):
+class _ForgedRequestHandle(_FilterRequestHandle):
     """Control-plane abuse: neither data attack nor legitimate traffic."""
 
-    role = "control"
+    @property
+    def origin(self) -> str:
+        return self.generator.forger.host.name
 
     def stats(self) -> Dict[str, Any]:
         stats = super().stats()
-        stats["requests_sent"] = self.generator.requests_sent
-        stats["rate"] = self.generator.rate
         stats["spoofed"] = self.generator.spoofed
         return stats
+
+    shard_rules = {**_FilterRequestHandle.shard_rules, "spoofed": shared}
 
 
 @WORKLOADS.register("forged-requests")

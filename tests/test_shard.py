@@ -25,10 +25,13 @@ import logging
 import pytest
 
 from repro.experiments import (
+    DEFENSES,
+    WORKLOADS,
     ExperimentRunner,
     ExperimentSpec,
     spec_hash,
 )
+from repro.experiments.combine import combine_stats, shared
 from repro.experiments.topologies import build_topology
 from repro.shard import partition_topology, run_sharded
 from repro.shard import runner as shard_runner
@@ -163,20 +166,38 @@ class TestShardedBitIdentity:
         serial = ExperimentRunner().run(fleet_spec(**kwargs))
         sharded = ExperimentRunner().run(fleet_spec(shards=shards, **kwargs))
         assert result_key(sharded) == result_key(serial)
+        return serial
 
     def test_two_shards_defense_none(self):
         self._compare(defense="none")
 
     def test_two_shards_aitf_with_spoofed_zombies_and_collectors(self):
+        # The victim marks the zombies' own addresses, which spoofed packets
+        # never carry: AITF stays silent here at any horizon.  The cells
+        # below are the ones it acts in.
         self._compare(
             defense="aitf",
-            defense_params={"cooperation": "non_cooperating_attackers"},
+            defense_params={"non_cooperating_attackers": True},
             spoofed=True,
             autonomous_systems=40,
             collectors=({"kind": "filter-occupancy"},
                         {"kind": "shadow-occupancy"},
                         {"kind": "request-accounting"}),
         )
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_non_cooperating_attackers_rejections_add_up(self, shards):
+        # Each zombie's own gateway rejects its stop request, on the shard
+        # that owns the zombie: the count is the sum over shards.
+        serial = self._compare(
+            defense="aitf",
+            defense_params={"non_cooperating_attackers": True},
+            autonomous_systems=40, duration=4.0, shards_under_test=shards,
+            collectors=({"kind": "filter-occupancy"},
+                        {"kind": "shadow-occupancy"},
+                        {"kind": "request-accounting"}))
+        assert serial.control_messages > 0
+        assert serial.defense_stats["requests_rejected"] == 16
 
     def test_four_shards_aitf(self):
         self._compare(defense="aitf", autonomous_systems=40,
@@ -196,8 +217,10 @@ class TestShardedBitIdentity:
         self._compare(defense="ingress-dpf", spoofed=True)
 
     def test_two_shards_manual(self):
-        self._compare(defense="manual",
-                      defense_params={"react_after": 0.5})
+        serial = self._compare(defense="manual",
+                               defense_params={"local_response_delay": 0.5,
+                                               "upstream_response_delay": 1.0})
+        assert serial.defense_stats["filters_installed"] > 0
 
 
 class TestShardedDeterminism:
@@ -217,6 +240,77 @@ class TestShardedDeterminism:
         merged = result.observability["trace"]
         assert merged["records"] == sum(s["trace"]["records"]
                                         for s in per_shard)
+
+    def test_merged_metrics_carry_the_serial_defense_and_collector_counters(
+            self):
+        # Published once, from the combined stats; sim.* stays per shard.
+        collectors = ({"kind": "filter-occupancy"},
+                      {"kind": "request-accounting"})
+
+        def published(**kwargs):
+            result = ExperimentRunner().run(fleet_spec(
+                defense="aitf", observe=True, collectors=collectors,
+                **kwargs))
+            counters = result.observability["metrics"]["counters"]
+            return {key: value for key, value in counters.items()
+                    if key.startswith(("defense.", "collector."))}
+
+        serial = published()
+        assert len([k for k in serial if k.startswith("defense.")]) == 15
+        assert published(shards=2) == serial
+
+
+# ----------------------------------------------------------------------
+# cross-shard rules
+# ----------------------------------------------------------------------
+def every_workload_spec(defense):
+    """A small cell running every registered workload kind the backend
+    supports (filter-requests needs the AITF victim agent)."""
+    doc = fleet_spec(defense=defense, zombies=4, duration=1.0).to_dict()
+    doc["workloads"] += [
+        {"kind": "flood", "params": {"attacker": 5, "rate_pps": 50.0}},
+        {"kind": "onoff", "params": {"attacker": 6, "rate_pps": 50.0}},
+        {"kind": "forged-requests", "params": {"rate": 10.0}},
+    ]
+    if defense == "aitf":
+        doc["workloads"].append(
+            {"kind": "filter-requests", "params": {"rate": 10.0}})
+    return ExperimentSpec.from_dict(doc)
+
+
+class TestCrossShardRules:
+    """Every statistic a backend's ``collect()`` or a workload's ``stats()``
+    reports declares how it combines across shards; there is no default."""
+
+    @pytest.mark.parametrize("defense", DEFENSES.names())
+    def test_every_reported_key_has_a_rule(self, defense):
+        execution = ExperimentRunner().prepare(every_workload_spec(defense))
+        result = execution.run()
+        assert set(result.defense_stats) <= set(execution.backend.shard_rules)
+        for workload, stats in zip(execution.workloads,
+                                   result.workload_stats):
+            assert set(stats) <= set(workload.shard_rules), workload.kind
+        measured = execution.measure(result.duration)
+        execution.combine([measured, measured])
+
+    def test_the_cells_cover_every_registered_workload(self):
+        kinds = {w.kind for w in every_workload_spec("aitf").workloads}
+        assert kinds == set(WORKLOADS.names())
+
+    def test_an_undeclared_stat_fails_loudly(self):
+        execution = ExperimentRunner().prepare(fleet_spec(defense="aitf"))
+        result = execution.run()
+        measured = execution.measure(result.duration)
+        measured["defense_stats"]["new_counter"] = 1
+        with pytest.raises(ValueError,
+                           match="defense 'aitf': no cross-shard rule for "
+                                 "new_counter"):
+            execution.combine([measured, measured])
+
+    def test_shared_stats_that_differ_fail_loudly(self):
+        with pytest.raises(ValueError, match="'rate': declared shared"):
+            combine_stats({"rate": shared}, [{"rate": 1.0}, {"rate": 2.0}],
+                          "workload")
 
 
 # ----------------------------------------------------------------------
