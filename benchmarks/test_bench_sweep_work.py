@@ -3,28 +3,37 @@
 Clock-free, like the tracing gate next door — counts, never wall-clock.  A
 coordinator pass over a grid in a scratch directory is wrapped in call
 counters on the file primitives every cluster module goes through
-(``write_json_atomic``, ``read_json``, ``os.listdir``) and on
+(``write_json_atomic``, ``read_json``, ``os.listdir``, ``os.rename`` /
+``os.replace``), on lease writes (``FileQueue.heartbeat``), on
+``threading.Thread.start`` and ``ClusterWorker.run``, and on
 ``expand_grid``:
 
-* a **cold** pass writes the manifest once, then one lease and one cache
-  entry per cell — task files are empty markers, nothing describes a cell
-  twice — and lists directories a number of times that does not depend on
-  the size of the grid (claims walk a remembered listing; completion is
-  checked when a claim comes back empty, not before each one);
+* a **cold** pass writes the manifest once, one cache entry per cell and
+  one lease per *run* of cells — a worker claims runs sized from its own
+  cell wall-clock, so there are fewer leases than cells — and nothing else
+  (task files are empty markers, nothing describes a cell twice).  Each
+  cell's marker moves twice (claim, done) and each write is one rename;
+  each ``ClusterWorker.run`` starts at most one heartbeat thread.  It lists
+  directories a number of times that does not depend on the size of the
+  grid (claims walk a remembered listing; completion is checked when a
+  claim comes back empty, not before each one);
 * a **resumed warm** pass writes nothing, expands nothing (the stored
   manifest is compared by identity first and is the authority), and reads
   the manifest plus each cache entry once — the entry read at submit is
   the one merged.
 
 The parent of the PR that added this gate sat at three writes per cell, two
-reads per cached cell and one full expansion per resume.
+reads per cached cell and one full expansion per resume; the parent of the
+PR that claimed runs under one lease wrote a lease and started a heartbeat
+thread per cell (``1 + 2·cells`` writes).
 """
 
 import os
+import threading
 
 import pytest
 
-from repro.cluster import SweepCoordinator
+from repro.cluster import ClusterWorker, FileQueue, SweepCoordinator
 from repro.cluster import cache as cache_module
 from repro.cluster import fsqueue as fsqueue_module
 from repro.cluster import manifest as manifest_module
@@ -40,21 +49,30 @@ GRID_4 = {"defense.backend": ["aitf", "none"], "seed": [1, 2]}
 
 class WorkCounters:
     """Counts calls to the named module-level functions, wherever the
-    cluster modules imported them to."""
+    cluster modules imported them to, and to a few methods."""
 
     COUNTED = {
         "write_json_atomic": (fsqueue_module, cache_module, manifest_module),
         "read_json": (fsqueue_module, cache_module, manifest_module),
         "expand_grid": (sweep_module, manifest_module),
     }
+    METHODS = {
+        "lease": (FileQueue, "heartbeat"),
+        "thread": (threading.Thread, "start"),
+        "worker_run": (ClusterWorker, "run"),
+    }
 
     def __init__(self, monkeypatch, cluster_dir):
-        self.calls = dict.fromkeys([*self.COUNTED, "listdir"], 0)
+        self.calls = dict.fromkeys(
+            [*self.COUNTED, *self.METHODS, "listdir", "rename"], 0)
         for name, modules in self.COUNTED.items():
             for module in modules:
                 if hasattr(module, name):
                     monkeypatch.setattr(
                         module, name, self._counting(name, getattr(module, name)))
+        for name, (owner, attribute) in self.METHODS.items():
+            monkeypatch.setattr(owner, attribute,
+                                self._counting(name, getattr(owner, attribute)))
         real_listdir = os.listdir
 
         def listdir(path="."):
@@ -63,12 +81,22 @@ class WorkCounters:
             return real_listdir(path)
 
         monkeypatch.setattr(os, "listdir", listdir)
+        for function in ("rename", "replace"):
+            monkeypatch.setattr(os, function, self._moving(
+                cluster_dir, getattr(os, function)))
 
     def _counting(self, name, function):
         def counted(*args, **kwargs):
             self.calls[name] += 1
             return function(*args, **kwargs)
         return counted
+
+    def _moving(self, cluster_dir, function):
+        def moved(source, target, *args, **kwargs):
+            if str(target).startswith(cluster_dir):
+                self.calls["rename"] += 1
+            return function(source, target, *args, **kwargs)
+        return moved
 
     def take(self):
         taken, self.calls = self.calls, dict.fromkeys(self.calls, 0)
@@ -89,8 +117,14 @@ def test_cold_and_warm_passes_do_work_in_proportion_to_the_grid(
     cold_work = counters.take()
     assert len(cold.cells) == cells
     assert cold.provenance["cache"] == {"hits": 0, "misses": cells}
-    # The manifest, then a lease and a cache entry per cell.
-    assert cold_work["write_json_atomic"] <= 1 + 2 * cells, cold_work
+    # The manifest, a cache entry per cell, a lease per run of cells.
+    leases = cold_work["lease"]
+    assert leases < cells, cold_work
+    assert cold_work["write_json_atomic"] <= 1 + cells + leases, cold_work
+    # Each marker moves twice (claim, done); each write is one rename.
+    assert cold_work["rename"] <= 2 * cells + cold_work["write_json_atomic"], \
+        cold_work
+    assert cold_work["thread"] <= cold_work["worker_run"], cold_work
     assert cold_work["expand_grid"] == 1, cold_work
 
     run_pass(str(tmp_path / "q4"), GRID_4)

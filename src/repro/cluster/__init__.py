@@ -19,7 +19,8 @@ multi-machine ones):
   Re-running a sweep skips every already-computed cell; editing one axis
   only recomputes the cells it touches.
 - :class:`ClusterWorker` — the ``repro worker`` daemon, and the one claim
-  loop: claim a marker, resolve the cell, complete, until the run finishes.
+  loop: claim a run of markers under one lease, resolve and complete each
+  cell, drop the lease, until the run finishes.
 - :class:`SweepCoordinator` — expands the grid, enqueues cache-missing
   cells, runs that same claim loop alongside the workers, and merges the
   finished run into an ``experiment_sweep/v1`` document **byte-identical**

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from repro.cluster.fsqueue import read_json, write_json_atomic
 from repro.obs.logsetup import get_logger
@@ -80,6 +80,8 @@ class CellCache:
         self.root = root
         self.tmp_dir = os.path.join(root, "tmp")
         os.makedirs(self.tmp_dir, exist_ok=True)
+        #: Hash-prefix directories this instance has already made.
+        self._prefixes: Set[str] = set()
 
     def path_for(self, key: str) -> str:
         """Where the entry for ``key`` lives (two-digit fan-out)."""
@@ -104,9 +106,10 @@ class CellCache:
             worker: str = "", wall_seconds: float = 0.0) -> None:
         """Publish a result under ``key`` (atomic; last writer wins, and
         racing writers computed identical results by construction)."""
-        path = self.path_for(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        write_json_atomic(path, {
+        if key[:2] not in self._prefixes:
+            os.makedirs(os.path.join(self.root, key[:2]), exist_ok=True)
+            self._prefixes.add(key[:2])
+        write_json_atomic(self.path_for(key), {
             "schema": CACHE_SCHEMA,
             "spec_hash": key,
             "code": code_fingerprint(),

@@ -13,14 +13,19 @@ and move on.  No locks, no lockfiles, no coordinator process in the loop —
 any number of workers on any number of machines can share the directory as
 long as they see the same filesystem.
 
-A claimed task carries a *lease*: a sidecar file under ``leases/`` naming
-the worker and the wall-clock time the lease expires.  Live workers
-refresh the lease (heartbeat) while executing; if a worker dies, its lease
-stops moving, and anyone — another worker, the coordinator, a later
-``--resume`` — may move the task back to pending with
-:meth:`FileQueue.requeue_stale`.  Because cell execution is idempotent
-(results land in a content-addressed cache), the rare double execution a
-pessimistic lease timeout can cause is wasted work, never wrong output.
+A worker claims a *run* of tasks at once (:meth:`FileQueue.claim`), each
+marker by its own rename, under one *lease*: a file under ``leases/`` named
+after the run's first marker, naming the worker, the wall-clock time the
+lease expires, and every marker it covers (``names``; a lease without
+``names`` covers only its own marker).  A live worker moves each marker to
+``done`` as its cell finishes, refreshes the lease (heartbeat) while the run
+executes, and drops it once, after the run's last cell.  If a worker dies,
+its lease stops moving, and anyone — another worker, the coordinator, a
+later ``--resume`` — may move every marker it covered that is still leased
+back to pending with :meth:`FileQueue.requeue_stale`.  Because cell
+execution is idempotent (results land in a content-addressed cache), the
+rare double execution a pessimistic lease timeout can cause is wasted
+work, never wrong output.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.obs.logsetup import get_logger
 
@@ -42,14 +47,26 @@ def write_json_atomic(path: str, data: Dict[str, Any], tmp_dir: str) -> None:
 
     Readers never observe a half-written file: they see the old file, no
     file, or the complete new one.  ``tmp_dir`` must be on the same
-    filesystem as ``path`` (the queue keeps one inside its root).
+    filesystem as ``path`` (the queue keeps one inside its root).  The
+    document is encoded in one call to the C encoder (sorted keys, compact
+    separators) before the temp file is opened, so a value JSON cannot
+    encode raises with nothing on disk; a write or rename that fails
+    removes its temp file.
     """
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
     tmp_path = os.path.join(
         tmp_dir, f".{os.path.basename(path)}.{os.getpid()}.{time.monotonic_ns()}")
-    with open(tmp_path, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp_path, path)
+    try:
+        with open(tmp_path, "w") as handle:
+            handle.write(text)
+            handle.write("\n")
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.remove(tmp_path)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 def read_json(path: str) -> Optional[Dict[str, Any]]:
@@ -146,16 +163,21 @@ class FileQueue:
             return False
         return True
 
-    def claim(self, worker_id: str, lease_seconds: float) -> Optional[str]:
-        """Atomically claim one pending task; ``None`` if none were left.
+    def claim(self, worker_id: str, lease_seconds: float,
+              limit: int) -> List[str]:
+        """Atomically claim a run of up to ``limit`` pending tasks under one
+        lease; the run's names in claim order, ``[]`` if none were left.
 
-        The pending->leased rename is the claim: when several workers race
-        for the same file exactly one rename succeeds.  Losers just try the
-        next pending task.  The lease is published *before* the rename so a
-        freshly claimed task is never observed leased-but-leaseless (which
-        :meth:`requeue_stale` would misread as a dead worker); a loser's
-        lease file is harmless — it carries a valid expiry, is overwritten
-        by the winner's heartbeats, and is swept once the task completes.
+        Each pending->leased rename is a claim of its own: when several
+        workers race for the same file exactly one rename succeeds, and a
+        run is whatever this worker won.  The lease is published *before*
+        the renames so a freshly claimed task is never observed
+        leased-but-leaseless (which :meth:`requeue_stale` would misread as a
+        dead worker).  If some renames were lost the lease is republished
+        naming exactly the run that was won, under its first name; a lease
+        file written for a first name another worker won is left to that
+        worker, whose heartbeats overwrite it (it is swept once its names
+        are done).
 
         Candidates come from a remembered listing of ``pending/`` that is
         only refreshed once it runs out, so draining a grid costs one
@@ -167,43 +189,51 @@ class FileQueue:
             if not self._backlog:
                 self._backlog = self.names("pending")[::-1]
                 if not self._backlog:
-                    return None
-            name = self._backlog.pop()
-            if not os.path.exists(self._task_path("pending", name)):
-                continue  # taken since the listing
-            self.heartbeat(name, worker_id, lease_seconds)
-            if self._move(name, "pending", "leased"):
-                return name
+                    return []
+            candidates: List[str] = []
+            while self._backlog and len(candidates) < limit:
+                name = self._backlog.pop()
+                if os.path.exists(self._task_path("pending", name)):
+                    candidates.append(name)  # not taken since the listing
+            if not candidates:
+                continue
+            self.heartbeat(candidates[0], worker_id, lease_seconds, candidates)
+            run = [name for name in candidates
+                   if self._move(name, "pending", "leased")]
+            if run and run != candidates:
+                self.heartbeat(run[0], worker_id, lease_seconds, run)
+            if run:
+                return run
 
-    def heartbeat(self, name: str, worker_id: str, lease_seconds: float) -> None:
-        """Refresh the lease on a claimed task (workers call this while a
-        long cell is executing, from a background thread)."""
+    def heartbeat(self, name: str, worker_id: str, lease_seconds: float,
+                  names: Optional[Sequence[str]] = None) -> None:
+        """Publish or refresh the lease ``name`` (a run's first marker)
+        covering ``names`` (default: ``name`` alone).  Workers call this at
+        claim and then from a background thread while the run executes."""
         now = time.time()
         write_json_atomic(self._lease_path(name), {
             "worker": worker_id,
             "time": now,
             "expires": now + lease_seconds,
+            "names": [name] if names is None else list(names),
         }, self.tmp_dir)
 
-    def complete(self, name: str, owner: Optional[str] = None) -> bool:
-        """Move a leased task to done and drop its lease.
+    def complete(self, name: str) -> bool:
+        """Move a leased task to done; its run's lease stays until the run's
+        owner drops it (:meth:`drop_lease`).
 
         Tolerates the task having been requeued and completed by someone
         else meanwhile (possible after a lease expired under a live but
         slow worker) — the cache made the execution idempotent, so the only
-        thing left to do is not crash.  With ``owner`` given, the lease is
-        only dropped if it still names that worker, so a late completer
-        cannot delete the live lease of whoever re-claimed the task.
+        thing left to do is not crash.
         """
-        moved = (self._move(name, "leased", "done")
-                 or self.state_of(name) == "done")
-        self._drop_lease(name, owner)
-        return moved
+        return (self._move(name, "leased", "done")
+                or self.state_of(name) == "done")
 
-    def release(self, name: str, owner: Optional[str] = None) -> None:
-        """Return a leased task to pending (graceful give-back)."""
+    def release(self, name: str) -> None:
+        """Return a leased task to pending (graceful give-back); its run's
+        lease is dropped separately."""
         self._move(name, "leased", "pending")
-        self._drop_lease(name, owner)
 
     def reopen(self, name: str) -> None:
         """Return a done task to pending: its cached result is gone or no
@@ -211,33 +241,48 @@ class FileQueue:
         self._move(name, "done", "pending")
 
     def requeue_stale(self, now: Optional[float] = None) -> List[str]:
-        """Move leased tasks whose lease expired (or vanished) back to pending.
+        """Move leased tasks that no live lease covers back to pending.
 
-        Safe to call from any process at any time: the leased->pending
-        rename is atomic, so concurrent requeuers (or a completing worker)
-        cannot duplicate or lose a task.  Returns the requeued names.
+        Each lease file is read once.  An expired (or unreadable) lease is
+        dropped, as is one whose names are all done; every leased task not
+        named by a remaining live lease is requeued.  Safe to call from any
+        process at any time: the leased->pending rename is atomic, so
+        concurrent requeuers (or a completing worker) cannot duplicate or
+        lose a task.  Returns the requeued names.
         """
         now = time.time() if now is None else now
-        requeued: List[str] = []
-        for name in self.names("leased"):
-            lease = read_json(self._lease_path(name))
-            if lease is not None and lease.get("expires", 0.0) > now:
-                continue  # lease is live
-            # Drop the (expired) lease *before* the rename: once the task is
-            # back in pending another worker may claim it immediately, and a
-            # drop after the rename could delete that claimant's fresh lease.
-            self._drop_lease(name)
-            if self._move(name, "leased", "pending"):
-                requeued.append(name)
-        # Sweep orphan leases left by lost claim races on tasks that have
-        # since completed (they never expire on their own).
+        # List the tasks before the leases: a claim publishes its lease
+        # before its renames, so every task listed here as leased has its
+        # lease in the listing below (unless the run has since finished).
+        leased = self.names("leased")
+        covered: Set[str] = set()
+        dropped: List[str] = []
         for entry in os.listdir(self.lease_dir):
-            if entry.endswith(".json") and os.path.exists(
-                    self._task_path("done", entry[:-len(".json")])):
-                self._drop_lease(entry[:-len(".json")])
-        return requeued
+            if not entry.endswith(".json"):
+                continue
+            name = entry[:-len(".json")]
+            lease = read_json(self._lease_path(name))
+            if lease is None or lease.get("expires", 0.0) <= now:
+                dropped.append(name)
+                continue
+            names = lease.get("names", [name])
+            if all(os.path.exists(self._task_path("done", task))
+                   for task in names):
+                dropped.append(name)  # finished; an orphan of a lost race
+            else:
+                covered.update(names)
+        # Drop dead leases *before* any rename: once a task is back in
+        # pending another worker may claim it immediately, and a drop after
+        # the rename could delete that claimant's fresh lease.
+        for name in dropped:
+            self.drop_lease(name)
+        return [name for name in leased
+                if name not in covered and self._move(name, "leased", "pending")]
 
-    def _drop_lease(self, name: str, owner: Optional[str] = None) -> None:
+    def drop_lease(self, name: str, owner: Optional[str] = None) -> None:
+        """Delete the lease ``name``.  With ``owner`` given, only if it still
+        names that worker, so a late finisher cannot delete the live lease
+        of whoever re-claimed its run."""
         if owner is not None:
             lease = read_json(self._lease_path(name))
             if lease is not None and lease.get("worker") != owner:

@@ -1,15 +1,22 @@
 """The ``repro worker`` daemon loop — and the one claim loop of a cluster run.
 
 A worker is pointed at a cluster directory and needs nothing else: it
-claims pending cell markers one atomic rename at a time, looks the cell up
+claims a *run* of pending cell markers under one lease, looks each cell up
 in the run manifest (``run.json``, loaded when the first marker is claimed
 or the queue first runs dry), and resolves it through the same
 :class:`repro.experiments.sweep.CellResolver` the serial path uses:
-cache-first, else execute and publish to the content-addressed cache.  Then
-it marks the task done.  While a cell is executing, a background thread
-heartbeats the task's lease so a slow cell is never mistaken for a dead
-worker; when a worker *does* die, its lease goes stale and any other
-participant requeues the cell.
+cache-first, else execute and publish to the content-addressed cache.  Each
+marker moves to done as soon as its cell finishes; the run's lease is
+dropped once, after its last cell.
+
+A run is sized from the worker's own mean cell wall-clock to span about one
+``poll_interval`` (the first run, with nothing measured yet, is one cell):
+the queue's bookkeeping is paid per run, and a run holds cells back from
+other workers for no longer than an idle worker waits between polls
+anyway.  One background thread per :meth:`ClusterWorker.run` heartbeats the
+current run's lease so a slow cell is never mistaken for a dead worker;
+when a worker *does* die, its lease goes stale and any other participant
+requeues the cells it had not finished.
 
 Workers exit on their own when the run is complete (every manifest cell is
 done), after ``max_cells``, or after ``idle_timeout`` seconds with nothing
@@ -26,7 +33,7 @@ import socket
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.cluster.cache import CellCache
 from repro.cluster.fsqueue import FileQueue
@@ -34,7 +41,8 @@ from repro.cluster.manifest import RunManifest
 from repro.experiments.sweep import CellResolver
 
 #: Seconds between queue polls when idle (``repro worker --poll`` overrides
-#: it for a daemon; a coordinator always uses this value).
+#: it for a daemon; a coordinator always uses this value).  A claimed run
+#: aims to take about this long.
 POLL_INTERVAL = 0.2
 
 
@@ -69,6 +77,52 @@ class _DaemonResolver(CellResolver):
         super()._resolve(position, None, *record)
 
 
+class _RunLease:
+    """The lease on the run a worker holds, refreshed by one background
+    thread for the whole of :meth:`ClusterWorker.run`.
+
+    The thread starts with the first run held.  A beat and a drop take the
+    same lock, so no beat lands after a run's lease was dropped (it would
+    come back as an orphan naming finished cells)."""
+
+    def __init__(self, queue: FileQueue, worker_id: str,
+                 lease_seconds: float) -> None:
+        self.queue = queue
+        self.worker_id = worker_id
+        self.lease_seconds = lease_seconds
+        self._run: List[str] = []
+        self._lock = threading.Lock()
+        self._stop = threading.Event()
+        self._thread: Optional[threading.Thread] = None
+
+    def hold(self, run: List[str]) -> None:
+        """Keep refreshing ``run``'s lease (the claim published it)."""
+        with self._lock:
+            self._run = run
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._beat, daemon=True)
+            self._thread.start()
+
+    def drop(self) -> None:
+        """Stop refreshing the run's lease and delete it (if still ours)."""
+        with self._lock:
+            run, self._run = self._run, []
+            self.queue.drop_lease(run[0], self.worker_id)
+
+    def close(self) -> None:
+        self._stop.set()
+        if self._thread is not None:
+            self._thread.join()
+
+    def _beat(self) -> None:
+        # Refresh well inside the lease so one missed beat cannot expire it.
+        while not self._stop.wait(max(0.05, self.lease_seconds / 4.0)):
+            with self._lock:
+                if self._run:
+                    self.queue.heartbeat(self._run[0], self.worker_id,
+                                         self.lease_seconds, self._run)
+
+
 class ClusterWorker:
     """Claim-and-execute loop over a shared cluster directory."""
 
@@ -98,44 +152,90 @@ class ClusterWorker:
         start = time.perf_counter()
         last_activity = time.monotonic()
         next_requeue_scan = 0.0  # first pass always scans
-        while True:
-            # Leases cannot go stale faster than they were granted, so a
-            # full leases/ scan every lease_seconds/2 recovers dead workers
-            # just as fast as scanning every loop — at a fraction of the
-            # I/O on a shared (often network) filesystem.
-            if time.monotonic() >= next_requeue_scan:
-                stats.requeued += len(self.queue.requeue_stale())
-                next_requeue_scan = time.monotonic() + max(
-                    self.poll_interval, self.lease_seconds / 2.0)
-            name = self.queue.claim(self.worker_id, self.lease_seconds)
-            # The manifest is written once per run, before any marker, and
-            # never changes: it is read when the first marker is claimed or
-            # the queue first runs dry, then kept.
-            resolver = self._load_resolver()
-            if name is not None and resolver is None:
-                # A marker without a readable run.json: nothing says what
-                # the cell is, so give it back and wait like an idle worker.
-                self.queue.release(name, self.worker_id)
-                name = None
-            if name is not None:
-                self.process(name, stats)
-                last_activity = time.monotonic()
-                if max_cells is not None and stats.executed + stats.cache_hits >= max_cells:
-                    stats.stop_reason = "max_cells"
+        lease = _RunLease(self.queue, self.worker_id, self.lease_seconds)
+        busy_seconds = 0.0  # wall-clock of the cells resolved so far
+        try:
+            while True:
+                # Leases cannot go stale faster than they were granted, so a
+                # full leases/ scan every lease_seconds/2 recovers dead
+                # workers just as fast as scanning every loop — at a
+                # fraction of the I/O on a shared (often network)
+                # filesystem.
+                if time.monotonic() >= next_requeue_scan:
+                    stats.requeued += len(self.queue.requeue_stale())
+                    next_requeue_scan = time.monotonic() + max(
+                        self.poll_interval, self.lease_seconds / 2.0)
+                resolved = stats.executed + stats.cache_hits
+                run = self.queue.claim(
+                    self.worker_id, self.lease_seconds,
+                    self._run_length(resolved, busy_seconds, max_cells))
+                # The manifest is written once per run, before any marker,
+                # and never changes: it is read when the first marker is
+                # claimed or the queue first runs dry, then kept.
+                resolver = self._load_resolver()
+                if run and resolver is None:
+                    # Markers without a readable run.json: nothing says what
+                    # the cells are, so give them back and wait like an idle
+                    # worker.
+                    for name in run:
+                        self.queue.release(name)
+                    self.queue.drop_lease(run[0], self.worker_id)
+                    run = []
+                if run:
+                    run_start = time.perf_counter()
+                    self._process_run(run, stats, lease)
+                    busy_seconds += time.perf_counter() - run_start
+                    last_activity = time.monotonic()
+                    if (max_cells is not None
+                            and stats.executed + stats.cache_hits >= max_cells):
+                        stats.stop_reason = "max_cells"
+                        break
+                    continue
+                # Completion costs three directory scans, so it is only
+                # checked when a claim came back empty.
+                if resolver is not None and self._run_complete(len(resolver.cells)):
+                    stats.stop_reason = "run_complete"
                     break
-                continue
-            # Completion costs three directory scans, so it is only checked
-            # when a claim came back empty.
-            if resolver is not None and self._run_complete(len(resolver.cells)):
-                stats.stop_reason = "run_complete"
-                break
-            if (idle_timeout is not None
-                    and time.monotonic() - last_activity > idle_timeout):
-                stats.stop_reason = "idle_timeout"
-                break
-            time.sleep(self.poll_interval)
+                if (idle_timeout is not None
+                        and time.monotonic() - last_activity > idle_timeout):
+                    stats.stop_reason = "idle_timeout"
+                    break
+                time.sleep(self.poll_interval)
+        finally:
+            lease.close()
         stats.wall_seconds = time.perf_counter() - start
         return stats
+
+    def _run_length(self, resolved: int, busy_seconds: float,
+                    max_cells: Optional[int]) -> int:
+        """How many cells to claim next: about one ``poll_interval`` of this
+        worker's mean cell wall-clock (one cell before any was measured),
+        never more than ``max_cells`` has left."""
+        length = 1
+        if resolved and busy_seconds > 0:
+            length = max(1, int(self.poll_interval * resolved / busy_seconds))
+        if max_cells is not None:
+            length = max(1, min(length, max_cells - resolved))
+        return length
+
+    def _process_run(self, run: List[str], stats: WorkerStats,
+                     lease: _RunLease) -> None:
+        """Resolve a claimed run cell by cell under its one lease, then drop
+        the lease."""
+        lease.hold(run)
+        try:
+            for index, name in enumerate(run):
+                try:
+                    self.process(name, stats)
+                except Exception:
+                    # Put the cell and the rest of its run back for someone
+                    # else before propagating: a bad cell crashes this
+                    # worker, not the whole run's bookkeeping.
+                    for unstarted in run[index:]:
+                        self.queue.release(unstarted)
+                    raise
+        finally:
+            lease.drop()
 
     def process(self, name: str, stats: WorkerStats) -> None:
         """Resolve one claimed marker: from the cache if another worker (or
@@ -146,22 +246,8 @@ class ClusterWorker:
         # cache since did it as part of this run.
         cached = resolver.lookup(position, cached=False)
         if not cached:
-            stop_beat = threading.Event()
-            beater = threading.Thread(target=self._heartbeat_loop,
-                                      args=(name, stop_beat), daemon=True)
-            beater.start()
-            try:
-                try:
-                    resolver.execute(position)
-                finally:
-                    stop_beat.set()
-                    beater.join()
-            except Exception:
-                # Put the cell back for someone else before propagating: a bad
-                # cell crashes this worker, not the whole run's bookkeeping.
-                self.queue.release(name, self.worker_id)
-                raise
-        self.queue.complete(name, self.worker_id)
+            resolver.execute(position)
+        self.queue.complete(name)
         stats.cells.append({"name": name, **resolver.records[position]})
         if cached:
             stats.cache_hits += 1
@@ -178,11 +264,6 @@ class ClusterWorker:
                 self.resolver = _DaemonResolver(
                     manifest.cells, cache=self.cache, worker=self.worker_id)
         return self.resolver
-
-    def _heartbeat_loop(self, name: str, stop: threading.Event) -> None:
-        # Refresh well inside the lease so one missed beat cannot expire it.
-        while not stop.wait(max(0.05, self.lease_seconds / 4.0)):
-            self.queue.heartbeat(name, self.worker_id, self.lease_seconds)
 
     def _run_complete(self, cells: int) -> bool:
         pending, leased, done = self.queue.counts()

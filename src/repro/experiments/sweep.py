@@ -335,10 +335,26 @@ class CellResolver:
 _SHARED_POOLS: Dict[int, concurrent.futures.ProcessPoolExecutor] = {}
 
 
+def pool_start_method() -> str:
+    """How the shared pools start their workers: ``fork`` where the
+    platform offers it (the Linux default before Python 3.14, and what the
+    pool's start-up cost was measured with), else ``spawn``.  Named here so
+    an interpreter upgrade (3.14 defaults to ``forkserver``) cannot change
+    it silently."""
+    import multiprocessing
+
+    return "fork" if "fork" in multiprocessing.get_all_start_methods() \
+        else "spawn"
+
+
 def _shared_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
     pool = _SHARED_POOLS.get(workers)
     if pool is None:
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+        import multiprocessing
+
+        pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context(pool_start_method()))
         _SHARED_POOLS[workers] = pool
     return pool
 
@@ -365,8 +381,9 @@ class SweepRunner:
     of once per sweep, and chunked dispatch amortises the per-task pickling
     round-trip.  If the platform cannot spawn worker processes the runner
     logs a warning, finishes the sweep serially and says so in the
-    provenance (``effective_workers``, ``fallback``).  Results are
-    identical either way.
+    provenance (``effective_workers``, ``fallback``; ``start_method``
+    says how the pool started, see :func:`pool_start_method`).  Results
+    are identical either way.
 
     ``cache`` (a :class:`repro.cluster.CellCache`) makes the run
     cache-first: hits skip the simulator and misses are published back so
@@ -413,8 +430,9 @@ class SweepRunner:
         start = time.perf_counter()
         misses = [position for position in range(len(cells))
                   if not resolver.lookup(position)]
-        effective_workers, fallback = 1, None
+        effective_workers, fallback, start_method = 1, None, None
         if self.workers > 1 and len(misses) > 1:
+            start_method = pool_start_method()
             try:
                 self._execute_on_pool(resolver, misses)
                 effective_workers = self.workers
@@ -437,7 +455,7 @@ class SweepRunner:
         return resolver.sweep_result(
             base_spec or {}, grid or {}, mode="local", workers=self.workers,
             effective_workers=effective_workers, fallback=fallback,
-            wall_seconds=wall)
+            start_method=start_method, wall_seconds=wall)
 
     def _execute_on_pool(self, resolver: CellResolver,
                          misses: List[int]) -> None:

@@ -13,7 +13,9 @@ The headline guarantees under test:
 import json
 import logging
 import os
+import sys
 import threading
+import time
 
 import pytest
 
@@ -26,6 +28,7 @@ from repro.cluster import (
     SweepCoordinator,
 )
 from repro.cluster.fsqueue import read_json
+from repro.cluster.worker import WorkerStats
 from repro.cluster.manifest import cell_name
 from repro.experiments import (
     SweepRunner,
@@ -33,6 +36,7 @@ from repro.experiments import (
     expand_grid,
     spec_hash,
 )
+from repro.experiments.sweep import CellResolver
 
 
 def tiny_grid():
@@ -47,7 +51,7 @@ class TestFileQueue:
         queue = FileQueue(str(tmp_path))
         assert queue.put(cell_name(0))
         assert queue.counts() == (1, 0, 0)
-        name = queue.claim("w1", lease_seconds=30.0)
+        (name,) = queue.claim("w1", lease_seconds=30.0, limit=1)
         assert name == "00000"
         assert queue.counts() == (0, 1, 0)
         assert queue.complete(name)
@@ -56,7 +60,7 @@ class TestFileQueue:
     def test_no_queue_file_contains_a_spec(self, tmp_path):
         coordinator = SweepCoordinator(str(tmp_path))
         coordinator.submit(default_flood_spec(duration=1.0), tiny_grid())
-        coordinator.queue.claim("w1", lease_seconds=30.0)
+        coordinator.queue.claim("w1", lease_seconds=30.0, limit=1)
         markers = [os.path.join(dirpath, filename)
                    for dirpath, _, filenames in os.walk(tmp_path / "tasks")
                    for filename in filenames]
@@ -68,7 +72,7 @@ class TestFileQueue:
         name = cell_name(0)
         assert queue.put(name)
         assert not queue.put(name)  # already pending
-        queue.claim("w1", 30.0)
+        queue.claim("w1", 30.0, limit=1)
         assert not queue.put(name)  # leased
         queue.complete(name)
         assert not queue.put(name)  # done
@@ -83,11 +87,11 @@ class TestFileQueue:
         def grab(worker_id):
             local = FileQueue(str(tmp_path))
             while True:
-                name = local.claim(worker_id, 30.0)
-                if name is None:
+                run = local.claim(worker_id, 30.0, limit=1)
+                if not run:
                     return
                 with lock:
-                    claimed.append(name)
+                    claimed.extend(run)
 
         threads = [threading.Thread(target=grab, args=(f"w{i}",)) for i in range(4)]
         for thread in threads:
@@ -102,8 +106,8 @@ class TestFileQueue:
         queue = FileQueue(str(tmp_path))
         queue.put(cell_name(0))
         queue.put(cell_name(1))
-        first = queue.claim("dead-worker", lease_seconds=0.0)   # expires now
-        second = queue.claim("live-worker", lease_seconds=60.0)
+        (first,) = queue.claim("dead-worker", 0.0, limit=1)   # expires now
+        (second,) = queue.claim("live-worker", 60.0, limit=1)
         requeued = queue.requeue_stale()
         assert requeued == [first]
         assert queue.state_of(first) == "pending"
@@ -112,14 +116,14 @@ class TestFileQueue:
     def test_heartbeat_keeps_a_lease_alive(self, tmp_path):
         queue = FileQueue(str(tmp_path))
         queue.put(cell_name(0))
-        name = queue.claim("w1", lease_seconds=0.0)
+        (name,) = queue.claim("w1", lease_seconds=0.0, limit=1)
         queue.heartbeat(name, "w1", lease_seconds=60.0)
         assert queue.requeue_stale() == []
 
     def test_complete_tolerates_a_requeued_task(self, tmp_path):
         queue = FileQueue(str(tmp_path))
         queue.put(cell_name(0))
-        name = queue.claim("w1", lease_seconds=0.0)
+        (name,) = queue.claim("w1", lease_seconds=0.0, limit=1)
         queue.requeue_stale()  # yanked away from w1 mid-execution
         assert not queue.complete(name)
         assert queue.state_of(name) == "pending"
@@ -127,7 +131,7 @@ class TestFileQueue:
     def test_release_returns_a_task_to_pending(self, tmp_path):
         queue = FileQueue(str(tmp_path))
         queue.put(cell_name(0))
-        name = queue.claim("w1", 30.0)
+        (name,) = queue.claim("w1", 30.0, limit=1)
         queue.release(name)
         assert queue.counts() == (1, 0, 0)
 
@@ -142,8 +146,8 @@ class TestFileQueue:
         monkeypatch.setattr(os, "listdir", lambda path: (
             listings.append(path), real_listdir(path))[1])
         claimed = []
-        while (name := queue.claim("w1", 30.0)) is not None:
-            claimed.append(name)
+        while run := queue.claim("w1", 30.0, limit=1):
+            claimed.extend(run)
         assert claimed == [cell_name(i) for i in range(6)]
         assert len(listings) == 2
 
@@ -154,18 +158,18 @@ class TestFileQueue:
         first, second = FileQueue(str(tmp_path)), FileQueue(str(tmp_path))
         for index in range(3):
             first.put(cell_name(index))
-        assert first.claim("w1", 30.0) == "00000"
-        assert second.claim("w2", 30.0) == "00001"   # 00000 is gone: skipped
-        assert first.claim("w1", 30.0) == "00002"    # 00001 is gone: skipped
+        assert first.claim("w1", 30.0, limit=1) == ["00000"]
+        assert second.claim("w2", 30.0, limit=1) == ["00001"]  # 00000 gone
+        assert first.claim("w1", 30.0, limit=1) == ["00002"]   # 00001 gone
         assert read_json(first._lease_path("00001"))["worker"] == "w2"
         first.put(cell_name(3))
-        assert second.claim("w2", 30.0) == "00003"
-        assert first.claim("w1", 30.0) is None
+        assert second.claim("w2", 30.0, limit=1) == ["00003"]
+        assert first.claim("w1", 30.0, limit=1) == []
 
     @pytest.mark.parametrize("operation", [
-        lambda queue: queue.claim("w1", 30.0),
-        lambda queue: queue.complete("00000", "w0"),
-        lambda queue: queue.release("00000", "w0"),
+        lambda queue: queue.claim("w1", 30.0, limit=1),
+        lambda queue: queue.complete("00000"),
+        lambda queue: queue.release("00000"),
         lambda queue: queue.reopen("00001"),
         lambda queue: queue.requeue_stale(),
     ], ids=["claim", "complete", "release", "reopen", "requeue_stale"])
@@ -179,9 +183,9 @@ class TestFileQueue:
         queue = FileQueue(str(tmp_path))
         for index in range(3):
             queue.put(cell_name(index))
-        assert queue.claim("w0", lease_seconds=0.0) == "00000"  # leased, stale
-        assert queue.claim("w0", 30.0) == "00001"
-        queue.complete("00001", "w0")                          # done
+        assert queue.claim("w0", 0.0, limit=1) == ["00000"]  # leased, stale
+        assert queue.claim("w0", 30.0, limit=1) == ["00001"]
+        queue.complete("00001")                              # done
 
         def denied(source, target):
             raise PermissionError(13, "Permission denied", source)
@@ -197,22 +201,82 @@ class TestFileQueue:
         # again and gets executed a third time).
         queue = FileQueue(str(tmp_path))
         queue.put(cell_name(0))
-        name = queue.claim("fast-worker", lease_seconds=60.0)
-        queue._drop_lease(name, "slow-worker")   # the late straggler
+        (name,) = queue.claim("fast-worker", lease_seconds=60.0, limit=1)
+        queue.drop_lease(name, "slow-worker")   # the late straggler
         assert os.path.exists(queue._lease_path(name))
-        queue._drop_lease(name, "fast-worker")   # the actual owner
+        queue.drop_lease(name, "fast-worker")   # the actual owner
         assert not os.path.exists(queue._lease_path(name))
 
     def test_done_tasks_orphan_leases_are_swept(self, tmp_path):
         queue = FileQueue(str(tmp_path))
         queue.put(cell_name(0))
-        name = queue.claim("w1", 60.0)
-        queue.complete(name, "w1")
+        (name,) = queue.claim("w1", 60.0, limit=1)
+        queue.complete(name)
+        queue.drop_lease(name, "w1")
         # A straggler's heartbeat lands after completion (lost claim race).
         queue.heartbeat(name, "w2", 60.0)
         queue.requeue_stale()
         assert not os.path.exists(queue._lease_path(name))
         assert queue.state_of(name) == "done"
+
+
+    def test_racing_runs_claim_each_task_exactly_once(self, tmp_path):
+        # Four claimants take runs of three from the same 24 tasks, with
+        # the interpreter switching threads as often as it can.
+        queue = FileQueue(str(tmp_path))
+        for index in range(24):
+            queue.put(cell_name(index))
+        claimed = []
+        lock = threading.Lock()
+
+        def grab(worker_id):
+            local = FileQueue(str(tmp_path))
+            while run := local.claim(worker_id, 30.0, limit=3):
+                assert read_json(local._lease_path(run[0]))["names"] == run
+                with lock:
+                    claimed.extend(run)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grab, args=(f"w{i}",))
+                       for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(claimed) == [cell_name(i) for i in range(24)]
+        assert queue.counts() == (0, 24, 0)
+
+    def test_a_run_that_lost_a_race_leases_only_what_it_won(
+            self, tmp_path, monkeypatch):
+        # 00000 is pending when w1 looks, and taken by w2 before w1's
+        # rename: w1's run is the rest, under a lease named after it.
+        first, second = FileQueue(str(tmp_path)), FileQueue(str(tmp_path))
+        for index in range(3):
+            first.put(cell_name(index))
+        real_exists = os.path.exists
+        armed, raced = [True], []
+
+        def exists(path):
+            found = real_exists(path)
+            if armed and path == first._task_path("pending", "00000"):
+                armed.clear()
+                raced.extend(second.claim("w2", 60.0, limit=1))
+            return found
+
+        monkeypatch.setattr(os.path, "exists", exists)
+        run = first.claim("w1", 60.0, limit=3)
+        monkeypatch.undo()
+        assert raced == ["00000"]
+        assert run == ["00001", "00002"]
+        lease = read_json(first._lease_path("00001"))
+        assert (lease["worker"], lease["names"]) == ("w1", run)
+        assert first.requeue_stale() == []   # every leased task is covered
+        assert first.counts() == (0, 3, 0)
 
 
 class TestCellCache:
@@ -256,6 +320,27 @@ class TestCellCache:
         assert cache.get(key) is None
         cache.put(key, {"v": 2})  # recomputation overwrites the stale entry
         assert cache.get(key)["result"] == {"v": 2}
+
+    def test_a_failed_put_leaves_no_temp_file_and_no_entry(
+            self, tmp_path, monkeypatch):
+        # The entry is encoded before its temp file is opened, and a write
+        # or rename that fails removes the temp file it made.
+        cache = CellCache(str(tmp_path))
+        key = "ab" * 32
+        with pytest.raises(TypeError):
+            cache.put(key, {"x": {1, 2}})   # a set is not JSON
+        assert os.listdir(cache.tmp_dir) == []
+        assert cache.get(key) is None
+        assert not os.path.exists(cache.path_for(key))
+
+        def full(source, target):
+            raise OSError(28, "No space left on device", target)
+
+        monkeypatch.setattr(os, "replace", full)
+        with pytest.raises(OSError, match="No space"):
+            cache.put(key, {"x": 1})
+        assert os.listdir(cache.tmp_dir) == []
+        assert not os.path.exists(cache.path_for(key))
 
     def test_code_fingerprint_is_stable_within_a_build(self):
         from repro.cluster.cache import code_fingerprint
@@ -343,8 +428,9 @@ class TestWorkerAndCoordinator:
                                poll_interval=0.01)
         worker.run(max_cells=1, idle_timeout=5.0)
         # A second cell is claimed and abandoned (the "killed worker").
-        abandoned = coordinator.queue.claim("dead", lease_seconds=0.0)
-        assert abandoned is not None
+        abandoned = coordinator.queue.claim("dead", lease_seconds=0.0,
+                                            limit=1)
+        assert abandoned
         # Resume: requeues the stale lease, computes only what is missing.
         resumed = SweepCoordinator(str(tmp_path)).run_grid(base, grid,
                                                            resume=True)
@@ -481,7 +567,8 @@ class TestWorkerAndCoordinator:
         coordinator = SweepCoordinator(str(tmp_path))
         coordinator.submit(default_flood_spec(duration=1.0), tiny_grid())
         # Someone else holds a live lease on one cell and never finishes.
-        assert coordinator.queue.claim("elsewhere", lease_seconds=60.0)
+        assert coordinator.queue.claim("elsewhere", lease_seconds=60.0,
+                                       limit=1)
         with pytest.raises(ClusterError, match="1/2 cells done, 0 pending, "
                                                "1 leased"):
             coordinator.execute(timeout=0.3)
@@ -555,3 +642,118 @@ class TestProgressEverywhere:
         assert main([*args, "--resume"]) == 0
         assert capsys.readouterr().err.count("(cached)") == 2
 
+
+
+class TestMultiCellLeases:
+    """A worker claims runs of cells under one lease; crash safety, resume
+    and ``_run_complete`` stay per cell."""
+
+    GRID = {"defense.backend": ["aitf", "pushback", "none"]}
+
+    @staticmethod
+    def spy_on_claims(worker, monkeypatch):
+        runs = []
+        real = worker.queue.claim
+
+        def claim(*args, **kwargs):
+            run = real(*args, **kwargs)
+            if run:
+                runs.append(run)
+            return run
+
+        monkeypatch.setattr(worker.queue, "claim", claim)
+        return runs
+
+    def test_an_expired_run_requeues_exactly_its_unfinished_cells(
+            self, tmp_path):
+        base = default_flood_spec(duration=1.0)
+        serial = SweepRunner(workers=1).run_grid(base, self.GRID)
+        coordinator = SweepCoordinator(str(tmp_path))
+        coordinator.submit(base, self.GRID)
+        dead = ClusterWorker(str(tmp_path), worker_id="dead")
+        run = dead.queue.claim("dead", 60.0, limit=3)
+        assert run == ["00000", "00001", "00002"]
+        assert read_json(dead.queue._lease_path("00000"))["names"] == run
+        dead._load_resolver()
+        dead.process(run[0], WorkerStats("dead"))   # one cell finished ...
+        # ... then the worker dies and its lease runs out.
+        assert dead.queue.requeue_stale(now=time.time() + 61.0) == run[1:]
+        assert os.listdir(dead.queue.lease_dir) == []
+        stats = ClusterWorker(str(tmp_path), worker_id="w2",
+                              poll_interval=0.01).run(idle_timeout=10.0)
+        assert stats.stop_reason == "run_complete"
+        assert stats.executed == 2
+        assert coordinator.merge().to_json() == serial.to_json()
+
+    def test_a_raising_cell_returns_the_rest_of_its_run_at_once(
+            self, tmp_path, monkeypatch):
+        SweepCoordinator(str(tmp_path)).submit(
+            default_flood_spec(duration=1.0), self.GRID)
+        real = CellResolver.execute
+
+        def execute(resolver, position):
+            if position == 1:
+                raise RuntimeError("cell blew up")
+            real(resolver, position)
+
+        monkeypatch.setattr(CellResolver, "execute", execute)
+        # A long poll interval makes the second run everything left.
+        worker = ClusterWorker(str(tmp_path), worker_id="w1",
+                               poll_interval=60.0)
+        runs = self.spy_on_claims(worker, monkeypatch)
+        with pytest.raises(RuntimeError, match="blew up"):
+            worker.run(idle_timeout=5.0)
+        assert runs == [["00000"], ["00001", "00002"]]
+        queue = worker.queue
+        assert queue.names("pending") == ["00001", "00002"]
+        assert queue.names("leased") == []
+        assert queue.names("done") == ["00000"]
+        assert os.listdir(queue.lease_dir) == []
+
+    def test_max_cells_is_never_overshot(self, tmp_path, monkeypatch):
+        SweepCoordinator(str(tmp_path)).submit(
+            default_flood_spec(duration=1.0), self.GRID)
+        worker = ClusterWorker(str(tmp_path), worker_id="w1",
+                               poll_interval=60.0)
+        runs = self.spy_on_claims(worker, monkeypatch)
+        stats = worker.run(max_cells=2, idle_timeout=5.0)
+        assert stats.stop_reason == "max_cells"
+        assert stats.executed == 2
+        assert runs == [["00000"], ["00001"]]
+        assert worker.queue.counts() == (1, 0, 2)
+        assert os.listdir(worker.queue.lease_dir) == []
+
+    def test_a_lease_whose_names_are_all_done_is_swept(self, tmp_path):
+        queue = FileQueue(str(tmp_path))
+        for index in range(3):
+            queue.put(cell_name(index))
+        run = queue.claim("w1", 60.0, limit=3)
+        for name in run[:2]:
+            queue.complete(name)
+        assert queue.requeue_stale() == []   # still covers a live cell
+        assert os.path.exists(queue._lease_path(run[0]))
+        queue.complete(run[2])
+        assert queue.requeue_stale() == []
+        assert not os.path.exists(queue._lease_path(run[0]))
+        assert queue.counts() == (0, 0, 3)
+
+    def test_one_heartbeat_thread_per_worker_run(self, tmp_path, monkeypatch):
+        SweepCoordinator(str(tmp_path)).submit(
+            default_flood_spec(duration=1.0), self.GRID)
+        started = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        # A lease this short beats every 50 ms, inside every cell.
+        worker = ClusterWorker(str(tmp_path), worker_id="w1",
+                               lease_seconds=0.2, poll_interval=0.0)
+        stats = worker.run(idle_timeout=5.0)
+        assert stats.stop_reason == "run_complete"
+        assert stats.executed == 3
+        assert len(started) == 1
+        assert not started[0].is_alive()
+        assert os.listdir(worker.queue.lease_dir) == []

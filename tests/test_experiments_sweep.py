@@ -191,6 +191,24 @@ class TestOneExecutor:
         assert sweep.provenance["effective_workers"] == 2
         assert sweep.provenance["fallback"] is None
 
+    def test_pool_start_method_is_explicit_and_recorded(self):
+        import multiprocessing
+
+        from repro.experiments import sweep as sweep_module
+
+        expected = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+                    else "spawn")
+        assert sweep_module.pool_start_method() == expected
+        sweep = SweepRunner(workers=2).run_grid(
+            default_flood_spec(duration=1.0), small_grid())
+        assert sweep.provenance["start_method"] == expected
+        pool = sweep_module._shared_pool(2)
+        assert pool._mp_context.get_start_method() == expected
+        serial = SweepRunner(workers=1).run_grid(
+            default_flood_spec(duration=1.0), small_grid())
+        assert serial.provenance["start_method"] is None
+        assert "start_method" not in sweep.to_json()
+
     def test_spec_hash_is_computed_once_per_cell(self, monkeypatch, tmp_path):
         from repro.cluster import CellCache
         from repro.experiments import spec as spec_module
