@@ -23,11 +23,17 @@ wall-clock.  Three things an experiment's set-up must not do again:
 The deques are found by walking the links, not ``gc.get_objects()``:
 frozen objects are invisible to the latter.
 
-And one thing its run phase must not do: **write routing rows on routers
-that never look a destination up** — a router holds a destination anchor's
-rows once it has asked for them (``routing_policy/manager.py``), so the rows
-a cell ends up holding follow the routers on its traffic's paths, not the
-size of the hierarchy around them (the last two gates below).
+And one thing neither phase may do: **search or write routes for routers
+that never look a destination up** — on every topology a router holds a
+destination anchor's rows once it has asked for them
+(``topology/dynamic.py``), so a build runs no Dijkstra and writes no router
+row, and the rows a cell ends up holding follow the routers on its
+traffic's paths, not the size of the graph around them.  On the 200-AS
+``fleet_train`` cell the parent of the PR that made flat routes lazy ran
+200 Dijkstras and wrote 264,098 rows at build; a 1 s run now solves the 15
+anchors its traffic asks for, on 176 askers, and holds 2,262 rows (the
+flat gates below; the two after them hold the same on the ``hier_churn``
+hierarchy).
 """
 
 import gc
@@ -38,11 +44,14 @@ from collections import Counter, deque
 from repro.experiments import (ExperimentRunner, ExperimentSpec,
                                default_flood_spec)
 from repro.router.routing import RoutingTable
+from repro.topology import base, dynamic
 from repro.topology.dynamic import edge_key
+from repro.topology.powerlaw import build_powerlaw_internet
 from tests.test_hierarchy import train_spec
 
-HIER_CHURN = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
-                          "workloads", "hier_churn.json")
+WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                         "workloads")
+HIER_CHURN = os.path.join(WORKLOADS, "hier_churn.json")
 
 
 class CollectionCounter:
@@ -117,6 +126,59 @@ def test_a_queue_that_never_saw_a_packet_holds_no_deque():
     assert len(holding) < len(queues) // 20
 
 
+def counting_searches(monkeypatch):
+    """The root of every Dijkstra the topology layer runs (route build,
+    anchor solves, improvement tests), in call order."""
+    roots = []
+    for module in (base, dynamic):
+        search = module.shortest_path_tree
+        monkeypatch.setattr(
+            module, "shortest_path_tree",
+            lambda adjacency, source, *rest, _search=search:
+                roots.append(source) or _search(adjacency, source, *rest))
+    return roots
+
+
+def rows_held(topology):
+    return sum(router.routing.row_count()
+               for router in topology.border_routers())
+
+
+def test_a_flat_fleet_searches_and_writes_routes_for_the_askers_only(
+        monkeypatch):
+    """The ``fleet_train`` cell, 1 s long: its build runs no Dijkstra and
+    holds no router row; its run solves each anchor it asks for once, and
+    the rows held are at most each asked group on its askers (and on its
+    anchor, for the access rows)."""
+    with open(os.path.join(WORKLOADS, "fleet_train.json"),
+              encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["duration"] = 1.0
+    roots = counting_searches(monkeypatch)
+    execution = ExperimentRunner().prepare(ExperimentSpec.from_dict(doc))
+    topology = execution.handle.topology
+    assert len(topology.border_routers()) == 200
+    assert roots == [] and rows_held(topology) == 0
+    execution.run()
+    core = topology.ensure_dynamic_routing()
+    assert sorted(roots) == sorted(core.tracked())
+    assert len(roots) == len(set(roots)) == 15
+    groups = {anchor: sum(len(core._prefixes[member])
+                          for member, _ in core._groups[anchor])
+              for anchor in core.tracked()}
+    bound = sum(groups[anchor] * (len(core.askers.get(anchor, ())) + 1)
+                for anchor in groups)
+    assert 0 < rows_held(topology) <= bound < 3_000
+
+
+def test_a_500_as_power_law_build_holds_no_router_row(monkeypatch):
+    roots = counting_searches(monkeypatch)
+    fleet = build_powerlaw_internet(autonomous_systems=500, hosts_per_leaf=10,
+                                    seed=11)
+    assert len(fleet.topology.border_routers()) == 500
+    assert roots == [] and rows_held(fleet.topology) == 0
+
+
 def hier_churn_cell(autonomous_systems, fault_link=None):
     """The bench's ``hier_churn`` cell (train mode, 60 zombies, 8 host
     stubs) on a hierarchy of another size, without its fault pair or with
@@ -151,16 +213,23 @@ class RoutingWork:
 
 
 def run_counting_installs(spec, monkeypatch):
+    """Run ``spec``, counting the rows offered to routing tables: one per
+    ``RoutingTable.install`` (an anchor's access rows) and one per key of
+    a ``RoutingTable.install_rows`` (a holder's group)."""
     installs = []
-    install = RoutingTable.install
+    install, install_rows = RoutingTable.install, RoutingTable.install_rows
     with monkeypatch.context() as patch:
         patch.setattr(
             RoutingTable, "install",
             lambda self, prefix, link, metric=0:
                 installs.append(1) or install(self, prefix, link, metric))
+        patch.setattr(
+            RoutingTable, "install_rows",
+            lambda self, keys, records:
+                installs.append(len(keys)) or install_rows(self, keys, records))
         execution = ExperimentRunner().prepare(spec)
         execution.run()
-    return execution, RoutingWork(execution, len(installs))
+    return execution, RoutingWork(execution, sum(installs))
 
 
 def test_rows_held_follow_the_askers_not_the_size_of_the_hierarchy(

@@ -422,9 +422,9 @@ def run_worker(args: argparse.Namespace) -> int:
 def run_topo(args: argparse.Namespace) -> int:
     """``repro topo``: build a registered topology and describe it.
 
-    Prints node/link counts, build wall-clock, and — for policy-routed
-    hierarchies — AS counts by tier, link counts by relationship, and the
-    routing-table entries installed when the victim anchor materializes."""
+    Prints node/link counts, build wall-clock, the routers with a route
+    once the victim anchor materializes, and — for policy-routed
+    hierarchies — AS counts by tier and link counts by relationship."""
     from repro.experiments.topologies import build_topology
 
     params: Dict[str, Any] = {path: _parse_value(raw)
@@ -462,18 +462,18 @@ def run_topo(args: argparse.Namespace) -> int:
         for kind, count in raw.relationships.edge_counts().items():
             table.add_row(f"links: {kind}", count)
         doc["relationship_links"] = raw.relationships.edge_counts()
-    policy = getattr(getattr(raw, "topology", None), "policy", None)
-    if policy is not None and hasattr(policy, "materialize"):
-        start = time.perf_counter()
-        # The routers the solve gives a route: each holds the anchor's
-        # rows once it asks (a bare materialize writes the anchor's own).
-        entries = len(policy.materialize(
-            policy.anchor_of(handle.victim_gateway.name)))
-        route_seconds = time.perf_counter() - start
-        table.add_row("routing entries (victim anchor)", entries)
-        table.add_row("route wall-clock", format_seconds(route_seconds))
-        doc["routing_entries"] = entries
-        doc["route_seconds"] = route_seconds
+    core = topo.ensure_dynamic_routing()
+    start = time.perf_counter()
+    # The routers the solve gives a route: each holds the anchor's rows
+    # once it asks (a bare materialize writes the anchor's own).
+    next_hop = core.materialize(
+        core.anchor_of(handle.victim_gateway.name)).next_hop
+    entries = len(next_hop) - next_hop.count(-1)
+    route_seconds = time.perf_counter() - start
+    table.add_row("routing entries (victim anchor)", entries)
+    table.add_row("route wall-clock", format_seconds(route_seconds))
+    doc["routing_entries"] = entries
+    doc["route_seconds"] = route_seconds
 
     if args.json:
         print(json.dumps(doc, indent=2, default=str))

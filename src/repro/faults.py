@@ -4,10 +4,10 @@ The :class:`FaultInjector` turns a spec's declarative fault schedule
 (:class:`repro.experiments.spec.FaultSpec`) into simulator events.  Each
 event flips link state through :meth:`Topology.set_link_state` — which
 drops/strands in-flight traffic deterministically at the link layer — and
-then delta-updates the installed routes through the topology's incremental
-rerouting (:mod:`repro.topology.dynamic`), so a 200-AS fleet pays per-event
-work proportional to the routes that actually changed, not a full
-``build_routes()``.
+then delta-updates the installed routes through the topology's routing core
+(:mod:`repro.topology.dynamic`), so a 200-AS fleet pays per-event work
+proportional to the rows that actually changed, on the routers that asked
+for them.
 
 A ``router_crash`` downs every link of the router *and* wipes its volatile
 defense state: the wire-speed filter table and — when an AITF deployment is
@@ -105,12 +105,7 @@ class FaultInjector:
                                      f"router")
                 events.append(_ResolvedFault(kind=fault.kind, time=when,
                                              node=node))
-        injector = cls(topology=topology, events=events, deployment=deployment)
-        # Build the incremental-routing helper now (anchor groups and their
-        # rows; no table is read, no Dijkstra run), so that the first fault
-        # event pays for its re-solves only.
-        topology.ensure_dynamic_routing()
-        return injector
+        return cls(topology=topology, events=events, deployment=deployment)
 
     def __post_init__(self) -> None:
         #: Administratively-downed edge keys and crashed router names; a

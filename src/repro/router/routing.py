@@ -1,10 +1,11 @@
 """Static longest-prefix-match routing.
 
-Routing in the reproduction is deliberately static: topology builders compute
-shortest paths once (BGP convergence is out of scope for the paper) and
-install prefix routes on every node.  The table supports a default route so
-stub networks can simply point "everything else" at their provider, which is
-how real enterprise networks in the paper's Figure 1 are wired.
+Routing in the reproduction is deliberately static (BGP convergence is out
+of scope for the paper): a router's rows toward a destination are computed
+once, when the router first looks that destination up, through the table's
+miss hook (:mod:`repro.topology.dynamic`), and change only when a fault
+reroutes them.  Hosts get a default route toward their access link, which
+is how the end networks in the paper's Figure 1 are wired.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from repro.net.address import IPAddress, Prefix
 
 #: Cache-miss sentinel (None is a legal cached result: "no route").
 _MISS = object()
+
+#: The prefix a default route is shown under (0.0.0.0/0).
+_EVERYWHERE = Prefix(IPAddress(0), 0)
 
 #: What a row stores: ``(link, metric)``, one shared tuple per distinct pair
 #: per table (see :meth:`RoutingTable.next_hop`).
@@ -54,8 +58,8 @@ class RoutingTable:
         self._next_hops: Dict[NextHop, NextHop] = {}
         #: Rows shorter than /32 as ``(shift, network >> shift, key)``,
         #: longest first: the only ones a lookup scans, and only when the
-        #: exact-match probe misses.  Materialised lazily so builders can
-        #: install thousands of rows without a re-sort per insert.
+        #: exact-match probe misses.  Materialised lazily so rows can be
+        #: installed in groups without a re-sort per insert.
         self._scan: Optional[List[Tuple[int, int, int]]] = None
         self._default: Optional[Route] = None
         #: Memoized destination value (int) -> the link to forward over (None:
@@ -67,8 +71,8 @@ class RoutingTable:
         #: Optional miss hook: ``miss_handler(destination) -> bool`` is
         #: invoked when no explicit route matches (before the default-route
         #: fallback).  Returning True means routes were installed and the
-        #: match should be retried once.  Lazily materialised routing shards
-        #: (repro.routing_policy) hang off this; the per-packet hot path is
+        #: match should be retried once.  Every router's rows are written
+        #: through it (repro.topology.dynamic); the per-packet hot path is
         #: untouched because resolved lookups hit the memo above.
         self.miss_handler = None
         self._miss_active = False
@@ -101,9 +105,9 @@ class RoutingTable:
         """Bulk :meth:`install`: make row ``keys[i]`` read ``records[i]``
         (a :meth:`next_hop` of this table; None leaves the row alone).
 
-        A builder resolves each destination network's next hop once and
-        hands over every row of the table in one call; the memo and the
-        scan list are dropped once, and only if a row they could have
+        The routing core resolves a destination anchor's next hop once
+        and hands over every row of its group in one call; the memo and
+        the scan list are dropped once, and only if a row they could have
         answered from changed.  Returns the number of rows added or
         replaced (0: nothing was touched).
         """
@@ -133,7 +137,7 @@ class RoutingTable:
 
     def set_default(self, link, metric: int = 0) -> Route:
         """Install a default route (0.0.0.0/0) via ``link``."""
-        self._default = Route(prefix=Prefix.parse("0.0.0.0/0"), link=link, metric=metric)
+        self._default = Route(_EVERYWHERE, link, metric)
         self._cache.clear()
         return self._default
 

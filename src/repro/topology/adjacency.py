@@ -92,23 +92,6 @@ def shortest_path_tree(adjacency: Adjacency, source: str,
     return dist, pred
 
 
-def first_hops(dist: Dict[str, float], pred: Dict[str, str], source: str
-               ) -> Dict[str, Tuple[str, int]]:
-    """``{node: (first hop out of source, hop count)}`` for every other
-    node of a :func:`shortest_path_tree` — what a forwarding row needs of
-    a path, without building the path."""
-    hops: Dict[str, Tuple[str, int]] = {}
-    for node in dist:  # settling order: a predecessor is resolved first
-        if node != source:
-            before = pred[node]
-            if before == source:
-                hops[node] = (node, 1)
-            else:
-                first, count = hops[before]
-                hops[node] = (first, count + 1)
-    return hops
-
-
 def no_path(message: str) -> Exception:
     """The error for a disconnected pair.  Callers have always caught
     ``networkx.NetworkXNoPath``, so that is still the type — imported here,

@@ -1,14 +1,14 @@
 """Topology construction kit.
 
 A :class:`Topology` owns the simulator, the address allocator, every node and
-link of a scenario, and knows how to compute static routes once the shape is
-final.  The concrete builders (:mod:`repro.topology.figure1`,
-:mod:`repro.topology.tree`, :mod:`repro.topology.powerlaw`) are thin layers
-over this class.
+link of a scenario, and arms routing once the shape is final.  The concrete
+builders (:mod:`repro.topology.figure1`, :mod:`repro.topology.tree`,
+:mod:`repro.topology.powerlaw`) are thin layers over this class.
 
-Routing is computed with delay-weighted shortest paths over the topology's
-own adjacency (:mod:`repro.topology.adjacency`), then frozen into each
-node's longest-prefix-match table — the paper treats routing as a given (BGP
+Routing follows delay-weighted shortest paths over the topology's own
+adjacency (:mod:`repro.topology.adjacency`), written into a router's
+longest-prefix-match table the first time it looks a destination up
+(:mod:`repro.topology.dynamic`) — the paper treats routing as a given (BGP
 convergence is out of scope), so static routes are the right fidelity.
 networkx is not imported by a run; :attr:`Topology.graph` and
 :attr:`Topology.routing_graph` render ``nx.Graph`` views on first access,
@@ -27,18 +27,12 @@ from repro.topology.adjacency import (
     Adjacency,
     add_edge,
     copy_without,
-    first_hops,
     no_path,
     nx_view,
     remove_edge,
     shortest_path_tree,
 )
-from repro.topology.dynamic import (
-    DynamicRouting,
-    edge_key,
-    fold_leaves,
-    project_routers,
-)
+from repro.topology.dynamic import DynamicRouting, edge_key
 
 #: Default link speeds (bits per second) by tier.
 ACCESS_BANDWIDTH = 100e6
@@ -179,8 +173,7 @@ class Topology:
         """Bring ``link`` up or down, keeping the live adjacency in sync.
 
         Returns True when the state actually changed.  Routing tables are
-        *not* touched here — call :meth:`reroute_incremental` (or a full
-        :meth:`build_routes`) afterwards.
+        *not* touched here — call :meth:`reroute_incremental` afterwards.
         """
         changed = link.set_up() if up else link.set_down()
         if not changed:
@@ -201,7 +194,8 @@ class Topology:
         return True
 
     def ensure_dynamic_routing(self):
-        """Build (once) and return the incremental-rerouting helper."""
+        """Build (once) and return the routing core: the one that writes
+        router rows when they are asked for and reroutes on faults."""
         if self._dynamic is None:
             self._dynamic = DynamicRouting(self)
         return self._dynamic
@@ -210,10 +204,10 @@ class Topology:
         """Delta-update routing tables after link state changes.
 
         ``downed`` / ``restored`` are the :class:`Link` objects whose state
-        just flipped.  Only destinations whose installed routes actually used
-        a downed edge — or could improve via a restored one — are recomputed
-        (one single-source Dijkstra each), instead of one per router as a
-        full :meth:`build_routes` would pay.  Returns the work counters
+        just flipped.  Only the destinations somebody asked for whose routes
+        used a downed edge — or could improve via a restored one — are
+        recomputed (one anchor-rooted solve each), and only on the routers
+        that asked.  Returns the work counters
         (``anchors_recomputed``, ``dijkstras``, ``routes_installed``,
         ``routes_removed``).
         """
@@ -223,66 +217,26 @@ class Topology:
     # routing
     # ------------------------------------------------------------------
     def build_routes(self) -> None:
-        """Compute and install static routes on every node.
+        """Install host default routes and arm routing on every router.
 
         Hosts get a default route pointing at their (single) access link.
-        Routers get one route per destination prefix: the destination set is
-        every node's own addresses (/32) plus every declared local prefix,
-        with next hops taken from shortest paths weighted by link delay.
+        No router row is written here: the routing core
+        (:meth:`ensure_dynamic_routing`, see :mod:`repro.topology.dynamic`)
+        hooks every router's table miss, and a router's first lookup toward
+        a destination anchor solves that anchor once and writes the
+        anchor's rows on that router only.  The destination set is every
+        node's own addresses (/32) plus every declared local prefix.
 
-        One source-rooted Dijkstra runs per *router* (hosts only ever need
-        their default route), over the router projection of the adjacency: a
-        single-homed host is never interior to a path, so it is folded out
-        and inherits its access router's next hop at one extra hop (see
-        :func:`repro.topology.dynamic.fold_leaves`).  On a host-heavy fleet
-        that is ~6x fewer nodes per search.
-
-        A router's rows toward one anchor are a function of its single next
-        hop and distance to it, so that is what is resolved per (router,
-        anchor) — two shared :meth:`RoutingTable.next_hop` records, the
-        anchor's own rows and its folded hosts' one hop further — and the
-        table takes all its rows in one :meth:`RoutingTable.install_rows`.
-        Every installed row, and the order rows are installed in, is what a
-        per-router sweep of the full graph yields
-        (``tests/test_route_build.py`` keeps that sweep, on networkx, as the
-        oracle).
+        Calling it again starts routing over on the topology as it is now:
+        router rows are dropped and a fresh core takes the hooks.
         """
-        if self._dynamic is not None:
-            self._dynamic.forget()  # these rows are not the core's own
-        fold = fold_leaves(self)
-        adjacency = project_routers(self.adjacency, fold)
-        # Every row a router may hold, in installation order: its key and
-        # the (anchor, extra hops) group whose next hop it shares.  A
-        # router's *own* folded hosts are the exception — one access link
-        # each — so their row positions are kept per anchor.
-        keys: List[int] = []
-        groups: List[Tuple[str, int]] = []
-        access_rows: Dict[str, List[Tuple[int, str]]] = {}
-        for name, prefixes in self._destination_prefixes().items():
-            anchor, extra = fold.get(name, name), int(name in fold)
-            for prefix in prefixes:
-                if extra:
-                    access_rows.setdefault(anchor, []).append((len(keys), name))
-                keys.append(prefix.key)
-                groups.append((anchor, extra))
         for node in self.nodes.values():
             if isinstance(node, Host):
                 self._install_host_default(node)
-                continue
-            name = node.name
-            links = self.adjacency[name]
-            next_hop = node.routing.next_hop
-            records = {}
-            tree = shortest_path_tree(adjacency, name)
-            for anchor, (first, hops) in first_hops(*tree, name).items():
-                link = links[first]
-                records[anchor, 0] = next_hop(link, hops)
-                if anchor in access_rows:
-                    records[anchor, 1] = next_hop(link, hops + 1)
-            rows = list(map(records.get, groups))
-            for index, host in access_rows.get(name, ()):
-                rows[index] = next_hop(links[host], 1)
-            node.routing.install_rows(keys, rows)
+            else:
+                node.routing.clear()
+        self._dynamic = None
+        self.ensure_dynamic_routing().attach()
 
     def _install_host_default(self, host: Host) -> None:
         if not host.links:

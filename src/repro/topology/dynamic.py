@@ -1,45 +1,54 @@
-"""Incremental route recomputation: one core, two solvers.
+"""Routing tables that fill on demand and follow faults: one core, two solvers.
 
-A full :meth:`repro.topology.base.Topology.build_routes` pays one
-single-source Dijkstra per router — fine once at construction, far too much
-per fault event on a fleet-scale topology.  :class:`IncrementalRouting`
-recomputes only the *destinations whose installed routes actually changed*:
+:class:`IncrementalRouting` owns every router's rows, on every topology,
+under one rule: **a router holds a destination anchor's rows once it has
+asked for them.**
 
 * Destinations are grouped into **anchors**.  A single-homed host folds into
-  its access router's anchor (its shortest-path tree is the router's tree
-  plus one access edge), so a 200-AS / 2000-host fleet has ~200 anchors, not
-  ~2200 destinations.
-* ``link_down`` recomputes exactly the tracked anchors whose installed tree
+  its access router's anchor (its routes are the router's plus one access
+  edge), so a 200-AS / 2000-host fleet has ~200 anchors, not ~2200
+  destinations.
+* :meth:`~IncrementalRouting.attach` (run by ``Topology.build_routes``,
+  which writes no router row) hangs a miss hook off every router's
+  :class:`~repro.router.routing.RoutingTable`.  A router's first lookup
+  toward an anchor solves the anchor once (:meth:`~IncrementalRouting.solve`,
+  remembered, answered in indexed form as a :class:`Solve`), writes the
+  anchor's own access rows, and makes the router a *holder*: its rows for
+  the anchor's group are written from the remembered solve, the lookup
+  retries and the table's memo answers every later packet.  A router that
+  takes an aggregate (a declared local prefix) also takes the rows of every
+  other anchor with addresses inside it, so what it forwards never depends
+  on which of them it asked for first.
+* Only solved anchors are *tracked*, and only their holders are kept in
+  line.  ``link_down`` re-solves exactly the tracked anchors whose tree
   traverses the edge, which the remembered solve says: one of its two
   endpoints has the other as its next hop.  This is *exact*: a routing tree
   that does not contain the removed edge is still a valid tree of the
-  reduced graph.
-* ``link_up`` recomputes the tracked anchors the solver says the restored
-  edge can affect (by default all of them).
-* Each affected anchor costs one :meth:`~IncrementalRouting.solve`, answered
-  in indexed form (:class:`Solve`), and an install pass over the *holders*
-  — the routers that hold the anchor's rows — whose next hop or distance
-  moved since the last solve the core installed
-  (:meth:`~IncrementalRouting._recompute`), so forwarding flips atomically
-  at the fault event and every other router keeps its lookup memo warm.
+  reduced graph.  ``link_up`` re-solves the tracked anchors the solver says
+  the restored edge can affect (by default all of them).
+* A re-solve visits the holders whose next hop or distance moved since the
+  last solve (:meth:`~IncrementalRouting._recompute`), so forwarding flips
+  atomically at the fault event and every other router keeps its lookup
+  memo warm.  A router that asked while the anchor was unreachable stays a
+  holder, so the re-solve that reconnects it writes its rows over the "no
+  route" its table memoised.
 
-A subclass supplies ``solve``, which anchors are ``tracked``,
-``restored_affects`` and, when not every router holds every tracked
-anchor's rows, ``holders``: :class:`DynamicRouting` here (flat shortest
-paths, rows everywhere) and
-:class:`repro.routing_policy.manager.PolicyRoutingManager` (valley-free,
-rows on the routers that asked).  The leaf fold and the router projection
-(:func:`fold_leaves`, :func:`project_routers`) are the ones ``build_routes``
-itself computes routes on, so the core and the builder agree on what an
-anchor is.
+A subclass supplies ``solve`` and, when a restored edge cannot affect every
+tracked anchor, ``restored_affects``: :class:`DynamicRouting` here
+(delay-weighted Dijkstra rooted at the anchor) and
+:class:`repro.routing_policy.manager.PolicyRoutingManager` (valley-free).
+The leaf fold and the router projection (:func:`fold_leaves`,
+:func:`project_routers`) are what every solver computes routes on, so all
+of them agree on what an anchor is.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import (Collection, Dict, Iterable, List, Mapping, NamedTuple,
                     Optional, Sequence, Set, Tuple)
 
-from repro.net.address import Prefix
+from repro.net.address import IPAddress, Prefix
 from repro.net.link import Link
 from repro.router.nodes import Host, NetworkNode
 from repro.topology.adjacency import (
@@ -113,7 +122,8 @@ class Solve(NamedTuple):
 
 
 class IncrementalRouting:
-    """Delta-updates a topology's installed routes as links fail/recover."""
+    """Writes a topology's router rows on demand and keeps them in line as
+    links fail/recover."""
 
     def __init__(self, topo) -> None:
         self._topo = topo
@@ -132,11 +142,45 @@ class IncrementalRouting:
                 self._groups[name] = [(name, 0)]
         for host, anchor in self._fold_anchor.items():
             self._groups[anchor].append((host, 1))
-        #: Anchor -> the last solve whose rows this core installed.  Only
-        #: rows the core itself wrote are trusted to match it.
+        # Destination -> anchor, for resolving lookup misses: every node
+        # address exactly, and every declared local prefix as
+        # ``(shift, {network >> shift: anchor})``, longest first.
+        self._owner: Dict[int, str] = {}
+        aggregates: Dict[int, Dict[int, str]] = {}
+        for member, prefixes in self._prefixes.items():
+            anchor = self.anchor_of(member)
+            for prefix in prefixes:
+                if prefix.length == 32:
+                    self._owner[prefix.network.value] = anchor
+                else:
+                    shift = 32 - prefix.length
+                    aggregates.setdefault(shift, {})[
+                        prefix.network.value >> shift] = anchor
+        self._aggregates = sorted(aggregates.items())
+        #: Anchor -> the other anchors with a destination inside one of its
+        #: aggregates: whoever takes the aggregate takes their rows too.
+        self._nested: Dict[str, List[str]] = {}
+        for member, prefixes in self._prefixes.items():
+            inner = self.anchor_of(member)
+            for prefix in prefixes:
+                for shift, networks in self._aggregates:
+                    if shift <= 32 - prefix.length:
+                        continue  # not shorter than the prefix itself
+                    outer = networks.get(prefix.network.value >> shift)
+                    if outer is not None and outer != inner:
+                        nested = self._nested.setdefault(outer, [])
+                        if inner not in nested:
+                            nested.append(inner)
+        #: Anchor -> the last solve whose rows this core installed.
         self._solved: Dict[str, Solve] = {}
-        #: Rows written since construction (never reset).
-        self.stats = {"routes_installed": 0}
+        #: Anchor -> the routers that asked for its rows, by name (solve
+        #: positions move when a policy relationship is added).
+        self._asked: Dict[str, Set[str]] = {}
+        #: Anchor -> its remote rows, their keys and their extra hops.
+        self._remote: Dict[str, Tuple[List[Tuple[Prefix, int]], List[int],
+                                      List[int]]] = {}
+        #: Rows written and anchors solved since construction (never reset).
+        self.stats = {"routes_installed": 0, "anchors_materialized": 0}
 
     # ------------------------------------------------------------------
     # what a solver supplies
@@ -146,29 +190,10 @@ class IncrementalRouting:
         live edge set."""
         raise NotImplementedError
 
-    def tracked(self) -> Collection[str]:
-        """The anchors whose installed rows this core keeps current."""
-        return self._groups
-
     def restored_affects(self, link: Link,
                          stats: Dict[str, int]) -> Iterable[str]:
         """Tracked anchors that may route differently once ``link`` is back."""
         return self.tracked()
-
-    def anchor_of(self, name: str) -> str:
-        """The anchor a node folds into (itself unless a folded host)."""
-        return self._fold_anchor.get(name, name)
-
-    def holders(self, anchor: str, solved: Solve) -> Iterable[int]:
-        """Positions in ``solved`` of the routers that hold ``anchor``'s
-        remote rows and are kept in line with its solves: every one, unless
-        the solver writes them on demand."""
-        return range(len(solved.names))
-
-    def forget(self) -> None:
-        """Somebody else (``build_routes``) rewrote the tables: each
-        anchor's next solve probes every holder again."""
-        self._solved.clear()
 
     def _remote_rows(self, anchor: str) -> List[Tuple[Prefix, int]]:
         """``(prefix, extra hops)`` of the rows a holder other than
@@ -177,30 +202,109 @@ class IncrementalRouting:
         return [(prefix, extra) for member, extra in self._groups[anchor]
                 for prefix in self._prefixes[member]]
 
+    # ------------------------------------------------------------------
+    # asking
+    # ------------------------------------------------------------------
+    def attach(self) -> None:
+        """Hook every router's routing-table miss onto :meth:`_on_miss`;
+        the hook is bound to the router's name, so it knows who asks."""
+        for router in self._routers:
+            router.routing.miss_handler = partial(self._on_miss, router.name)
+
+    def _on_miss(self, router: str, destination: IPAddress) -> bool:
+        """``router`` has no row for ``destination``: solve its anchor if
+        nobody has yet, and make ``router`` a holder of the anchor's rows.
+        True when the lookup is worth retrying — rows were written on
+        ``router``, or the anchor was solved just now (when ``router`` *is*
+        the anchor those are its access rows)."""
+        anchor = self.anchor_for_address(destination)
+        if anchor is None:
+            return False
+        fresh = anchor not in self._solved
+        return self._ask(router, anchor) > 0 or fresh
+
+    def _ask(self, router: str, anchor: str) -> int:
+        """Make ``router`` a holder of ``anchor``'s rows and of every anchor
+        nested in its aggregates; returns the rows written.  The anchor
+        itself holds its access rows only."""
+        solved = self.materialize(anchor)
+        position = solved.index_of.get(router)
+        if router == anchor or position is None:
+            return 0
+        asked = self._asked.setdefault(anchor, set())
+        if router in asked:
+            return 0
+        # A holder even if the solve leaves it unreachable for now.
+        asked.add(router)
+        written = self._install(anchor, solved, (position,), new_counters())
+        for inner in self._nested.get(anchor, ()):
+            written += self._ask(router, inner)
+        return written
+
+    def anchor_for_address(self, destination: IPAddress) -> Optional[str]:
+        """The destination anchor owning ``destination``: the node with that
+        address, else the one declaring the longest local prefix around
+        it; None when nobody does."""
+        value = destination.value
+        anchor = self._owner.get(value)
+        if anchor is None:
+            for shift, networks in self._aggregates:
+                anchor = networks.get(value >> shift)
+                if anchor is not None:
+                    break
+        return anchor
+
+    def anchor_of(self, name: str) -> str:
+        """The anchor a node folds into (itself unless a folded host)."""
+        return self._fold_anchor.get(name, name)
+
+    def materialize(self, anchor: str) -> Solve:
+        """Solve ``anchor`` and write its own access rows (a remote router's
+        are written when it asks); returns the remembered solve.
+
+        Idempotent: an already-solved anchor is returned as-is; fault
+        handling re-solves it through :meth:`apply` instead.
+        """
+        if anchor not in self._solved:
+            if anchor not in self._groups:
+                raise KeyError(f"unknown destination anchor {anchor!r}")
+            self._recompute(anchor, new_counters())
+            self.stats["anchors_materialized"] += 1
+        return self._solved[anchor]
+
+    def tracked(self) -> Collection[str]:
+        """The anchors whose rows this core keeps current: the solved
+        ones."""
+        return self._solved
+
+    @property
+    def materialized_anchors(self) -> Tuple[str, ...]:
+        return tuple(self._solved)
+
+    @property
+    def askers(self) -> Dict[str, Tuple[str, ...]]:
+        """Anchor -> the routers that hold its rows because they asked."""
+        return {anchor: tuple(sorted(asked))
+                for anchor, asked in self._asked.items()}
+
+    def holders(self, anchor: str, solved: Solve) -> Iterable[int]:
+        """Positions in ``solved`` of the routers that asked for
+        ``anchor``'s rows."""
+        return map(solved.index_of.__getitem__, self._asked.get(anchor, ()))
+
     def _crosses(self, anchor: str, link: Link) -> bool:
-        """Is ``link`` in ``anchor``'s installed tree?  A folded host's
-        access edge is in its anchor's only; any other edge iff one of its
-        ends has the other as its next hop in the remembered solve.  Not
-        every router holds the rows, so the tables are asked only when no
-        solve is remembered: then they are ``build_routes``' own, on every
-        router, and a group's rows move together — the first speaks for
-        all."""
+        """Is ``link`` in tracked ``anchor``'s tree?  A folded host's access
+        edge is in its anchor's only; any other edge iff one of its ends
+        has the other as its next hop in the remembered solve."""
         fold = (self._fold_anchor.get(link.a.name)
                 or self._fold_anchor.get(link.b.name))
         if fold is not None:
             return fold == anchor
-        solved = self._solved.get(anchor)
-        if solved is not None:
-            a = solved.index_of.get(link.a.name)
-            b = solved.index_of.get(link.b.name)
-            return (a is not None and b is not None
-                    and (solved.next_hop[a] == b or solved.next_hop[b] == a))
-        for prefix, _ in self._remote_rows(anchor)[:1]:
-            for end in (link.a, link.b):
-                route = end.routing.route_for(prefix)
-                if route is not None and route.link is link:
-                    return True
-        return False
+        solved = self._solved[anchor]
+        a = solved.index_of.get(link.a.name)
+        b = solved.index_of.get(link.b.name)
+        return (a is not None and b is not None
+                and (solved.next_hop[a] == b or solved.next_hop[b] == a))
 
     # ------------------------------------------------------------------
     # delta application
@@ -228,12 +332,10 @@ class IncrementalRouting:
         that hold them (:meth:`holders`, through :meth:`_install`).
 
         A group's rows on one router are a function of that router's single
-        next hop and distance toward the anchor, and only ``build_routes``
-        and the core write them, so they move together.  Against a
-        remembered solve only the holders whose ``(next hop, hops)`` moved
-        are visited at all; with none (first use, or rows ``build_routes``
-        wrote) every holder is probed, and the anchor's own access rows
-        are written."""
+        next hop and distance toward the anchor, and only the core writes
+        them, so they move together.  Against a remembered solve only the
+        holders whose ``(next hop, hops)`` moved are visited at all; the
+        first solve writes the anchor's own access rows."""
         solved = self.solve(anchor)
         stats["dijkstras"] += 1
         stats["anchors_recomputed"] += 1
@@ -245,7 +347,7 @@ class IncrementalRouting:
             was_hop, was_far = before.next_hop, before.hops
             holders = [i for i in holders
                        if next_hop[i] != was_hop[i] or hops[i] != was_far[i]]
-        else:
+        elif before is None:
             # The anchor reaches its own folded hosts over their access
             # links (solvers are router-level): one next hop per host, the
             # same after every solve.
@@ -266,53 +368,50 @@ class IncrementalRouting:
                  stats: Dict[str, int]) -> int:
         """The one install loop: make the routers at ``positions`` of
         ``solved`` hold ``anchor``'s remote rows via their next hop toward
-        it, through :meth:`RoutingTable.install` — an unchanged ``(link,
-        metric)`` row is one keyed probe and leaves the table's lookup memo
-        alone, a replaced /32 drops only its own address from it, and a
-        router whose first row is already in line is done after that one
-        probe (routers + rows changed, not routers x rows).  A router the
-        solve leaves unreachable has the rows withdrawn so stale routes
+        it — one :meth:`RoutingTable.install_rows` per router over two
+        shared records (the anchor's distance, and one hop further for its
+        folded hosts), which leaves an unchanged row and the table's lookup
+        memo alone and drops a replaced /32's own address only.  A router
+        the solve leaves unreachable has the rows withdrawn so stale routes
         cannot forward into a black hole (withdrawing an absent row is a
         no-op).  Counts into ``stats``; returns the rows written."""
         names, next_hop, hops = solved.names, solved.next_hop, solved.hops
         nodes = self._topo.nodes
         links = self._topo.adjacency
-        remote = self._remote_rows(anchor)
+        remote = self._remote.get(anchor)
+        if remote is None:
+            rows = self._remote_rows(anchor)
+            remote = self._remote[anchor] = (
+                rows, [prefix.key for prefix, _ in rows],
+                [extra for _, extra in rows])
+        rows, keys, extras = remote
         installed = 0
         for i in positions:
             name = names[i]
-            node = nodes[name]
-            if name == anchor or isinstance(node, Host):
-                continue
-            table = node.routing
+            table = nodes[name].routing
             if next_hop[i] < 0:
-                for prefix, _ in remote:
+                for prefix, _ in rows:
                     if table.remove_route(prefix):
                         stats["routes_removed"] += 1
                 continue
             link = links[name][names[next_hop[i]]]
-            distance = hops[i]
-            install = table.install
-            changed = 0
-            for prefix, extra in remote:
-                if install(prefix, link, distance + extra):
-                    changed += 1
-                elif not changed:
-                    break  # first row in line: so is the rest of the group
-            installed += changed
+            records = (table.next_hop(link, hops[i]),
+                       table.next_hop(link, hops[i] + 1))
+            installed += table.install_rows(keys,
+                                            map(records.__getitem__, extras))
         stats["routes_installed"] += installed
         self.stats["routes_installed"] += installed
         return installed
 
 
 class DynamicRouting(IncrementalRouting):
-    """The flat solver: delay-weighted Dijkstra over the router graph.
+    """The flat solver: delay-weighted Dijkstra over the router graph,
+    rooted at the anchor — a router's next hop is its predecessor in the
+    anchor's shortest-path tree, which is the path a packet takes.
 
-    Every anchor is tracked; building it reads no table (the rows
-    ``build_routes`` installed are probed by an anchor's first re-solve).
-    A restored edge re-solves only the anchors whose distance could strictly
-    improve via it; ties keep the previously installed (still shortest)
-    routes, preserving determinism.
+    A restored edge re-solves only the tracked anchors whose distance could
+    strictly improve via it; ties keep the previously installed (still
+    shortest) routes, preserving determinism.
     """
 
     def __init__(self, topo) -> None:
@@ -357,14 +456,14 @@ class DynamicRouting(IncrementalRouting):
         incremental-SPF improvement test."""
         u, v = link.a.name, link.b.name
         # A folded host's access edge returning affects exactly its anchor's
-        # group (the improvement test below cannot see leaves that were
-        # projected out of the graph).
+        # group, if tracked (the improvement test below cannot see leaves
+        # that were projected out of the graph).
         fold = self._fold_anchor.get(u) or self._fold_anchor.get(v)
         if fold is not None:
-            return (fold,)
+            return (fold,) if fold in self._solved else ()
         graph = self._reduced_graph()
         if v not in graph.get(u, ()):  # pragma: no cover - defensive
-            return self._groups
+            return self.tracked()
         # Searched with the edge taken out, then put back — last among its
         # endpoints' neighbours, where the solves that follow will find it.
         remove_edge(graph, link)
@@ -377,7 +476,7 @@ class DynamicRouting(IncrementalRouting):
         weight = link.delay
         inf = float("inf")
         improved: Set[str] = set()
-        for anchor in self._groups:
+        for anchor in self.tracked():
             da = du.get(anchor, inf)
             db = dv.get(anchor, inf)
             if da == inf and db == inf:

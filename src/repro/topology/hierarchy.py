@@ -11,10 +11,12 @@ from :mod:`repro.routing_policy` instead of flat Dijkstra.
 
 Scale notes (10k+ ASes):
 
-* Routing tables are **lazily materialised per destination anchor** via
-  :class:`~repro.routing_policy.manager.PolicyRoutingManager` — building
-  the topology installs only host default routes; the first packet toward
-  a destination triggers one valley-free solve for that anchor.
+* Routing tables fill **per destination anchor, on the routers that ask**,
+  as on every topology (:mod:`repro.topology.dynamic`), with
+  :class:`~repro.routing_policy.manager.PolicyRoutingManager` as the
+  solver — building the topology installs only host default routes; a
+  router's first packet toward a destination triggers one valley-free
+  solve for that anchor (once) and writes that router's rows.
 * Hosts exist only on a sampled subset of stubs (``host_stubs``), so the
   traffic side stays small enough for the train engine while the routing
   side exercises the full graph.
@@ -52,9 +54,8 @@ class PolicyTopology(Topology):
 
     Inter-AS links are declared through :meth:`connect_customer` /
     :meth:`connect_peer` so every edge carries a relationship annotation;
-    :meth:`build_routes` installs only host defaults and arms the lazy
-    policy-routing manager; path queries and fault rerouting go through
-    the manager so they respect valley-free semantics.
+    the routing core is the policy-routing manager, so router rows, path
+    queries and fault rerouting all respect valley-free semantics.
     """
 
     def __init__(self, sim: Optional[Simulator] = None,
@@ -84,22 +85,9 @@ class PolicyTopology(Topology):
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    def build_routes(self) -> None:
-        """Install host defaults and arm lazy valley-free materialisation.
-
-        Unlike the base class, **no** router tables are populated here —
-        at 10k ASes an eager install is the bottleneck the lazy shards
-        exist to avoid.  Router tables fill per destination anchor on
-        first use (routing-table miss → one valley-free solve).
-        """
-        for node in self.nodes.values():
-            if isinstance(node, Host):
-                self._install_host_default(node)
-        self.policy.attach()
-
     def ensure_dynamic_routing(self) -> PolicyRoutingManager:
         """The (lazily created) policy-routing manager: the valley-free
-        solver of the incremental-reroute core, so faults drive it as is."""
+        solver of the routing core, so lookups and faults drive it as is."""
         if self._dynamic is None:
             self._dynamic = PolicyRoutingManager(self, self.relationships)
         return self._dynamic

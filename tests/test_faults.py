@@ -310,6 +310,8 @@ class TestIncrementalReroute:
         failover = build_failover()
         topo = failover.topology
         assert failover.attack_path == ("B_gw", "T1", "V2", "G_gw")
+        # Every router asks for both hosts' rows before the fault.
+        assert_routes_match_shortest_paths(topo, topo.hosts())
         stats = {}
         assert topo.set_link_state(failover.primary_uplink, False)
         stats["down"] = topo.reroute_incremental(downed=[failover.primary_uplink])
@@ -319,9 +321,14 @@ class TestIncrementalReroute:
         stats["up"] = topo.reroute_incremental(restored=[failover.primary_uplink])
         assert failover.attack_path == ("B_gw", "T1", "V2", "G_gw")
         assert_routes_match_shortest_paths(topo, topo.hosts())
-        for record in stats.values():
-            assert record["anchors_recomputed"] > 0
-            assert record["routes_installed"] > 0
+        # Both asked anchors cross the uplink: G_gw's four rows move on
+        # B_gw, B_gw's three on V2 and T1.  The restore moves them back and
+        # adds the improvement test's two searches.
+        assert stats == {
+            "down": {"anchors_recomputed": 2, "dijkstras": 2,
+                     "routes_installed": 10, "routes_removed": 0},
+            "up": {"anchors_recomputed": 2, "dijkstras": 4,
+                   "routes_installed": 10, "routes_removed": 0}}
 
     def test_unreachable_destinations_are_withdrawn(self):
         failover = build_failover()
@@ -364,15 +371,23 @@ class TestIncrementalReroute:
                                         hosts_per_leaf=2, seed=7)
         topo = fleet.topology
         routers = topo.border_routers()
+        # Every router asks for every host's rows before the fault: the 12
+        # anchors with hosts are tracked, the other 18 cost nothing.
+        assert_routes_match_shortest_paths(topo, topo.hosts())
+        assert len(topo.ensure_dynamic_routing().tracked()) == 12
         core_link = next(link for link in topo.links
                          if link.a in routers and link.b in routers)
         assert topo.set_link_state(core_link, False)
         stats = topo.reroute_incremental(downed=[core_link])
         assert 0 < stats["dijkstras"] <= len(routers) // 2
+        assert stats == {"anchors_recomputed": 6, "dijkstras": 6,
+                         "routes_installed": 68, "routes_removed": 0}
         assert_routes_match_shortest_paths(topo, topo.hosts())
         assert topo.set_link_state(core_link, True)
         up_stats = topo.reroute_incremental(restored=[core_link])
         assert up_stats["dijkstras"] <= len(routers) // 2 + 2
+        assert up_stats == {"anchors_recomputed": 6, "dijkstras": 8,
+                            "routes_installed": 68, "routes_removed": 0}
         assert_routes_match_shortest_paths(topo, topo.hosts())
 
 

@@ -7,7 +7,8 @@ path and which stays as the oracle.
 * the native Barabási–Albert draw is networkx's, edge for edge;
 * a run that succeeds never imports networkx — reading ``topology.graph``
   does;
-* ``build_routes`` allocates per (router, next hop), not per row.
+* routing allocates per (router, next hop), not per row, through a build
+  and a lookup of every destination on every router.
 """
 
 import gc
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.router.nodes import Host
-from repro.topology.adjacency import first_hops, shortest_path_tree
+from repro.topology.adjacency import shortest_path_tree
 from repro.topology.base import Topology
 from repro.topology.powerlaw import barabasi_albert_edges, build_powerlaw_internet
 
@@ -70,9 +71,6 @@ def assert_paths_are_networkx_paths(topo):
         assert list(dist) == list(want)  # same settling order
         assert pred == {target: path[-2] for target, path in want.items()
                         if target != source}
-        assert first_hops(dist, pred, source) == {
-            target: (path[1], len(path) - 1) for target, path in want.items()
-            if target != source}
         for target, path in want.items():
             assert topo.path_between(source, target) == path
         for target in set(adjacency) - set(want):
@@ -197,18 +195,25 @@ def test_successful_runs_do_not_import_networkx():
 # ----------------------------------------------------------------------
 # no object per row
 # ----------------------------------------------------------------------
-def test_build_routes_allocates_per_next_hop_not_per_row():
+def test_routing_allocates_per_next_hop_not_per_row():
     fleet = build_powerlaw_internet(autonomous_systems=60, hosts_per_leaf=10,
                                     seed=11)
     topo = fleet.topology
     routers = topo.border_routers()
-    for router in routers:
-        router.routing.clear()
+    # Every node address, and one address no node holds inside each leaf
+    # prefix (only the aggregate row answers it).
+    destinations = [address for node in topo.nodes.values()
+                    for address in sorted(node.addresses)]
+    destinations += [prefix.host(255) for router in routers
+                     for prefix in router.local_prefixes]
     gc.collect()
     gc.disable()
     try:
         before = len(gc.get_objects())
         topo.build_routes()
+        for router in routers:
+            for address in destinations:
+                router.routing.next_link(address)
         grown = len(gc.get_objects()) - before
     finally:
         gc.enable()

@@ -1,6 +1,9 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import random
 from collections import deque
+
+import networkx as nx
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -12,15 +15,21 @@ from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue, QueueStats
 from repro.net.train import PacketTrain
 from repro.router.filter_table import FilterTable, FilterTableFullError
-from repro.router.nodes import BorderRouter
+from repro.router.nodes import BorderRouter, Host
 from repro.router.policer import TokenBucket
 from repro.router.routing import RoutingTable
 from repro.router.shadow_cache import ShadowCache
 from repro.routing_policy import RelationshipMap, valley_free_routes
 from repro.sim.engine import Simulator
 from repro.sim.process import TrainProcess
+from repro.topology.adjacency import add_edge, remove_edge, shortest_path_tree
+from repro.topology.base import Topology
+from repro.topology.dynamic import fold_leaves, project_routers
+from repro.topology.failover import build_failover
+from repro.topology.figure1 import build_figure1
 from repro.topology.hierarchy import build_hierarchy_internet
 from repro.topology.powerlaw import build_powerlaw_internet
+from repro.topology.tree import build_dumbbell, build_provider_tree
 from tests.valley_free_oracle import heap_valley_free_routes
 
 
@@ -250,13 +259,27 @@ class TestRoutingWorkGate:
         assert table.lookup("10.98.0.200").prefix == Prefix.parse("10.98.0.0/24")
         assert scans == [100]
 
-    def test_building_the_reroute_index_scans_no_rows(self, monkeypatch):
+    def test_building_the_routing_core_scans_and_writes_no_rows(
+            self, monkeypatch):
+        scans = self._count_scans(monkeypatch)
         fleet = build_powerlaw_internet(autonomous_systems=60,
                                         hosts_per_leaf=4, seed=11)
-        scans = self._count_scans(monkeypatch)
         core = fleet.topology.ensure_dynamic_routing()
-        assert len(core.tracked()) >= 60
+        routers = fleet.topology.border_routers()
+        assert len(core._groups) >= 60 and not core.tracked()
+        assert not any(router.routing.row_count() for router in routers)
         assert scans == []
+        # A router's first lookup toward a leaf scans its (still empty)
+        # shorter rows once and takes the leaf's group; every other
+        # address of the group is then an exact /32 hit.
+        leaf = next(anchor for anchor, group in core._groups.items()
+                    if len(group) > 2)
+        asker = next(router for router in routers if router.name != leaf)
+        for member, _ in core._groups[leaf]:
+            assert asker.routing.next_link(
+                fleet.topology.nodes[member].address) is not None
+        assert scans == [0]
+        assert list(core.tracked()) == [leaf]
 
 
 #: (a, b, transit?, failed?) over node numbers: a buys transit from b, or
@@ -462,6 +485,219 @@ class TestLazyRoutesEqualEveryoneAsked:
         link = asker.routing.next_link(host.address)
         assert link is not None and link.other_end(asker).name == \
             core.materialize(victim.name)[asker.name].next_hop
+
+
+class _EagerRoutes:
+    """The eager reference for flat routing, as the simulator used to run
+    it: one source-rooted Dijkstra per router over the leaf-folded router
+    graph and one row per (router, destination prefix) at build time; after
+    a fault, the anchors whose rows cross a downed edge (read off the
+    tables until an anchor has been re-solved, off its solve after) or
+    whose distance a restored edge strictly improves are re-solved, rooted
+    at the anchor, and rewritten on every router.  Rows live in plain
+    dicts; :meth:`next_link` is longest-prefix match over them."""
+
+    def __init__(self, topo):
+        self.topo = topo
+        self.fold = fold_leaves(topo)
+        self.prefixes = topo._destination_prefixes()
+        self.groups = {name: [(name, 0)] for name in topo.nodes
+                       if name not in self.fold}
+        for host, anchor in self.fold.items():
+            self.groups[anchor].append((host, 1))
+        self.routers = [name for name, node in topo.nodes.items()
+                        if not isinstance(node, Host)]
+        self.rows = {name: {} for name in self.routers}
+        self.solved = {}
+        graph = project_routers(topo.adjacency, self.fold)
+        for router in self.routers:
+            dist, pred = shortest_path_tree(graph, router)
+            first = {}
+            for node in dist:  # settling order: a predecessor comes first
+                if node != router:
+                    before = pred[node]
+                    hop, count = ((node, 0) if before == router
+                                  else first[before])
+                    first[node] = (hop, count + 1)
+            for anchor, (hop, count) in first.items():
+                self._write(router, anchor, topo.adjacency[router][hop], count)
+            self._write_access(router)
+
+    def _write(self, router, anchor, link, hops):
+        for member, extra in self.groups[anchor]:
+            for prefix in self.prefixes[member]:
+                self.rows[router][prefix] = (link, hops + extra)
+
+    def _write_access(self, anchor):
+        for member, extra in self.groups[anchor]:
+            if extra:
+                link = self.topo.adjacency[anchor][member]
+                for prefix in self.prefixes[member]:
+                    self.rows[anchor][prefix] = (link, 1)
+
+    def _crosses(self, anchor, link):
+        a, b = link.a.name, link.b.name
+        fold = self.fold.get(a) or self.fold.get(b)
+        if fold is not None:
+            return fold == anchor
+        if anchor in self.solved:
+            pred = self.solved[anchor]
+            return pred.get(a) == b or pred.get(b) == a
+        first = self.prefixes[anchor][:1]
+        return any(self.rows[end].get(prefix, (None,))[0] is link
+                   for prefix in first for end in (a, b) if end in self.rows)
+
+    def _improved(self, graph, link):
+        """The improvement test, searched with the edge taken out of
+        ``graph`` and put back — last among its ends' neighbours, where
+        the solves that follow find it."""
+        a, b = link.a.name, link.b.name
+        fold = self.fold.get(a) or self.fold.get(b)
+        if fold is not None:
+            return {fold}
+        remove_edge(graph, link)
+        du, _ = shortest_path_tree(graph, a)
+        dv, _ = shortest_path_tree(graph, b)
+        add_edge(graph, link)
+        inf = float("inf")
+        return {anchor for anchor in self.groups
+                if (du.get(anchor, inf), dv.get(anchor, inf)) != (inf, inf)
+                and abs(du.get(anchor, inf) - dv.get(anchor, inf))
+                > link.delay + 1e-12}
+
+    def flip(self, link, up):
+        graph = project_routers(self.topo.routing_adjacency, self.fold)
+        affected = (self._improved(graph, link) if up else
+                    {anchor for anchor in self.groups
+                     if self._crosses(anchor, link)})
+        for anchor in sorted(affected):
+            dist, pred = shortest_path_tree(graph, anchor)
+            hops = {anchor: 0}
+            for node in dist:
+                if node != anchor:
+                    hops[node] = hops[pred[node]] + 1
+            for router in self.routers:
+                if router == anchor:
+                    continue
+                if router in dist:
+                    link_to = self.topo.adjacency[router][pred[router]]
+                    self._write(router, anchor, link_to, hops[router])
+                else:
+                    for member, _ in self.groups[anchor]:
+                        for prefix in self.prefixes[member]:
+                            self.rows[router].pop(prefix, None)
+            self.solved[anchor] = pred
+
+    def next_link(self, router, address):
+        rows = self.rows[router]
+        for length in range(32, -1, -1):
+            prefix = Prefix(IPAddress(address.value >> (32 - length)
+                                      << (32 - length) if length else 0),
+                            length)
+            if prefix in rows:
+                return rows[prefix][0]
+        return None
+
+
+def _flat_topology(kind, size, seed):
+    if kind == "powerlaw":
+        return build_powerlaw_internet(autonomous_systems=size,
+                                       hosts_per_leaf=2, seed=seed).topology
+    return {"failover": build_failover, "tree": build_provider_tree,
+            "dumbbell": build_dumbbell, "figure1": build_figure1}[kind]().topology
+
+
+flat_builds = st.one_of(
+    st.tuples(st.just("powerlaw"), st.integers(20, 60), st.integers(1, 12)),
+    st.tuples(st.sampled_from(["failover", "tree", "dumbbell", "figure1"]),
+              st.just(0), st.just(0)))
+
+
+class TestFlatLookupsEqualTheEagerReference:
+    """Flat router rows are written when a router asks; the reference
+    writes them all at build time and rewrites them on every router after
+    a fault.  Through a seeded link_down / link_up history on any shipped
+    flat builder, every router forwards every node address alike — asked
+    after every event (``everyone``), or asked a seeded few at a time and
+    all at the end (``lazy``, so that rows are first written *after*
+    faults)."""
+
+    @given(flat_builds, st.integers(0, 2 ** 32 - 1), st.integers(1, 8))
+    @settings(max_examples=25, deadline=None)
+    def test_every_lookup_equals_the_eager_reference(self, build, seed,
+                                                     events):
+        everyone, lazy = _flat_topology(*build), _flat_topology(*build)
+        model = _EagerRoutes(everyone)
+        rng = random.Random(seed)
+        routers = [name for name, node in everyone.nodes.items()
+                   if not isinstance(node, Host)]
+        addresses = [address for node in everyone.nodes.values()
+                     for address in sorted(node.addresses)]
+
+        def same(topo, pairs):
+            for router, address in pairs:
+                got = topo.nodes[router].routing.next_link(address)
+                want = model.next_link(router, address)
+                assert (got and got.name) == (want and want.name), (
+                    router, address)
+
+        every_pair = [(router, address) for router in routers
+                      for address in addresses]
+        same(everyone, every_pair)
+        for _ in range(events):
+            index = rng.randrange(len(everyone.links))
+            for topo in (everyone, lazy):
+                link = topo.links[index]
+                up = not link.up
+                assert topo.set_link_state(link, up)
+                topo.reroute_incremental(
+                    **{"restored" if up else "downed": [link]})
+            model.flip(everyone.links[index], up)
+            same(everyone, every_pair)
+            same(lazy, rng.sample(every_pair, min(20, len(every_pair))))
+        same(lazy, every_pair)
+
+    #: Six routers, ten links of 10 or 20 ms, in connection order: equal-
+    #: cost paths everywhere, and four (router, anchor) pairs whose
+    #: router-rooted search picks another first hop than the anchor's tree.
+    TIED = [("r2", "r5", 0.02), ("r4", "r5", 0.01), ("r1", "r3", 0.01),
+            ("r2", "r3", 0.02), ("r0", "r1", 0.02), ("r1", "r2", 0.01),
+            ("r1", "r4", 0.02), ("r0", "r3", 0.02), ("r2", "r4", 0.02),
+            ("r0", "r5", 0.01)]
+
+    def test_tied_paths_follow_the_anchor_rooted_tree(self):
+        """Where equal-cost paths tie, a router's row toward an anchor is
+        its predecessor on networkx's anchor-rooted shortest-path tree —
+        the path a packet takes — for the anchor and its host alike.  The
+        tree is searched on the router projection the core searches: the
+        graph's ``copy()`` (which re-inserts every edge at both ends when
+        its first end is visited) without the folded hosts."""
+        topo = Topology()
+        routers = [f"r{index}" for index in range(6)]
+        for name in routers:
+            topo.add_border_router(name, name)
+        for a, b, delay in self.TIED:
+            topo.connect(a, b, delay=delay)
+        for name in routers:
+            topo.connect(topo.add_host(f"{name}_h", name), name)
+        topo.build_routes()
+        projection = topo.graph.copy()
+        projection.remove_nodes_from(fold_leaves(topo))
+        differs = 0
+        for anchor in routers:
+            tree = nx.single_source_dijkstra_path(projection, anchor,
+                                                  weight="delay")
+            for router in routers:
+                if router == anchor:
+                    continue
+                want = topo.link_between(router, tree[router][-2])
+                table = topo.nodes[router].routing
+                for member in (anchor, f"{anchor}_h"):
+                    assert table.next_link(topo.nodes[member].address) is want
+                own = nx.single_source_dijkstra_path(
+                    projection, router, weight="delay")[anchor]
+                differs += own[1] != tree[router][-2]
+        assert differs == 4
 
 
 class TestTokenBucketProperties:

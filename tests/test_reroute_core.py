@@ -1,11 +1,12 @@
-"""The incremental-reroute core's contract, run on both of its solvers.
+"""The routing core's contract, run on both of its solvers.
 
-``repro.topology.dynamic.IncrementalRouting`` owns anchor folding, the
-remembered solves, the install/withdraw loop and ``apply``; the flat solver
-(``DynamicRouting``, Dijkstra, every anchor tracked) and the policy solver
-(``PolicyRoutingManager``, valley-free, only materialised anchors tracked)
-supply ``solve`` / ``tracked`` / ``restored_affects``.  One seeded down/up
-script drives both, and after *every* event the same four statements hold.
+``repro.topology.dynamic.IncrementalRouting`` owns anchor folding, the miss
+hook, the askers, the remembered solves, the install/withdraw loop and
+``apply``; the flat solver (``DynamicRouting``, anchor-rooted Dijkstra) and
+the policy solver (``PolicyRoutingManager``, valley-free) supply ``solve``
+and ``restored_affects``.  Only anchors somebody asked for are tracked, on
+both.  One seeded down/up script drives both, and after *every* event the
+same four statements hold.
 The solver-specific suites (``test_faults.TestIncrementalReroute``,
 ``test_hierarchy``) check the routes themselves; this file checks the
 skeleton they share.
@@ -25,7 +26,7 @@ from repro.topology.dynamic import (
     new_counters,
 )
 from repro.topology.base import Topology
-from repro.topology.hierarchy import build_hierarchy_internet
+from repro.topology.hierarchy import PolicyTopology, build_hierarchy_internet
 from repro.topology.powerlaw import build_powerlaw_internet
 
 COUNTER_KEYS = {"anchors_recomputed", "dijkstras", "routes_installed",
@@ -38,6 +39,12 @@ def _flat():
     topo = fleet.topology
     core = topo.ensure_dynamic_routing()
     assert type(core) is DynamicRouting
+    # Every router asks for every host: the 12 anchors with hosts are
+    # tracked, with rows everywhere; the other 18 stay untracked throughout.
+    for host in topo.hosts():
+        for router in core._routers:
+            router.routing.next_link(host.address)
+    assert len(core.tracked()) == 12
     return topo, core
 
 
@@ -164,46 +171,60 @@ class TestCoreContract:
         assert total["anchors_recomputed"] > 0
         assert total["routes_installed"] > 0
 
-    def test_recompute_probes_routers_plus_changed_rows(self, build,
-                                                        monkeypatch):
+    def test_recompute_offers_rows_to_the_moved_holders_only(self, build,
+                                                            monkeypatch):
         """A group's rows on one router move together, so a recompute
-        costs one ``install`` probe per router whose rows are in line and
-        one per row on the routers that moved — not routers x rows."""
+        hands each holder whose (next hop, hops) moved its group in one
+        ``install_rows`` and every row it offers changes: rows offered =
+        ``routes_installed``, at most routers moved x the widest group."""
         topo, core = build()
-        probes = []
-        install = RoutingTable.install
+        offered, probes = [], []
+        install_rows, install = RoutingTable.install_rows, RoutingTable.install
+        monkeypatch.setattr(
+            RoutingTable, "install_rows",
+            lambda self, keys, records:
+                offered.append(len(keys)) or install_rows(self, keys, records))
         monkeypatch.setattr(
             RoutingTable, "install",
             lambda self, prefix, link, metric=0:
                 probes.append(1) or install(self, prefix, link, metric))
-        widest = max(sum(len(core._prefixes[member])
-                         for member, _ in core._groups[anchor])
+        widest = max(len(core._remote_rows(anchor))
                      for anchor in core.tracked())
+        total = 0
         for link, up in _script(topo, core, seed=3):
             assert topo.set_link_state(link, up)
-            del probes[:]
+            before = dict(core._solved)
+            del offered[:], probes[:]
             stats = topo.reroute_incremental(
                 **{"restored" if up else "downed": [link]})
-            assert len(probes) <= (
-                stats["anchors_recomputed"] * len(core._routers)
-                + widest * stats["routes_installed"])
-            assert stats["routes_installed"] <= len(probes)
+            moved = sum(_moved(before[anchor], solved)
+                        for anchor, solved in core._solved.items()
+                        if solved is not before[anchor])
+            assert probes == []  # access rows are written once, at first use
+            assert sum(offered) == stats["routes_installed"]
+            assert len(offered) <= moved
+            assert sum(offered) <= widest * moved
+            total += sum(offered)
+        assert total
 
     def test_resolve_installs_only_where_the_pair_moved(self, build,
                                                         monkeypatch):
-        """Against a remembered solve a re-solve calls ``install`` on the
-        routers whose (next hop, hops) moved and nowhere else: at most
+        """Against a remembered solve a re-solve writes or withdraws rows on
+        the routers whose (next hop, hops) moved and nowhere else: at most
         group rows x moved routers, and not once when nothing moved."""
         topo, core = build()
-        for anchor in core.tracked():  # flat: remember every anchor's solve
-            core._recompute(anchor, new_counters())
         calls = []
-        for method in ("install", "remove_route"):
-            original = getattr(RoutingTable, method)
-            monkeypatch.setattr(
-                RoutingTable, method,
-                lambda self, *args, _original=original, _method=method:
-                    calls.append(_method) or _original(self, *args))
+        install_rows = RoutingTable.install_rows
+        monkeypatch.setattr(
+            RoutingTable, "install_rows",
+            lambda self, keys, records:
+                calls.extend(["install"] * len(keys))
+                or install_rows(self, keys, records))
+        remove_route = RoutingTable.remove_route
+        monkeypatch.setattr(
+            RoutingTable, "remove_route",
+            lambda self, prefix:
+                calls.append("remove_route") or remove_route(self, prefix))
         for anchor in core.tracked():
             core._recompute(anchor, new_counters())
         assert calls == []
@@ -227,25 +248,30 @@ class TestCoreContract:
 
     def test_diff_install_equals_probing_every_router(self, build):
         """After every event the rows are what a core that trusts no
-        remembered solve installs: the flat twin forgets before each event
-        (every re-solve probes every router, as a first one does), the
-        policy twin materialises its anchors afresh on the live edge set."""
+        remembered solve installs: the twin re-solves every tracked anchor
+        afresh on the live edge set, and each re-solve looks unlike the one
+        it remembers (a fresh ``names``), so it rewrites the group on every
+        holder instead of the moved ones."""
         topo, core = build()
         twin_topo, twin = build()
-        anchors = list(core.tracked())
+        solve = twin.solve
+
+        def untrusted(anchor):
+            solved = solve(anchor)
+            if isinstance(solved, tuple):
+                return solved._replace(names=list(solved.names))
+            solved.names = list(solved.names)
+            return solved
+
+        twin.solve = untrusted
         for link, up in _script(topo, core, seed=3):
             change = {"restored" if up else "downed": [link]}
             assert topo.set_link_state(link, up)
             topo.reroute_incremental(**change)
-            twin.forget()
             twin_link = twin_topo.link_between(link.a.name, link.b.name)
             assert twin_topo.set_link_state(twin_link, up)
-            if isinstance(twin, PolicyRoutingManager):
-                for anchor in anchors:
-                    twin.materialize(anchor)
-            else:
-                twin_topo.reroute_incremental(
-                    **{kind: [twin_link] for kind in change})
+            for anchor in list(twin.tracked()):
+                twin._recompute(anchor, new_counters())
             assert _rows(topo, core) == _rows(twin_topo, twin)
 
     def test_link_no_tracked_anchor_uses_costs_nothing(self, build):
@@ -320,21 +346,6 @@ def test_policy_remote_lookup_makes_exactly_that_router_a_holder():
     assert core.stats["anchors_materialized"] == 1
 
 
-def test_policy_forget_then_materialize_realigns_a_holder():
-    net, core, victim = _lazy()
-    host = net.hosts_by_stub[victim.name][0]
-    asker = net.host_stub_routers[1]
-    link = asker.routing.next_link(host.address)
-    held = _rows_held(core)
-    # build_routes()' part of the deal: the tables are somebody else's now
-    asker.routing.clear()
-    core.forget()
-    assert core.tracked() == {} and core._asked[victim.name] == {asker.name}
-    core.materialize(victim.name)
-    assert _rows_held(core) == held
-    assert asker.routing.next_link(host.address) is link
-
-
 def test_policy_first_use_at_the_anchor_forwards_over_the_access_link():
     """Regression (prototype): the anchor's own miss solved the anchor and
     wrote its access rows, the handler said "nothing installed on *you*",
@@ -377,9 +388,10 @@ def test_flat_core_reroutes_around_a_node_without_an_address():
     anchors' trees."""
     topo, link = _detour()
     core = topo.ensure_dynamic_routing()
-    assert "transit" in core.tracked() and not core._remote_rows("transit")
-    built = _rows(topo, core)
+    assert "transit" in core._groups and not core._remote_rows("transit")
     assert _left_forwards_over(topo) == "transit"
+    built = _rows(topo, core)
+    assert built
 
     assert topo.set_link_state(link, False)
     stats = topo.reroute_incremental(downed=[link])
@@ -387,20 +399,67 @@ def test_flat_core_reroutes_around_a_node_without_an_address():
     assert _left_forwards_over(topo) == "detour"
     assert topo.set_link_state(link, True)
     assert topo.reroute_incremental(restored=[link])["routes_installed"]
-    # back to what a fresh build_routes() installs, row for row
+    # back to what the first ask installed, row for row
     assert _rows(topo, core) == built
 
 
-def test_build_routes_makes_the_core_forget_its_solves():
-    """``build_routes`` rewrites every table behind the core's back (from
-    the as-built shape, downed links included): the next re-solve must
-    probe every router again, not diff against a solve whose rows are
-    gone."""
+def test_build_routes_starts_over_on_the_live_graph():
+    """A second ``build_routes`` drops every router row and hands the hooks
+    to a fresh core: the next lookups solve on the network as it is now,
+    downed links excluded, and the fresh core follows the next fault."""
     topo, link = _detour()
+    assert _left_forwards_over(topo) == "transit"
     assert topo.set_link_state(link, False)
     topo.reroute_incremental(downed=[link])
     assert _left_forwards_over(topo) == "detour"
+    before = topo.ensure_dynamic_routing()
     topo.build_routes()
-    assert _left_forwards_over(topo) == "transit"
-    assert topo.reroute_incremental(downed=[link])["routes_installed"]
+    core = topo.ensure_dynamic_routing()
+    assert core is not before and not core.tracked()
+    assert not any(router.routing.row_count() for router in core._routers)
     assert _left_forwards_over(topo) == "detour"
+    assert topo.set_link_state(link, True)
+    assert topo.reroute_incremental(restored=[link])["routes_installed"]
+    assert _left_forwards_over(topo) == "transit"
+
+
+def _carved(build):
+    """``r1 - r2 - r3``: r1 owns a /24 and homes ``h1`` from it; ``h`` is
+    carved from the same /24 but homed on r3.  Flat, or policy-routed with
+    r1 and r3 customers of r2."""
+    topo = build()
+    for name in ("r1", "r2", "r3"):
+        topo.add_border_router(name, name)
+    prefix = topo.allocate_network_prefix(24)
+    topo.nodes["r1"].add_local_prefix(prefix)
+    if isinstance(topo, PolicyTopology):
+        topo.connect_customer("r1", "r2")
+        topo.connect_customer("r3", "r2")
+    else:
+        topo.connect("r1", "r2")
+        topo.connect("r3", "r2")
+    for host, home in (("h1", "r1"), ("h", "r3")):
+        topo.connect(topo.add_host(host, home, prefix=prefix), home)
+    topo.build_routes()
+    return topo
+
+
+@pytest.mark.parametrize("build", [Topology, PolicyTopology],
+                         ids=["flat", "policy"])
+@pytest.mark.parametrize("first", ["h1", "h"])
+def test_a_host_inside_another_anchors_aggregate_routes_alike_in_any_order(
+        build, first):
+    """Regression: a router that first looked up a host of r1 took r1's
+    /24 and then forwarded ``h`` toward r1 (the /24 matched, no miss
+    fired); on a fresh table it forwarded ``h`` toward r3.  Whoever takes
+    an aggregate now takes the rows of every anchor inside it."""
+    topo = _carved(build)
+    r2 = topo.nodes["r2"].routing
+    toward = {name: topo.link_between("r2", name) for name in ("r1", "r3")}
+    r2.next_link(topo.nodes[first].address)
+    assert r2.next_link(topo.nodes["h"].address) is toward["r3"]
+    assert r2.next_link(topo.nodes["h1"].address) is toward["r1"]
+    unused = topo.nodes["r1"].local_prefixes[0].host(200)
+    assert r2.next_link(unused) is toward["r1"]
+    core = topo.ensure_dynamic_routing()
+    assert core.askers == {"r1": ("r2",), "r3": ("r2",)}
