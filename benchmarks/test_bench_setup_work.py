@@ -17,10 +17,17 @@ wall-clock.  Three things an experiment's set-up must not do again:
   what is handed back was never counted towards the collector's trigger
   for a full pass, so the next build starts with the pass it is owed
   (without it six 2,000-AS cells end at 2.6 times the tracked heap of two);
-* **allocate a ``deque`` per pipe** — most pipes of a large topology never
-  queue a packet (``net/queues.py``).
+* **build state for an element nobody uses** — a link's two pipes, a
+  gateway's agent and a forked stream's seed are built on first use
+  (``net/link.py``, ``core/deployment.py``, ``sim/randomness.py``), so
+  preparing the 5,000-AS ``hier_churn`` cell builds none of them, and its
+  run builds the pipes of the 84 of 7,042 links that carry a packet and the
+  agents of the 7 routers a control packet reaches.  Reading a link's
+  counters or queue builds nothing either: the bench reads every link
+  direction after every run.  And a pipe that does exist holds no
+  ``deque`` until it queues a packet (``net/queues.py``).
 
-The deques are found by walking the links, not ``gc.get_objects()``:
+Pipes and deques are found by walking the links, not ``gc.get_objects()``:
 frozen objects are invisible to the latter.
 
 And one thing neither phase may do: **search or write routes for routers
@@ -44,6 +51,7 @@ from collections import Counter, deque
 from repro.experiments import (ExperimentRunner, ExperimentSpec,
                                default_flood_spec)
 from repro.router.routing import RoutingTable
+from repro.sim import randomness
 from repro.topology import base, dynamic
 from repro.topology.dynamic import edge_key
 from repro.topology.powerlaw import build_powerlaw_internet
@@ -76,6 +84,10 @@ def pipe_queues(execution):
     for link in execution.handle.topology.links:
         for end in (link.a, link.b):
             yield link.queue_toward(end)
+
+
+def links_with_pipes(links):
+    return {link for link in links if link._pipe_to_b is not None}
 
 
 def test_prepare_runs_outside_the_collector_and_run_hands_the_heap_back():
@@ -116,14 +128,55 @@ def test_a_sweep_of_frozen_size_cells_reclaims_each_cell_at_the_next_build():
 
 
 def test_a_queue_that_never_saw_a_packet_holds_no_deque():
+    """Walking every queue reads them and builds nothing, before the run
+    and after it."""
     execution = ExperimentRunner().prepare(train_spec(1000))
+    links = execution.handle.topology.links
     queues = list(pipe_queues(execution))
     assert len(queues) > 2000
     assert not any(isinstance(queue._queue, deque) for queue in queues)
+    assert not links_with_pipes(links)
     execution.run()
+    built = links_with_pipes(links)
+    queues = list(pipe_queues(execution))
+    assert links_with_pipes(links) == built
     holding = [queue for queue in queues if isinstance(queue._queue, deque)]
     assert all(queue.stats.enqueued > 0 for queue in holding)
     assert len(holding) < len(queues) // 20
+
+
+def test_a_hierarchy_builds_pipes_agents_and_seeds_where_they_are_used(
+        monkeypatch):
+    """The ``hier_churn`` cell, fault pair included: its build holds no
+    pipe, builds no gateway agent and derives no forked stream's seed; its
+    run builds the pipes of the links that carry a packet (84 of 7,042 when
+    this gate was added) and the agents of routers a control packet reached
+    (7 of 5,000).  The parent of the PR that made them lazy built all
+    14,084 pipes, 5,000 agents and 10,002 seeds in ``prepare``."""
+    derived = []
+    derive = randomness.SeededRandom._derive
+    monkeypatch.setattr(randomness.SeededRandom, "_derive",
+                        lambda stream: derived.append(stream) or derive(stream))
+    with open(HIER_CHURN, encoding="utf-8") as handle:
+        spec = ExperimentSpec.from_dict(json.load(handle))
+    execution = ExperimentRunner().prepare(spec)
+    topology = execution.handle.topology
+    agents = execution.backend.deployment.gateway_agents
+    links = topology.links
+    assert len(links) > 7000 and len(agents) == 5000
+    assert not links_with_pipes(links)
+    assert agents.built() == [] and derived == []
+    execution.run()
+    carrying = {link for link in links
+                if any(link.stats_toward(end).packets_sent
+                       for end in (link.a, link.b))}
+    assert links_with_pipes(links) == carrying
+    assert 0 < len(carrying) < 0.02 * len(links)
+    reached = {router.name for router in topology.border_routers()
+               if router.stats.packets_delivered}
+    assert agents.built()
+    assert {agent.name for agent in agents.built()} <= reached
+    assert len(reached) < 0.01 * len(agents)
 
 
 def counting_searches(monkeypatch):

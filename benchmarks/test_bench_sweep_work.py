@@ -4,7 +4,7 @@ Clock-free, like the tracing gate next door — counts, never wall-clock.  A
 coordinator pass over a grid in a scratch directory is wrapped in call
 counters on the file primitives every cluster module goes through
 (``write_json_atomic``, ``read_json``, ``os.listdir``, ``os.rename`` /
-``os.replace``), on lease writes (``FileQueue.heartbeat``), on
+``os.replace`` / ``os.link``), on lease writes (``FileQueue.heartbeat``), on
 ``threading.Thread.start`` and ``ClusterWorker.run``, and on
 ``expand_grid``:
 
@@ -12,7 +12,8 @@ counters on the file primitives every cluster module goes through
   one lease per *run* of cells — a worker claims runs sized from its own
   cell wall-clock, so there are fewer leases than cells — and nothing else
   (task files are empty markers, nothing describes a cell twice).  Each
-  cell's marker moves twice (claim, done) and each write is one rename;
+  cell's marker moves twice (claim, done) and each write is one rename (or,
+  for a lease published at claim, one link);
   each ``ClusterWorker.run`` starts at most one heartbeat thread.  It lists
   directories a number of times that does not depend on the size of the
   grid (claims walk a remembered listing; completion is checked when a
@@ -81,7 +82,7 @@ class WorkCounters:
             return real_listdir(path)
 
         monkeypatch.setattr(os, "listdir", listdir)
-        for function in ("rename", "replace"):
+        for function in ("rename", "replace", "link"):
             monkeypatch.setattr(os, function, self._moving(
                 cluster_dir, getattr(os, function)))
 
@@ -121,7 +122,7 @@ def test_cold_and_warm_passes_do_work_in_proportion_to_the_grid(
     leases = cold_work["lease"]
     assert leases < cells, cold_work
     assert cold_work["write_json_atomic"] <= 1 + cells + leases, cold_work
-    # Each marker moves twice (claim, done); each write is one rename.
+    # Each marker moves twice (claim, done); each write is one rename/link.
     assert cold_work["rename"] <= 2 * cells + cold_work["write_json_atomic"], \
         cold_work
     assert cold_work["thread"] <= cold_work["worker_run"], cold_work

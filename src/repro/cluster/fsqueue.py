@@ -17,7 +17,9 @@ A worker claims a *run* of tasks at once (:meth:`FileQueue.claim`), each
 marker by its own rename, under one *lease*: a file under ``leases/`` named
 after the run's first marker, naming the worker, the wall-clock time the
 lease expires, and every marker it covers (``names``; a lease without
-``names`` covers only its own marker).  A live worker moves each marker to
+``names`` covers only its own marker).  A claim creates its lease with a
+hard link, which fails if the file exists, so racing claimants never
+overwrite each other's leases.  A live worker moves each marker to
 ``done`` as its cell finishes, refreshes the lease (heartbeat) while the run
 executes, and drops it once, after the run's last cell.  If a worker dies,
 its lease stops moving, and anyone — another worker, the coordinator, a
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -42,7 +45,8 @@ logger = get_logger("cluster.fsqueue")
 _STATES = ("pending", "leased", "done")
 
 
-def write_json_atomic(path: str, data: Dict[str, Any], tmp_dir: str) -> None:
+def write_json_atomic(path: str, data: Dict[str, Any], tmp_dir: str, *,
+                      exclusive: bool = False) -> bool:
     """Write ``data`` to ``path`` via a same-filesystem temp file + rename.
 
     Readers never observe a half-written file: they see the old file, no
@@ -52,15 +56,31 @@ def write_json_atomic(path: str, data: Dict[str, Any], tmp_dir: str) -> None:
     separators) before the temp file is opened, so a value JSON cannot
     encode raises with nothing on disk; a write or rename that fails
     removes its temp file.
+
+    With ``exclusive`` the temp file is hard-linked to ``path`` instead of
+    renamed over it, which POSIX makes atomic and refuses if ``path``
+    exists: the write never replaces another writer's file, and returns
+    ``False`` when one was there first.  Otherwise it always returns
+    ``True``.
     """
     text = json.dumps(data, sort_keys=True, separators=(",", ":"))
     tmp_path = os.path.join(
-        tmp_dir, f".{os.path.basename(path)}.{os.getpid()}.{time.monotonic_ns()}")
+        tmp_dir, f".{os.path.basename(path)}.{os.getpid()}."
+                 f"{threading.get_ident()}.{time.monotonic_ns()}")
     try:
         with open(tmp_path, "w") as handle:
             handle.write(text)
             handle.write("\n")
-        os.replace(tmp_path, path)
+        if not exclusive:
+            os.replace(tmp_path, path)
+            return True
+        try:
+            os.link(tmp_path, path)
+        except FileExistsError:
+            return False
+        finally:
+            os.remove(tmp_path)
+        return True
     except BaseException:
         try:
             os.remove(tmp_path)
@@ -173,11 +193,15 @@ class FileQueue:
         run is whatever this worker won.  The lease is published *before*
         the renames so a freshly claimed task is never observed
         leased-but-leaseless (which :meth:`requeue_stale` would misread as a
-        dead worker).  If some renames were lost the lease is republished
-        naming exactly the run that was won, under its first name; a lease
-        file written for a first name another worker won is left to that
-        worker, whose heartbeats overwrite it (it is swept once its names
-        are done).
+        dead worker), and it is published *exclusively*: a lease file
+        belongs to the one claim that created it, so a claimant that loses
+        the race never overwrites the winner's lease.  A first name whose
+        lease another claim already holds is skipped for this call.  If
+        some renames were lost the lease is rewritten to name exactly the
+        run that was won, under its first name; when that first name's
+        lease is held by another claim (which is about to lose it), the run
+        is given back rather than left under a lease named after a task
+        this worker does not hold.
 
         Candidates come from a remembered listing of ``pending/`` that is
         only refreshed once it runs out, so draining a grid costs one
@@ -185,9 +209,11 @@ class FileQueue:
         workers took since the listing are skipped by a cheap existence
         check before any lease is written.
         """
+        held: Set[str] = set()  # pending names whose lease another claim holds
         while True:
             if not self._backlog:
-                self._backlog = self.names("pending")[::-1]
+                self._backlog = [name for name in self.names("pending")[::-1]
+                                 if name not in held]
                 if not self._backlog:
                     return []
             candidates: List[str] = []
@@ -197,26 +223,45 @@ class FileQueue:
                     candidates.append(name)  # not taken since the listing
             if not candidates:
                 continue
-            self.heartbeat(candidates[0], worker_id, lease_seconds, candidates)
+            first = candidates[0]
+            if not self.heartbeat(first, worker_id, lease_seconds, candidates,
+                                  exclusive=True):
+                held.add(first)
+                self._backlog.extend(reversed(candidates[1:]))
+                continue
             run = [name for name in candidates
                    if self._move(name, "pending", "leased")]
-            if run and run != candidates:
-                self.heartbeat(run[0], worker_id, lease_seconds, run)
-            if run:
+            if run == candidates:
                 return run
+            if run and run[0] == first:
+                self.heartbeat(first, worker_id, lease_seconds, run)
+                return run
+            if run and self.heartbeat(run[0], worker_id, lease_seconds, run,
+                                      exclusive=True):
+                self.drop_lease(first)
+                return run
+            # Nothing won, or the run's first name is under another claim's
+            # lease: give back what was won while ``first``'s lease still
+            # covers it, then drop that lease.
+            for name in run:
+                self.release(name)
+            self.drop_lease(first)
 
     def heartbeat(self, name: str, worker_id: str, lease_seconds: float,
-                  names: Optional[Sequence[str]] = None) -> None:
+                  names: Optional[Sequence[str]] = None, *,
+                  exclusive: bool = False) -> bool:
         """Publish or refresh the lease ``name`` (a run's first marker)
         covering ``names`` (default: ``name`` alone).  Workers call this at
-        claim and then from a background thread while the run executes."""
+        claim and then from a background thread while the run executes.
+        With ``exclusive`` (the claim's first publication) an existing lease
+        is left alone and ``False`` is returned."""
         now = time.time()
-        write_json_atomic(self._lease_path(name), {
+        return write_json_atomic(self._lease_path(name), {
             "worker": worker_id,
             "time": now,
             "expires": now + lease_seconds,
             "names": [name] if names is None else list(names),
-        }, self.tmp_dir)
+        }, self.tmp_dir, exclusive=exclusive)
 
     def complete(self, name: str) -> bool:
         """Move a leased task to done; its run's lease stays until the run's

@@ -3,13 +3,16 @@
 A scenario builds nodes and links first (see :mod:`repro.topology`), then
 calls :func:`deploy_aitf` to attach a protocol agent to every end-host and
 border router, sharing one configuration, one event log and one node
-directory.  The returned :class:`AITFDeployment` is the handle experiments
-use to reach any agent, flip cooperation flags, and read the event log.
+directory.  A border router's agent is built on its first use.  The
+returned :class:`AITFDeployment` is the handle experiments use to reach any
+agent, flip cooperation flags, and read the event log.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Container, Dict, Iterable, List, Optional
 
 from repro.core.config import AITFConfig
@@ -17,8 +20,50 @@ from repro.core.directory import NodeDirectory
 from repro.core.events import ProtocolEventLog
 from repro.core.gateway_agent import GatewayAgent
 from repro.core.host_agent import HostAgent
+from repro.net.link import Link
+from repro.net.packet import Packet
 from repro.router.nodes import BorderRouter, Host, NetworkNode
 from repro.sim.randomness import SeededRandom
+
+
+class GatewayAgents(Mapping[str, GatewayAgent]):
+    """Deployed border-router name -> its agent, built on first use.
+
+    A 5,000-AS hierarchy deploys 5,000 gateways and a run reaches a few
+    dozen of them, so a deployed router holds only a handler that builds its
+    agent when the first control packet addressed to it arrives, and this
+    map holds the agent's fork of the deployment stream, fixed at deploy
+    time in node order (so handshake nonces do not depend on which agents
+    a run builds, or when).  Length, iteration and membership cover every
+    deployed gateway; reading an item builds its agent.
+    """
+
+    def __init__(self, deployment: "AITFDeployment") -> None:
+        self._deployment = deployment
+        #: Deployed router -> its fork index in the deployment stream.
+        self._forks: Dict[str, int] = {}
+        self._built: Dict[str, GatewayAgent] = {}
+
+    def __getitem__(self, name: str) -> GatewayAgent:
+        agent = self._built.get(name)
+        if agent is None:
+            index = self._forks[name]
+            agent = self._built[name] = self._deployment._build_gateway(
+                name, index)
+        return agent
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._forks
+
+    def __len__(self) -> int:
+        return len(self._forks)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._forks)
+
+    def built(self) -> List[GatewayAgent]:
+        """The agents built so far, in build order (builds nothing)."""
+        return list(self._built.values())
 
 
 @dataclass
@@ -28,8 +73,16 @@ class AITFDeployment:
     config: AITFConfig
     directory: NodeDirectory
     event_log: ProtocolEventLog
+    rng: SeededRandom = field(
+        default_factory=lambda: SeededRandom(0, name="deployment"))
+    #: What a gateway agent starts with when it is built.
+    cooperative: bool = True
+    disconnection_enabled: bool = True
     host_agents: Dict[str, HostAgent] = field(default_factory=dict)
-    gateway_agents: Dict[str, GatewayAgent] = field(default_factory=dict)
+    gateway_agents: GatewayAgents = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.gateway_agents = GatewayAgents(self)
 
     # ------------------------------------------------------------------
     # lookup
@@ -39,11 +92,12 @@ class AITFDeployment:
         return self.host_agents[name]
 
     def gateway_agent(self, name: str) -> GatewayAgent:
-        """The agent attached to the named border router (KeyError when absent)."""
+        """The agent attached to the named border router (KeyError when
+        absent; built here if it was not yet)."""
         return self.gateway_agents[name]
 
     def all_agents(self) -> List[object]:
-        """Every agent, hosts first."""
+        """Every agent, hosts first (builds every gateway agent)."""
         return list(self.host_agents.values()) + list(self.gateway_agents.values())
 
     # ------------------------------------------------------------------
@@ -60,8 +114,38 @@ class AITFDeployment:
 
     def set_disconnection_enabled(self, enabled: bool) -> None:
         """Enable/disable the disconnection endgame on every gateway."""
-        for agent in self.gateway_agents.values():
+        self.disconnection_enabled = enabled
+        for agent in self.gateway_agents.built():
             agent.disconnection_enabled = enabled
+
+    # ------------------------------------------------------------------
+    # gateway agents, built on first use
+    # ------------------------------------------------------------------
+    def _deploy_gateways(self, routers: List[BorderRouter]) -> None:
+        """Make ``routers`` gateways: each takes its fork index, in order,
+        and the filter capacity now; its agent comes with its first use."""
+        first = self.rng.reserve_forks(len(routers))
+        capacity = self.config.victim_gateway_filter_capacity
+        forks = self.gateway_agents._forks
+        wake = self._wake_gateway
+        for index, router in enumerate(routers, first):
+            forks[router.name] = index
+            if capacity is not None:
+                router.filter_table.capacity = capacity
+            router.control_handler = partial(wake, router.name)
+
+    def _wake_gateway(self, name: str, packet: Packet,
+                      link: Optional[Link]) -> None:
+        """A dormant gateway's control handler: build, then hand over."""
+        self.gateway_agents[name]._handle_control(packet, link)
+
+    def _build_gateway(self, name: str, index: int) -> GatewayAgent:
+        router = self.directory.get(name)
+        return GatewayAgent(
+            router, self.config, self.event_log, self.directory,
+            rng=self.rng.forked(name, index), cooperative=self.cooperative,
+            disconnection_enabled=self.disconnection_enabled,
+        )
 
 
 def deploy_aitf(
@@ -75,6 +159,10 @@ def deploy_aitf(
     gateway_names: Optional[Container[str]] = None,
 ) -> AITFDeployment:
     """Attach AITF agents to every host and border router in ``nodes``.
+
+    Gateway agents are built on first use (see :class:`GatewayAgents`);
+    the filter capacity ``config.victim_gateway_filter_capacity`` applies
+    to every deployed router from here on.
 
     Parameters
     ----------
@@ -91,24 +179,22 @@ def deploy_aitf(
         (partial deployment); every other router stays a plain forwarder.
         Hosts always get host agents.
     """
-    config = config or AITFConfig()
-    event_log = event_log or ProtocolEventLog()
-    directory = directory or NodeDirectory()
-    rng = rng or SeededRandom(0, name="deployment")
-
-    deployment = AITFDeployment(config=config, directory=directory, event_log=event_log)
+    deployment = AITFDeployment(
+        config=config or AITFConfig(),
+        directory=directory or NodeDirectory(),
+        event_log=event_log or ProtocolEventLog(),
+        rng=rng or SeededRandom(0, name="deployment"),
+        cooperative=cooperative,
+    )
     node_list = list(nodes)
-    directory.register_all(node_list)
+    deployment.directory.register_all(node_list)
+    deployment._deploy_gateways([
+        node for node in node_list if isinstance(node, BorderRouter)
+        and (gateway_names is None or node.name in gateway_names)])
     for node in node_list:
-        if isinstance(node, BorderRouter):
-            if gateway_names is not None and node.name not in gateway_names:
-                continue
-            deployment.gateway_agents[node.name] = GatewayAgent(
-                node, config, event_log, directory,
-                rng=rng.fork(node.name), cooperative=cooperative,
-            )
-        elif isinstance(node, Host):
+        if isinstance(node, Host):
             deployment.host_agents[node.name] = HostAgent(
-                node, config, event_log, directory, cooperative=cooperative,
+                node, deployment.config, deployment.event_log,
+                deployment.directory, cooperative=cooperative,
             )
     return deployment

@@ -125,8 +125,6 @@ class GatewayAgent:
         self.escalations_sent = 0
         self.disconnections = 0
 
-        if config.victim_gateway_filter_capacity is not None:
-            router.filter_table.capacity = config.victim_gateway_filter_capacity
         router.control_handler = self._handle_control
         router.add_forward_observer(self._observe_forwarded)
 
@@ -143,9 +141,8 @@ class GatewayAgent:
         """Filtering contracts with this gateway's counterparties."""
         book = self._contracts
         if book is None:
-            router = self.router
             book = self._contracts = ContractBook(
-                clock=lambda: router.sim.now,
+                clock=self.router.sim.clock,
                 default_accept_rate=self.config.default_accept_rate,
                 default_send_rate=self.config.default_send_rate,
             )
@@ -159,7 +156,7 @@ class GatewayAgent:
             router = self.router
             cache = self._shadow = ShadowCache(
                 capacity=self.config.shadow_cache_capacity,
-                clock=lambda: router.sim.now,
+                clock=router.sim.clock,
                 name=f"{router.name}-shadow",
             )
         return cache

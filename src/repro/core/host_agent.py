@@ -69,7 +69,7 @@ class HostAgent:
         #: The host's own outbound filters (Section IV-D: na = R2·T slots).
         self.outbound_filters = FilterTable(
             capacity=outbound_filter_capacity,
-            clock=lambda: self.host.sim.now,
+            clock=host.sim.clock,
             name=f"{host.name}-outbound",
         )
         # statistics

@@ -33,7 +33,7 @@ class PacketSink(TypingProtocol):
         ...  # pragma: no cover - protocol definition
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkStats:
     """Per-direction transmission counters."""
 
@@ -602,33 +602,58 @@ class Link:
         self.bandwidth_bps = float(bandwidth_bps)
         self.delay = float(delay)
         self.name = name or f"{a.name}<->{b.name}"
-        self._pipe_to_b = _Pipe(
-            sim, b, self.bandwidth_bps, self.delay,
-            DropTailQueue(queue_capacity_bytes, name=f"{self.name}:{a.name}->{b.name}"),
+        self.queue_capacity_bytes = queue_capacity_bytes
+        # Both pipes are built together by _pipes(), the first time anything
+        # sends or changes a direction's state: most links of a large
+        # topology never carry a packet.  Until then the link holds only
+        # the states the pipes would start in.
+        self._pipe_to_b: Optional[_Pipe] = None
+        self._pipe_to_a: Optional[_Pipe] = None
+        self._train_mode = False
+        self._up = True
+
+    def _pipes(self) -> "_Pipe":
+        """Build both directions (once); returns the one toward ``b``."""
+        pipe_to_b = self._pipe_to_b
+        if pipe_to_b is not None:
+            return pipe_to_b
+        a, b, capacity = self.a, self.b, self.queue_capacity_bytes
+        pipe_to_b = self._pipe_to_b = _Pipe(
+            self.sim, b, self.bandwidth_bps, self.delay,
+            DropTailQueue(capacity, name=f"{self.name}:{a.name}->{b.name}"),
             self,
         )
         self._pipe_to_a = _Pipe(
-            sim, a, self.bandwidth_bps, self.delay,
-            DropTailQueue(queue_capacity_bytes, name=f"{self.name}:{b.name}->{a.name}"),
+            self.sim, a, self.bandwidth_bps, self.delay,
+            DropTailQueue(capacity, name=f"{self.name}:{b.name}->{a.name}"),
             self,
         )
-        self._up = True
+        if self._train_mode:
+            pipe_to_b.enable_train_mode()
+            self._pipe_to_a.enable_train_mode()
+        return pipe_to_b
 
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
     def send(self, packet: Packet, sender: PacketSink) -> bool:
         """Transmit ``packet`` from ``sender`` toward the other endpoint."""
+        pipe_to_b = self._pipe_to_b
+        if pipe_to_b is None:
+            pipe_to_b = self._pipes()
         if sender is self.a:
-            return self._pipe_to_b.send(packet)
+            return pipe_to_b.send(packet)
         if sender is self.b:
             return self._pipe_to_a.send(packet)
         raise ValueError(f"{getattr(sender, 'name', sender)} is not attached to link {self.name}")
 
     def send_train(self, train: PacketTrain, sender: PacketSink) -> bool:
         """Transmit an aggregated packet train (train-mode experiments only)."""
+        pipe_to_b = self._pipe_to_b
+        if pipe_to_b is None:
+            pipe_to_b = self._pipes()
         if sender is self.a:
-            return self._pipe_to_b.send_train(train)
+            return pipe_to_b.send_train(train)
         if sender is self.b:
             return self._pipe_to_a.send_train(train)
         raise ValueError(f"{getattr(sender, 'name', sender)} is not attached to link {self.name}")
@@ -637,10 +662,14 @@ class Link:
         """Switch both directions to fluid (train-aware) serialization.
 
         One-way: experiments opt in before any traffic flows; links in the
-        default per-packet mode never check the flag at all.
+        default per-packet mode never check the flag at all.  A link whose
+        pipes are not built yet only records the mode, and its pipes start
+        fluid.
         """
-        self._pipe_to_b.enable_train_mode()
-        self._pipe_to_a.enable_train_mode()
+        self._train_mode = True
+        if self._pipe_to_b is not None:
+            self._pipe_to_b.enable_train_mode()
+            self._pipe_to_a.enable_train_mode()
 
     def tap(self, packet_observer=None, train_observer=None) -> None:
         """Observe deliveries in both directions (see :meth:`_Pipe.tap`).
@@ -648,7 +677,7 @@ class Link:
         Only observed runs call this; a link that is never tapped carries
         no tracing code on its delivery path at all.
         """
-        self._pipe_to_b.tap(packet_observer, train_observer)
+        self._pipes().tap(packet_observer, train_observer)
         self._pipe_to_a.tap(packet_observer, train_observer)
 
     # ------------------------------------------------------------------
@@ -664,7 +693,7 @@ class Link:
         if not self._up:
             return False
         self._up = False
-        self._pipe_to_b.set_down()
+        self._pipes().set_down()
         self._pipe_to_a.set_down()
         return True
 
@@ -673,7 +702,7 @@ class Link:
         if self._up:
             return False
         self._up = True
-        self._pipe_to_b.set_up()
+        self._pipes().set_up()
         self._pipe_to_a.set_up()
         return True
 
@@ -686,28 +715,41 @@ class Link:
         raise ValueError(f"{getattr(node, 'name', node)} is not attached to link {self.name}")
 
     def pipe_toward(self, node: PacketSink) -> _Pipe:
-        """The directional pipe whose *receiver* is ``node``.
+        """The directional pipe whose *receiver* is ``node`` (built here if
+        the link has none yet).
 
         The sharding plane uses this to divert the direction leaving a
         shard (receiver foreign) and to inject into the direction entering
         it (receiver owned); see :meth:`_Pipe.divert` / :meth:`_Pipe.inject`.
         """
+        self._pipes()
+        return self._built_toward(node)
+
+    # ------------------------------------------------------------------
+    # inspection: reading a link that never carried traffic builds nothing
+    # ------------------------------------------------------------------
+    def _built_toward(self, node: PacketSink) -> Optional[_Pipe]:
+        """The pipe toward ``node``, or None while the link has none."""
         if node is self.b:
             return self._pipe_to_b
         if node is self.a:
             return self._pipe_to_a
         raise ValueError(f"{getattr(node, 'name', node)} is not attached to link {self.name}")
 
-    # ------------------------------------------------------------------
-    # inspection
-    # ------------------------------------------------------------------
     def stats_toward(self, node: PacketSink) -> LinkStats:
-        """Transmission stats for the direction whose receiver is ``node``."""
-        return self.pipe_toward(node).stats
+        """Transmission stats for the direction whose receiver is ``node``
+        (all zero, and a fresh object, on a link with no pipes yet)."""
+        pipe = self._built_toward(node)
+        return LinkStats() if pipe is None else pipe.stats
 
     def queue_toward(self, node: PacketSink) -> DropTailQueue:
-        """The queue feeding the direction whose receiver is ``node``."""
-        return self.pipe_toward(node).queue
+        """The queue feeding the direction whose receiver is ``node`` (an
+        empty one of the link's capacity, not kept, on a link with no pipes
+        yet)."""
+        pipe = self._built_toward(node)
+        if pipe is None:
+            return DropTailQueue(self.queue_capacity_bytes)
+        return pipe.queue
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         mbps = self.bandwidth_bps / 1e6

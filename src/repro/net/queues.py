@@ -21,7 +21,7 @@ from repro.net.packet import Packet
 _EMPTY: Tuple[Packet, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class QueueStats:
     """Counters accumulated by a queue over a run."""
 

@@ -24,7 +24,7 @@ from repro.net.address import IPAddress, Prefix
 from repro.net.packet import Packet
 
 
-@dataclass
+@dataclass(slots=True)
 class IngressStats:
     """Counters for one ingress-filtering instance."""
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Set, Union
+from typing import AbstractSet, Callable, FrozenSet, List, Optional, Set, Union
 
 from repro.net.address import IPAddress, Prefix
 from repro.net.link import Link
@@ -47,8 +47,11 @@ ControlHandler = Callable[[Packet, Link], None]
 #: packet on the forwarding path.
 _DATA = PacketKind.DATA
 
+#: ``disconnected_links`` of every node that never disconnected a link.
+_NONE_DISCONNECTED: FrozenSet[int] = frozenset()
 
-@dataclass
+
+@dataclass(slots=True)
 class NodeStats:
     """Per-node packet counters."""
 
@@ -79,8 +82,9 @@ class NetworkNode:
         self.stats = NodeStats()
         self.addresses: Set[IPAddress] = set()
         #: Links this node has administratively disconnected (Section II-C
-        #: escalation endgame: "G_gw3 disconnects from B_gw3").
-        self.disconnected_links: Set[int] = set()
+        #: escalation endgame: "G_gw3 disconnects from B_gw3"); a set of its
+        #: own from the first disconnect on.
+        self.disconnected_links: AbstractSet[int] = _NONE_DISCONNECTED
         #: Invoked for control (AITF/pushback) packets addressed to this node.
         self.control_handler: Optional[ControlHandler] = None
         #: Applications: invoked for data packets addressed to this node.
@@ -141,11 +145,14 @@ class NetworkNode:
     # ------------------------------------------------------------------
     def disconnect_link(self, link: Link) -> None:
         """Stop using ``link`` entirely (the AITF escalation endgame)."""
+        if self.disconnected_links is _NONE_DISCONNECTED:
+            self.disconnected_links = set()
         self.disconnected_links.add(id(link))
 
     def reconnect_link(self, link: Link) -> None:
         """Undo :meth:`disconnect_link`."""
-        self.disconnected_links.discard(id(link))
+        if self.disconnected_links:
+            self.disconnected_links.discard(id(link))
 
     def is_disconnected(self, link: Link) -> bool:
         """True when this node refuses traffic over ``link``."""
@@ -242,8 +249,11 @@ class NetworkNode:
         packet.created_at = self.sim._now
         self.stats.packets_originated += count
         out_link = self.routing.next_link(packet.dst)
-        if out_link is None or id(out_link) in self.disconnected_links:
+        if out_link is None:
             self.stats.packets_dropped_no_route += count
+            return False
+        if id(out_link) in self.disconnected_links:
+            self.stats.packets_dropped_disconnected += count
             return False
         if train is None:
             return out_link.send(packet, self)
@@ -293,7 +303,7 @@ class BorderRouter(NetworkNode):
         super().__init__(sim, name, network)
         self.add_address(address)
         self.filter_table = FilterTable(
-            capacity=filter_capacity, clock=lambda: sim._now, name=name
+            capacity=filter_capacity, clock=sim.clock, name=name
         )
         self.ingress = IngressFilter(enforce=ingress_enforce, name=name)
         #: Observers see every data packet the router is about to forward

@@ -115,6 +115,10 @@ class Simulator:
         self._stopped = False
         self._cancelled_in_heap = 0
         self._compactions = 0
+        #: The virtual clock as a callable, one per simulator: filter
+        #: tables, shadow caches and contract books all read time through
+        #: it instead of each holding a closure of its own.
+        self.clock: Callable[[], float] = lambda: self._now
 
     # ------------------------------------------------------------------
     # clock

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import zlib
 from functools import cached_property
-from typing import Any, Optional, Sequence, TypeVar
+from typing import Any, Optional, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -33,25 +33,41 @@ class SeededRandom:
     """A named, forkable wrapper around :class:`random.Random`."""
 
     def __init__(self, seed: int = 0, name: str = "root") -> None:
-        self._seed = int(seed)
-        self._name = name
+        self._seed: Optional[int] = int(seed)
+        self._name: Optional[str] = name
         self._children = 0
+        #: ``(parent, name, fork index)`` of a forked stream whose seed and
+        #: name are not derived yet; None once they are.
+        self._origin: Optional[Tuple["SeededRandom", str, int]] = None
+
+    def _derive(self) -> None:
+        # A fork records where it came from and derives its CRC-32 seed and
+        # its name here, when one is first needed: a seed by the first draw
+        # or a grandchild fork, a name when read.  Most forks never are.
+        parent, name, index = self._origin
+        self._seed = stable_seed(parent.seed, name, index)
+        self._name = f"{parent.name}/{name}"
+        self._origin = None
 
     @cached_property
     def _rng(self) -> random.Random:
-        # Built by the first draw (2.5 kB of state; a fleet forks two streams
-        # per router and draws from almost none).  Seeds and fork order are
-        # fixed at construction, so no stream's draws depend on when.
-        return random.Random(self._seed)
+        # Built by the first draw (2.5 kB of state, and most streams never
+        # draw).  Seeds and fork order are fixed at fork time, so no
+        # stream's draws depend on when.
+        return random.Random(self.seed)
 
     @property
     def seed(self) -> int:
         """The seed this stream was created with."""
+        if self._origin is not None:
+            self._derive()
         return self._seed
 
     @property
     def name(self) -> str:
         """Human-readable stream name (for debugging)."""
+        if self._origin is not None:
+            self._derive()
         return self._name
 
     def fork(self, name: str) -> "SeededRandom":
@@ -63,8 +79,26 @@ class SeededRandom:
         order is stable).
         """
         self._children += 1
-        child_seed = stable_seed(self._seed, name, self._children)
-        return SeededRandom(child_seed, name=f"{self._name}/{name}")
+        return self.forked(name, self._children)
+
+    def reserve_forks(self, count: int) -> int:
+        """Take the next ``count`` fork indices without building a stream;
+        returns the first.  ``forked(name, first + k)`` is then the stream
+        the ``k``-th of those :meth:`fork` calls would have returned."""
+        first = self._children + 1
+        self._children += count
+        return first
+
+    def forked(self, name: str, index: int) -> "SeededRandom":
+        """The child stream this stream's ``index``-th fork, named ``name``,
+        returns (seed and name derived on first use)."""
+        if self._origin is not None:
+            self._derive()
+        child = SeededRandom.__new__(SeededRandom)
+        child._seed = child._name = None
+        child._children = 0
+        child._origin = (self, name, index)
+        return child
 
     # ------------------------------------------------------------------
     # draws used across the codebase

@@ -278,6 +278,37 @@ class TestFileQueue:
         assert first.requeue_stale() == []   # every leased task is covered
         assert first.counts() == (0, 3, 0)
 
+    def test_a_claim_that_lost_the_race_leaves_the_winners_lease_alone(
+            self, tmp_path, monkeypatch):
+        # 00000 is pending when w1 looks; w2 then claims the whole run
+        # before w1 publishes its lease.  w1's publication must not
+        # overwrite w2's lease with one that names 00000 alone, or 00001
+        # and 00002 look abandoned while w2 still holds them.
+        first, second = FileQueue(str(tmp_path)), FileQueue(str(tmp_path))
+        for index in range(3):
+            first.put(cell_name(index))
+        real_exists = os.path.exists
+        armed, raced = [True], []
+
+        def exists(path):
+            found = real_exists(path)
+            if armed and path == first._task_path("pending", "00000"):
+                armed.clear()
+                raced.extend(second.claim("w2", 60.0, limit=3))
+            return found
+
+        monkeypatch.setattr(os.path, "exists", exists)
+        run = first.claim("w1", 60.0, limit=3)
+        monkeypatch.undo()
+        assert raced == ["00000", "00001", "00002"]
+        assert run == []
+        lease = read_json(first._lease_path("00000"))
+        assert (lease["worker"], lease["names"]) == ("w2", raced)
+        assert os.listdir(first.lease_dir) == ["00000.json"]
+        assert os.listdir(first.tmp_dir) == []
+        assert first.requeue_stale() == []
+        assert first.counts() == (0, 3, 0)
+
 
 class TestCellCache:
     def test_roundtrip_and_membership(self, tmp_path):

@@ -10,13 +10,15 @@ each entry point must be the function the state calls for and every packet
 must be accounted for: ``sent == delivered + dropped``.
 """
 
+import dataclasses
 import itertools
 
 import pytest
 
 from repro.net.address import IPAddress
-from repro.net.link import Link, _Pipe
+from repro.net.link import Link, LinkStats, _Pipe
 from repro.net.packet import Packet
+from repro.net.queues import QueueStats
 from repro.net.train import PacketTrain
 from repro.sim.engine import Simulator
 
@@ -151,3 +153,107 @@ def test_down_link_stays_down_when_train_mode_is_enabled():
     assert link.send(packet, a) is True
     sim.run()
     assert b.packets == 1
+
+
+# ----------------------------------------------------------------------
+# A link builds its two pipes on first use: every state change an idle
+# link can see before that must leave the same counters as a link whose
+# pipes were built at construction.
+# ----------------------------------------------------------------------
+def _idle_link(engine, eager):
+    sim = Simulator()
+    a, b = _Sink("a"), _Sink("b")
+    link = Link(sim, a, b, bandwidth_bps=1e6, delay=0.01,
+                queue_capacity_bytes=4_000)
+    if eager:
+        link.pipe_toward(b)
+    assert (link._pipe_to_b is not None) == eager
+    if engine == "train":
+        link.enable_train_mode()
+    return sim, a, b, link
+
+
+def _offer(sim, link, engine):
+    """Three lone packets each way, and in train mode a congesting train."""
+    for sender in (link.a, link.b):
+        for _ in range(3):
+            link.send(Packet.data(SRC, DST, size=500, created_at=sim.now),
+                      sender)
+        if engine == "train":
+            template = Packet.data(SRC, DST, size=500, created_at=sim.now)
+            link.send_train(PacketTrain(template, 8, 0.001), sender)
+
+
+def _set_down_then_send(sim, link, engine, seen):
+    link.set_down()
+    _offer(sim, link, engine)
+    sim.fire_at(0.25, link.set_up)
+    sim.fire_at(0.5, _offer, sim, link, engine)
+
+
+def _tap_then_send(sim, link, engine, seen):
+    link.tap(packet_observer=lambda *_: seen.append(1),
+             train_observer=lambda _l, _s, train: seen.append(train.count))
+    sim.fire_at(0.25, _offer, sim, link, engine)
+
+
+def _train_mode_then_send_later(sim, link, engine, seen):
+    link.enable_train_mode()
+    sim.fire_at(0.25, _offer, sim, link, "train")
+
+
+def _read_then_send(sim, link, engine, seen):
+    for end in (link.a, link.b):
+        stats = link.stats_toward(end)
+        queue = link.queue_toward(end)
+        assert stats.packets_sent == stats.packets_dropped == 0
+        assert queue.stats.enqueued == len(queue) == 0
+        assert queue.capacity_bytes == 4_000
+        seen.append(stats.packets_delivered)
+    sim.fire_at(0.25, _offer, sim, link, engine)
+
+
+IDLE_CASES = {
+    "set_down_then_send": _set_down_then_send,
+    "tap_then_send": _tap_then_send,
+    "train_mode_then_send_later": _train_mode_then_send_later,
+    "read_then_send": _read_then_send,
+}
+
+
+def _counters(case, engine, eager):
+    sim, a, b, link = _idle_link(engine, eager)
+    seen = []
+    IDLE_CASES[case](sim, link, engine, seen)
+    if not eager:
+        # set_down and tap build the pipes; a recorded mode and reads do not
+        assert (link._pipe_to_b is None) == (case in (
+            "train_mode_then_send_later", "read_then_send"))
+    sim.run()
+    return ([(dataclasses.astuple(link.stats_toward(end)),
+              dataclasses.astuple(link.queue_toward(end).stats), end.packets)
+             for end in (a, b)], seen, link.up)
+
+
+@pytest.mark.parametrize("engine", ("packet", "train"))
+@pytest.mark.parametrize("case", sorted(IDLE_CASES))
+def test_an_idle_link_counts_like_one_built_eagerly(case, engine):
+    lazy = _counters(case, engine, eager=False)
+    assert lazy == _counters(case, engine, eager=True)
+    directions, _, _ = lazy
+    assert all(stats[0] > 0 for stats, _, _ in directions)
+
+
+@pytest.mark.parametrize("engine", ("packet", "train"))
+def test_reading_an_idle_link_builds_nothing(engine):
+    sim, a, b, link = _idle_link(engine, eager=False)
+    for end in (a, b):
+        assert link.stats_toward(end) == LinkStats()
+        assert link.queue_toward(end).stats == QueueStats()
+        assert link.stats_toward(end) is not link.stats_toward(end)
+    with pytest.raises(ValueError):
+        link.stats_toward(_Sink("c"))
+    assert link._pipe_to_b is None and link._pipe_to_a is None
+    _offer(sim, link, engine)
+    assert link.stats_toward(b) is link.pipe_toward(b).stats
+    assert link.queue_toward(a) is link.pipe_toward(a).queue

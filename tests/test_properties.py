@@ -22,6 +22,7 @@ from repro.router.shadow_cache import ShadowCache
 from repro.routing_policy import RelationshipMap, valley_free_routes
 from repro.sim.engine import Simulator
 from repro.sim.process import TrainProcess
+from repro.sim.randomness import SeededRandom, stable_seed
 from repro.topology.adjacency import add_edge, remove_edge, shortest_path_tree
 from repro.topology.base import Topology
 from repro.topology.dynamic import fold_leaves, project_routers
@@ -1284,3 +1285,64 @@ class TestShadowCacheIndex:
             [entry[0] for entry in model.entries if clock["now"] < entry[1]]
         assert len(cache) == len(model)
         assert cache.total_expired == model.total_expired
+
+
+class _EagerStream:
+    """The stream a fork used to return: seed and name derived at the fork
+    with :func:`stable_seed`, and a generator built there too."""
+
+    def __init__(self, seed, name):
+        self.seed, self.name, self.children = seed, name, 0
+        self.rng = random.Random(seed)
+
+    def fork(self, name):
+        self.children += 1
+        return _EagerStream(stable_seed(self.seed, name, self.children),
+                            f"{self.name}/{name}")
+
+
+stream_names = st.sampled_from(["handshake", "t1_3", "st_12", "zombies-0",
+                                "poisson-1", "a/b", ""])
+
+fork_trees = st.lists(st.one_of(
+    st.tuples(st.just("fork"), st.integers(0, 30), stream_names),
+    st.tuples(st.just("reserve"), st.integers(0, 30),
+              st.lists(stream_names, min_size=1, max_size=4),
+              st.randoms(use_true_random=False)),
+    st.tuples(st.just("draw"), st.integers(0, 30)),
+    st.tuples(st.just("read"), st.integers(0, 30)),
+), max_size=40)
+
+
+class TestLazySeedsEqualEagerSeeds:
+    @given(st.integers(min_value=0, max_value=(1 << 31) - 1), fork_trees)
+    @settings(max_examples=200, deadline=None)
+    def test_every_stream_of_a_fork_tree_seeds_names_and_draws_alike(
+            self, seed, operations):
+        """Forks, reserved forks taken in any order, draws and reads,
+        interleaved over a random tree: every lazy stream's seed, name and
+        draws equal the eager model's."""
+        streams = [(SeededRandom(seed, name="root"),
+                    _EagerStream(seed, "root"))]
+        for kind, at, *args in operations:
+            lazy, eager = streams[at % len(streams)]
+            if kind == "fork":
+                streams.append((lazy.fork(args[0]), eager.fork(args[0])))
+            elif kind == "reserve":
+                names, order = args
+                first = lazy.reserve_forks(len(names))
+                eagers = [eager.fork(name) for name in names]
+                taken = list(range(len(names)))
+                order.shuffle(taken)
+                for k in taken:
+                    streams.append((lazy.forked(names[k], first + k),
+                                    eagers[k]))
+            elif kind == "draw":
+                assert lazy.random() == eager.rng.random()
+            else:
+                assert (lazy.seed, lazy.name) == (eager.seed, eager.name)
+        for lazy, eager in streams:
+            assert lazy.nonce() == eager.rng.getrandbits(64)
+            assert (lazy.seed, lazy.name) == (eager.seed, eager.name)
+            # the parent's next fork continues where the eager one does
+            assert lazy.fork("next").seed == eager.fork("next").seed

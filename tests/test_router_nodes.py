@@ -111,11 +111,32 @@ class TestForwarding:
 
     @each_count
     def test_host_without_route_counts_every_copy(self, count):
-        sim, host_a, router, host_b, link_a, _ = build_chain(count > 1)
+        sim, *_ = build_chain(count > 1)
+        lonely = Host(sim, "host_c", "10.0.3.1")
+        assert not send(lonely, data_packet("10.0.3.1", "10.0.1.1"), count)
+        assert lonely.stats.packets_originated == count
+        assert lonely.stats.packets_dropped_no_route == count
+        assert lonely.stats.packets_dropped_disconnected == 0
+
+    @each_count
+    def test_an_originated_packet_on_a_disconnected_link_is_booked_as_disconnected(
+            self, count):
+        """Sending and forwarding name the same cause for the same drop."""
+        sim, host_a, router, host_b, link_a, link_b = build_chain(count > 1)
         host_a.disconnect_link(link_a)
         assert not send(host_a, data_packet("10.0.0.1", "10.0.1.1"), count)
         assert host_a.stats.packets_originated == count
-        assert host_a.stats.packets_dropped_no_route == count
+        assert host_a.stats.packets_dropped_disconnected == count
+        assert host_a.stats.packets_dropped_no_route == 0
+        assert link_a.stats_toward(router).packets_sent == 0
+        host_a.reconnect_link(link_a)
+        router.disconnect_link(link_b)
+        assert not send(router, data_packet("10.0.2.1", "10.0.1.1"), count)
+        assert send(host_a, data_packet("10.0.0.1", "10.0.1.1"), count)
+        sim.run()
+        assert router.stats.packets_dropped_disconnected == 2 * count
+        assert router.stats.packets_dropped_no_route == 0
+        assert host_b.stats.packets_received == 0
 
     @each_count
     def test_ttl_exhaustion_drops_packet(self, count):
