@@ -12,8 +12,8 @@ depend on the host:
   read afterwards equal the eagerly spread ones;
 * **at the generators** — the Python lines executed inside
   ``TrainProcess._wakeup`` stay under one small constant per wake-up whether
-  a train is 32 ticks or 256 (its parent walked the tick recurrence in
-  Python: about six lines a tick);
+  a train is 32 ticks, 256, or the packet engine's one (walking the tick
+  recurrence in Python costs about six lines a tick);
 * **at the gateways** — with 5,000 requests shadowed (the paper's mv = R1·T
   is 6,000), a lookup is one hash probe: 1,000 ``match_packet`` calls make
   at most 1,000 ``FlowLabel.matches`` calls, and reading the occupancy while
@@ -42,6 +42,11 @@ def train_flood(max_train):
         {"engine.mode": "train", "engine.max_train": max_train})
 
 
+def packet_flood():
+    return default_flood_spec(duration=2.0, seed=0).with_overrides(
+        {"engine.mode": "packet"})
+
+
 def test_no_per_packet_bucketing_while_the_simulation_runs(monkeypatch):
     spread_calls = []
     spread = metrics_module._spread_train_buckets
@@ -66,9 +71,10 @@ def test_no_per_packet_bucketing_while_the_simulation_runs(monkeypatch):
     assert meter.goodput_bps(*window) == rate == result.legit_goodput_bps
 
 
-@pytest.mark.parametrize("max_train", [32, 256])
+@pytest.mark.parametrize("max_train", [32, 256, "packet"])
 def test_a_wakeup_executes_a_constant_number_of_lines(max_train):
-    execution = ExperimentRunner().prepare(train_flood(max_train))
+    spec = packet_flood() if max_train == "packet" else train_flood(max_train)
+    execution = ExperimentRunner().prepare(spec)
     wakeup_code = TrainProcess._wakeup.__code__
     work = {"wakeups": 0, "lines": 0}
 
@@ -89,7 +95,12 @@ def test_a_wakeup_executes_a_constant_number_of_lines(max_train):
     finally:
         sys.settrace(None)
     ticks = sum(w.generator.packets_sent for w in execution.workloads)
-    assert work["wakeups"] >= 10 and ticks >= 8 * work["wakeups"], (work, ticks)
+    if max_train == "packet":
+        offered = sum(w.generator.packets_offered for w in execution.workloads)
+        assert work["wakeups"] == offered, (work, offered)  # one per tick
+    else:
+        assert work["wakeups"] >= 10 and ticks >= 8 * work["wakeups"], \
+            (work, ticks)
     assert work["lines"] <= LINES_PER_WAKEUP * work["wakeups"], (work, ticks)
 
 

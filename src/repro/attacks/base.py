@@ -4,19 +4,20 @@ A traffic source builds one template packet per flow, clones it per emission
 and hands it to its host — as a lone packet per tick, or as one
 :class:`~repro.net.train.PacketTrain` per wakeup when the experiment's
 engine aggregates (``max_train > 1``).  :class:`TrafficSource` owns that
-path, its sent / suppressed / offered accounting and the choice of tick
-scheduler; the generators in this package add only what makes them
-different (headers, duty cycles, arrival draws).
+path, its sent / suppressed / offered accounting and its one tick process,
+a :class:`~repro.sim.process.TrainProcess` on either engine; the generators
+in this package add only what makes them different (headers, duty cycles,
+arrival draws).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from repro.net.packet import Packet
 from repro.net.train import PacketTrain
 from repro.router.nodes import Host
-from repro.sim.process import BatchedProcess, TrainProcess
+from repro.sim.process import TrainProcess
 
 
 class TrafficSource:
@@ -24,10 +25,11 @@ class TrafficSource:
 
     ``max_train`` is the engine selection: 1 (the default) emits one packet
     per tick; a larger bound emits one train of up to that many ticks per
-    wakeup, clipped by ``max_span`` seconds and by the run ``horizon``
-    (trains must not outlive the simulation, or the emitted-packet count
-    would differ from per-packet emission).  Tick *times* are the same
-    float recurrence either way.
+    wakeup, clipped by ``max_span`` seconds.  Either way the run
+    ``horizon`` ends emission (trains must not outlive the simulation, or
+    the emitted-packet count would differ from per-packet emission), and
+    tick *times* are the same float recurrence: one
+    :class:`~repro.sim.process.TrainProcess` ticks every engine.
     """
 
     def __init__(self, host: Host, name: str, *, rate_pps: float,
@@ -48,29 +50,18 @@ class TrafficSource:
         self._horizon = horizon
         self._template: Optional[Packet] = None
         self._send = host.send  # bound once; this fires per packet
-        # The tick scheduler — the one place the engine difference lives:
-        # one heap entry per tick, or one per train.
-        self._process: Union[BatchedProcess, TrainProcess]
-        if max_train > 1:
-            self._process = TrainProcess(
-                host.sim, self._interval, self._emit, start_delay=start_delay,
-                max_train=max_train, max_span=max_span, horizon=horizon,
-                name=name)
-        else:
-            self._process = BatchedProcess(
-                host.sim, self._interval, self._emit, start_delay=start_delay,
-                name=name)
+        self._process = TrainProcess(
+            host.sim, self._interval, self._emit, start_delay=start_delay,
+            max_train=max_train, max_span=max_span, horizon=horizon, name=name)
 
     def _stop_emitting_at(self, when: float) -> None:
         """Bound emission by a stop the caller has scheduled for ``when``.
 
-        A tick process is silenced by the stop event itself.  Trains cannot
-        be retracted, so for them the stop is also a hard, *exclusive*
-        emission bound — matching per-packet emission, where the stop event
-        wins the tie against a same-time tick.
+        Trains cannot be retracted, so the stop is also a hard, *exclusive*
+        emission bound on the tick process — the stop event wins the tie
+        against a same-time tick.
         """
-        if self._max_train > 1:
-            self._process.limit_until = when
+        self._process.limit_until = when
 
     # ------------------------------------------------------------------
     # accounting
@@ -88,19 +79,20 @@ class TrafficSource:
     # ------------------------------------------------------------------
     # emission
     # ------------------------------------------------------------------
-    def _emit(self, count: Optional[int] = None,
-              interval: Optional[float] = None) -> None:
-        """One tick (no arguments: a lone packet) or one train of ``count``
-        packets ``interval`` apart (default: the generator's fixed spacing).
+    def _emit(self, count: int, interval: Optional[float] = None) -> None:
+        """The ``count`` ticks due now — the tick process's callback.
 
-        A one-tick train stays a train: which form leaves the host is the
-        scheduler's decision, never the count's.
+        At ``max_train`` 1 (the per-packet engine) that is one lone packet;
+        otherwise one train of ``count`` packets ``interval`` apart
+        (default: the generator's fixed spacing).  A one-tick train stays a
+        train: which form leaves the host is the engine's decision, never
+        the count's.
         """
         template = self._template
         # Inline the common template-clone case; _next_packet stays the
         # override point for variants with per-emission headers.
         packet = template.clone() if template is not None else self._next_packet()
-        if count is None:
+        if self._max_train == 1:
             if self._send(packet):  # send() stamps created_at
                 self.packets_sent += 1
             else:
@@ -114,6 +106,13 @@ class TrafficSource:
         sent = train.count if self._send(packet, count, train) else 0
         self.packets_sent += sent
         self.packets_suppressed += count - sent
+
+    def _emit_packet(self) -> None:
+        """One lone packet on either engine: a single draw of an arrival
+        process that schedules itself."""
+        sent = self._send(self._next_packet())
+        self.packets_sent += sent
+        self.packets_suppressed += 1 - sent
 
     def _next_packet(self) -> Packet:
         """The per-emission packet: a clone of the flow's cached template.

@@ -39,8 +39,8 @@ from repro.sim.randomness import SeededRandom, stable_seed
 class FloodAttack(TrafficSource):
     """A constant-rate flood from one host toward one victim address.
 
-    Emission is :class:`~repro.attacks.base.TrafficSource`'s: batched
-    per-packet ticks by default, one :class:`~repro.net.train.PacketTrain`
+    Emission is :class:`~repro.attacks.base.TrafficSource`'s: one packet
+    per tick by default, one :class:`~repro.net.train.PacketTrain`
     of up to ``max_train`` packets per wakeup when the experiment's engine
     aggregates (``engine.mode = "train"``), each packet cloned from a
     prebuilt template rather than reconstructed field by field.

@@ -192,7 +192,7 @@ class PoissonTraffic(LegitimateTraffic):
             offset = candidate
             count += 1
         if count == 1:
-            self._emit()
+            self._emit_packet()
         else:
             self._emit(count, offset / (count - 1))
         sim.schedule(candidate, self._wakeup, name="poisson-next")

@@ -4,11 +4,11 @@ The simulator is a binary heap of :class:`Event` objects and a virtual
 clock.  Determinism matters more than raw speed because the benchmarks
 compare protocol variants, so ties are broken by insertion order (the
 ``seq`` counter) rather than by object identity — but the fast path is
-still engineered hard: events are ``__slots__`` objects ordered by
-``__lt__`` (no per-entry tuples), :meth:`Simulator.schedule_fast` /
-:meth:`Simulator.call_at_fast` skip keyword plumbing and validation for
-the per-packet hot path, and the heap compacts itself once cancelled
-events outnumber live ones so long runs do not leak memory.
+still engineered hard: heap entries are plain tuples compared in C,
+:meth:`Simulator.schedule_fire` / :meth:`Simulator.fire_at` push
+fire-and-forget entries with no :class:`Event` object and no keyword
+plumbing for the per-packet hot path, and the heap compacts itself once
+cancelled events outnumber live ones so long runs do not leak memory.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ class Event:
     """A single scheduled callback.
 
     Events are created through :meth:`Simulator.schedule` / :meth:`Simulator.call_at`
-    (or their ``_fast`` variants) and can be cancelled before they fire.  A
-    cancelled event stays in the heap but is skipped by the event loop; the
-    simulator compacts the heap when cancelled events pile up.
+    and can be cancelled before they fire.  A cancelled event stays in the
+    heap but is skipped by the event loop; the simulator compacts the heap
+    when cancelled events pile up.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "kwargs", "name",
@@ -195,31 +195,6 @@ class Simulator:
         heapq.heappush(self._heap, (when, seq, event))
         return event
 
-    def schedule_fast(self, delay: float, callback: Callable[..., None],
-                      *args: Any) -> Event:
-        """Hot-path :meth:`schedule`: positional args only, no name, no checks.
-
-        Callers guarantee ``delay >= 0``.  Links and batched traffic
-        generators go through here — per-packet scheduling must not pay for
-        keyword plumbing or past-time validation.
-        """
-        when = self._now + delay
-        seq = next(self._seq)
-        event = Event(when, seq, callback, args, None, "", self)
-        heapq.heappush(self._heap, (when, seq, event))
-        return event
-
-    def call_at_fast(self, when: float, callback: Callable[..., None],
-                     *args: Any) -> Event:
-        """Hot-path :meth:`call_at`: positional args only, no name, no checks.
-
-        Callers guarantee ``when >= now``.
-        """
-        seq = next(self._seq)
-        event = Event(when, seq, callback, args, None, "", self)
-        heapq.heappush(self._heap, (when, seq, event))
-        return event
-
     def schedule_fire(self, delay: float, callback: Callable[..., None],
                       *args: Any) -> None:
         """Fire-and-forget scheduling: no :class:`Event` object at all.
@@ -330,8 +305,11 @@ class Simulator:
                     break
         finally:
             self._running = False
-        if until is not None and self._now < until and not self._stopped:
-            # Advance the clock to the requested horizon even if the heap drained.
+        if (until is not None and self._now < until and not self._stopped
+                and (not heap or heap[0][0] > until)):
+            # Nothing is left to fire up to the horizon: advance the clock to
+            # it.  A run cut short by ``max_events`` keeps its clock, so the
+            # next run fires the remaining events at their own times.
             self._now = until
         return self._now
 

@@ -4,30 +4,27 @@ Protocol state machines in :mod:`repro.core` need two recurring patterns:
 
 * a *restartable one-shot timer* (filter expiry, grace periods, handshake
   timeouts), and
-* a *periodic process* (traffic generators emitting packets at a rate,
-  rate-counter resets).
+* a *periodic process* (rate-counter resets, metric sampling, protocol
+  switching).
 
 Both are thin wrappers over :class:`repro.sim.Simulator` so that protocol
 code never touches the event heap directly.
 
-High-rate traffic generators use :class:`BatchedProcess` instead of
-:class:`PeriodicProcess`: one wakeup pre-schedules a whole train of ticks
-on the no-kwargs fast path, so the per-packet cost is a bare slotted event
-instead of the full periodic-process bookkeeping.  Tick times are produced
-by the same successive-addition recurrence (``t_next = t_prev + interval``)
-as the one-event-per-tick chain, so switching a generator between the two
-classes does not move a single emission time.
-
-Train-mode experiments go one step further with :class:`TrainProcess`:
-one wakeup per *train* of up to ``max_train`` ticks, whose callback emits
-a single aggregated object for all of them (see :mod:`repro.net.train`).
+Traffic generators tick through :class:`TrainProcess` instead, on either
+engine: one wakeup takes the next ``count`` ticks of a precomputed tick
+timeline and hands the callback that count — always 1 at ``max_train = 1``
+(the per-packet engine), up to ``max_train`` when the engine aggregates
+ticks into one :class:`~repro.net.train.PacketTrain` (see
+:mod:`repro.net.train`).  Tick times follow the same successive-addition
+recurrence (``t_next = t_prev + interval``) as :class:`PeriodicProcess`'s
+one-event-per-tick chain, so the engines emit at bit-identical times.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, repeat
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 from repro.sim.engine import Event, Simulator
 
@@ -130,12 +127,6 @@ class PeriodicProcess:
         """Seconds between consecutive firings."""
         return self._interval
 
-    def set_interval(self, interval: float) -> None:
-        """Change the firing period; takes effect at the next tick."""
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        self._interval = float(interval)
-
     def start(self) -> None:
         """Begin firing.  The first tick happens after ``start_delay`` seconds."""
         if self._running:
@@ -169,162 +160,50 @@ class PeriodicProcess:
             self._event = self._sim.schedule(self._interval, self._tick, name=self._name)
 
 
-class BatchedProcess:
-    """A periodic process that pre-schedules its ticks in trains.
+#: Ticks a :class:`TrainProcess` computes per timeline extension, at least.
+_TIMELINE_CHUNK = 64
 
-    Behaviourally identical to :class:`PeriodicProcess` — same constructor
-    shape, same tick times, same stop semantics — but instead of one
-    self-rescheduling event per tick, each wakeup emits the tick due *now*
-    and pre-schedules the next ``batch_size - 1`` ticks (plus the following
-    wakeup) as fire-and-forget heap entries guarded by a generation
-    counter: no per-tick event objects exist at all.  Stopping bumps the
-    generation, so a filter installed mid-train still silences the
-    generator at the very next tick, exactly as with the chained version
-    (the orphaned entries fire as no-ops and evaporate).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        interval: float,
-        callback: Callable[[], Any],
-        *,
-        start_delay: float = 0.0,
-        max_ticks: Optional[int] = None,
-        batch_size: int = 64,
-        name: str = "",
-    ) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        self._sim = sim
-        self._interval = float(interval)
-        self._callback = callback
-        self._max_ticks = max_ticks
-        self._batch_size = batch_size
-        self._name = name or "batched"
-        self._ticks = 0
-        self._running = False
-        self._start_delay = float(start_delay)
-        #: Incremented on every start/stop; pre-scheduled train entries
-        #: carry the generation they belong to and no-op when it is stale.
-        self._gen = 0
-
-    @property
-    def ticks(self) -> int:
-        """Number of times the callback has fired."""
-        return self._ticks
-
-    @property
-    def running(self) -> bool:
-        """True while the process is scheduled to keep firing."""
-        return self._running
-
-    @property
-    def interval(self) -> float:
-        """Seconds between consecutive firings."""
-        return self._interval
-
-    def start(self) -> None:
-        """Begin firing.  The first tick happens after ``start_delay`` seconds."""
-        if self._running:
-            return
-        self._running = True
-        self._gen += 1
-        self._sim.schedule_fire(self._start_delay, self._wakeup, self._gen)
-
-    def stop(self) -> None:
-        """Stop firing.  Every pre-scheduled tick in the train goes stale."""
-        self._running = False
-        self._gen += 1
-
-    def _wakeup(self, gen: int) -> None:
-        """Fire the tick due now, then pre-schedule the rest of the train."""
-        if gen != self._gen or not self._running:
-            return
-        if not self._fire():
-            return
-        # Train length: batch_size ticks total, counting the one just fired,
-        # capped by max_ticks.  Times accumulate one interval at a time so
-        # they are bit-identical to the self-rescheduling chain.
-        train = self._batch_size - 1
-        if self._max_ticks is not None:
-            remaining = self._max_ticks - self._ticks
-            if train > remaining:
-                train = remaining
-        sim = self._sim
-        fire_at = sim.fire_at
-        interval = self._interval
-        when = sim.now
-        tick = self._tick
-        for _ in range(train):
-            when += interval
-            fire_at(when, tick, gen)
-        fire_at(when + interval, self._wakeup, gen)
-
-    def _tick(self, gen: int) -> None:
-        """A pre-scheduled mid-train tick; no-ops once its train is stale.
-
-        Mirrors :meth:`_fire` inline — this fires once per generated packet,
-        so it does not pay for the extra call.
-        """
-        if gen != self._gen or not self._running:
-            return
-        self._ticks += 1
-        if self._callback() is False:
-            self.stop()
-        elif self._max_ticks is not None and self._ticks >= self._max_ticks:
-            self.stop()
-
-    def _fire(self) -> bool:
-        """One tick: run the callback and apply the stop conditions."""
-        if not self._running:
-            return False
-        self._ticks += 1
-        keep_going = self._callback()
-        if keep_going is False:
-            self.stop()
-            return False
-        if self._max_ticks is not None and self._ticks >= self._max_ticks:
-            self.stop()
-            return False
-        return self._running
+#: An empty timeline: the next wakeup computes a chunk from its own time.
+_NO_TIMES: Tuple[float, ...] = ()
 
 
 class TrainProcess:
-    """A periodic process that fires *once per train*, not once per tick.
+    """A periodic process that fires *once per train* of up to ``max_train``
+    ticks: the one tick process of every constant-spacing traffic source.
 
-    Where :class:`BatchedProcess` pre-schedules one heap entry per tick,
-    this process collapses a whole train of up to ``max_train`` ticks into
-    a single wakeup: the callback receives the number of ticks the train
-    covers and is expected to emit an aggregated object (a
-    :class:`~repro.net.train.PacketTrain`) for all of them at once.  Tick
-    *times* still follow the exact ``t += interval`` float recurrence of
-    the per-tick processes, so the set of nominal emission times — and
-    therefore the emitted packet count over any horizon — is identical to
-    what :class:`BatchedProcess` would have produced.
+    The callback receives the number of ticks the wakeup covers and emits
+    them at once — as a lone packet when ``max_train`` is 1, as one
+    aggregated :class:`~repro.net.train.PacketTrain` otherwise.  Tick times
+    come from a timeline of the exact ``t += interval`` float recurrence,
+    computed in C (``itertools.accumulate``) at least ``_TIMELINE_CHUNK``
+    ticks at a time and, for trains shorter than that, kept across wakeups:
+    at ``max_train = 1`` a tick costs one heap entry and no Python-level
+    arithmetic.  The times are the
+    ones :class:`PeriodicProcess` produces, and the emitted count over any
+    horizon does not depend on ``max_train``.
 
-    Two bounds clip a train before ``max_train``:
+    Four bounds clip a train before ``max_train``, each a bisection of the
+    timeline (the times never decrease):
 
     * ``horizon`` — ticks at times ``t <= horizon`` are emitted (matching
       the event loop's "events at exactly ``until`` still fire" rule); the
       process stops once the next tick would pass it.
     * ``limit_until`` — an *exclusive* bound settable between phases (ticks
-      strictly before it fire), used by duty-cycled generators so a train
-      never crosses an on-phase boundary.
+      strictly before it fire), used by generators whose emission ends at a
+      scheduled stop, so a train never crosses it.
     * ``max_span`` — a bound on the *time* a single train may cover (ticks
       later than ``max_span`` after the train's first tick start the next
       train instead).  Fault-injection runs set this so no train straddles
       a long interval a fault event could land inside; unlike ``horizon``
       and ``limit_until`` it never stops the process, it only splits.
+    * ``max_ticks`` — the total number of ticks the process emits.
 
-    Stopping goes through the same generation counter as
-    :class:`BatchedProcess`; a pending wakeup from a stale generation
-    evaporates.  The one semantic difference from per-tick emission is that
-    a train already handed to the network cannot be silenced retroactively
-    — a stop takes effect at the next train boundary, which is why train
-    mode is opt-in and bounded by ``max_train``.
+    Stopping bumps a generation counter; a pending wakeup from a stale
+    generation evaporates, so a stop silences the next wakeup.  At
+    ``max_train = 1`` that is the very next tick.  A train already handed to
+    the network cannot be silenced retroactively — a stop takes effect at
+    the next train boundary, which is why aggregation is opt-in and bounded
+    by ``max_train``.
     """
 
     def __init__(
@@ -358,6 +237,15 @@ class TrainProcess:
         self._running = False
         self._start_delay = float(start_delay)
         self._gen = 0
+        #: Ticks per timeline extension: a whole train, and at least
+        #: ``_TIMELINE_CHUNK``.
+        self._chunk = max(max_train, _TIMELINE_CHUNK)
+        #: Computed tick times; ``_times[_pos]`` is the next tick's time and
+        #: ``_stop_at`` the index of the first one the process must not
+        #: emit.
+        self._times: Sequence[float] = _NO_TIMES
+        self._pos = 0
+        self._stop_at = 0
         #: Exclusive time bound for the current phase (None = unbounded).
         self.limit_until: Optional[float] = None
 
@@ -373,7 +261,7 @@ class TrainProcess:
 
     @property
     def interval(self) -> float:
-        """Seconds between consecutive ticks inside a train."""
+        """Seconds between consecutive ticks."""
         return self._interval
 
     def start(self) -> None:
@@ -388,40 +276,48 @@ class TrainProcess:
         """Stop firing from the next train boundary on."""
         self._running = False
         self._gen += 1
+        self._times = _NO_TIMES
 
     def _wakeup(self, gen: int) -> None:
-        if gen != self._gen or not self._running:
+        if gen != self._gen:  # stopped since this wakeup was scheduled
             return
-        sim = self._sim
-        horizon = self._horizon
-        cap = self._max_train
-        if self._max_ticks is not None:
-            cap = min(cap, self._max_ticks - self._ticks)
-        # The tick times this train may cover, and the one after them: the
-        # exact per-tick float recurrence (the same left-to-right additions
-        # as ``when += interval``), run in C.  They never decrease, so each
-        # bound is a bisection — no Python-level work per tick.
-        times = list(accumulate(repeat(self._interval, cap), initial=sim._now))
-        count = len(times) - 1
-        if horizon is not None:
-            count = bisect_right(times, horizon, 0, count)
+        times = self._times
+        pos = self._pos
+        end = pos + self._max_train
+        if end >= len(times):
+            # The timeline ends inside this train: compute the next chunk
+            # from this tick on (the clock reads ``times[pos]`` when there
+            # is one), so every time is the same left-to-right additions as
+            # ``when += interval``.  The entry after a train is the next
+            # wakeup's time.  The chunk is kept for the next wakeups only
+            # when a train can end inside it.
+            times = list(accumulate(repeat(self._interval, self._chunk),
+                                    initial=self._sim._now))
+            self._times = times if self._chunk > self._max_train else _NO_TIMES
+            pos, end = 0, self._max_train
+            # The tick this process must not reach: the first one past the
+            # horizon, or the one after ``max_ticks`` (ticks and positions
+            # advance together, so the index holds for the whole chunk).
+            stop_at = (len(times) if self._horizon is None
+                       else bisect_right(times, self._horizon))
+            if self._max_ticks is not None:
+                stop_at = min(stop_at, self._max_ticks - self._ticks)
+            self._stop_at = stop_at
+        stop_at = self._stop_at
+        if end > stop_at:
+            end = stop_at
         if self.limit_until is not None:
-            count = bisect_left(times, self.limit_until, 0, count)
+            end = bisect_left(times, self.limit_until, pos, end)
         if self._max_span is not None:
-            count = bisect_right(times, sim._now + self._max_span, 0, count)
-        if count == 0:
+            end = bisect_right(times, times[pos] + self._max_span, pos, end)
+        count = end - pos
+        if count <= 0:
             self.stop()
             return
-        when = times[count]
+        self._pos = end
         self._ticks += count
-        if self._callback(count) is False:
-            self.stop()
-            return
-        if self._max_ticks is not None and self._ticks >= self._max_ticks:
-            self.stop()
-            return
-        if horizon is not None and when > horizon:
+        if self._callback(count) is False or end == stop_at:
             self.stop()
             return
         if self._running:
-            sim.fire_at(when, self._wakeup, gen)
+            self._sim.fire_at(times[end], self._wakeup, gen)

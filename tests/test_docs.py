@@ -206,7 +206,11 @@ TWIN_NAMES = frozenset({
     "supports_trains", "_emit_train", "train_mode", "_train_mode",
 })
 ONE_PATH_PACKAGES = ("router", "attacks", "core", "analysis", "baselines",
-                     "experiments")
+                     "experiments", "sim")
+#: The scheduling helpers ``repro.sim.process`` defines: one timer, one
+#: event-per-tick process for protocol code, one tick process for every
+#: traffic source on either engine.
+SIM_PROCESS_DEFINITIONS = {"Timer", "PeriodicProcess", "TrainProcess"}
 
 
 def _twin_definitions(source, where="<source>"):
@@ -245,6 +249,13 @@ class TestTwinCensus:
             "a packet/train twin is back above the link — the node data path "
             "and the generator emission path are written once over "
             "(packet, count, train):\n  " + "\n  ".join(found))
+
+    def test_sim_process_defines_one_tick_process_for_both_engines(self):
+        tree = ast.parse(_read(os.path.join(
+            REPO_ROOT, "src", "repro", "sim", "process.py")))
+        defined = {node.name for node in tree.body if isinstance(
+            node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))}
+        assert defined == SIM_PROCESS_DEFINITIONS
 
     def test_the_census_sees_definitions_and_ignores_uses(self):
         assert len(_twin_definitions(

@@ -1,8 +1,9 @@
 """Unit tests for the fast-path machinery added by the engine overhaul:
 
-* ``schedule_fast`` / ``call_at_fast`` / ``schedule_fire`` / ``fire_at``
+* ``schedule_fire`` / ``fire_at``
 * heap compaction under cancel-heavy load
-* :class:`BatchedProcess` train semantics
+* :class:`TrainProcess` at ``max_train = 1``: one tick per wakeup, its
+  times computed in batches
 * ``Packet.clone`` and route-record interning
 * the indexed filter table (exact buckets, residual wildcards, expiry heap)
 * the profiling helpers behind ``repro profile``
@@ -15,25 +16,10 @@ from repro.net.flowlabel import FlowLabel
 from repro.net.packet import Packet
 from repro.router.filter_table import FilterTable
 from repro.sim.engine import Simulator
-from repro.sim.process import BatchedProcess, PeriodicProcess
+from repro.sim.process import PeriodicProcess, TrainProcess
 
 
 class TestFastScheduling:
-    def test_schedule_fast_fires_in_order_with_args(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule_fast(2.0, seen.append, "b")
-        sim.schedule_fast(1.0, seen.append, "a")
-        sim.run()
-        assert seen == ["a", "b"]
-
-    def test_call_at_fast_uses_absolute_time(self):
-        sim = Simulator(start_time=5.0)
-        fired = []
-        sim.call_at_fast(7.5, lambda: fired.append(sim.now))
-        sim.run()
-        assert fired == [7.5]
-
     def test_schedule_fire_entries_fire_without_event_objects(self):
         sim = Simulator()
         seen = []
@@ -48,10 +34,10 @@ class TestFastScheduling:
         sim = Simulator()
         order = []
         sim.schedule(1.0, lambda: order.append("slow"))
-        sim.schedule_fast(1.0, order.append, "fast")
         sim.schedule_fire(1.0, order.append, "fire")
+        sim.fire_at(1.0, order.append, "fire_at")
         sim.run()
-        assert order == ["slow", "fast", "fire"]
+        assert order == ["slow", "fire", "fire_at"]
 
     def test_step_handles_fire_entries(self):
         sim = Simulator()
@@ -101,25 +87,36 @@ class TestHeapCompaction:
 
 
 class TestBatchedProcess:
+    """The per-packet engine's tick process: :class:`TrainProcess` at
+    ``max_train = 1`` fires one tick per wakeup from tick times it computes
+    a batch at a time."""
+
+    @staticmethod
+    def ticking(sim, interval, fired, **kwargs):
+        def tick(count):
+            assert count == 1
+            fired.append(sim.now)
+        return TrainProcess(sim, interval, tick, max_train=1, **kwargs)
+
     def test_matches_periodic_process_tick_times(self):
         times_periodic, times_batched = [], []
         sim1 = Simulator()
         p1 = PeriodicProcess(sim1, 0.3, lambda: times_periodic.append(sim1.now),
                              start_delay=0.1)
         p1.start()
-        sim1.run(until=10.0)
+        sim1.run(until=100.0)
         sim2 = Simulator()
-        p2 = BatchedProcess(sim2, 0.3, lambda: times_batched.append(sim2.now),
-                            start_delay=0.1, batch_size=7)
+        p2 = self.ticking(sim2, 0.3, times_batched, start_delay=0.1)
         p2.start()
-        sim2.run(until=10.0)
-        assert times_batched == times_periodic  # bit-identical accumulation
+        sim2.run(until=100.0)
+        # Bit-identical accumulation, across several computed batches.
+        assert len(times_periodic) > 300
+        assert times_batched == times_periodic
 
     def test_stop_mid_train_silences_remaining_ticks(self):
         sim = Simulator()
         fired = []
-        process = BatchedProcess(sim, 1.0, lambda: fired.append(sim.now),
-                                 batch_size=50)
+        process = self.ticking(sim, 1.0, fired)
         process.start()
         sim.schedule(4.5, process.stop)
         sim.run(until=60.0)
@@ -128,24 +125,25 @@ class TestBatchedProcess:
 
     def test_callback_false_stops(self):
         sim = Simulator()
-        process = BatchedProcess(sim, 1.0, lambda: False, batch_size=8)
+        process = TrainProcess(sim, 1.0, lambda count: False, max_train=1)
         process.start()
         sim.run(until=30.0)
         assert process.ticks == 1
 
     def test_max_ticks_bounds_emission(self):
         sim = Simulator()
-        process = BatchedProcess(sim, 1.0, lambda: None, max_ticks=5,
-                                 batch_size=3)
+        fired = []
+        process = self.ticking(sim, 1.0, fired, max_ticks=5)
         process.start()
         sim.run(until=100.0)
-        assert process.ticks == 5
+        assert process.ticks == 5 and len(fired) == 5
         assert not process.running
+        assert sim.pending_events == 0
 
     def test_restart_after_stop(self):
         sim = Simulator()
         fired = []
-        process = BatchedProcess(sim, 1.0, lambda: fired.append(sim.now))
+        process = self.ticking(sim, 1.0, fired)
         process.start()
         sim.schedule(2.5, process.stop)
         sim.schedule(10.0, process.start)
@@ -155,9 +153,9 @@ class TestBatchedProcess:
     def test_invalid_parameters_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            BatchedProcess(sim, 0.0, lambda: None)
+            TrainProcess(sim, 0.0, lambda count: None, max_train=1)
         with pytest.raises(ValueError):
-            BatchedProcess(sim, 1.0, lambda: None, batch_size=0)
+            TrainProcess(sim, 1.0, lambda count: None, max_train=0)
 
 
 class TestLazyLinkSerializer:

@@ -136,6 +136,21 @@ class TestRun:
         sim.run(max_events=4)
         assert len(fired) == 4
 
+    def test_max_events_stop_leaves_the_clock_at_the_last_event(self):
+        sim = Simulator()
+        fired = []
+        for when in (1.0, 2.0, 3.0):
+            sim.schedule(when, lambda: fired.append(sim.now))
+        assert sim.run(until=10.0, max_events=1) == 1.0
+        assert sim.run(until=10.0) == 10.0
+        assert fired == [1.0, 2.0, 3.0]
+
+    def test_max_events_stop_past_the_last_due_event_advances_to_until(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(20.0, lambda: None)
+        assert sim.run(until=10.0, max_events=1) == 10.0
+
     def test_stop_ends_run_early(self):
         sim = Simulator()
         fired = []

@@ -119,19 +119,9 @@ class TestPeriodicProcess:
         sim.run(until=1.5)
         assert times == [0.0, 1.0]
 
-    def test_set_interval_changes_pace(self):
-        sim = Simulator()
-        times = []
-        process = PeriodicProcess(sim, 1.0, lambda: times.append(sim.now))
-        process.start()
-        sim.schedule(1.5, lambda: process.set_interval(2.0))
-        sim.run(until=6.0)
-        assert times == [0.0, 1.0, 2.0, 4.0, 6.0]
-
     def test_invalid_interval_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
             PeriodicProcess(sim, 0.0, lambda: None)
-        process = PeriodicProcess(sim, 1.0, lambda: None)
         with pytest.raises(ValueError):
-            process.set_interval(-1.0)
+            PeriodicProcess(sim, -1.0, lambda: None)

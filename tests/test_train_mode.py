@@ -41,7 +41,7 @@ from repro.net.packet import Packet
 from repro.net.train import PacketTrain
 from repro.router.filter_table import FilterTable
 from repro.sim.engine import Simulator
-from repro.sim.process import BatchedProcess, TrainProcess
+from repro.sim.process import PeriodicProcess, TrainProcess
 
 
 def make_template(size=1000, src="10.0.0.1", dst="10.0.0.2", **kwargs):
@@ -87,15 +87,15 @@ class TestPacketTrain:
 
 
 class TestTrainProcess:
-    def test_tick_count_matches_batched_process_over_horizon(self):
+    def test_tick_count_matches_periodic_process_over_horizon(self):
         # Same interval, same start, same horizon: the aggregated process
-        # must emit exactly as many ticks as the per-tick chain.
+        # must emit exactly as many ticks as the one-event-per-tick chain.
         horizon = 3.0
-        sim_b = Simulator()
-        batched = BatchedProcess(sim_b, 1.0 / 700.0, lambda: None)
-        batched.start()
-        sim_b.run(until=horizon)
-        batched.stop()
+        sim_p = Simulator()
+        periodic = PeriodicProcess(sim_p, 1.0 / 700.0, lambda: None)
+        periodic.start()
+        sim_p.run(until=horizon)
+        periodic.stop()
 
         sim_t = Simulator()
         emitted = []
@@ -103,8 +103,8 @@ class TestTrainProcess:
                              max_train=64, horizon=horizon)
         train.start()
         sim_t.run(until=horizon)
-        assert sum(emitted) == batched.ticks
-        assert train.ticks == batched.ticks
+        assert sum(emitted) == periodic.ticks
+        assert train.ticks == periodic.ticks
         assert max(emitted) <= 64
 
     def test_limit_until_is_exclusive(self):
