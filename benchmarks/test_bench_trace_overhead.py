@@ -56,7 +56,7 @@ def test_disabled_tracing_leaves_no_hook_and_adds_no_work(mode):
     for link in topology.links:
         for end in (link.a, link.b):
             overridden = set(vars(link.pipe_toward(end))) & {
-                "_deliver", "_deliver_train", "_emit_packet", "_emit_train"}
+                "_deliver", "_deliver_train"}
             assert not overridden, (link.name, overridden)
     for router in topology.border_routers():
         tapped = set(vars(router.filter_table)) & {"blocks", "blocks_train"}

@@ -161,8 +161,7 @@ class PushbackAgent:
         number of per-packet survivors — ``count * (1 - p)`` with the
         fractional remainder carried between trains in the limiter's
         ``_train_credit`` — so the conditioned rate converges on per-packet
-        mode's without any random draws (trains stay deterministic and
-        shard-order-independent).
+        mode's without any random draws (trains stay deterministic).
         """
         count = 1 if train is None else train.count
         for limiter in self.limiters.values():

@@ -16,10 +16,6 @@ comparison table falls out of a parameter sweep instead of bespoke code):
   (seconds after attack start, or None), ``nodes_involved`` (how many nodes
   actively participated in the defense) and ``control_messages`` (how many
   defense-plane messages were exchanged), plus backend-specific extras.
-
-Beside ``collect()`` each backend declares ``shard_rules``: how every key
-it reports combines across the shards of a sharded run
-(:mod:`repro.experiments.combine`).  A key without a rule fails the run.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from repro.attacks.malicious import CompromisedRouterBehaviour
 from repro.baselines.ingress_dpf import (
-    IngressDeploymentStats,
     collect_ingress_stats,
     enable_universal_ingress_filtering,
 )
@@ -37,7 +32,6 @@ from repro.baselines.pushback import PushbackDeployment, deploy_pushback
 from repro.core.deployment import AITFDeployment, deploy_aitf
 from repro.core.detection import ExplicitDetector
 from repro.core.events import EventType
-from repro.experiments.combine import Derived, earliest, shared, victim
 from repro.experiments.registry import DEFENSES
 from repro.net.flowlabel import FlowLabel
 from repro.router.nodes import BorderRouter
@@ -62,10 +56,6 @@ class DefenseBackend:
         """Uniform stats; see the module docstring for the common keys."""
         return {"backend": self.name, "time_to_first_block": None,
                 "nodes_involved": 0, "control_messages": 0}
-
-    shard_rules: Dict[str, Any] = dict.fromkeys(
-        ("backend", "time_to_first_block", "nodes_involved",
-         "control_messages"), shared)
 
 
 DEFENSES.register("none", DefenseBackend)
@@ -240,22 +230,6 @@ class AITFBackend(DefenseBackend):
                 behaviour.router.name for behaviour in self.compromised),
         }
 
-    # Every count is an event an agent logged at its own node, and a node's
-    # agent runs on its owner's shard only: summed, nodes_involved too.
-    shard_rules = {
-        **dict.fromkeys(("backend", "deployment_locus", "deployed_gateways",
-                         "compromised_routers"), shared),
-        **dict.fromkeys(("time_to_first_block", "requests_sent_by_victim",
-                         "victim_gateway_filter_peak",
-                         "victim_gateway_filter_failures",
-                         "victim_gateway_shadow_peak",
-                         "victim_gateway_shadow_failures"), victim),
-        **dict.fromkeys(("nodes_involved", "control_messages",
-                         "disconnections", "shadow_hits", "requests_rejected",
-                         "verification_replies_forged"), sum),
-        "time_to_attacker_gateway_filter": earliest,
-        "escalation_rounds": max,
-    }
 
 
 @DEFENSES.register("pushback")
@@ -313,12 +287,6 @@ class PushbackBackend(DefenseBackend):
             "packets_passed": passed,
         }
 
-    # The rate-limit recursion is function calls out of the victim
-    # gateway's agent, so the whole control plane runs on the victim's
-    # shard (why congested cells should not shard: docs/sharding.md).
-    shard_rules = {"backend": shared, **dict.fromkeys(
-        ("time_to_first_block", "nodes_involved", "control_messages",
-         "total_limiters", "packets_dropped", "packets_passed"), victim)}
 
 
 @DEFENSES.register("ingress-dpf")
@@ -350,16 +318,6 @@ class IngressDPFBackend(DefenseBackend):
             "detection_ratio": stats.detection_ratio,
         }
 
-    shard_rules = {
-        **dict.fromkeys(("backend", "nodes_involved", "control_messages"),
-                        shared),
-        **dict.fromkeys(("packets_checked", "spoofed_detected",
-                         "spoofed_dropped"), sum),
-        "time_to_first_block": earliest,
-        "detection_ratio": Derived(lambda s: IngressDeploymentStats(
-            packets_checked=s["packets_checked"],
-            spoofed_detected=s["spoofed_detected"]).detection_ratio),
-    }
 
 
 @DEFENSES.register("manual")
@@ -415,12 +373,6 @@ class ManualBackend(DefenseBackend):
             "filters_scheduled": len(self.operator.actions),
         }
 
-    # Operator actions are time-triggered: every shard installs the same
-    # filters at the same times.
-    shard_rules = dict.fromkeys(
-        ("backend", "time_to_first_block", "nodes_involved",
-         "control_messages", "filters_installed", "filters_scheduled"),
-        shared)
 
 
 def build_backend(name: str, params: Mapping[str, Any]) -> DefenseBackend:

@@ -47,10 +47,6 @@ class MetricCollector:
     def __init__(self, params: Mapping[str, Any]) -> None:
         self.params = dict(params)
         self.id: str = str(self.params.get("id", self.kind))
-        #: Node name whose state this collector measures, or None when the
-        #: measurement is location-free (pure config).  Sharded execution
-        #: starts each collector only on the shard owning its anchor.
-        self.anchor: Optional[str] = None
 
     def start(self) -> None:
         """Begin measuring (no-op for pure post-run accountants)."""
@@ -123,7 +119,6 @@ def _build_filter_occupancy(ctx: Any, index: int,
     collector = _FilterOccupancy(params)
     node = str(params.get("node", "victim_gateway"))
     router = _resolve_router(ctx, node, collector.kind)
-    collector.anchor = router.name
     collector.sampler = OccupancySampler(
         ctx.sim, lambda: router.filter_table.occupancy,
         period=collector.period, name=f"{router.name}-filters",
@@ -143,7 +138,6 @@ def _build_shadow_occupancy(ctx: Any, index: int,
     ``aitf`` backend."""
     collector = _ShadowOccupancy(params)
     deployment = _aitf_deployment(ctx, collector.kind)
-    collector.anchor = ctx.handle.victim_gateway.name
     gateway_agent = deployment.gateway_agent(ctx.handle.victim_gateway.name)
     collector.sampler = OccupancySampler(
         ctx.sim, lambda: gateway_agent.shadow_cache.occupancy,
@@ -168,7 +162,6 @@ def _build_host_filter_occupancy(ctx: Any, index: int,
     host = params.get("host")
     if not host:
         raise ValueError("collector 'host-filter-occupancy' needs a 'host' param")
-    collector.anchor = str(host)
     agent = deployment.host_agent(str(host))
     collector.sampler = OccupancySampler(
         ctx.sim, lambda: agent.outbound_filters.occupancy,
@@ -210,9 +203,7 @@ def _build_request_accounting(ctx: Any, index: int,
     victim's gateway), ``id``.  Requires the ``aitf`` backend."""
     _aitf_deployment(ctx, "request-accounting")
     node = str(params.get("node", "")) or ctx.handle.victim_gateway.name
-    collector = _RequestAccounting(params, node)
-    collector.anchor = node
-    return collector
+    return _RequestAccounting(params, node)
 
 
 class _PaperFormulas(MetricCollector):

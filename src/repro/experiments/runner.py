@@ -14,14 +14,12 @@ from __future__ import annotations
 import contextlib
 import gc
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import Any, Dict, Iterator, List, Mapping, Optional
 
 from repro.analysis.metrics import FlowMeter, GoodputMeter, OccupancySampler
 from repro.core.config import AITFConfig
 from repro.experiments.backends import DefenseBackend, build_backend
 from repro.experiments.collectors import MetricCollector, build_collector
-from repro.experiments.combine import combine_stats, owned, owns_everything, victim
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.topologies import TopologyHandle, build_topology
 from repro.experiments.workloads import WorkloadHandle, build_workload
@@ -90,9 +88,9 @@ class BuildCollector:
     collector, left on, would itself have begun moving it into the oldest
     generation — goes to the permanent one, where no pass of the run walks
     it, until :meth:`release` hands it back:
-    :meth:`ExperimentExecution.run` on every exit path, the sharded
-    parent once its workers are joined.  A smaller one (a figure-1 cell
-    is under a thousand objects) is left to the collector as it is.
+    :meth:`ExperimentExecution.run` on every exit path.  A smaller one (a
+    figure-1 cell is under a thousand objects) is left to the collector as
+    it is.
 
     ``gc.unfreeze()`` puts a build into the oldest generation without
     counting it as pending, so the collector's own trigger for a full
@@ -221,21 +219,20 @@ class ExperimentExecution:
                 tag = getattr(workload, "flow_tag", "attack")
                 self.attack_meters.append(GoodputMeter(victim, flow_tag_prefix=tag))
         self.goodput_meter = GoodputMeter(victim)
-        #: Result field -> (its occupancy sampler, the gateway it samples).
-        self.occupancy: Dict[str, Tuple[OccupancySampler, str]] = {}
+        #: Result field -> the occupancy sampler whose peak it reports.
+        self.occupancy: Dict[str, OccupancySampler] = {}
         if spec.sample_occupancy:
             victim_gw = self.handle.victim_gateway
-            self.occupancy["victim_gateway_peak_filters"] = (OccupancySampler(
+            self.occupancy["victim_gateway_peak_filters"] = OccupancySampler(
                 self.sim, lambda: victim_gw.filter_table.occupancy,
                 name=f"{victim_gw.name}-filters",
-            ), victim_gw.name)
+            )
             attacker_gw = self._attacker_gateway()
             if attacker_gw is not None:
-                self.occupancy["attacker_gateway_peak_filters"] = (
-                    OccupancySampler(
-                        self.sim, lambda: attacker_gw.filter_table.occupancy,
-                        name=f"{attacker_gw.name}-filters",
-                    ), attacker_gw.name)
+                self.occupancy["attacker_gateway_peak_filters"] = OccupancySampler(
+                    self.sim, lambda: attacker_gw.filter_table.occupancy,
+                    name=f"{attacker_gw.name}-filters",
+                )
         self._ran_until: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -279,49 +276,45 @@ class ExperimentExecution:
             self._ran_until = duration
             measured = self.measure(duration)
             if self.metrics is not None:
-                publish_measurement(self.metrics, measured)
+                from repro.obs.metrics import publish_stats
+
+                publish_stats(self.metrics, "defense",
+                              measured["defense_stats"])
+                for collector_id, stats in measured["collector_stats"].items():
+                    publish_stats(self.metrics, f"collector.{collector_id}",
+                                  stats)
             return self.result(duration, measured,
                                self.observer.summary(self)
                                if self.observer is not None else {})
         finally:
             BuildCollector.release()
 
-    def start(self, duration: float,
-              owns: Callable[[str], bool] = owns_everything) -> None:
-        """Start traffic and measurement, in the golden recordings' order,
-        on the nodes this process ``owns`` (a shard worker: its shard's).
-        A generator belongs to the node it emits from, a collector or
-        sampler to the node it measures (a location-free one: the victim)."""
+    def start(self, duration: float) -> None:
+        """Start traffic and measurement, in the golden recordings' order."""
         if self.observer is not None:
             self.observer.start(self, duration)
         if self.fault_injector is not None:
             self.fault_injector.start()
         for workload in self.workloads:
-            workload.start(owns)
-        victim_name = self.handle.victim.name
-        self._owned_collectors = [c for c in self.collectors
-                                  if owns(c.anchor or victim_name)]
-        for collector in self._owned_collectors:
+            workload.start()
+        for collector in self.collectors:
             collector.start()
-        self._owned_samplers = {field: sampler for field, (sampler, gateway)
-                                in self.occupancy.items() if owns(gateway)}
-        for sampler in self._owned_samplers.values():
+        for sampler in self.occupancy.values():
             sampler.start()
 
     def measure(self, duration: float) -> Dict[str, Any]:
-        """What this process measured by ``duration``: :meth:`result`'s input
-        (a sharded run's parent passes it the shards' :meth:`combine`)."""
+        """What the run measured by ``duration``: :meth:`result`'s input."""
         window = (self.attack_window_start, duration)
         injector = self.fault_injector
         peak = {field: sampler.peak
-                for field, sampler in self._owned_samplers.items()}
+                for field, sampler in self.occupancy.items()}
         return {
             "attack_received_bps": sum((meter.received_bps(*window)
                                         for meter in self.attack_meters), 0.0),
             "legit_goodput_bps": self.goodput_meter.goodput_bps(*window),
             "defense_stats": self.backend.collect(self),
             "collector_stats": {c.id: c.collect(self)
-                                for c in self._owned_collectors},
+                                for c in self.collectors},
             # Only a link the injector took down can have dropped a packet
             # for being down: those are summed, not every link there is.
             "packets_dropped_down": sum(
@@ -335,29 +328,6 @@ class ExperimentExecution:
                 peak.get("attacker_gateway_peak_filters"),
             "workload_stats": [w.stats() for w in self.workloads],
         }
-
-    def combine(self, measures: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-        """One measurement from the shards' (shard 0, which holds the victim
-        and its gateway, first), by the rule each statistic declares."""
-        backend = self.backend
-        rules = {
-            # Every meter attaches at the victim.
-            "attack_received_bps": victim,
-            "legit_goodput_bps": victim,
-            "defense_stats": lambda values: combine_stats(
-                backend.shard_rules, values, f"defense {backend.name!r}"),
-            # A collector ran on the one shard that owns its anchor.
-            "collector_stats": lambda values: {
-                c.id: owned([stats.get(c.id) for stats in values])
-                for c in self.collectors},
-            "workload_stats": lambda values: [
-                combine_stats(w.shard_rules, column, f"workload {w.kind!r}")
-                for w, column in zip(self.workloads, zip(*values))],
-            "victim_gateway_peak_filters": victim,
-            "attacker_gateway_peak_filters": owned,
-            "packets_dropped_down": sum,
-        }
-        return combine_stats(rules, measures, "result")
 
     def result(self, duration: float, measured: Mapping[str, Any],
                observability: Dict[str, Any]) -> ExperimentResult:
@@ -397,19 +367,6 @@ class ExperimentExecution:
         )
 
 
-def publish_measurement(registry: Any, measured: Mapping[str, Any]) -> None:
-    """Publish a run's defense and collector stats into its metrics registry.
-
-    Once per run, on the run's whole measurement: :meth:`ExperimentExecution.run`
-    on its own, the sharded parent on the shards' combined one.
-    """
-    from repro.obs.metrics import publish_stats
-
-    publish_stats(registry, "defense", measured["defense_stats"])
-    for collector_id, stats in measured["collector_stats"].items():
-        publish_stats(registry, f"collector.{collector_id}", stats)
-
-
 class ExperimentRunner:
     """Build and run experiments from declarative specs."""
 
@@ -420,13 +377,5 @@ class ExperimentRunner:
 
     def run(self, spec: ExperimentSpec,
             duration: Optional[float] = None) -> ExperimentResult:
-        """Prepare and run in one step.
-
-        ``engine.shards > 1`` hands the whole run to the sharded executor
-        (one worker process per shard, conservative lookahead windows at
-        the partition's cut links); everything else runs in-process.
-        """
-        if spec.engine.shards > 1:
-            from repro.shard import run_sharded
-            return run_sharded(spec, until=duration)
+        """Prepare and run in one step."""
         return self.prepare(spec).run(until=duration)

@@ -238,6 +238,13 @@ class ObserveSpec:
 #: Engine modes a spec may select.
 ENGINE_MODES = ("packet", "train")
 
+#: Why an ``engine.shards`` key fails: the option is gone, not unknown.
+SHARDS_REMOVED = (
+    "engine.shards is no longer accepted: sharded execution was removed "
+    "because it ran slower than serial and than a sweep's worker pool "
+    "(PERFORMANCE.md, \"Sharded execution (removed)\"); run cells in "
+    "parallel with --workers or --cluster instead")
+
 
 @dataclass
 class EngineSpec:
@@ -259,13 +266,6 @@ class EngineSpec:
     #: (the default) is omitted from the serialized form, keeping spec
     #: hashes of existing experiments unchanged.
     max_span: Optional[float] = None
-    #: Worker processes the topology is partitioned across (see
-    #: :mod:`repro.shard`).  ``1`` (the default) runs unsharded and is
-    #: omitted from the serialized form.  Sharding is an *execution*
-    #: choice, not an experiment parameter: :func:`canonical_spec_json`
-    #: strips it, so a cell's content hash — and therefore the cluster
-    #: cell cache — is shard-count-invariant.
-    shards: int = 1
 
     def __post_init__(self) -> None:
         if self.mode not in ENGINE_MODES:
@@ -277,30 +277,21 @@ class EngineSpec:
             self.max_span = float(self.max_span)
             if self.max_span <= 0:
                 raise ValueError(f"max_span must be positive, got {self.max_span}")
-        self.shards = int(self.shards)
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.shards > 1 and self.mode != "train":
-            raise ValueError(
-                "sharded execution requires the train engine "
-                '(set engine.mode = "train" alongside engine.shards)')
 
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {"mode": self.mode, "max_train": self.max_train}
         if self.max_span is not None:
             data["max_span"] = self.max_span
-        if self.shards > 1:
-            data["shards"] = self.shards
         return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EngineSpec":
-        _reject_unknown_keys(data, {"mode", "max_train", "max_span", "shards"},
-                             "engine")
+        if "shards" in data:
+            raise ValueError(SHARDS_REMOVED)
+        _reject_unknown_keys(data, {"mode", "max_train", "max_span"}, "engine")
         return cls(mode=data.get("mode", "packet"),
                    max_train=int(data.get("max_train", 256)),
-                   max_span=data.get("max_span"),
-                   shards=int(data.get("shards", 1)))
+                   max_span=data.get("max_span"))
 
 
 @dataclass
@@ -536,18 +527,10 @@ def canonical_spec_json(spec: Union["ExperimentSpec", Mapping[str, Any]]) -> str
     and fixed separators.  Two dicts that describe the same experiment —
     whatever their key order, which process wrote them, or whether optional
     fields were spelled out — canonicalise to the same text.
-
-    ``engine.shards`` is stripped: how many worker processes execute a cell
-    changes nothing the runner measures (the shard merge is bit-exact on
-    uncongested cells and deterministic everywhere), so a sharded and an
-    unsharded run of the same experiment share one content address and the
-    cluster cell cache replays across shard counts.
     """
     if not isinstance(spec, ExperimentSpec):
         spec = ExperimentSpec.from_dict(spec)
-    data = spec.to_dict()
-    data["engine"].pop("shards", None)
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def spec_hash(spec: Union["ExperimentSpec", Mapping[str, Any]]) -> str:

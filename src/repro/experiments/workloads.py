@@ -4,14 +4,12 @@ Every workload normalises to a :class:`WorkloadHandle` so the runner can
 start it, meter it and report it without knowing what kind of generator sits
 behind it.  Attack workloads additionally expose their flow labels and
 attacker hosts so defense backends can arm themselves (mark detectors,
-schedule manual responses, wire stop callbacks).  Beside ``stats()`` each
-handle declares ``shard_rules``: how every key it reports combines across
-the shards of a sharded run (:mod:`repro.experiments.combine`).
+schedule manual responses, wire stop callbacks).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping
+from typing import Any, Dict, List, Mapping
 
 from repro.attacks.flood import FloodAttack, SpoofedFloodAttack
 from repro.attacks.legitimate import LegitimateTraffic, PoissonTraffic
@@ -19,7 +17,6 @@ from repro.attacks.malicious import RequestForger
 from repro.attacks.onoff import OnOffAttack
 from repro.attacks.zombies import ZombieArmy
 from repro.core.messages import RequestRole
-from repro.experiments.combine import owns_everything, shared
 from repro.experiments.registry import WORKLOADS
 from repro.net.flowlabel import FlowLabel
 from repro.router.nodes import Host
@@ -37,16 +34,10 @@ class WorkloadHandle:
         self.start_time = start_time
         self.params = dict(params)
 
-    def start(self, owns: Callable[[str], bool] = owns_everything) -> None:
+    def start(self) -> None:
         """Begin emitting (the generator schedules itself from its start
-        time) if this process ``owns`` the node it emits from."""
-        if owns(self.origin):
-            self.generator.start()
-
-    @property
-    def origin(self) -> str:
-        """Name of the node this workload emits from."""
-        return self.generator.sender.name
+        time)."""
+        self.generator.start()
 
     # -- attack-side surface (legit workloads return empties) ----------
     @property
@@ -73,9 +64,6 @@ class WorkloadHandle:
         return {"kind": self.kind, "role": self.role,
                 "offered_bps": self.offered_bps}
 
-    shard_rules: Dict[str, Any] = dict.fromkeys(
-        ("kind", "role", "offered_bps"), shared)
-
 
 class _SingleAttackHandle(WorkloadHandle):
     """An attack from one host with one (src, dst) flow label."""
@@ -84,10 +72,6 @@ class _SingleAttackHandle(WorkloadHandle):
                  **kwargs: Any) -> None:
         super().__init__(kind, generator, **kwargs)
         self.attacker = attacker
-
-    @property
-    def origin(self) -> str:
-        return self.attacker.name
 
     @property
     def flow_labels(self) -> List[FlowLabel]:
@@ -109,9 +93,6 @@ class _SingleAttackHandle(WorkloadHandle):
             packets_suppressed=self.generator.packets_suppressed,
         )
         return stats
-
-    shard_rules = {**WorkloadHandle.shard_rules,
-                   "packets_sent": sum, "packets_suppressed": sum}
 
 
 def _train_kwargs(ctx: Any) -> Dict[str, Any]:
@@ -196,8 +177,6 @@ class _OnOffHandle(_SingleAttackHandle):
         stats["cycles_completed"] = self.generator.cycles_completed
         return stats
 
-    shard_rules = {**_SingleAttackHandle.shard_rules, "cycles_completed": sum}
-
 
 @WORKLOADS.register("legitimate")
 def _build_legitimate(ctx: Any, index: int, params: Mapping[str, Any]) -> WorkloadHandle:
@@ -261,12 +240,6 @@ class _ZombieHandle(WorkloadHandle):
         super().__init__(kind, army, **kwargs)
         self._zombies = list(zombies)
 
-    def start(self, owns: Callable[[str], bool] = owns_everything) -> None:
-        # One army can span shards: each zombie starts where its host lives.
-        for attack in self.generator.attacks:
-            if owns(attack.attacker.name):
-                attack.start()
-
     @property
     def flow_labels(self) -> List[FlowLabel]:
         return self.generator.flow_labels
@@ -284,10 +257,6 @@ class _ZombieHandle(WorkloadHandle):
                      packets_sent=self.generator.packets_sent,
                      active_count=self.generator.active_count)
         return stats
-
-    # A zombie some shard never started is not active there.
-    shard_rules = {**WorkloadHandle.shard_rules, "zombies": shared,
-                   "packets_sent": sum, "active_count": sum}
 
 
 class FilterRequestStream:
@@ -357,19 +326,11 @@ class _FilterRequestHandle(WorkloadHandle):
 
     role = "control"
 
-    @property
-    def origin(self) -> str:
-        # The requests go out through the victim's own agent.
-        return self.generator.ctx.handle.victim.name
-
     def stats(self) -> Dict[str, Any]:
         stats = super().stats()
         stats["requests_sent"] = self.generator.requests_sent
         stats["rate"] = self.generator.rate
         return stats
-
-    shard_rules = {**WorkloadHandle.shard_rules,
-                   "requests_sent": sum, "rate": shared}
 
 
 @WORKLOADS.register("filter-requests")
@@ -475,16 +436,10 @@ class ForgedRequestStream:
 class _ForgedRequestHandle(_FilterRequestHandle):
     """Control-plane abuse: neither data attack nor legitimate traffic."""
 
-    @property
-    def origin(self) -> str:
-        return self.generator.forger.host.name
-
     def stats(self) -> Dict[str, Any]:
         stats = super().stats()
         stats["spoofed"] = self.generator.spoofed
         return stats
-
-    shard_rules = {**_FilterRequestHandle.shard_rules, "spoofed": shared}
 
 
 @WORKLOADS.register("forged-requests")

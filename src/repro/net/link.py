@@ -107,26 +107,20 @@ class _Pipe:
         self._fl_q = 0.0      # fluid queue level, bytes
         self._fl_t = 0.0      # time of the last fluid-state update
         self._fl_adm = 0.0    # fair-share admission credit for single packets
-        # Swappable state: train mode (above), admin down, taps and divert.
+        # Swappable state: train mode (above), admin down and taps.
         # ``_down_at`` is the simulation time the pipe went down (None while
-        # up).  These four are the whole input of _rebind(), which alone
-        # decides what send / send_train / _deliver* / _emit_* resolve to.
+        # up).  These three are the whole input of _rebind(), which alone
+        # decides what send / send_train / _deliver* resolve to.
         # ``_fl_gen`` invalidates in-flight _fl_release events when a fault
         # resets the fluid state; it stays 0 on fault-free runs.
         self._down_at: Optional[float] = None
         self._packet_taps: tuple = ()
         self._train_taps: tuple = ()
-        self._export = None
         self._fl_gen = 0
 
     @property
     def queue(self) -> DropTailQueue:
         return self._queue
-
-    @property
-    def _busy(self) -> bool:
-        """True while a packet is being serialized (kept for introspection)."""
-        return self._busy_until > self._sim.now
 
     def send(self, packet: Packet) -> bool:
         """Offer a packet to this direction; False means it was dropped."""
@@ -199,16 +193,14 @@ class _Pipe:
     def _rebind(self) -> None:
         """Derive every swappable entry point from the pipe's state.
 
-        The one dispatch point: mode x up/down x tapped x diverted.  Only
-        the state setters (``enable_train_mode``, ``set_down``, ``set_up``,
-        ``tap``, ``divert``) call it, never a packet, and an entry point
-        whose state is at its default keeps *no* instance attribute — the
-        class method is reached directly, so an idle, untapped, local,
-        per-packet pipe pays exactly zero.
+        The one dispatch point: mode x up/down x tapped.  Only the state
+        setters (``enable_train_mode``, ``set_down``, ``set_up``, ``tap``)
+        call it, never a packet, and an entry point whose state is at its
+        default keeps *no* instance attribute — the class method is reached
+        directly, so an idle, untapped, per-packet pipe pays exactly zero.
         """
         d = self.__dict__
-        for name in ("send", "send_train", "_deliver", "_deliver_train",
-                     "_emit_packet", "_emit_train"):
+        for name in ("send", "send_train", "_deliver", "_deliver_train"):
             if name in d:
                 del d[name]
         # From here on ``self.<name>`` is the class's own bound method.
@@ -227,18 +219,6 @@ class _Pipe:
                     deliver = _observed(observer, self._link, self._sink,
                                         deliver)
                 d[name] = deliver
-        export = self._export
-        if export is not None:
-            sim = self._sim
-
-            def _export_packet(dt: float, packet: Packet) -> None:
-                export(sim._now + dt, False, packet)
-
-            def _export_train(dt: float, train: PacketTrain) -> None:
-                export(sim._now + dt, True, train)
-
-            d["_emit_packet"] = _export_packet
-            d["_emit_train"] = _export_train
 
     def tap(self, packet_observer=None, train_observer=None) -> None:
         """Observe deliveries on this pipe (the tracing plane's link hook).
@@ -422,7 +402,8 @@ class _Pipe:
             qstats.peak_depth_bytes = depth
         tx = size / self._srate
         stats.busy_time += tx
-        self._emit_packet(q0 / self._srate + tx + self._delay, packet)
+        sim.schedule_fire(q0 / self._srate + tx + self._delay, self._deliver,
+                          packet)
         return True
 
     def send_train(self, train: PacketTrain) -> bool:
@@ -502,55 +483,8 @@ class _Pipe:
         stats.busy_time += accepted * tx
         train.count = accepted
         train.interval = out_interval
-        self._emit_train(wait + tx + self._delay, train)
+        sim.schedule_fire(wait + tx + self._delay, self._deliver_train, train)
         return True
-
-    # ------------------------------------------------------------------
-    # sharding boundary: emit hooks, divert and inject
-    # ------------------------------------------------------------------
-    # The fluid send paths schedule their delivery through these two tiny
-    # hooks instead of calling ``schedule_fire`` directly.  On an unsharded
-    # run they are exactly that call; on a sharded run the coordinator marks
-    # each *cut* pipe — one whose sender and receiver live in different
-    # shards — through :meth:`divert` (state for :meth:`_rebind`), so the
-    # admitted traffic is captured (with its absolute arrival time) instead
-    # of delivered locally, shipped to the receiving shard at the next
-    # window barrier, and re-entered there via :meth:`inject`.  Admission,
-    # queueing, stats and the fluid state all still run on the sending
-    # side, so a diverted pipe behaves bit-identically to a local one.
-    # Only the fluid (train-engine) paths are hooked: sharded execution
-    # requires ``engine.mode = "train"``.
-    def _emit_packet(self, dt: float, packet: Packet) -> None:
-        """Schedule local delivery of an admitted packet ``dt`` from now."""
-        self._sim.schedule_fire(dt, self._deliver, packet)
-
-    def _emit_train(self, dt: float, train: PacketTrain) -> None:
-        """Schedule local delivery of an admitted train ``dt`` from now."""
-        self._sim.schedule_fire(dt, self._deliver_train, train)
-
-    def divert(self, export) -> None:
-        """Capture this direction's deliveries instead of scheduling them.
-
-        ``export(when, is_train, payload)`` is called with the *absolute*
-        arrival time the delivery event would have fired at.  Because every
-        cut link's delay is at least the lookahead window, that time always
-        lands beyond the current window — the receiving shard learns about
-        the arrival at the next barrier, before its clock gets there.
-        """
-        self._export = export
-        self._rebind()
-
-    def inject(self, when: float, is_train: bool, payload) -> None:
-        """Deliver a cross-shard arrival at absolute time ``when``.
-
-        The attribute lookup goes through the instance, so a tapped pipe's
-        tracing wrapper still sees injected arrivals exactly like local
-        ones.
-        """
-        if is_train:
-            self._sim.fire_at(when, self._deliver_train, payload)
-        else:
-            self._sim.fire_at(when, self._deliver, payload)
 
     def _deliver_train(self, train: PacketTrain) -> None:
         stats = self.stats
@@ -716,11 +650,9 @@ class Link:
 
     def pipe_toward(self, node: PacketSink) -> _Pipe:
         """The directional pipe whose *receiver* is ``node`` (built here if
-        the link has none yet).
-
-        The sharding plane uses this to divert the direction leaving a
-        shard (receiver foreign) and to inject into the direction entering
-        it (receiver owned); see :meth:`_Pipe.divert` / :meth:`_Pipe.inject`.
+        the link has none yet), for tests and benchmarks that inspect a
+        pipe's live state; reading stats or queues goes through
+        :meth:`stats_toward` / :meth:`queue_toward`, which build nothing.
         """
         self._pipes()
         return self._built_toward(node)

@@ -1,30 +1,13 @@
-"""Sharded execution: partition the topology, one worker process per shard.
+"""Emptied: sharded execution is gone.
 
-The simulator is single-threaded by design, so the fleet-scale scenarios
-that answer the paper's Internet-scale questions are wall-clock-bound by
-one core's event loop.  This package parallelises a *train-engine*
-experiment across OS processes:
+Partitioning one experiment's topology across worker processes ran slower
+than the serial engine and than a sweep's worker pool on this repository's
+largest cells (PERFORMANCE.md, "Sharded execution (removed)"), so the
+partitioner, the window coordinator and the cross-shard merge rules were
+deleted.  Parallelism lives across cells: ``repro sweep --workers N`` or
+``--cluster DIR``.  A spec carrying ``engine.shards`` is rejected.
 
-* :mod:`repro.shard.partition` groups the AS-level topology into shards —
-  a seeded min-cut-ish region growing that keeps every stub (and every
-  end-host) with its provider, partitioning tiered policy topologies along
-  tier boundaries;
-* :mod:`repro.shard.runner` forks one worker per shard from the fully
-  built experiment, runs the shards under conservative lookahead
-  synchronization (window = the minimum cut-link delay), exchanges
-  packet-trains at the cut links, and deterministically merges the
-  per-shard results into one :class:`~repro.experiments.runner.ExperimentResult`.
-
-Selected declaratively::
-
-    "engine": {"mode": "train", "shards": 4}
-
-The shard count is an *execution* choice: results are metric-identical to
-the unsharded train engine on uncongested cells (pinned by tests), and the
-cluster cache key ignores it entirely.
+The package name stays only because ``bench/layers.py`` maps every package
+under ``src/repro/`` and the benchmark contract test requires each mapped
+package to exist; it goes when that map drops the ``shard`` entry.
 """
-
-from repro.shard.partition import Partition, partition_topology
-from repro.shard.runner import run_sharded
-
-__all__ = ["Partition", "partition_topology", "run_sharded"]

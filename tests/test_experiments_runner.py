@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments import (
     ExperimentRunner,
+    WORKLOADS,
     ExperimentSpec,
     TopologySpec,
     WorkloadSpec,
@@ -172,6 +173,84 @@ class TestRunnerWorkloads:
             ExperimentRunner().run(spec)
 
 
+def fleet_cell(*, defense="none", autonomous_systems=24, zombies=16,
+               duration=1.5, defense_params=None, collectors=(),
+               extra_workloads=(), observe=False):
+    """A small uncongested train-mode powerlaw cell: zombies + Poisson
+    legitimate traffic."""
+    doc = {
+        "name": "fleet-cell",
+        "topology": {"kind": "powerlaw",
+                     "params": {"autonomous_systems": autonomous_systems,
+                                "hosts_per_leaf": 2, "seed": 7}},
+        "defense": {"backend": defense, "params": defense_params or {}},
+        "workloads": [
+            {"kind": "zombies",
+             "params": {"count": zombies, "rate_pps": 30.0, "start": 0.05}},
+            {"kind": "legitimate",
+             "params": {"rate_pps": 50.0, "poisson": True}},
+            *extra_workloads,
+        ],
+        "collectors": list(collectors),
+        "duration": duration,
+        "seed": 3,
+        "engine": {"mode": "train", "max_train": 64},
+    }
+    if observe:
+        doc["observe"] = {"metrics": True}
+    return ExperimentSpec.from_dict(doc)
+
+
+class TestTrainFleetCell:
+    @pytest.mark.parametrize("defense", ALL_BACKENDS)
+    def test_every_workload_runs_under(self, defense):
+        pytest.importorskip("networkx")
+        extra = [
+            {"kind": "flood", "params": {"attacker": 5, "rate_pps": 50.0}},
+            {"kind": "onoff", "params": {"attacker": 6, "rate_pps": 50.0}},
+            {"kind": "forged-requests", "params": {"rate": 10.0}},
+        ]
+        if defense == "aitf":
+            # filter-requests needs the AITF victim agent.
+            extra.append({"kind": "filter-requests", "params": {"rate": 10.0}})
+        spec = fleet_cell(defense=defense, zombies=4, duration=1.0,
+                          extra_workloads=extra)
+        result = ExperimentRunner().run(spec)
+        kinds = [stats["kind"] for stats in result.workload_stats]
+        assert kinds == [w.kind for w in spec.workloads]
+        if defense == "aitf":
+            assert set(kinds) == set(WORKLOADS.names())
+        assert COMMON_DEFENSE_KEYS <= set(result.defense_stats)
+
+    def test_each_non_cooperating_gateway_rejects_its_zombies_request(self):
+        pytest.importorskip("networkx")
+        result = ExperimentRunner().run(fleet_cell(
+            defense="aitf", defense_params={"non_cooperating_attackers": True},
+            autonomous_systems=40, duration=4.0))
+        assert result.control_messages > 0
+        assert result.defense_stats["requests_rejected"] == 16
+
+    def test_manual_operator_installs_filters_on_the_fleet(self):
+        pytest.importorskip("networkx")
+        result = ExperimentRunner().run(fleet_cell(
+            defense="manual", defense_params={"local_response_delay": 0.5,
+                                              "upstream_response_delay": 1.0}))
+        assert result.defense_stats["filters_installed"] > 0
+
+    def test_defense_and_collector_stats_are_published_once(self):
+        pytest.importorskip("networkx")
+        result = ExperimentRunner().run(fleet_cell(
+            defense="aitf", observe=True,
+            collectors=({"kind": "filter-occupancy"},
+                        {"kind": "request-accounting"})))
+        counters = result.observability["metrics"]["counters"]
+        assert len([k for k in counters if k.startswith("defense.")]) == 15
+        assert counters["defense.control_messages"] == result.control_messages
+        published = {k for k in counters if k.startswith("collector.")}
+        assert {k.split(".")[1] for k in published} == \
+            set(result.collector_stats)
+
+
 def frozen_size_spec(**overrides):
     """A build big enough for ``BuildCollector`` to freeze."""
     return train_spec(2000, **overrides)
@@ -205,6 +284,14 @@ class TestCollectorStateNeverLeaks:
         assert gc.get_freeze_count() == 0 and gc.isenabled()
         assert first.time_to_first_block is None
         assert second.time_to_first_block is not None
+
+    def test_a_fault_spec_releases_its_build_too(self):
+        faults = [{"kind": "link_down", "time": 0.3,
+                   "link": ["t1_00", "t1_01"]}]
+        execution = ExperimentRunner().prepare(frozen_size_spec(faults=faults))
+        assert gc.get_freeze_count() > 100_000
+        execution.run()
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
 
     def test_small_build_is_never_frozen(self):
         execution = ExperimentRunner().prepare(default_flood_spec(duration=1.0))

@@ -67,6 +67,28 @@ class TestSpecRoundTrip:
         with pytest.raises(ValueError, match="topologgy"):
             ExperimentSpec.from_dict(data)
 
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_engine_shards_fails_with_the_removal_message(self, shards):
+        data = default_flood_spec().to_dict()
+        data["engine"] = {"mode": "train", "shards": shards}
+        with pytest.raises(ValueError, match="sharded execution was removed"):
+            ExperimentSpec.from_dict(data)
+
+    def test_engine_shards_override_fails_the_cli_with_the_removal_message(
+            self):
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src"),
+             env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+        process = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--set", "engine.shards=2"],
+            capture_output=True, text=True, env=env)
+        assert process.returncode != 0
+        assert "sharded execution was removed" in process.stderr
+
     def test_mutating_the_dict_does_not_mutate_the_spec(self):
         spec = default_flood_spec()
         data = spec.to_dict()
@@ -266,10 +288,63 @@ def _committed_specs():
             yield pytest.param(data, id=os.path.relpath(path, SPECS_DIR))
 
 
+#: Content addresses of the committed specs (the cluster cell cache is keyed
+#: by them): a change to spec canonicalisation must not move any of them.
+COMMITTED_SPEC_HASHES = {
+    "attacker_resources.json":
+        "66919dd78295508242f0001450994611191604dcc122a468bed10e1c5ce64768",
+    "flood_aitf.json":
+        "8d461e944c6f68d94e12f2a179e1606b0daa57b1d7161684707136c878a25f04",
+    "flood_ingress_dpf.json":
+        "ce64242a362a5242c6f1cd89628ded1f2abb4567e406571ac5d0464e06bb0f79",
+    "flood_manual.json":
+        "643ba7821451ff88c99e234db44014c7a7a4196cae8ceaaeb667de1898386c53",
+    "flood_none.json":
+        "761e2c5d36dfba30839f0744775a7af8269e2db5c1c2be3df1db4a70f5460d15",
+    "flood_pushback.json":
+        "a10f5d05f0386103b5a14f13dd88421a0d824235f0b756e00334d4c26bf09e66",
+    "grids/e2_protected_flows.json":
+        "eb8aa05f440982c8387ca31c7a3cf5e9fda0e1ddddaa574a4d7205ed8e62c21a",
+    "grids/e2b_contract_policing.json":
+        "60c58a5037fa705009f3effde1b019b962b27c99ac5b1af395bf242d2edaf6b9",
+    "grids/e3_victim_gateway_resources.json":
+        "f5419529d301ab983c7807cdd2e57e18d8c0634abdb13c07edd08f4acf5c5e2a",
+    "grids/e3b_ttmp_ablation.json":
+        "faa75162ade3343bd14a847b081020766f87a59c57974a5fbc678388f9358c24",
+    "grids/e4_e5_attacker_resources.json":
+        "7ae89d9886d3fca86c62709aefb1083608f921ff8c4a3a01714fdd5b97e64088",
+    "grids/e9_defense_comparison.json":
+        "0a43cbbe162847568d73a7aa03e43c295d043e9af418155a2dd0d433b1673519",
+    "grids/failover.json":
+        "469af69b1e25c7fdb5fef3b6d5fc1116ddc17803c41db244849a77fc8a2f1f80",
+    "grids/onoff_evasion.json":
+        "1637de04357823c1407db369dd1655937e0b1919e5296fb9ec5865dfb7aa84b8",
+    "grids/partial_deployment.json":
+        "844e3d1414ad29da0fb0210aada2077edf55244c89517c636ed847de2cc02d9d",
+    "grids/powerlaw_scaling.json":
+        "8edd573b2d8de03c3ae7c8e2bef33dea6ac2b44bed04076e1c3e7bcc21c7f0a0",
+    "grids/redteam_exhaustion.json":
+        "15ae97a841d6cac0e74fb1b82943597199f69df646c794099b86ac29511dca73",
+    "onoff_aitf.json":
+        "8aa78590e72a1460103c63b67c5b5be3c2f3ac3e573a63483b1473f841502166",
+    "redteam_quick.json":
+        "15ae97a841d6cac0e74fb1b82943597199f69df646c794099b86ac29511dca73",
+    "victim_resources.json":
+        "54a7a4668a3a028f2c6c69444597a2706ddd106f883bb583a373e83d576c535e",
+}
+
+
 class TestCommittedSpecs:
     @pytest.mark.parametrize("data", _committed_specs())
     def test_committed_spec_loads_strictly_and_wires(self, data):
         ExperimentRunner().prepare(ExperimentSpec.from_dict(data))
+
+    def test_committed_spec_hashes_are_pinned(self):
+        from repro.experiments import spec_hash
+
+        hashes = {param.id: spec_hash(param.values[0])
+                  for param in _committed_specs()}
+        assert hashes == COMMITTED_SPEC_HASHES
 
     @pytest.mark.parametrize("name", sorted(BUILT_SPECS))
     def test_built_spec_file_is_its_builders_output(self, name):

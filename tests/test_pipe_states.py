@@ -1,8 +1,8 @@
-"""``_Pipe`` state cross product: mode x up/down x tapped x diverted.
+"""``_Pipe`` state cross product: mode x up/down x tapped.
 
-Four independent features swap a pipe's entry points; ``_Pipe._rebind`` is
+Three independent features swap a pipe's entry points; ``_Pipe._rebind`` is
 the one place that decides what ``send`` / ``send_train`` / ``_deliver`` /
-``_deliver_train`` / ``_emit_packet`` / ``_emit_train`` resolve to.  Every
+``_deliver_train`` resolve to.  Every
 final state is reached here through *every* order of the public calls that
 lead to it (an up pipe both never-downed and cycled down→up), one packet —
 and in train mode one train — is offered after each call, and at the end
@@ -41,10 +41,9 @@ SRC, DST = IPAddress.parse("10.0.0.1"), IPAddress.parse("10.0.0.2")
 ADMIN = {"never": (), "cycled": ("set_down", "set_up"), "down": ("set_down",)}
 
 
-def _orders(train, tapped, diverted, admin):
+def _orders(train, tapped, admin):
     """Every order of the calls reaching the state (down before up)."""
-    calls = (("enable_train_mode",) * train + ("tap",) * tapped
-             + ("divert",) * diverted + ADMIN[admin])
+    calls = ("enable_train_mode",) * train + ("tap",) * tapped + ADMIN[admin]
     for order in set(itertools.permutations(calls)):
         if admin != "cycled" or order.index("set_down") < order.index("set_up"):
             yield order
@@ -55,20 +54,18 @@ def _resolved(pipe, name):
     return getattr(entry, "__func__", entry).__name__
 
 
-STATES = list(itertools.product((False, True), (False, True), (False, True),
-                                sorted(ADMIN)))
+STATES = list(itertools.product((False, True), (False, True), sorted(ADMIN)))
 
 
-@pytest.mark.parametrize("train,tapped,diverted,admin", STATES)
-def test_every_order_reaches_the_same_pipe(train, tapped, diverted, admin):
-    orders = sorted(_orders(train, tapped, diverted, admin))
+@pytest.mark.parametrize("train,tapped,admin", STATES)
+def test_every_order_reaches_the_same_pipe(train, tapped, admin):
+    orders = sorted(_orders(train, tapped, admin))
     assert orders
     for order in orders:
         sim = Simulator()
         a, b = _Sink("a"), _Sink("b")
         link = Link(sim, a, b, bandwidth_bps=1e6, delay=0.01)
         seen = {"packet": 0, "train": 0}
-        exported = []
 
         def offer():
             for sender in (a, b):
@@ -88,14 +85,6 @@ def test_every_order_reaches_the_same_pipe(train, tapped, diverted, admin):
                         "packet", seen["packet"] + 1),
                     train_observer=lambda _l, _s, t: seen.__setitem__(
                         "train", seen["train"] + t.count))
-            elif call == "divert":
-                for end in (a, b):
-                    pipe = link.pipe_toward(end)
-                    # A shard boundary re-enters the arrival on the far
-                    # side; here the far side is the same pipe.
-                    pipe.divert(lambda when, is_train, payload, pipe=pipe: (
-                        exported.append(is_train),
-                        pipe.inject(when, is_train, payload)))
             else:
                 getattr(link, call)()
             offer()
@@ -109,8 +98,6 @@ def test_every_order_reaches_the_same_pipe(train, tapped, diverted, admin):
             "_deliver": "_traced_deliver" if tapped else "_deliver",
             "_deliver_train": ("_traced_deliver" if tapped
                                else "_deliver_train"),
-            "_emit_packet": "_export_packet" if diverted else "_emit_packet",
-            "_emit_train": "_export_train" if diverted else "_emit_train",
         }
         for end, sink in ((a, a), (b, b)):
             pipe = link.pipe_toward(end)
@@ -132,8 +119,6 @@ def test_every_order_reaches_the_same_pipe(train, tapped, diverted, admin):
         assert link.up == (not down)
         if not tapped:
             assert seen == {"packet": 0, "train": 0}
-        if not diverted:
-            assert exported == []
 
 
 def test_down_link_stays_down_when_train_mode_is_enabled():
