@@ -15,6 +15,7 @@ Run:  python examples/provider_capacity_planning.py
 """
 
 from repro import ExperimentRunner
+from repro.analysis import formulas
 from repro.analysis.report import ResultTable
 from repro.contracts.contract import ContractBook
 from repro.experiments import default_victim_resource_spec
@@ -48,12 +49,13 @@ def plan_with_formulas() -> ResultTable:
     totals = [0, 0, 0]
     for name, accept_rate, send_rate in CLIENTS:
         contract = book.get(name)
-        sizes = (contract.victim_side_filters(TEMPORARY_FILTER_TIMEOUT),
-                 contract.victim_side_shadow_entries(FILTER_TIMEOUT),
-                 contract.attacker_side_filters(FILTER_TIMEOUT))
+        r1, r2 = contract.accept_rate, contract.send_rate
+        sizes = (formulas.victim_gateway_filters(r1, TEMPORARY_FILTER_TIMEOUT),
+                 formulas.victim_gateway_shadow_entries(r1, FILTER_TIMEOUT),
+                 formulas.attacker_side_filters(r2, FILTER_TIMEOUT))
         totals = [total + size for total, size in zip(totals, sizes)]
         table.add_row(name, f"{accept_rate:.0f}", sizes[0], sizes[1],
-                      contract.protected_flows(FILTER_TIMEOUT), sizes[2])
+                      formulas.protected_flows(r1, FILTER_TIMEOUT), sizes[2])
     table.add_row("TOTAL", "-", totals[0], totals[1], "-", totals[2])
     table.add_note("wire-speed slots needed: victim-side total + attacker-side total; "
                    "a few hundred slots protect against tens of thousands of flows")

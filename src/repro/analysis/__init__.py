@@ -20,7 +20,6 @@ from repro.analysis.formulas import (
 from repro.analysis.metrics import FlowMeter, GoodputMeter, OccupancySampler, TimeSeries
 from repro.analysis.report import (
     ResultTable,
-    comparison_row,
     format_bps,
     format_ratio,
     format_seconds,
@@ -40,7 +39,6 @@ __all__ = [
     "OccupancySampler",
     "TimeSeries",
     "ResultTable",
-    "comparison_row",
     "format_bps",
     "format_ratio",
     "format_seconds",

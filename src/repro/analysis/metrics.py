@@ -243,10 +243,6 @@ class FlowMeter(_HostMeter):
             return 0.0
         return self.received_bps(start, end) / offered_bps
 
-    def active_seconds(self) -> float:
-        """Number of bucket-seconds in which at least one packet arrived."""
-        return len(self._store.folded()) * self.bucket_seconds
-
 
 class GoodputMeter(_HostMeter):
     """Measures legitimate goodput delivered to one host."""

@@ -138,9 +138,3 @@ class ResultTable:
         writer.writerow(self.columns)
         writer.writerows(self.rows)
         return buffer.getvalue()
-
-
-def comparison_row(label: str, paper_value: Any, measured_value: Any,
-                   *, tolerance_note: str = "") -> List[str]:
-    """A standard [label, paper, measured, note] row."""
-    return [str(label), str(paper_value), str(measured_value), tolerance_note]

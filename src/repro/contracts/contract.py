@@ -96,25 +96,6 @@ class FilteringContract:
         self.stats.requests_send_suppressed += 1
         return False
 
-    # ------------------------------------------------------------------
-    # Section IV formulas, per contract
-    # ------------------------------------------------------------------
-    def protected_flows(self, filter_timeout: float) -> int:
-        """Nv = R1 * T — undesired flows this contract protects the client against."""
-        return int(self.accept_rate * filter_timeout)
-
-    def victim_side_filters(self, temporary_filter_timeout: float) -> int:
-        """nv = R1 * Ttmp — wire-speed filters the provider needs for this client."""
-        return int(self.accept_rate * temporary_filter_timeout)
-
-    def victim_side_shadow_entries(self, filter_timeout: float) -> int:
-        """mv = R1 * T — DRAM shadow entries the provider needs for this client."""
-        return int(self.accept_rate * filter_timeout)
-
-    def attacker_side_filters(self, filter_timeout: float) -> int:
-        """na = R2 * T — filters both provider and client need on the attacker side."""
-        return int(self.send_rate * filter_timeout)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"FilteringContract({self.counterparty}, R1={self.accept_rate}/s, "

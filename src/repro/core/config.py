@@ -105,29 +105,6 @@ class AITFConfig:
         """Return a copy with some fields replaced (used by parameter sweeps)."""
         return replace(self, **kwargs)
 
-    # ------------------------------------------------------------------
-    # Section IV resource formulas at the config level
-    # ------------------------------------------------------------------
-    def protected_flows(self, accept_rate: Optional[float] = None) -> int:
-        """Nv = R1 * T."""
-        rate = accept_rate if accept_rate is not None else self.default_accept_rate
-        return int(rate * self.filter_timeout)
-
-    def victim_gateway_filters(self, accept_rate: Optional[float] = None) -> int:
-        """nv = R1 * Ttmp."""
-        rate = accept_rate if accept_rate is not None else self.default_accept_rate
-        return int(rate * self.temporary_filter_timeout)
-
-    def victim_gateway_shadow_entries(self, accept_rate: Optional[float] = None) -> int:
-        """mv = R1 * T."""
-        rate = accept_rate if accept_rate is not None else self.default_accept_rate
-        return int(rate * self.effective_shadow_timeout)
-
-    def attacker_side_filters(self, send_rate: Optional[float] = None) -> int:
-        """na = R2 * T."""
-        rate = send_rate if send_rate is not None else self.default_send_rate
-        return int(rate * self.filter_timeout)
-
 
 #: Configuration used by the paper's worked examples:
 #: T = 1 min, R1 = 100 requests/s, R2 = 1 request/s, handshake ~600 ms.

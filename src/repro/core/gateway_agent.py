@@ -172,7 +172,7 @@ class GatewayAgent:
         return manager
 
     # ------------------------------------------------------------------
-    # public inspection helpers (used by tests and benchmarks)
+    # public accessors
     # ------------------------------------------------------------------
     @property
     def sim(self):
@@ -183,14 +183,6 @@ class GatewayAgent:
     def name(self) -> str:
         """The gateway's node name."""
         return self.router.name
-
-    def victim_state_for(self, request_id: int) -> Optional[VictimGatewayState]:
-        """Victim-side state for a request, if this gateway holds any."""
-        return self._victim_states.get(request_id)
-
-    def attacker_state_for(self, request_id: int) -> Optional[AttackerGatewayState]:
-        """Attacker-side state for a request, if this gateway holds any."""
-        return self._attacker_states.get(request_id)
 
     def wants_blocked(self, label: FlowLabel) -> bool:
         """True when this gateway itself requested a block for ``label``."""

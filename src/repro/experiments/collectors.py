@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Optional
 
+from repro.analysis import formulas
 from repro.analysis.metrics import OccupancySampler
 from repro.core.events import EventType
 from repro.experiments.registry import COLLECTORS
@@ -209,21 +210,24 @@ def _build_request_accounting(ctx: Any, index: int,
 class _PaperFormulas(MetricCollector):
     kind = "paper-formulas"
 
-    def __init__(self, params: Mapping[str, Any], rate: float) -> None:
+    def __init__(self, params: Mapping[str, Any], rate: float,
+                 config: Any) -> None:
         super().__init__(params)
-        self.rate = rate
+        self.stats = {
+            "kind": self.kind,
+            "request_rate": rate,
+            "predicted_filters": formulas.victim_gateway_filters(
+                rate, config.temporary_filter_timeout),
+            "predicted_shadow_entries": formulas.victim_gateway_shadow_entries(
+                rate, config.effective_shadow_timeout),
+            "predicted_protected_flows": formulas.protected_flows(
+                rate, config.filter_timeout),
+            "predicted_attacker_filters": formulas.attacker_side_filters(
+                rate, config.filter_timeout),
+        }
 
     def collect(self, ctx: Any) -> Dict[str, Any]:
-        config = ctx.config
-        return {
-            "kind": self.kind,
-            "request_rate": self.rate,
-            "predicted_filters": config.victim_gateway_filters(self.rate),
-            "predicted_shadow_entries":
-                config.victim_gateway_shadow_entries(self.rate),
-            "predicted_protected_flows": config.protected_flows(self.rate),
-            "predicted_attacker_filters": config.attacker_side_filters(self.rate),
-        }
+        return self.stats
 
 
 @COLLECTORS.register("paper-formulas")
@@ -243,7 +247,11 @@ def _build_paper_formulas(ctx: Any, index: int,
         raise ValueError(
             "collector 'paper-formulas' needs a 'request_rate' param when no "
             "filter-requests workload is present")
-    return _PaperFormulas(params, float(rate))
+    if float(rate) <= 0:
+        raise ValueError(
+            "collector 'paper-formulas' needs a positive request rate "
+            f"(got {rate})")
+    return _PaperFormulas(params, float(rate), ctx.config)
 
 
 class _ChurnMetrics(MetricCollector):

@@ -259,7 +259,45 @@ class _ZombieHandle(WorkloadHandle):
         return stats
 
 
-class FilterRequestStream:
+class _RequestStream:
+    """Control-plane load: one request every ``1 / rate`` seconds from
+    ``start_time`` for ``duration`` (None = to the experiment horizon),
+    all scheduled up front (the golden recordings' order)."""
+
+    #: The workload kind, for error messages.
+    kind = ""
+    #: The simulator event name of each request.
+    event_name = ""
+
+    def __init__(self, ctx: Any, *, rate: float, duration: Any = None,
+                 start_time: float = 0.0) -> None:
+        if rate <= 0:
+            raise ValueError(f"{self.kind} rate must be positive")
+        self.ctx = ctx
+        self.rate = rate
+        self.duration = duration
+        self.start_time = start_time
+
+    @property
+    def offered_rate_bps(self) -> float:
+        # Control-plane load, not data traffic.
+        return 0.0
+
+    def start(self) -> None:
+        interval = 1.0 / self.rate
+        duration = (self.duration if self.duration is not None
+                    else self.ctx.spec.duration - self.start_time)
+        count = int(duration * self.rate)
+        sim = self.ctx.sim
+        for index in range(count):
+            sim.call_at(self.start_time + index * interval,
+                        self._send_one, name=self.event_name)
+
+    def _send_one(self) -> None:
+        raise NotImplementedError
+
+
+class FilterRequestStream(_RequestStream):
     """Synthetic filtering-request load (the E2–E5 resource experiments).
 
     The victim requests a block against a fresh undesired flow at a fixed
@@ -269,15 +307,13 @@ class FilterRequestStream:
     terms of, without simulating thousands of literal zombies.
     """
 
+    kind = "filter-requests"
+    event_name = "synthetic-request"
+
     def __init__(self, ctx: Any, *, rate: float, duration: Any = None,
                  start_time: float = 0.0) -> None:
-        if rate <= 0:
-            raise ValueError("filter-requests rate must be positive")
-        self.ctx = ctx
-        self.rate = rate
-        #: None = follow the experiment horizon (the spec's duration).
-        self.duration = duration
-        self.start_time = start_time
+        super().__init__(ctx, rate=rate, duration=duration,
+                         start_time=start_time)
         self.requests_sent = 0
         handle = ctx.handle
         self._victim = handle.victim
@@ -287,29 +323,16 @@ class FilterRequestStream:
                 f"topology {handle.kind!r} has no non-victim end hosts to "
                 "synthesise undesired flows from")
 
-    @property
-    def offered_rate_bps(self) -> float:
-        # Control-plane load, not data traffic.
-        return 0.0
-
     def start(self) -> None:
-        """Schedule every request up front (the golden recordings' order)."""
         deployment = getattr(self.ctx.backend, "deployment", None)
         if deployment is None or not hasattr(deployment, "host_agent"):
             raise ValueError(
                 "the filter-requests workload needs the 'aitf' defense "
                 f"backend (got {self.ctx.spec.defense.backend!r})")
         self._victim_agent = deployment.host_agent(self._victim.name)
-        interval = 1.0 / self.rate
-        duration = (self.duration if self.duration is not None
-                    else self.ctx.spec.duration - self.start_time)
-        count = int(duration * self.rate)
-        sim = self.ctx.sim
-        for index in range(count):
-            sim.call_at(self.start_time + index * interval,
-                        self._send_one_request, name="synthetic-request")
+        super().start()
 
-    def _send_one_request(self) -> None:
+    def _send_one(self) -> None:
         source = self._pool[self.requests_sent % len(self._pool)]
         label = FlowLabel.between(
             source.address, self._victim.address,
@@ -352,7 +375,7 @@ def _build_filter_requests(ctx: Any, index: int,
                                 start_time=start, params=params)
 
 
-class ForgedRequestStream:
+class ForgedRequestStream(_RequestStream):
     """Forged filtering requests pressuring the victim's gateway (Section III-B).
 
     A compromised client of the victim's *own* gateway asks it to block a
@@ -370,15 +393,14 @@ class ForgedRequestStream:
     ingress checks reject — the control case.
     """
 
+    kind = "forged-requests"
+    event_name = "forged-request"
+
     def __init__(self, ctx: Any, forger_host: Host, *, rate: float,
                  duration: Any = None, start_time: float = 0.0,
                  spoofed: bool = False) -> None:
-        if rate <= 0:
-            raise ValueError("forged-requests rate must be positive")
-        self.ctx = ctx
-        self.rate = rate
-        self.duration = duration
-        self.start_time = start_time
+        super().__init__(ctx, rate=rate, duration=duration,
+                         start_time=start_time)
         self.spoofed = spoofed
         handle = ctx.handle
         self._victim = handle.victim
@@ -400,24 +422,8 @@ class ForgedRequestStream:
         self.forger = RequestForger(forger_host, spoof_source=spoof_source)
 
     @property
-    def offered_rate_bps(self) -> float:
-        # Control-plane load, not data traffic.
-        return 0.0
-
-    @property
     def requests_sent(self) -> int:
         return self.forger.requests_sent
-
-    def start(self) -> None:
-        """Schedule every forged request up front (deterministic order)."""
-        interval = 1.0 / self.rate
-        duration = (self.duration if self.duration is not None
-                    else self.ctx.spec.duration - self.start_time)
-        count = int(duration * self.rate)
-        sim = self.ctx.sim
-        for index in range(count):
-            sim.call_at(self.start_time + index * interval,
-                        self._send_one, name="forged-request")
 
     def _send_one(self) -> None:
         index = self.forger.requests_sent

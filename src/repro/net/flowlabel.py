@@ -31,16 +31,6 @@ def _normalize_pattern(value: Union[str, int, IPAddress, Prefix, None]) -> Addre
     return IPAddress.parse(value)
 
 
-def _pattern_matches(pattern: AddressPattern, address: Optional[IPAddress]) -> bool:
-    if pattern is None:
-        return True
-    if address is None:
-        return False
-    if isinstance(pattern, Prefix):
-        return pattern.contains(address)
-    return pattern == address
-
-
 def _pattern_covers(outer: AddressPattern, inner: AddressPattern) -> bool:
     """True when every address matched by ``inner`` is matched by ``outer``."""
     if outer is None:

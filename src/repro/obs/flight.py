@@ -12,7 +12,7 @@ of a grep over raw events.
 The milestones are the paper's own metrics: ``temp_filter_at`` minus the
 attack start is exactly the run's ``time_to_first_block``, and
 ``remote_filter_at`` minus attack start is ``time_to_attacker_gateway_filter``
-(asserted by the CI trace-smoke job).  ``diff_timelines`` lines two traces
+(asserted by ``tests/test_obs.py``).  ``diff_timelines`` lines two traces
 up request-by-request — the packet-vs-train parity check is a diff with
 zero entries.
 """
@@ -101,14 +101,6 @@ class FlightRecorder:
             if record.get("ch") != "aitf-control":
                 continue
             self._fold(record)
-
-    @classmethod
-    def from_trace(cls, path: str) -> "FlightRecorder":
-        """Build from a trace file written by ``repro trace record``."""
-        from repro.obs.trace import load_trace
-
-        _header, records = load_trace(path)
-        return cls(records)
 
     @classmethod
     def from_recorder(cls, recorder: Any) -> "FlightRecorder":

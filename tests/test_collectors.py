@@ -63,6 +63,23 @@ class TestCollectorErrors:
         with pytest.raises(ValueError, match="request_rate"):
             ExperimentRunner().prepare(spec)
 
+    def test_paper_formulas_reject_a_nonpositive_rate_when_built(self):
+        spec = default_victim_resource_spec(duration=1.0).with_overrides(
+            {"collectors.3.params.request_rate": 0.0})
+        assert spec.collectors[3].kind == "paper-formulas"
+        with pytest.raises(ValueError, match="positive request rate"):
+            ExperimentRunner().prepare(spec)
+
+    def test_paper_formulas_size_mv_by_the_shadow_lifetime(self):
+        spec = default_victim_resource_spec(
+            request_rate=10.0, sources=5, duration=1.0,
+            aitf={"filter_timeout": 60.0, "temporary_filter_timeout": 0.5,
+                  "shadow_timeout": 30.0})
+        paper = ExperimentRunner().run(spec).collector_stats["paper"]
+        assert paper["predicted_filters"] == 5
+        assert paper["predicted_shadow_entries"] == 300
+        assert paper["predicted_protected_flows"] == 600
+
     def test_filter_requests_needs_aitf_backend(self):
         spec = ExperimentSpec(
             topology=TopologySpec("dumbbell", {"sources": 2}),

@@ -40,13 +40,6 @@ class TestFilteringContract:
         assert results.count(True) == 2
         assert contract.stats.requests_send_suppressed == 2
 
-    def test_section_iv_formulas(self):
-        contract = FilteringContract("client", accept_rate=100.0, send_rate=1.0)
-        assert contract.protected_flows(60.0) == 6000
-        assert contract.victim_side_filters(0.6) == 60
-        assert contract.victim_side_shadow_entries(60.0) == 6000
-        assert contract.attacker_side_filters(60.0) == 60
-
     def test_invalid_rates_rejected(self):
         with pytest.raises(ValueError):
             FilteringContract("x", accept_rate=0.0, send_rate=1.0)

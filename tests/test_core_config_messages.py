@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import formulas
 from repro.core.config import AITFConfig, PAPER_EXAMPLE_CONFIG
 from repro.core.messages import FilteringRequest, RequestRole, VerificationQuery
 from repro.net.address import IPAddress
@@ -38,20 +39,13 @@ class TestAITFConfig:
         assert changed.filter_timeout == 120.0
         assert config.filter_timeout == 60.0
 
-    def test_resource_formulas(self):
-        config = AITFConfig(filter_timeout=60.0, temporary_filter_timeout=0.6,
-                            default_accept_rate=100.0, default_send_rate=1.0)
-        assert config.protected_flows() == 6000
-        assert config.victim_gateway_filters() == 60
-        assert config.victim_gateway_shadow_entries() == 6000
-        assert config.attacker_side_filters() == 60
-        assert config.protected_flows(accept_rate=10.0) == 600
-
     def test_paper_example_config_matches_worked_examples(self):
         config = PAPER_EXAMPLE_CONFIG
-        assert config.protected_flows() == 6000
-        assert config.victim_gateway_filters() == 60
-        assert config.attacker_side_filters() == 60
+        r1, r2 = config.default_accept_rate, config.default_send_rate
+        assert formulas.protected_flows(r1, config.filter_timeout) == 6000
+        assert formulas.victim_gateway_filters(
+            r1, config.temporary_filter_timeout) == 60
+        assert formulas.attacker_side_filters(r2, config.filter_timeout) == 60
 
 
 class TestFilteringRequest:

@@ -14,6 +14,8 @@ import os
 import re
 import runpy
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -268,6 +270,47 @@ class TestTwinCensus:
             "link.enable_train_mode()\n"
             "if pipe._train_mode:\n"
             "    speedup = doc['train_mode_speedup']\n") == []
+
+
+def _ci_jobs():
+    """``{job: its lines}`` of ``.github/workflows/ci.yml``, read as text
+    (PyYAML is not a dependency): a job starts at a two-space key under
+    ``jobs:``."""
+    text = _read(REPO_ROOT, ".github", "workflows", "ci.yml")
+    jobs, current = {}, None
+    for line in text.split("\njobs:\n", 1)[1].splitlines():
+        match = re.match(r"  ([\w-]+):$", line)
+        if match:
+            current = jobs.setdefault(match.group(1), [])
+        elif current is not None:
+            current.append(line)
+    return jobs
+
+
+class TestCiRunsEachCheckOnce:
+    """CI runs tier-1 once, in ``tier1-tests``; the CLI smoke checks are the
+    entries of ``tools/smoke.py``, which runs the same locally."""
+
+    def test_smoke_matrix_is_the_smoke_table(self):
+        listed = subprocess.run(
+            [sys.executable, os.path.join(REPO_ROOT, "tools", "smoke.py"),
+             "--list"], stdout=subprocess.PIPE, text=True, check=True)
+        matrix = [re.search(r"entry: \[(.*)\]", line)
+                  for line in _ci_jobs().get("smoke", [])]
+        entries = [m.group(1) for m in matrix if m]
+        assert len(entries) == 1, "ci.yml needs one smoke job with an entry matrix"
+        assert [name.strip() for name in entries[0].split(",")] == \
+            listed.stdout.split()
+
+    def test_only_tier1_runs_pytest(self):
+        runs = [job for job, lines in _ci_jobs().items()
+                if any("pytest" in line for line in lines)]
+        assert runs == ["tier1-tests"]
+
+    def test_no_step_holds_inline_python(self):
+        text = _read(REPO_ROOT, ".github", "workflows", "ci.yml")
+        assert not re.search(r"python3? - <<", text), (
+            "move the check into tools/smoke.py")
 
 
 def test_setup_py_installs_the_package_version(monkeypatch):

@@ -7,6 +7,7 @@ interplay between AITF and the contract rates under those loads.
 """
 
 
+from repro.analysis.formulas import victim_gateway_filters
 from repro.attacks.flood import ProtocolSwitchingAttack, SpoofedFloodAttack
 from repro.attacks.zombies import ZombieArmy
 from repro.baselines.ingress_dpf import enable_universal_ingress_filtering
@@ -156,7 +157,8 @@ class TestZombieArmyDefense:
         # The steady-state bound is nv = R1*Ttmp = 5; the contract's token
         # bucket additionally allows a one-second burst of R1 requests up
         # front, so the transient peak is bounded by the burst size instead.
-        steady_state = config.victim_gateway_filters(10.0)
+        steady_state = victim_gateway_filters(
+            10.0, config.temporary_filter_timeout)
         burst = int(config.default_accept_rate)
         peak = dumbbell.victim_gateway.filter_table.peak_occupancy
         assert peak <= max(steady_state, burst) + 2

@@ -11,8 +11,9 @@ default), traced (``--traced``: the per-layer ones) or both (``--both``) at
 ``counters-WORKLOAD[.traced].json`` and prints, from the two metric sets
 together: one dict of every counter under each ``--prefix`` (times, call
 counts and shares left out), then one dict of the named keys.  This is the
-view the CI smoke jobs print on every PR.  Exit status is non-zero only when
-a result line says ``correct: false`` or ``failed > 0`` — never on a clock.
+view the ``counters`` entry of ``tools/smoke.py`` prints on every PR.  Exit
+status is non-zero only when a result line says ``correct: false`` or
+``failed > 0`` — never on a clock.
 """
 
 import argparse
