@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.figures import lookup_path
 from repro.analysis.report import (
     ResultTable,
     format_bps,
@@ -42,16 +43,6 @@ _METRIC_COLUMNS: Tuple[Tuple[str, str, Any], ...] = (
     ("deploy locus", "defense_stats.deployment_locus",
      lambda v: "-" if v is None else str(v)),
 )
-
-
-def metric_value(result: Dict[str, Any], field: str) -> Any:
-    """Look a metric key up in a result dict, following dotted paths."""
-    value: Any = result
-    for part in field.split("."):
-        if not isinstance(value, dict):
-            return None
-        value = value.get(part)
-    return value
 
 
 def axis_value(overrides: Dict[str, Any], axis: str, default: Any = None) -> Any:
@@ -121,7 +112,7 @@ def sweep_tables(doc: Dict[str, Any]) -> List[ResultTable]:
             table.add_row(
                 axis_value(overrides, row_label, cell.get("index", "-")),
                 cell.get("seed", "-"),
-                *(fmt(metric_value(result, field))
+                *(fmt(lookup_path(result, field))
                   for _, field, fmt in _METRIC_COLUMNS),
             )
         tables.append(table)
@@ -138,7 +129,7 @@ def sweep_flat_table(doc: Dict[str, Any]) -> ResultTable:
     for cell in doc.get("cells", []):
         overrides = cell.get("overrides", {})
         result = cell.get("result", {})
-        metrics = [metric_value(result, field)
+        metrics = [lookup_path(result, field)
                    for _, field, _ in _METRIC_COLUMNS]
         table.add_row(
             cell.get("index", ""),
@@ -157,7 +148,7 @@ def compare_table(results: Sequence[Dict[str, Any]]) -> ResultTable:
     for result in results:
         table.add_row(
             result.get("defense", "?"), result.get("seed", "-"),
-            *(fmt(metric_value(result, field))
+            *(fmt(lookup_path(result, field))
               for _, field, fmt in _METRIC_COLUMNS),
         )
     return table
@@ -172,7 +163,7 @@ def result_table(result: Dict[str, Any]) -> ResultTable:
     table.add_row("seed", result.get("seed", "-"))
     table.add_row("duration", format_seconds(result.get("duration", 0.0)))
     for name, field, fmt in _METRIC_COLUMNS:
-        table.add_row(name, fmt(metric_value(result, field)))
+        table.add_row(name, fmt(lookup_path(result, field)))
     return table
 
 

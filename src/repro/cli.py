@@ -162,7 +162,10 @@ def _base_spec(args: argparse.Namespace) -> ExperimentSpec:
     """The spec behind ``run``/``compare``/``sweep``: a file, or the canonical
     flood experiment built from the convenience flags."""
     if getattr(args, "spec", None):
-        spec = ExperimentSpec.load(args.spec)
+        try:
+            spec = ExperimentSpec.load(args.spec)
+        except (OSError, ValueError) as error:
+            raise SystemExit(f"repro {args.command}: {error}") from error
     else:
         flags = {dest: getattr(args, dest) for dest in _FLOOD_FLAGS
                  if getattr(args, dest) is not None}
@@ -189,7 +192,12 @@ def _with_run_flags(spec: ExperimentSpec, args: argparse.Namespace,
         overrides[path] = _parse_value(raw)
     if getattr(args, "fault", None):
         overrides["faults"] = list(args.fault)
-    return spec.with_overrides(overrides) if overrides else spec
+    if not overrides:
+        return spec
+    try:
+        return spec.with_overrides(overrides)
+    except ValueError as error:  # unknown key or parameter, bad path
+        raise SystemExit(f"repro {args.command}: {error}") from error
 
 
 def _experiment_table(result) -> ResultTable:

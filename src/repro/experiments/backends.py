@@ -20,7 +20,7 @@ comparison table falls out of a parameter sweep instead of bespoke code):
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.attacks.malicious import CompromisedRouterBehaviour
 from repro.baselines.ingress_dpf import (
@@ -43,9 +43,6 @@ class DefenseBackend:
 
     name = "none"
 
-    def __init__(self, params: Optional[Mapping[str, Any]] = None) -> None:
-        self.params = dict(params or {})
-
     def deploy(self, ctx: Any) -> None:
         """Install the mechanism on the freshly built topology."""
 
@@ -65,31 +62,31 @@ DEFENSES.register("none", DefenseBackend)
 class AITFBackend(DefenseBackend):
     """The paper's mechanism: AITF agents on every host and border router.
 
-    Params: ``non_cooperating`` (node names that ignore AITF),
-    ``disconnection_enabled``, ``shadow_enabled`` (ablate the victim
-    gateway's DRAM shadow cache), ``cooperative`` (initial flag for all),
-    ``redetect_gap`` (seconds of silence after which a reappearing
-    undesired flow is re-reported along its fresh path — opt-in, for the
-    fault-injection experiments), ``deployment`` (*where* in the network
-    filtering gateways sit: ``all`` (default), ``tier1`` / ``tier2`` /
-    ``stubs`` on tiered topologies, ``victim-stub`` (only the victim's
-    own gateway), or ``random-K`` for a seeded K% of border routers;
-    non-deployed routers forward normally but neither stamp the
-    route-record shim nor run an AITF agent, so recorded attack paths —
-    and therefore escalation — only ever name deployed gateways, exactly
-    as the paper's partial-deployment analysis assumes),
-    ``non_cooperating_attackers`` (flip every attack-workload host to
-    non-cooperative without naming them, so floods keep pressing until
-    gateway filters actually block them), and ``compromised_routers``
-    (border-router names that forge verification replies for flows they
-    route — the paper's Section III-B on-path caveat — made declarable so
-    red-team sweeps can place the compromise).
+    ``deployment`` places the filtering gateways: non-deployed routers
+    forward normally but neither stamp the route-record shim nor run an
+    AITF agent, so recorded attack paths — and therefore escalation — only
+    ever name deployed gateways, exactly as the paper's partial-deployment
+    analysis assumes.  ``compromised_routers`` forge verification replies
+    for flows they route (the paper's Section III-B on-path caveat), so
+    red-team sweeps can place the compromise.
     """
 
     name = "aitf"
 
-    def __init__(self, params: Optional[Mapping[str, Any]] = None) -> None:
-        super().__init__(params)
+    def __init__(self, *, non_cooperating: Sequence[str] = (),
+                 disconnection_enabled: bool = False,
+                 shadow_enabled: bool = True, cooperative: bool = True,
+                 redetect_gap: Optional[float] = None, deployment: str = "all",
+                 non_cooperating_attackers: bool = False,
+                 compromised_routers: Sequence[str] = ()) -> None:
+        self.non_cooperating = tuple(non_cooperating)
+        self.disconnection_enabled = bool(disconnection_enabled)
+        self.shadow_enabled = bool(shadow_enabled)
+        self.cooperative = bool(cooperative)
+        self.redetect_gap = float(redetect_gap) if redetect_gap is not None else None
+        self.locus = str(deployment)
+        self.non_cooperating_attackers = bool(non_cooperating_attackers)
+        self.compromised_routers = tuple(compromised_routers)
         self.deployment: Optional[AITFDeployment] = None
         self.detector: Optional[ExplicitDetector] = None
         self.deployed_gateways: Optional[frozenset] = None
@@ -97,7 +94,7 @@ class AITFBackend(DefenseBackend):
 
     def _gateway_names(self, ctx: Any) -> Optional[frozenset]:
         """Resolve the ``deployment`` locus to a set of router names."""
-        locus = str(self.params.get("deployment", "all"))
+        locus = self.locus
         if locus == "all":
             return None
         victim_gw = ctx.handle.victim_gateway.name
@@ -135,18 +132,17 @@ class AITFBackend(DefenseBackend):
         self.deployment = deploy_aitf(
             ctx.handle.all_nodes(), ctx.config,
             rng=SeededRandom(ctx.spec.seed, name="deployment"),
-            cooperative=bool(self.params.get("cooperative", True)),
+            cooperative=self.cooperative,
             gateway_names=self.deployed_gateways,
         )
         if self.deployed_gateways is not None:
             for router in ctx.handle.topology.border_routers():
                 if router.name not in self.deployed_gateways:
                     router.stamp_route_record = False
-        self.deployment.set_disconnection_enabled(
-            bool(self.params.get("disconnection_enabled", False)))
-        for node_name in self.params.get("non_cooperating", ()):
+        self.deployment.set_disconnection_enabled(self.disconnection_enabled)
+        for node_name in self.non_cooperating:
             self.deployment.set_cooperative(node_name, False)
-        if not self.params.get("shadow_enabled", True):
+        if not self.shadow_enabled:
             # Ablation: a victim's gateway that forgets requests as soon as
             # its temporary filter expires cannot tell a reappearing flow
             # from a new one.
@@ -155,7 +151,7 @@ class AITFBackend(DefenseBackend):
             gateway_agent.shadow_cache.clear()
             gateway_agent.config = ctx.config.with_overrides(shadow_timeout=1e-3)
         self.compromised = []
-        for router_name in self.params.get("compromised_routers", ()):
+        for router_name in self.compromised_routers:
             try:
                 node = ctx.handle.topology.node(router_name)
             except KeyError:
@@ -166,18 +162,16 @@ class AITFBackend(DefenseBackend):
                     "not a border router of this topology")
             self.compromised.append(CompromisedRouterBehaviour(node))
         victim_agent = self.deployment.host_agent(ctx.handle.victim.name)
-        redetect_gap = self.params.get("redetect_gap")
         self.detector = ExplicitDetector(
             victim_agent, detection_delay=ctx.spec.detection_delay,
-            redetect_gap=float(redetect_gap) if redetect_gap is not None else None)
+            redetect_gap=self.redetect_gap)
 
     def arm(self, ctx: Any) -> None:
         assert self.deployment is not None and self.detector is not None
-        uncooperative = bool(self.params.get("non_cooperating_attackers", False))
         for workload in ctx.attack_workloads():
             for host in workload.attacker_hosts:
                 self.detector.mark_undesired(host.address)
-                if uncooperative:
+                if self.non_cooperating_attackers:
                     self.deployment.set_cooperative(host.name, False)
             workload.register_stop_callbacks(self.deployment.host_agents)
 
@@ -213,7 +207,7 @@ class AITFBackend(DefenseBackend):
                 e for e in log.of_type(EventType.REQUEST_SENT)
                 if e.node == ctx.handle.victim.name
             ]),
-            "deployment_locus": str(self.params.get("deployment", "all")),
+            "deployment_locus": self.locus,
             "deployed_gateways": (len(self.deployment.gateway_agents)),
             "victim_gateway_filter_peak": victim_gw_table.peak_occupancy,
             "victim_gateway_filter_failures": victim_gw_table.install_failures,
@@ -238,22 +232,24 @@ class PushbackBackend(DefenseBackend):
 
     The victim's gateway starts rate-limiting the aggregate "everything
     toward the victim" ``detection_delay`` seconds after the attack starts,
-    then recursively asks upstream routers to do the same.  Params:
-    ``limit_bps``, ``review_interval``, ``drop_rate_threshold``.
+    then recursively asks upstream routers to do the same.
     """
 
     name = "pushback"
 
-    def __init__(self, params: Optional[Mapping[str, Any]] = None) -> None:
-        super().__init__(params)
+    def __init__(self, *, limit_bps: float = 1e6, review_interval: float = 0.5,
+                 drop_rate_threshold: float = 0.2) -> None:
+        self.limit_bps = float(limit_bps)
+        self.review_interval = float(review_interval)
+        self.drop_rate_threshold = float(drop_rate_threshold)
         self.deployment: Optional[PushbackDeployment] = None
 
     def deploy(self, ctx: Any) -> None:
         self.deployment = deploy_pushback(
             ctx.handle.topology.border_routers(),
-            limit_bps=float(self.params.get("limit_bps", 1e6)),
-            review_interval=float(self.params.get("review_interval", 0.5)),
-            drop_rate_threshold=float(self.params.get("drop_rate_threshold", 0.2)),
+            limit_bps=self.limit_bps,
+            review_interval=self.review_interval,
+            drop_rate_threshold=self.drop_rate_threshold,
         )
 
     def arm(self, ctx: Any) -> None:
@@ -297,12 +293,8 @@ class IngressDPFBackend(DefenseBackend):
 
     name = "ingress-dpf"
 
-    def __init__(self, params: Optional[Mapping[str, Any]] = None) -> None:
-        super().__init__(params)
-        self._routers: List[Any] = []
-
     def deploy(self, ctx: Any) -> None:
-        self._routers = enable_universal_ingress_filtering(ctx.handle.all_nodes())
+        enable_universal_ingress_filtering(ctx.handle.all_nodes())
 
     def collect(self, ctx: Any) -> Dict[str, Any]:
         stats = collect_ingress_stats(ctx.handle.all_nodes())
@@ -323,22 +315,25 @@ class IngressDPFBackend(DefenseBackend):
 @DEFENSES.register("manual")
 class ManualBackend(DefenseBackend):
     """The status quo: a human operator notices the attack, configures the
-    edge router, then phones the ISP for an upstream filter.  Params:
-    ``local_response_delay``, ``upstream_response_delay``,
-    ``filter_duration`` (all seconds; paper-scale defaults of minutes)."""
+    edge router, then phones the ISP for an upstream filter (paper-scale
+    delays of minutes)."""
 
     name = "manual"
 
-    def __init__(self, params: Optional[Mapping[str, Any]] = None) -> None:
-        super().__init__(params)
+    def __init__(self, *, local_response_delay: float = 300.0,
+                 upstream_response_delay: float = 900.0,
+                 filter_duration: float = 3600.0) -> None:
+        self.local_response_delay = float(local_response_delay)
+        self.upstream_response_delay = float(upstream_response_delay)
+        self.filter_duration = float(filter_duration)
         self.operator: Optional[ManualFilteringOperator] = None
 
     def deploy(self, ctx: Any) -> None:
         self.operator = ManualFilteringOperator(
             ctx.sim,
-            local_response_delay=float(self.params.get("local_response_delay", 300.0)),
-            upstream_response_delay=float(self.params.get("upstream_response_delay", 900.0)),
-            filter_duration=float(self.params.get("filter_duration", 3600.0)),
+            local_response_delay=self.local_response_delay,
+            upstream_response_delay=self.upstream_response_delay,
+            filter_duration=self.filter_duration,
         )
 
     def arm(self, ctx: Any) -> None:
@@ -376,6 +371,9 @@ class ManualBackend(DefenseBackend):
 
 
 def build_backend(name: str, params: Mapping[str, Any]) -> DefenseBackend:
-    """Resolve ``name`` in the registry and instantiate the backend."""
+    """Resolve ``name`` in the registry and instantiate the backend with the
+    params it declares (a spec's defense params may name other backends')."""
     backend_class = DEFENSES.get(name)
-    return backend_class(params)
+    declared = DEFENSES.parameters(name)
+    return backend_class(**{key: value for key, value in params.items()
+                            if key in declared})

@@ -27,7 +27,7 @@ resource scenarios bit for bit (pinned by the golden determinism tests).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.analysis import formulas
 from repro.analysis.metrics import OccupancySampler
@@ -45,9 +45,8 @@ class MetricCollector:
 
     kind = "collector"
 
-    def __init__(self, params: Mapping[str, Any]) -> None:
-        self.params = dict(params)
-        self.id: str = str(self.params.get("id", self.kind))
+    def __init__(self, id: Optional[str] = None) -> None:
+        self.id: str = str(id) if id is not None else self.kind
 
     def start(self) -> None:
         """Begin measuring (no-op for pure post-run accountants)."""
@@ -83,19 +82,20 @@ def _resolve_router(ctx: Any, node: str, kind: str) -> Any:
 
 
 class _SamplingCollector(MetricCollector):
-    """Shared shape for the occupancy family: one :class:`OccupancySampler`."""
+    """The occupancy family: one :class:`OccupancySampler` over ``gauge``."""
 
-    def __init__(self, params: Mapping[str, Any]) -> None:
-        super().__init__(params)
-        self.period = float(self.params.get("period", 0.1))
-        self.sampler: Optional[OccupancySampler] = None
+    def __init__(self, ctx: Any, kind: str, id: Optional[str], period: float,
+                 gauge: Callable[[], int], name: str) -> None:
+        self.kind = kind
+        super().__init__(id)
+        self.period = float(period)
+        self.sampler = OccupancySampler(ctx.sim, gauge, period=self.period,
+                                        name=name)
 
     def start(self) -> None:
-        assert self.sampler is not None
         self.sampler.start()
 
     def collect(self, ctx: Any) -> Dict[str, Any]:
-        assert self.sampler is not None
         series = self.sampler.series
         return {
             "kind": self.kind,
@@ -107,75 +107,51 @@ class _SamplingCollector(MetricCollector):
         }
 
 
-class _FilterOccupancy(_SamplingCollector):
-    kind = "filter-occupancy"
-
-
 @COLLECTORS.register("filter-occupancy")
-def _build_filter_occupancy(ctx: Any, index: int,
-                            params: Mapping[str, Any]) -> MetricCollector:
-    """Sample a border router's wire-speed filter-table occupancy.
-    Params: ``node`` (``victim_gateway`` or a router name), ``period``,
-    ``id``."""
-    collector = _FilterOccupancy(params)
-    node = str(params.get("node", "victim_gateway"))
-    router = _resolve_router(ctx, node, collector.kind)
-    collector.sampler = OccupancySampler(
-        ctx.sim, lambda: router.filter_table.occupancy,
-        period=collector.period, name=f"{router.name}-filters",
-    )
-    return collector
-
-
-class _ShadowOccupancy(_SamplingCollector):
-    kind = "shadow-occupancy"
+def _build_filter_occupancy(ctx: Any, index: int, *,
+                            node: str = "victim_gateway", period: float = 0.1,
+                            id: Optional[str] = None) -> MetricCollector:
+    """Sample a border router's wire-speed filter-table occupancy."""
+    router = _resolve_router(ctx, str(node), "filter-occupancy")
+    return _SamplingCollector(ctx, "filter-occupancy", id, period,
+                              lambda: router.filter_table.occupancy,
+                              f"{router.name}-filters")
 
 
 @COLLECTORS.register("shadow-occupancy")
-def _build_shadow_occupancy(ctx: Any, index: int,
-                            params: Mapping[str, Any]) -> MetricCollector:
+def _build_shadow_occupancy(ctx: Any, index: int, *, period: float = 0.1,
+                            id: Optional[str] = None) -> MetricCollector:
     """Sample the victim gateway's DRAM shadow-cache occupancy (the mv = R1*T
-    store of Section IV-B).  Params: ``period``, ``id``.  Requires the
-    ``aitf`` backend."""
-    collector = _ShadowOccupancy(params)
-    deployment = _aitf_deployment(ctx, collector.kind)
-    gateway_agent = deployment.gateway_agent(ctx.handle.victim_gateway.name)
-    collector.sampler = OccupancySampler(
-        ctx.sim, lambda: gateway_agent.shadow_cache.occupancy,
-        period=collector.period,
-        name=f"{ctx.handle.victim_gateway.name}-shadow",
-    )
-    return collector
-
-
-class _HostFilterOccupancy(_SamplingCollector):
-    kind = "host-filter-occupancy"
+    store of Section IV-B).  Requires the ``aitf`` backend."""
+    deployment = _aitf_deployment(ctx, "shadow-occupancy")
+    gateway = ctx.handle.victim_gateway.name
+    gateway_agent = deployment.gateway_agent(gateway)
+    return _SamplingCollector(ctx, "shadow-occupancy", id, period,
+                              lambda: gateway_agent.shadow_cache.occupancy,
+                              f"{gateway}-shadow")
 
 
 @COLLECTORS.register("host-filter-occupancy")
-def _build_host_filter_occupancy(ctx: Any, index: int,
-                                 params: Mapping[str, Any]) -> MetricCollector:
+def _build_host_filter_occupancy(ctx: Any, index: int, *,
+                                 host: Optional[str] = None,
+                                 period: float = 0.1,
+                                 id: Optional[str] = None) -> MetricCollector:
     """Sample a host agent's own outbound filter table (the attacker-side
-    na = R2*T store of Section IV-D).  Params: ``host`` (host name),
-    ``period``, ``id``.  Requires the ``aitf`` backend."""
-    collector = _HostFilterOccupancy(params)
-    deployment = _aitf_deployment(ctx, collector.kind)
-    host = params.get("host")
+    na = R2*T store of Section IV-D).  Requires the ``aitf`` backend."""
+    deployment = _aitf_deployment(ctx, "host-filter-occupancy")
     if not host:
         raise ValueError("collector 'host-filter-occupancy' needs a 'host' param")
     agent = deployment.host_agent(str(host))
-    collector.sampler = OccupancySampler(
-        ctx.sim, lambda: agent.outbound_filters.occupancy,
-        period=collector.period, name=f"{host}-filters",
-    )
-    return collector
+    return _SamplingCollector(ctx, "host-filter-occupancy", id, period,
+                              lambda: agent.outbound_filters.occupancy,
+                              f"{host}-filters")
 
 
 class _RequestAccounting(MetricCollector):
     kind = "request-accounting"
 
-    def __init__(self, params: Mapping[str, Any], node: str) -> None:
-        super().__init__(params)
+    def __init__(self, id: Optional[str], node: str) -> None:
+        super().__init__(id)
         self.node = node
 
     def collect(self, ctx: Any) -> Dict[str, Any]:
@@ -196,23 +172,22 @@ class _RequestAccounting(MetricCollector):
 
 
 @COLLECTORS.register("request-accounting")
-def _build_request_accounting(ctx: Any, index: int,
-                              params: Mapping[str, Any]) -> MetricCollector:
+def _build_request_accounting(ctx: Any, index: int, *,
+                              node: Optional[str] = None,
+                              id: Optional[str] = None) -> MetricCollector:
     """Count filtering-request outcomes at one gateway: accepted (temporary
     filter installed), policed (over the contract rate), and full-duration
-    filters installed (requests honoured).  Params: ``node`` (default: the
-    victim's gateway), ``id``.  Requires the ``aitf`` backend."""
+    filters installed (requests honoured).  Requires the ``aitf`` backend."""
     _aitf_deployment(ctx, "request-accounting")
-    node = str(params.get("node", "")) or ctx.handle.victim_gateway.name
-    return _RequestAccounting(params, node)
+    return _RequestAccounting(
+        id, str(node) if node else ctx.handle.victim_gateway.name)
 
 
 class _PaperFormulas(MetricCollector):
     kind = "paper-formulas"
 
-    def __init__(self, params: Mapping[str, Any], rate: float,
-                 config: Any) -> None:
-        super().__init__(params)
+    def __init__(self, id: Optional[str], rate: float, config: Any) -> None:
+        super().__init__(id)
         self.stats = {
             "kind": self.kind,
             "request_rate": rate,
@@ -231,17 +206,16 @@ class _PaperFormulas(MetricCollector):
 
 
 @COLLECTORS.register("paper-formulas")
-def _build_paper_formulas(ctx: Any, index: int,
-                          params: Mapping[str, Any]) -> MetricCollector:
+def _build_paper_formulas(ctx: Any, index: int, *,
+                          request_rate: Optional[float] = None,
+                          id: Optional[str] = None) -> MetricCollector:
     """The Section IV provisioning formulas evaluated at this run's request
-    rate: nv = R*Ttmp, mv = R*T, Nv = R*T, na = R*T.  Params:
-    ``request_rate`` (default: the first ``filter-requests`` workload's
-    rate), ``id``."""
-    rate = params.get("request_rate")
+    rate: nv = R*Ttmp, mv = R*T, Nv = R*T, na = R*T."""
+    rate = request_rate
     if rate is None:
         for workload in ctx.workloads:
             if workload.kind == "filter-requests":
-                rate = workload.params.get("rate", ctx.config.default_send_rate)
+                rate = workload.generator.rate
                 break
     if rate is None:
         raise ValueError(
@@ -251,21 +225,21 @@ def _build_paper_formulas(ctx: Any, index: int,
         raise ValueError(
             "collector 'paper-formulas' needs a positive request rate "
             f"(got {rate})")
-    return _PaperFormulas(params, float(rate), ctx.config)
+    return _PaperFormulas(id, float(rate), ctx.config)
 
 
 class _ChurnMetrics(MetricCollector):
     kind = "churn"
 
-    def __init__(self, params: Mapping[str, Any]) -> None:
-        super().__init__(params)
+    def __init__(self, id: Optional[str], reflood_threshold_bps: float,
+                 recovery_fraction: float, baseline_seconds: float) -> None:
+        super().__init__(id)
         #: Attack rate at the victim above this counts as "re-flooded".
-        self.reflood_threshold_bps = float(
-            self.params.get("reflood_threshold_bps", 1e5))
+        self.reflood_threshold_bps = float(reflood_threshold_bps)
         #: Goodput counts as recovered at this fraction of its pre-fault mean.
-        self.recovery_fraction = float(self.params.get("recovery_fraction", 0.9))
+        self.recovery_fraction = float(recovery_fraction)
         #: Pre-fault window used to establish the goodput baseline.
-        self.baseline_seconds = float(self.params.get("baseline_seconds", 1.0))
+        self.baseline_seconds = float(baseline_seconds)
 
     @staticmethod
     def _merged_series(series_list) -> Dict[float, float]:
@@ -369,8 +343,9 @@ class _ChurnMetrics(MetricCollector):
 
 
 @COLLECTORS.register("churn")
-def _build_churn(ctx: Any, index: int,
-                 params: Mapping[str, Any]) -> MetricCollector:
+def _build_churn(ctx: Any, index: int, *, reflood_threshold_bps: float = 1e5,
+                 recovery_fraction: float = 0.9, baseline_seconds: float = 1.0,
+                 id: Optional[str] = None) -> MetricCollector:
     """Route-churn metrics for fault runs: per fault event, the re-flood
     window (seconds the attack was back above ``reflood_threshold_bps`` at
     the victim), the goodput dip depth against the pre-fault baseline, the
@@ -380,11 +355,11 @@ def _build_churn(ctx: Any, index: int,
     / ``routes_removed``: rows on the routers that hold them).  Works with any
     backend (filter counts need ``aitf``); reports zeros when the spec has
     no faults."""
-    return _ChurnMetrics(params)
+    return _ChurnMetrics(id, reflood_threshold_bps, recovery_fraction,
+                         baseline_seconds)
 
 
 def build_collector(ctx: Any, index: int, kind: str,
                     params: Mapping[str, Any]) -> MetricCollector:
     """Resolve ``kind`` in the registry and build the collector."""
-    builder = COLLECTORS.get(kind)
-    return builder(ctx, index, params)
+    return COLLECTORS.get(kind)(ctx, index, **params)

@@ -12,6 +12,7 @@ The names inside a spec (``topology.kind``, ``defense.backend``,
 ``workloads[].kind``) are resolved against the registries in
 :mod:`repro.experiments.registry` at run time, so a spec referring to a
 backend that does not exist fails with a message listing the valid choices.
+A parameter name no entry declares is refused earlier, when the spec is parsed.
 """
 
 from __future__ import annotations
@@ -19,15 +20,40 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, fields
+from typing import AbstractSet, Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+
+from repro.core.config import AITFConfig
+# The builder modules fill the registries the parameter check reads.
+from repro.experiments import backends, collectors, topologies, workloads  # noqa: F401
+from repro.experiments.registry import COLLECTORS, DEFENSES, TOPOLOGIES, WORKLOADS, Registry
 
 #: Version tag written into serialized specs; bump on incompatible change.
 SPEC_SCHEMA = "experiment_spec/v1"
 
+#: The ``aitf`` block's parameters: the fields of :class:`AITFConfig`.
+AITF_PARAMETERS = frozenset(f.name for f in fields(AITFConfig))
 
-def _params_dict(params: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
-    return dict(params) if params else {}
+
+def _params_dict(params: Optional[Mapping[str, Any]],
+                 known: Optional[AbstractSet[str]] = None,
+                 component: str = "") -> Dict[str, Any]:
+    """``params`` as a dict, refusing any name outside ``known`` (when
+    given) as one ``component`` does not declare."""
+    params = dict(params) if params else {}
+    unknown = sorted(set(params) - known) if known is not None else ()
+    if unknown:
+        raise ValueError(f"unknown {component} parameter(s): {', '.join(unknown)} "
+                         f"(known: {', '.join(sorted(known)) or 'none'})")
+    return params
+
+
+def _entry_params(registry: Registry, kind: str,
+                  params: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
+    """``params`` checked against registry entry ``kind``; an unknown kind
+    is left for the build step, which names the registered choices."""
+    known = registry.parameters(kind) if kind in registry else None
+    return _params_dict(params, known, f"{registry.kind} {kind!r}")
 
 
 @dataclass
@@ -43,8 +69,8 @@ class TopologySpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TopologySpec":
         _reject_unknown_keys(data, {"kind", "params"}, "topology")
-        return cls(kind=data.get("kind", "figure1"),
-                   params=_params_dict(data.get("params")))
+        kind = data.get("kind", "figure1")
+        return cls(kind=kind, params=_entry_params(TOPOLOGIES, kind, data.get("params")))
 
 
 @dataclass
@@ -60,8 +86,11 @@ class DefenseSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "DefenseSpec":
         _reject_unknown_keys(data, {"backend", "params"}, "defense")
+        # Every backend's names: one params block survives a
+        # ``defense.backend`` axis (each backend takes only its own).
+        known = frozenset().union(*map(DEFENSES.parameters, DEFENSES))
         return cls(backend=data.get("backend", "aitf"),
-                   params=_params_dict(data.get("params")))
+                   params=_params_dict(data.get("params"), known, "defense"))
 
 
 @dataclass
@@ -79,7 +108,8 @@ class WorkloadSpec:
         _reject_unknown_keys(data, {"kind", "params"}, "workload")
         if "kind" not in data:
             raise ValueError("workload spec requires a 'kind'")
-        return cls(kind=data["kind"], params=_params_dict(data.get("params")))
+        return cls(kind=data["kind"], params=_entry_params(
+            WORKLOADS, data["kind"], data.get("params")))
 
 
 @dataclass
@@ -98,7 +128,8 @@ class CollectorSpec:
         _reject_unknown_keys(data, {"kind", "params"}, "collector")
         if "kind" not in data:
             raise ValueError("collector spec requires a 'kind'")
-        return cls(kind=data["kind"], params=_params_dict(data.get("params")))
+        return cls(kind=data["kind"], params=_entry_params(
+            COLLECTORS, data["kind"], data.get("params")))
 
 
 #: Fault kinds a spec may schedule.
@@ -418,7 +449,7 @@ class ExperimentSpec:
                             for w in data.get("workloads", [])),
             collectors=tuple(CollectorSpec.from_dict(c)
                              for c in data.get("collectors", [])),
-            aitf=_params_dict(data.get("aitf")),
+            aitf=_params_dict(data.get("aitf"), AITF_PARAMETERS, "aitf"),
             detection_delay=float(data.get("detection_delay", 0.1)),
             duration=float(data.get("duration", 10.0)),
             seed=int(data.get("seed", 0)),
@@ -518,15 +549,16 @@ def _reject_unknown_keys(data: Mapping[str, Any], known: set, where: str) -> Non
 # canonical form and content hashing
 # ----------------------------------------------------------------------
 def canonical_spec_json(spec: Union["ExperimentSpec", Mapping[str, Any]]) -> str:
-    """The spec's canonical JSON text: one byte sequence per semantic spec.
+    """The spec's canonical JSON text.
 
     The spec (object or dict) is first round-tripped through
-    :meth:`ExperimentSpec.from_dict`, which normalises field types the way
-    the runner will see them (``duration`` to float, ``seed`` to int,
-    defaults filled in, unknown keys rejected), then dumped with sorted keys
-    and fixed separators.  Two dicts that describe the same experiment —
-    whatever their key order, which process wrote them, or whether optional
-    fields were spelled out — canonicalise to the same text.
+    :meth:`ExperimentSpec.from_dict`, which normalises the spec's own fields
+    (``duration`` to float, ``seed`` to int, omitted fields filled in,
+    unknown keys and parameters rejected), then dumped with sorted keys and
+    fixed separators, whatever the key order or the process that wrote it.
+    Component params and the ``aitf`` block stay as written: omitting
+    ``start`` and writing ``"start": 0.0`` give two texts, so two hashes
+    (filling in builder defaults would move every committed spec's hash).
     """
     if not isinstance(spec, ExperimentSpec):
         spec = ExperimentSpec.from_dict(spec)
@@ -537,8 +569,8 @@ def spec_hash(spec: Union["ExperimentSpec", Mapping[str, Any]]) -> str:
     """SHA-256 hex digest of the canonical spec JSON.
 
     This is the content address of a sweep cell: the cluster result cache
-    is keyed by it, so a cell re-runs only when something that actually
-    reaches the runner changed.  Stable across key order, worker processes
+    is keyed by it, so a cell re-runs when its canonical text changed (see
+    :func:`canonical_spec_json`).  Stable across key order, worker processes
     and ``PYTHONHASHSEED``.
     """
     return hashlib.sha256(canonical_spec_json(spec).encode("utf-8")).hexdigest()

@@ -9,8 +9,9 @@ concrete network they are on.  The raw builder result stays reachable via
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Tuple
+from typing import Any, Callable, Mapping, Optional, Tuple
 
 from repro.experiments.registry import TOPOLOGIES
 from repro.router.nodes import BorderRouter, Host
@@ -62,13 +63,21 @@ class TopologyHandle:
         return node if isinstance(node, BorderRouter) else None
 
 
-@TOPOLOGIES.register("figure1")
-def _build_figure1_handle(params: Mapping[str, Any]) -> TopologyHandle:
-    """The paper's Figure-1 topology.  Params pass through to
-    :func:`repro.topology.figure1.build_figure1` (``tail_circuit_bandwidth``,
-    ``victim_gateway_delay``, ``filter_capacity``, ``extra_good_hosts``,
-    ``extra_bad_hosts``, ``backbone_bandwidth``)."""
-    figure1 = build_figure1(**dict(params))
+def _lazy(module: str, name: str) -> Callable[[], Callable[..., Any]]:
+    """A thunk for builder ``name`` of ``module``, imported on first call:
+    a spec pays for a topology module only when it names that topology."""
+    return lambda: getattr(importlib.import_module(module), name)
+
+
+_failover = _lazy("repro.topology.failover", "build_failover")
+_powerlaw = _lazy("repro.topology.powerlaw", "build_powerlaw_internet")
+_hierarchy = _lazy("repro.topology.hierarchy", "build_hierarchy_internet")
+
+
+@TOPOLOGIES.register("figure1", declared_by=lambda: build_figure1)
+def _build_figure1_handle(**params: Any) -> TopologyHandle:
+    """The paper's Figure-1 topology (:func:`repro.topology.figure1.build_figure1`)."""
+    figure1 = build_figure1(**params)
     topo = figure1.topology
     extra_good = [h for h in topo.hosts()
                   if h.network == "G_net" and h is not figure1.g_host]
@@ -85,12 +94,12 @@ def _build_figure1_handle(params: Mapping[str, Any]) -> TopologyHandle:
     )
 
 
-@TOPOLOGIES.register("dumbbell")
-def _build_dumbbell_handle(params: Mapping[str, Any]) -> TopologyHandle:
+@TOPOLOGIES.register("dumbbell", declared_by=lambda: build_dumbbell)
+def _build_dumbbell_handle(**params: Any) -> TopologyHandle:
     """Many sources, one victim, two gateways.  When there is more than one
     source the last one is reserved as a legitimate sender so goodput can be
     measured alongside the attack; with a single source it attacks."""
-    dumbbell = build_dumbbell(**dict(params))
+    dumbbell = build_dumbbell(**params)
     sources = tuple(dumbbell.sources)
     if len(sources) > 1:
         attackers, legit = sources[:-1], sources[-1:]
@@ -107,12 +116,12 @@ def _build_dumbbell_handle(params: Mapping[str, Any]) -> TopologyHandle:
     )
 
 
-@TOPOLOGIES.register("tree")
-def _build_tree_handle(params: Mapping[str, Any]) -> TopologyHandle:
+@TOPOLOGIES.register("tree", declared_by=lambda: build_provider_tree)
+def _build_tree_handle(**params: Any) -> TopologyHandle:
     """A provider tree: the victim is the first host of the first client
     network, attacked from the remote host across the core; the second
     client's hosts (when present) send legitimate traffic."""
-    tree = build_provider_tree(**dict(params))
+    tree = build_provider_tree(**params)
     victim_router = tree.client_routers[0]
     victim_hosts = tree.hosts_of(victim_router)
     if not victim_hosts:
@@ -131,15 +140,13 @@ def _build_tree_handle(params: Mapping[str, Any]) -> TopologyHandle:
     )
 
 
-@TOPOLOGIES.register("failover")
-def _build_failover_handle(params: Mapping[str, Any]) -> TopologyHandle:
-    """The dual-transit fault-injection topology: the attack path runs
+@TOPOLOGIES.register("failover", declared_by=_failover)
+def _build_failover_handle(**params: Any) -> TopologyHandle:
+    """The dual-transit fault-injection topology
+    (:func:`repro.topology.failover.build_failover`): the attack path runs
     ``B_gw -> T1 -> G_gw`` until a fault removes the primary transit, at
-    which point traffic fails over to ``T2``.  Params pass through to
-    :func:`repro.topology.failover.build_failover`."""
-    from repro.topology.failover import build_failover
-
-    failover = build_failover(**dict(params))
+    which point traffic fails over to ``T2``."""
+    failover = _failover()(**params)
     return TopologyHandle(
         kind="failover",
         topology=failover.topology,
@@ -151,14 +158,12 @@ def _build_failover_handle(params: Mapping[str, Any]) -> TopologyHandle:
     )
 
 
-@TOPOLOGIES.register("powerlaw")
-def _build_powerlaw_handle(params: Mapping[str, Any]) -> TopologyHandle:
+@TOPOLOGIES.register("powerlaw", declared_by=_powerlaw)
+def _build_powerlaw_handle(**params: Any) -> TopologyHandle:
     """A Barabási–Albert AS internet.  Host roles are assigned
     deterministically: the first leaf host is the victim, the second is a
     legitimate sender, and everything else is an attacker candidate."""
-    from repro.topology.powerlaw import build_powerlaw_internet
-
-    internet = build_powerlaw_internet(**dict(params))
+    internet = _powerlaw()(**params)
     hosts = internet.hosts
     if len(hosts) < 2:
         raise ValueError("powerlaw topology needs at least two end-hosts")
@@ -177,17 +182,15 @@ def _build_powerlaw_handle(params: Mapping[str, Any]) -> TopologyHandle:
     )
 
 
-@TOPOLOGIES.register("hierarchy")
-def _build_hierarchy_handle(params: Mapping[str, Any]) -> TopologyHandle:
+@TOPOLOGIES.register("hierarchy", declared_by=_hierarchy)
+def _build_hierarchy_handle(**params: Any) -> TopologyHandle:
     """A CAIDA-style tiered AS hierarchy with valley-free policy routing
     (see :func:`repro.topology.hierarchy.build_hierarchy_internet`).
     Host roles: the first host stub holds the victim, the second's hosts
     send legitimate traffic, every remaining host is an attacker
     candidate.  Routing tables materialise lazily per destination, so
     10k+ AS graphs are practical."""
-    from repro.topology.hierarchy import build_hierarchy_internet
-
-    internet = build_hierarchy_internet(**dict(params))
+    internet = _hierarchy()(**params)
     stubs = internet.host_stub_routers
     victim_hosts = internet.hosts_by_stub[stubs[0].name]
     legit = tuple(internet.hosts_by_stub[stubs[1].name])
@@ -207,5 +210,4 @@ def _build_hierarchy_handle(params: Mapping[str, Any]) -> TopologyHandle:
 
 def build_topology(kind: str, params: Mapping[str, Any]) -> TopologyHandle:
     """Resolve ``kind`` in the registry and build the handle."""
-    builder = TOPOLOGIES.get(kind)
-    return builder(params)
+    return TOPOLOGIES.get(kind)(**params)

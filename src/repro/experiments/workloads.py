@@ -9,7 +9,7 @@ schedule manual responses, wire stop callbacks).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.attacks.flood import FloodAttack, SpoofedFloodAttack
 from repro.attacks.legitimate import LegitimateTraffic, PoissonTraffic
@@ -27,12 +27,10 @@ class WorkloadHandle:
 
     role = "attack"
 
-    def __init__(self, kind: str, generator: Any, *, start_time: float,
-                 params: Mapping[str, Any]) -> None:
+    def __init__(self, kind: str, generator: Any, *, start_time: float) -> None:
         self.kind = kind
         self.generator = generator
         self.start_time = start_time
-        self.params = dict(params)
 
     def start(self) -> None:
         """Begin emitting (the generator schedules itself from its start
@@ -95,67 +93,62 @@ class _SingleAttackHandle(WorkloadHandle):
         return stats
 
 
-def _train_kwargs(ctx: Any) -> Dict[str, Any]:
-    """Generator kwargs carrying the experiment's engine selection.
+def _generator_kwargs(ctx: Any, packet_size: int, start: float) -> Dict[str, Any]:
+    """Generator kwargs every traffic source shares: packet size, start
+    time and the experiment's engine selection.
 
     On the train engine every generator learns the aggregation bound and
     the run horizon (trains must not outlive the simulation, or the
     emitted-packet count would differ from per-packet emission); on the
     packet engine generators keep their default, ``max_train = 1``.
     """
+    kwargs = {"packet_size": int(packet_size), "start_time": float(start)}
     engine = getattr(ctx, "engine", None)
     if engine is None or engine.mode != "train":
-        return {}
-    kwargs = {"max_train": engine.max_train, "horizon": ctx.spec.duration}
+        return kwargs
+    kwargs.update(max_train=engine.max_train, horizon=ctx.spec.duration)
     if engine.max_span is not None:
         kwargs["max_span"] = engine.max_span
     return kwargs
 
 
 @WORKLOADS.register("flood")
-def _build_flood(ctx: Any, index: int, params: Mapping[str, Any]) -> WorkloadHandle:
-    """Constant-rate flood from one attacker host.  Params: ``rate_pps``,
-    ``packet_size``, ``start``, ``duration``, ``attacker`` (index into the
-    topology's attacker candidates), ``spoofed``."""
-    attacker = _pick_attacker(ctx, params)
-    start = float(params.get("start", 0.0))
-    common = dict(
-        rate_pps=float(params.get("rate_pps", 1000.0)),
-        packet_size=int(params.get("packet_size", 1000)),
-        start_time=start,
-        duration=params.get("duration"),
-        **_train_kwargs(ctx),
-    )
-    if params.get("spoofed", False):
-        attack = SpoofedFloodAttack(attacker, ctx.handle.victim.address,
+def _build_flood(ctx: Any, index: int, *, rate_pps: float = 1000.0,
+                 packet_size: int = 1000, start: float = 0.0,
+                 duration: Optional[float] = None, attacker: int = 0,
+                 spoofed: bool = False) -> WorkloadHandle:
+    """Constant-rate flood from one attacker host."""
+    host = _pick(ctx, "attacker", attacker)
+    common = dict(rate_pps=float(rate_pps), duration=duration,
+                  **_generator_kwargs(ctx, packet_size, start))
+    if spoofed:
+        attack = SpoofedFloodAttack(host, ctx.handle.victim.address,
                                     rng=ctx.rng.fork(f"spoof-{index}"), **common)
     else:
-        attack = FloodAttack(attacker, ctx.handle.victim.address, **common)
-    return _SingleAttackHandle("flood", attack, attacker,
-                               start_time=start, params=params)
+        attack = FloodAttack(host, ctx.handle.victim.address, **common)
+    return _SingleAttackHandle("flood", attack, host, start_time=float(start))
 
 
 @WORKLOADS.register("onoff")
-def _build_onoff(ctx: Any, index: int, params: Mapping[str, Any]) -> WorkloadHandle:
+def _build_onoff(ctx: Any, index: int, *, rate_pps: float = 1000.0,
+                 packet_size: int = 1000, start: float = 0.0,
+                 on_duration: Optional[float] = None,
+                 off_duration: Optional[float] = None,
+                 cycles: Optional[int] = None,
+                 attacker: int = 0) -> WorkloadHandle:
     """Pulsed attack (Section II-B).  ``on_duration`` / ``off_duration``
     default to the attacker-optimal cadence derived from the run's Ttmp."""
-    attacker = _pick_attacker(ctx, params)
+    host = _pick(ctx, "attacker", attacker)
     ttmp = ctx.config.temporary_filter_timeout
-    on = params.get("on_duration")
-    off = params.get("off_duration")
-    start = float(params.get("start", 0.0))
     attack = OnOffAttack(
-        attacker, ctx.handle.victim.address,
-        rate_pps=float(params.get("rate_pps", 1000.0)),
-        packet_size=int(params.get("packet_size", 1000)),
-        on_duration=float(on) if on is not None else ttmp * 0.5,
-        off_duration=float(off) if off is not None else ttmp * 1.5,
-        start_time=start,
-        cycles=params.get("cycles"),
-        **_train_kwargs(ctx),
+        host, ctx.handle.victim.address,
+        rate_pps=float(rate_pps),
+        on_duration=float(on_duration) if on_duration is not None else ttmp * 0.5,
+        off_duration=float(off_duration) if off_duration is not None else ttmp * 1.5,
+        cycles=cycles,
+        **_generator_kwargs(ctx, packet_size, start),
     )
-    handle = _OnOffHandle("onoff", attack, attacker, start_time=start, params=params)
-    return handle
+    return _OnOffHandle("onoff", attack, host, start_time=float(start))
 
 
 class _OnOffHandle(_SingleAttackHandle):
@@ -179,56 +172,50 @@ class _OnOffHandle(_SingleAttackHandle):
 
 
 @WORKLOADS.register("legitimate")
-def _build_legitimate(ctx: Any, index: int, params: Mapping[str, Any]) -> WorkloadHandle:
-    """Well-behaved traffic toward the victim.  Params: ``rate_pps``,
-    ``packet_size``, ``start``, ``duration``, ``sender`` (index into the
-    topology's legitimate-sender candidates), ``poisson``."""
-    sender = _pick_sender(ctx, params)
-    start = float(params.get("start", 0.0))
-    common = dict(
-        rate_pps=float(params.get("rate_pps", 100.0)),
-        packet_size=int(params.get("packet_size", 1000)),
-        start_time=start,
-        duration=params.get("duration"),
-        **_train_kwargs(ctx),
-    )
-    if params.get("poisson", False):
-        traffic = PoissonTraffic(sender, ctx.handle.victim.address,
+def _build_legitimate(ctx: Any, index: int, *, rate_pps: float = 100.0,
+                      packet_size: int = 1000, start: float = 0.0,
+                      duration: Optional[float] = None, sender: int = 0,
+                      poisson: bool = False) -> WorkloadHandle:
+    """Well-behaved traffic toward the victim."""
+    host = _pick(ctx, "sender", sender)
+    common = dict(rate_pps=float(rate_pps), duration=duration,
+                  **_generator_kwargs(ctx, packet_size, start))
+    if poisson:
+        traffic = PoissonTraffic(host, ctx.handle.victim.address,
                                  rng=ctx.rng.fork(f"poisson-{index}"), **common)
     else:
-        traffic = LegitimateTraffic(sender, ctx.handle.victim.address, **common)
+        traffic = LegitimateTraffic(host, ctx.handle.victim.address, **common)
     traffic.attach_receiver(ctx.handle.victim)
-    handle = WorkloadHandle("legitimate", traffic, start_time=start, params=params)
+    handle = WorkloadHandle("legitimate", traffic, start_time=float(start))
     handle.role = "legit"
     return handle
 
 
 @WORKLOADS.register("zombies")
-def _build_zombies(ctx: Any, index: int, params: Mapping[str, Any]) -> WorkloadHandle:
-    """A zombie army: ``count`` attacker hosts flooding the victim together.
-    Params: ``count``, ``rate_pps`` (per zombie), ``packet_size``, ``start``,
-    ``start_jitter``, ``spoofed``."""
+def _build_zombies(ctx: Any, index: int, *, count: Optional[int] = None,
+                   rate_pps: float = 200.0, packet_size: int = 1000,
+                   start: float = 0.0, start_jitter: float = 0.0,
+                   spoofed: bool = False,
+                   duration: Optional[float] = None) -> WorkloadHandle:
+    """A zombie army: ``count`` attacker hosts flooding the victim together."""
     candidates = list(ctx.handle.attackers)
     if not candidates:
         raise ValueError(f"topology {ctx.handle.kind!r} has no attacker hosts")
-    count = int(params.get("count", len(candidates)))
+    count = int(count) if count is not None else len(candidates)
     if count < 1 or count > len(candidates):
         raise ValueError(f"zombie count {count} out of range "
                          f"(topology offers {len(candidates)} attacker hosts)")
     zombies = candidates[:count]
-    start = float(params.get("start", 0.0))
     army = ZombieArmy(
         zombies, ctx.handle.victim.address,
-        rate_pps_per_zombie=float(params.get("rate_pps", 200.0)),
-        packet_size=int(params.get("packet_size", 1000)),
-        start_time=start,
-        start_jitter=float(params.get("start_jitter", 0.0)),
-        spoofed=bool(params.get("spoofed", False)),
-        duration=params.get("duration"),
+        rate_pps_per_zombie=float(rate_pps),
+        start_jitter=float(start_jitter),
+        spoofed=bool(spoofed),
+        duration=duration,
         rng=ctx.rng.fork(f"zombies-{index}"),
-        **_train_kwargs(ctx),
+        **_generator_kwargs(ctx, packet_size, start),
     )
-    return _ZombieHandle("zombies", army, zombies, start_time=start, params=params)
+    return _ZombieHandle("zombies", army, zombies, start_time=float(start))
 
 
 class _ZombieHandle(WorkloadHandle):
@@ -357,22 +344,18 @@ class _FilterRequestHandle(WorkloadHandle):
 
 
 @WORKLOADS.register("filter-requests")
-def _build_filter_requests(ctx: Any, index: int,
-                           params: Mapping[str, Any]) -> WorkloadHandle:
+def _build_filter_requests(ctx: Any, index: int, *,
+                           rate: Optional[float] = None, start: float = 0.0,
+                           duration: Optional[float] = None) -> WorkloadHandle:
     """Filtering requests from the victim at rate R (Sections IV-A.2–IV-D).
-    Params: ``rate`` (default: the run's ``default_send_rate`` contract),
-    ``duration`` (default: the spec horizon), ``start``.  Requires the
-    ``aitf`` backend."""
-    rate = float(params.get("rate", ctx.config.default_send_rate))
-    start = float(params.get("start", 0.0))
-    duration = params.get("duration")
+    Requires the ``aitf`` backend."""
+    start = float(start)
     stream = FilterRequestStream(
-        ctx, rate=rate,
+        ctx, rate=float(rate if rate is not None else ctx.config.default_send_rate),
         duration=float(duration) if duration is not None else None,
         start_time=start,
     )
-    return _FilterRequestHandle("filter-requests", stream,
-                                start_time=start, params=params)
+    return _FilterRequestHandle("filter-requests", stream, start_time=start)
 
 
 class ForgedRequestStream(_RequestStream):
@@ -449,49 +432,37 @@ class _ForgedRequestHandle(_FilterRequestHandle):
 
 
 @WORKLOADS.register("forged-requests")
-def _build_forged_requests(ctx: Any, index: int,
-                           params: Mapping[str, Any]) -> WorkloadHandle:
+def _build_forged_requests(ctx: Any, index: int, *, rate: float = 50.0,
+                           start: float = 0.0, duration: Optional[float] = None,
+                           forger: int = 0,
+                           spoofed: bool = False) -> WorkloadHandle:
     """Forged filtering-request storm against the victim's gateway
-    (Section III-B).  Params: ``rate``, ``start``, ``duration`` (default:
-    the spec horizon), ``forger`` (index into the topology's
-    legitimate-sender candidates — the forger must be a client of the
-    victim's gateway for its requests to pass the victim-side check),
-    ``spoofed`` (carry a source the forger does not own; the gateway
-    rejects these)."""
-    forger_host = _pick_sender(ctx, params, key="forger")
-    rate = float(params.get("rate", 50.0))
-    start = float(params.get("start", 0.0))
-    duration = params.get("duration")
+    (Section III-B).  The forger must be a client of the victim's gateway
+    for its requests to pass the victim-side check; spoofed requests carry
+    a source the forger does not own, and the gateway rejects them."""
+    start = float(start)
     stream = ForgedRequestStream(
-        ctx, forger_host, rate=rate,
+        ctx, _pick(ctx, "forger", forger), rate=float(rate),
         duration=float(duration) if duration is not None else None,
         start_time=start,
-        spoofed=bool(params.get("spoofed", False)),
+        spoofed=bool(spoofed),
     )
-    return _ForgedRequestHandle("forged-requests", stream,
-                                start_time=start, params=params)
+    return _ForgedRequestHandle("forged-requests", stream, start_time=start)
 
 
-def _pick_attacker(ctx: Any, params: Mapping[str, Any]) -> Host:
-    candidates = list(ctx.handle.attackers)
+def _pick(ctx: Any, key: str, index: int) -> Host:
+    """Host ``index`` among the topology's attacker candidates (``key`` is
+    ``attacker``) or its legitimate senders (``sender``, ``forger``)."""
+    handle = ctx.handle
+    if key == "attacker":
+        candidates, missing = handle.attackers, "attacker hosts"
+    else:
+        candidates, missing = handle.legit_senders, (
+            "legitimate-sender hosts "
+            "(e.g. build figure1 with extra_good_hosts >= 1)")
     if not candidates:
-        raise ValueError(f"topology {ctx.handle.kind!r} has no attacker hosts")
-    index = int(params.get("attacker", 0))
-    if not 0 <= index < len(candidates):
-        raise ValueError(f"attacker index {index} out of range "
-                         f"(topology offers {len(candidates)})")
-    return candidates[index]
-
-
-def _pick_sender(ctx: Any, params: Mapping[str, Any],
-                 key: str = "sender") -> Host:
-    candidates = list(ctx.handle.legit_senders)
-    if not candidates:
-        raise ValueError(
-            f"topology {ctx.handle.kind!r} has no legitimate-sender hosts "
-            "(e.g. build figure1 with extra_good_hosts >= 1)"
-        )
-    index = int(params.get(key, 0))
+        raise ValueError(f"topology {handle.kind!r} has no {missing}")
+    index = int(index)
     if not 0 <= index < len(candidates):
         raise ValueError(f"{key} index {index} out of range "
                          f"(topology offers {len(candidates)})")
@@ -501,5 +472,4 @@ def _pick_sender(ctx: Any, params: Mapping[str, Any],
 def build_workload(ctx: Any, index: int, kind: str,
                    params: Mapping[str, Any]) -> WorkloadHandle:
     """Resolve ``kind`` in the registry and build the handle."""
-    builder = WORKLOADS.get(kind)
-    return builder(ctx, index, params)
+    return WORKLOADS.get(kind)(ctx, index, **params)

@@ -482,3 +482,30 @@ class TestPaperCommand:
         with pytest.raises(SystemExit, match="no grid files"):
             main(["paper", "--grids", str(empty)])
 
+
+
+class TestSpecErrors:
+    """A spec the CLI cannot parse is one ``repro COMMAND: ...`` line and a
+    non-zero exit, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep", "profile"])
+    @pytest.mark.parametrize("assignment, expected", [
+        ("workloads.1.params.rate_ppz=9000",
+         "unknown workload 'flood' parameter(s): rate_ppz (known: attacker, "),
+        ("bogus=1", "unknown experiment spec key(s): bogus"),
+        ("workloads.7.params.rate_pps=1", "index 7 in 'workloads.7.params.rate_pps'"),
+    ], ids=["unknown-param", "unknown-key", "bad-path"])
+    def test_spec_error_is_one_line(self, command, assignment, expected):
+        argv = [command, "--spec", FLOOD_SPEC, "--set", assignment]
+        if command == "sweep":
+            argv += ["--param", "seed=1,2"]
+        with pytest.raises(SystemExit) as error:
+            main(argv)
+        message = error.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"repro {command}: {expected}")
+
+    def test_unreadable_spec_file_is_one_line(self, tmp_path):
+        with pytest.raises(SystemExit) as error:
+            main(["run", "--spec", str(tmp_path / "missing.json")])
+        assert error.value.code.startswith("repro run: ")

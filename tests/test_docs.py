@@ -145,6 +145,86 @@ class TestRegistryDocs:
                 f"registry name {name!r} missing from docs/architecture.md")
 
 
+def _parameter_tables(cli_md):
+    """``{heading: documented parameter names}`` for every ``#### ...``
+    heading under "Component parameters" in docs/cli.md."""
+    section = cli_md.split("\n### Component parameters\n", 1)[1]
+    section = re.split(r"\n##?#? ", section, maxsplit=1)[0]
+    tables = {}
+    for block in section.split("\n#### ")[1:]:
+        heading, _, body = block.partition("\n")
+        tables[heading.strip()] = set(re.findall(r"^\| `([^`]+)` \|", body, re.M))
+    return tables
+
+
+def _declared_parameters():
+    """``(heading, declared names)`` for every registry entry and ``aitf``."""
+    from repro.experiments.spec import AITF_PARAMETERS
+
+    for slot, registry in (("topology", TOPOLOGIES), ("defense", DEFENSES),
+                           ("workload", WORKLOADS), ("collector", COLLECTORS)):
+        for name in registry.names():
+            yield pytest.param(f"{slot} `{name}`", registry.parameters(name),
+                               id=f"{slot}-{name}")
+    yield pytest.param("`aitf`", AITF_PARAMETERS, id="aitf")
+
+
+class TestComponentParameterDocs:
+    @pytest.mark.parametrize("heading, declared", _declared_parameters())
+    def test_entry_table_lists_exactly_the_declared_parameters(
+            self, heading, declared, cli_md):
+        tables = _parameter_tables(cli_md)
+        assert heading in tables, f"docs/cli.md has no '#### {heading}' table"
+        assert tables[heading] == set(declared)
+
+    def test_no_table_for_an_unregistered_entry(self, cli_md):
+        headings = {param.values[0] for param in _declared_parameters()}
+        assert set(_parameter_tables(cli_md)) == headings
+
+
+#: Component modules whose parameters live in builder signatures only.
+COMPONENT_MODULES = ("workloads", "backends", "collectors", "topologies")
+
+
+def _params_reads(source, where="<source>"):
+    """Every ``params.get(...)`` call or ``params[...]`` subscript in
+    ``source``, on a bare ``params`` name or any ``.params`` attribute."""
+    def is_params(node):
+        return (isinstance(node, ast.Name) and node.id == "params") or (
+            isinstance(node, ast.Attribute) and node.attr == "params")
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "get" and is_params(node.func.value):
+            found.append(f"{where}:{node.lineno}: params.get")
+        elif isinstance(node, ast.Subscript) and is_params(node.value):
+            found.append(f"{where}:{node.lineno}: params[...]")
+    return found
+
+
+class TestDeclaredParameterCensus:
+    def test_no_component_reads_a_raw_params_dict(self):
+        found = []
+        for module in COMPONENT_MODULES:
+            path = os.path.join(REPO_ROOT, "src", "repro", "experiments",
+                                f"{module}.py")
+            found += _params_reads(_read(path), os.path.relpath(path, REPO_ROOT))
+        assert not found, (
+            "a component reads its parameters from a dict again; declare "
+            "them as keyword-only builder arguments instead:\n  "
+            + "\n  ".join(found))
+
+    def test_the_census_sees_reads_and_ignores_forwarding(self):
+        assert len(_params_reads(
+            "rate = params.get('rate', 1.0)\n"
+            "node = self.params['node']\n"
+            "x = workload.params.get('rate')\n")) == 3
+        assert _params_reads(
+            "build(**params)\n"
+            "def f(ctx, *, rate=1.0): return rate\n") == []
+
+
 class TestSchemaDocs:
     def test_every_schema_tag_documented(self, architecture_md):
         from repro.cluster.cache import CACHE_SCHEMA

@@ -350,3 +350,84 @@ class TestCommittedSpecs:
     def test_built_spec_file_is_its_builders_output(self, name):
         with open(os.path.join(SPECS_DIR, name)) as handle:
             assert handle.read() == BUILT_SPECS[name]().to_json() + "\n"
+
+
+def _placed(slot, entry, params):
+    """A spec dict carrying ``params`` for registry ``slot``'s ``entry`` (or
+    the ``aitf`` block), and the dotted path of those params."""
+    if slot == "topology":
+        return {"topology": {"kind": entry, "params": params}}, "topology.params"
+    if slot == "defense":
+        return {"defense": {"backend": entry, "params": params}}, "defense.params"
+    if slot == "workload":
+        return {"workloads": [{"kind": entry, "params": params}]}, "workloads.0.params"
+    if slot == "collector":
+        return ({"collectors": [{"kind": entry, "params": params}]},
+                "collectors.0.params")
+    return {"aitf": params}, "aitf"
+
+
+def _component_cases():
+    """(slot, entry, declared names, name the error message uses) for every
+    registry entry and for the ``aitf`` block."""
+    from repro.experiments import COLLECTORS
+    from repro.experiments.spec import AITF_PARAMETERS
+
+    cases = []
+    for slot, registry in (("topology", TOPOLOGIES), ("defense", DEFENSES),
+                           ("workload", WORKLOADS), ("collector", COLLECTORS)):
+        for entry in registry.names():
+            component = "defense" if slot == "defense" else repr(entry)
+            cases.append(pytest.param(slot, entry, registry.parameters(entry),
+                                      component, id=f"{slot}-{entry}"))
+    cases.append(pytest.param("aitf", None, AITF_PARAMETERS, "aitf", id="aitf"))
+    return cases
+
+
+class TestDeclaredParameters:
+    """Every component's parameters are its builder's keyword arguments; a
+    name it does not declare is refused when the spec is parsed."""
+
+    @pytest.mark.parametrize("slot, entry, declared, component", _component_cases())
+    def test_unknown_parameter_is_refused_when_parsed(self, slot, entry,
+                                                      declared, component):
+        data, _ = _placed(slot, entry, {"rate_ppz": 9000})
+        with pytest.raises(ValueError) as excinfo:
+            ExperimentSpec.from_dict(data)
+        message = str(excinfo.value)
+        assert component in message and "rate_ppz" in message
+        for name in declared:
+            assert name in message
+
+    @pytest.mark.parametrize("slot, entry, declared, component", _component_cases())
+    def test_every_declared_parameter_is_accepted(self, slot, entry, declared,
+                                                  component):
+        params = {name: 1 for name in declared}
+        data, path = _placed(slot, entry, params)
+        node = ExperimentSpec.from_dict(data).to_dict()
+        for segment in path.split("."):
+            node = node[int(segment)] if isinstance(node, list) else node[segment]
+        assert node == params
+
+    @pytest.mark.parametrize("slot, entry, declared, component", _component_cases())
+    def test_grid_axis_naming_an_unknown_parameter_fails_during_expansion(
+            self, slot, entry, declared, component):
+        from repro.experiments import SweepRunner
+
+        data, path = _placed(slot, entry, {})
+        base = ExperimentSpec.from_dict(data)
+        progress = []
+        with pytest.raises(ValueError, match="rate_ppz"):
+            SweepRunner(progress=progress.append).run_grid(
+                base, {f"{path}.rate_ppz": [1000, 9000]})
+        assert progress == []
+
+    def test_defense_backend_axis_over_aitf_only_params_runs(self):
+        base = default_flood_spec(duration=1.0).with_overrides({
+            "defense.params.non_cooperating_attackers": True,
+            "defense.params.deployment": "victim-stub"})
+        cells = expand_grid(base, {"defense.backend": DEFENSES.names()},
+                            reseed=False)
+        for cell in cells:
+            result = ExperimentRunner().run(cell.spec)
+            assert result.defense == cell.spec.defense.backend
