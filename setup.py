@@ -3,12 +3,11 @@
 ``pip install -e .`` gives the ``repro`` package and its one hard
 dependency, networkx — no longer imported by a run (routes are computed on
 the topology's own adjacency), it serves the ``Topology.graph`` analysis
-views, ``bench/gen_workloads.py`` and the test oracles.  Extras:
-
-* ``plot`` — matplotlib, for ``repro report --plot`` / ``repro paper
-  --renderer mpl`` (the builtin SVG renderer needs nothing);
-* ``test`` — pytest and pytest-benchmark, what CI installs to run the
-  tier-1 suite and the benchmark harness.
+views, ``bench/gen_workloads.py`` and the test oracles.  Figures
+(``repro report --plot``, ``repro paper``) are written by the package's own
+SVG renderer and need nothing more.  The one extra, ``test``, is pytest and
+pytest-benchmark: what CI installs to run the tier-1 suite and the benchmark
+harness.
 
 Packaging stays setup.py-only on purpose: a pyproject.toml would switch
 ``pip install -e .`` onto the PEP 517 path, which needs the ``wheel``
@@ -38,7 +37,6 @@ setup(
         "networkx",
     ],
     extras_require={
-        "plot": ["matplotlib"],
         "test": ["pytest", "pytest-benchmark"],
     },
 )

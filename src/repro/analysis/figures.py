@@ -14,16 +14,10 @@ A figure is described declaratively (usually in the ``figures`` section of a
 ``x`` is a dotted path into each cell's ``overrides``; ``y`` paths walk the
 cell's ``result`` dict; an optional ``series`` path groups cells into one
 line per value of another axis.  :func:`figure_series` extracts the plot
-data; two renderers turn it into SVG text:
-
-* ``builtin`` — a dependency-free writer under full byte control.  Given the
-  same document it produces the same bytes on any machine, which is what the
-  paper-grid CI job's determinism gate compares across worker counts and the
-  cluster path.
-* ``mpl`` — matplotlib, behind the optional ``plot`` extra
-  (``pip install '.[plot]'``).  Output is byte-stable for a fixed matplotlib
-  version because the renderer pins ``svg.hashsalt`` and strips the date
-  metadata.
+data and :func:`render_figure_builtin` writes it as SVG text: a
+dependency-free writer under full byte control.  Given the same document it
+produces the same bytes on any machine, which is what the paper-grid CI
+job's determinism gate compares across worker counts and the cluster path.
 
 Everything downstream (``repro report --plot``, ``repro paper``) goes
 through :func:`render_figure`.
@@ -31,13 +25,9 @@ through :func:`render_figure`.
 
 from __future__ import annotations
 
-import importlib.util
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
-
-#: rcParams pinned by the matplotlib renderer so SVG output is byte-stable.
-MPL_SVG_RC = {"svg.hashsalt": "repro-paper", "svg.fonttype": "none"}
 
 #: Default metrics plotted when a document has no figure descriptions.
 DEFAULT_FIGURE_METRICS = (
@@ -46,21 +36,12 @@ DEFAULT_FIGURE_METRICS = (
 )
 
 
-class FigureRendererUnavailable(RuntimeError):
-    """Raised when the requested figure renderer cannot run here."""
-
-
-def have_matplotlib() -> bool:
-    """Whether the optional matplotlib dependency is importable."""
-    return importlib.util.find_spec("matplotlib") is not None
-
-
 # ----------------------------------------------------------------------
 # data extraction
 # ----------------------------------------------------------------------
 @dataclass
 class FigureData:
-    """Extracted, renderer-independent plot data for one figure."""
+    """Extracted plot data for one figure."""
 
     name: str
     title: str
@@ -182,9 +163,9 @@ def default_figures(doc: Mapping[str, Any]) -> List[Dict[str, Any]]:
 
 
 # ----------------------------------------------------------------------
-# builtin SVG renderer (dependency-free, byte-deterministic)
+# SVG renderer (dependency-free, byte-deterministic)
 # ----------------------------------------------------------------------
-#: Line colors, matplotlib's default cycle (stable, colorblind-tolerable).
+#: Line colors, the Tableau 10 cycle (stable, colorblind-tolerable).
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
            "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
@@ -356,61 +337,14 @@ def _escape(text: str) -> str:
             .replace(">", "&gt;").replace('"', "&quot;"))
 
 
-# ----------------------------------------------------------------------
-# matplotlib renderer (optional [plot] extra)
-# ----------------------------------------------------------------------
-def render_figure_matplotlib(data: FigureData) -> str:
-    """The figure as matplotlib SVG text (byte-stable via ``svg.hashsalt``)."""
-    if not have_matplotlib():
-        raise FigureRendererUnavailable(
-            "matplotlib is not installed; install the plot extra with "
-            "`pip install '.[plot]'` or use `--renderer builtin`")
-    import io
-
-    import matplotlib
-
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-
-    with matplotlib.rc_context(MPL_SVG_RC):
-        fig, ax = plt.subplots(figsize=(6.4, 4.2))
-        for label, points in data.series:
-            xs = [x for x, _ in points]
-            ys = [y for _, y in points]
-            ax.plot(xs, ys, marker="o", label=label)
-        ax.set_title(data.title)
-        ax.set_xlabel(data.xlabel)
-        ax.set_ylabel(data.ylabel)
-        if data.xscale == "log":
-            ax.set_xscale("log")
-        if data.yscale == "log":
-            ax.set_yscale("log")
-        ax.grid(True, alpha=0.3)
-        if data.series:
-            ax.legend(fontsize=9)
-        buffer = io.StringIO()
-        fig.savefig(buffer, format="svg", metadata={"Date": None})
-        plt.close(fig)
-    return buffer.getvalue()
-
-
-RENDERERS = ("builtin", "mpl")
-
-
-def render_figure(doc: Mapping[str, Any], figure: Mapping[str, Any],
-                  *, renderer: str = "builtin") -> str:
+def render_figure(doc: Mapping[str, Any], figure: Mapping[str, Any]) -> str:
     """Extract and render one figure from a sweep document to SVG text."""
-    data = figure_series(doc, figure)
-    if renderer == "builtin":
-        return render_figure_builtin(data)
-    if renderer == "mpl":
-        return render_figure_matplotlib(data)
-    raise ValueError(f"unknown renderer {renderer!r} (choices: {', '.join(RENDERERS)})")
+    return render_figure_builtin(figure_series(doc, figure))
 
 
 def render_figures(doc: Mapping[str, Any],
                    figures: Sequence[Mapping[str, Any]], figures_dir: str, *,
-                   renderer: str = "builtin", prefix: str = "") -> List[str]:
+                   prefix: str = "") -> List[str]:
     """Render every figure description to ``<figures_dir>/<prefix><name>.svg``.
 
     The one write path behind ``repro report --plot`` and ``repro paper``,
@@ -422,7 +356,7 @@ def render_figures(doc: Mapping[str, Any],
     os.makedirs(figures_dir, exist_ok=True)
     written: List[str] = []
     for index, figure in enumerate(figures):
-        svg = render_figure(doc, figure, renderer=renderer)
+        svg = render_figure(doc, figure)
         name = str(figure.get("name", f"figure{index}"))
         path = os.path.join(figures_dir, f"{prefix}{name}.svg")
         with open(path, "w") as handle:

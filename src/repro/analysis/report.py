@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import json
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Sequence
 
 
 def result_to_dict(result: Any) -> Any:
     """Any result object -> JSON-serializable data.
 
-    The one serializer every output path uses (CLI tables' ``--json`` mode,
+    The one serializer every output path uses (the CLI's ``--json`` mode,
     ``repro sweep`` documents, the experiment runner): dataclasses become
     dicts recursively, tuples become lists, enums collapse to their values,
     ``Optional`` fields pass ``None`` through untouched, and anything else
@@ -37,14 +36,6 @@ def result_to_dict(result: Any) -> Any:
     if result is None or isinstance(result, (bool, int, float, str)):
         return result
     return str(result)
-
-
-def emit_result(result: Any, table: Optional["ResultTable"], as_json: bool) -> None:
-    """Print one result: its table, or its serialized form under ``--json``."""
-    if as_json:
-        print(json.dumps(result_to_dict(result), indent=2))
-    elif table is not None:
-        table.print()
 
 
 def format_bps(value_bps: float) -> str:

@@ -1,16 +1,19 @@
 """Render experiment JSON documents into paper-style tables.
 
-``repro sweep`` and ``repro compare`` emit machine-readable JSON; this
-module turns those documents back into the tables a paper (or a README)
-wants — markdown for humans, CSV for plotting pipelines — through the same
-:class:`repro.analysis.report.ResultTable` every CLI table already uses.
+``repro run``, ``repro compare`` and ``repro sweep`` emit machine-readable
+JSON under ``--json``; this module turns those documents into the tables a
+paper (or a README) wants — text for the terminal, markdown for humans, CSV
+for plotting pipelines.  It is the one table builder for experiment
+documents: those commands print their tables from the very document they
+emit, and ``repro report`` renders a saved one the same way.
 
 Sweep documents are grouped by their sweep axes: with more than one axis,
 each combination of the leading axes gets its own table and the final axis
 varies down the rows — the layout of the paper's evaluation tables (one
 table per defense, rows over attack rate, and so on).  Compare documents
 (a list of ``experiment_result/v1``) become one paired-comparison table;
-a single result becomes a metric/value table.
+a single result becomes a metric/value table that also lists every
+defense, workload and collector statistic.
 """
 
 from __future__ import annotations
@@ -26,6 +29,11 @@ from repro.analysis.report import (
     format_seconds,
 )
 
+
+def _format_first_block(value: Any) -> str:
+    return format_seconds(value) if value is not None else "never"
+
+
 #: Result metrics shown in rendered tables: (column header, result key,
 #: formatter).  Keys may be dotted paths into nested result dicts
 #: (``defense_stats.deployment_locus``); keys absent from a document — old
@@ -34,8 +42,7 @@ _METRIC_COLUMNS: Tuple[Tuple[str, str, Any], ...] = (
     ("attack@victim", "attack_received_bps", format_bps),
     ("ratio", "effective_bandwidth_ratio", format_ratio),
     ("legit goodput", "legit_goodput_bps", format_bps),
-    ("first block", "time_to_first_block",
-     lambda v: format_seconds(v) if v is not None else "never"),
+    ("first block", "time_to_first_block", _format_first_block),
     ("nodes", "nodes_involved", str),
     ("ctrl msgs", "control_messages", str),
     ("dropped down", "packets_dropped_down",
@@ -154,16 +161,45 @@ def compare_table(results: Sequence[Dict[str, Any]]) -> ResultTable:
     return table
 
 
+#: ``defense_stats`` keys the headline rows of :func:`result_table` show.
+_HEADLINE_DEFENSE_STATS = frozenset(
+    {"backend", "time_to_first_block", "nodes_involved", "control_messages"})
+
+
 def result_table(result: Dict[str, Any]) -> ResultTable:
-    """A metric/value table for one ``experiment_result/v1`` document."""
-    table = ResultTable(
-        f"Experiment: {result.get('name', '?')} [{result.get('defense', '?')}]",
-        ["metric", "value"])
+    """A metric/value table for one ``experiment_result/v1`` document: the
+    headline metrics, then every defense, workload and collector stat."""
+    defense = result.get("defense", "?")
+    table = ResultTable(f"Experiment: {result.get('name', '?')} [{defense}]",
+                        ["metric", "value"])
     table.add_row("topology", result.get("topology", "?"))
+    table.add_row("defense backend", defense)
     table.add_row("seed", result.get("seed", "-"))
     table.add_row("duration", format_seconds(result.get("duration", 0.0)))
-    for name, field, fmt in _METRIC_COLUMNS:
-        table.add_row(name, fmt(lookup_path(result, field)))
+    table.add_row("attack offered", format_bps(result["attack_offered_bps"]))
+    table.add_row("attack reaching victim",
+                  format_bps(result["attack_received_bps"]))
+    table.add_row("effective-bandwidth ratio",
+                  format_ratio(result["effective_bandwidth_ratio"]))
+    table.add_row("legitimate goodput", format_bps(result["legit_goodput_bps"]))
+    table.add_row("time to first block",
+                  _format_first_block(result["time_to_first_block"]))
+    table.add_row("defense nodes involved", result["nodes_involved"])
+    table.add_row("control messages", result["control_messages"])
+    if result.get("packets_dropped_down"):
+        table.add_row("packets dropped (link down)",
+                      result["packets_dropped_down"])
+    for key, value in sorted(result.get("defense_stats", {}).items()):
+        if key not in _HEADLINE_DEFENSE_STATS:
+            table.add_row(f"[{defense}] {key}", value)
+    for index, stats in enumerate(result.get("workload_stats", [])):
+        for key, value in stats.items():
+            if key not in ("kind", "role", "offered_bps"):
+                table.add_row(f"[workload {index} {stats['kind']}] {key}", value)
+    for collector_id, stats in result.get("collector_stats", {}).items():
+        for key, value in stats.items():
+            if key != "kind":
+                table.add_row(f"[{collector_id}] {key}", value)
     return table
 
 
@@ -180,6 +216,13 @@ def document_tables(doc: Any) -> List[ResultTable]:
 # ----------------------------------------------------------------------
 # whole-report rendering
 # ----------------------------------------------------------------------
+def sweep_summary(doc: Dict[str, Any]) -> str:
+    """One line naming a sweep document's cell count and grid axes."""
+    axes = list(doc.get("grid", {}))
+    return (f"{len(doc.get('cells', []))} cells over "
+            f"{len(axes)} axis(es): {', '.join(axes) or '(none)'}")
+
+
 def render_markdown(doc: Any, *, source: str = "",
                     provenance: Optional[Dict[str, Any]] = None) -> str:
     """The full markdown report for a document (plus optional provenance)."""
@@ -188,9 +231,7 @@ def render_markdown(doc: Any, *, source: str = "",
     if source:
         lines += [f"Source: `{source}`", ""]
     if kind == "sweep":
-        axes = list(doc.get("grid", {}))
-        lines += [f"{len(doc.get('cells', []))} cells over "
-                  f"{len(axes)} axis(es): {', '.join(axes) or '(none)'}", ""]
+        lines += [sweep_summary(doc), ""]
     for table in document_tables(doc):
         lines += [table.render_markdown(), ""]
     if provenance:

@@ -31,7 +31,10 @@ the paper's other canonical experiments are committed specs::
     python -m repro run      --spec examples/specs/victim_resources.json
 
 Each subcommand prints a small result table and exits 0; `--json` switches
-the output to machine-readable JSON for scripting.  Every subcommand takes
+the output to machine-readable JSON for scripting.  ``run``, ``compare`` and
+``sweep`` render their tables from that JSON document, through the builders
+``repro report`` uses (:mod:`repro.analysis.sweep_report`), so a saved
+document reports what the command printed.  Every subcommand takes
 ``--seed`` so any run is reproducible from its command line.  Result tables
 go to stdout; diagnostics (per-cell sweep progress, "wrote ..." notices) go
 through the shared logger to stderr and obey the global ``--verbose`` /
@@ -48,13 +51,12 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.report import (
-    ResultTable,
-    emit_result,
-    format_bps,
-    format_ratio,
-    format_seconds,
-    result_to_dict,
+from repro.analysis.report import ResultTable, format_seconds, result_to_dict
+from repro.analysis.sweep_report import (
+    compare_table,
+    result_table,
+    sweep_summary,
+    sweep_tables,
 )
 from repro.experiments import (
     DEFENSES,
@@ -64,7 +66,9 @@ from repro.experiments import (
     ExperimentSpec,
     ObserveSpec,
     SweepRunner,
+    TopologySpec,
     default_flood_spec,
+    expand_grid,
     provenance_sidecar_path,
 )
 from repro.obs import (
@@ -200,48 +204,17 @@ def _with_run_flags(spec: ExperimentSpec, args: argparse.Namespace,
         raise SystemExit(f"repro {args.command}: {error}") from error
 
 
-def _experiment_table(result) -> ResultTable:
-    table = ResultTable(f"Experiment: {result.name} [{result.defense}]",
-                        ["metric", "value"])
-    table.add_row("topology", result.topology)
-    table.add_row("defense backend", result.defense)
-    table.add_row("seed", result.seed)
-    table.add_row("attack offered", format_bps(result.attack_offered_bps))
-    table.add_row("attack reaching victim", format_bps(result.attack_received_bps))
-    table.add_row("effective-bandwidth ratio",
-                  format_ratio(result.effective_bandwidth_ratio))
-    table.add_row("legitimate goodput", format_bps(result.legit_goodput_bps))
-    table.add_row("time to first block",
-                  format_seconds(result.time_to_first_block)
-                  if result.time_to_first_block is not None else "never")
-    table.add_row("defense nodes involved", result.nodes_involved)
-    table.add_row("control messages", result.control_messages)
-    if result.packets_dropped_down:
-        table.add_row("packets dropped (link down)", result.packets_dropped_down)
-    for key, value in sorted(result.defense_stats.items()):
-        if key in ("backend", "time_to_first_block", "nodes_involved",
-                   "control_messages"):
-            continue
-        table.add_row(f"[{result.defense}] {key}", value)
-    for index, stats in enumerate(result.workload_stats):
-        for key, value in stats.items():
-            if key not in ("kind", "role", "offered_bps"):
-                table.add_row(f"[workload {index} {stats['kind']}] {key}", value)
-    for collector_id, stats in result.collector_stats.items():
-        for key, value in stats.items():
-            if key != "kind":
-                table.add_row(f"[{collector_id}] {key}", value)
-    return table
-
-
 # ----------------------------------------------------------------------
 # experiment subcommands
 # ----------------------------------------------------------------------
 def run_experiment(args: argparse.Namespace) -> int:
     """``repro run``: execute one spec under any registered defense backend."""
     spec = _base_spec(args)
-    result = ExperimentRunner().run(spec)
-    emit_result(result, _experiment_table(result), args.json)
+    doc = result_to_dict(ExperimentRunner().run(spec))
+    if args.json:
+        print(json.dumps(doc, indent=2))
+    else:
+        result_table(doc).print()
     return 0
 
 
@@ -251,31 +224,18 @@ def run_compare(args: argparse.Namespace) -> int:
     if not defenses:
         raise SystemExit("--defenses needs at least one backend name")
     for name in defenses:
-        DEFENSES.get(name)  # fail fast with the list of valid names
+        try:
+            DEFENSES.get(name)  # fail fast with the list of valid names
+        except ValueError as error:
+            raise SystemExit(f"repro compare: {error}") from error
     spec = _base_spec(args)
-    results = [ExperimentRunner().run(spec.with_overrides({"defense.backend": name}))
-               for name in defenses]
+    doc = [result_to_dict(ExperimentRunner().run(
+               spec.with_overrides({"defense.backend": name})))
+           for name in defenses]
     if args.json:
-        print(json.dumps([result_to_dict(r) for r in results], indent=2))
-        return 0
-    table = ResultTable(
-        "Defense comparison",
-        ["defense", "attack@victim", "ratio", "legit goodput",
-         "first block", "nodes", "ctrl msgs"],
-    )
-    for result in results:
-        table.add_row(
-            result.defense,
-            format_bps(result.attack_received_bps),
-            format_ratio(result.effective_bandwidth_ratio),
-            format_bps(result.legit_goodput_bps),
-            format_seconds(result.time_to_first_block)
-            if result.time_to_first_block is not None else "never",
-            result.nodes_involved,
-            result.control_messages,
-        )
-    table.add_note("same spec and seed for every backend (paired comparison)")
-    table.print()
+        print(json.dumps(doc, indent=2))
+    else:
+        compare_table(doc).print()
     return 0
 
 
@@ -338,14 +298,18 @@ def run_sweep(args: argparse.Namespace) -> int:
         from repro.cluster import ClusterError, SweepCoordinator
 
         # Operator mistakes (reused dir without --resume, changed grid on
-        # resume, timeout) are CLI errors, not tracebacks.
+        # resume, a grid point the spec refuses, timeout) are CLI errors,
+        # not tracebacks.
         try:
             coordinator = SweepCoordinator(args.cluster,
                                            lease_seconds=args.lease,
                                            progress=log_cell_progress)
-            manifest = coordinator.submit(base, grid,
-                                          reseed=reseed,
-                                          resume=args.resume)
+            try:
+                manifest = coordinator.submit(base, grid,
+                                              reseed=reseed,
+                                              resume=args.resume)
+            except ValueError as exc:  # grid expansion, before any cell runs
+                raise SystemExit(f"repro sweep: {exc}") from exc
             if args.enqueue_only:
                 pending, leased, done = coordinator.queue.counts()
                 summary = {"cells": len(manifest), "pending": pending,
@@ -361,45 +325,28 @@ def run_sweep(args: argparse.Namespace) -> int:
             sweep = coordinator.execute(timeout=args.timeout)
         except ClusterError as exc:
             raise SystemExit(f"repro sweep: {exc}") from exc
-        mode_note = f"cluster {args.cluster}"
     else:
+        try:
+            cells = expand_grid(base, grid, reseed=reseed)
+        except ValueError as exc:  # an axis path or value the spec refuses
+            raise SystemExit(f"repro sweep: {exc}") from exc
         sweep = SweepRunner(workers=args.workers,
-                            progress=log_cell_progress).run_grid(
-            base, grid, reseed=reseed)
-        mode_note = f"{args.workers} workers"
+                            progress=log_cell_progress).run_cells(
+            cells, base_spec=base.to_dict(),
+            grid={path: list(values) for path, values in grid.items()})
     logger.info("%s", provenance_summary(sweep.provenance))
     doc = sweep.to_dict()
     if args.output:
         sweep.write(args.output)
         sweep.write_provenance(provenance_sidecar_path(args.output))
+        logger.info("wrote %s (provenance: %s)", args.output,
+                    provenance_sidecar_path(args.output))
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
-    axes = list(grid)
-    table = ResultTable(
-        f"Sweep: {len(sweep.cells)} cells x {mode_note}",
-        [*axes, "seed", "ratio", "legit goodput", "first block"],
-    )
-    from repro.analysis.sweep_report import axis_value
-
-    for cell in sweep.cells:
-        result = cell["result"]
-        ttb = result["time_to_first_block"]
-        table.add_row(
-            *[axis_value(cell["overrides"], axis, "-") for axis in axes],
-            cell["seed"],
-            format_ratio(result["effective_bandwidth_ratio"]),
-            format_bps(result["legit_goodput_bps"]),
-            format_seconds(ttb) if ttb is not None else "never",
-        )
-    cache = sweep.provenance.get("cache")
-    if cache:
-        table.add_note(f"cell cache: {cache['hits']} hits, "
-                       f"{cache['misses']} misses")
-    if args.output:
-        table.add_note(f"full results written to {args.output} "
-                       f"(provenance: {provenance_sidecar_path(args.output)})")
-    table.print()
+    print(f"\nSweep: {sweep_summary(doc)}")
+    for table in sweep_tables(doc):
+        table.print()
     return 0
 
 
@@ -439,8 +386,12 @@ def run_topo(args: argparse.Namespace) -> int:
                               for path, raw in args.set}
     if args.seed is not None:
         params["seed"] = args.seed
+    try:
+        spec = TopologySpec.from_dict({"kind": args.name, "params": params})
+    except ValueError as error:  # a parameter the builder does not declare
+        raise SystemExit(f"repro topo: {error}") from error
     start = time.perf_counter()
-    handle = build_topology(args.name, params)
+    handle = build_topology(spec.kind, spec.params)
     build_seconds = time.perf_counter() - start
 
     topo = handle.topology
@@ -500,7 +451,10 @@ def run_report(args: argparse.Namespace) -> int:
         render_markdown,
     )
 
-    doc = load_document(args.input)
+    try:
+        doc = load_document(args.input)
+    except (OSError, ValueError) as error:  # unreadable file, or not JSON
+        raise SystemExit(f"repro report: {error}") from error
     provenance = None
     sidecar = provenance_sidecar_path(args.input)
     if os.path.exists(sidecar):
@@ -529,22 +483,12 @@ def run_report(args: argparse.Namespace) -> int:
 
 def _plot_document(doc: Any, args: argparse.Namespace) -> List[str]:
     """The ``repro report --plot`` path: figures from a sweep document."""
-    from repro.analysis.figures import (
-        FigureRendererUnavailable,
-        default_figures,
-        have_matplotlib,
-        render_figures,
-    )
+    from repro.analysis.figures import default_figures, render_figures
 
     if not isinstance(doc, dict) or doc.get("schema") != "experiment_sweep/v1":
         raise SystemExit(
             "repro report --plot: figures are rendered from "
             "experiment_sweep/v1 documents (run `repro sweep --output ...`)")
-    if args.renderer == "mpl" and not have_matplotlib():
-        raise SystemExit(
-            "repro report --plot: matplotlib is not installed; install the "
-            "plot extra with `pip install '.[plot]'` or pass "
-            "`--renderer builtin`")
     if args.request:
         from repro.experiments import load_sweep_request
 
@@ -560,22 +504,15 @@ def _plot_document(doc: Any, args: argparse.Namespace) -> List[str]:
                 "plot against; describe figures in a --request file")
     figures_dir = args.figures_dir or "figures"
     try:
-        return render_figures(doc, figures, figures_dir,
-                              renderer=args.renderer)
-    except (FigureRendererUnavailable, ValueError) as exc:
+        return render_figures(doc, figures, figures_dir)
+    except ValueError as exc:
         raise SystemExit(f"repro report --plot: {exc}") from exc
 
 
 def run_paper(args: argparse.Namespace) -> int:
     """``repro paper``: run every committed grid and emit figures + gallery."""
-    from repro.analysis.figures import have_matplotlib
     from repro.paper import run_paper as run_paper_pipeline
 
-    if args.renderer == "mpl" and not have_matplotlib():
-        raise SystemExit(
-            "repro paper: matplotlib is not installed; install the plot "
-            "extra with `pip install '.[plot]'` or use the default "
-            "builtin renderer")
     if args.cluster and args.workers != 1:
         raise SystemExit(
             "repro paper: --workers does not apply with --cluster; "
@@ -587,7 +524,6 @@ def run_paper(args: argparse.Namespace) -> int:
             quick=args.quick,
             workers=args.workers,
             cluster_dir=args.cluster or None,
-            renderer=args.renderer,
             timeout=args.timeout,
         )
     except (OSError, ValueError) as exc:
@@ -1006,11 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also render SVG figures from a sweep document")
     report.add_argument("--figures-dir", default="",
                         help="directory for --plot output (default: figures)")
-    report.add_argument("--renderer", default="mpl",
-                        choices=("mpl", "builtin"),
-                        help="figure renderer: matplotlib (the [plot] "
-                             "extra) or the dependency-free builtin SVG "
-                             "writer")
     report.add_argument("--request", default="", metavar="FILE",
                         help="sweep_request/v1 file whose 'figures' section "
                              "describes what to plot (default: generic "
@@ -1032,10 +963,6 @@ def build_parser() -> argparse.ArgumentParser:
     paper.add_argument("--cluster", default="", metavar="DIR",
                        help="run each grid over this shared queue directory "
                             "(one subdirectory per grid)")
-    paper.add_argument("--renderer", default="builtin",
-                       choices=("builtin", "mpl"),
-                       help="figure renderer (builtin is dependency-free "
-                            "and byte-deterministic)")
     paper.add_argument("--timeout", type=float, default=None,
                        help="per-grid cluster timeout in seconds")
     paper.set_defaults(func=run_paper)

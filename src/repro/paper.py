@@ -95,7 +95,6 @@ def _execute_request(request: SweepRequest, *, workers: int,
 
 def run_grid(path: str, output_dir: str, *, quick: bool = False,
              workers: int = 1, cluster_dir: Optional[str] = None,
-             renderer: str = "builtin",
              timeout: Optional[float] = None) -> GridRunSummary:
     """Execute one grid file and write its sweep/report/figure outputs."""
     request = resolve_request(load_sweep_request(path), quick=quick,
@@ -128,7 +127,6 @@ def run_grid(path: str, output_dir: str, *, quick: bool = False,
 
     figures = request.figures or default_figures(doc)
     figure_paths = render_figures(doc, figures, figures_dir,
-                                  renderer=renderer,
                                   prefix=f"{request.name}--")
 
     cache = sweep.provenance.get("cache", {})
@@ -185,12 +183,11 @@ def write_gallery(output_dir: str,
 def run_paper(*, grids_dir: str = DEFAULT_GRIDS_DIR,
               output_dir: str = "paper_results", quick: bool = False,
               workers: int = 1, cluster_dir: Optional[str] = None,
-              renderer: str = "builtin",
               timeout: Optional[float] = None) -> Dict[str, Any]:
     """Run every committed grid and assemble the reproduction tree."""
     summaries = [
         run_grid(path, output_dir, quick=quick, workers=workers,
-                 cluster_dir=cluster_dir, renderer=renderer, timeout=timeout)
+                 cluster_dir=cluster_dir, timeout=timeout)
         for path in discover_grids(grids_dir)
     ]
     gallery = write_gallery(output_dir, summaries, quick=quick)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -198,8 +199,10 @@ class TestCompareCommand:
         assert {r["seed"] for r in payload} == {4}
 
     def test_unknown_defense_fails_fast(self, capsys):
-        with pytest.raises(ValueError, match="unknown defense backend"):
+        with pytest.raises(SystemExit) as error:
             main(["compare", "--defenses", "aitf,nope", "--duration", "2"])
+        assert error.value.code.startswith(
+            "repro compare: unknown defense backend")
 
 
 class TestSweepCommand:
@@ -321,6 +324,28 @@ class TestReportCommand:
         assert "defense.backend" in md_path.read_text()
         assert csv_path.read_text().startswith("index,defense.backend,")
 
+    def test_report_of_a_saved_run_shows_the_run_table(self, capsys, tmp_path):
+        """``repro report`` on a saved ``--json run`` prints every row, with
+        its value, that the ``repro run`` table printed: the defense,
+        workload and collector stats included."""
+        argv = ["run", "--spec", VICTIM_SPEC, "--duration", "2",
+                "--set", "workloads.0.params.rate=20"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        body = next(i for i, line in enumerate(lines) if line.startswith("---"))
+        rows = [re.split(r"\s{2,}", line.strip(), maxsplit=1)
+                for line in lines[body + 1:]]
+        for label in ("[aitf] ", "[workload 0 filter-requests] ",
+                      "[victim-gw-filters] ", "[requests] ", "[paper] "):
+            assert any(row[0].startswith(label) for row in rows), label
+        assert main(["--json", *argv]) == 0
+        saved = tmp_path / "result.json"
+        saved.write_text(capsys.readouterr().out)
+        assert main(["report", str(saved)]) == 0
+        report = capsys.readouterr().out
+        for label, value in rows:
+            assert f"| {label} | {value} |" in report
+
     def test_report_rejects_non_experiment_json(self, tmp_path):
         bogus = tmp_path / "bogus.json"
         bogus.write_text('{"hello": 1}')
@@ -390,7 +415,7 @@ class TestReportPlot:
         sweep_path = self._sweep(tmp_path)
         figs = tmp_path / "figs"
         code = main(["report", str(sweep_path), "--plot",
-                     "--renderer", "builtin", "--figures-dir", str(figs)])
+                     "--figures-dir", str(figs)])
         assert code == 0
         capsys.readouterr()
         names = sorted(p.name for p in figs.iterdir())
@@ -398,20 +423,8 @@ class TestReportPlot:
                          "legit-goodput-bps.svg"]
         first = (figs / names[0]).read_bytes()
         assert main(["report", str(sweep_path), "--plot",
-                     "--renderer", "builtin", "--figures-dir", str(figs)]) == 0
+                     "--figures-dir", str(figs)]) == 0
         assert (figs / names[0]).read_bytes() == first
-
-    def test_plot_default_renderer_errors_cleanly_without_matplotlib(
-            self, tmp_path, monkeypatch):
-        from repro.analysis import figures as figures_mod
-
-        monkeypatch.setattr(figures_mod, "have_matplotlib", lambda: False)
-        sweep_path = self._sweep(tmp_path)
-        with pytest.raises(SystemExit,
-                           match=r"pip install '\.\[plot\]'") as excinfo:
-            main(["report", str(sweep_path), "--plot",
-                  "--figures-dir", str(tmp_path / "figs")])
-        assert "matplotlib is not installed" in str(excinfo.value)
 
     def test_figures_dir_requires_plot(self, tmp_path):
         sweep_path = self._sweep(tmp_path)
@@ -430,8 +443,7 @@ class TestPaperCommand:
     def test_paper_runs_grids_and_writes_gallery(self, capsys, tmp_path):
         grids = _write_tiny_grid(tmp_path)
         output = tmp_path / "out"
-        code = main(["paper", "--grids", str(grids), "--output", str(output),
-                     "--renderer", "builtin"])
+        code = main(["paper", "--grids", str(grids), "--output", str(output)])
         out = capsys.readouterr().out
         assert code == 0
         assert "Paper reproduction (full grids)" in out
@@ -505,7 +517,32 @@ class TestSpecErrors:
         assert isinstance(message, str) and "\n" not in message
         assert message.startswith(f"repro {command}: {expected}")
 
-    def test_unreadable_spec_file_is_one_line(self, tmp_path):
+    @pytest.mark.parametrize("argv", [["run", "--spec"], ["report"]],
+                             ids=["run", "report"])
+    def test_unreadable_file_is_one_line(self, tmp_path, argv):
         with pytest.raises(SystemExit) as error:
-            main(["run", "--spec", str(tmp_path / "missing.json")])
-        assert error.value.code.startswith("repro run: ")
+            main([*argv, str(tmp_path / "missing.json")])
+        assert error.value.code.startswith(f"repro {argv[0]}: ")
+
+    @pytest.mark.parametrize("cluster", [False, True], ids=["local", "cluster"])
+    def test_sweep_param_error_is_one_line(self, tmp_path, cluster):
+        """A misspelled ``--param`` axis is refused before any cell runs."""
+        queue = tmp_path / "q"
+        argv = ["sweep", "--spec", FLOOD_SPEC,
+                "--param", "workloads.1.params.rate_ppz=1,2"]
+        with pytest.raises(SystemExit) as error:
+            main(argv + (["--cluster", str(queue)] if cluster else []))
+        message = error.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(
+            "repro sweep: unknown workload 'flood' parameter(s): rate_ppz ")
+        assert not (queue / "run.json").exists()
+
+    def test_topo_set_error_is_one_line(self):
+        with pytest.raises(SystemExit) as error:
+            main(["topo", "--name", "figure1", "--set", "extra_good_hostz=1"])
+        message = error.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(
+            "repro topo: unknown topology 'figure1' parameter(s): "
+            "extra_good_hostz (known: ")

@@ -7,7 +7,6 @@ import pytest
 
 from repro.analysis import figures as figures_mod
 from repro.analysis.figures import (
-    FigureRendererUnavailable,
     default_figures,
     figure_series,
     render_figure,
@@ -179,8 +178,8 @@ class TestBuiltinRenderer:
         figure = {"name": "f", "x": "workloads.1.params.rate_pps",
                   "series": "defense.backend",
                   "y": "effective_bandwidth_ratio"}
-        first = render_figure(doc, figure, renderer="builtin")
-        second = render_figure(doc, figure, renderer="builtin")
+        first = render_figure(doc, figure)
+        second = render_figure(doc, figure)
         assert first == second
         assert first.startswith("<svg ")
         assert "polyline" in first
@@ -189,13 +188,12 @@ class TestBuiltinRenderer:
         doc = _tiny_sweep_doc()
         svg = render_figure(doc, {
             "x": "defense.backend", "series": "workloads.1.params.rate_pps",
-            "y": "legit_goodput_bps"}, renderer="builtin")
+            "y": "legit_goodput_bps"})
         assert ">aitf</text>" in svg and ">none</text>" in svg
 
     def test_empty_data_renders_placeholder(self):
         doc = {"schema": "experiment_sweep/v1", "grid": {}, "cells": []}
-        svg = render_figure(doc, {"x": "nope", "y": "nothing"},
-                            renderer="builtin")
+        svg = render_figure(doc, {"x": "nope", "y": "nothing"})
         assert "no data points" in svg
 
     def test_log_scale_requires_positive_values(self):
@@ -204,30 +202,3 @@ class TestBuiltinRenderer:
             series=[("s", [(1.0, 0.0)])])
         with pytest.raises(ValueError, match="log scale"):
             render_figure_builtin(data)
-
-    def test_unknown_renderer_rejected(self):
-        with pytest.raises(ValueError, match="unknown renderer"):
-            render_figure(_tiny_sweep_doc(), {"x": "duration", "y": "seed"},
-                          renderer="gnuplot")
-
-
-class TestMatplotlibGate:
-    def test_clean_error_when_matplotlib_missing(self, monkeypatch):
-        monkeypatch.setattr(figures_mod, "have_matplotlib", lambda: False)
-        data = figures_mod.FigureData(name="f", title="f", xlabel="x",
-                                      ylabel="y")
-        with pytest.raises(FigureRendererUnavailable,
-                           match=r"pip install '\.\[plot\]'"):
-            figures_mod.render_figure_matplotlib(data)
-
-    @pytest.mark.skipif(not figures_mod.have_matplotlib(),
-                        reason="matplotlib not installed")
-    def test_mpl_renderer_is_deterministic(self):
-        doc = _tiny_sweep_doc()
-        figure = {"x": "workloads.1.params.rate_pps",
-                  "series": "defense.backend",
-                  "y": "effective_bandwidth_ratio"}
-        first = render_figure(doc, figure, renderer="mpl")
-        second = render_figure(doc, figure, renderer="mpl")
-        assert first == second
-        assert "<svg" in first

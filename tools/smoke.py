@@ -256,19 +256,19 @@ ENTRIES = {
         failover_grid_train_within_tolerance,
         "repro report churn-packet.json --output churn-report.md "
         "--csv churn-cells.csv",
-        "repro report churn-packet.json --plot --renderer builtin "
+        "repro report churn-packet.json --plot "
         f"--figures-dir churn-figures --request {GRIDS}/failover.json",
         f"repro sweep --request {GRIDS}/partial_deployment.json --quick "
         "--output deploy-quick.json",
         deployment_grid_separates_the_loci,
         "repro report deploy-quick.json --output deploy-report.md "
         "--csv deploy-cells.csv",
-        "repro report deploy-quick.json --plot --renderer builtin "
+        "repro report deploy-quick.json --plot "
         "--figures-dir deploy-figures "
         f"--request {GRIDS}/partial_deployment.json",
         f"repro sweep --request {GRIDS}/redteam_exhaustion.json --quick "
         "--output redteam-grid.json",
-        "repro report redteam-grid.json --plot --renderer builtin "
+        "repro report redteam-grid.json --plot "
         "--figures-dir redteam-figures "
         f"--request {GRIDS}/redteam_exhaustion.json",
         f"repro trace record --spec {SPECS}/flood_aitf.json "
