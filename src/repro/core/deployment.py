@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Container, Dict, Iterable, List, Optional
 
 from repro.core.config import AITFConfig
@@ -30,8 +29,9 @@ class GatewayAgents(Mapping[str, GatewayAgent]):
     """Deployed border-router name -> its agent, built on first use.
 
     A 5,000-AS hierarchy deploys 5,000 gateways and a run reaches a few
-    dozen of them, so a deployed router holds only a handler that builds its
-    agent when the first control packet addressed to it arrives, and this
+    dozen of them, so a deployed router holds only the deployment's one
+    handler, which builds the agent of the router a control packet is
+    addressed to when the first such packet arrives, and this
     map holds the agent's fork of the deployment stream, fixed at deploy
     time in node order (so handshake nonces do not depend on which agents
     a run builds, or when).  Length, iteration and membership cover every
@@ -132,12 +132,14 @@ class AITFDeployment:
             forks[router.name] = index
             if capacity is not None:
                 router.filter_table.capacity = capacity
-            router.control_handler = partial(wake, router.name)
+            router.control_handler = wake
 
-    def _wake_gateway(self, name: str, packet: Packet,
-                      link: Optional[Link]) -> None:
-        """A dormant gateway's control handler: build, then hand over."""
-        self.gateway_agents[name]._handle_control(packet, link)
+    def _wake_gateway(self, packet: Packet, link: Optional[Link]) -> None:
+        """Every dormant gateway's control handler (one bound method,
+        shared): the gateway is the router owning the packet's
+        destination; build its agent, then hand over."""
+        router = self.directory.node_owning(packet.dst)
+        self.gateway_agents[router.name]._handle_control(packet, link)
 
     def _build_gateway(self, name: str, index: int) -> GatewayAgent:
         router = self.directory.get(name)

@@ -13,6 +13,13 @@ from typing import Any, Callable, Dict, FrozenSet, Generic, Iterator, List, Type
 
 T = TypeVar("T")
 
+#: The value types a parameter with a bool default, and one with an int or
+#: float default, takes (:meth:`Registry.check_values`; a subclass of int
+#: or float other than bool is a number too).
+_BOOL = frozenset({bool})
+_NUMBER = frozenset({int, float})
+_WANTS = {_BOOL: "true or false", _NUMBER: "a number"}
+
 
 class Registry(Generic[T]):
     """A name -> factory mapping with helpful unknown-name errors.
@@ -28,6 +35,9 @@ class Registry(Generic[T]):
         self._entries: Dict[str, T] = {}
         self._declared_by: Dict[str, Callable[[], Any]] = {}
         self._parameters: Dict[str, FrozenSet[str]] = {}
+        self._defaults: Dict[str, Dict[str, Any]] = {}
+        #: Entry -> the parameters whose values are checked -> what they take.
+        self._wants: Dict[str, Dict[str, FrozenSet[type]]] = {}
 
     def register(self, name: str, value: T = None, *,
                  declared_by: Callable[[], Any] = None) -> Callable[[T], T]:
@@ -59,12 +69,43 @@ class Registry(Generic[T]):
     def parameters(self, name: str) -> FrozenSet[str]:
         """The parameter names entry ``name`` declares, worked out once."""
         if name not in self._parameters:
+            self._parameters[name] = frozenset(self.defaults(name))
+        return self._parameters[name]
+
+    def defaults(self, name: str) -> Dict[str, Any]:
+        """Entry ``name``'s parameters and their defaults, read once from
+        the keyword-only arguments of its builder."""
+        if name not in self._defaults:
             self.get(name)
             signature = inspect.signature(self._declared_by[name]())
-            self._parameters[name] = frozenset(
-                key for key, parameter in signature.parameters.items()
-                if parameter.kind is parameter.KEYWORD_ONLY)
-        return self._parameters[name]
+            self._defaults[name] = {
+                key: parameter.default
+                for key, parameter in signature.parameters.items()
+                if parameter.kind is parameter.KEYWORD_ONLY}
+        return self._defaults[name]
+
+    def check_values(self, name: str, params: Dict[str, Any]) -> None:
+        """Refuse a declared parameter's value of the wrong type (ValueError
+        naming each): a number where the default is an int or a float (a
+        bool is not one), a bool where it is a bool.  Other defaults, None
+        among them, take any value."""
+        wants = self._wants.get(name)
+        if wants is None:
+            wants = self._wants[name] = {
+                key: _BOOL if isinstance(default, bool) else _NUMBER
+                for key, default in self.defaults(name).items()
+                if isinstance(default, (bool, int, float))}
+        wrong = []
+        for key, value in params.items():
+            want = wants.get(key)
+            if want is None or type(value) in want or (
+                    want is _NUMBER and isinstance(value, (int, float))
+                    and not isinstance(value, bool)):
+                continue
+            wrong.append(f"{key}={value!r} (want {_WANTS[want]})")
+        if wrong:
+            raise ValueError(f"bad {self.kind} {name!r} parameter value(s): "
+                             f"{', '.join(sorted(wrong))}")
 
     def names(self) -> List[str]:
         """Registered names, sorted."""

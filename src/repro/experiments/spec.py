@@ -50,10 +50,15 @@ def _params_dict(params: Optional[Mapping[str, Any]],
 
 def _entry_params(registry: Registry, kind: str,
                   params: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
-    """``params`` checked against registry entry ``kind``; an unknown kind
-    is left for the build step, which names the registered choices."""
-    known = registry.parameters(kind) if kind in registry else None
-    return _params_dict(params, known, f"{registry.kind} {kind!r}")
+    """``params`` checked against registry entry ``kind``, names and value
+    types; an unknown kind is left for the build step, which names the
+    registered choices."""
+    if kind not in registry:
+        return _params_dict(params)
+    params = _params_dict(params, registry.parameters(kind),
+                          f"{registry.kind} {kind!r}")
+    registry.check_values(kind, params)
+    return params
 
 
 @dataclass
@@ -87,10 +92,14 @@ class DefenseSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "DefenseSpec":
         _reject_unknown_keys(data, {"backend", "params"}, "defense")
         # Every backend's names: one params block survives a
-        # ``defense.backend`` axis (each backend takes only its own).
+        # ``defense.backend`` axis (each backend takes only its own, so
+        # only the chosen one's values are checked).
         known = frozenset().union(*map(DEFENSES.parameters, DEFENSES))
-        return cls(backend=data.get("backend", "aitf"),
-                   params=_params_dict(data.get("params"), known, "defense"))
+        params = _params_dict(data.get("params"), known, "defense")
+        backend = data.get("backend", "aitf")
+        if backend in DEFENSES:
+            DEFENSES.check_values(backend, params)
+        return cls(backend=backend, params=params)
 
 
 @dataclass

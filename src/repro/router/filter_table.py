@@ -36,6 +36,10 @@ class FilterTableFullError(RuntimeError):
 _filter_ids = itertools.count(1)
 _filter_id = attrgetter("filter_id")
 
+#: ``_entries`` of every table that never held a filter; the first install
+#: gives a table its own dict (and the index over it).
+_NO_ENTRIES: Dict[int, "FilterEntry"] = {}
+
 
 @dataclass
 class FilterEntry:
@@ -88,7 +92,7 @@ class FilterTable:
         self.name = name
         self._clock = clock or (lambda: 0.0)
         #: Primary store, insertion-ordered: filter_id -> entry.
-        self._entries: Dict[int, FilterEntry] = {}
+        self._entries: Dict[int, FilterEntry] = _NO_ENTRIES
         #: Lookup and expiry over ``_entries``; None until the first install.
         self._index: Optional[LabelIndex] = None
         # statistics
@@ -160,6 +164,7 @@ class FilterTable:
         now = self._clock()
         index = self._index
         if index is None:
+            self._entries = {}
             index = self._index = LabelIndex(self._entries, _filter_id)
         index.purge(self._clock)
         existing = index.covering(label)

@@ -34,6 +34,13 @@ class IngressStats:
     spoofed_dropped: int = 0
 
 
+#: The policy and the counters of every filter that has no policy: only
+#: :meth:`IngressFilter.check` with a policy counts, so a filter takes
+#: both of its own at its first :meth:`~IngressFilter.allow`.
+_NO_POLICY: Dict[int, List[Prefix]] = {}
+_NO_STATS = IngressStats()
+
+
 class IngressFilter:
     """Per-link source-prefix validation.
 
@@ -49,14 +56,17 @@ class IngressFilter:
     def __init__(self, enforce: bool = True, name: str = "") -> None:
         self.enforce = enforce
         self.name = name
-        self.stats = IngressStats()
-        self._allowed: Dict[int, List[Prefix]] = {}
+        self.stats = _NO_STATS
+        self._allowed: Dict[int, List[Prefix]] = _NO_POLICY
 
     # ------------------------------------------------------------------
     # configuration
     # ------------------------------------------------------------------
     def allow(self, link, prefix: Union[str, Prefix]) -> None:
         """Declare that ``prefix`` is legitimately sourced behind ``link``."""
+        if self._allowed is _NO_POLICY:
+            self._allowed = {}
+            self.stats = IngressStats()
         self._allowed.setdefault(id(link), []).append(Prefix.parse(prefix))
 
     def allowed_prefixes(self, link) -> List[Prefix]:

@@ -26,15 +26,15 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, FrozenSet, List, Optional, Set, Union
+from typing import AbstractSet, Callable, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.net.address import IPAddress, Prefix
 from repro.net.link import Link
 from repro.net.packet import Packet, PacketKind
 from repro.net.train import PacketTrain
-from repro.router.filter_table import FilterTable
-from repro.router.ingress import IngressFilter
-from repro.router.routing import RoutingTable
+from repro.router.filter_table import _NO_ENTRIES, FilterTable
+from repro.router.ingress import _NO_POLICY, _NO_STATS, IngressFilter
+from repro.router.routing import _NO_MEMO, _NO_NEXT_HOPS, _NO_ROWS, RoutingTable
 from repro.sim.engine import Simulator
 
 #: Hooks are handed the train when there is one: ``(packet)`` or
@@ -49,6 +49,11 @@ _DATA = PacketKind.DATA
 
 #: ``disconnected_links`` of every node that never disconnected a link.
 _NONE_DISCONNECTED: FrozenSet[int] = frozenset()
+
+#: The receive callbacks, forward observers and local prefixes of every
+#: node that never registered one; a node takes a list of its own on its
+#: first registration.
+_NO_HOOKS: Tuple = ()
 
 
 @dataclass(slots=True)
@@ -78,7 +83,7 @@ class NetworkNode:
         #: The AITF network (Autonomous Domain) this node belongs to.
         self.network = network or name
         self.links: List[Link] = []
-        self.routing = RoutingTable(name)
+        self.routing = RoutingTable(self.name)
         self.stats = NodeStats()
         self.addresses: Set[IPAddress] = set()
         #: Links this node has administratively disconnected (Section II-C
@@ -88,7 +93,7 @@ class NetworkNode:
         #: Invoked for control (AITF/pushback) packets addressed to this node.
         self.control_handler: Optional[ControlHandler] = None
         #: Applications: invoked for data packets addressed to this node.
-        self._receive_callbacks: List[PacketCallback] = []
+        self._receive_callbacks: Sequence[PacketCallback] = _NO_HOOKS
         #: Optional outbound guard installed by the AITF host agent: a
         #: cooperative attacker stops its own undesired flows by dropping
         #: them here before they reach the access link (Section IV-D — the
@@ -131,6 +136,8 @@ class NetworkNode:
         replayed per packet — so a callback that only takes the packet fails
         loudly there instead of under-counting.
         """
+        if self._receive_callbacks is _NO_HOOKS:
+            self._receive_callbacks = []
         self._receive_callbacks.append(callback)
 
     def link_to(self, neighbor: "NetworkNode") -> Optional[Link]:
@@ -309,7 +316,7 @@ class BorderRouter(NetworkNode):
         #: Observers see every data packet the router is about to forward
         #: (after filtering); the AITF victim-gateway agent uses this for
         #: on-off detection against its shadow cache.
-        self.forward_observers: List[ForwardObserver] = []
+        self.forward_observers: Sequence[ForwardObserver] = _NO_HOOKS
         #: Border routers stamp the route-record shim unless disabled (the
         #: probabilistic-traceback ablation turns this off).
         self.stamp_route_record = True
@@ -322,7 +329,7 @@ class BorderRouter(NetworkNode):
         self.conditioners: List[Callable[..., int]] = []
         #: Prefixes served by this router's AD (used by topology builders and
         #: by the protocol layer to tell "my client" from "transit").
-        self.local_prefixes: List[Prefix] = []
+        self.local_prefixes: Sequence[Prefix] = _NO_HOOKS
 
     # ------------------------------------------------------------------
     # configuration
@@ -330,6 +337,8 @@ class BorderRouter(NetworkNode):
     def add_local_prefix(self, prefix: Union[str, Prefix]) -> Prefix:
         """Declare a prefix as belonging to this router's own network."""
         prefix = Prefix.parse(prefix)
+        if self.local_prefixes is _NO_HOOKS:
+            self.local_prefixes = []
         self.local_prefixes.append(prefix)
         return prefix
 
@@ -342,6 +351,8 @@ class BorderRouter(NetworkNode):
         """Register a hook called for all data about to be forwarded:
         ``observer(packet, link)`` for a lone packet, ``observer(template,
         link, train)`` once for a whole train."""
+        if self.forward_observers is _NO_HOOKS:
+            self.forward_observers = []
         self.forward_observers.append(observer)
 
     # ------------------------------------------------------------------
@@ -423,3 +434,32 @@ class BorderRouter(NetworkNode):
             for observer in self.forward_observers:
                 observer(packet, link, train)
         self.forward_packet(packet, link, count, train)
+
+
+#: Every per-node container that starts as a shared empty constant: its
+#: attribute path on a node, and that constant.
+SHARED_UNTIL_WRITTEN: Tuple[Tuple[str, object], ...] = (
+    ("routing._rows", _NO_ROWS),
+    ("routing._next_hops", _NO_NEXT_HOPS),
+    ("routing._cache", _NO_MEMO),
+    ("ingress._allowed", _NO_POLICY),
+    ("ingress.stats", _NO_STATS),
+    ("filter_table._entries", _NO_ENTRIES),
+    ("_receive_callbacks", _NO_HOOKS),
+    ("forward_observers", _NO_HOOKS),
+    ("local_prefixes", _NO_HOOKS),
+)
+
+
+def private_containers(node: NetworkNode) -> List[str]:
+    """The paths in :data:`SHARED_UNTIL_WRITTEN` of the containers ``node``
+    owns, having written to them (a host has no ingress filter, filter
+    table, forward observers or local prefixes)."""
+    owned = []
+    for path, shared in SHARED_UNTIL_WRITTEN:
+        holder, _, name = path.rpartition(".")
+        value = getattr(getattr(node, holder, None) if holder else node,
+                        name, shared)
+        if value is not shared:
+            owned.append(path)
+    return owned

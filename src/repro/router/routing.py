@@ -25,6 +25,13 @@ _EVERYWHERE = Prefix(IPAddress(0), 0)
 #: per table (see :meth:`RoutingTable.next_hop`).
 NextHop = Tuple[object, int]
 
+#: The rows, next-hop records and memo of every table never written to;
+#: a table gets dicts of its own on its first write.  Most routers of a
+#: large topology never look anything up.
+_NO_ROWS: Dict[int, NextHop] = {}
+_NO_NEXT_HOPS: Dict[NextHop, NextHop] = {}
+_NO_MEMO: dict = {}
+
 
 @dataclass(frozen=True)
 class Route:
@@ -54,8 +61,8 @@ class RoutingTable:
         #: rows toward one destination network all ride its single next hop,
         #: so a fleet router holds thousands of rows over a few dozen
         #: records, and "is this row already in line" is an identity test.
-        self._rows: Dict[int, NextHop] = {}
-        self._next_hops: Dict[NextHop, NextHop] = {}
+        self._rows: Dict[int, NextHop] = _NO_ROWS
+        self._next_hops: Dict[NextHop, NextHop] = _NO_NEXT_HOPS
         #: Rows shorter than /32 as ``(shift, network >> shift, key)``,
         #: longest first: the only ones a lookup scans, and only when the
         #: exact-match probe misses.  Materialised lazily so rows can be
@@ -67,14 +74,18 @@ class RoutingTable:
         #: dict hit.  A /32 row changing drops only its own address; a
         #: shorter row or the default changing drops the whole memo; a call
         #: that changes nothing drops nothing.
-        self._cache: dict = {}
+        self._cache: dict = _NO_MEMO
         #: Optional miss hook: ``miss_handler(destination) -> bool`` is
         #: invoked when no explicit route matches (before the default-route
         #: fallback).  Returning True means routes were installed and the
-        #: match should be retried once.  Every router's rows are written
-        #: through it (repro.topology.dynamic); the per-packet hot path is
+        #: match should be retried once.  The per-packet hot path is
         #: untouched because resolved lookups hit the memo above.
         self.miss_handler = None
+        #: The same hook shared by every table of a topology, called as
+        #: ``miss_asker(name, destination)`` with this table's name: every
+        #: router's rows are written through it (repro.topology.dynamic),
+        #: and no table holds a hook object of its own.
+        self.miss_asker = None
         self._miss_active = False
 
     # ------------------------------------------------------------------
@@ -83,6 +94,8 @@ class RoutingTable:
     def next_hop(self, link, metric: int = 0) -> NextHop:
         """This table's one shared record for ``(link, metric)``."""
         pair = (link, metric)
+        if self._next_hops is _NO_NEXT_HOPS:
+            self._next_hops = {}
         return self._next_hops.setdefault(pair, pair)
 
     def install(self, prefix: Prefix, link, metric: int = 0) -> bool:
@@ -93,9 +106,13 @@ class RoutingTable:
         """
         key = prefix.key
         pair = (link, metric)  # next_hop(), inlined: this runs once per row
+        if self._next_hops is _NO_NEXT_HOPS:
+            self._next_hops = {}
         record = self._next_hops.setdefault(pair, pair)
         if self._rows.get(key) is record:
             return False
+        if self._rows is _NO_ROWS:
+            self._rows = {}
         self._rows[key] = record
         self._invalidate(key)
         return True
@@ -118,6 +135,8 @@ class RoutingTable:
         for key, record in zip(keys, records):
             if record is None or rows.get(key) is record:
                 continue
+            if rows is _NO_ROWS:
+                rows = self._rows = {}
             rows[key] = record
             changed += 1
             if key & 63 != 32:
@@ -157,11 +176,11 @@ class RoutingTable:
 
     def clear(self) -> None:
         """Remove every route, including the default."""
-        self._rows.clear()
-        self._next_hops.clear()
+        self._rows = _NO_ROWS
+        self._next_hops = _NO_NEXT_HOPS
         self._scan = None
         self._default = None
-        self._cache.clear()
+        self._cache = _NO_MEMO
 
     def _invalidate(self, key: int) -> None:
         """Forget what the changed row ``key`` could have answered."""
@@ -203,18 +222,25 @@ class RoutingTable:
         default route, or nothing, answers."""
         value = destination.value
         key = self._match(value)
-        if key is None and self.miss_handler is not None and not self._miss_active:
+        if key is None and (self.miss_asker is not None or
+                            self.miss_handler is not None) and not self._miss_active:
             self._miss_active = True
             try:
-                installed = self.miss_handler(destination)
+                if self.miss_asker is not None:
+                    installed = self.miss_asker(self.name, destination)
+                else:
+                    installed = self.miss_handler(destination)
             finally:
                 self._miss_active = False
             if installed:
                 key = self._match(value)
+        cache = self._cache
+        if cache is _NO_MEMO:
+            cache = self._cache = {}
         if key is not None:
-            self._cache[value] = self._rows[key][0]
+            cache[value] = self._rows[key][0]
         else:
-            self._cache[value] = self._default.link if self._default else None
+            cache[value] = self._default.link if self._default else None
         return key
 
     def _render(self, key: int) -> Route:

@@ -44,7 +44,6 @@ of them agree on what an anchor is.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import (Collection, Dict, Iterable, List, Mapping, NamedTuple,
                     Optional, Sequence, Set, Tuple)
 
@@ -206,10 +205,12 @@ class IncrementalRouting:
     # asking
     # ------------------------------------------------------------------
     def attach(self) -> None:
-        """Hook every router's routing-table miss onto :meth:`_on_miss`;
-        the hook is bound to the router's name, so it knows who asks."""
+        """Hook every router's routing-table miss onto :meth:`_on_miss`:
+        one bound method shared by every table, which passes its own name
+        (``RoutingTable.miss_asker``), so the hook knows who asks."""
+        on_miss = self._on_miss
         for router in self._routers:
-            router.routing.miss_handler = partial(self._on_miss, router.name)
+            router.routing.miss_asker = on_miss
 
     def _on_miss(self, router: str, destination: IPAddress) -> bool:
         """``router`` has no row for ``destination``: solve its anchor if

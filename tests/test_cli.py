@@ -546,3 +546,27 @@ class TestSpecErrors:
         assert message.startswith(
             "repro topo: unknown topology 'figure1' parameter(s): "
             "extra_good_hostz (known: ")
+
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep", "profile"])
+    @pytest.mark.parametrize("assignment, expected", [
+        ("workloads.1.params.rate_pps=fast",
+         "bad workload 'flood' parameter value(s): rate_pps='fast' "
+         "(want a number)"),
+        ("defense.params.shadow_enabled=1",
+         "bad defense backend 'aitf' parameter value(s): shadow_enabled=1 "
+         "(want true or false)"),
+    ], ids=["str-for-float", "int-for-bool"])
+    def test_mistyped_value_is_one_line(self, command, assignment, expected):
+        argv = [command, "--spec", FLOOD_SPEC, "--set", assignment]
+        if command == "sweep":
+            argv += ["--param", "seed=1,2"]
+        with pytest.raises(SystemExit) as error:
+            main(argv)
+        assert error.value.code == f"repro {command}: {expected}"
+
+    def test_topo_mistyped_value_is_one_line(self):
+        with pytest.raises(SystemExit) as error:
+            main(["topo", "--name", "figure1", "--set", "extra_good_hosts=two"])
+        assert error.value.code == (
+            "repro topo: bad topology 'figure1' parameter value(s): "
+            "extra_good_hosts='two' (want a number)")

@@ -7,7 +7,9 @@ from repro.core.config import AITFConfig
 from repro.core.deployment import deploy_aitf
 from repro.core.detection import ExplicitDetector, RateBasedDetector
 from repro.core.events import EventType
+from repro.core.messages import DisconnectNotice
 from repro.net.flowlabel import FlowLabel
+from repro.net.packet import Packet, PacketKind
 from repro.topology.figure1 import build_figure1
 
 from tests.conftest import make_deployed_figure1
@@ -142,6 +144,35 @@ class TestDeployment:
         agents = env.deployment.all_agents()
         assert all(agent.log is env.deployment.event_log for agent in agents)
         assert all(agent.config is env.config for agent in agents)
+
+    @pytest.mark.parametrize("late_address", [False, True],
+                             ids=["registered", "added-after-register"])
+    def test_control_packet_wakes_exactly_its_gateway(self, late_address):
+        """Every dormant gateway shares one control handler; a control
+        packet builds the agent of the router it is addressed to (found by
+        address, also one added after the directory indexed the router)
+        and no other."""
+        figure1 = build_figure1()
+        deployment = deploy_aitf(figure1.all_nodes(), AITFConfig())
+        gateway = figure1.b_gw2
+        handlers = {id(router.control_handler)
+                    for router in figure1.all_nodes()
+                    if router.name in deployment.gateway_agents}
+        assert handlers == {id(gateway.control_handler)}
+        dst = (gateway.add_address("10.250.0.1") if late_address
+               else gateway.address)
+        notice = Packet.control(figure1.g_host.address, dst,
+                                PacketKind.DISCONNECT_NOTICE,
+                                DisconnectNotice(offender="B_host",
+                                                 reason="test"))
+        gateway.receive_packet(notice, gateway.links[0])
+        assert [agent.name for agent in deployment.gateway_agents.built()] == [
+            "B_gw2"]
+        assert gateway.control_handler == deployment.gateway_agent(
+            "B_gw2")._handle_control
+        events = deployment.event_log.of_type(EventType.DISCONNECTION)
+        assert [(event.node, event.details["notice"]) for event in events] == [
+            ("B_gw2", True)]
 
     def test_victim_gateway_capacity_override(self):
         figure1 = build_figure1()

@@ -367,6 +367,15 @@ def _placed(slot, entry, params):
     return {"aitf": params}, "aitf"
 
 
+def _declared_defaults(slot, entry):
+    """Registry ``slot``'s defaults for ``entry`` (the ``aitf`` block: none)."""
+    from repro.experiments import COLLECTORS
+
+    registry = {"topology": TOPOLOGIES, "defense": DEFENSES,
+                "workload": WORKLOADS, "collector": COLLECTORS}.get(slot)
+    return {} if registry is None else registry.defaults(entry)
+
+
 def _component_cases():
     """(slot, entry, declared names, name the error message uses) for every
     registry entry and for the ``aitf`` block."""
@@ -402,7 +411,9 @@ class TestDeclaredParameters:
     @pytest.mark.parametrize("slot, entry, declared, component", _component_cases())
     def test_every_declared_parameter_is_accepted(self, slot, entry, declared,
                                                   component):
-        params = {name: 1 for name in declared}
+        defaults = _declared_defaults(slot, entry)
+        params = {name: True if isinstance(defaults.get(name), bool) else 1
+                  for name in declared}
         data, path = _placed(slot, entry, params)
         node = ExperimentSpec.from_dict(data).to_dict()
         for segment in path.split("."):
@@ -431,3 +442,67 @@ class TestDeclaredParameters:
         for cell in cells:
             result = ExperimentRunner().run(cell.spec)
             assert result.defense == cell.spec.defense.backend
+
+    @pytest.mark.parametrize("params, refused", [
+        ({"rate_pps": "fast"}, "rate_pps='fast' (want a number)"),
+        ({"rate_pps": True}, "rate_pps=True (want a number)"),
+        ({"packet_size": None}, "packet_size=None (want a number)"),
+        ({"spoofed": 1}, "spoofed=1 (want true or false)"),
+        ({"spoofed": "yes", "start": [0]},
+         "spoofed='yes' (want true or false), start=[0] (want a number)"),
+    ], ids=["str-for-float", "bool-for-float", "none-for-int", "int-for-bool",
+            "two"])
+    def test_mistyped_value_is_refused_when_parsed(self, params, refused):
+        data, _ = _placed("workload", "flood", params)
+        with pytest.raises(ValueError) as excinfo:
+            ExperimentSpec.from_dict(data)
+        assert str(excinfo.value) == (
+            f"bad workload 'flood' parameter value(s): {refused}")
+
+    def test_numbers_cross_int_and_float_and_none_defaults_take_anything(self):
+        params = {"rate_pps": 900, "packet_size": 1000.0, "spoofed": True,
+                  "duration": "unchecked"}
+        data, _ = _placed("workload", "flood", params)
+        assert ExperimentSpec.from_dict(data).workloads[0].params == params
+
+    @pytest.mark.parametrize("params, backend", [
+        ({"shadow_enabled": 0}, "aitf"),
+        ({"limit_bps": "1M"}, "pushback"),
+    ])
+    def test_defense_value_is_checked_by_the_chosen_backend(self, params,
+                                                           backend):
+        data, _ = _placed("defense", backend, params)
+        with pytest.raises(ValueError, match=f"bad defense backend "
+                                             f"'{backend}' parameter value"):
+            ExperimentSpec.from_dict(data)
+        other = "pushback" if backend == "aitf" else "aitf"
+        data, _ = _placed("defense", other, params)
+        assert ExperimentSpec.from_dict(data).defense.params == params
+
+    def test_mistyped_grid_value_fails_during_expansion(self):
+        with pytest.raises(ValueError, match="rate_pps='fast'"):
+            expand_grid(default_flood_spec(),
+                        {"workloads.1.params.rate_pps": [1000, "fast"]},
+                        reseed=False)
+
+    @pytest.mark.parametrize("path", sorted(
+        glob.glob(os.path.join(SPECS_DIR, "grids", "*.json"))
+        + glob.glob(os.path.join(SPECS_DIR, "..", "..", "bench", "workloads",
+                                 "sweep_*.json"))),
+        ids=os.path.basename)
+    def test_every_committed_grid_cell_parses(self, path):
+        from repro.experiments.request import SweepRequest
+
+        request = SweepRequest.load(path)
+        for quick in (False, True):
+            resolved = request.resolve(quick=quick)
+            assert expand_grid(resolved.base, resolved.grid,
+                               reseed=resolved.reseed)
+
+    @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(
+        SPECS_DIR, "..", "..", "bench", "workloads", "*.json"))),
+        ids=os.path.basename)
+    def test_every_bench_workload_parses(self, path):
+        with open(path) as handle:
+            data = json.load(handle)
+        ExperimentSpec.from_dict(data.get("base_spec", data))

@@ -67,20 +67,29 @@ def _load(out, name):
 # ----------------------------------------------------------------------
 def rows_held(out):
     """What the routers of the committed hier_churn cell end up holding:
-    rows, routers with any, and (router, anchor) pairs that asked."""
+    rows, routers with any, (router, anchor) pairs that asked, and how many
+    routers own each per-node container (the rest share its empty
+    constant)."""
     sys.path.insert(0, os.path.join(REPO, "src"))
     from repro.experiments import ExperimentRunner, ExperimentSpec
+    from repro.router.nodes import SHARED_UNTIL_WRITTEN, private_containers
 
     spec = ExperimentSpec.load(os.path.join(REPO, "bench", "workloads",
                                             "hier_churn.json"))
     execution = ExperimentRunner().prepare(spec)
     execution.run()
     topology = execution.handle.topology
-    rows = [router.routing.row_count() for router in topology.border_routers()]
+    routers = topology.border_routers()
+    rows = [router.routing.row_count() for router in routers]
+    owners = dict.fromkeys((path for path, _ in SHARED_UNTIL_WRITTEN), 0)
+    for router in routers:
+        for path in private_containers(router):
+            owners[path] += 1
     print("hier_churn", {
         "rows_held": sum(rows),
         "routers_holding_rows": sum(1 for count in rows if count),
-        "holders": sum(map(len, topology.policy.askers.values()))})
+        "holders": sum(map(len, topology.policy.askers.values())),
+        "routers": len(routers), "routers_owning": owners})
 
 
 def resume_after_killing_a_worker(out):
