@@ -13,10 +13,12 @@ that promise honest:
   it is off either leaves a hook behind or fires an extra event, and trips
   this on any host, every time.
 * **enabled-tracing work gate** — equally clock-free: with the ``packet``
-  channel on, the run formats no address, every stored row is a tuple the
-  cyclic collector has untracked, and reading the rows back yields exactly
-  the dicts the pre-row callbacks (kept below as the oracle) built per
-  packet.
+  channel on, the run formats no address, the recorder holds two machine
+  values per record and Python objects only per distinct body, and
+  reading the records back yields exactly the dicts the pre-row callbacks
+  (kept below as the oracle) built per packet.
+* **enabled-tracing memory gate** — what the ``packet`` channel's store
+  holds, as ``tracemalloc`` counts it, is at most 16 bytes a record.
 * **enabled-tracing sanity** — per-channel overhead is measured in-process
   (off vs each channel vs everything on) and printed, not gated; the
   full-fat configuration must still finish and produce records.
@@ -31,6 +33,7 @@ import pytest
 from repro.analysis.report import ResultTable
 from repro.experiments import ExperimentRunner, ObserveSpec, default_flood_spec
 from repro.net.address import IPAddress
+from repro.obs.trace import store_footprint
 
 from benchmarks.conftest import run_once
 
@@ -67,7 +70,7 @@ def test_disabled_tracing_leaves_no_hook_and_adds_no_work(mode):
 
 
 # ----------------------------------------------------------------------
-# tracing on: rows at write time, dicts only on read
+# tracing on: a time and a body index at write time, dicts only on read
 # ----------------------------------------------------------------------
 def _oracle_packet_records(spec):
     """The ``packet`` channel as the callbacks before compact rows built it.
@@ -126,7 +129,8 @@ def _run_counting_address_formats(execution, monkeypatch) -> int:
 
 def test_enabled_packet_tracing_stores_untracked_rows_and_formats_nothing(
         monkeypatch):
-    """A traced run pays one flat tuple per packet; dicts appear on read."""
+    """A traced run pays a time and a body index per packet; dicts appear
+    on read."""
     base = default_flood_spec(attack_pps=1500.0, duration=4.0, seed=0)
     spec = dataclasses.replace(base, observe=ObserveSpec(channels=("packet",)))
     # The protocol agents format a handful of addresses into their event
@@ -141,10 +145,26 @@ def test_enabled_packet_tracing_stores_untracked_rows_and_formats_nothing(
     oracle = _oracle_packet_records(base)
     assert {r["ev"] for r in oracle} == {"deliver", "filter_block"}
     gc.collect()
-    assert len(recorder._rows) == len(oracle)
-    assert all(type(row) is tuple and not gc.is_tracked(row)
-               for row in recorder._rows)
+    assert len(recorder) == len(oracle)
+    # Two machine values per record, Python objects only per distinct body.
+    assert (recorder.times.typecode, recorder.ids.typecode) == ("d", "I")
+    assert len(recorder.times) == len(recorder.ids) == len(oracle)
+    assert len(set(recorder.bodies)) == len(recorder.bodies) \
+        == len(recorder.index)
+    assert len(recorder.bodies) * 100 < len(recorder)
+    assert not any(map(gc.is_tracked, recorder.bodies))
     assert list(recorder.records()) == oracle
+
+
+def test_packet_trace_store_holds_at_most_16_bytes_a_record():
+    """The store grows by a time and a body index per record (12 bytes),
+    not by a tuple and a float (about 127)."""
+    spec = dataclasses.replace(
+        default_flood_spec(attack_pps=1500.0, duration=4.0, seed=0),
+        observe=ObserveSpec(channels=("packet",)))
+    footprint = store_footprint(spec)
+    assert footprint["records"] > 10_000
+    assert footprint["bytes_per_record"] <= 16, footprint
 
 
 # ----------------------------------------------------------------------

@@ -9,16 +9,27 @@ the most common failure mode is a typo in a spec file.
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Dict, FrozenSet, Generic, Iterator, List, TypeVar
+from typing import (Any, Callable, Dict, FrozenSet, Generic, Iterator, List,
+                    Optional, TypeVar)
 
 T = TypeVar("T")
 
-#: The value types a parameter with a bool default, and one with an int or
-#: float default, takes (:meth:`Registry.check_values`; a subclass of int
-#: or float other than bool is a number too).
-_BOOL = frozenset({bool})
-_NUMBER = frozenset({int, float})
-_WANTS = {_BOOL: "true or false", _NUMBER: "a number"}
+#: What a parameter takes (:meth:`Registry.check_values`): the first
+#: value types its default is an instance of, and how an error says so.
+#: A bool is not a number; a subclass of a listed type other than bool is
+#: one of it.
+_TAKES = (
+    (frozenset({bool}), "true or false"),
+    (frozenset({int, float}), "a number"),
+    (frozenset({str}), "a string"),
+    (frozenset({list, tuple}), "a list"),
+)
+
+
+def _takes(default: Any) -> Optional[tuple]:
+    """The entry of :data:`_TAKES` for ``default`` (None: any value)."""
+    return next((take for take in _TAKES
+                 if isinstance(default, tuple(take[0]))), None)
 
 
 class Registry(Generic[T]):
@@ -36,8 +47,8 @@ class Registry(Generic[T]):
         self._declared_by: Dict[str, Callable[[], Any]] = {}
         self._parameters: Dict[str, FrozenSet[str]] = {}
         self._defaults: Dict[str, Dict[str, Any]] = {}
-        #: Entry -> the parameters whose values are checked -> what they take.
-        self._wants: Dict[str, Dict[str, FrozenSet[type]]] = {}
+        #: Entry -> parameter -> its :data:`_TAKES` entry (None: any value).
+        self._wants: Dict[str, Dict[str, Optional[tuple]]] = {}
 
     def register(self, name: str, value: T = None, *,
                  declared_by: Callable[[], Any] = None) -> Callable[[T], T]:
@@ -87,22 +98,22 @@ class Registry(Generic[T]):
     def check_values(self, name: str, params: Dict[str, Any]) -> None:
         """Refuse a declared parameter's value of the wrong type (ValueError
         naming each): a number where the default is an int or a float (a
-        bool is not one), a bool where it is a bool.  Other defaults, None
-        among them, take any value."""
+        bool is not one), a bool where it is a bool, a string where it is a
+        string, a list or tuple where it is a list or tuple.  Other
+        defaults, None among them, take any value."""
         wants = self._wants.get(name)
         if wants is None:
             wants = self._wants[name] = {
-                key: _BOOL if isinstance(default, bool) else _NUMBER
-                for key, default in self.defaults(name).items()
-                if isinstance(default, (bool, int, float))}
+                key: _takes(default)
+                for key, default in self.defaults(name).items()}
         wrong = []
         for key, value in params.items():
-            want = wants.get(key)
-            if want is None or type(value) in want or (
-                    want is _NUMBER and isinstance(value, (int, float))
-                    and not isinstance(value, bool)):
+            take = wants.get(key)
+            if take is None or type(value) in take[0] or (
+                    not isinstance(value, bool)
+                    and isinstance(value, tuple(take[0]))):
                 continue
-            wrong.append(f"{key}={value!r} (want {_WANTS[want]})")
+            wrong.append(f"{key}={value!r} (want {take[1]})")
         if wrong:
             raise ValueError(f"bad {self.kind} {name!r} parameter value(s): "
                              f"{', '.join(sorted(wrong))}")

@@ -11,8 +11,9 @@ Pieces:
 
 * :mod:`repro.obs.trace` — the :class:`TraceRecorder`: deterministic,
   seed-stamped JSONL records on named channels (``packet``, ``train``,
-  ``aitf-control``, ``routing``, ``fault``), stored as compact rows and
-  rendered when read.
+  ``aitf-control``, ``routing``, ``fault``), stored as a time and the
+  index of a body shared by every record that repeats it, and rendered
+  when read.
 * :mod:`repro.obs.metrics` — the :class:`MetricsRegistry`: counters, gauges
   and sampled time series that backends and collectors publish into,
   serialized uniformly into ``experiment_result/v1``.

@@ -116,27 +116,41 @@ class ExperimentObserver:
             event_log.subscribe(on_protocol_event)
 
         # --- links: packet / train deliveries ---------------------------
-        # The per-packet callbacks append one flat row of ints, floats and
-        # strings (shapes in repro.obs.trace); addresses are formatted and
-        # record dicts built only when the trace is read.
+        # The per-packet callbacks build a flat body of ints, floats and
+        # strings (shapes in repro.obs.trace), look it up in the recorder's
+        # body index and append the time and the body's index; addresses
+        # are formatted and record dicts built only when the trace is read.
         if want_packet or want_train:
-            row = recorder.row
+            index = recorder.index
+            append_time = recorder.times.append
+            append_id = recorder.ids.append
             data = PacketKind.DATA
             on_packet = None
             on_train = None
             if want_packet:
                 def on_packet(link: Any, sink: Any, packet: Any) -> None:
                     kind = packet.kind
-                    row((PACKET_DELIVER, sim._now, link.name, sink.name,
-                         packet.src.value, packet.dst.value, packet.size,
-                         None if kind is data else kind.value,
-                         packet.flow_tag))
+                    body_id = index[
+                        PACKET_DELIVER, link.name, sink.name,
+                        packet.src.value, packet.dst.value, packet.size,
+                        None if kind is data else kind.value,
+                        packet.flow_tag]
+                    append_time(sim._now)
+                    append_id(body_id)
             if want_train:
+                # A train's count and spacing differ on nearly every train
+                # of a congested run: its body is appended, not looked up.
+                bodies = recorder.bodies
+                append_body = bodies.append
+
                 def on_train(link: Any, sink: Any, train: Any) -> None:
                     template = train.template
-                    row((TRAIN_DELIVER, sim._now, link.name, sink.name,
-                         template.src.value, template.dst.value, train.count,
-                         train.interval, template.size, template.flow_tag))
+                    append_body((TRAIN_DELIVER, link.name, sink.name,
+                                 template.src.value, template.dst.value,
+                                 train.count, train.interval, template.size,
+                                 template.flow_tag))
+                    append_time(sim._now)
+                    append_id(len(bodies) - 1)
             for link in execution.handle.topology.links:
                 link.tap(packet_observer=on_packet, train_observer=on_train)
 
@@ -146,10 +160,12 @@ class ExperimentObserver:
 
             def on_block(table: Any, entry: Any, packet: Any,
                          count: int) -> None:
-                row((TRAIN_BLOCK if count > 1 and want_train else sole_block,
-                     sim._now, table.name or "", packet.src.value,
-                     packet.dst.value, count,
-                     _dense(filter_ids, entry.filter_id)))
+                body_id = index[
+                    TRAIN_BLOCK if count > 1 and want_train else sole_block,
+                    table.name or "", packet.src.value, packet.dst.value,
+                    count, _dense(filter_ids, entry.filter_id)]
+                append_time(sim._now)
+                append_id(body_id)
 
             for router in execution.handle.topology.border_routers():
                 router.filter_table.tap(on_block)

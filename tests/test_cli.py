@@ -555,7 +555,13 @@ class TestSpecErrors:
         ("defense.params.shadow_enabled=1",
          "bad defense backend 'aitf' parameter value(s): shadow_enabled=1 "
          "(want true or false)"),
-    ], ids=["str-for-float", "int-for-bool"])
+        ("defense.params.non_cooperating=B_host",
+         "bad defense backend 'aitf' parameter value(s): "
+         "non_cooperating='B_host' (want a list)"),
+        ("defense.params.deployment=7",
+         "bad defense backend 'aitf' parameter value(s): deployment=7 "
+         "(want a string)"),
+    ], ids=["str-for-float", "int-for-bool", "str-for-list", "int-for-str"])
     def test_mistyped_value_is_one_line(self, command, assignment, expected):
         argv = [command, "--spec", FLOOD_SPEC, "--set", assignment]
         if command == "sweep":

@@ -376,6 +376,17 @@ def _declared_defaults(slot, entry):
     return {} if registry is None else registry.defaults(entry)
 
 
+def _well_typed(default):
+    """A value a parameter with ``default`` takes."""
+    if isinstance(default, bool):
+        return True
+    if isinstance(default, str):
+        return "x"
+    if isinstance(default, (list, tuple)):
+        return []
+    return 1
+
+
 def _component_cases():
     """(slot, entry, declared names, name the error message uses) for every
     registry entry and for the ``aitf`` block."""
@@ -412,8 +423,7 @@ class TestDeclaredParameters:
     def test_every_declared_parameter_is_accepted(self, slot, entry, declared,
                                                   component):
         defaults = _declared_defaults(slot, entry)
-        params = {name: True if isinstance(defaults.get(name), bool) else 1
-                  for name in declared}
+        params = {name: _well_typed(defaults.get(name)) for name in declared}
         data, path = _placed(slot, entry, params)
         node = ExperimentSpec.from_dict(data).to_dict()
         for segment in path.split("."):
@@ -443,21 +453,43 @@ class TestDeclaredParameters:
             result = ExperimentRunner().run(cell.spec)
             assert result.defense == cell.spec.defense.backend
 
-    @pytest.mark.parametrize("params, refused", [
-        ({"rate_pps": "fast"}, "rate_pps='fast' (want a number)"),
-        ({"rate_pps": True}, "rate_pps=True (want a number)"),
-        ({"packet_size": None}, "packet_size=None (want a number)"),
-        ({"spoofed": 1}, "spoofed=1 (want true or false)"),
-        ({"spoofed": "yes", "start": [0]},
+    @pytest.mark.parametrize("slot, entry, params, refused", [
+        ("workload", "flood", {"rate_pps": "fast"},
+         "rate_pps='fast' (want a number)"),
+        ("workload", "flood", {"rate_pps": True},
+         "rate_pps=True (want a number)"),
+        ("workload", "flood", {"packet_size": None},
+         "packet_size=None (want a number)"),
+        ("workload", "flood", {"spoofed": 1}, "spoofed=1 (want true or false)"),
+        ("workload", "flood", {"spoofed": "yes", "start": [0]},
          "spoofed='yes' (want true or false), start=[0] (want a number)"),
+        ("defense", "aitf", {"non_cooperating": "B_host"},
+         "non_cooperating='B_host' (want a list)"),
+        ("defense", "aitf", {"compromised_routers": {"R1": True}},
+         "compromised_routers={'R1': True} (want a list)"),
+        ("defense", "aitf", {"deployment": 7}, "deployment=7 (want a string)"),
+        ("defense", "aitf", {"deployment": ["all"]},
+         "deployment=['all'] (want a string)"),
+        ("collector", "filter-occupancy", {"node": None},
+         "node=None (want a string)"),
     ], ids=["str-for-float", "bool-for-float", "none-for-int", "int-for-bool",
-            "two"])
-    def test_mistyped_value_is_refused_when_parsed(self, params, refused):
-        data, _ = _placed("workload", "flood", params)
+            "two", "str-for-list", "dict-for-list", "int-for-str",
+            "list-for-str", "none-for-str"])
+    def test_mistyped_value_is_refused_when_parsed(self, slot, entry, params,
+                                                   refused):
+        data, _ = _placed(slot, entry, params)
+        kind = {"workload": "workload", "defense": "defense backend",
+                "collector": "collector"}[slot]
         with pytest.raises(ValueError) as excinfo:
             ExperimentSpec.from_dict(data)
         assert str(excinfo.value) == (
-            f"bad workload 'flood' parameter value(s): {refused}")
+            f"bad {kind} {entry!r} parameter value(s): {refused}")
+
+    def test_lists_and_tuples_cross_and_strings_stay_strings(self):
+        params = {"non_cooperating": ("B_host",), "compromised_routers": [],
+                  "deployment": "victim-stub"}
+        data, _ = _placed("defense", "aitf", params)
+        assert ExperimentSpec.from_dict(data).defense.params == params
 
     def test_numbers_cross_int_and_float_and_none_defaults_take_anything(self):
         params = {"rate_pps": 900, "packet_size": 1000.0, "spoofed": True,

@@ -34,6 +34,7 @@ from repro.experiments import (
 from repro.obs import (
     FlightRecorder,
     MetricsRegistry,
+    TraceRecorder,
     diff_timelines,
     format_cell_line,
     load_trace,
@@ -91,6 +92,46 @@ class TestObserveSpec:
     def test_non_positive_sample_period_is_rejected(self):
         with pytest.raises(ValueError, match="sample_period"):
             ObserveSpec(metrics=True, sample_period=0.0)
+
+
+# ----------------------------------------------------------------------
+# the recorder's channels
+# ----------------------------------------------------------------------
+class TestRecorderChannels:
+    def test_emit_on_a_channel_not_enabled_raises_at_the_call(self):
+        recorder = TraceRecorder(("packet",))
+        with pytest.raises(ValueError, match="'fault' is not enabled"):
+            recorder.emit("fault", 1.0, "link_down", target="A-B")
+        assert recorder.summary() == {"channels": {"packet": 0}, "records": 0}
+
+    @pytest.mark.parametrize("channel, state", [("pakcet", "unknown"),
+                                                ("fault", "not enabled")])
+    def test_reading_a_channel_not_enabled_raises_at_the_call(self, channel,
+                                                              state):
+        recorder = TraceRecorder(("packet",))
+        with pytest.raises(ValueError,
+                           match=f"trace channel '{channel}' is {state} "
+                                 r"\(enabled: packet\)"):
+            recorder.records(channel)
+
+    def test_emitted_records_render_their_fields_in_order(self):
+        recorder = TraceRecorder(("fault", "routing"))
+        recorder.emit("fault", 1.5, "link_down", target="A-B", links=["A-B"])
+        recorder.emit("routing", 1.5, "reroute", target="A-B",
+                      links_changed=3)
+        recorder.emit("fault", 2.0, "link_up", target="A-B", links=["A-B"])
+        faults = [
+            {"t": 1.5, "ch": "fault", "ev": "link_down", "target": "A-B",
+             "links": ["A-B"]},
+            {"t": 2.0, "ch": "fault", "ev": "link_up", "target": "A-B",
+             "links": ["A-B"]}]
+        assert list(recorder.records("fault")) == faults
+        assert list(recorder.records()) == [
+            faults[0],
+            {"t": 1.5, "ch": "routing", "ev": "reroute", "target": "A-B",
+             "links_changed": 3},
+            faults[1]]
+        assert recorder.counts() == {"fault": 2, "routing": 1}
 
 
 # ----------------------------------------------------------------------

@@ -92,6 +92,30 @@ def rows_held(out):
         "routers": len(routers), "routers_owning": owners})
 
 
+def trace_rows_held(out):
+    """What a trace holds per record: records, bodies stored (a link
+    delivery's or a filter block's once, however often it repeats) and the
+    bytes per record tracemalloc sees the store give back when emptied,
+    for fig1_observed and for fleet_train with every channel on for 1 s."""
+    sys.path.insert(0, os.path.join(REPO, "src"))
+    import dataclasses
+
+    from repro.experiments import OBSERVE_CHANNELS, ExperimentSpec, ObserveSpec
+    from repro.obs.trace import store_footprint
+
+    def load(name):
+        return ExperimentSpec.load(os.path.join(REPO, "bench", "workloads",
+                                                f"{name}.json"))
+
+    fleet = dataclasses.replace(load("fleet_train").with_overrides(
+        {"duration": 1.0}), observe=ObserveSpec(channels=OBSERVE_CHANNELS))
+    for name, spec in (("fig1_observed", load("fig1_observed")),
+                       ("fleet_train", fleet)):
+        footprint = store_footprint(spec)
+        footprint["bytes_per_record"] = round(footprint["bytes_per_record"], 1)
+        print(name, footprint)
+
+
 def resume_after_killing_a_worker(out):
     """Two workers drain the queue; one is killed by SIGKILL as soon as the
     first cell is done (so partway, holding a lease), and the coordinator
@@ -221,6 +245,7 @@ ENTRIES = {
         f"{COUNTERS} fig1_observed --both obs.overhead_x obs.self_s "
         "obs.calls obs.trace_records py.gc_collections peak_rss_mb",
         rows_held,
+        trace_rows_held,
     ],
     # A sweep run by worker processes over a shared queue directory, one
     # of them killed by SIGKILL partway; the resumed merge must equal the
