@@ -12,10 +12,19 @@ gates repeats exactly on any host:
   count needs no warm-up and no best-of-N, so each spec runs once;
 * the same fleet shape in train mode must stay >=3x per-packet mode — a
   ratio of two runs in this process, side by side, so host speed cancels;
-  only ``execution.run()`` is timed (the build is the same on both engines).
+  only ``execution.run()`` is timed (the build is the same on both engines);
+* the Python frames a generated packet costs inside ``execution.run()`` —
+  ``sys.setprofile`` call events, per layer — on the canonical flood and
+  on a packet-engine hierarchy cell must stay under a pinned ceiling: the
+  per-hop glue (a call per link, per address hash, per clock read) that a
+  refactor can slip back into the hop chain without moving any count
+  above.
 """
 
+import os
+import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -23,6 +32,7 @@ from repro.analysis.report import ResultTable
 from repro.experiments import ExperimentRunner, ExperimentSpec, default_flood_spec
 
 from benchmarks.conftest import run_once
+from tests.test_hierarchy import base_spec_dict
 
 
 def fleet_spec(autonomous_systems, hosts_per_leaf, zombies, rate_pps,
@@ -139,3 +149,54 @@ def test_fleet_train_mode_at_least_3x_packet_mode(benchmark):
         f"(gate is {REQUIRED_TRAIN_SPEEDUP}x) — the aggregation fast path "
         "regressed (see PERFORMANCE.md, 'Train mode')"
     )
+
+
+def frames_per_packet(spec):
+    """Python call events inside ``run()`` by layer (the package under
+    ``repro``), and the packets the spec's generators offered."""
+    execution = ExperimentRunner().prepare(spec)
+    marker = os.sep + "repro" + os.sep
+    calls = Counter()
+
+    def count(frame, event, arg):
+        if event == "call":
+            path = frame.f_code.co_filename
+            at = path.rfind(marker)
+            layer = (path[at + len(marker):].split(os.sep, 1)[0]
+                     if at >= 0 else "other")
+            calls[layer[:-3] if layer.endswith(".py") else layer] += 1
+
+    sys.setprofile(count)
+    try:
+        execution.run()
+    finally:
+        sys.setprofile(None)
+    packets = 0
+    for workload in execution.workloads:
+        generator = workload.generator
+        for source in getattr(generator, "attacks", (generator,)):
+            packets += source.packets_offered
+    return calls, packets
+
+
+@pytest.mark.parametrize("make_spec, ceiling", [
+    pytest.param(lambda: default_flood_spec(attack_pps=1500.0, duration=10.0,
+                                            seed=0), 17.0, id="flood"),
+    pytest.param(lambda: ExperimentSpec.from_dict(
+        base_spec_dict("victim-stub", duration=3.0)), 35.0, id="hierarchy"),
+])
+def test_frames_per_packet_are_pinned(benchmark, make_spec, ceiling):
+    """The hop chain's Python calls per generated packet (see PERFORMANCE.md,
+    "The per-packet path"): deterministic, so the ceiling holds on any
+    host."""
+    calls, packets = run_once(benchmark, frames_per_packet, make_spec())
+    total = sum(calls.values())
+    table = ResultTable(f"Python frames per packet ({packets:,} packets)",
+                        ["layer", "calls", "per packet"])
+    for layer, n in calls.most_common():
+        table.add_row(layer, f"{n:,}", f"{n / packets:.2f}")
+    table.add_row("total", f"{total:,}", f"{total / packets:.2f}")
+    table.print()
+    assert total / packets <= ceiling, (
+        f"a generated packet now costs {total / packets:.2f} Python frames, "
+        f"ceiling {ceiling} — a call came back into the hop chain")

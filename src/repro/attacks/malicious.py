@@ -99,8 +99,8 @@ class CompromisedRouterBehaviour:
         self.router = router
         self.suppress_query = suppress_query
         self.replies_forged = 0
-        self._original_handler = router.handle_packet
-        router.handle_packet = self._intercept  # type: ignore[assignment]
+        self._original_handler = router.receive_packet
+        router.receive_packet = self._intercept  # type: ignore[assignment]
 
     def _intercept(self, packet: Packet, link, *train_args) -> None:
         if packet.kind is PacketKind.VERIFICATION_QUERY and not self.router.owns_address(packet.dst):
@@ -121,4 +121,4 @@ class CompromisedRouterBehaviour:
 
     def detach(self) -> None:
         """Restore the router's normal behaviour."""
-        self.router.handle_packet = self._original_handler  # type: ignore[assignment]
+        self.router.receive_packet = self._original_handler  # type: ignore[assignment]

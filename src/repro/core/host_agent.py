@@ -80,7 +80,7 @@ class HostAgent:
         self.disconnect_notices = 0
 
         host.control_handler = self._handle_control
-        host.outbound_guard = self._outbound_guard
+        host.outbound_guard = self.outbound_filters.admits
 
     # ------------------------------------------------------------------
     # victim role
@@ -182,14 +182,6 @@ class HostAgent:
                         request.request_id, label=str(request.label),
                         generators_stopped=stopped_anything)
         return True
-
-    def _outbound_guard(self, packet: Packet, count: int) -> bool:
-        """Drop outbound data packets matching a self-installed filter.
-
-        A train leaves (or is suppressed) whole: interval 0 makes the verdict
-        at its first packet cover all ``count``, counted as ``count``.
-        """
-        return self.outbound_filters.blocks_train(packet, count, 0.0)[0] is None
 
     # ------------------------------------------------------------------
     # control-plane handling

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Optional, Protocol as TypingProtocol
 
 from repro.net.packet import Packet, PacketKind
@@ -100,8 +101,8 @@ class _Pipe:
         # Train-mode (fluid) state; inert until enable_train_mode() flips
         # the pipe over.  See _fluid_send_train for the model.
         self._train_mode = False
-        # Link.__init__ guarantees bandwidth_bps > 0; the fluid paths divide
-        # by this, so the invariant is load-bearing.
+        # Link.__init__ guarantees bandwidth_bps > 0; both serializers and
+        # the fluid paths divide by it, so the invariant is load-bearing.
         self._srate = bandwidth_bps / 8.0
         self._fl_rate = 0.0   # offered inflow from active trains, bytes/sec
         self._fl_q = 0.0      # fluid queue level, bytes
@@ -150,10 +151,14 @@ class _Pipe:
                 qstats.peak_depth_packets = 1
             if qstats.peak_depth_bytes < size:
                 qstats.peak_depth_bytes = size
-            tx_time = (size * 8) / self._bandwidth if self._bandwidth > 0 else 0.0
+            tx_time = (size * 8) / self._bandwidth
             stats.busy_time += tx_time
             self._busy_until = now + tx_time
-            sim.schedule_fire(tx_time + self._delay, self._deliver, packet)
+            # Simulator.schedule_fire, inlined: the delivery is this hop's
+            # one event, and the entry must read exactly what that call
+            # would push, ``now + (tx_time + delay)`` included.
+            heappush(sim._heap, (now + (tx_time + self._delay),
+                                 next(sim._seq), self._deliver, (packet,)))
             return True
         queue = self._queue
         # A full data queue must not silence the control channel: AITF
@@ -175,7 +180,7 @@ class _Pipe:
         packet = self._queue.dequeue()
         if packet is None:
             return
-        tx_time = (packet.size * 8) / self._bandwidth if self._bandwidth > 0 else 0.0
+        tx_time = (packet.size * 8) / self._bandwidth
         self.stats.busy_time += tx_time
         sim = self._sim
         self._busy_until = sim._now + tx_time
@@ -570,27 +575,30 @@ class Link:
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
-    def send(self, packet: Packet, sender: PacketSink) -> bool:
-        """Transmit ``packet`` from ``sender`` toward the other endpoint."""
+    def pipe_from(self, sender: PacketSink) -> _Pipe:
+        """The directional pipe ``sender`` transmits on (both directions are
+        built here if the link has none yet).
+
+        Nodes forward straight into the pipe: they read ``_pipe_to_b`` /
+        ``_pipe_to_a`` themselves and come here only while it is None, so a
+        hop costs no call on the link.
+        """
         pipe_to_b = self._pipe_to_b
         if pipe_to_b is None:
             pipe_to_b = self._pipes()
         if sender is self.a:
-            return pipe_to_b.send(packet)
+            return pipe_to_b
         if sender is self.b:
-            return self._pipe_to_a.send(packet)
+            return self._pipe_to_a
         raise ValueError(f"{getattr(sender, 'name', sender)} is not attached to link {self.name}")
+
+    def send(self, packet: Packet, sender: PacketSink) -> bool:
+        """Transmit ``packet`` from ``sender`` toward the other endpoint."""
+        return self.pipe_from(sender).send(packet)
 
     def send_train(self, train: PacketTrain, sender: PacketSink) -> bool:
         """Transmit an aggregated packet train (train-mode experiments only)."""
-        pipe_to_b = self._pipe_to_b
-        if pipe_to_b is None:
-            pipe_to_b = self._pipes()
-        if sender is self.a:
-            return pipe_to_b.send_train(train)
-        if sender is self.b:
-            return self._pipe_to_a.send_train(train)
-        raise ValueError(f"{getattr(sender, 'name', sender)} is not attached to link {self.name}")
+        return self.pipe_from(sender).send_train(train)
 
     def enable_train_mode(self) -> None:
         """Switch both directions to fluid (train-aware) serialization.

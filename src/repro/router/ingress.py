@@ -37,7 +37,7 @@ class IngressStats:
 #: The policy and the counters of every filter that has no policy: only
 #: :meth:`IngressFilter.check` with a policy counts, so a filter takes
 #: both of its own at its first :meth:`~IngressFilter.allow`.
-_NO_POLICY: Dict[int, List[Prefix]] = {}
+_NO_POLICY: Dict[object, List[Prefix]] = {}
 _NO_STATS = IngressStats()
 
 
@@ -57,7 +57,8 @@ class IngressFilter:
         self.enforce = enforce
         self.name = name
         self.stats = _NO_STATS
-        self._allowed: Dict[int, List[Prefix]] = _NO_POLICY
+        #: Link -> the prefixes legitimately sourced behind it.
+        self._allowed: Dict[object, List[Prefix]] = _NO_POLICY
 
     # ------------------------------------------------------------------
     # configuration
@@ -67,15 +68,15 @@ class IngressFilter:
         if self._allowed is _NO_POLICY:
             self._allowed = {}
             self.stats = IngressStats()
-        self._allowed.setdefault(id(link), []).append(Prefix.parse(prefix))
+        self._allowed.setdefault(link, []).append(Prefix.parse(prefix))
 
     def allowed_prefixes(self, link) -> List[Prefix]:
         """Prefixes accepted from ``link`` (empty list means 'no policy', accept all)."""
-        return list(self._allowed.get(id(link), []))
+        return list(self._allowed.get(link, []))
 
     def has_policy_for(self, link) -> bool:
         """True when at least one prefix has been registered for ``link``."""
-        return bool(self._allowed.get(id(link)))
+        return bool(self._allowed.get(link))
 
     # ------------------------------------------------------------------
     # packet path
@@ -91,7 +92,7 @@ class IngressFilter:
         counter advances by ``count`` — the statistics a per-packet walk
         would have accumulated.
         """
-        prefixes = self._allowed.get(id(link))
+        prefixes = self._allowed.get(link)
         if not prefixes:
             return True
         stats = self.stats
@@ -113,7 +114,7 @@ class IngressFilter:
         Used by the victim's gateway to verify filtering requests from its
         own clients without a handshake (Section II-E).
         """
-        prefixes = self._allowed.get(id(link))
+        prefixes = self._allowed.get(link)
         if not prefixes:
             return False
         source = IPAddress.parse(source)

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import (AbstractSet, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple,
+                    Union, ValuesView)
 
 from repro.net.address import IPAddress, Prefix
 from repro.net.link import Link
@@ -34,7 +35,7 @@ from repro.net.packet import Packet, PacketKind
 from repro.net.train import PacketTrain
 from repro.router.filter_table import _NO_ENTRIES, FilterTable
 from repro.router.ingress import _NO_POLICY, _NO_STATS, IngressFilter
-from repro.router.routing import _NO_MEMO, _NO_NEXT_HOPS, _NO_ROWS, RoutingTable
+from repro.router.routing import _MISS, _NO_MEMO, _NO_NEXT_HOPS, _NO_ROWS, RoutingTable
 from repro.sim.engine import Simulator
 
 #: Hooks are handed the train when there is one: ``(packet)`` or
@@ -48,7 +49,7 @@ ControlHandler = Callable[[Packet, Link], None]
 _DATA = PacketKind.DATA
 
 #: ``disconnected_links`` of every node that never disconnected a link.
-_NONE_DISCONNECTED: FrozenSet[int] = frozenset()
+_NONE_DISCONNECTED: FrozenSet[Link] = frozenset()
 
 #: The receive callbacks, forward observers and local prefixes of every
 #: node that never registered one; a node takes a list of its own on its
@@ -85,11 +86,14 @@ class NetworkNode:
         self.links: List[Link] = []
         self.routing = RoutingTable(self.name)
         self.stats = NodeStats()
-        self.addresses: Set[IPAddress] = set()
+        #: The addresses this node owns, keyed on :attr:`IPAddress.value`:
+        #: the receive path asks ``packet.dst.value in`` it, an int probe
+        #: that calls no ``IPAddress.__hash__``.
+        self._addresses: Dict[int, IPAddress] = {}
         #: Links this node has administratively disconnected (Section II-C
         #: escalation endgame: "G_gw3 disconnects from B_gw3"); a set of its
         #: own from the first disconnect on.
-        self.disconnected_links: AbstractSet[int] = _NONE_DISCONNECTED
+        self.disconnected_links: AbstractSet[Link] = _NONE_DISCONNECTED
         #: Invoked for control (AITF/pushback) packets addressed to this node.
         self.control_handler: Optional[ControlHandler] = None
         #: Applications: invoked for data packets addressed to this node.
@@ -113,19 +117,24 @@ class NetworkNode:
     def add_address(self, address: Union[str, IPAddress]) -> IPAddress:
         """Register an address owned by this node."""
         address = IPAddress.parse(address)
-        self.addresses.add(address)
+        self._addresses.setdefault(address.value, address)
         return address
+
+    @property
+    def addresses(self) -> ValuesView[IPAddress]:
+        """The addresses this node owns (a live view)."""
+        return self._addresses.values()
 
     def owns_address(self, address: Union[str, IPAddress]) -> bool:
         """True when ``address`` belongs to this node."""
-        return IPAddress.parse(address) in self.addresses
+        return IPAddress.parse(address).value in self._addresses
 
     @property
     def address(self) -> IPAddress:
         """The node's primary address (first registered)."""
-        if not self.addresses:
+        if not self._addresses:
             raise RuntimeError(f"node {self.name} has no address assigned")
-        return min(self.addresses)
+        return min(self._addresses.values())
 
     def on_receive(self, callback: PacketCallback) -> None:
         """Register an application callback invoked for every delivered data packet.
@@ -154,16 +163,16 @@ class NetworkNode:
         """Stop using ``link`` entirely (the AITF escalation endgame)."""
         if self.disconnected_links is _NONE_DISCONNECTED:
             self.disconnected_links = set()
-        self.disconnected_links.add(id(link))
+        self.disconnected_links.add(link)
 
     def reconnect_link(self, link: Link) -> None:
         """Undo :meth:`disconnect_link`."""
         if self.disconnected_links:
-            self.disconnected_links.discard(id(link))
+            self.disconnected_links.discard(link)
 
     def is_disconnected(self, link: Link) -> bool:
         """True when this node refuses traffic over ``link``."""
-        return id(link) in self.disconnected_links
+        return link in self.disconnected_links
 
     # ------------------------------------------------------------------
     # receive path (a lone packet is the default arguments; a train passes
@@ -171,27 +180,23 @@ class NetworkNode:
     # ------------------------------------------------------------------
     def receive_packet(self, packet: Packet, link: Link, count: int = 1,
                        train: Optional[PacketTrain] = None) -> None:
-        """Entry point called by links delivering traffic to this node."""
+        """Entry point called by links delivering traffic to this node: the
+        receive counters and the disconnection check, then local delivery or
+        forwarding.  :class:`BorderRouter` replaces it with its pipeline."""
         stats = self.stats
         stats.packets_received += count
         stats.bytes_received += count * packet.size
-        if id(link) in self.disconnected_links:
+        if link in self.disconnected_links:
             stats.packets_dropped_disconnected += count
             return
-        self.handle_packet(packet, link, count, train)
+        if packet.dst.value in self._addresses:
+            self.deliver_locally(packet, link, count, train)
+        else:
+            self.forward_packet(packet, link, count, train)
 
     def receive_train(self, train: PacketTrain, link: Link) -> None:
         """The :class:`~repro.net.link.PacketSink` adapter fluid pipes call."""
         self.receive_packet(train.template, link, train.count, train)
-
-    def handle_packet(self, packet: Packet, link: Link, count: int = 1,
-                      train: Optional[PacketTrain] = None) -> None:
-        """Dispatch accepted traffic.  Subclasses refine this."""
-        # packet.dst is always an IPAddress, so the set probe needs no parse.
-        if packet.dst in self.addresses:
-            self.deliver_locally(packet, link, count, train)
-        else:
-            self.forward_packet(packet, link, count, train)
 
     def deliver_locally(self, packet: Packet, link: Optional[Link],
                         count: int = 1,
@@ -223,18 +228,26 @@ class NetworkNode:
         if packet.ttl <= 0:
             stats.packets_dropped_ttl += count
             return
-        out_link = self.routing.next_link(packet.dst)
+        # RoutingTable.next_link, inlined on a memo hit.
+        out_link = self.routing._cache.get(packet.dst.value, _MISS)
+        if out_link is _MISS:
+            out_link = self.routing.next_link(packet.dst)
         if out_link is None:
             stats.packets_dropped_no_route += count
             return
-        if id(out_link) in self.disconnected_links:
+        if out_link in self.disconnected_links:
             stats.packets_dropped_disconnected += count
             return
         stats.packets_forwarded += count
+        # Link.pipe_from, inlined while the pipes exist.
+        pipe = (out_link._pipe_to_b if out_link.a is self else
+                out_link._pipe_to_a if out_link.b is self else None)
+        if pipe is None:
+            pipe = out_link.pipe_from(self)
         if train is None:
-            out_link.send(packet, self)
+            pipe.send(packet)
         else:
-            out_link.send_train(train, self)
+            pipe.send_train(train)
 
     # ------------------------------------------------------------------
     # send path
@@ -255,16 +268,22 @@ class NetworkNode:
                 return False
         packet.created_at = self.sim._now
         self.stats.packets_originated += count
-        out_link = self.routing.next_link(packet.dst)
+        out_link = self.routing._cache.get(packet.dst.value, _MISS)
+        if out_link is _MISS:
+            out_link = self.routing.next_link(packet.dst)
         if out_link is None:
             self.stats.packets_dropped_no_route += count
             return False
-        if id(out_link) in self.disconnected_links:
+        if out_link in self.disconnected_links:
             self.stats.packets_dropped_disconnected += count
             return False
+        pipe = (out_link._pipe_to_b if out_link.a is self else
+                out_link._pipe_to_a if out_link.b is self else None)
+        if pipe is None:
+            pipe = out_link.pipe_from(self)
         if train is None:
-            return out_link.send(packet, self)
-        return out_link.send_train(train, self)
+            return pipe.send(packet)
+        return pipe.send_train(train)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}({self.name})"
@@ -358,10 +377,12 @@ class BorderRouter(NetworkNode):
     # ------------------------------------------------------------------
     # pipeline
     # ------------------------------------------------------------------
-    def handle_packet(self, packet: Packet, link: Link, count: int = 1,
-                      train: Optional[PacketTrain] = None,
-                      count_checked: bool = True) -> None:
-        """The forwarding pipeline, for a lone packet or a whole train.
+    def receive_packet(self, packet: Packet, link: Link, count: int = 1,
+                       train: Optional[PacketTrain] = None,
+                       count_checked: bool = True) -> None:
+        """The forwarding pipeline, for a lone packet or a whole train: the
+        one entry point links deliver to (and the one an on-path attacker
+        hooks, see :class:`~repro.attacks.malicious.CompromisedRouterBehaviour`).
 
         Label-level decisions (ingress policy, filter match, route) are made
         once and multiplied by ``count``.  The two genuinely per-packet
@@ -372,7 +393,18 @@ class BorderRouter(NetworkNode):
         is None``, never on ``count == 1`` — splits and scaling leave
         one-packet trains, which must stay trains.
         """
-        if packet.dst in self.addresses:
+        # A split remainder (count_checked False) was received, passed the
+        # disconnection check and ingress, and had its filter-table check
+        # counted with the whole train: it must re-*decide* (a newer filter
+        # may block it) without re-*counting*.
+        if count_checked:
+            stats = self.stats
+            stats.packets_received += count
+            stats.bytes_received += count * packet.size
+            if link in self.disconnected_links:
+                stats.packets_dropped_disconnected += count
+                return
+        if packet.dst.value in self._addresses:
             self.deliver_locally(packet, link, count, train)
             return
         if packet.kind is not _DATA:
@@ -380,20 +412,21 @@ class BorderRouter(NetworkNode):
             # victim can always reach its gateway, and gateways each other.
             self.forward_packet(packet, link, count, train)
             return
-        # A split remainder (count_checked False) already passed ingress and
-        # had its filter-table check counted: it must re-*decide* (a newer
-        # filter may block it) without re-*counting*.
         ingress = self.ingress
-        if (count_checked and ingress._allowed.get(id(link)) is not None
+        if (count_checked and link in ingress._allowed
                 and not ingress.check(packet, link, count)):
             self.stats.packets_dropped_ingress += count
             return
+        table = self.filter_table
         if train is None:
-            if self.filter_table.blocks(packet) is not None:
+            if not table._entries:
+                # FilterTable.blocks, inlined for a table without filters.
+                table.packets_checked += 1
+            elif table.blocks(packet) is not None:
                 self.stats.packets_dropped_filter += 1
                 return
         else:
-            _, blocked = self.filter_table.blocks_train(
+            _, blocked = table.blocks_train(
                 packet, count, train.interval, count_checked)
             if blocked:
                 self.stats.packets_dropped_filter += blocked
@@ -403,7 +436,7 @@ class BorderRouter(NetworkNode):
                     # which point the expired filter has been purged.
                     train.count = count - blocked
                     self.sim.fire_at(self.sim._now + blocked * train.interval,
-                                     self.handle_packet, packet, link,
+                                     self.receive_packet, packet, link,
                                      train.count, train, False)
                 return
         for conditioner in self.conditioners:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
@@ -117,8 +118,11 @@ class Simulator:
         self._compactions = 0
         #: The virtual clock as a callable, one per simulator: filter
         #: tables, shadow caches and contract books all read time through
-        #: it instead of each holding a closure of its own.
-        self.clock: Callable[[], float] = lambda: self._now
+        #: it instead of each holding a closure of its own.  A partial of
+        #: the builtin ``getattr`` runs in C, so a reading opens no Python
+        #: frame (the filter table takes one per packet while it holds a
+        #: filter).
+        self.clock: Callable[[], float] = partial(getattr, self, "_now")
 
     # ------------------------------------------------------------------
     # clock
@@ -203,7 +207,9 @@ class Simulator:
         there is nothing to cancel and nothing to allocate beyond the tuple
         itself.  Links use this for serializer and delivery events — the two
         highest-volume event kinds in the simulator, and ones no caller ever
-        cancels.  Callers guarantee ``delay >= 0``.
+        cancels; an idle pipe pushes this same entry itself
+        (``net/link.py::_Pipe.send``), so the entry's shape is known there
+        too.  Callers guarantee ``delay >= 0``.
         """
         heapq.heappush(self._heap,
                        (self._now + delay, next(self._seq), callback, args))

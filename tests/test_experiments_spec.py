@@ -320,7 +320,7 @@ COMMITTED_SPEC_HASHES = {
     "grids/onoff_evasion.json":
         "1637de04357823c1407db369dd1655937e0b1919e5296fb9ec5865dfb7aa84b8",
     "grids/partial_deployment.json":
-        "844e3d1414ad29da0fb0210aada2077edf55244c89517c636ed847de2cc02d9d",
+        "4d4af9a36363f9f26b20d5a740c5b58730908d50e7984999a8e89b8c426542ec",
     "grids/powerlaw_scaling.json":
         "8edd573b2d8de03c3ae7c8e2bef33dea6ac2b44bed04076e1c3e7bcc21c7f0a0",
     "grids/redteam_exhaustion.json":

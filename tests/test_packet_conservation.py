@@ -1,0 +1,110 @@
+"""Every packet the data plane touches is accounted for.
+
+Two identities, checked at the end of a run on every node and every pipe:
+
+* a node's ``packets_received`` equals what it delivered, forwarded and
+  dropped for each named cause — plus, on the train engine, the packets of
+  a split train whose remainder is still waiting to re-enter the pipeline
+  (received with the whole train, decided at its own nominal time);
+* a pipe never delivers or drops more than it was sent: ``sent - delivered
+  - dropped`` is what is still queued or on the wire, never negative.
+
+The runs cover the five defense backends on Figure 1, a packet-engine
+hierarchy cell, an on-path compromised router that swallows the
+verification queries it snoops, and a train-engine cell whose filters
+(2 s lifetime) expire mid-train.
+"""
+
+import pytest
+
+from repro.experiments import ExperimentRunner, ExperimentSpec, default_flood_spec
+from repro.experiments.registry import DEFENSES
+from repro.router.nodes import BorderRouter
+
+from tests.test_hierarchy import base_spec_dict
+
+DROP_CAUSES = ("filter", "ingress", "no_route", "disconnected", "ttl")
+
+
+def pending_remainders(sim):
+    """node -> packets of split trains scheduled to re-enter its pipeline."""
+    pending = {}
+    for entry in sim._heap:
+        args = entry[3] if len(entry) > 3 else ()
+        if len(args) == 5 and args[4] is False:
+            node = entry[2].__self__
+            pending[node] = pending.get(node, 0) + args[2]
+    return pending
+
+
+def unaccounted(execution):
+    """The nodes and pipes whose counters do not add up, as readable rows."""
+    topology = execution.handle.topology
+    pending = pending_remainders(execution.sim)
+    faults = []
+    for node in topology.all_nodes():
+        stats = node.stats
+        accounted = (stats.packets_delivered + stats.packets_forwarded
+                     + sum(getattr(stats, f"packets_dropped_{cause}")
+                           for cause in DROP_CAUSES)
+                     + pending.get(node, 0))
+        if stats.packets_received != accounted:
+            faults.append(f"{node.name}: received {stats.packets_received}, "
+                          f"accounted {accounted}")
+    for link in topology.links:
+        for pipe in (link._pipe_to_b, link._pipe_to_a):
+            if pipe is None:
+                continue
+            stats = pipe.stats
+            if stats.packets_sent - stats.packets_delivered - stats.packets_dropped < 0:
+                faults.append(f"{link.name}: {stats}")
+    return faults
+
+
+def run(spec):
+    execution = ExperimentRunner().prepare(spec)
+    execution.run()
+    return execution
+
+
+@pytest.mark.parametrize("backend", sorted(DEFENSES.names()))
+def test_figure1_accounts_for_every_packet(backend):
+    execution = run(default_flood_spec(defense=backend, duration=3.0))
+    routers = [node for node in execution.handle.topology.all_nodes()
+               if isinstance(node, BorderRouter)]
+    assert sum(router.stats.packets_received for router in routers) > 0
+    assert unaccounted(execution) == []
+
+
+def test_hierarchy_cell_accounts_for_every_packet():
+    execution = run(ExperimentSpec.from_dict(
+        base_spec_dict("victim-stub", duration=2.0)))
+    assert unaccounted(execution) == []
+
+
+def test_compromised_router_accounts_for_every_packet():
+    """The swallowed queries never enter the router's pipeline: its hook
+    sits on the one entry point, ahead of the receive counters."""
+    execution = run(default_flood_spec(
+        duration=4.0, defense_params={"compromised_routers": ["B_gw2"]}))
+    assert sum(c.replies_forged for c in execution.backend.compromised) > 0
+    assert unaccounted(execution) == []
+
+
+def test_train_cell_with_split_trains_accounts_for_every_packet():
+    spec = default_flood_spec(duration=6.0, filter_timeout=2.0).with_overrides(
+        {"engine.mode": "train"})
+    execution = ExperimentRunner().prepare(spec)
+    sim = execution.sim
+    fire_at = sim.fire_at
+    splits = []
+
+    def watching_fire_at(when, callback, *args):
+        if len(args) == 5 and args[4] is False:
+            splits.append(args[2])
+        fire_at(when, callback, *args)
+
+    sim.fire_at = watching_fire_at
+    execution.run()
+    assert splits, "no train was split by an expiring filter"
+    assert unaccounted(execution) == []

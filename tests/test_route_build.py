@@ -104,7 +104,7 @@ def awkward_topology():
 
     bare = topo.add_border_router(
         "bare", "bare", local_prefix=topo.allocate_network_prefix(24))
-    bare.addresses.clear()
+    bare._addresses.clear()
     topo.connect(bare, "r3", delay=0.010)
     topo.connect(topo.add_host("bare_h", "bare"), bare)
 

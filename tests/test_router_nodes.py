@@ -289,7 +289,7 @@ class TestHostBehaviour:
     def test_node_without_address_raises(self):
         sim = Simulator()
         router = BorderRouter(sim, "r", "10.0.0.1")
-        router.addresses.clear()
+        router._addresses.clear()
         with pytest.raises(RuntimeError):
             _ = router.address
 

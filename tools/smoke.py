@@ -198,11 +198,19 @@ def failover_grid_train_within_tolerance(out):
 
 
 def deployment_grid_separates_the_loci(out):
+    """All-AS deployment delivers 4.99x (within 5 %) the victim-stub share
+    of legitimate traffic on the quick packet-engine cells (0.967 / 0.194).
+    It is the ratio ``tests/test_hierarchy.py::LOCUS_SEPARATION`` pins
+    (5.39x on that test's seed-11 cell); the sweep derives each cell's
+    seed from its overrides, hence the different figure."""
     cells = _load(out, "deploy-quick.json")["cells"]
     by_locus = {cell["overrides"]["defense.params.deployment"]:
                 cell["result"]["legit_delivery_ratio"] for cell in cells}
     assert by_locus["all"] > 0.7 and by_locus["victim-stub"] < 0.5, by_locus
-    print("locus separation:", {k: round(v, 2) for k, v in by_locus.items()})
+    separation = by_locus["all"] / by_locus["victim-stub"]
+    assert abs(separation / 4.99 - 1) <= 0.05, (separation, by_locus)
+    print("locus separation:", {k: round(v, 2) for k, v in by_locus.items()},
+          f"all / victim-stub {separation:.2f}x")
 
 
 # ----------------------------------------------------------------------
@@ -216,8 +224,8 @@ def _experiment_specs():
                 yield os.path.basename(path)[:-len(".json")]
 
 
-DATA_PATH = ("events_per_kpkt router.calls router.self_s attacks.calls "
-             "net.calls analysis.self_s model.xengine_err")
+DATA_PATH = ("events_per_kpkt sim.calls net.calls router.calls router.self_s "
+             "attacks.calls analysis.self_s model.xengine_err")
 REROUTE = ("--prefix faults. --prefix routing_policy. phase.build_s "
            "phase.faults_init_s phase.reroute_s")
 
