@@ -80,7 +80,7 @@ class HostAgent:
         self.disconnect_notices = 0
 
         host.control_handler = self._handle_control
-        host.outbound_guard = self.outbound_filters.admits
+        host.outbound_filter = self.outbound_filters
 
     # ------------------------------------------------------------------
     # victim role

@@ -217,7 +217,9 @@ class FilterTable:
     def blocks(self, packet: Packet) -> Optional[FilterEntry]:
         """Return the filter blocking ``packet``, or None if it should be
         forwarded.  A border router answers a table without filters itself
-        (``packets_checked += 1``, see ``BorderRouter.receive_packet``)."""
+        (``packets_checked += 1``, see ``BorderRouter.receive_packet``), and
+        so does a host its outbound table (``NetworkNode.send``, which asks
+        :meth:`blocks_train` at interval 0 when the table holds one)."""
         self.packets_checked += 1
         if not self._entries:
             return None
@@ -277,19 +279,6 @@ class FilterTable:
         best.last_blocked_at = now + (blocked - 1) * interval
         self.packets_blocked += blocked
         return best, blocked
-
-    def admits(self, packet: Packet, count: int = 1) -> bool:
-        """The host outbound guard (``NetworkNode.outbound_guard``): True
-        when no filter blocks ``count`` copies of ``packet`` about to leave.
-
-        A train leaves (or is suppressed) whole — :meth:`blocks_train` at
-        interval 0, so the verdict at its first packet covers all ``count``,
-        counted as ``count``.  An empty table, the usual case, answers here.
-        """
-        if self._entries:
-            return self.blocks_train(packet, count, 0.0)[0] is None
-        self.packets_checked += count
-        return True
 
     def has_filter_for(self, label: FlowLabel) -> bool:
         """True when a live filter covers ``label``."""

@@ -93,8 +93,13 @@ class IngressFilter:
         would have accumulated.
         """
         prefixes = self._allowed.get(link)
-        if not prefixes:
-            return True
+        return not prefixes or self.passes(packet, prefixes, count)
+
+    def passes(self, packet: Packet, prefixes: List[Prefix],
+               count: int = 1) -> bool:
+        """:meth:`check` against the link's non-empty policy ``prefixes``,
+        already looked up (``BorderRouter.receive_packet`` probes the
+        policy itself, once per packet)."""
         stats = self.stats
         stats.packets_checked += count
         src_value = packet.src.value

@@ -9,10 +9,10 @@ between border routers.
 copies of this packet" (a lone packet is ``count = 1``, a
 :class:`~repro.net.train.PacketTrain` passes its template, its count and
 itself): attached links, a static routing table, origination behind an
-optional outbound guard, local delivery to applications (receive callbacks)
-and disconnection state.  :class:`Host` adds a single address and a default
-gateway.  :class:`BorderRouter` adds the pipeline every forwarded data packet
-goes through:
+optional outbound filter table, local delivery to applications (receive
+callbacks) and disconnection state.  :class:`Host` adds a single address and
+a default gateway.  :class:`BorderRouter` adds the pipeline every forwarded
+data packet goes through:
 
     ingress filter -> wire-speed filter table -> route-record stamp -> route lookup -> link
 
@@ -98,12 +98,11 @@ class NetworkNode:
         self.control_handler: Optional[ControlHandler] = None
         #: Applications: invoked for data packets addressed to this node.
         self._receive_callbacks: Sequence[PacketCallback] = _NO_HOOKS
-        #: Optional outbound guard installed by the AITF host agent: a
-        #: cooperative attacker stops its own undesired flows by dropping
+        #: Optional outbound filter table installed by the AITF host agent:
+        #: a cooperative attacker stops its own undesired flows by dropping
         #: them here before they reach the access link (Section IV-D — the
-        #: client needs na = R2*T filters of its own).  Called with the
-        #: packet and how many copies of it are about to leave.
-        self.outbound_guard: Optional[Callable[[Packet, int], bool]] = None
+        #: client needs na = R2*T filters of its own).
+        self.outbound_filter: Optional[FilterTable] = None
         self.stats_outbound_suppressed = 0
 
     # ------------------------------------------------------------------
@@ -257,15 +256,26 @@ class NetworkNode:
         """Send ``count`` copies of a packet created by this node — the
         entry point for traffic generators and protocol agents alike.
 
-        Data packets pass the outbound guard first (control packets always
-        go out, otherwise a host that filtered itself could never send or
-        answer AITF messages).  A train is homogeneous, so the guard's
-        verdict and the one route lookup cover all ``count`` packets.
+        Data packets pass the outbound filter table first (control packets
+        always go out, otherwise a host that filtered itself could never
+        send or answer AITF messages).  A table without filters, the usual
+        case, is answered here (``packets_checked += count``), the way
+        :meth:`BorderRouter.receive_packet` answers its own; otherwise the
+        table's ``blocks_train`` at interval 0 decides, so the verdict at
+        the first packet covers all ``count`` and counts as ``count``.  A
+        train is homogeneous, so that verdict and the one route lookup
+        cover every packet in it.  The chain from a tick to the wire is
+        ``TrainProcess._wakeup`` → ``TrafficSource._emit`` → ``clone`` →
+        here → ``_Pipe.send``, with no call in between.
         """
-        if packet.kind is _DATA and self.outbound_guard is not None:
-            if not self.outbound_guard(packet, count):
-                self.stats_outbound_suppressed += count
-                return False
+        if packet.kind is _DATA:
+            table = self.outbound_filter
+            if table is not None:
+                if not table._entries:
+                    table.packets_checked += count
+                elif table.blocks_train(packet, count, 0.0)[0] is not None:
+                    self.stats_outbound_suppressed += count
+                    return False
         packet.created_at = self.sim._now
         self.stats.packets_originated += count
         out_link = self.routing._cache.get(packet.dst.value, _MISS)
@@ -412,11 +422,17 @@ class BorderRouter(NetworkNode):
             # victim can always reach its gateway, and gateways each other.
             self.forward_packet(packet, link, count, train)
             return
-        ingress = self.ingress
-        if (count_checked and link in ingress._allowed
-                and not ingress.check(packet, link, count)):
-            self.stats.packets_dropped_ingress += count
-            return
+        if count_checked:
+            # IngressFilter.check, with its one policy probe made here: a
+            # router without a policy tests an empty dict, and a policed
+            # link is looked up once per packet.
+            ingress = self.ingress
+            allowed = ingress._allowed
+            if allowed:
+                prefixes = allowed.get(link)
+                if prefixes and not ingress.passes(packet, prefixes, count):
+                    self.stats.packets_dropped_ingress += count
+                    return
         table = self.filter_table
         if train is None:
             if not table._entries:

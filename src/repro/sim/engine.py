@@ -83,6 +83,8 @@ class Event:
 #: Compaction only kicks in past this heap size; tiny heaps are cheap to scan.
 _COMPACT_MIN_HEAP = 64
 
+_INF = float("inf")
+
 
 class Simulator:
     """Deterministic discrete-event simulator.
@@ -114,6 +116,9 @@ class Simulator:
         self._events_processed = 0
         self._running = False
         self._stopped = False
+        #: The running loop's horizon: ``run(until)``, lowered to -inf by
+        #: :meth:`stop` so the next entry ends the loop.
+        self._until = _INF
         self._cancelled_in_heap = 0
         self._compactions = 0
         #: The virtual clock as a callable, one per simulator: filter
@@ -216,7 +221,14 @@ class Simulator:
 
     def fire_at(self, when: float, callback: Callable[..., None],
                 *args: Any) -> None:
-        """Absolute-time :meth:`schedule_fire`.  Callers guarantee ``when >= now``."""
+        """Absolute-time :meth:`schedule_fire`.  Callers guarantee ``when >= now``.
+
+        The tick process pushes this entry itself for every wake-up after
+        its first (``sim/process.py::TrainProcess._wakeup``), the way an
+        idle pipe pushes a delivery's; both take their sequence number
+        from ``_seq`` at the same point this call would, so the heap's
+        order is the one these calls would have given it.
+        """
         heapq.heappush(self._heap, (when, next(self._seq), callback, args))
 
     # ------------------------------------------------------------------
@@ -270,47 +282,62 @@ class Simulator:
             exactly ``until`` still fire.  When omitted, run until the heap
             drains.
         max_events:
-            Safety valve for runaway simulations; stop after this many events.
+            Safety valve for runaway simulations; stop after this many
+            events (0 fires none; a negative value is refused).
 
         Returns
         -------
         float
             The clock value when the loop stopped.
+
+        The work per event is the pop, the clock store and the call: the
+        horizon is one comparison against ``_until`` (infinite when
+        ``until`` is omitted, and what :meth:`stop` lowers), ``max_events``
+        one comparison against a count that is never reached when it is
+        omitted, and :attr:`events_processed` advances once, when the loop
+        ends (however it ends).  An entry popped past the horizon goes back
+        on the heap.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run() call)")
+        if max_events is not None and max_events < 0:
+            raise ValueError(f"max_events must be >= 0, got {max_events}")
         self._running = True
         self._stopped = False
+        self._until = _INF if until is None else until
+        # ``fired`` starts at 0 and only grows, so -1 is never reached.
+        limit = -1 if max_events is None else max_events
         fired = 0
         heappop = heapq.heappop
         heap = self._heap  # compaction rebuilds in place, so this stays valid
         try:
-            while heap and not self._stopped:
-                entry = heap[0]
+            while heap and fired != limit:
+                entry = heappop(heap)
                 target = entry[2]
-                is_event = target.__class__ is Event
-                if is_event and target.cancelled:
-                    heappop(heap)
-                    self._cancelled_in_heap -= 1
-                    continue
-                when = entry[0]
-                if until is not None and when > until:
-                    break
-                heappop(heap)
-                self._now = when
-                self._events_processed += 1
-                if is_event:
+                if target.__class__ is Event:
+                    # A stopped run leaves even a cancelled entry in place.
+                    if target.cancelled and not self._stopped:
+                        self._cancelled_in_heap -= 1
+                        continue
+                    if entry[0] > self._until:
+                        heapq.heappush(heap, entry)
+                        break
+                    self._now = entry[0]
+                    fired += 1
                     if target.kwargs:
                         target.callback(*target.args, **target.kwargs)
                     else:
                         target.callback(*target.args)
                 else:
+                    if entry[0] > self._until:
+                        heapq.heappush(heap, entry)
+                        break
+                    self._now = entry[0]
+                    fired += 1
                     target(*entry[3])
-                fired += 1
-                if max_events is not None and fired >= max_events:
-                    break
         finally:
             self._running = False
+            self._events_processed += fired
         if (until is not None and self._now < until and not self._stopped
                 and (not heap or heap[0][0] > until)):
             # Nothing is left to fire up to the horizon: advance the clock to
@@ -322,6 +349,7 @@ class Simulator:
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
+        self._until = -_INF
 
     def drain(self) -> int:
         """Cancel every pending event.  Returns the number of events cancelled."""

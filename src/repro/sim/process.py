@@ -23,6 +23,7 @@ one-event-per-tick chain, so the engines emit at bit-identical times.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from heapq import heappush
 from itertools import accumulate, repeat
 from typing import Any, Callable, Optional, Sequence, Tuple
 
@@ -177,13 +178,16 @@ class TrainProcess:
     come from a timeline of the exact ``t += interval`` float recurrence,
     computed in C (``itertools.accumulate``) at least ``_TIMELINE_CHUNK``
     ticks at a time and, for trains shorter than that, kept across wakeups:
-    at ``max_train = 1`` a tick costs one heap entry and no Python-level
-    arithmetic.  The times are the
+    at ``max_train = 1`` a tick costs one heap entry, which the wakeup
+    pushes itself, and no Python-level arithmetic.  The times are the
     ones :class:`PeriodicProcess` produces, and the emitted count over any
     horizon does not depend on ``max_train``.
 
     Four bounds clip a train before ``max_train``, each a bisection of the
-    timeline (the times never decrease):
+    timeline (the times never decrease).  ``horizon``, ``limit_until`` and
+    ``max_ticks`` are bisected once per chunk (and ``limit_until`` again
+    when it is set) into one index no train may reach; ``max_span``
+    depends on the train's first tick and is bisected per train:
 
     * ``horizon`` — ticks at times ``t <= horizon`` are emitted (matching
       the event loop's "events at exactly ``until`` still fire" rule); the
@@ -229,7 +233,9 @@ class TrainProcess:
         self._interval = float(interval)
         self._callback = callback
         self._max_train = max_train
-        self._max_span = max_span
+        # A one-tick train cannot be split, so the span bound is not read
+        # at all at ``max_train = 1``.
+        self._max_span = max_span if max_train > 1 else None
         self._max_ticks = max_ticks
         self._horizon = horizon
         self._name = name or "train"
@@ -246,8 +252,31 @@ class TrainProcess:
         self._times: Sequence[float] = _NO_TIMES
         self._pos = 0
         self._stop_at = 0
-        #: Exclusive time bound for the current phase (None = unbounded).
-        self.limit_until: Optional[float] = None
+        #: The first index no train may reach: ``_stop_at``, or the first
+        #: tick at or past ``limit_until`` when that comes sooner.  Computed
+        #: once per chunk (and when ``limit_until`` is set), not per tick.
+        self._end_at = 0
+        self._limit_until: Optional[float] = None
+
+    @property
+    def limit_until(self) -> Optional[float]:
+        """Exclusive time bound for the current phase (None = unbounded)."""
+        return self._limit_until
+
+    @limit_until.setter
+    def limit_until(self, when: Optional[float]) -> None:
+        self._limit_until = when
+        if self._times:
+            self._bound_chunk(self._times)
+
+    def _bound_chunk(self, times: Sequence[float]) -> None:
+        """Set ``_end_at`` for the chunk ``times`` (``_stop_at`` is its)."""
+        end_at = self._stop_at
+        if self._limit_until is not None:
+            limit_at = bisect_left(times, self._limit_until)
+            if limit_at < end_at:
+                end_at = limit_at
+        self._end_at = end_at
 
     @property
     def ticks(self) -> int:
@@ -303,11 +332,11 @@ class TrainProcess:
             if self._max_ticks is not None:
                 stop_at = min(stop_at, self._max_ticks - self._ticks)
             self._stop_at = stop_at
-        stop_at = self._stop_at
-        if end > stop_at:
-            end = stop_at
-        if self.limit_until is not None:
-            end = bisect_left(times, self.limit_until, pos, end)
+            self._bound_chunk(times)
+        if end > self._end_at:
+            # Clipped by the horizon, ``max_ticks`` or ``limit_until``; an
+            # index before ``pos`` leaves no tick to emit.
+            end = self._end_at
         if self._max_span is not None:
             end = bisect_right(times, times[pos] + self._max_span, pos, end)
         count = end - pos
@@ -316,8 +345,11 @@ class TrainProcess:
             return
         self._pos = end
         self._ticks += count
-        if self._callback(count) is False or end == stop_at:
+        if self._callback(count) is False or end == self._stop_at:
             self.stop()
             return
         if self._running:
-            self._sim.fire_at(times[end], self._wakeup, gen)
+            # Simulator.fire_at, inlined: the entry is exactly the one that
+            # call would push.
+            sim = self._sim
+            heappush(sim._heap, (times[end], next(sim._seq), self._wakeup, (gen,)))

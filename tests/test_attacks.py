@@ -10,6 +10,7 @@ from repro.attacks.onoff import OnOffAttack
 from repro.attacks.zombies import ZombieArmy
 from repro.net.flowlabel import FlowLabel
 from repro.net.link import Link
+from repro.router.filter_table import FilterTable
 from repro.router.nodes import Host
 from repro.sim.engine import Simulator
 from repro.sim.randomness import SeededRandom
@@ -258,7 +259,8 @@ class _StampSink:
 #: and last emission time, sha256[:16] of repr([(created_at, src), ...])),
 #: recorded on the parent of PR 18 (commit c132f81) from its ``_emit`` /
 #: ``_poisson_emit`` per-packet paths: 2 s, the host's outbound guard
-#: refusing everything in [0.6, 0.8).
+#: refusing everything in [0.6, 0.8) (here: an outbound filter installed
+#: at 0.6 for 0.2 s).
 PER_PACKET_EMISSION = {
     "flood": (521, 80, 601, 0.1, 1.599999999999977, "04d6cd83816ca70c"),
     "spoofed": (539, 61, 600, 0.0, 1.9966666666666857, "8bf42b7c2b211fed"),
@@ -295,7 +297,9 @@ class TestOneEmissionPath:
         link = Link(sim, host, sink, bandwidth_bps=1e9, delay=0.001)
         host.attach_link(link)
         host.set_gateway(link)
-        host.outbound_guard = lambda packet, count: not (0.6 <= sim.now < 0.8)
+        table = FilterTable(capacity=None, clock=sim.clock)
+        sim.call_at(0.6, table.install, FlowLabel.between(None, "10.0.1.1"), 0.2)
+        host.outbound_filter = table
         generator = GENERATORS[name](host)
         generator.start()
         sim.run(until=2.0)

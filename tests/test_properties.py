@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import itertools
 import random
 from collections import deque
 
@@ -972,17 +973,28 @@ class TestOneRouterPipeline:
 # must agree with it to the last bit, not to a tolerance.
 # ----------------------------------------------------------------------
 class _SteppedSim:
-    """The two simulator entry points a TrainProcess uses, stepped by hand."""
+    """What a TrainProcess uses of its simulator, stepped by hand: the clock,
+    ``schedule_fire`` for its first wakeup and the heap every later wakeup
+    is pushed onto."""
 
     def __init__(self, now):
         self._now = now
-        self.pending = None
+        self._heap = []
+        self._seq = itertools.count()
 
     def schedule_fire(self, delay, callback, *args):
-        self.fire_at(self._now + delay, callback, *args)
+        self._heap.append((self._now + delay, next(self._seq), callback, args))
 
-    def fire_at(self, when, callback, *args):
-        self.pending = (when, callback, args)
+    def pop(self):
+        """Take the one pending wakeup and move the clock to it."""
+        assert len(self._heap) == 1, self._heap
+        self._now, _, wakeup, args = self._heap.pop()
+        return wakeup, args
+
+    @property
+    def pending_time(self):
+        assert len(self._heap) <= 1, self._heap
+        return self._heap[0][0] if self._heap else None
 
 
 def _looped_trains(now, interval, max_train, horizon, limit, max_span,
@@ -1066,13 +1078,12 @@ class TestTrainSizing:
         process.start()
         trains = []
         for _ in range(6):
-            sim._now, wakeup, args = sim.pending
-            sim.pending = None
+            wakeup, args = sim.pop()
             before = len(emitted)
             wakeup(*args)
             count = emitted[-1] if len(emitted) > before else 0
-            trains.append((count, sim.pending and sim.pending[0]))
-            if sim.pending is None:
+            trains.append((count, sim.pending_time))
+            if sim.pending_time is None:
                 assert not process.running
                 break
         assert trains == _looped_trains(

@@ -7,6 +7,7 @@ from repro.net.flowlabel import FlowLabel
 from repro.net.link import Link
 from repro.net.packet import Packet, PacketKind
 from repro.net.train import PacketTrain
+from repro.router.filter_table import FilterTable
 from repro.router.nodes import BorderRouter, Host
 from repro.sim.engine import Simulator
 
@@ -259,10 +260,11 @@ class TestHostBehaviour:
     @each_count
     def test_outbound_guard_suppresses_data_only(self, count):
         sim, host_a, router, host_b, _, _ = build_chain(count > 1)
-        guarded = []
-        host_a.outbound_guard = lambda packet, n: guarded.append(n)
+        table = FilterTable(capacity=None, clock=sim.clock)
+        table.install(FlowLabel.between(None, "10.0.1.1"), 1.0)
+        host_a.outbound_filter = table
         assert not send(host_a, data_packet("10.0.0.1", "10.0.1.1"), count)
-        assert guarded == [count]
+        assert (table.packets_checked, table.packets_blocked) == (count, count)
         assert host_a.stats_outbound_suppressed == count
         assert host_a.stats.packets_originated == 0
         control = Packet.control(host_a.address, IPAddress.parse("10.0.1.1"),

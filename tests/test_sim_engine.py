@@ -166,6 +166,26 @@ class TestRun:
         sim.run()
         assert sim.events_processed == 2
 
+    def test_max_events_zero_fires_nothing(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        assert sim.run(until=10.0, max_events=0) == 0.0
+        assert (fired, sim.events_processed, sim.pending_events) == ([], 0, 1)
+        sim.run()
+        assert fired == [1]
+
+    @pytest.mark.parametrize("max_events", [-1, -5])
+    def test_negative_max_events_is_refused(self, max_events):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        with pytest.raises(ValueError, match="max_events"):
+            sim.run(max_events=max_events)
+        assert (fired, sim.events_processed, sim.now) == ([], 0, 0.0)
+        sim.run()  # the refused call left the simulator runnable
+        assert fired == [1]
+
     def test_step_fires_one_event(self):
         sim = Simulator()
         fired = []
@@ -185,6 +205,71 @@ class TestRun:
 
         sim.schedule(1.0, nested)
         sim.run()
+
+
+class TestEventsProcessedIsExact:
+    """``events_processed`` counts every fired event, whichever way a run
+    ends; cancelled events never count."""
+
+    def _schedule(self, sim, fired):
+        for when in (1.0, 2.0, 3.0, 4.0):
+            sim.schedule(when, fired.append, when)
+        sim.schedule(2.5, fired.append, "cancelled").cancel()
+        sim.fire_at(3.5, fired.append, 3.5)
+
+    def test_horizon(self):
+        sim, fired = Simulator(), []
+        self._schedule(sim, fired)
+        assert sim.run(until=3.0) == 3.0
+        assert sim.events_processed == len(fired) == 3
+        assert sim.run(until=3.5) == 3.5
+        assert sim.events_processed == len(fired) == 4
+        sim.run()
+        assert sim.events_processed == len(fired) == 5
+
+    def test_max_events(self):
+        sim, fired = Simulator(), []
+        self._schedule(sim, fired)
+        sim.run(max_events=2)
+        assert sim.events_processed == len(fired) == 2
+        # The cancelled 2.5 entry is skipped, not counted against the budget.
+        sim.run(max_events=2)
+        assert fired == [1.0, 2.0, 3.0, 3.5]
+        assert sim.events_processed == 4
+
+    def test_stop(self):
+        sim, fired = Simulator(), []
+        self._schedule(sim, fired)
+        sim.schedule(2.0, sim.stop)
+        assert sim.run(until=10.0) == 2.0
+        assert sim.events_processed == len(fired) + 1 == 3
+        # A stopped run leaves the rest, the cancelled entry included.
+        assert sim.pending_events == 4
+        sim.run()
+        assert sim.events_processed == len(fired) + 1 == 6
+
+    def test_stop_before_run_is_forgotten(self):
+        sim, fired = Simulator(), []
+        self._schedule(sim, fired)
+        sim.stop()
+        sim.run()
+        assert sim.events_processed == len(fired) == 5
+
+    def test_callback_that_raises(self):
+        sim, fired = Simulator(), []
+        self._schedule(sim, fired)
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule(2.0, boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        # The raising event fired: it counts, like the two before it.
+        assert sim.events_processed == len(fired) + 1 == 3
+        assert sim.now == 2.0
+        sim.run()
+        assert sim.events_processed == len(fired) + 1 == 6
 
 
 class TestEventRepr:

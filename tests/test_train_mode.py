@@ -116,6 +116,20 @@ class TestTrainProcess:
         sim.run(until=2.0)
         assert sum(emitted) == 5
 
+    @pytest.mark.parametrize("max_train", [1, 4])
+    def test_limit_until_set_mid_run_binds_from_the_next_wakeup(self, max_train):
+        # The bound is bisected once per timeline chunk; setting it while a
+        # chunk is in use must re-bound that chunk, not wait for the next.
+        sim = Simulator()
+        emitted = []
+        process = TrainProcess(sim, 0.1, emitted.append, max_train=max_train)
+        process.start()
+        sim.run(until=0.25)  # the ticks (or the train) from 0.0 on
+        process.limit_until = 0.65  # ticks up to 0.6 fire, then none
+        sim.run(until=5.0)
+        assert sum(emitted) == 7
+        assert not process.running
+
     def test_stop_goes_stale_at_train_boundary(self):
         sim = Simulator()
         emitted = []

@@ -224,8 +224,9 @@ def _experiment_specs():
                 yield os.path.basename(path)[:-len(".json")]
 
 
-DATA_PATH = ("events_per_kpkt sim.calls net.calls router.calls router.self_s "
-             "attacks.calls analysis.self_s model.xengine_err")
+DATA_PATH = ("op_s sim_us_per_pkt events_per_kpkt sim.calls net.calls "
+             "router.calls router.self_s attacks.calls analysis.self_s "
+             "model.xengine_err")
 REROUTE = ("--prefix faults. --prefix routing_policy. phase.build_s "
            "phase.faults_init_s phase.reroute_s")
 
