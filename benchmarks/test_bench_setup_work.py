@@ -38,6 +38,14 @@ horizon, 23 routers own rows, 8 an ingress policy and 7 a filter table.
 Pipes and deques are found by walking the links, not ``gc.get_objects()``:
 frozen objects are invisible to the latter.
 
+Nor does a process import code it does not run: the package ``__init__``s
+import nothing their importers do not all need, and a registry entry
+imports its implementation when a spec names it.  A fresh interpreter that
+prepares, runs and serialises a figure-1 AITF cell loads exactly the 52
+``repro`` modules pinned below (the parent of the PR that added this gate
+loaded 72: every sweep, observability, baseline, attack, topology and
+fault module), and ``repro --json run`` adds only the CLI and its logger.
+
 And one thing neither phase may do: **search or write routes for routers
 that never look a destination up** — on every topology a router holds a
 destination anchor's rows once it has asked for them
@@ -55,6 +63,8 @@ import gc
 import glob
 import json
 import os
+import subprocess
+import sys
 from collections import Counter, deque
 from functools import partial
 
@@ -74,6 +84,61 @@ from tests.test_hierarchy import train_spec
 WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
                          "workloads")
 HIER_CHURN = os.path.join(WORKLOADS, "hier_churn.json")
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+
+#: The ``repro`` modules a fresh process loads to prepare, run and
+#: serialise a figure-1 AITF cell, by package.
+FIGURE1_CELL_MODULES = frozenset({
+    "repro",
+    "repro.analysis", "repro.analysis.metrics", "repro.analysis.report",
+    "repro.attacks", "repro.attacks.base", "repro.attacks.flood",
+    "repro.attacks.legitimate",
+    "repro.contracts", "repro.contracts.contract",
+    "repro.core", "repro.core.config", "repro.core.deployment",
+    "repro.core.detection", "repro.core.directory", "repro.core.events",
+    "repro.core.gateway_agent", "repro.core.handshake",
+    "repro.core.host_agent", "repro.core.messages",
+    "repro.experiments", "repro.experiments.backends",
+    "repro.experiments.collectors", "repro.experiments.registry",
+    "repro.experiments.runner", "repro.experiments.spec",
+    "repro.experiments.topologies", "repro.experiments.workloads",
+    "repro.net", "repro.net.address", "repro.net.flowlabel",
+    "repro.net.link", "repro.net.packet", "repro.net.queues",
+    "repro.net.train",
+    "repro.router", "repro.router.filter_table", "repro.router.ingress",
+    "repro.router.label_index", "repro.router.nodes",
+    "repro.router.policer", "repro.router.routing",
+    "repro.router.shadow_cache",
+    "repro.sim", "repro.sim.engine", "repro.sim.process",
+    "repro.sim.randomness",
+    "repro.topology", "repro.topology.adjacency", "repro.topology.base",
+    "repro.topology.dynamic", "repro.topology.figure1",
+})
+
+#: ``repro --json run --spec`` on a figure-1 AITF spec: the same cell,
+#: plus the CLI and the logger it configures (no sweep executor, cluster
+#: queue, trace store, flight recorder, sweep tables or red team).
+CLI_RUN_MODULES = FIGURE1_CELL_MODULES | {
+    "repro.cli", "repro.obs", "repro.obs.logsetup"}
+
+_PRINT_MODULES = (
+    "print(json.dumps(sorted(m for m in sys.modules"
+    " if m == 'repro' or m.startswith('repro.'))))")
+
+
+def modules_loaded_by(script):
+    """The ``repro`` modules a fresh interpreter has loaded after running
+    ``script`` (which must import ``json`` and ``sys``)."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    completed = subprocess.run(
+        [sys.executable, "-c", f"{script}\n{_PRINT_MODULES}"], cwd=ROOT,
+        env=env, capture_output=True, text=True, check=True)
+    return frozenset(json.loads(completed.stdout.splitlines()[-1]))
+
+
+def assert_modules(loaded, pinned):
+    assert loaded == pinned, {"extra": sorted(loaded - pinned),
+                              "missing": sorted(pinned - loaded)}
 
 
 class CollectionCounter:
@@ -191,6 +256,24 @@ def test_a_hierarchy_builds_pipes_agents_and_seeds_where_they_are_used(
     assert agents.built()
     assert {agent.name for agent in agents.built()} <= reached
     assert len(reached) < 0.01 * len(agents)
+
+
+def test_a_figure1_cell_imports_only_the_code_it_runs():
+    loaded = modules_loaded_by(
+        "import json, sys\n"
+        "from repro import ExperimentRunner, default_flood_spec\n"
+        "result = ExperimentRunner().run(default_flood_spec(duration=1.0))\n"
+        "json.dumps(result.to_dict())")
+    assert_modules(loaded, FIGURE1_CELL_MODULES)
+
+
+def test_repro_run_imports_no_sweep_trace_or_report_code():
+    loaded = modules_loaded_by(
+        "import json, sys\n"
+        "from repro.cli import main\n"
+        "main(['--json', 'run', '--spec', 'examples/specs/flood_aitf.json',"
+        " '--duration', '0.2'])")
+    assert_modules(loaded, CLI_RUN_MODULES)
 
 
 def written_containers(node):

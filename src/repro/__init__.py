@@ -34,72 +34,51 @@ Quickstart::
     print(result.effective_bandwidth_ratio, result.legit_goodput_bps)
 """
 
-from repro.core import (
-    AITFConfig,
-    AITFDeployment,
-    EventType,
-    FilteringRequest,
-    GatewayAgent,
-    HostAgent,
-    NodeDirectory,
-    PAPER_EXAMPLE_CONFIG,
-    ProtocolEventLog,
-    RequestRole,
-    deploy_aitf,
-)
-from repro.experiments import (
-    DefenseSpec,
-    ExperimentResult,
-    ExperimentRunner,
-    ExperimentSpec,
-    SweepRunner,
-    TopologySpec,
-    WorkloadSpec,
-    default_flood_spec,
-    expand_grid,
-)
-from repro.net import FlowLabel, IPAddress, Packet, Prefix
-from repro.sim import Simulator
-from repro.topology import (
-    Topology,
-    build_dumbbell,
-    build_figure1,
-    build_powerlaw_internet,
-    build_provider_tree,
-)
+import importlib
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "AITFConfig",
-    "PAPER_EXAMPLE_CONFIG",
-    "AITFDeployment",
-    "deploy_aitf",
-    "EventType",
-    "FilteringRequest",
-    "GatewayAgent",
-    "HostAgent",
-    "NodeDirectory",
-    "ProtocolEventLog",
-    "RequestRole",
-    "FlowLabel",
-    "IPAddress",
-    "Prefix",
-    "Packet",
-    "Simulator",
-    "Topology",
-    "build_figure1",
-    "build_dumbbell",
-    "build_provider_tree",
-    "build_powerlaw_internet",
-    "ExperimentSpec",
-    "TopologySpec",
-    "DefenseSpec",
-    "WorkloadSpec",
-    "ExperimentResult",
-    "ExperimentRunner",
-    "SweepRunner",
-    "default_flood_spec",
-    "expand_grid",
-]
+
+def _lazy_exports(namespace: Dict[str, Any],
+                  exports: Dict[str, Sequence[str]]
+                  ) -> Tuple[List[str], Callable[[str], Any],
+                             Callable[[], List[str]]]:
+    """``__all__`` and the PEP 562 ``__getattr__`` / ``__dir__`` of a
+    package whose public names (``exports``: defining module -> names) are
+    imported on first access, so importing the package loads none of them:
+    a process pays only for the modules its command runs."""
+    where = {name: module for module, names in exports.items()
+             for name in names}
+
+    def __getattr__(name: str) -> Any:
+        module = where.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(importlib.import_module(module), name)
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted({*namespace, *where})
+
+    return list(where), __getattr__, __dir__
+
+
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.core": (
+        "AITFConfig", "PAPER_EXAMPLE_CONFIG", "AITFDeployment", "deploy_aitf",
+        "EventType", "FilteringRequest", "GatewayAgent", "HostAgent",
+        "NodeDirectory", "ProtocolEventLog", "RequestRole"),
+    "repro.net": ("FlowLabel", "IPAddress", "Prefix", "Packet"),
+    "repro.sim": ("Simulator",),
+    "repro.topology.base": ("Topology",),
+    "repro.topology.figure1": ("build_figure1",),
+    "repro.topology.tree": ("build_dumbbell", "build_provider_tree"),
+    "repro.topology.powerlaw": ("build_powerlaw_internet",),
+    "repro.experiments": (
+        "ExperimentSpec", "TopologySpec", "DefenseSpec", "WorkloadSpec",
+        "ExperimentResult", "ExperimentRunner", "SweepRunner",
+        "default_flood_spec", "expand_grid"),
+})
+__all__.insert(0, "__version__")

@@ -195,4 +195,5 @@ class PoissonTraffic(LegitimateTraffic):
             self._emit_packet()
         else:
             self._emit(count, offset / (count - 1))
-        sim.schedule(candidate, self._wakeup, name="poisson-next")
+        # Nothing cancels the next arrival: a bare heap entry, no Event.
+        sim.schedule_fire(candidate, self._wakeup)

@@ -9,22 +9,6 @@
 * :mod:`repro.baselines.ingress_dpf` — route-based/ingress packet filtering
   in the spirit of DPF [PL01]: proactively drops spoofed packets at every
   provider edge, but cannot stop non-spoofed floods.
+
+Import each name from its module: the package imports nothing.
 """
-
-from repro.baselines.pushback import PushbackAgent, PushbackDeployment, deploy_pushback
-from repro.baselines.manual import ManualFilteringOperator
-from repro.baselines.ingress_dpf import (
-    IngressDeploymentStats,
-    collect_ingress_stats,
-    enable_universal_ingress_filtering,
-)
-
-__all__ = [
-    "PushbackAgent",
-    "PushbackDeployment",
-    "deploy_pushback",
-    "ManualFilteringOperator",
-    "enable_universal_ingress_filtering",
-    "collect_ingress_stats",
-    "IngressDeploymentStats",
-]

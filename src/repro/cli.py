@@ -52,12 +52,6 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.report import ResultTable, format_seconds, result_to_dict
-from repro.analysis.sweep_report import (
-    compare_table,
-    result_table,
-    sweep_summary,
-    sweep_tables,
-)
 from repro.experiments import (
     DEFENSES,
     OBSERVE_CHANNELS,
@@ -65,22 +59,10 @@ from repro.experiments import (
     ExperimentRunner,
     ExperimentSpec,
     ObserveSpec,
-    SweepRunner,
     TopologySpec,
     default_flood_spec,
-    expand_grid,
-    provenance_sidecar_path,
 )
-from repro.obs import (
-    FlightRecorder,
-    diff_timelines,
-    get_logger,
-    load_trace,
-    log_cell_progress,
-    provenance_summary,
-    setup_logging,
-    write_trace,
-)
+from repro.obs.logsetup import get_logger, setup_logging
 
 logger = get_logger("cli")
 
@@ -214,6 +196,8 @@ def run_experiment(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(doc, indent=2))
     else:
+        from repro.analysis.sweep_report import result_table
+
         result_table(doc).print()
     return 0
 
@@ -235,6 +219,8 @@ def run_compare(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(doc, indent=2))
     else:
+        from repro.analysis.sweep_report import compare_table
+
         compare_table(doc).print()
     return 0
 
@@ -243,6 +229,14 @@ def run_sweep(args: argparse.Namespace) -> int:
     """``repro sweep``: expand a parameter grid and run cells in parallel —
     on a local process pool, or distributed over a shared ``--cluster``
     directory (see :mod:`repro.cluster`)."""
+    from repro.analysis.sweep_report import sweep_summary, sweep_tables
+    from repro.experiments.sweep import (
+        SweepRunner,
+        expand_grid,
+        provenance_sidecar_path,
+    )
+    from repro.obs.progress import log_cell_progress, provenance_summary
+
     request = None
     if args.request:
         if args.param or getattr(args, "spec", None):
@@ -450,6 +444,7 @@ def run_report(args: argparse.Namespace) -> int:
         render_csv,
         render_markdown,
     )
+    from repro.experiments.sweep import provenance_sidecar_path
 
     try:
         doc = load_document(args.input)
@@ -553,6 +548,8 @@ def run_paper(args: argparse.Namespace) -> int:
 # observability subcommands (the flight recorder and friends)
 # ----------------------------------------------------------------------
 def _load_trace_or_die(path: str) -> tuple:
+    from repro.obs.trace import load_trace
+
     try:
         return load_trace(path)
     except (OSError, ValueError) as exc:
@@ -614,6 +611,8 @@ def run_trace_show(args: argparse.Namespace) -> int:
           f"seed={header.get('seed')} engine={header.get('engine')} "
           f"spec={str(header.get('spec_hash'))[:12]}")
     if channel == "aitf-control":
+        from repro.obs.flight import FlightRecorder
+
         recorder = FlightRecorder(selected)
         timelines = recorder.select(victim=args.victim or None,
                                     attacker=args.attacker or None)
@@ -642,6 +641,8 @@ def run_trace_show(args: argparse.Namespace) -> int:
 
 def run_trace_filter(args: argparse.Namespace) -> int:
     """``repro trace filter``: write a sub-trace keeping only some channels."""
+    from repro.obs.trace import write_trace
+
     header, records = _load_trace_or_die(args.trace)
     channels = [c.strip() for c in args.channel.split(",") if c.strip()]
     unknown = sorted(set(channels) - set(OBSERVE_CHANNELS))
@@ -665,6 +666,8 @@ def run_trace_filter(args: argparse.Namespace) -> int:
 def run_trace_diff(args: argparse.Namespace) -> int:
     """``repro trace diff``: compare two traces' AITF protocol timelines
     (exit 1 when they drift — the packet-vs-train parity check)."""
+    from repro.obs.flight import FlightRecorder, diff_timelines
+
     recorder_a = FlightRecorder(_load_trace_or_die(args.a)[1])
     recorder_b = FlightRecorder(_load_trace_or_die(args.b)[1])
     diffs = diff_timelines(recorder_a, recorder_b, tolerance=args.tolerance)
@@ -697,9 +700,10 @@ def run_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _redteam_executor(args: argparse.Namespace) -> SweepRunner:
-    """The cache-fronted sweep runner shared by the redteam subcommands."""
+def _redteam_executor(args: argparse.Namespace) -> Any:
+    """The cache-fronted ``SweepRunner`` shared by the redteam subcommands."""
     from repro.cluster.cache import CellCache
+    from repro.experiments.sweep import SweepRunner
 
     cache = CellCache(args.cache) if args.cache else None
     return SweepRunner(workers=args.workers, cache=cache)
@@ -717,6 +721,7 @@ def run_redteam_search(args: argparse.Namespace) -> int:
     """``repro redteam search``: successive-refinement search of the attack
     ladders for cells where the defense's goodput collapses."""
     from repro.analysis.redteam import search_table
+    from repro.experiments.sweep import provenance_sidecar_path
     from repro.redteam import run_search, write_search
     from repro.redteam.search import search_provenance
     from repro.redteam.spec import load_redteam_spec
@@ -744,6 +749,7 @@ def run_redteam_repair(args: argparse.Namespace) -> int:
     each collapse cell of a recorded search (exit 1 if any cell stays
     unrepaired by the committed menu)."""
     from repro.analysis.redteam import repair_table
+    from repro.experiments.sweep import provenance_sidecar_path
     from repro.redteam import run_repair, write_report
     from repro.redteam.search import search_provenance
     from repro.redteam.spec import load_redteam_spec

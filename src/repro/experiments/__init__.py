@@ -28,104 +28,32 @@ Sweep::
     sweep.write("sweep.json")
 """
 
-from repro.experiments.backends import DefenseBackend, build_backend
-from repro.experiments.collectors import MetricCollector, build_collector
-from repro.experiments.registry import (
-    COLLECTORS,
-    DEFENSES,
-    TOPOLOGIES,
-    WORKLOADS,
-    Registry,
-)
-from repro.experiments.request import (
-    SWEEP_REQUEST_SCHEMA,
-    SweepRequest,
-    load_sweep_request,
-)
-from repro.experiments.runner import (
-    RESULT_SCHEMA,
-    ExperimentExecution,
-    ExperimentResult,
-    ExperimentRunner,
-)
-from repro.experiments.spec import (
-    OBSERVE_CHANNELS,
-    SPEC_SCHEMA,
-    CollectorSpec,
-    DefenseSpec,
-    EngineSpec,
-    ExperimentSpec,
-    ObserveSpec,
-    TopologySpec,
-    WorkloadSpec,
-    apply_override,
-    canonical_spec_json,
-    default_attacker_resource_spec,
-    default_flood_spec,
-    default_onoff_spec,
-    default_victim_resource_spec,
-    spec_hash,
-)
-from repro.experiments.sweep import (
-    PROVENANCE_SCHEMA,
-    SWEEP_SCHEMA,
-    SweepCell,
-    SweepResult,
-    SweepRunner,
-    derive_cell_seed,
-    execute_cell,
-    expand_grid,
-    merge_cell_documents,
-    provenance_sidecar_path,
-)
-from repro.experiments.topologies import TopologyHandle, build_topology
-from repro.experiments.workloads import WorkloadHandle, build_workload
+from repro import _lazy_exports
 
-__all__ = [
-    "SPEC_SCHEMA",
-    "RESULT_SCHEMA",
-    "SWEEP_SCHEMA",
-    "PROVENANCE_SCHEMA",
-    "canonical_spec_json",
-    "spec_hash",
-    "execute_cell",
-    "merge_cell_documents",
-    "provenance_sidecar_path",
-    "Registry",
-    "TOPOLOGIES",
-    "DEFENSES",
-    "WORKLOADS",
-    "COLLECTORS",
-    "TopologySpec",
-    "DefenseSpec",
-    "WorkloadSpec",
-    "CollectorSpec",
-    "EngineSpec",
-    "ObserveSpec",
-    "OBSERVE_CHANNELS",
-    "ExperimentSpec",
-    "apply_override",
-    "default_flood_spec",
-    "default_onoff_spec",
-    "default_victim_resource_spec",
-    "default_attacker_resource_spec",
-    "MetricCollector",
-    "build_collector",
-    "SWEEP_REQUEST_SCHEMA",
-    "SweepRequest",
-    "load_sweep_request",
-    "TopologyHandle",
-    "build_topology",
-    "WorkloadHandle",
-    "build_workload",
-    "DefenseBackend",
-    "build_backend",
-    "ExperimentExecution",
-    "ExperimentResult",
-    "ExperimentRunner",
-    "SweepCell",
-    "SweepResult",
-    "SweepRunner",
-    "expand_grid",
-    "derive_cell_seed",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.experiments.spec": (
+        "SPEC_SCHEMA", "canonical_spec_json", "spec_hash", "TopologySpec",
+        "DefenseSpec", "WorkloadSpec", "CollectorSpec", "EngineSpec",
+        "ObserveSpec", "OBSERVE_CHANNELS", "ExperimentSpec", "apply_override",
+        "default_flood_spec", "default_onoff_spec",
+        "default_victim_resource_spec", "default_attacker_resource_spec"),
+    "repro.experiments.runner": (
+        "RESULT_SCHEMA", "ExperimentExecution", "ExperimentResult",
+        "ExperimentRunner"),
+    "repro.experiments.sweep": (
+        "SWEEP_SCHEMA", "PROVENANCE_SCHEMA", "execute_cell",
+        "merge_cell_documents", "provenance_sidecar_path", "SweepCell",
+        "SweepResult", "SweepRunner", "expand_grid", "derive_cell_seed"),
+    "repro.experiments.request": (
+        "SWEEP_REQUEST_SCHEMA", "SweepRequest", "load_sweep_request"),
+    "repro.experiments.registry": ("Registry",),
+    # Each registry from the module that fills it.
+    "repro.experiments.topologies": ("TOPOLOGIES", "TopologyHandle",
+                                     "build_topology"),
+    "repro.experiments.backends": ("DEFENSES", "DefenseBackend",
+                                   "build_backend"),
+    "repro.experiments.workloads": ("WORKLOADS", "WorkloadHandle",
+                                    "build_workload"),
+    "repro.experiments.collectors": ("COLLECTORS", "MetricCollector",
+                                     "build_collector"),
+})

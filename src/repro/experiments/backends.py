@@ -22,13 +22,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.attacks.malicious import CompromisedRouterBehaviour
-from repro.baselines.ingress_dpf import (
-    collect_ingress_stats,
-    enable_universal_ingress_filtering,
-)
-from repro.baselines.manual import ManualFilteringOperator
-from repro.baselines.pushback import PushbackDeployment, deploy_pushback
 from repro.core.deployment import AITFDeployment, deploy_aitf
 from repro.core.detection import ExplicitDetector
 from repro.core.events import EventType
@@ -90,7 +83,8 @@ class AITFBackend(DefenseBackend):
         self.deployment: Optional[AITFDeployment] = None
         self.detector: Optional[ExplicitDetector] = None
         self.deployed_gateways: Optional[frozenset] = None
-        self.compromised: List[CompromisedRouterBehaviour] = []
+        #: A ``CompromisedRouterBehaviour`` per compromised router.
+        self.compromised: List[Any] = []
 
     def _gateway_names(self, ctx: Any) -> Optional[frozenset]:
         """Resolve the ``deployment`` locus to a set of router names."""
@@ -160,6 +154,8 @@ class AITFBackend(DefenseBackend):
                 raise ValueError(
                     f"compromised_routers names {router_name!r}, which is "
                     "not a border router of this topology")
+            from repro.attacks.malicious import CompromisedRouterBehaviour
+
             self.compromised.append(CompromisedRouterBehaviour(node))
         victim_agent = self.deployment.host_agent(ctx.handle.victim.name)
         self.detector = ExplicitDetector(
@@ -242,9 +238,12 @@ class PushbackBackend(DefenseBackend):
         self.limit_bps = float(limit_bps)
         self.review_interval = float(review_interval)
         self.drop_rate_threshold = float(drop_rate_threshold)
-        self.deployment: Optional[PushbackDeployment] = None
+        #: The ``PushbackDeployment`` once deployed.
+        self.deployment: Any = None
 
     def deploy(self, ctx: Any) -> None:
+        from repro.baselines.pushback import deploy_pushback
+
         self.deployment = deploy_pushback(
             ctx.handle.topology.border_routers(),
             limit_bps=self.limit_bps,
@@ -294,9 +293,13 @@ class IngressDPFBackend(DefenseBackend):
     name = "ingress-dpf"
 
     def deploy(self, ctx: Any) -> None:
+        from repro.baselines.ingress_dpf import enable_universal_ingress_filtering
+
         enable_universal_ingress_filtering(ctx.handle.all_nodes())
 
     def collect(self, ctx: Any) -> Dict[str, Any]:
+        from repro.baselines.ingress_dpf import collect_ingress_stats
+
         stats = collect_ingress_stats(ctx.handle.all_nodes())
         return {
             "backend": self.name,
@@ -326,9 +329,12 @@ class ManualBackend(DefenseBackend):
         self.local_response_delay = float(local_response_delay)
         self.upstream_response_delay = float(upstream_response_delay)
         self.filter_duration = float(filter_duration)
-        self.operator: Optional[ManualFilteringOperator] = None
+        #: The ``ManualFilteringOperator`` once deployed.
+        self.operator: Any = None
 
     def deploy(self, ctx: Any) -> None:
+        from repro.baselines.manual import ManualFilteringOperator
+
         self.operator = ManualFilteringOperator(
             ctx.sim,
             local_response_delay=self.local_response_delay,

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Mapping, Optional
 
-from repro.analysis import formulas
 from repro.analysis.metrics import OccupancySampler
 from repro.core.events import EventType
 from repro.experiments.registry import COLLECTORS
@@ -187,6 +186,8 @@ class _PaperFormulas(MetricCollector):
     kind = "paper-formulas"
 
     def __init__(self, id: Optional[str], rate: float, config: Any) -> None:
+        from repro.analysis import formulas
+
         super().__init__(id)
         self.stats = {
             "kind": self.kind,

@@ -191,10 +191,12 @@ class ExperimentExecution:
         # spec, which therefore pays nothing).  Built after the defense so
         # router crashes can wipe deployed agent state, started in run()
         # before the workloads so a fault at time t beats traffic at time t.
-        from repro.faults import FaultInjector
-        self.fault_injector = FaultInjector.from_spec(
-            spec, self.handle.topology,
-            deployment=getattr(self.backend, "deployment", None))
+        self.fault_injector = None
+        if spec.faults:
+            from repro.faults import FaultInjector
+            self.fault_injector = FaultInjector.from_spec(
+                spec, self.handle.topology,
+                deployment=getattr(self.backend, "deployment", None))
 
         # Observability plane (None for the overwhelmingly common
         # unobserved spec: no recorder, no registry, and — because every
@@ -203,7 +205,7 @@ class ExperimentExecution:
         self.observer = None
         self.metrics = None
         if spec.observe.enabled:
-            from repro.obs import ExperimentObserver
+            from repro.obs.observer import ExperimentObserver
             self.observer = ExperimentObserver(self)
             self.metrics = self.observer.metrics
 

@@ -18,7 +18,6 @@ from repro.router.nodes import BorderRouter, Host
 from repro.sim.engine import Simulator
 from repro.topology.base import Topology
 from repro.topology.figure1 import build_figure1
-from repro.topology.tree import build_dumbbell, build_provider_tree
 
 
 @dataclass
@@ -69,6 +68,8 @@ def _lazy(module: str, name: str) -> Callable[[], Callable[..., Any]]:
     return lambda: getattr(importlib.import_module(module), name)
 
 
+_dumbbell = _lazy("repro.topology.tree", "build_dumbbell")
+_tree = _lazy("repro.topology.tree", "build_provider_tree")
 _failover = _lazy("repro.topology.failover", "build_failover")
 _powerlaw = _lazy("repro.topology.powerlaw", "build_powerlaw_internet")
 _hierarchy = _lazy("repro.topology.hierarchy", "build_hierarchy_internet")
@@ -94,12 +95,12 @@ def _build_figure1_handle(**params: Any) -> TopologyHandle:
     )
 
 
-@TOPOLOGIES.register("dumbbell", declared_by=lambda: build_dumbbell)
+@TOPOLOGIES.register("dumbbell", declared_by=_dumbbell)
 def _build_dumbbell_handle(**params: Any) -> TopologyHandle:
     """Many sources, one victim, two gateways.  When there is more than one
     source the last one is reserved as a legitimate sender so goodput can be
     measured alongside the attack; with a single source it attacks."""
-    dumbbell = build_dumbbell(**params)
+    dumbbell = _dumbbell()(**params)
     sources = tuple(dumbbell.sources)
     if len(sources) > 1:
         attackers, legit = sources[:-1], sources[-1:]
@@ -116,12 +117,12 @@ def _build_dumbbell_handle(**params: Any) -> TopologyHandle:
     )
 
 
-@TOPOLOGIES.register("tree", declared_by=lambda: build_provider_tree)
+@TOPOLOGIES.register("tree", declared_by=_tree)
 def _build_tree_handle(**params: Any) -> TopologyHandle:
     """A provider tree: the victim is the first host of the first client
     network, attacked from the remote host across the core; the second
     client's hosts (when present) send legitimate traffic."""
-    tree = build_provider_tree(**params)
+    tree = _tree()(**params)
     victim_router = tree.client_routers[0]
     victim_hosts = tree.hosts_of(victim_router)
     if not victim_hosts:

@@ -13,9 +13,6 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from repro.attacks.flood import FloodAttack, SpoofedFloodAttack
 from repro.attacks.legitimate import LegitimateTraffic, PoissonTraffic
-from repro.attacks.malicious import RequestForger
-from repro.attacks.onoff import OnOffAttack
-from repro.attacks.zombies import ZombieArmy
 from repro.core.messages import RequestRole
 from repro.experiments.registry import WORKLOADS
 from repro.net.flowlabel import FlowLabel
@@ -138,6 +135,8 @@ def _build_onoff(ctx: Any, index: int, *, rate_pps: float = 1000.0,
                  attacker: int = 0) -> WorkloadHandle:
     """Pulsed attack (Section II-B).  ``on_duration`` / ``off_duration``
     default to the attacker-optimal cadence derived from the run's Ttmp."""
+    from repro.attacks.onoff import OnOffAttack
+
     host = _pick(ctx, "attacker", attacker)
     ttmp = ctx.config.temporary_filter_timeout
     attack = OnOffAttack(
@@ -198,6 +197,8 @@ def _build_zombies(ctx: Any, index: int, *, count: Optional[int] = None,
                    spoofed: bool = False,
                    duration: Optional[float] = None) -> WorkloadHandle:
     """A zombie army: ``count`` attacker hosts flooding the victim together."""
+    from repro.attacks.zombies import ZombieArmy
+
     candidates = list(ctx.handle.attackers)
     if not candidates:
         raise ValueError(f"topology {ctx.handle.kind!r} has no attacker hosts")
@@ -222,7 +223,7 @@ class _ZombieHandle(WorkloadHandle):
     #: Every ZombieArmy packet carries this tag; the runner meters by it.
     flow_tag = "zombie-attack"
 
-    def __init__(self, kind: str, army: ZombieArmy, zombies: List[Host],
+    def __init__(self, kind: str, army: Any, zombies: List[Host],
                  **kwargs: Any) -> None:
         super().__init__(kind, army, **kwargs)
         self._zombies = list(zombies)
@@ -402,6 +403,8 @@ class ForgedRequestStream(_RequestStream):
                 raise ValueError("spoofed forged-requests need an attacker "
                                  "host whose address can be borrowed")
             spoof_source = handle.attackers[0].address
+        from repro.attacks.malicious import RequestForger
+
         self.forger = RequestForger(forger_host, spoof_source=spoof_source)
 
     @property

@@ -26,37 +26,6 @@ Pieces:
   lines and provenance summaries for ``repro sweep`` / ``repro paper``.
 * :mod:`repro.obs.logsetup` — the shared CLI logging configuration behind
   the global ``--verbose`` / ``--quiet`` flags.
+
+Import each name from its module: the package imports nothing.
 """
-
-from repro.obs.flight import FlightRecorder, RequestTimeline, diff_timelines
-from repro.obs.logsetup import get_logger, setup_logging
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.observer import ExperimentObserver
-from repro.obs.progress import (
-    format_cell_line,
-    log_cell_progress,
-    provenance_summary,
-)
-from repro.obs.trace import (
-    TRACE_SCHEMA,
-    TraceRecorder,
-    load_trace,
-    write_trace,
-)
-
-__all__ = [
-    "TRACE_SCHEMA",
-    "TraceRecorder",
-    "load_trace",
-    "write_trace",
-    "MetricsRegistry",
-    "ExperimentObserver",
-    "FlightRecorder",
-    "RequestTimeline",
-    "diff_timelines",
-    "provenance_summary",
-    "format_cell_line",
-    "log_cell_progress",
-    "setup_logging",
-    "get_logger",
-]

@@ -352,13 +352,17 @@ class Simulator:
         self._until = -_INF
 
     def drain(self) -> int:
-        """Cancel every pending event.  Returns the number of events cancelled."""
-        cancelled = 0
+        """Drop every pending entry, cancelling each :class:`Event`.  Returns
+        how many live entries were dropped: the events not yet cancelled
+        and every fire-and-forget entry (a delivery, a tick)."""
+        dropped = 0
         for entry in self._heap:
             target = entry[2]
-            if target.__class__ is Event and not target.cancelled:
+            if target.__class__ is not Event:
+                dropped += 1
+            elif not target.cancelled:
                 target.cancelled = True
-                cancelled += 1
+                dropped += 1
         self._heap.clear()
         self._cancelled_in_heap = 0
-        return cancelled
+        return dropped

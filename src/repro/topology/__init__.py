@@ -1,41 +1,16 @@
 """Topology builders.
 
-* :class:`Topology` — the generic construction kit (nodes, links, routes).
-* :func:`build_figure1` — the paper's Figure 1 example network.
-* :func:`build_provider_tree` — a provider with many client networks
-  (resource-provisioning experiments).
-* :func:`build_dumbbell` — many zombies against one victim (flood and
-  goodput experiments).
-* :func:`build_powerlaw_internet` — Internet-like AS graphs (scalability).
+* :class:`~repro.topology.base.Topology` — the generic construction kit
+  (nodes, links, routes).
+* :func:`~repro.topology.figure1.build_figure1` — the paper's Figure 1
+  example network.
+* :func:`~repro.topology.tree.build_provider_tree` — a provider with many
+  client networks (resource-provisioning experiments).
+* :func:`~repro.topology.tree.build_dumbbell` — many zombies against one
+  victim (flood and goodput experiments).
+* :func:`~repro.topology.powerlaw.build_powerlaw_internet` — Internet-like
+  AS graphs (scalability).
+
+Import each name from its module: the package imports nothing, so a run
+loads only the builders its spec names.
 """
-
-from repro.topology.base import (
-    ACCESS_BANDWIDTH,
-    ACCESS_DELAY,
-    BACKBONE_BANDWIDTH,
-    BACKBONE_DELAY,
-    REGIONAL_DELAY,
-    TAIL_CIRCUIT_BANDWIDTH,
-    Topology,
-)
-from repro.topology.figure1 import Figure1Topology, build_figure1
-from repro.topology.tree import Dumbbell, ProviderTree, build_dumbbell, build_provider_tree
-from repro.topology.powerlaw import PowerLawInternet, build_powerlaw_internet
-
-__all__ = [
-    "Topology",
-    "ACCESS_BANDWIDTH",
-    "ACCESS_DELAY",
-    "BACKBONE_BANDWIDTH",
-    "BACKBONE_DELAY",
-    "REGIONAL_DELAY",
-    "TAIL_CIRCUIT_BANDWIDTH",
-    "Figure1Topology",
-    "build_figure1",
-    "ProviderTree",
-    "build_provider_tree",
-    "Dumbbell",
-    "build_dumbbell",
-    "PowerLawInternet",
-    "build_powerlaw_internet",
-]

@@ -31,16 +31,10 @@ from repro.experiments import (
     default_flood_spec,
     spec_hash,
 )
-from repro.obs import (
-    FlightRecorder,
-    MetricsRegistry,
-    TraceRecorder,
-    diff_timelines,
-    format_cell_line,
-    load_trace,
-    provenance_summary,
-)
-from repro.obs.metrics import publish_stats
+from repro.obs.flight import FlightRecorder, diff_timelines
+from repro.obs.metrics import MetricsRegistry, publish_stats
+from repro.obs.progress import format_cell_line, provenance_summary
+from repro.obs.trace import TraceRecorder, load_trace
 
 #: Light enough for parity: neither engine congests any queue, so packet
 #: and train runs produce identical protocol event times.

@@ -96,6 +96,19 @@ class TestCancellation:
         assert cancelled == 3
         assert fired == []
 
+    def test_drain_counts_fire_and_forget_entries(self):
+        sim = Simulator()
+        fired = []
+        for delay in (1.0, 2.0, 3.0):
+            sim.schedule(delay, lambda: fired.append("event"))
+        sim.schedule(4.0, lambda: fired.append("cancelled")).cancel()
+        sim.schedule_fire(0.5, fired.append, "fire")
+        sim.fire_at(2.5, fired.append, "fire")
+        assert sim.drain() == 5
+        assert sim.pending_events == 0
+        sim.run()
+        assert fired == []
+
 
 class TestRun:
     def test_run_until_stops_before_later_events(self):

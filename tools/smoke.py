@@ -116,6 +116,25 @@ def trace_rows_held(out):
         print(name, footprint)
 
 
+def modules_loaded(out):
+    """How many ``repro`` modules a fresh interpreter loads to prepare, run
+    and serialise the ``fig1_packet`` cell at a 1 s horizon (prints only;
+    ``benchmarks/test_bench_setup_work.py`` pins the set)."""
+    path = os.path.join(REPO, "bench", "workloads", "fig1_packet.json")
+    script = (
+        "import json, sys\n"
+        "from repro.experiments import ExperimentRunner, ExperimentSpec\n"
+        f"spec = ExperimentSpec.load({path!r})\n"
+        "result = ExperimentRunner().run(spec.with_overrides({'duration': 1.0}))\n"
+        "json.dumps(result.to_dict())\n"
+        "print(sum(1 for m in sys.modules"
+        " if m == 'repro' or m.startswith('repro.')))")
+    loaded = subprocess.run([sys.executable, "-c", script], cwd=out,
+                            env=_env(), check=True, capture_output=True,
+                            text=True).stdout.split()[-1]
+    print("fig1_packet repro modules loaded:", loaded)
+
+
 def resume_after_killing_a_worker(out):
     """Two workers drain the queue; one is killed by SIGKILL as soon as the
     first cell is done (so partway, holding a lease), and the coordinator
@@ -244,7 +263,8 @@ ENTRIES = {
     # per-layer counters), printing the counters reviewers read on every
     # change.  Gates only on a wrong result, never on time.
     "counters": [
-        f"{COUNTERS} fig1_packet --both {DATA_PATH}",
+        f"{COUNTERS} fig1_packet --both {DATA_PATH} setup_s",
+        modules_loaded,
         f"{COUNTERS} fleet_train --both {DATA_PATH} setup_s peak_rss_mb "
         "phase.build_s dep.networkx_s py.gc_collections",
         f"{COUNTERS} hier_churn --both {REROUTE} phase.materialize_s py.gc_s "
