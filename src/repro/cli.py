@@ -62,6 +62,7 @@ from repro.experiments import (
     TopologySpec,
     default_flood_spec,
 )
+from repro.experiments.spec import document_json
 from repro.obs.logsetup import get_logger, setup_logging
 
 logger = get_logger("cli")
@@ -310,7 +311,7 @@ def run_sweep(args: argparse.Namespace) -> int:
                            "leased": leased, "done": done,
                            "cluster": args.cluster}
                 if args.json:
-                    print(json.dumps(summary, indent=2, sort_keys=True))
+                    print(document_json(summary))
                 else:
                     print(f"enqueued sweep: {len(manifest)} cells in "
                           f"{args.cluster} ({done} already done, {pending} pending);"
@@ -336,7 +337,7 @@ def run_sweep(args: argparse.Namespace) -> int:
         logger.info("wrote %s (provenance: %s)", args.output,
                     provenance_sidecar_path(args.output))
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(document_json(doc))
         return 0
     print(f"\nSweep: {sweep_summary(doc)}")
     for table in sweep_tables(doc):
@@ -356,7 +357,7 @@ def run_worker(args: argparse.Namespace) -> int:
     stats = worker.run(max_cells=args.max_cells,
                        idle_timeout=args.idle_timeout)
     if args.json:
-        print(json.dumps(stats.to_dict(), indent=2, sort_keys=True))
+        print(document_json(stats.to_dict()))
         return 0
     table = ResultTable(f"Worker {stats.worker_id}", ["metric", "value"])
     table.add_row("cells executed", stats.executed)
@@ -530,7 +531,7 @@ def run_paper(args: argparse.Namespace) -> int:
             raise SystemExit(f"repro paper: {exc}") from exc
         raise
     if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
+        print(document_json(summary))
         return 0
     table = ResultTable(
         f"Paper reproduction ({'quick' if args.quick else 'full'} grids)",
@@ -576,12 +577,12 @@ def run_trace_record(args: argparse.Namespace) -> int:
                          extra={"attack_start": execution.attack_window_start})
     logger.info("wrote %s", args.output)
     if args.json:
-        print(json.dumps({
+        print(document_json({
             "trace": args.output,
             "records": len(recorder),
             "channels": recorder.counts(),
             "time_to_first_block": result.time_to_first_block,
-        }, indent=2, sort_keys=True))
+        }))
         return 0
     table = ResultTable(f"Trace: {spec.name} [{spec.engine.mode}]",
                         ["metric", "value"])
@@ -604,8 +605,7 @@ def run_trace_show(args: argparse.Namespace) -> int:
     channel = args.channel or "aitf-control"
     selected = [r for r in records if r.get("ch") == channel]
     if args.json:
-        print(json.dumps({"header": header, "records": selected},
-                         indent=2, sort_keys=True))
+        print(document_json({"header": header, "records": selected}))
         return 0
     print(f"trace {args.trace}: {header.get('name')} "
           f"seed={header.get('seed')} engine={header.get('engine')} "
@@ -672,11 +672,11 @@ def run_trace_diff(args: argparse.Namespace) -> int:
     recorder_b = FlightRecorder(_load_trace_or_die(args.b)[1])
     diffs = diff_timelines(recorder_a, recorder_b, tolerance=args.tolerance)
     if args.json:
-        print(json.dumps({
+        print(document_json({
             "differences": diffs,
             "timelines": [len(recorder_a.timelines()),
                           len(recorder_b.timelines())],
-        }, indent=2, sort_keys=True))
+        }))
         return 1 if diffs else 0
     if not diffs:
         print(f"traces agree: {len(recorder_a.timelines())} timeline(s), "
@@ -731,14 +731,13 @@ def run_redteam_search(args: argparse.Namespace) -> int:
     document = run_search(spec, executor=executor)
     write_search(document, args.output)
     with open(provenance_sidecar_path(args.output), "w") as handle:
-        json.dump(search_provenance(executor, document), handle,
-                  indent=2, sort_keys=True)
+        handle.write(document_json(search_provenance(executor, document)))
         handle.write("\n")
     logger.info("wrote %s: %d cells evaluated, %d collapse cell(s)",
                 args.output, len(document["cells"]),
                 len(document["collapse_cells"]))
     if args.json:
-        print(json.dumps(document, indent=2, sort_keys=True))
+        print(document_json(document))
     else:
         search_table(document).print()
     return 0
@@ -760,12 +759,11 @@ def run_redteam_repair(args: argparse.Namespace) -> int:
     report = run_repair(spec, search_document, executor=executor)
     write_report(report, args.output)
     with open(provenance_sidecar_path(args.output), "w") as handle:
-        json.dump(search_provenance(executor, report), handle,
-                  indent=2, sort_keys=True)
+        handle.write(document_json(search_provenance(executor, report)))
         handle.write("\n")
     logger.info("wrote %s (run_hash %s)", args.output, report["run_hash"][:16])
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(document_json(report))
     else:
         repair_table(report).print()
     unrepaired = [entry["cell_index"] for entry in report["repairs"]
@@ -790,8 +788,8 @@ def run_redteam_verify(args: argparse.Namespace) -> int:
     verdict = verify_replay(spec, search_document, report, executor=executor)
     passed = verdict["verified"] and verdict["hit_rate"] >= args.min_hit_rate
     if args.json:
-        print(json.dumps({**verdict, "min_hit_rate": args.min_hit_rate,
-                          "passed": passed}, indent=2, sort_keys=True))
+        print(document_json({**verdict, "min_hit_rate": args.min_hit_rate,
+                             "passed": passed}))
     else:
         table = ResultTable("red-team verification replay",
                             ["check", "status"])

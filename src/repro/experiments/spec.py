@@ -9,10 +9,10 @@ a spec can be written to a file, edited, diffed, and shipped to a worker
 process without any Python object crossing the boundary.
 
 The names inside a spec (``topology.kind``, ``defense.backend``,
-``workloads[].kind``) are resolved against the registries in
-:mod:`repro.experiments.registry` at run time, so a spec referring to a
-backend that does not exist fails with a message listing the valid choices.
-A parameter name no entry declares is refused earlier, when the spec is parsed.
+``workloads[].kind``, ``collectors[].kind``) are checked against the
+registries in :mod:`repro.experiments.registry` when the spec is parsed, so
+a spec referring to a backend that does not exist fails there with a message
+listing the valid choices, as does a parameter name no entry declares.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import copy
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import AbstractSet, Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.config import AITFConfig
@@ -51,10 +52,8 @@ def _params_dict(params: Optional[Mapping[str, Any]],
 def _entry_params(registry: Registry, kind: str,
                   params: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
     """``params`` checked against registry entry ``kind``, names and value
-    types; an unknown kind is left for the build step, which names the
-    registered choices."""
-    if kind not in registry:
-        return _params_dict(params)
+    types (ValueError naming the registered choices when ``kind`` is not
+    one)."""
     params = _params_dict(params, registry.parameters(kind),
                           f"{registry.kind} {kind!r}")
     registry.check_values(kind, params)
@@ -97,8 +96,7 @@ class DefenseSpec:
         known = frozenset().union(*map(DEFENSES.parameters, DEFENSES))
         params = _params_dict(data.get("params"), known, "defense")
         backend = data.get("backend", "aitf")
-        if backend in DEFENSES:
-            DEFENSES.check_values(backend, params)
+        DEFENSES.check_values(backend, params)
         return cls(backend=backend, params=params)
 
 
@@ -434,9 +432,9 @@ class ExperimentSpec:
             data["observe"] = self.observe.to_dict()
         return data
 
-    def to_json(self, *, indent: int = 2) -> str:
-        """The spec as a JSON document."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        """The spec as a JSON document (:func:`document_json`)."""
+        return document_json(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
@@ -572,6 +570,124 @@ def canonical_spec_json(spec: Union["ExperimentSpec", Mapping[str, Any]]) -> str
     if not isinstance(spec, ExperimentSpec):
         spec = ExperimentSpec.from_dict(spec)
     return json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
+_int_repr = int.__repr__
+_float_repr = float.__repr__
+_INFINITY = float("inf")
+
+
+def document_json(value: Any) -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``.
+
+    Every sorted, indented document the project writes (sweep documents
+    and their provenance sidecars, spec files, red-team documents, the
+    CLI's sorted ``--json`` prints) goes through here.  With ``indent``
+    set, stdlib falls back to its generator-based pure-Python encoder, one
+    generator resumption per value; this one makes a Python call per
+    container and hands exact ``str`` / ``int`` / finite ``float`` items
+    straight to C.  The text is byte-identical to stdlib's for every
+    JSON-native value (subclasses, enums, non-str keys, ``NaN`` and
+    ``±Infinity`` included, pinned in ``tests/test_properties.py``); any
+    other type raises stdlib's ``TypeError``.  A cyclic value raises
+    ``RecursionError``, not stdlib's ``ValueError``.
+    """
+    parts: List[str] = []
+    _write_json(value, parts, "\n")
+    return "".join(parts)
+
+
+def _write_json(value: Any, parts: List[str], newline: str) -> None:
+    """Append ``value``'s text to ``parts``; ``newline`` is a line break
+    plus the indent of the line ``value`` starts on.  The checks and their
+    order are stdlib's (``json.encoder._make_iterencode``)."""
+    if isinstance(value, str):
+        parts.append(_encode_str(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(_int_repr(value))
+    elif isinstance(value, float):
+        parts.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        append = parts.append
+        inner = newline + "  "
+        comma = "," + inner
+        head = "[" + inner
+        for item in value:
+            append(head)
+            head = comma
+            kind = type(item)
+            if kind is str:
+                append(_encode_str(item))
+            elif kind is int:
+                append(_int_repr(item))
+            elif kind is float and item - item == 0.0:  # finite
+                append(_float_repr(item))
+            else:
+                _write_json(item, parts, inner)
+        append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        append = parts.append
+        inner = newline + "  "
+        comma = "," + inner
+        head = "{" + inner
+        for key, item in sorted(value.items()):
+            append(head)
+            head = comma
+            append(_encode_str(key) if type(key) is str else _key_text(key))
+            append(": ")
+            kind = type(item)
+            if kind is str:
+                append(_encode_str(item))
+            elif kind is int:
+                append(_int_repr(item))
+            elif kind is float and item - item == 0.0:  # finite
+                append(_float_repr(item))
+            else:
+                _write_json(item, parts, inner)
+        append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} "
+                        f"is not JSON serializable")
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return _float_repr(value)
+
+
+def _key_text(key: Any) -> str:
+    """A dict key's quoted text, converted as stdlib converts it."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if isinstance(key, float):
+        return _encode_str(_float_text(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return _encode_str(_int_repr(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
 
 
 def spec_hash(spec: Union["ExperimentSpec", Mapping[str, Any]]) -> str:

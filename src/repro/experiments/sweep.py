@@ -37,7 +37,7 @@ from functools import cached_property
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.spec import ExperimentSpec, spec_hash
+from repro.experiments.spec import ExperimentSpec, document_json, spec_hash
 from repro.obs.logsetup import get_logger
 
 logger = get_logger("experiments.sweep")
@@ -210,9 +210,9 @@ class SweepResult:
             "cells": self.cells,
         }
 
-    def to_json(self, *, indent: int = 2) -> str:
-        """The sweep document as JSON text."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        """The sweep document as JSON text (:func:`document_json`)."""
+        return document_json(self.to_dict())
 
     def write(self, path: str) -> None:
         """Write the canonical sweep document to a JSON file."""
@@ -227,7 +227,7 @@ class SweepResult:
     def write_provenance(self, path: str) -> None:
         """Write the provenance sidecar to a JSON file."""
         with open(path, "w") as handle:
-            json.dump(self.provenance_dict(), handle, indent=2, sort_keys=True)
+            handle.write(document_json(self.provenance_dict()))
             handle.write("\n")
 
 

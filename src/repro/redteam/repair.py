@@ -24,6 +24,7 @@ import hashlib
 import json
 from typing import Any, Dict, List, Mapping, Optional
 
+from repro.experiments.spec import document_json
 from repro.experiments.sweep import SweepCell, SweepRunner
 from repro.obs.logsetup import get_logger
 from repro.redteam.search import (
@@ -119,7 +120,7 @@ def run_repair(spec: RedTeamSpec, search_document: Mapping[str, Any], *,
 
 def report_to_json(report: Mapping[str, Any]) -> str:
     """The canonical JSON text of a repair report (byte-deterministic)."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return document_json(report) + "\n"
 
 
 def write_report(report: Mapping[str, Any], path: str) -> None:

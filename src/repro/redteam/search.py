@@ -28,9 +28,9 @@ the same collapse cells byte-for-byte at any worker count.
 from __future__ import annotations
 
 import itertools
-import json
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
+from repro.experiments.spec import document_json
 from repro.experiments.sweep import SweepCell, SweepRunner, derive_cell_seed
 from repro.obs.logsetup import get_logger
 from repro.redteam.spec import RedTeamSpec
@@ -168,7 +168,7 @@ def run_search(spec: RedTeamSpec, *,
 
 def search_to_json(document: Mapping[str, Any]) -> str:
     """The canonical JSON text of a search document (byte-deterministic)."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return document_json(document) + "\n"
 
 
 def write_search(document: Mapping[str, Any], path: str) -> None:

@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -536,6 +538,48 @@ class TestSpecErrors:
         assert isinstance(message, str) and "\n" not in message
         assert message.startswith(
             "repro sweep: unknown workload 'flood' parameter(s): rate_ppz ")
+        assert not (queue / "run.json").exists()
+
+    @pytest.mark.parametrize("assignment, expected", [
+        ("defense.backend=pushbak",
+         "unknown defense backend 'pushbak'; available: aitf, ingress-dpf, "),
+        ("topology.kind=tre",
+         "unknown topology 'tre'; available: dumbbell, failover, figure1, "),
+        ("workloads.1.kind=zombie",
+         "unknown workload 'zombie'; available: filter-requests, flood, "),
+    ], ids=["backend", "topology", "workload"])
+    def test_unknown_kind_exits_1_with_one_line(self, assignment, expected):
+        """An unknown component kind is refused when the spec is parsed,
+        not by a traceback from the step that builds it."""
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--duration", "1",
+             "--set", assignment],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.join(
+                os.path.dirname(__file__), "..", "src")))
+        assert completed.returncode == 1
+        assert completed.stdout == ""
+        assert completed.stderr.startswith(f"repro run: {expected}")
+        assert completed.stderr.count("\n") == 1, completed.stderr
+
+    @pytest.mark.parametrize("cluster", [False, True], ids=["local", "cluster"])
+    def test_sweep_unknown_backend_axis_is_refused_before_any_cell_runs(
+            self, tmp_path, monkeypatch, cluster):
+        from repro.experiments.runner import ExperimentRunner
+
+        def no_cell_runs(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(ExperimentRunner, "run", no_cell_runs)
+        queue = tmp_path / "q"
+        argv = ["sweep", "--spec", FLOOD_SPEC,
+                "--param", "defense.backend=aitf,pushbak"]
+        with pytest.raises(SystemExit) as error:
+            main(argv + (["--cluster", str(queue)] if cluster else []))
+        message = error.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(
+            "repro sweep: unknown defense backend 'pushbak'; available: ")
         assert not (queue / "run.json").exists()
 
     def test_topo_set_error_is_one_line(self):

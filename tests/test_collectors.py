@@ -21,10 +21,11 @@ class TestRegistry:
             assert kind in COLLECTORS
 
     def test_unknown_collector_names_choices(self):
-        spec = default_victim_resource_spec(duration=1.0).with_overrides(
-            {"collectors.0.kind": "bogus"})
-        with pytest.raises(ValueError, match="unknown collector 'bogus'"):
-            ExperimentRunner().prepare(spec)
+        # Refused when the spec is parsed, before anything is built.
+        with pytest.raises(ValueError, match="unknown collector 'bogus'; "
+                                             "available: churn, filter-"):
+            default_victim_resource_spec(duration=1.0).with_overrides(
+                {"collectors.0.kind": "bogus"})
 
     def test_duplicate_collector_ids_rejected(self):
         spec = default_victim_resource_spec(duration=1.0).with_overrides(

@@ -1,14 +1,19 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import enum
 import itertools
+import json
 import random
+import re
 from collections import deque
 
 import networkx as nx
+import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.metrics import BucketStore, _spread_train_buckets
+from repro.experiments.spec import document_json
 from repro.net.address import IPAddress, Prefix
 from repro.net.flowlabel import FlowLabel
 from repro.net.link import Link
@@ -1357,3 +1362,89 @@ class TestLazySeedsEqualEagerSeeds:
             assert (lazy.seed, lazy.name) == (eager.seed, eager.name)
             # the parent's next fork continues where the eager one does
             assert lazy.fork("next").seed == eager.fork("next").seed
+
+
+class _Shade(str, enum.Enum):
+    PLAIN = "plain"
+    ESCAPED = "tab\there \"quoted\" caf\u00e9 \U0001f600"
+
+
+class _Level(enum.IntEnum):
+    LOW = -3
+    HUGE = 1 << 70
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not this"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not this"
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+_texts = st.one_of(
+    st.text(),
+    st.text(alphabet=st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028'
+                                     '\ud7ff\ue000\uffff\U0001f600')))
+_ints = st.one_of(st.integers(), st.integers(min_value=-(1 << 200),
+                                             max_value=1 << 200))
+_floats = st.one_of(st.floats(), st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0, 1e-320, 1e300]))
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), _texts, _ints, _floats,
+    st.sampled_from([*_Shade, *_Level]),
+    _texts.map(_Str), _ints.map(_Int), _floats.map(_Float))
+_json_values = st.recursive(
+    _json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(children, max_size=3).map(_List),
+        st.dictionaries(_texts, children, max_size=5),
+        st.dictionaries(_texts.map(_Str), children, max_size=3).map(_Dict),
+        st.dictionaries(_ints, children, max_size=4),
+        st.dictionaries(_floats, children, max_size=4),
+        st.dictionaries(st.sampled_from([True, False, None]), children,
+                        max_size=1),
+        st.dictionaries(st.sampled_from([*_Shade]), children, max_size=2),
+        st.dictionaries(st.sampled_from([*_Level]), children, max_size=2)),
+    max_leaves=30)
+
+
+def _stdlib_document(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+class TestDocumentJsonProperties:
+    """``document_json`` writes every document stdlib's sorted, indented
+    encoder would, byte for byte, and refuses what it refuses."""
+
+    @given(_json_values)
+    @settings(max_examples=300, deadline=None)
+    def test_text_equals_stdlib(self, value):
+        assert document_json(value) == _stdlib_document(value)
+
+    @pytest.mark.parametrize("value", [
+        {1, 2}, object(), {(1, 2): 3}, [{"a": [1, {"b": frozenset()}]}],
+        {"a": 1, 2: "b"}, {b"bytes": 1}, 1j,
+    ], ids=["set", "object", "tuple-key", "nested-frozenset",
+            "mixed-keys", "bytes-key", "complex"])
+    def test_anything_else_raises_stdlibs_type_error(self, value):
+        with pytest.raises(TypeError) as stdlib:
+            _stdlib_document(value)
+        with pytest.raises(TypeError, match=f"^{re.escape(str(stdlib.value))}$"):
+            document_json(value)

@@ -182,6 +182,18 @@ def same_bytes(first, second):
     return check
 
 
+def cluster_json_is_stdlibs_text(out):
+    """The merged sweep document is, byte for byte, what stdlib's sorted,
+    indented encoder writes for its own contents."""
+    with open(os.path.join(out, "cluster.json")) as handle:
+        text = handle.read()
+    assert text == json.dumps(json.loads(text), indent=2,
+                              sort_keys=True) + "\n", \
+        "cluster.json differs from json.dumps(indent=2, sort_keys=True)"
+    print(f"cluster.json == json.dumps(indent=2, sort_keys=True) "
+          f"({len(text)} bytes)")
+
+
 def search_found_a_collapse(out):
     doc = _load(out, "search.json")
     assert doc["collapse_cells"], "the quick search found no collapse cell"
@@ -278,13 +290,15 @@ ENTRIES = {
     ],
     # A sweep run by worker processes over a shared queue directory, one
     # of them killed by SIGKILL partway; the resumed merge must equal the
-    # serial document, and a second resume must be all cache hits and
-    # leave no lease, leased marker or temp file.
+    # serial document and stdlib's text for its contents, and a second
+    # resume must be all cache hits and leave no lease, leased marker or
+    # temp file.
     "cluster": [
         f"repro sweep {CLUSTER_GRID} --output serial.json",
         f"repro sweep {CLUSTER_GRID} --cluster q --enqueue-only",
         resume_after_killing_a_worker,
         same_bytes("serial.json", "cluster.json"),
+        cluster_json_is_stdlibs_text,
         f"repro sweep {CLUSTER_GRID} --cluster q --resume --timeout 300 "
         "--output cluster2.json",
         resumed_run_is_all_cache_hits_and_left_nothing,
