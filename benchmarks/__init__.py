@@ -1,1 +1,1 @@
-"""Benchmark harness package (one module per paper experiment E1-E12)."""
+"""Benchmark harness package (one module per paper experiment E1-E11)."""

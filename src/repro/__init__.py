@@ -10,8 +10,6 @@ The package is organised bottom-up:
 * :mod:`repro.router` — border-router data plane: bounded wire-speed filter
   tables, the DRAM shadow cache, token-bucket policers, routing, ingress
   filtering, and the host / border-router node classes.
-* :mod:`repro.traceback` — route-record shim and probabilistic edge-marking
-  traceback.
 * :mod:`repro.contracts` — filtering contracts (R1/R2).
 * :mod:`repro.core` — the AITF protocol itself (the paper's contribution).
 * :mod:`repro.attacks` — floods, on-off attacks, spoofing, zombie armies,

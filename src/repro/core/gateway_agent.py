@@ -202,7 +202,8 @@ class GatewayAgent:
             self.handshake.handle_reply(payload)
         elif isinstance(payload, DisconnectNotice):
             self.log.record(self.sim.now, EventType.DISCONNECTION, self.name,
-                            payload.request_id, notified_by=payload.offender,
+                            payload.request_id, offender=payload.offender,
+                            notified_by=self.directory.name_of(packet.src),
                             reason=payload.reason, notice=True)
 
     def _handle_filtering_request(self, request: FilteringRequest,
@@ -235,7 +236,7 @@ class GatewayAgent:
             self.log.record(now, EventType.REQUEST_REJECTED, self.name,
                             request.request_id, reason="victim-side verification failed")
             return
-        attack_path = self._resolve_attack_path(request)
+        attack_path = tuple(request.attack_path)
         state = self._victim_states.get(request.request_id)
         if state is None:
             state = VictimGatewayState(
@@ -309,18 +310,12 @@ class GatewayAgent:
         return self.router.routing.next_link(victim_address) is link
 
     def _install_temporary_filter(self, state: VictimGatewayState) -> None:
-        now = self.sim.now
         ttmp = self.config.temporary_filter_timeout
-        try:
-            entry = self.router.filter_table.install(
-                state.request.label, ttmp, reason=f"temporary #{state.request.request_id}"
-            )
-        except FilterTableFullError:
-            self.log.record(now, EventType.FILTER_INSTALL_FAILED, self.name,
-                            state.request.request_id, table="wire-speed")
+        entry = self._install_filter(state.request, ttmp, "temporary")
+        if entry is None:
             return
         state.temp_filter = entry
-        self.log.record(now, EventType.TEMP_FILTER_INSTALLED, self.name,
+        self.log.record(self.sim.now, EventType.TEMP_FILTER_INSTALLED, self.name,
                         state.request.request_id, duration=ttmp,
                         round=state.current_round)
         if state.cooperation_timer is None:
@@ -376,12 +371,8 @@ class GatewayAgent:
             attack_path=state.attack_path,
             round_number=state.current_round,
         )
-        if not self._pace_toward(target_address):
-            self.log.record(now, EventType.REQUEST_POLICED, self.name,
-                            request.request_id, direction="outbound",
-                            target=designated)
+        if not self._send_request(outbound, designated, target_address):
             return
-        self._send_control(target_address, PacketKind.FILTERING_REQUEST, outbound)
         self.requests_propagated += 1
         self.log.record(now, EventType.REQUEST_SENT, self.name, request.request_id,
                         role=outbound.role.value, target=designated,
@@ -397,12 +388,7 @@ class GatewayAgent:
         self.log.record(now, EventType.TEMP_FILTER_EXPIRED, self.name, request_id,
                         round=state.current_round,
                         packets_blocked=entry.packets_blocked if entry else 0)
-        still_active = (
-            entry is not None
-            and entry.last_blocked_at is not None
-            and (now - entry.last_blocked_at) <= self.config.cooperation_check_window
-        )
-        if still_active:
+        if self._blocked_recently(entry):
             # The flow never stopped: the attacker's gateway is not cooperating.
             self._escalate(state)
         # Either way the temporary filter is allowed to lapse; the shadow
@@ -465,7 +451,7 @@ class GatewayAgent:
         if not recorded or not state.attack_path:
             return False
         if recorded[-1] != self.name:
-            # Partial stamping (route-record ablation) — nothing to compare.
+            # Partial stamping (partial deployment) — nothing to compare.
             return False
         if recorded == state.attack_path[:len(recorded)]:
             return False
@@ -498,7 +484,7 @@ class GatewayAgent:
         now = self.sim.now
         if (state.last_escalation_at is not None
                 and now - state.last_escalation_at < self.config.effective_escalation_grace):
-            # Already escalated very recently; give the new round a chance.
+            # Already tried very recently; give the current round a chance.
             return
         if state.escalations >= self.config.max_escalation_rounds:
             state.gave_up = True
@@ -524,29 +510,27 @@ class GatewayAgent:
                                       reason="non-cooperating peer gateway")
             state.gave_up = True
             return
-        new_round = state.current_round + 1
-        state.current_round = new_round
-        state.escalations += 1
-        state.last_escalation_at = now
         target_address = self.directory.address_of(upstream)
         if target_address is None:
             state.gave_up = True
             return
+        # Stamped even when pacing refuses the request, so retries stay
+        # throttled; the round advances only once the request is sent.
+        state.last_escalation_at = now
+        new_round = state.current_round + 1
         escalated = state.request.propagate(
             role=RequestRole.TO_VICTIM_GATEWAY,
             requestor=self.name,
             attack_path=path,
             round_number=new_round,
         )
-        if not self._pace_toward(target_address):
-            self.log.record(now, EventType.REQUEST_POLICED, self.name,
-                            state.request.request_id, direction="outbound",
-                            target=upstream)
+        if not self._send_request(escalated, upstream, target_address):
             return
+        state.current_round = new_round
+        state.escalations += 1
         # Remember that we want this label blocked so we can answer the
         # handshake query the new attacker's gateway may send us.
         self.wanted_blocks[state.request.label] = now + state.request.timeout
-        self._send_control(target_address, PacketKind.FILTERING_REQUEST, escalated)
         self.escalations_sent += 1
         self.log.record(now, EventType.ESCALATION, self.name,
                         state.request.request_id, round=new_round, target=upstream)
@@ -594,14 +578,8 @@ class GatewayAgent:
         if state is None:
             state = AttackerGatewayState(request=request)
             self._attacker_states[request.request_id] = state
-        try:
-            entry = self.router.filter_table.install(
-                request.label, request.timeout,
-                reason=f"attacker-gateway #{request.request_id}",
-            )
-        except FilterTableFullError:
-            self.log.record(now, EventType.FILTER_INSTALL_FAILED, self.name,
-                            request.request_id, table="wire-speed")
+        entry = self._install_filter(request, request.timeout, "attacker-gateway")
+        if entry is None:
             return
         state.filter_entry = entry
         self.log.record(now, EventType.FILTER_INSTALLED, self.name,
@@ -623,12 +601,8 @@ class GatewayAgent:
             return
         state.attacker_name = attacker_name
         outbound = request.propagate(role=RequestRole.TO_ATTACKER, requestor=self.name)
-        if not self._pace_toward(attacker_address):
-            self.log.record(now, EventType.REQUEST_POLICED, self.name,
-                            request.request_id, direction="outbound",
-                            target=attacker_name)
+        if not self._send_request(outbound, attacker_name, attacker_address):
             return
-        self._send_control(attacker_address, PacketKind.FILTERING_REQUEST, outbound)
         self.requests_propagated += 1
         self.log.record(now, EventType.REQUEST_SENT, self.name, request.request_id,
                         role=outbound.role.value, target=attacker_name,
@@ -639,14 +613,7 @@ class GatewayAgent:
         state = self._attacker_states.get(request_id)
         if state is None or state.disconnected:
             return
-        now = self.sim.now
-        entry = state.filter_entry
-        still_sending = (
-            entry is not None
-            and entry.last_blocked_at is not None
-            and (now - entry.last_blocked_at) <= self.config.cooperation_check_window
-        )
-        if not still_sending:
+        if not self._blocked_recently(state.filter_entry):
             return
         if not self.disconnection_enabled:
             # Keep filtering for the rest of T; re-check at the next grace period
@@ -667,14 +634,7 @@ class GatewayAgent:
             self.log.record(now, EventType.REQUEST_REJECTED, self.name,
                             request.request_id, reason="non-cooperative gateway")
             return
-        try:
-            self.router.filter_table.install(
-                request.label, request.timeout,
-                reason=f"stop-own-flow #{request.request_id}",
-            )
-        except FilterTableFullError:
-            self.log.record(now, EventType.FILTER_INSTALL_FAILED, self.name,
-                            request.request_id, table="wire-speed")
+        if self._install_filter(request, request.timeout, "stop-own-flow") is None:
             return
         self.log.record(now, EventType.FLOW_STOPPED, self.name,
                         request.request_id, label=str(request.label))
@@ -742,12 +702,6 @@ class GatewayAgent:
             return dst.network
         return None
 
-    def _resolve_attack_path(self, request: FilteringRequest) -> Tuple[str, ...]:
-        """The border-router path for this request, from the request or traceback."""
-        if request.attack_path:
-            return tuple(request.attack_path)
-        return ()
-
     def _designated_attacker_gateway(self, state: VictimGatewayState) -> Optional[str]:
         index = state.current_round - 1
         if 0 <= index < len(state.attack_path):
@@ -779,15 +733,43 @@ class GatewayAgent:
             return name, address
         return "", None
 
-    def _pace_toward(self, address: IPAddress) -> bool:
-        """Outbound contract pacing toward whatever peer the route points at."""
+    def _install_filter(self, request: FilteringRequest, timeout: float,
+                        purpose: str) -> Optional[FilterEntry]:
+        """A wire-speed filter on ``request``'s label, or None (and a logged
+        failure) when the table is full."""
+        try:
+            return self.router.filter_table.install(
+                request.label, timeout, reason=f"{purpose} #{request.request_id}")
+        except FilterTableFullError:
+            self.log.record(self.sim.now, EventType.FILTER_INSTALL_FAILED,
+                            self.name, request.request_id, table="wire-speed")
+            return None
+
+    def _blocked_recently(self, entry: Optional[FilterEntry]) -> bool:
+        """True when ``entry`` blocked a packet within the cooperation-check
+        window: the flow it filters is still arriving."""
+        return (entry is not None
+                and entry.last_blocked_at is not None
+                and (self.sim.now - entry.last_blocked_at)
+                <= self.config.cooperation_check_window)
+
+    def _send_request(self, request: FilteringRequest, target: str,
+                      address: IPAddress) -> bool:
+        """Send a filtering request to ``target`` if the outbound contract
+        with the peer the route points at allows it.
+
+        A refusal is logged and returns False; a caller advances its round
+        or counters only on True.
+        """
         link = self.router.routing.next_link(address)
-        if link is None:
-            return True
-        neighbor = link.other_end(self.router)
-        counterparty = (neighbor.network if isinstance(neighbor, BorderRouter)
-                        else neighbor.name)
-        return self.contracts.pace_outbound(counterparty)
+        if (link is not None
+                and not self.contracts.pace_outbound(self._counterparty_for(link))):
+            self.log.record(self.sim.now, EventType.REQUEST_POLICED, self.name,
+                            request.request_id, direction="outbound",
+                            target=target)
+            return False
+        self._send_control(address, PacketKind.FILTERING_REQUEST, request)
+        return True
 
     def _link_toward_name(self, name: str) -> Optional[Link]:
         node = self.directory.get(name)

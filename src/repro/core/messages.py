@@ -52,8 +52,8 @@ class FilteringRequest:
         Which role the addressee is expected to play (the paper's type field).
     attack_path:
         Border routers on the attack path, attacker's gateway first.  Filled
-        in by the victim's gateway from traceback; the victim itself may leave
-        it empty and let its gateway fill it.
+        in by the victim's gateway from the route-record shim; the victim
+        itself may leave it empty and let its gateway fill it.
     round_number:
         Escalation round (1 = the original request).  Round k designates the
         k-th closest border router to the attacker as the attacker's gateway.

@@ -9,8 +9,8 @@ A :class:`Packet` carries
   recording assumed in Section IV-B,
 * an optional AITF payload (a filtering request, verification query or
   verification reply) when the packet is a control message, and
-* bookkeeping fields (creation time, unique id, spoofed flag) used only by
-  the metrics layer, never by protocol logic.
+* bookkeeping fields (creation time, spoofed flag) used only by the
+  metrics layer, never by protocol logic.
 
 The ``spoofed_src`` field records the *true* origin of a spoofed packet so
 experiments can account honestly for what ingress filtering would have seen;
@@ -26,7 +26,6 @@ assignment without re-running constructor plumbing.
 from __future__ import annotations
 
 import enum
-import itertools
 from sys import intern as _intern
 from typing import Any, List, Optional, Tuple
 
@@ -58,9 +57,6 @@ class PacketKind(str, enum.Enum):
         return self.value
 
 
-_packet_ids = itertools.count(1)
-_next_packet_id = _packet_ids.__next__
-
 #: Default data packet size in bytes (a full Ethernet frame's worth of payload).
 DEFAULT_DATA_SIZE = 1000
 #: AITF control messages are small (a flow label, a type and a nonce).
@@ -73,12 +69,9 @@ _UDP = Protocol.UDP.value
 class Packet:
     """A single packet in flight."""
 
-    #: ``_edge_mark`` is the scratch slot for the probabilistic-traceback
-    #: ablation (see :mod:`repro.traceback.edge_marking`); slotted classes
-    #: cannot grow ad-hoc attributes, so the extension point is declared here.
     __slots__ = ("src", "dst", "protocol", "src_port", "dst_port", "size",
                  "kind", "payload", "created_at", "route_record",
-                 "spoofed_src", "ttl", "flow_tag", "packet_id", "_edge_mark")
+                 "spoofed_src", "ttl", "flow_tag")
 
     def __init__(
         self,
@@ -95,7 +88,6 @@ class Packet:
         spoofed_src: Optional[IPAddress] = None,
         ttl: int = 64,
         flow_tag: str = "",
-        packet_id: Optional[int] = None,
     ) -> None:
         self.src = src
         self.dst = dst
@@ -110,7 +102,6 @@ class Packet:
         self.spoofed_src = spoofed_src
         self.ttl = ttl
         self.flow_tag = flow_tag
-        self.packet_id = packet_id if packet_id is not None else _next_packet_id()
 
     # ------------------------------------------------------------------
     # constructors
@@ -204,12 +195,13 @@ class Packet:
         return self.spoofed_src if self.spoofed_src is not None else self.src
 
     def clone(self) -> "Packet":
-        """A fresh-identity copy for template-based generation.
+        """An independent copy for template-based generation.
 
         Duplicates every header field by direct slot assignment — no
-        constructor defaults, no field re-validation — and gives the copy a
-        new ``packet_id`` and an empty route record.  Traffic generators
-        build one template per flow and clone it per emission.
+        constructor defaults, no field re-validation — and gives the copy an
+        empty route record.  Packets are mutated in place as they are
+        forwarded, so traffic generators build one template per flow and
+        clone it per emission.
         """
         packet = Packet.__new__(Packet)
         packet.src = self.src
@@ -225,17 +217,8 @@ class Packet:
         packet.spoofed_src = self.spoofed_src
         packet.ttl = self.ttl
         packet.flow_tag = self.flow_tag
-        packet.packet_id = _next_packet_id()
         return packet
-
-    def copy_for_forwarding(self) -> "Packet":
-        """Packets are mutated in place as they are forwarded; links do not copy.
-
-        Generators that want to reuse a template packet call this to get an
-        independent instance with a fresh id and an empty route record.
-        """
-        return self.clone()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kind = "" if self.kind is _DATA else f" {self.kind.value}"
-        return f"Packet(#{self.packet_id} {self.src}->{self.dst} {self.protocol}{kind})"
+        return f"Packet({self.src}->{self.dst} {self.protocol}{kind})"

@@ -346,8 +346,8 @@ class BorderRouter(NetworkNode):
         #: (after filtering); the AITF victim-gateway agent uses this for
         #: on-off detection against its shadow cache.
         self.forward_observers: Sequence[ForwardObserver] = _NO_HOOKS
-        #: Border routers stamp the route-record shim unless disabled (the
-        #: probabilistic-traceback ablation turns this off).
+        #: Border routers stamp the route-record shim unless disabled (a
+        #: partial deployment turns this off on routers without AITF).
         self.stamp_route_record = True
         #: Traffic conditioners run after the filter table and return how
         #: many of the packets pass: a bool for a lone packet

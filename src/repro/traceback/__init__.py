@@ -1,35 +1,10 @@
-"""Traceback: identifying the attack path in the presence of source spoofing.
+"""Emptied: the traceback classes that lived here are gone.
 
-AITF assumes (Section II-F) that the victim's gateway can determine who the
-attacker's gateway is and who the next AITF node on the attack path is, via
-"an efficient traceback technique" — either a route-record shim carried in
-every packet (the TRIAD architecture of [CG00], which makes traceback time
-zero, the case the paper's Ttmp example uses) or probabilistic IP traceback
-([SWKA00], reconstruction from marked packet samples).
+AITF learns the attack path from the route-record shim alone: border routers
+stamp :attr:`repro.net.packet.Packet.route_record` and the victim's host
+agent reads ``sample_packet.recorded_path`` into its filtering request.  The
+probabilistic edge-marking alternative had no caller outside its own tests.
 
-Both are implemented here so the Ttmp ablation (experiment E12) can compare
-them:
-
-* :class:`RouteRecordTraceback` — reads the shim border routers stamp on
-  every packet; path available from a single packet.
-* :class:`ProbabilisticTraceback` — edge-sampling marking at border routers
-  plus victim-side path reconstruction; needs many packets before the path
-  converges.
+The package name stays only because ``bench/layers.py`` maps every package
+under ``src/repro/``; it goes when that map drops the ``traceback`` entry.
 """
-
-from repro.traceback.route_record import RouteRecordTraceback
-from repro.traceback.edge_marking import (
-    EdgeMark,
-    MarkingRouterExtension,
-    ProbabilisticTraceback,
-)
-from repro.traceback.base import AttackPath, TracebackMechanism
-
-__all__ = [
-    "AttackPath",
-    "TracebackMechanism",
-    "RouteRecordTraceback",
-    "EdgeMark",
-    "MarkingRouterExtension",
-    "ProbabilisticTraceback",
-]

@@ -171,8 +171,9 @@ class TestDeployment:
         assert gateway.control_handler == deployment.gateway_agent(
             "B_gw2")._handle_control
         events = deployment.event_log.of_type(EventType.DISCONNECTION)
-        assert [(event.node, event.details["notice"]) for event in events] == [
-            ("B_gw2", True)]
+        assert [(event.node, event.details["notice"], event.details["offender"],
+                 event.details["notified_by"]) for event in events] == [
+            ("B_gw2", True, "B_host", "G_host")]
 
     def test_victim_gateway_capacity_override(self):
         figure1 = build_figure1()

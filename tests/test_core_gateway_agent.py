@@ -192,6 +192,23 @@ class TestEscalation:
 
 
 class TestContractPolicing:
+    def test_refused_escalation_keeps_round_and_disconnects_nobody(self):
+        """An escalation the outbound contract refuses is retried later; it
+        neither advances the round nor ends, rounds later, in disconnecting
+        a provider that never received a request."""
+        env = make_deployed_figure1()
+        env.config.default_send_rate = 0.05
+        env.deployment.set_cooperative("B_gw1", False)
+        launch_attack(env)
+        env.sim.run(until=10.0)
+        refused = [e for e in env.log.of_type(EventType.REQUEST_POLICED)
+                   if e.node == "G_gw1" and e.details.get("direction") == "outbound"]
+        assert refused and {e.details["target"] for e in refused} == {"G_gw2"}
+        assert env.log.count(EventType.ESCALATION) == 0
+        assert env.log.count(EventType.DISCONNECTION) == 0
+        expired = env.log.last(EventType.TEMP_FILTER_EXPIRED, node="G_gw1")
+        assert expired.time > 9.0 and expired.details["round"] == 1
+
     def test_excess_requests_policed_at_victim_gateway(self):
         env = make_deployed_figure1()
         gateway = env.deployment.gateway_agent("G_gw1")

@@ -256,6 +256,23 @@ class TestReadmeLinks:
                 f"README.md does not link docs/{page}")
 
 
+class TestBenchmarkRange:
+    def test_docs_name_exactly_the_benchmarked_experiments(self):
+        """Every ``E1–EN`` range the docs give for ``benchmarks/`` ends at the
+        last paper experiment a ``pytest.mark.benchmark(group="E…")`` group
+        covers, and the groups cover E1 to EN without a gap."""
+        covered = set()
+        for path in glob.glob(os.path.join(REPO_ROOT, "benchmarks", "*.py")):
+            for first, last in re.findall(r'benchmark\(group="E(\d+)(?:-E(\d+))?-',
+                                          _read(path)):
+                covered.update(range(int(first), int(last or first) + 1))
+        assert covered == set(range(1, max(covered) + 1))
+        for where in ("README.md", os.path.join("benchmarks", "__init__.py"),
+                      os.path.join("tools", "smoke.py")):
+            ranges = re.findall(r"E1[-–]E(\d+)", _read(REPO_ROOT, where))
+            assert ranges and {int(n) for n in ranges} == {max(covered)}, where
+
+
 class TestPerformanceTables:
     def test_reroute_counter_table_is_the_recorded_baseline(self):
         """PERFORMANCE.md's per-fault work counters are not hand-kept: the

@@ -23,10 +23,6 @@ class TestConstruction:
         assert packet.protocol == Protocol.AITF.value
         assert packet.payload == {"x": 1}
 
-    def test_packet_ids_are_unique(self):
-        ids = {Packet.data(SRC, DST).packet_id for _ in range(100)}
-        assert len(ids) == 100
-
 
 class TestRouteRecord:
     def test_stamps_accumulate_in_order(self):
@@ -49,6 +45,14 @@ class TestRouteRecord:
         packet.stamp_route("A")
         assert packet.recorded_path == ("A", "B", "A")
 
+    def test_recorded_path_is_a_snapshot(self):
+        packet = Packet.data(SRC, DST)
+        packet.stamp_route("B_gw1")
+        path = packet.recorded_path
+        packet.stamp_route("G_gw1")
+        assert path == ("B_gw1",)
+        assert packet.recorded_path == ("B_gw1", "G_gw1")
+
 
 class TestSpoofing:
     def test_unspoofed_packet(self):
@@ -68,19 +72,30 @@ class TestSpoofing:
         assert not packet.is_spoofed
 
 
-class TestCopyForForwarding:
-    def test_copy_gets_fresh_identity_and_empty_route(self):
+class TestClone:
+    def test_copy_gets_empty_route(self):
         original = Packet.data(SRC, DST, dst_port=80)
         original.stamp_route("X")
-        copy = original.copy_for_forwarding()
-        assert copy.packet_id != original.packet_id
+        copy = original.clone()
         assert copy.recorded_path == ()
         assert copy.dst_port == 80
         assert copy.src == original.src
 
+    def test_clone_assigns_every_slot(self):
+        """``clone`` bypasses ``__init__``: a slot it forgot would raise
+        AttributeError on first read, far from the cause."""
+        original = Packet.data(SRC, DST, dst_port=80, flow_tag="t")
+        original.stamp_route("X")
+        copy = original.clone()
+        for name in Packet.__slots__:
+            if name == "route_record":
+                assert copy.route_record == []
+            else:
+                assert getattr(copy, name) == getattr(original, name), name
+
     def test_copy_preserves_spoofing_and_tag(self):
         packet = Packet.data(SRC, DST, spoofed_src=IPAddress.parse("10.9.9.9"),
                              flow_tag="attack")
-        copy = packet.copy_for_forwarding()
+        copy = packet.clone()
         assert copy.is_spoofed
         assert copy.flow_tag == "attack"

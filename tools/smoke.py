@@ -11,7 +11,7 @@ and ``python ...`` run under this interpreter, ``{repo}`` is the
 repository root, a trailing ``> FILE`` keeps stdout in FILE) or a check
 function; a command fails its entry by exiting non-zero.  The checks
 assert only what no tier-1 test does: the tier-1 suite (``pytest -x -q``)
-owns E1-E12, byte identity across worker counts and packet/train parity,
+owns E1-E11, byte identity across worker counts and packet/train parity,
 and no entry re-runs it.  The exit status is the number of failed entries.
 """
 
