@@ -12,6 +12,8 @@ legitimate flow (there must be none), and then repeats the exercise with an
 on-path colluder to reproduce the paper's honest caveat.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.analysis.report import ResultTable, format_ratio
@@ -59,9 +61,9 @@ def run_forgery_barrage(verification_enabled=True, forged_requests=20,
         target = figure1.g_gw1.address if index % 2 == 0 else figure1.g_gw2.address
         role = (RequestRole.TO_ATTACKER_GATEWAY if index % 3 else
                 RequestRole.TO_VICTIM_GATEWAY)
-        figure1.sim.call_at(0.1 + index * 0.2, forger.forge_request, target, label,
-                            claimed_requestor="B_gw1", claimed_path=reversed_path,
-                            role=role, victim=figure1.b_host.address)
+        figure1.sim.call_at(0.1 + index * 0.2, partial(
+            forger.forge_request, target, label, claimed_requestor="B_gw1",
+            claimed_path=reversed_path, role=role, victim=figure1.b_host.address))
     figure1.sim.run(until=duration)
 
     blocked_filters = sum(

@@ -72,7 +72,7 @@ def run_defense(mechanism: str):
         aggregate = FlowLabel.to_destination(figure1.g_host.address)
         # The congested victim-side gateway starts pushback shortly after the
         # attack begins (its own congestion detection delay).
-        figure1.sim.schedule(ATTACK_START + 1.0, pushback.start_at, "G_gw1", aggregate)
+        figure1.sim.call_at(ATTACK_START + 1.0, pushback.start_at, "G_gw1", aggregate)
     elif mechanism == "manual":
         operator = ManualFilteringOperator(figure1.sim,
                                            local_response_delay=300.0,

@@ -76,6 +76,9 @@ def test_a_wakeup_executes_a_constant_number_of_lines(max_train):
     spec = packet_flood() if max_train == "packet" else train_flood(max_train)
     execution = ExperimentRunner().prepare(spec)
     wakeup_code = TrainProcess._wakeup.__code__
+    # The generators' tick processes; the occupancy samplers tick on
+    # TrainProcess too, one call per sample.
+    sources = {id(w.generator._process) for w in execution.workloads}
     work = {"wakeups": 0, "lines": 0}
 
     def count_lines(frame, event, arg):
@@ -84,7 +87,7 @@ def test_a_wakeup_executes_a_constant_number_of_lines(max_train):
         return count_lines
 
     def on_call(frame, event, arg):
-        if frame.f_code is wakeup_code:
+        if frame.f_code is wakeup_code and id(frame.f_locals["self"]) in sources:
             work["wakeups"] += 1
             return count_lines
         return None

@@ -27,7 +27,7 @@ from repro.net.flowlabel import FlowLabel
 from repro.net.packet import Packet
 from repro.router.nodes import Host
 from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess
+from repro.sim.process import TrainProcess
 
 
 def _spread_train_buckets(buckets: Dict[int, int], start: float,
@@ -277,8 +277,7 @@ class OccupancySampler:
         self.sim = sim
         self.gauge = gauge
         self.series = TimeSeries(name=name or "occupancy")
-        self._process = PeriodicProcess(sim, period, self._sample,
-                                        name=name or "occupancy-sampler")
+        self._process = TrainProcess(sim, period, self._sample)
 
     def start(self) -> "OccupancySampler":
         """Begin sampling; returns self for chaining."""
@@ -289,7 +288,7 @@ class OccupancySampler:
         """Stop sampling."""
         self._process.stop()
 
-    def _sample(self) -> None:
+    def _sample(self, _count: int) -> None:
         self.series.add(self.sim.now, float(self.gauge()))
 
     @property

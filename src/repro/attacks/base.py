@@ -32,7 +32,7 @@ class TrafficSource:
     :class:`~repro.sim.process.TrainProcess` ticks every engine.
     """
 
-    def __init__(self, host: Host, name: str, *, rate_pps: float,
+    def __init__(self, host: Host, *, rate_pps: float,
                  packet_size: int, start_delay: float = 0.0,
                  max_train: int = 1, max_span: Optional[float] = None,
                  horizon: Optional[float] = None) -> None:
@@ -52,7 +52,7 @@ class TrafficSource:
         self._send = host.send  # bound once; this fires per packet
         self._process = TrainProcess(
             host.sim, self._interval, self._emit, start_delay=start_delay,
-            max_train=max_train, max_span=max_span, horizon=horizon, name=name)
+            max_train=max_train, max_span=max_span, horizon=horizon)
 
     def _stop_emitting_at(self, when: float) -> None:
         """Bound emission by a stop the caller has scheduled for ``when``.

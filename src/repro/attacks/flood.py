@@ -32,7 +32,7 @@ from repro.net.address import IPAddress
 from repro.net.flowlabel import FlowLabel
 from repro.net.packet import Packet, Protocol
 from repro.router.nodes import Host
-from repro.sim.process import PeriodicProcess
+from repro.sim.process import TrainProcess
 from repro.sim.randomness import SeededRandom, stable_seed
 
 
@@ -62,7 +62,7 @@ class FloodAttack(TrafficSource):
         max_span: Optional[float] = None,
         horizon: Optional[float] = None,
     ) -> None:
-        super().__init__(attacker, f"flood-{attacker.name}", rate_pps=rate_pps,
+        super().__init__(attacker, rate_pps=rate_pps,
                          packet_size=packet_size, start_delay=start_time,
                          max_train=max_train, max_span=max_span, horizon=horizon)
         self.attacker = attacker
@@ -83,7 +83,7 @@ class FloodAttack(TrafficSource):
         if self.duration is not None:
             end = self.start_time + self.duration
             self._stop_emitting_at(end)
-            self.attacker.sim.schedule(end, self.stop, name="flood-end")
+            self.attacker.sim.call_at(end, self.stop)
         return self
 
     def stop(self) -> None:
@@ -201,11 +201,9 @@ class ProtocolSwitchingAttack(FloodAttack):
         self.switch_interval = switch_interval
         self.switches = 0
         self._variant_index = 0
-        self._switcher = PeriodicProcess(
+        self._switcher = TrainProcess(
             attacker.sim, switch_interval, self._switch,
-            start_delay=self.start_time + switch_interval,
-            name=f"protocol-switch-{attacker.name}",
-        )
+            start_delay=self.start_time + switch_interval)
 
     def start(self) -> "ProtocolSwitchingAttack":
         super().start()
@@ -224,7 +222,7 @@ class ProtocolSwitchingAttack(FloodAttack):
             return True
         return False
 
-    def _switch(self) -> None:
+    def _switch(self, _count: int) -> None:
         self._variant_index = (self._variant_index + 1) % len(self.VARIANTS)
         self.switches += 1
         self.protocol, self.dst_port = self.VARIANTS[self._variant_index]

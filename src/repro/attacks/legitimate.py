@@ -48,7 +48,7 @@ class LegitimateTraffic(TrafficSource):
         max_span: Optional[float] = None,
         horizon: Optional[float] = None,
     ) -> None:
-        super().__init__(sender, f"legit-{sender.name}", rate_pps=rate_pps,
+        super().__init__(sender, rate_pps=rate_pps,
                          packet_size=packet_size, start_delay=start_time,
                          max_train=max_train, max_span=max_span, horizon=horizon)
         self.sender = sender
@@ -71,7 +71,7 @@ class LegitimateTraffic(TrafficSource):
         if self.duration is not None:
             end = self.start_time + self.duration
             self._stop_emitting_at(end)
-            self.sender.sim.schedule(end, self._process.stop, name="legit-end")
+            self.sender.sim.call_at(end, self._process.stop)
         return self
 
     def stop(self) -> None:
@@ -153,10 +153,9 @@ class PoissonTraffic(LegitimateTraffic):
 
     def start(self) -> "PoissonTraffic":
         self._running = True
-        self.sender.sim.schedule(self.start_time, self._wakeup, name="poisson-start")
+        self.sender.sim.call_at(self.start_time, self._wakeup)
         if self.duration is not None:
-            self.sender.sim.schedule(self.start_time + self.duration, self.stop,
-                                     name="poisson-end")
+            self.sender.sim.call_at(self.start_time + self.duration, self.stop)
         return self
 
     def stop(self) -> None:
@@ -195,5 +194,5 @@ class PoissonTraffic(LegitimateTraffic):
             self._emit_packet()
         else:
             self._emit(count, offset / (count - 1))
-        # Nothing cancels the next arrival: a bare heap entry, no Event.
+        # A drawn gap is never negative: no past-time check to pay for.
         sim.schedule_fire(candidate, self._wakeup)

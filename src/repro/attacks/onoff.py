@@ -53,7 +53,7 @@ class OnOffAttack(TrafficSource):
     ) -> None:
         if on_duration <= 0 or off_duration <= 0:
             raise ValueError("on/off durations must be positive")
-        super().__init__(attacker, f"onoff-{attacker.name}", rate_pps=rate_pps,
+        super().__init__(attacker, rate_pps=rate_pps,
                          packet_size=packet_size, max_train=max_train,
                          max_span=max_span, horizon=horizon)
         self.attacker = attacker
@@ -65,7 +65,7 @@ class OnOffAttack(TrafficSource):
         self.protocol = protocol
         self.cycles_completed = 0
         self._stopped = False
-        self._phase_timer = Timer(attacker.sim, self._toggle, name="onoff-phase")
+        self._phase_timer = Timer(attacker.sim, self._toggle)
         self._in_on_phase = False
 
     # ------------------------------------------------------------------
@@ -73,8 +73,7 @@ class OnOffAttack(TrafficSource):
     # ------------------------------------------------------------------
     def start(self) -> "OnOffAttack":
         """Schedule the first on-phase; returns self for chaining."""
-        self.attacker.sim.schedule(self.start_time, self._begin_on_phase,
-                                   name="onoff-start")
+        self.attacker.sim.call_at(self.start_time, self._begin_on_phase)
         return self
 
     def stop(self) -> None:

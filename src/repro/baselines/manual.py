@@ -67,12 +67,12 @@ class ManualFilteringOperator:
         start = attack_start if attack_start is not None else self.sim.now
         actions = [ManualAction(router=edge_router, label=label)]
         self.sim.call_at(start + self.local_response_delay,
-                         self._install, actions[0], name="manual-local-filter")
+                         self._install, actions[0])
         if upstream_router is not None:
             upstream_action = ManualAction(router=upstream_router, label=label)
             actions.append(upstream_action)
             self.sim.call_at(start + self.upstream_response_delay,
-                             self._install, upstream_action, name="manual-upstream-filter")
+                             self._install, upstream_action)
         self.actions.extend(actions)
         return actions
 

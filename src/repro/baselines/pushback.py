@@ -38,7 +38,7 @@ from repro.net.flowlabel import FlowLabel
 from repro.net.link import Link
 from repro.net.packet import Packet, PacketKind
 from repro.router.nodes import BorderRouter
-from repro.sim.process import PeriodicProcess
+from repro.sim.process import TrainProcess
 from repro.sim.randomness import SeededRandom, stable_seed
 
 
@@ -122,8 +122,7 @@ class PushbackAgent:
         self.requests_received = 0
         self._rng = SeededRandom(stable_seed("pushback", router.name),
                                  name=f"pushback-{router.name}")
-        self._reviewer = PeriodicProcess(router.sim, review_interval, self._review,
-                                         name=f"pushback-review-{router.name}")
+        self._reviewer = TrainProcess(router.sim, review_interval, self._review)
         router.conditioners.append(self._condition)
         self._previous_control_handler = router.control_handler
         router.control_handler = self._handle_control
@@ -181,7 +180,7 @@ class PushbackAgent:
                 return passed
         return count
 
-    def _review(self) -> None:
+    def _review(self, _count: int) -> None:
         """Periodically decide whether to push the problem upstream."""
         for limiter in list(self.limiters.values()):
             if limiter.drop_rate < self.drop_rate_threshold:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Deque, Dict, Optional, Set, Tuple
 
 from repro.core.events import EventType, ProtocolEventLog
@@ -209,18 +210,17 @@ class ExplicitDetector:
             self.redetections += 1
             path = packet.recorded_path
             if self.detection_delay > 0:
-                self.agent.host.sim.schedule(
-                    self.detection_delay, self.agent.request_filtering, label,
-                    attack_path=path, force=True, name="explicit-redetection")
+                self.agent.host.sim.call_at(now + self.detection_delay, partial(
+                    self.agent.request_filtering, label, attack_path=path,
+                    force=True))
             else:
                 self.agent.request_filtering(label, attack_path=path, force=True)
             return
         self._reported.add(key)
         self.detections += 1
-        sim = self.agent.host.sim
         path = packet.recorded_path
         if self.detection_delay > 0:
-            sim.schedule(self.detection_delay, self.agent.request_filtering, label,
-                         attack_path=path, name="explicit-detection")
+            self.agent.host.sim.call_at(now + self.detection_delay, partial(
+                self.agent.request_filtering, label, attack_path=path))
         else:
             self.agent.request_filtering(label, attack_path=path)

@@ -64,6 +64,10 @@ class VictimGatewayState:
     temp_filter: Optional[FilterEntry] = None
     shadow: Optional[ShadowEntry] = None
     cooperation_timer: Optional[Timer] = None
+    #: The round whose request this gateway's own outbound contract refused
+    #: (``_send_request`` returned False): it never left, so no attacker's
+    #: gateway can have reneged on it.  Cleared once a request leaves.
+    refused_round: Optional[int] = None
     last_escalation_at: Optional[float] = None
     escalations: int = 0
     gave_up: bool = False
@@ -320,9 +324,7 @@ class GatewayAgent:
                         round=state.current_round)
         if state.cooperation_timer is None:
             state.cooperation_timer = Timer(
-                self.sim, self._check_cooperation, state.request.request_id,
-                name="cooperation-check",
-            )
+                self.sim, self._check_cooperation, state.request.request_id)
         state.cooperation_timer.restart(self.config.effective_escalation_grace)
 
     def _log_shadow(self, state: VictimGatewayState) -> None:
@@ -372,7 +374,9 @@ class GatewayAgent:
             round_number=state.current_round,
         )
         if not self._send_request(outbound, designated, target_address):
+            state.refused_round = state.current_round
             return
+        state.refused_round = None
         self.requests_propagated += 1
         self.log.record(now, EventType.REQUEST_SENT, self.name, request.request_id,
                         role=outbound.role.value, target=designated,
@@ -388,10 +392,16 @@ class GatewayAgent:
         self.log.record(now, EventType.TEMP_FILTER_EXPIRED, self.name, request_id,
                         round=state.current_round,
                         packets_blocked=entry.packets_blocked if entry else 0)
-        if self._blocked_recently(entry):
+        if state.refused_round == state.current_round:
+            # This round's request never left: re-protect the victim and
+            # send it again (paced by the same contract) instead of blaming
+            # a gateway that was never asked.
+            self._install_temporary_filter(state)
+            self._propagate_to_attacker_gateway(state)
+        elif self._blocked_recently(entry):
             # The flow never stopped: the attacker's gateway is not cooperating.
             self._escalate(state)
-        # Either way the temporary filter is allowed to lapse; the shadow
+        # Otherwise the temporary filter is allowed to lapse; the shadow
         # entry keeps watching for the flow to reappear.
 
     def _observe_forwarded(self, packet: Packet, link: Link, train=None) -> None:
@@ -588,7 +598,7 @@ class GatewayAgent:
         self._propagate_to_attacker(state)
         if state.grace_timer is None:
             state.grace_timer = Timer(self.sim, self._check_attacker_compliance,
-                                      request.request_id, name="attacker-grace")
+                                      request.request_id)
         state.grace_timer.restart(self.config.attacker_grace_period)
 
     def _propagate_to_attacker(self, state: AttackerGatewayState) -> None:

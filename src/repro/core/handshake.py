@@ -98,7 +98,7 @@ class HandshakeManager:
                 request_id=request.request_id,
             )
         nonce = self._rng.nonce()
-        timer = Timer(self._sim, self._expire, request.request_id, name="handshake-timeout")
+        timer = Timer(self._sim, self._expire, request.request_id)
         pending = PendingVerification(
             request=request,
             nonce=nonce,

@@ -256,8 +256,7 @@ class PushbackBackend(DefenseBackend):
         aggregate = FlowLabel.to_destination(ctx.handle.victim.address)
         start_at = ctx.attack_window_start + ctx.spec.detection_delay
         ctx.sim.call_at(start_at, self.deployment.start_at,
-                        ctx.handle.victim_gateway.name, aggregate,
-                        name="pushback-detection")
+                        ctx.handle.victim_gateway.name, aggregate)
 
     def collect(self, ctx: Any) -> Dict[str, Any]:
         assert self.deployment is not None

@@ -9,6 +9,7 @@ the most common failure mode is a typo in a spec file.
 from __future__ import annotations
 
 import inspect
+import typing
 from typing import (Any, Callable, Dict, FrozenSet, Generic, Iterator, List,
                     Optional, TypeVar)
 
@@ -26,10 +27,22 @@ _TAKES = (
 )
 
 
-def _takes(default: Any) -> Optional[tuple]:
-    """The entry of :data:`_TAKES` for ``default`` (None: any value)."""
-    return next((take for take in _TAKES
-                 if isinstance(default, tuple(take[0]))), None)
+def _takes(default: Any, hint: Any = None) -> Optional[tuple]:
+    """The entry of :data:`_TAKES` for ``default`` (None: any value).
+
+    A None default reads the parameter's ``Optional[X]`` annotation
+    ``hint`` instead: the entry for ``X``, widened to take None too.
+    """
+    if default is not None:
+        return next((take for take in _TAKES
+                     if isinstance(default, tuple(take[0]))), None)
+    args = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    base = (typing.get_origin(args[0]) or args[0]) if len(args) == 1 else None
+    if not isinstance(base, type):
+        return None
+    take = next((take for take in _TAKES
+                 if issubclass(base, tuple(take[0]))), None)
+    return None if take is None else (take[0] | {type(None)}, take[1])
 
 
 class Registry(Generic[T]):
@@ -99,13 +112,20 @@ class Registry(Generic[T]):
         """Refuse a declared parameter's value of the wrong type (ValueError
         naming each): a number where the default is an int or a float (a
         bool is not one), a bool where it is a bool, a string where it is a
-        string, a list or tuple where it is a list or tuple.  Other
-        defaults, None among them, take any value."""
+        string, a list or tuple where it is a list or tuple.  A None
+        default takes None or what its ``Optional[X]`` annotation's ``X``
+        would take as a default.  Other defaults take any value."""
         wants = self._wants.get(name)
         if wants is None:
+            defaults = self.defaults(name)
+            builder = self._declared_by[name]()
+            hints = (typing.get_type_hints(builder.__init__
+                                           if inspect.isclass(builder)
+                                           else builder)
+                     if None in defaults.values() else {})
             wants = self._wants[name] = {
-                key: _takes(default)
-                for key, default in self.defaults(name).items()}
+                key: _takes(default, hints.get(key))
+                for key, default in defaults.items()}
         wrong = []
         for key, value in params.items():
             take = wants.get(key)

@@ -254,8 +254,6 @@ class _RequestStream:
 
     #: The workload kind, for error messages.
     kind = ""
-    #: The simulator event name of each request.
-    event_name = ""
 
     def __init__(self, ctx: Any, *, rate: float, duration: Any = None,
                  start_time: float = 0.0) -> None:
@@ -278,8 +276,7 @@ class _RequestStream:
         count = int(duration * self.rate)
         sim = self.ctx.sim
         for index in range(count):
-            sim.call_at(self.start_time + index * interval,
-                        self._send_one, name=self.event_name)
+            sim.call_at(self.start_time + index * interval, self._send_one)
 
     def _send_one(self) -> None:
         raise NotImplementedError
@@ -296,7 +293,6 @@ class FilterRequestStream(_RequestStream):
     """
 
     kind = "filter-requests"
-    event_name = "synthetic-request"
 
     def __init__(self, ctx: Any, *, rate: float, duration: Any = None,
                  start_time: float = 0.0) -> None:
@@ -378,7 +374,6 @@ class ForgedRequestStream(_RequestStream):
     """
 
     kind = "forged-requests"
-    event_name = "forged-request"
 
     def __init__(self, ctx: Any, forger_host: Host, *, rate: float,
                  duration: Any = None, start_time: float = 0.0,

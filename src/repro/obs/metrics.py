@@ -6,7 +6,7 @@ into it opportunistically (``ctx.metrics`` is None on unobserved runs, and
 publishing is a handful of dict stores at collect time — never on the
 packet path); gauges registered against live objects (filter-table
 occupancy, queue depths) are sampled on the spec's ``sample_period``
-cadence by a self-rescheduling simulator event.
+cadence by one :class:`~repro.sim.process.TrainProcess`.
 
 ``snapshot()`` flattens everything into plain JSON-ready dicts that ride in
 ``ExperimentResult.observability`` — the same ``experiment_result/v1``
@@ -18,6 +18,8 @@ run are deterministic.
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Mapping, Optional
+
+from repro.sim.process import TrainProcess
 
 
 class Counter:
@@ -89,7 +91,7 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._series: Dict[str, Series] = {}
-        self._sampling = False
+        self._sampler: Optional[TrainProcess] = None
 
     # ------------------------------------------------------------------
     # registration / lookup (get-or-create, like every metrics client)
@@ -117,26 +119,20 @@ class MetricsRegistry:
     # cadence sampling
     # ------------------------------------------------------------------
     def start_sampling(self, sim: Any, until: float) -> None:
-        """Sample every gauge into its same-named series each period.
+        """Sample every gauge into its same-named series each period, from
+        now on; the last sample lands at or before ``until``."""
+        if self._sampler is None:
+            self._clock = sim.clock
+            self._sampler = TrainProcess(sim, self.sample_period, self._sample,
+                                         horizon=until)
+            self._sampler.start()
 
-        Runs as one self-rescheduling fire-and-forget event; the last
-        sample lands at or before ``until``.
-        """
-        if self._sampling:
-            return
-        self._sampling = True
-        period = self.sample_period
-
-        def tick() -> None:
-            now = sim._now
-            for name, gauge in self._gauges.items():
-                value = gauge.sample()
-                if value is not None:
-                    self.series(name).observe(now, value)
-            if now + period <= until:
-                sim.schedule_fire(period, tick)
-
-        sim.schedule_fire(0.0, tick)
+    def _sample(self, _count: int) -> None:
+        now = self._clock()
+        for name, gauge in self._gauges.items():
+            value = gauge.sample()
+            if value is not None:
+                self.series(name).observe(now, value)
 
     # ------------------------------------------------------------------
     # serialization

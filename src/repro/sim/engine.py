@@ -1,14 +1,17 @@
 """Core discrete-event loop.
 
-The simulator is a binary heap of :class:`Event` objects and a virtual
-clock.  Determinism matters more than raw speed because the benchmarks
-compare protocol variants, so ties are broken by insertion order (the
-``seq`` counter) rather than by object identity — but the fast path is
-still engineered hard: heap entries are plain tuples compared in C,
-:meth:`Simulator.schedule_fire` / :meth:`Simulator.fire_at` push
-fire-and-forget entries with no :class:`Event` object and no keyword
-plumbing for the per-packet hot path, and the heap compacts itself once
-cancelled events outnumber live ones so long runs do not leak memory.
+The simulator is a binary heap of timestamped entries and a virtual clock.
+Determinism matters more than raw speed because the benchmarks compare
+protocol variants, so ties are broken by insertion order (the ``seq``
+counter) rather than by object identity — but the fast path is still
+engineered hard: every heap entry is a plain ``(time, seq, callback,
+args)`` tuple compared in C, pushed by :meth:`Simulator.call_at`,
+:meth:`Simulator.schedule_fire` or :meth:`Simulator.fire_at`, with no
+object and no keyword plumbing per event.  The one exception is the entry
+a :class:`~repro.sim.process.Timer` pushes, whose third field is an
+:class:`Event` so the timer can cancel it: only the protocol's timers
+(the Ttmp cooperation check, the attacker-gateway grace period, the
+handshake timeout, the on-off phase) ever need that.
 """
 
 from __future__ import annotations
@@ -24,64 +27,16 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    """A single scheduled callback.
+    """The cancellable callback of a :class:`~repro.sim.process.Timer`
+    entry.  A cancelled event stays in the heap; the event loop skips it."""
 
-    Events are created through :meth:`Simulator.schedule` / :meth:`Simulator.call_at`
-    and can be cancelled before they fire.  A cancelled event stays in the
-    heap but is skipped by the event loop; the simulator compacts the heap
-    when cancelled events pile up.
-    """
+    __slots__ = ("time", "callback", "cancelled")
 
-    __slots__ = ("time", "seq", "callback", "args", "kwargs", "name",
-                 "cancelled", "_sim")
-
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., None],
-        args: Tuple[Any, ...] = (),
-        kwargs: Optional[Dict[str, Any]] = None,
-        name: str = "",
-        sim: Optional["Simulator"] = None,
-    ) -> None:
+    def __init__(self, time: float, callback: Callable[[], None]) -> None:
         self.time = time
-        self.seq = seq
         self.callback = callback
-        self.args = args
-        self.kwargs = kwargs
-        self.name = name
         self.cancelled = False
-        self._sim = sim
 
-    def cancel(self) -> None:
-        """Prevent this event from firing.  Safe to call more than once."""
-        if not self.cancelled:
-            self.cancelled = True
-            sim = self._sim
-            if sim is not None:
-                sim._note_cancelled()
-
-    @property
-    def active(self) -> bool:
-        """True while the event is still pending and not cancelled."""
-        return not self.cancelled
-
-    def fire(self) -> None:
-        """Invoke the callback (used by the event loop)."""
-        if self.kwargs:
-            self.callback(*self.args, **self.kwargs)
-        else:
-            self.callback(*self.args)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        label = self.name or getattr(self.callback, "__name__", "callback")
-        state = "cancelled" if self.cancelled else "pending"
-        return f"Event(t={self.time:.6f}, {label}, {state})"
-
-
-#: Compaction only kicks in past this heap size; tiny heaps are cheap to scan.
-_COMPACT_MIN_HEAP = 64
 
 _INF = float("inf")
 
@@ -102,25 +57,15 @@ class Simulator:
     directly comparable with simulation output.
     """
 
-    def __init__(self, start_time: float = 0.0,
-                 compact_min_heap: Optional[int] = None) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        #: Heap size below which compaction never runs; overridable per
-        #: instance so cancel-heavy tests can force compactions on small heaps.
-        self._compact_min = (compact_min_heap if compact_min_heap is not None
-                             else _COMPACT_MIN_HEAP)
-        # Heap entries are (time, seq, event) tuples: tuple comparison runs
-        # in C and, with seq unique, never falls through to comparing events.
-        self._heap: List[Tuple[float, int, Event]] = []
+        # Heap entries are (time, seq, callback, args) tuples: tuple
+        # comparison runs in C and, with seq unique, never reaches the
+        # callback.
+        self._heap: List[Tuple[Any, ...]] = []
         self._seq = itertools.count()
         self._events_processed = 0
         self._running = False
-        self._stopped = False
-        #: The running loop's horizon: ``run(until)``, lowered to -inf by
-        #: :meth:`stop` so the next entry ends the loop.
-        self._until = _INF
-        self._cancelled_in_heap = 0
-        self._compactions = 0
         #: The virtual clock as a callable, one per simulator: filter
         #: tables, shadow caches and contract books all read time through
         #: it instead of each holding a closure of its own.  A partial of
@@ -144,13 +89,14 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still in the heap (including cancelled ones)."""
+        """Number of entries still in the heap (cancelled timers included)."""
         return len(self._heap)
 
     @property
     def heap_compactions(self) -> int:
-        """Number of times the heap was rebuilt to shed cancelled events."""
-        return self._compactions
+        """Always 0: the heap is never rebuilt.  Kept for the benchmark
+        harness and the observed documents, which still report it."""
+        return 0
 
     def stats(self) -> Dict[str, Any]:
         """Engine counters as one JSON-ready dict.
@@ -164,57 +110,38 @@ class Simulator:
             "now": self._now,
             "events_processed": self._events_processed,
             "pending_events": len(self._heap),
-            "heap_compactions": self._compactions,
+            "heap_compactions": 0,
         }
 
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., None],
-        *args: Any,
-        name: str = "",
-        **kwargs: Any,
-    ) -> Event:
-        """Schedule ``callback`` to fire ``delay`` seconds from now.
+    def call_at(self, when: float, callback: Callable[..., None],
+                *args: Any) -> None:
+        """Schedule ``callback(*args)`` at absolute time ``when``.
 
-        Returns the :class:`Event`, which the caller may cancel.
+        The checked form of :meth:`fire_at`, for times that come from a
+        spec or a caller rather than from the clock: a time in the past is
+        refused (a rounding error's worth below the clock is clamped to
+        it).  Only a :class:`~repro.sim.process.Timer`, which passes its
+        :class:`Event` as ``callback``, can cancel the entry.
         """
-        return self.call_at(self._now + delay, callback, *args, name=name, **kwargs)
-
-    def call_at(
-        self,
-        when: float,
-        callback: Callable[..., None],
-        *args: Any,
-        name: str = "",
-        **kwargs: Any,
-    ) -> Event:
-        """Schedule ``callback`` to fire at absolute time ``when``."""
-        if when < self._now - 1e-12:
-            raise SimulationError(
-                f"cannot schedule event at t={when:.6f}, clock is already at t={self._now:.6f}"
-            )
         if when < self._now:
+            if when < self._now - 1e-12:
+                raise SimulationError(
+                    f"cannot schedule event at t={when:.6f}, "
+                    f"clock is already at t={self._now:.6f}")
             when = self._now
-        seq = next(self._seq)
-        event = Event(when, seq, callback, args, kwargs or None, name, self)
-        heapq.heappush(self._heap, (when, seq, event))
-        return event
+        heapq.heappush(self._heap, (when, next(self._seq), callback, args))
 
     def schedule_fire(self, delay: float, callback: Callable[..., None],
                       *args: Any) -> None:
-        """Fire-and-forget scheduling: no :class:`Event` object at all.
+        """Fire ``callback(*args)`` ``delay`` seconds from now.
 
-        The heap entry is a bare ``(time, seq, callback, args)`` tuple, so
-        there is nothing to cancel and nothing to allocate beyond the tuple
-        itself.  Links use this for serializer and delivery events — the two
-        highest-volume event kinds in the simulator, and ones no caller ever
-        cancels; an idle pipe pushes this same entry itself
-        (``net/link.py::_Pipe.send``), so the entry's shape is known there
-        too.  Callers guarantee ``delay >= 0``.
+        Links use this for serializer and delivery events — the two
+        highest-volume event kinds in the simulator; an idle pipe pushes
+        this same entry itself (``net/link.py::_Pipe.send``), so the entry's
+        shape is known there too.  Callers guarantee ``delay >= 0``.
         """
         heapq.heappush(self._heap,
                        (self._now + delay, next(self._seq), callback, args))
@@ -232,137 +159,44 @@ class Simulator:
         heapq.heappush(self._heap, (when, next(self._seq), callback, args))
 
     # ------------------------------------------------------------------
-    # cancellation bookkeeping
-    # ------------------------------------------------------------------
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`Event.cancel`; compacts the heap when it is
-        majority-dead so cancel-heavy runs stop leaking memory."""
-        self._cancelled_in_heap += 1
-        heap = self._heap
-        if (len(heap) >= self._compact_min
-                and self._cancelled_in_heap * 2 >= len(heap)):
-            # Rebuild in place so the run loop's local reference stays valid.
-            # Fire-and-forget entries carry a bare callable (no .cancelled).
-            heap[:] = [entry for entry in heap
-                       if not getattr(entry[2], "cancelled", False)]
-            heapq.heapify(heap)
-            self._cancelled_in_heap = 0
-            self._compactions += 1
-
-    # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Fire the next pending event.  Returns False when the heap is empty."""
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            target = entry[2]
-            if target.__class__ is Event:
-                if target.cancelled:
-                    self._cancelled_in_heap -= 1
-                    continue
-                self._now = entry[0]
-                self._events_processed += 1
-                target.fire()
-            else:
-                self._now = entry[0]
-                self._events_processed += 1
-                target(*entry[3])
-            return True
-        return False
+    def run(self, until: Optional[float] = None) -> float:
+        """Fire entries in time order until the heap drains or the next
+        one lies past ``until`` (an entry at exactly ``until`` still
+        fires).  Returns the clock, which ends at ``until`` when one is
+        given.
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Run the event loop.
-
-        Parameters
-        ----------
-        until:
-            Stop once the clock would pass this time.  Events scheduled at
-            exactly ``until`` still fire.  When omitted, run until the heap
-            drains.
-        max_events:
-            Safety valve for runaway simulations; stop after this many
-            events (0 fires none; a negative value is refused).
-
-        Returns
-        -------
-        float
-            The clock value when the loop stopped.
-
-        The work per event is the pop, the clock store and the call: the
-        horizon is one comparison against ``_until`` (infinite when
-        ``until`` is omitted, and what :meth:`stop` lowers), ``max_events``
-        one comparison against a count that is never reached when it is
-        omitted, and :attr:`events_processed` advances once, when the loop
-        ends (however it ends).  An entry popped past the horizon goes back
-        on the heap.
+        The work per entry is the pop, the skip of a cancelled timer, the
+        horizon comparison, the clock store and the call; an entry popped
+        past the horizon goes back on the heap, and
+        :attr:`events_processed` advances once, when the loop ends
+        (however it ends, a raising callback included).
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run() call)")
-        if max_events is not None and max_events < 0:
-            raise ValueError(f"max_events must be >= 0, got {max_events}")
         self._running = True
-        self._stopped = False
-        self._until = _INF if until is None else until
-        # ``fired`` starts at 0 and only grows, so -1 is never reached.
-        limit = -1 if max_events is None else max_events
+        horizon = _INF if until is None else until
         fired = 0
         heappop = heapq.heappop
-        heap = self._heap  # compaction rebuilds in place, so this stays valid
+        heap = self._heap
         try:
-            while heap and fired != limit:
+            while heap:
                 entry = heappop(heap)
                 target = entry[2]
                 if target.__class__ is Event:
-                    # A stopped run leaves even a cancelled entry in place.
-                    if target.cancelled and not self._stopped:
-                        self._cancelled_in_heap -= 1
+                    if target.cancelled:
                         continue
-                    if entry[0] > self._until:
-                        heapq.heappush(heap, entry)
-                        break
-                    self._now = entry[0]
-                    fired += 1
-                    if target.kwargs:
-                        target.callback(*target.args, **target.kwargs)
-                    else:
-                        target.callback(*target.args)
-                else:
-                    if entry[0] > self._until:
-                        heapq.heappush(heap, entry)
-                        break
-                    self._now = entry[0]
-                    fired += 1
-                    target(*entry[3])
+                    target = target.callback
+                if entry[0] > horizon:
+                    heapq.heappush(heap, entry)
+                    break
+                self._now = entry[0]
+                fired += 1
+                target(*entry[3])
         finally:
             self._running = False
             self._events_processed += fired
-        if (until is not None and self._now < until and not self._stopped
-                and (not heap or heap[0][0] > until)):
-            # Nothing is left to fire up to the horizon: advance the clock to
-            # it.  A run cut short by ``max_events`` keeps its clock, so the
-            # next run fires the remaining events at their own times.
+        if until is not None and self._now < until:
             self._now = until
         return self._now
-
-    def stop(self) -> None:
-        """Request that :meth:`run` return after the current event."""
-        self._stopped = True
-        self._until = -_INF
-
-    def drain(self) -> int:
-        """Drop every pending entry, cancelling each :class:`Event`.  Returns
-        how many live entries were dropped: the events not yet cancelled
-        and every fire-and-forget entry (a delivery, a tick)."""
-        dropped = 0
-        for entry in self._heap:
-            target = entry[2]
-            if target.__class__ is not Event:
-                dropped += 1
-            elif not target.cancelled:
-                target.cancelled = True
-                dropped += 1
-        self._heap.clear()
-        self._cancelled_in_heap = 0
-        return dropped

@@ -1,23 +1,21 @@
-"""Timer and periodic-process helpers built on top of the event loop.
+"""The two scheduling helpers built on top of the event loop.
 
-Protocol state machines in :mod:`repro.core` need two recurring patterns:
+* :class:`Timer` — a *restartable one-shot timer* (the Ttmp cooperation
+  check, the attacker-gateway grace period, the handshake timeout, the
+  on-off phase): the only scheduled callback that can be cancelled.
+* :class:`TrainProcess` — the one *tick process*.  Every traffic source
+  ticks on it, on either engine, and so does every recurring job (metric
+  and occupancy sampling, the Pushback review, protocol switching) at the
+  default ``max_train = 1``.  One wakeup takes the next ``count`` ticks of
+  a precomputed tick timeline and hands the callback that count — always
+  1 at ``max_train = 1``, up to ``max_train`` when the engine aggregates
+  ticks into one :class:`~repro.net.train.PacketTrain` (see
+  :mod:`repro.net.train`).  Tick times follow the successive-addition
+  recurrence ``t_next = t_prev + interval`` whatever ``max_train`` is, so
+  the engines emit at bit-identical times.
 
-* a *restartable one-shot timer* (filter expiry, grace periods, handshake
-  timeouts), and
-* a *periodic process* (rate-counter resets, metric sampling, protocol
-  switching).
-
-Both are thin wrappers over :class:`repro.sim.Simulator` so that protocol
-code never touches the event heap directly.
-
-Traffic generators tick through :class:`TrainProcess` instead, on either
-engine: one wakeup takes the next ``count`` ticks of a precomputed tick
-timeline and hands the callback that count — always 1 at ``max_train = 1``
-(the per-packet engine), up to ``max_train`` when the engine aggregates
-ticks into one :class:`~repro.net.train.PacketTrain` (see
-:mod:`repro.net.train`).  Tick times follow the same successive-addition
-recurrence (``t_next = t_prev + interval``) as :class:`PeriodicProcess`'s
-one-event-per-tick chain, so the engines emit at bit-identical times.
+A one-shot that nothing cancels is no helper at all: it is a bare
+:meth:`~repro.sim.Simulator.call_at` entry.
 """
 
 from __future__ import annotations
@@ -31,7 +29,8 @@ from repro.sim.engine import Event, Simulator
 
 
 class Timer:
-    """A restartable one-shot timer.
+    """A restartable one-shot timer: the one scheduled callback that can be
+    cancelled.
 
     The timer is created idle; :meth:`start` arms it, :meth:`cancel` disarms
     it, and :meth:`restart` re-arms it (cancelling any pending expiry).  When
@@ -39,26 +38,21 @@ class Timer:
     """
 
     def __init__(self, sim: Simulator, callback: Callable[..., None],
-                 *args: Any, name: str = "", **kwargs: Any) -> None:
+                 *args: Any) -> None:
         self._sim = sim
         self._callback = callback
         self._args = args
-        self._kwargs = kwargs
-        self._name = name
         self._event: Optional[Event] = None
 
     @property
     def armed(self) -> bool:
         """True while an expiry is pending."""
-        return self._event is not None and self._event.active
+        return self._event is not None
 
     @property
     def expires_at(self) -> Optional[float]:
         """Absolute expiry time, or None when idle."""
-        if self.armed:
-            assert self._event is not None
-            return self._event.time
-        return None
+        return None if self._event is None else self._event.time
 
     def start(self, delay: float) -> None:
         """Arm the timer to fire ``delay`` seconds from now.
@@ -66,7 +60,9 @@ class Timer:
         Starting an already-armed timer restarts it.
         """
         self.cancel()
-        self._event = self._sim.schedule(delay, self._fire, name=self._name or "timer")
+        event = Event(self._sim.now + delay, self._fire)
+        self._sim.call_at(event.time, event)  # refuses a negative delay
+        self._event = event
 
     def restart(self, delay: float) -> None:
         """Alias for :meth:`start`; reads better at call sites that always re-arm."""
@@ -75,90 +71,12 @@ class Timer:
     def cancel(self) -> None:
         """Disarm the timer if it is pending."""
         if self._event is not None:
-            self._event.cancel()
+            self._event.cancelled = True
             self._event = None
 
     def _fire(self) -> None:
         self._event = None
-        self._callback(*self._args, **self._kwargs)
-
-
-class PeriodicProcess:
-    """Fires a callback every ``interval`` seconds until stopped.
-
-    The callback may return ``False`` to stop the process from within.
-    A ``max_ticks`` bound makes the process self-terminating, which traffic
-    generators use to emit a fixed number of packets.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        interval: float,
-        callback: Callable[[], Any],
-        *,
-        start_delay: float = 0.0,
-        max_ticks: Optional[int] = None,
-        name: str = "",
-    ) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        self._sim = sim
-        self._interval = float(interval)
-        self._callback = callback
-        self._max_ticks = max_ticks
-        self._name = name or "periodic"
-        self._ticks = 0
-        self._running = False
-        self._event: Optional[Event] = None
-        self._start_delay = float(start_delay)
-
-    @property
-    def ticks(self) -> int:
-        """Number of times the callback has fired."""
-        return self._ticks
-
-    @property
-    def running(self) -> bool:
-        """True while the process is scheduled to keep firing."""
-        return self._running
-
-    @property
-    def interval(self) -> float:
-        """Seconds between consecutive firings."""
-        return self._interval
-
-    def start(self) -> None:
-        """Begin firing.  The first tick happens after ``start_delay`` seconds."""
-        if self._running:
-            return
-        self._running = True
-        self._event = self._sim.schedule(self._start_delay, self._tick, name=self._name)
-
-    def stop(self) -> None:
-        """Stop firing.  A pending tick is cancelled."""
-        self._running = False
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        # This event has already fired; forget it before the callback runs so
-        # a stop() from inside the callback does not "cancel" a popped event
-        # (which would skew the simulator's cancelled-in-heap accounting).
-        self._event = None
-        self._ticks += 1
-        keep_going = self._callback()
-        if keep_going is False:
-            self.stop()
-            return
-        if self._max_ticks is not None and self._ticks >= self._max_ticks:
-            self.stop()
-            return
-        if self._running:
-            self._event = self._sim.schedule(self._interval, self._tick, name=self._name)
+        self._callback(*self._args)
 
 
 #: Ticks a :class:`TrainProcess` computes per timeline extension, at least.
@@ -170,18 +88,19 @@ _NO_TIMES: Tuple[float, ...] = ()
 
 class TrainProcess:
     """A periodic process that fires *once per train* of up to ``max_train``
-    ticks: the one tick process of every constant-spacing traffic source.
+    ticks: the one tick process of every constant-spacing traffic source
+    and every recurring job.
 
-    The callback receives the number of ticks the wakeup covers and emits
-    them at once — as a lone packet when ``max_train`` is 1, as one
-    aggregated :class:`~repro.net.train.PacketTrain` otherwise.  Tick times
+    The callback receives the number of ticks the wakeup covers and handles
+    them at once — a traffic source emits a lone packet when ``max_train``
+    is 1 (the default, one call per tick), one aggregated
+    :class:`~repro.net.train.PacketTrain` otherwise.  Tick times
     come from a timeline of the exact ``t += interval`` float recurrence,
     computed in C (``itertools.accumulate``) at least ``_TIMELINE_CHUNK``
     ticks at a time and, for trains shorter than that, kept across wakeups:
     at ``max_train = 1`` a tick costs one heap entry, which the wakeup
-    pushes itself, and no Python-level arithmetic.  The times are the
-    ones :class:`PeriodicProcess` produces, and the emitted count over any
-    horizon does not depend on ``max_train``.
+    pushes itself, and no Python-level arithmetic.  The emitted count over
+    any horizon does not depend on ``max_train``.
 
     Four bounds clip a train before ``max_train``, each a bisection of the
     timeline (the times never decrease).  ``horizon``, ``limit_until`` and
@@ -217,14 +136,15 @@ class TrainProcess:
         callback: Callable[[int], Any],
         *,
         start_delay: float = 0.0,
-        max_train: int = 256,
+        max_train: int = 1,
         max_span: Optional[float] = None,
         max_ticks: Optional[int] = None,
         horizon: Optional[float] = None,
-        name: str = "",
     ) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
+        if start_delay < 0:
+            raise ValueError(f"start_delay must be >= 0, got {start_delay}")
         if max_train <= 0:
             raise ValueError(f"max_train must be positive, got {max_train}")
         if max_span is not None and max_span <= 0:
@@ -238,7 +158,6 @@ class TrainProcess:
         self._max_span = max_span if max_train > 1 else None
         self._max_ticks = max_ticks
         self._horizon = horizon
-        self._name = name or "train"
         self._ticks = 0
         self._running = False
         self._start_delay = float(start_delay)

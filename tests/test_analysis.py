@@ -126,8 +126,8 @@ class TestMeters:
         sim = Simulator()
         value = {"x": 0}
         sampler = OccupancySampler(sim, lambda: value["x"], period=0.1).start()
-        sim.schedule(0.25, lambda: value.update(x=5))
-        sim.schedule(0.55, lambda: value.update(x=2))
+        sim.call_at(0.25, lambda: value.update(x=5))
+        sim.call_at(0.55, lambda: value.update(x=2))
         sim.run(until=1.0)
         assert sampler.peak == 5.0
         assert sampler.mean > 0.0

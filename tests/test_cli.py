@@ -498,6 +498,14 @@ class TestPaperCommand:
 
 
 
+def _repro(*argv):
+    """``python -m repro ARGV`` in a child process, output captured."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.join(
+            os.path.dirname(__file__), "..", "src")))
+
+
 class TestSpecErrors:
     """A spec the CLI cannot parse is one ``repro COMMAND: ...`` line and a
     non-zero exit, never a traceback."""
@@ -551,16 +559,50 @@ class TestSpecErrors:
     def test_unknown_kind_exits_1_with_one_line(self, assignment, expected):
         """An unknown component kind is refused when the spec is parsed,
         not by a traceback from the step that builds it."""
-        completed = subprocess.run(
-            [sys.executable, "-m", "repro", "run", "--duration", "1",
-             "--set", assignment],
-            capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=os.path.join(
-                os.path.dirname(__file__), "..", "src")))
+        completed = _repro("run", "--duration", "1", "--set", assignment)
         assert completed.returncode == 1
         assert completed.stdout == ""
         assert completed.stderr.startswith(f"repro run: {expected}")
         assert completed.stderr.count("\n") == 1, completed.stderr
+
+    def test_none_default_takes_its_optional_annotation(self):
+        """A builder parameter whose default is None is checked against its
+        ``Optional[X]`` annotation when the spec is parsed, not by a
+        TypeError when the run starts."""
+        completed = _repro("run", "--set", "workloads.1.params.duration=abc")
+        assert completed.returncode == 1
+        assert completed.stdout == ""
+        assert completed.stderr == (
+            "repro run: bad workload 'flood' parameter value(s): "
+            "duration='abc' (want a number)\n")
+
+    @pytest.mark.parametrize("cluster", [False, True], ids=["local", "cluster"])
+    def test_sweep_none_default_axis_is_refused_before_any_cell_runs(
+            self, tmp_path, monkeypatch, cluster):
+        from repro.experiments.runner import ExperimentRunner
+
+        def no_cell_runs(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(ExperimentRunner, "run", no_cell_runs)
+        queue = tmp_path / "q"
+        argv = ["sweep", "--spec", FLOOD_SPEC,
+                "--param", "workloads.1.params.duration=1,abc"]
+        with pytest.raises(SystemExit) as error:
+            main(argv + (["--cluster", str(queue)] if cluster else []))
+        assert error.value.code == (
+            "repro sweep: bad workload 'flood' parameter value(s): "
+            "duration='abc' (want a number)")
+        assert not (queue / "run.json").exists()
+
+    def test_negative_workload_start_is_refused(self):
+        """A negative start would run the clock backwards; the tick process
+        refuses it before the run starts and no result is printed."""
+        completed = _repro("--json", "run", "--duration", "2",
+                           "--set", "workloads.1.params.start=-1")
+        assert completed.returncode != 0
+        assert completed.stdout == ""
+        assert "start_delay must be >= 0, got -1.0" in completed.stderr
 
     @pytest.mark.parametrize("cluster", [False, True], ids=["local", "cluster"])
     def test_sweep_unknown_backend_axis_is_refused_before_any_cell_runs(

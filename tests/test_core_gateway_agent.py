@@ -5,9 +5,12 @@ filtering request and the test asserts what each gateway did (temporary
 filter, shadow entry, handshake, propagation, escalation, disconnection).
 """
 
+from functools import partial
+
 import pytest
 
 from repro.attacks.flood import FloodAttack
+from repro.core.config import AITFConfig
 from repro.core.detection import ExplicitDetector
 from repro.core.events import EventType
 from repro.core.messages import FilteringRequest, RequestRole
@@ -208,6 +211,38 @@ class TestContractPolicing:
         assert env.log.count(EventType.DISCONNECTION) == 0
         expired = env.log.last(EventType.TEMP_FILTER_EXPIRED, node="G_gw1")
         assert expired.time > 9.0 and expired.details["round"] == 1
+
+    def test_round_refused_by_own_outbound_contract_is_resent_not_escalated(self):
+        """A round-1 request G_gw1's own outbound contract refused never
+        reached B_gw1, so at Ttmp expiry G_gw1 sends it again instead of
+        escalating past a gateway that was never asked."""
+        env = make_deployed_figure1(AITFConfig(default_send_rate=1.0))
+        figure1 = env.figure1
+        env.deployment.host_agent("B_host").cooperative = False
+        victim_agent = env.deployment.host_agent("G_host")
+        path = figure1.topology.border_router_path(figure1.b_host, figure1.g_host)
+        for port in (80, 81):
+            FloodAttack(figure1.b_host, figure1.g_host.address, rate_pps=200.0,
+                        dst_port=port).start()
+            label = FlowLabel.between(figure1.b_host.address,
+                                      figure1.g_host.address, dst_port=port)
+            env.sim.call_at(0.3, partial(victim_agent.request_filtering, label,
+                                         attack_path=path))
+        env.sim.run(until=4.0)
+        first, second = [e.request_id for e in env.log.of_type(
+            EventType.REQUEST_SENT) if e.node == "G_host"]
+        refused = [e for e in env.log.of_type(EventType.REQUEST_POLICED)
+                   if e.details.get("direction") == "outbound"]
+        assert [(e.node, e.request_id) for e in refused] == [("G_gw1", second)]
+        assert env.log.count(EventType.ESCALATION) == 0
+        resent = [e for e in env.log.of_type(EventType.REQUEST_SENT)
+                  if e.node == "G_gw1" and e.request_id == second]
+        assert [(e.details["target"], e.details["round"]) for e in resent] == [
+            ("B_gw1", 1)]
+        assert resent[0].time == pytest.approx(
+            refused[0].time + env.config.effective_escalation_grace)
+        assert {(e.node, e.request_id) for e in env.log.of_type(
+            EventType.FILTER_INSTALLED)} == {("B_gw1", first), ("B_gw1", second)}
 
     def test_excess_requests_policed_at_victim_gateway(self):
         env = make_deployed_figure1()

@@ -306,10 +306,13 @@ TWIN_NAMES = frozenset({
 })
 ONE_PATH_PACKAGES = ("router", "attacks", "core", "analysis", "baselines",
                      "experiments", "sim")
-#: The scheduling helpers ``repro.sim.process`` defines: one timer, one
-#: event-per-tick process for protocol code, one tick process for every
-#: traffic source on either engine.
-SIM_PROCESS_DEFINITIONS = {"Timer", "PeriodicProcess", "TrainProcess"}
+#: The scheduling helpers ``repro.sim.process`` defines: one timer (the
+#: only cancellable callback) and one tick process for every traffic source
+#: on either engine and every recurring job.
+SIM_PROCESS_DEFINITIONS = {"Timer", "TrainProcess"}
+#: What ``repro.sim.engine`` defines: a one-shot is a bare heap entry, so
+#: the engine needs no scheduling helper of its own.
+SIM_ENGINE_DEFINITIONS = {"SimulationError", "Event", "Simulator"}
 
 
 def _twin_definitions(source, where="<source>"):
@@ -367,6 +370,51 @@ class TestTwinCensus:
             "link.enable_train_mode()\n"
             "if pipe._train_mode:\n"
             "    speedup = doc['train_mode_speedup']\n") == []
+
+
+def _event_constructions(source):
+    """Line numbers where ``source`` calls ``Event(...)`` or
+    ``module.Event(...)`` (``threading.Event()`` is another class)."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Name) and func.id == "Event") or (
+                isinstance(func, ast.Attribute) and func.attr == "Event"
+                and not (isinstance(func.value, ast.Name)
+                         and func.value.id == "threading")):
+            lines.append(node.lineno)
+    return lines
+
+
+class TestSchedulingCensus:
+    """The simulator schedules one way: a one-shot is a bare heap entry,
+    every recurring job ticks on the one tick process, and only a
+    ``Timer`` can be cancelled."""
+
+    def test_sim_engine_defines_no_scheduling_helper(self):
+        tree = ast.parse(_read(os.path.join(
+            REPO_ROOT, "src", "repro", "sim", "engine.py")))
+        defined = {node.name for node in tree.body if isinstance(
+            node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))}
+        assert defined == SIM_ENGINE_DEFINITIONS
+
+    def test_only_the_timer_builds_a_cancellable_event(self):
+        found = {}
+        pattern = os.path.join(REPO_ROOT, "src", "repro", "**", "*.py")
+        for path in sorted(glob.glob(pattern, recursive=True)):
+            lines = _event_constructions(_read(path))
+            if lines:
+                found[os.path.relpath(path, REPO_ROOT)] = lines
+        assert set(found) == {os.path.join("src", "repro", "sim", "process.py")}, (
+            "an Event is built outside the Timer — a one-shot nothing "
+            f"cancels is a bare Simulator.call_at entry: {found}")
+
+    def test_the_event_census_ignores_threading_events(self):
+        assert _event_constructions(
+            "import threading\nstop = threading.Event()\n"
+            "e = Event(1.0, f)\nf = engine.Event(2.0, g)\n") == [3, 4]
 
 
 def _ci_jobs():

@@ -375,6 +375,8 @@ def _declared_defaults(slot, entry):
 
 def _well_typed(default):
     """A value a parameter with ``default`` takes."""
+    if default is None:
+        return None
     if isinstance(default, bool):
         return True
     if isinstance(default, str):
@@ -469,9 +471,15 @@ class TestDeclaredParameters:
          "deployment=['all'] (want a string)"),
         ("collector", "filter-occupancy", {"node": None},
          "node=None (want a string)"),
+        ("workload", "flood", {"duration": "abc"},
+         "duration='abc' (want a number)"),
+        ("defense", "aitf", {"redetect_gap": "soon"},
+         "redetect_gap='soon' (want a number)"),
+        ("collector", "filter-occupancy", {"id": 7}, "id=7 (want a string)"),
     ], ids=["str-for-float", "bool-for-float", "none-for-int", "int-for-bool",
             "two", "str-for-list", "dict-for-list", "int-for-str",
-            "list-for-str", "none-for-str"])
+            "list-for-str", "none-for-str", "str-for-optional-float",
+            "str-for-optional-float-backend", "int-for-optional-str"])
     def test_mistyped_value_is_refused_when_parsed(self, slot, entry, params,
                                                    refused):
         data, _ = _placed(slot, entry, params)
@@ -488,9 +496,11 @@ class TestDeclaredParameters:
         data, _ = _placed("defense", "aitf", params)
         assert ExperimentSpec.from_dict(data).defense.params == params
 
-    def test_numbers_cross_int_and_float_and_none_defaults_take_anything(self):
+    @pytest.mark.parametrize("duration", [None, 3, 2.5])
+    def test_numbers_cross_int_and_float_and_none_defaults_take_none(
+            self, duration):
         params = {"rate_pps": 900, "packet_size": 1000.0, "spoofed": True,
-                  "duration": "unchecked"}
+                  "duration": duration}
         data, _ = _placed("workload", "flood", params)
         assert ExperimentSpec.from_dict(data).workloads[0].params == params
 

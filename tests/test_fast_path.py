@@ -1,7 +1,7 @@
 """Unit tests for the fast-path machinery added by the engine overhaul:
 
 * ``schedule_fire`` / ``fire_at``
-* heap compaction under cancel-heavy load
+* lazy cancellation of timer entries under cancel-heavy load
 * :class:`TrainProcess` at ``max_train = 1``: one tick per wakeup, its
   times computed in batches
 * ``Packet.clone`` and route-record interning
@@ -16,7 +16,7 @@ from repro.net.flowlabel import FlowLabel
 from repro.net.packet import Packet
 from repro.router.filter_table import FilterTable
 from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess, TrainProcess
+from repro.sim.process import Timer, TrainProcess
 
 
 class TestFastScheduling:
@@ -30,60 +30,76 @@ class TestFastScheduling:
         assert seen == [42, 43]
         assert sim.events_processed == 2
 
-    def test_fast_and_slow_paths_share_one_sequence(self):
+    def test_checked_and_unchecked_paths_share_one_sequence(self):
         sim = Simulator()
         order = []
-        sim.schedule(1.0, lambda: order.append("slow"))
+        sim.call_at(1.0, order.append, "call_at")
         sim.schedule_fire(1.0, order.append, "fire")
         sim.fire_at(1.0, order.append, "fire_at")
         sim.run()
-        assert order == ["slow", "fire", "fire_at"]
-
-    def test_step_handles_fire_entries(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule_fire(1.0, seen.append, 1)
-        assert sim.step() is True
-        assert seen == [1]
+        assert order == ["call_at", "fire", "fire_at"]
 
 
-class TestHeapCompaction:
-    def test_mass_cancellation_compacts_heap(self):
-        sim = Simulator()
-        events = [sim.schedule(float(i + 1), lambda: None) for i in range(1000)]
-        for event in events[:900]:
-            event.cancel()
-        # Compaction triggers once cancelled events are the majority.
-        assert sim.heap_compactions >= 1
-        assert sim.pending_events <= 200
-        sim.run()
-        assert sim.events_processed == 100
+class TestCancelHeavyLoad:
+    """A cancelled :class:`Timer` entry stays in the heap until the loop
+    pops it and skips it; the heap is never rebuilt."""
 
-    def test_compaction_preserves_firing_order(self):
-        sim = Simulator()
-        order = []
-        keep = []
-        for i in range(200):
-            event = sim.schedule(float(i + 1), order.append, i)
-            if i % 3:
-                event.cancel()
-            else:
-                keep.append(i)
-        sim.run()
-        assert order == keep
+    @staticmethod
+    def timers(sim, whens, fired):
+        timers = []
+        for i, when in enumerate(whens):
+            timer = Timer(sim, fired.append, i)
+            timer.start(when)
+            timers.append(timer)
+        return timers
 
-    def test_cancel_during_run_with_compaction(self):
+    def test_mass_cancellation_fires_only_the_survivors(self):
         sim = Simulator()
         fired = []
-        victims = [sim.schedule(5.0 + i * 0.001, fired.append, i) for i in range(300)]
+        timers = self.timers(sim, [float(i + 1) for i in range(1000)], fired)
+        for timer in timers[:900]:
+            timer.cancel()
+        assert sim.pending_events == 1000
+        sim.run()
+        assert fired == list(range(900, 1000))
+        assert sim.events_processed == 100
+        assert sim.pending_events == 0
+        assert sim.heap_compactions == 0
+
+    def test_cancellation_preserves_firing_order(self):
+        sim = Simulator()
+        fired = []
+        timers = self.timers(sim, [float(i + 1) for i in range(200)], fired)
+        for i, timer in enumerate(timers):
+            if i % 3:
+                timer.cancel()
+        sim.run()
+        assert fired == list(range(0, 200, 3))
+
+    def test_cancel_during_run(self):
+        sim = Simulator()
+        fired = []
+        victims = self.timers(sim, [5.0 + i * 0.001 for i in range(300)], fired)
 
         def cancel_most():
-            for event in victims[:280]:
-                event.cancel()
+            for timer in victims[:280]:
+                timer.cancel()
 
-        sim.schedule(1.0, cancel_most)
+        sim.call_at(1.0, cancel_most)
         sim.run()
         assert fired == list(range(280, 300))
+
+    def test_a_timer_restarted_many_times_fires_once_at_its_last_expiry(self):
+        sim = Simulator()
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        for delay in range(1, 501):
+            timer.restart(float(delay))
+        # Every superseded expiry is a cancelled entry left in the heap.
+        assert sim.pending_events == 500
+        sim.run()
+        assert fired == [500.0]
+        assert sim.events_processed == 1
 
 
 class TestBatchedProcess:
@@ -98,27 +114,25 @@ class TestBatchedProcess:
             fired.append(sim.now)
         return TrainProcess(sim, interval, tick, max_train=1, **kwargs)
 
-    def test_matches_periodic_process_tick_times(self):
-        times_periodic, times_batched = [], []
-        sim1 = Simulator()
-        p1 = PeriodicProcess(sim1, 0.3, lambda: times_periodic.append(sim1.now),
-                             start_delay=0.1)
-        p1.start()
-        sim1.run(until=100.0)
-        sim2 = Simulator()
-        p2 = self.ticking(sim2, 0.3, times_batched, start_delay=0.1)
-        p2.start()
-        sim2.run(until=100.0)
+    def test_tick_times_are_the_successive_addition_recurrence(self):
+        expected, when = [], 0.1
+        while when <= 100.0:
+            expected.append(when)
+            when += 0.3
+        fired = []
+        sim = Simulator()
+        self.ticking(sim, 0.3, fired, start_delay=0.1).start()
+        sim.run(until=100.0)
         # Bit-identical accumulation, across several computed batches.
-        assert len(times_periodic) > 300
-        assert times_batched == times_periodic
+        assert len(expected) > 300
+        assert fired == expected
 
     def test_stop_mid_train_silences_remaining_ticks(self):
         sim = Simulator()
         fired = []
         process = self.ticking(sim, 1.0, fired)
         process.start()
-        sim.schedule(4.5, process.stop)
+        sim.call_at(4.5, process.stop)
         sim.run(until=60.0)
         assert fired == [0.0, 1.0, 2.0, 3.0, 4.0]
         assert not process.running
@@ -145,8 +159,8 @@ class TestBatchedProcess:
         fired = []
         process = self.ticking(sim, 1.0, fired)
         process.start()
-        sim.schedule(2.5, process.stop)
-        sim.schedule(10.0, process.start)
+        sim.call_at(2.5, process.stop)
+        sim.call_at(10.0, process.start)
         sim.run(until=12.5)
         assert fired == [0.0, 1.0, 2.0, 10.0, 11.0, 12.0]
 
@@ -182,9 +196,9 @@ class TestLazyLinkSerializer:
         def send(tag):
             link.send(Packet.data(src, dst, flow_tag=tag), a)
 
-        sim.schedule(0.0, send, "A")
-        sim.schedule(0.0005, send, "B")
-        sim.schedule(0.001, send, "C")  # exactly when A finishes serializing
+        sim.call_at(0.0, send, "A")
+        sim.call_at(0.0005, send, "B")
+        sim.call_at(0.001, send, "C")  # exactly when A finishes serializing
         sim.run()
         assert b.deliveries == [("A", 0.001), ("B", 0.002), ("C", 0.003)]
 

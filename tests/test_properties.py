@@ -853,7 +853,7 @@ class TestSimulatorProperties:
         sim = Simulator()
         fired = []
         for delay in delays:
-            sim.schedule(delay, lambda: fired.append(sim.now))
+            sim.call_at(delay, lambda: fired.append(sim.now))
         sim.run()
         assert fired == sorted(fired)
         assert len(fired) == len(delays)
@@ -863,7 +863,7 @@ class TestSimulatorProperties:
     def test_clock_is_monotone_across_partial_runs(self, delays):
         sim = Simulator()
         for delay in delays:
-            sim.schedule(delay, lambda: None)
+            sim.call_at(delay, lambda: None)
         observed = []
         horizon = max(delays)
         for fraction in (0.25, 0.5, 0.75, 1.0):

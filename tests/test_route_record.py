@@ -141,7 +141,7 @@ class TestDetectorReadsTheShim:
         src, dst = figure1.b_host.address, figure1.g_host.address
         detector.observe(stamped(src, dst, PATH))
         rerouted = ("B_gw1", "T1", "G_gw1")
-        env.sim.schedule(1.0, detector.observe, stamped(src, dst, rerouted))
+        env.sim.call_at(1.0, detector.observe, stamped(src, dst, rerouted))
         env.sim.run(until=1.5)
         assert detector.redetections == 1
         assert calls[-1] == {"attack_path": rerouted, "force": True}
@@ -151,7 +151,7 @@ class TestDetectorReadsTheShim:
         figure1 = env.figure1
         src, dst = figure1.b_host.address, figure1.g_host.address
         detector.observe(stamped(src, dst, PATH))
-        env.sim.schedule(0.2, detector.observe, stamped(src, dst, ("B_gw1", "G_gw1")))
+        env.sim.call_at(0.2, detector.observe, stamped(src, dst, ("B_gw1", "G_gw1")))
         env.sim.run(until=0.5)
         assert detector.redetections == 0
         assert len(calls) == 1

@@ -41,7 +41,7 @@ from repro.net.packet import Packet
 from repro.net.train import PacketTrain
 from repro.router.filter_table import FilterTable
 from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess, TrainProcess
+from repro.sim.process import TrainProcess
 
 
 def make_template(size=1000, src="10.0.0.1", dst="10.0.0.2", **kwargs):
@@ -87,12 +87,12 @@ class TestPacketTrain:
 
 
 class TestTrainProcess:
-    def test_tick_count_matches_periodic_process_over_horizon(self):
+    def test_tick_count_matches_one_tick_per_wakeup_over_horizon(self):
         # Same interval, same start, same horizon: the aggregated process
-        # must emit exactly as many ticks as the one-event-per-tick chain.
+        # must emit exactly as many ticks as one wakeup per tick does.
         horizon = 3.0
         sim_p = Simulator()
-        periodic = PeriodicProcess(sim_p, 1.0 / 700.0, lambda: None)
+        periodic = TrainProcess(sim_p, 1.0 / 700.0, lambda count: None)
         periodic.start()
         sim_p.run(until=horizon)
         periodic.stop()
@@ -135,7 +135,7 @@ class TestTrainProcess:
         emitted = []
         process = TrainProcess(sim, 0.1, emitted.append, max_train=4)
         process.start()
-        sim.run(max_events=1)  # first train only
+        sim.run(until=0.0)  # first train only
         process.stop()
         sim.run(until=10.0)
         assert sum(emitted) == 4  # the pending wakeup evaporated
