@@ -4,10 +4,11 @@ A traffic source builds one template packet per flow, clones it per emission
 and hands it to its host — as a lone packet per tick, or as one
 :class:`~repro.net.train.PacketTrain` per wakeup when the experiment's
 engine aggregates (``max_train > 1``).  :class:`TrafficSource` owns that
-path, its sent / suppressed / offered accounting and its one tick process,
-a :class:`~repro.sim.process.TrainProcess` on either engine; the generators
-in this package add only what makes them different (headers, duty cycles,
-arrival draws).
+path, its sent / suppressed / offered accounting, its one tick process (a
+:class:`~repro.sim.process.TrainProcess` on either engine) and the
+``start_time`` / ``duration`` emission window; the generators in this
+package add only what makes them different (headers, duty cycles, arrival
+draws).
 """
 
 from __future__ import annotations
@@ -30,16 +31,27 @@ class TrafficSource:
     the emitted-packet count would differ from per-packet emission), and
     tick *times* are the same float recurrence: one
     :class:`~repro.sim.process.TrainProcess` ticks every engine.
+
+    :meth:`start` emits from ``start_time`` for ``duration`` seconds (None:
+    until the run ends); a bad size or window is refused here, when the
+    source is built, not by the simulator once the run is under way.
     """
 
     def __init__(self, host: Host, *, rate_pps: float,
-                 packet_size: int, start_delay: float = 0.0,
+                 packet_size: int, start_time: float = 0.0,
+                 duration: Optional[float] = None,
                  max_train: int = 1, max_span: Optional[float] = None,
                  horizon: Optional[float] = None) -> None:
         if rate_pps <= 0:
             raise ValueError("rate_pps must be positive")
+        if packet_size <= 0:
+            raise ValueError(f"packet_size must be positive, got {packet_size}")
+        if duration is not None and duration < 0:
+            raise ValueError(f"duration must be >= 0, got {duration}")
         self.rate_pps = rate_pps
         self.packet_size = packet_size
+        self.start_time = start_time
+        self.duration = duration
         #: Packets that left the host / were stopped at it (outbound filter,
         #: no route, first-hop tail drop).
         self.packets_sent = 0
@@ -49,10 +61,27 @@ class TrafficSource:
         self._max_span = max_span
         self._horizon = horizon
         self._template: Optional[Packet] = None
+        self._sim = host.sim
         self._send = host.send  # bound once; this fires per packet
         self._process = TrainProcess(
-            host.sim, self._interval, self._emit, start_delay=start_delay,
+            host.sim, self._interval, self._emit, start_delay=start_time,
             max_train=max_train, max_span=max_span, horizon=horizon)
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    def start(self) -> "TrafficSource":
+        """Begin emitting at ``start_time``; returns self for chaining."""
+        self._process.start()
+        if self.duration is not None:
+            end = self.start_time + self.duration
+            self._stop_emitting_at(end)
+            self._sim.call_at(end, self.stop)
+        return self
+
+    def stop(self) -> None:
+        """Stop emitting (the flow is over, or its host was told to stop)."""
+        self._process.stop()
 
     def _stop_emitting_at(self, when: float) -> None:
         """Bound emission by a stop the caller has scheduled for ``when``.

@@ -63,32 +63,15 @@ class FloodAttack(TrafficSource):
         horizon: Optional[float] = None,
     ) -> None:
         super().__init__(attacker, rate_pps=rate_pps,
-                         packet_size=packet_size, start_delay=start_time,
-                         max_train=max_train, max_span=max_span, horizon=horizon)
+                         packet_size=packet_size, start_time=start_time,
+                         duration=duration, max_train=max_train,
+                         max_span=max_span, horizon=horizon)
         self.attacker = attacker
         self.victim = IPAddress.parse(victim)
         self.protocol = protocol
         self.dst_port = dst_port
-        self.start_time = start_time
-        self.duration = duration
         self.flow_tag = flow_tag
         self._stopped_labels: List[FlowLabel] = []
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> "FloodAttack":
-        """Begin flooding at ``start_time``; returns self for chaining."""
-        self._process.start()
-        if self.duration is not None:
-            end = self.start_time + self.duration
-            self._stop_emitting_at(end)
-            self.attacker.sim.call_at(end, self.stop)
-        return self
-
-    def stop(self) -> None:
-        """Stop flooding (the attack is over, or the zombie was told to stop)."""
-        self._process.stop()
 
     @property
     def active(self) -> bool:

@@ -49,34 +49,17 @@ class LegitimateTraffic(TrafficSource):
         horizon: Optional[float] = None,
     ) -> None:
         super().__init__(sender, rate_pps=rate_pps,
-                         packet_size=packet_size, start_delay=start_time,
-                         max_train=max_train, max_span=max_span, horizon=horizon)
+                         packet_size=packet_size, start_time=start_time,
+                         duration=duration, max_train=max_train,
+                         max_span=max_span, horizon=horizon)
         self.sender = sender
         self.destination = IPAddress.parse(destination)
         self.protocol = protocol
         self.dst_port = dst_port
-        self.start_time = start_time
-        self.duration = duration
         self.packets_received = 0
         self.bytes_received = 0
         self._receiver_hooked = False
         self._flow_tag = f"legit-{sender.name}"
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> "LegitimateTraffic":
-        """Begin sending; returns self for chaining."""
-        self._process.start()
-        if self.duration is not None:
-            end = self.start_time + self.duration
-            self._stop_emitting_at(end)
-            self.sender.sim.call_at(end, self._process.stop)
-        return self
-
-    def stop(self) -> None:
-        """Stop sending."""
-        self._process.stop()
 
     def attach_receiver(self, receiver: Host) -> None:
         """Count deliveries at the destination host (for goodput accounting)."""

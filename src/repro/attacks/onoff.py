@@ -53,6 +53,10 @@ class OnOffAttack(TrafficSource):
     ) -> None:
         if on_duration <= 0 or off_duration <= 0:
             raise ValueError("on/off durations must be positive")
+        if start_time < 0:
+            raise ValueError(f"start_time must be >= 0, got {start_time}")
+        if cycles is not None and cycles < 1:
+            raise ValueError(f"cycles must be >= 1, got {cycles}")
         super().__init__(attacker, rate_pps=rate_pps,
                          packet_size=packet_size, max_train=max_train,
                          max_span=max_span, horizon=horizon)

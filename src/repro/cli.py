@@ -38,7 +38,9 @@ document reports what the command printed.  Every subcommand takes
 ``--seed`` so any run is reproducible from its command line.  Result tables
 go to stdout; diagnostics (per-cell sweep progress, "wrote ..." notices) go
 through the shared logger to stderr and obey the global ``--verbose`` /
-``--quiet`` flags.
+``--quiet`` flags.  A command refuses bad input by raising; :func:`main`
+is the one place that turns the refusal into a ``repro COMMAND: message``
+line and exit status 1.
 """
 
 from __future__ import annotations
@@ -149,10 +151,7 @@ def _base_spec(args: argparse.Namespace) -> ExperimentSpec:
     """The spec behind ``run``/``compare``/``sweep``: a file, or the canonical
     flood experiment built from the convenience flags."""
     if getattr(args, "spec", None):
-        try:
-            spec = ExperimentSpec.load(args.spec)
-        except (OSError, ValueError) as error:
-            raise SystemExit(f"repro {args.command}: {error}") from error
+        spec = ExperimentSpec.load(args.spec)
     else:
         flags = {dest: getattr(args, dest) for dest in _FLOOD_FLAGS
                  if getattr(args, dest) is not None}
@@ -179,12 +178,7 @@ def _with_run_flags(spec: ExperimentSpec, args: argparse.Namespace,
         overrides[path] = _parse_value(raw)
     if getattr(args, "fault", None):
         overrides["faults"] = list(args.fault)
-    if not overrides:
-        return spec
-    try:
-        return spec.with_overrides(overrides)
-    except ValueError as error:  # unknown key or parameter, bad path
-        raise SystemExit(f"repro {args.command}: {error}") from error
+    return spec.with_overrides(overrides) if overrides else spec
 
 
 # ----------------------------------------------------------------------
@@ -207,12 +201,9 @@ def run_compare(args: argparse.Namespace) -> int:
     """``repro compare``: one spec, many backends, paired seeds (E9-style)."""
     defenses = [d.strip() for d in args.defenses.split(",") if d.strip()]
     if not defenses:
-        raise SystemExit("--defenses needs at least one backend name")
+        raise ValueError("--defenses needs at least one backend name")
     for name in defenses:
-        try:
-            DEFENSES.get(name)  # fail fast with the list of valid names
-        except ValueError as error:
-            raise SystemExit(f"repro compare: {error}") from error
+        DEFENSES.get(name)  # fail fast with the list of valid names
     spec = _base_spec(args)
     doc = [result_to_dict(ExperimentRunner().run(
                spec.with_overrides({"defense.backend": name})))
@@ -241,24 +232,20 @@ def run_sweep(args: argparse.Namespace) -> int:
     request = None
     if args.request:
         if args.param or getattr(args, "spec", None):
-            raise SystemExit(
+            raise ValueError(
                 "--request carries its own base spec and grid; it cannot be "
                 "combined with --param or --spec")
         from repro.experiments.request import load_sweep_request, resolve_request
 
-        try:
-            request = load_sweep_request(args.request)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"repro sweep: {exc}") from exc
-        request = resolve_request(request, quick=args.quick,
-                                  source=args.request)
+        request = resolve_request(load_sweep_request(args.request),
+                                  quick=args.quick, source=args.request)
         grid = request.grid
     elif args.quick:
-        raise SystemExit("--quick only applies to --request sweeps "
+        raise ValueError("--quick only applies to --request sweeps "
                          "(the quick variant lives in the request file)")
     elif not args.param:
-        raise SystemExit(
-            "repro sweep needs at least one --param PATH=V1,V2,... "
+        raise ValueError(
+            "needs at least one --param PATH=V1,V2,... "
             "(e.g. --param defense.backend=aitf,pushback) or --request FILE")
     else:
         # --param sweeps keep their historical 4 s default horizon; it is
@@ -270,17 +257,17 @@ def run_sweep(args: argparse.Namespace) -> int:
         for path, raw in args.param:
             values = [_parse_value(v) for v in raw.split(",") if v != ""]
             if not values:
-                raise SystemExit(f"--param {path} has no values")
+                raise ValueError(f"--param {path} has no values")
             grid[path] = values
     if not args.cluster:
         for flag, present in (("--resume", args.resume),
                               ("--enqueue-only", args.enqueue_only)):
             if present:
-                raise SystemExit(
+                raise ValueError(
                     f"{flag} only makes sense with --cluster DIR "
                     "(a local sweep has no queue to resume or fill)")
     elif args.workers != 1:
-        raise SystemExit(
+        raise ValueError(
             "--workers does not apply with --cluster: parallelism comes "
             "from running `repro worker --cluster DIR` processes")
     if request is not None:
@@ -290,41 +277,28 @@ def run_sweep(args: argparse.Namespace) -> int:
         base = _base_spec(args)
         reseed = not args.no_reseed
     if args.cluster:
-        from repro.cluster import ClusterError, SweepCoordinator
+        from repro.cluster import SweepCoordinator
 
-        # Operator mistakes (reused dir without --resume, changed grid on
-        # resume, a grid point the spec refuses, timeout) are CLI errors,
-        # not tracebacks.
-        try:
-            coordinator = SweepCoordinator(args.cluster,
-                                           lease_seconds=args.lease,
-                                           progress=log_cell_progress)
-            try:
-                manifest = coordinator.submit(base, grid,
-                                              reseed=reseed,
-                                              resume=args.resume)
-            except ValueError as exc:  # grid expansion, before any cell runs
-                raise SystemExit(f"repro sweep: {exc}") from exc
-            if args.enqueue_only:
-                pending, leased, done = coordinator.queue.counts()
-                summary = {"cells": len(manifest), "pending": pending,
-                           "leased": leased, "done": done,
-                           "cluster": args.cluster}
-                if args.json:
-                    print(document_json(summary))
-                else:
-                    print(f"enqueued sweep: {len(manifest)} cells in "
-                          f"{args.cluster} ({done} already done, {pending} pending);"
-                          f" start workers with: repro worker --cluster {args.cluster}")
-                return 0
-            sweep = coordinator.execute(timeout=args.timeout)
-        except ClusterError as exc:
-            raise SystemExit(f"repro sweep: {exc}") from exc
+        coordinator = SweepCoordinator(args.cluster,
+                                       lease_seconds=args.lease,
+                                       progress=log_cell_progress)
+        manifest = coordinator.submit(base, grid, reseed=reseed,
+                                      resume=args.resume)
+        if args.enqueue_only:
+            pending, leased, done = coordinator.queue.counts()
+            summary = {"cells": len(manifest), "pending": pending,
+                       "leased": leased, "done": done,
+                       "cluster": args.cluster}
+            if args.json:
+                print(document_json(summary))
+            else:
+                print(f"enqueued sweep: {len(manifest)} cells in "
+                      f"{args.cluster} ({done} already done, {pending} pending);"
+                      f" start workers with: repro worker --cluster {args.cluster}")
+            return 0
+        sweep = coordinator.execute(timeout=args.timeout)
     else:
-        try:
-            cells = expand_grid(base, grid, reseed=reseed)
-        except ValueError as exc:  # an axis path or value the spec refuses
-            raise SystemExit(f"repro sweep: {exc}") from exc
+        cells = expand_grid(base, grid, reseed=reseed)
         sweep = SweepRunner(workers=args.workers,
                             progress=log_cell_progress).run_cells(
             cells, base_spec=base.to_dict(),
@@ -381,10 +355,7 @@ def run_topo(args: argparse.Namespace) -> int:
                               for path, raw in args.set}
     if args.seed is not None:
         params["seed"] = args.seed
-    try:
-        spec = TopologySpec.from_dict({"kind": args.name, "params": params})
-    except ValueError as error:  # a parameter the builder does not declare
-        raise SystemExit(f"repro topo: {error}") from error
+    spec = TopologySpec.from_dict({"kind": args.name, "params": params})
     start = time.perf_counter()
     handle = build_topology(spec.kind, spec.params)
     build_seconds = time.perf_counter() - start
@@ -447,10 +418,7 @@ def run_report(args: argparse.Namespace) -> int:
     )
     from repro.experiments.sweep import provenance_sidecar_path
 
-    try:
-        doc = load_document(args.input)
-    except (OSError, ValueError) as error:  # unreadable file, or not JSON
-        raise SystemExit(f"repro report: {error}") from error
+    doc = load_document(args.input)
     provenance = None
     sidecar = provenance_sidecar_path(args.input)
     if os.path.exists(sidecar):
@@ -469,7 +437,7 @@ def run_report(args: argparse.Namespace) -> int:
     if args.plot:
         written += _plot_document(doc, args)
     elif args.figures_dir or args.request:
-        raise SystemExit("--figures-dir/--request only apply with --plot")
+        raise ValueError("--figures-dir/--request only apply with --plot")
     if written:
         logger.info("wrote %s", ", ".join(written))
     elif not args.plot:
@@ -482,27 +450,23 @@ def _plot_document(doc: Any, args: argparse.Namespace) -> List[str]:
     from repro.analysis.figures import default_figures, render_figures
 
     if not isinstance(doc, dict) or doc.get("schema") != "experiment_sweep/v1":
-        raise SystemExit(
-            "repro report --plot: figures are rendered from "
+        raise ValueError(
+            "--plot: figures are rendered from "
             "experiment_sweep/v1 documents (run `repro sweep --output ...`)")
     if args.request:
         from repro.experiments import load_sweep_request
 
         figures = load_sweep_request(args.request).figures
         if not figures:
-            raise SystemExit(
-                f"repro report --plot: {args.request} has no 'figures' section")
+            raise ValueError(
+                f"--plot: {args.request} has no 'figures' section")
     else:
         figures = default_figures(doc)
         if not figures:
-            raise SystemExit(
-                "repro report --plot: the sweep document has no grid axes to "
+            raise ValueError(
+                "--plot: the sweep document has no grid axes to "
                 "plot against; describe figures in a --request file")
-    figures_dir = args.figures_dir or "figures"
-    try:
-        return render_figures(doc, figures, figures_dir)
-    except ValueError as exc:
-        raise SystemExit(f"repro report --plot: {exc}") from exc
+    return render_figures(doc, figures, args.figures_dir or "figures")
 
 
 def run_paper(args: argparse.Namespace) -> int:
@@ -510,26 +474,17 @@ def run_paper(args: argparse.Namespace) -> int:
     from repro.paper import run_paper as run_paper_pipeline
 
     if args.cluster and args.workers != 1:
-        raise SystemExit(
-            "repro paper: --workers does not apply with --cluster; "
+        raise ValueError(
+            "--workers does not apply with --cluster; "
             "parallelism comes from `repro worker` processes")
-    try:
-        summary = run_paper_pipeline(
-            grids_dir=args.grids,
-            output_dir=args.output,
-            quick=args.quick,
-            workers=args.workers,
-            cluster_dir=args.cluster or None,
-            timeout=args.timeout,
-        )
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"repro paper: {exc}") from exc
-    except Exception as exc:  # ClusterError without importing eagerly
-        from repro.cluster import ClusterError
-
-        if isinstance(exc, ClusterError):
-            raise SystemExit(f"repro paper: {exc}") from exc
-        raise
+    summary = run_paper_pipeline(
+        grids_dir=args.grids,
+        output_dir=args.output,
+        quick=args.quick,
+        workers=args.workers,
+        cluster_dir=args.cluster or None,
+        timeout=args.timeout,
+    )
     if args.json:
         print(document_json(summary))
         return 0
@@ -548,27 +503,15 @@ def run_paper(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # observability subcommands (the flight recorder and friends)
 # ----------------------------------------------------------------------
-def _load_trace_or_die(path: str) -> tuple:
-    from repro.obs.trace import load_trace
-
-    try:
-        return load_trace(path)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"repro trace: {exc}") from exc
-
-
 def run_trace_record(args: argparse.Namespace) -> int:
     """``repro trace record``: run one spec with tracing on, write JSONL."""
     spec = _base_spec(args)
     names = [c.strip() for c in args.channels.split(",") if c.strip()]
     if names == ["all"]:
         names = list(OBSERVE_CHANNELS)
-    try:
-        observe = ObserveSpec(channels=tuple(dict.fromkeys(names)),
-                              metrics=args.metrics,
-                              sample_period=args.sample_period)
-    except ValueError as exc:
-        raise SystemExit(f"repro trace record: {exc}") from exc
+    observe = ObserveSpec(channels=tuple(dict.fromkeys(names)),
+                          metrics=args.metrics,
+                          sample_period=args.sample_period)
     spec = dataclasses.replace(spec, observe=observe)
     execution = ExperimentRunner().prepare(spec)
     result = execution.run()
@@ -601,7 +544,9 @@ def run_trace_show(args: argparse.Namespace) -> int:
     """``repro trace show``: print a recorded trace — reconstructed AITF
     protocol timelines for ``aitf-control`` (the default), raw records for
     any other channel."""
-    header, records = _load_trace_or_die(args.trace)
+    from repro.obs.trace import load_trace
+
+    header, records = load_trace(args.trace)
     channel = args.channel or "aitf-control"
     selected = [r for r in records if r.get("ch") == channel]
     if args.json:
@@ -626,9 +571,8 @@ def run_trace_show(args: argparse.Namespace) -> int:
                 print(line)
         return 0
     if args.victim or args.attacker:
-        raise SystemExit(
-            "repro trace show: --victim/--attacker only apply to the "
-            "aitf-control timeline view")
+        raise ValueError(
+            "--victim/--attacker only apply to the aitf-control timeline view")
     for record in selected:
         extras = [f"{key}={record[key]}" for key in sorted(record)
                   if key not in ("t", "ch", "ev")]
@@ -641,14 +585,13 @@ def run_trace_show(args: argparse.Namespace) -> int:
 
 def run_trace_filter(args: argparse.Namespace) -> int:
     """``repro trace filter``: write a sub-trace keeping only some channels."""
-    from repro.obs.trace import write_trace
+    from repro.obs.trace import load_trace, write_trace
 
-    header, records = _load_trace_or_die(args.trace)
+    header, records = load_trace(args.trace)
     channels = [c.strip() for c in args.channel.split(",") if c.strip()]
     unknown = sorted(set(channels) - set(OBSERVE_CHANNELS))
     if unknown:
-        raise SystemExit("repro trace filter: unknown channel(s): "
-                         + ", ".join(unknown))
+        raise ValueError("unknown channel(s): " + ", ".join(unknown))
     kept = [r for r in records if r.get("ch") in channels]
     header = dict(header)
     header["channels"] = [c for c in header.get("channels", channels)
@@ -667,9 +610,10 @@ def run_trace_diff(args: argparse.Namespace) -> int:
     """``repro trace diff``: compare two traces' AITF protocol timelines
     (exit 1 when they drift — the packet-vs-train parity check)."""
     from repro.obs.flight import FlightRecorder, diff_timelines
+    from repro.obs.trace import load_trace
 
-    recorder_a = FlightRecorder(_load_trace_or_die(args.a)[1])
-    recorder_b = FlightRecorder(_load_trace_or_die(args.b)[1])
+    recorder_a = FlightRecorder(load_trace(args.a)[1])
+    recorder_b = FlightRecorder(load_trace(args.b)[1])
     diffs = diff_timelines(recorder_a, recorder_b, tolerance=args.tolerance)
     if args.json:
         print(document_json({
@@ -709,14 +653,6 @@ def _redteam_executor(args: argparse.Namespace) -> Any:
     return SweepRunner(workers=args.workers, cache=cache)
 
 
-def _load_json_or_die(path: str, what: str) -> Dict[str, Any]:
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
-        raise SystemExit(f"repro redteam: cannot read {what} {path}: {error}")
-
-
 def run_redteam_search(args: argparse.Namespace) -> int:
     """``repro redteam search``: successive-refinement search of the attack
     ladders for cells where the defense's goodput collapses."""
@@ -748,13 +684,14 @@ def run_redteam_repair(args: argparse.Namespace) -> int:
     each collapse cell of a recorded search (exit 1 if any cell stays
     unrepaired by the committed menu)."""
     from repro.analysis.redteam import repair_table
+    from repro.analysis.sweep_report import load_document
     from repro.experiments.sweep import provenance_sidecar_path
     from repro.redteam import run_repair, write_report
     from repro.redteam.search import search_provenance
     from repro.redteam.spec import load_redteam_spec
 
     spec = load_redteam_spec(args.spec, quick=args.quick)
-    search_document = _load_json_or_die(args.search, "search document")
+    search_document = load_document(args.search)
     executor = _redteam_executor(args)
     report = run_repair(spec, search_document, executor=executor)
     write_report(report, args.output)
@@ -778,12 +715,13 @@ def run_redteam_verify(args: argparse.Namespace) -> int:
     """``repro redteam verify``: replay search + repair from the spec and
     compare bytes / run-hash against the recorded documents (exit 1 on any
     mismatch or a cache hit rate below ``--min-hit-rate``)."""
+    from repro.analysis.sweep_report import load_document
     from repro.redteam import verify_replay
     from repro.redteam.spec import load_redteam_spec
 
     spec = load_redteam_spec(args.spec, quick=args.quick)
-    search_document = _load_json_or_die(args.search, "search document")
-    report = _load_json_or_die(args.report, "repair report")
+    search_document = load_document(args.search)
+    report = load_document(args.report)
     executor = _redteam_executor(args)
     verdict = verify_replay(spec, search_document, report, executor=executor)
     passed = verdict["verified"] and verdict["hit_rate"] >= args.min_hit_rate
@@ -1123,12 +1061,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    The CLI's one error boundary.  A command refuses bad input by raising;
+    a ``ValueError`` (a spec, value or document it cannot use), an
+    ``OSError`` (a file it cannot read or write) or a ``ClusterError`` (a
+    queue it cannot use) becomes one ``repro COMMAND: message`` line and
+    exit status 1, after the traceback under ``--verbose``.  Anything else
+    is a bug and keeps its traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     _reject_flood_flags_with_spec_file(parser, args)
     setup_logging(verbose=args.verbose, quiet=args.quiet)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as error:
+        if not isinstance(error, (ValueError, OSError)):
+            # Imported only now: `repro run` never loads repro.cluster.
+            from repro.cluster import ClusterError
+
+            if not isinstance(error, ClusterError):
+                raise
+        logger.debug("repro %s failed", args.command, exc_info=True)
+        raise SystemExit(f"repro {args.command}: {error}") from error
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests calling main()

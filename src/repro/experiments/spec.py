@@ -448,6 +448,10 @@ class ExperimentSpec:
                  "collectors", "aitf", "detection_delay", "duration", "seed",
                  "engine", "faults", "observe", "sample_occupancy"}
         _reject_unknown_keys(data, known, "experiment")
+        seed = data.get("seed", 0)
+        if type(seed) is not int:  # a bool, a float or a string is no seed
+            raise ValueError(f"bad experiment spec value: seed={seed!r} "
+                             "(want an integer)")
         return cls(
             name=data.get("name", "experiment"),
             topology=TopologySpec.from_dict(data.get("topology", {})),
@@ -459,7 +463,7 @@ class ExperimentSpec:
             aitf=_params_dict(data.get("aitf"), AITF_PARAMETERS, "aitf"),
             detection_delay=float(data.get("detection_delay", 0.1)),
             duration=float(data.get("duration", 10.0)),
-            seed=int(data.get("seed", 0)),
+            seed=seed,
             engine=EngineSpec.from_dict(data.get("engine", {})),
             faults=tuple(FaultSpec.from_dict(f)
                          for f in data.get("faults", [])),
@@ -560,9 +564,10 @@ def canonical_spec_json(spec: Union["ExperimentSpec", Mapping[str, Any]]) -> str
 
     The spec (object or dict) is first round-tripped through
     :meth:`ExperimentSpec.from_dict`, which normalises the spec's own fields
-    (``duration`` to float, ``seed`` to int, omitted fields filled in,
-    unknown keys and parameters rejected), then dumped with sorted keys and
-    fixed separators, whatever the key order or the process that wrote it.
+    (``duration`` to float, omitted fields filled in; unknown keys and
+    parameters, and a seed that is not an int, rejected), then dumped with
+    sorted keys and fixed separators, whatever the key order or the process
+    that wrote it.
     Component params and the ``aitf`` block stay as written: omitting
     ``start`` and writing ``"start": 0.0`` give two texts, so two hashes
     (filling in builder defaults would move every committed spec's hash).

@@ -259,6 +259,10 @@ class _RequestStream:
                  start_time: float = 0.0) -> None:
         if rate <= 0:
             raise ValueError(f"{self.kind} rate must be positive")
+        if start_time < 0:
+            raise ValueError(f"{self.kind} start must be >= 0, got {start_time}")
+        if duration is not None and duration < 0:
+            raise ValueError(f"{self.kind} duration must be >= 0, got {duration}")
         self.ctx = ctx
         self.rate = rate
         self.duration = duration

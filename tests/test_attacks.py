@@ -195,6 +195,50 @@ class TestZombieArmy:
             ZombieArmy([], dumbbell.victim.address)
 
 
+class TestBuildTimeRefusals:
+    """A source refuses an impossible packet size or emission window when
+    it is built: a negative size used to report negative bit rates, and a
+    negative duration died as a scheduling error once the run started."""
+
+    BUILDERS = {
+        "flood": lambda f, **kw: FloodAttack(f.b_host, f.g_host.address, **kw),
+        "spoofed": lambda f, **kw: SpoofedFloodAttack(
+            f.b_host, f.g_host.address, **kw),
+        "legitimate": lambda f, **kw: LegitimateTraffic(
+            f.b_host, f.g_host.address, **kw),
+        "poisson": lambda f, **kw: PoissonTraffic(
+            f.b_host, f.g_host.address, **kw),
+        "zombies": lambda f, **kw: ZombieArmy([f.b_host], f.g_host.address,
+                                              **kw),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_negative_duration_refused(self, name):
+        with pytest.raises(ValueError, match=r"^duration must be >= 0, got -1"):
+            self.BUILDERS[name](build_figure1(), duration=-1.0)
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_non_positive_packet_size_refused(self, name, size):
+        with pytest.raises(ValueError,
+                           match=f"^packet_size must be positive, got {size}$"):
+            self.BUILDERS[name](build_figure1(), packet_size=size)
+
+    def test_onoff_non_positive_packet_size_refused(self):
+        figure1 = build_figure1()
+        with pytest.raises(ValueError, match="^packet_size must be positive"):
+            OnOffAttack(figure1.b_host, figure1.g_host.address, packet_size=0)
+
+    def test_zero_duration_builds_and_emits_nothing(self):
+        figure1 = build_figure1()
+        attack = FloodAttack(figure1.b_host, figure1.g_host.address,
+                             rate_pps=100.0, start_time=0.5, duration=0.0)
+        attack.start()
+        figure1.sim.run(until=1.0)
+        assert attack.packets_offered == 0
+        assert not attack.active
+
+
 class TestLegitimateTraffic:
     def test_goodput_accounting(self):
         figure1 = build_figure1(extra_good_hosts=1)

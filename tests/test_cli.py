@@ -351,7 +351,7 @@ class TestReportCommand:
     def test_report_rejects_non_experiment_json(self, tmp_path):
         bogus = tmp_path / "bogus.json"
         bogus.write_text('{"hello": 1}')
-        with pytest.raises(ValueError, match="unrecognised"):
+        with pytest.raises(SystemExit, match="unrecognised"):
             main(["report", str(bogus)])
 
 
@@ -594,6 +594,64 @@ class TestSpecErrors:
             "repro sweep: bad workload 'flood' parameter value(s): "
             "duration='abc' (want a number)")
         assert not (queue / "run.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        "run --duration 1 --set defense.params.deployment=tier1",
+        "run --duration 1 --set defense.params.compromised_routers=[\"nope\"]",
+        "run --duration 1 --set aitf.temporary_filter_timeout=0",
+        "run --duration 1 --set workloads.1.params.attacker=5",
+        "run --duration 1 --set workloads.1.params.duration=-1",
+        "--json run --duration 2 --set workloads.1.params.packet_size=-5",
+        "--json run --duration 2 --set workloads.0.params.packet_size=0",
+        "--json run --duration 1 --set seed=1.5",
+        "sweep --param workloads.1.params.start=-1,0 --duration 1",
+        "sweep --param duration=1 --workers 0",
+        "trace record --duration 1 --set workloads.1.params.rate_pps=-5 "
+        "--output {tmp}/x.jsonl",
+        "topo --name hierarchy --set autonomous_systems=-3",
+        "redteam search --spec {tmp}/missing.json",
+        "run --spec {victim} --set workloads.0.params.start=-1",
+        "run --spec {victim} --set workloads.0.params.duration=-1",
+        "run --spec {onoff} --set workloads.0.params.start=-1",
+        "run --spec {onoff} --set workloads.0.params.cycles=0",
+    ], ids=["deployment", "compromised-router", "ttmp", "attacker-index",
+            "negative-duration", "negative-packet-size", "zero-packet-size",
+            "float-seed", "negative-start", "zero-workers",
+            "negative-rate", "too-few-ases", "missing-file",
+            "negative-request-start", "negative-request-duration",
+            "negative-onoff-start", "zero-onoff-cycles"])
+    def test_refused_input_is_one_line_and_exit_1(self, tmp_path, argv):
+        """Each of these once ended in a traceback or ran with impossible
+        numbers; every refusal now leaves the one error boundary in main()."""
+        argv = argv.format(tmp=tmp_path, victim=VICTIM_SPEC,
+                           onoff=ONOFF_SPEC).split()
+        command = next(arg for arg in argv if not arg.startswith("-"))
+        completed = _repro(*argv)
+        assert completed.returncode == 1
+        assert completed.stdout == ""
+        assert completed.stderr.startswith(f"repro {command}: ")
+        assert completed.stderr.count("\n") == 1, completed.stderr
+        assert not os.path.exists(tmp_path / "x.jsonl")
+
+    def test_verbose_refusal_prints_the_traceback_and_still_exits_1(self):
+        completed = _repro("-v", "run", "--duration", "1",
+                           "--set", "workloads.1.params.duration=-1")
+        assert completed.returncode == 1
+        assert completed.stdout == ""
+        lines = completed.stderr.splitlines()
+        assert "Traceback (most recent call last):" in lines
+        assert lines[-1] == "repro run: duration must be >= 0, got -1"
+
+    def test_a_bug_keeps_its_traceback(self, monkeypatch):
+        """Only refused input becomes one line; any other error is a bug."""
+        from repro.experiments.runner import ExperimentRunner
+
+        def broken(*args, **kwargs):
+            raise KeyError("a bug")
+
+        monkeypatch.setattr(ExperimentRunner, "run", broken)
+        with pytest.raises(KeyError, match="a bug"):
+            main(["run", "--duration", "1"])
 
     def test_negative_workload_start_is_refused(self):
         """A negative start would run the clock backwards; the tick process

@@ -103,7 +103,8 @@ class TestCliDocs:
         # as misleading as missing ones.
         import re
         parser = build_parser()
-        known = set(_subparser_choices(parser)) | {"Spec vocabulary"}
+        known = set(_subparser_choices(parser)) | {
+            "Spec vocabulary", "Errors and exit status"}
         for match in re.findall(r"^## (.+)$", cli_md, flags=re.M):
             assert match in known, (
                 f"docs/cli.md documents {match!r}, which build_parser() "
@@ -415,6 +416,77 @@ class TestSchedulingCensus:
         assert _event_constructions(
             "import threading\nstop = threading.Event()\n"
             "e = Event(1.0, f)\nf = engine.Event(2.0, g)\n") == [3, 4]
+
+
+def _outside_main(source):
+    """The top-level statements of ``source`` other than ``def main``."""
+    return [node for node in ast.parse(source).body
+            if not (isinstance(node, ast.FunctionDef) and node.name == "main")]
+
+
+def _system_exit_names(source):
+    """Line numbers where ``source`` names ``SystemExit`` outside ``main``."""
+    return [node.lineno for top in _outside_main(source)
+            for node in ast.walk(top)
+            if isinstance(node, ast.Name) and node.id == "SystemExit"]
+
+
+def _exiting_handlers(source):
+    """Line numbers of the ``except`` handlers outside ``main`` that exit:
+    ``raise SystemExit(...)`` (bare or called) or ``sys.exit(...)``."""
+    def exits(node):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            return isinstance(target, ast.Name) and target.id == "SystemExit"
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "exit"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "sys")
+
+    return [handler.lineno for top in _outside_main(source)
+            for handler in ast.walk(top)
+            if isinstance(handler, ast.ExceptHandler)
+            and any(exits(node) for node in ast.walk(handler))]
+
+
+class TestCliErrorBoundaryCensus:
+    """``repro.cli.main`` is the CLI's one error boundary: a command raises
+    and ``main`` turns a refused input into one ``repro COMMAND:`` line, so
+    no command catches an error only to exit with it."""
+
+    CLI = os.path.join(REPO_ROOT, "src", "repro", "cli.py")
+
+    def test_only_main_names_system_exit(self):
+        assert _system_exit_names(_read(self.CLI)) == [], (
+            "cli.py names SystemExit outside main(): raise ValueError and "
+            "let main() report it")
+
+    def test_no_handler_outside_main_exits(self):
+        assert _exiting_handlers(_read(self.CLI)) == [], (
+            "an except handler in cli.py exits outside main(): let the "
+            "error reach main()")
+
+    def test_the_census_catches_a_planted_handler(self):
+        planted = (
+            "import sys\n"
+            "def run_x(args):\n"
+            "    try:\n"
+            "        load(args.path)\n"
+            "    except ValueError as error:\n"
+            "        raise SystemExit(f'repro x: {error}')\n"
+            "def run_y(args):\n"
+            "    try:\n"
+            "        load(args.path)\n"
+            "    except OSError:\n"
+            "        sys.exit(1)\n"
+            "def main(argv=None):\n"
+            "    try:\n"
+            "        return run_x(argv)\n"
+            "    except ValueError as error:\n"
+            "        raise SystemExit(str(error)) from error\n")
+        assert _system_exit_names(planted) == [6]
+        assert _exiting_handlers(planted) == [5, 10]
 
 
 def _ci_jobs():

@@ -67,6 +67,23 @@ class TestSpecRoundTrip:
         with pytest.raises(ValueError, match="topologgy"):
             ExperimentSpec.from_dict(data)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "7", None],
+                             ids=["float", "bool", "string", "null"])
+    def test_a_seed_that_is_not_an_int_is_refused(self, seed):
+        """It used to be coerced: 1.5 and true ran seed 1, "7" seed 7."""
+        data = default_flood_spec().to_dict()
+        data["seed"] = seed
+        with pytest.raises(ValueError, match=(
+                r"^bad experiment spec value: seed=.* \(want an integer\)$")):
+            ExperimentSpec.from_dict(data)
+        with pytest.raises(ValueError, match="want an integer"):
+            default_flood_spec().with_overrides({"seed": seed})
+
+    def test_an_int_seed_is_kept(self):
+        data = default_flood_spec().to_dict()
+        data["seed"] = 2 ** 31 - 1
+        assert ExperimentSpec.from_dict(data).seed == 2 ** 31 - 1
+
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_engine_shards_fails_with_the_removal_message(self, shards):
         data = default_flood_spec().to_dict()
