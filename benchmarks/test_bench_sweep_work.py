@@ -33,8 +33,13 @@ below pins its bytes to stdlib's ``json.dumps(indent=2, sort_keys=True)``
 and the Python calls it makes (``sys.setprofile`` call events) to at most
 one per container plus one per float, bool or None value.  Stdlib's
 generator-based encoder resumes a generator once per value or more
-(465,899 call events on the 200-cell document, against 5,504; the test
-prints both).
+(465,899 call events on the 200-cell document, against 825; the test
+prints both).  Each cell's result is encoded once, when the cell is
+resolved, and the document splices that text: on a resumed pass
+``to_json`` calls ``_write_json`` for the document's head (everything but
+the cells), for each cell's dict and overrides and once per cell result,
+never inside one (621 calls on the 200-cell document, against 5,501 to
+encode it whole; the test prints both and its bound).
 """
 
 import json
@@ -48,8 +53,10 @@ from repro.cluster import ClusterWorker, FileQueue, SweepCoordinator
 from repro.cluster import cache as cache_module
 from repro.cluster import fsqueue as fsqueue_module
 from repro.cluster import manifest as manifest_module
-from repro.experiments import SweepRunner, default_flood_spec
+from repro.experiments import default_flood_spec
+from repro.experiments import spec as spec_module
 from repro.experiments import sweep as sweep_module
+from repro.experiments.spec import document_json
 
 BASE = dict(duration=0.5, attack_pps=200.0, legit_pps=100.0)
 GRID_12 = {"defense.backend": ["aitf", "pushback", "none"],
@@ -183,6 +190,24 @@ def python_calls(function, *args):
     return value, calls
 
 
+def write_json_calls(function, *args):
+    """What ``function(*args)`` returns, and how many times it called the
+    encoder's ``_write_json`` meanwhile."""
+    write_code = spec_module._write_json.__code__
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is write_code
+
+    sys.setprofile(count)
+    try:
+        value = function(*args)
+    finally:
+        sys.setprofile(None)
+    return value, calls
+
+
 def value_counts(value, counts):
     """Tally ``value``'s containers and its float, bool and None leaves."""
     if isinstance(value, (dict, list)):
@@ -194,19 +219,30 @@ def value_counts(value, counts):
     return counts
 
 
-def test_the_sweep_document_is_stdlibs_text_in_a_call_per_container():
-    """A cold 200-cell grid shaped like the ``sweep_warm`` bench workload
-    (5 defenses x 8 rates x 5 seeds, train engine, 2 s)."""
-    base = default_flood_spec(duration=2.0, attack_pps=5000.0).with_overrides({
-        "engine.mode": "train", "sample_occupancy": False,
-        "topology.params.extra_good_hosts": 1,
-        "defense.params.non_cooperating": ["B_host"]})
-    grid = {"defense.backend": ["aitf", "pushback", "ingress-dpf", "manual",
-                                "none"],
-            "workloads.1.params.rate_pps": [500.0, 1000.0, 1500.0, 2000.0,
-                                            3000.0, 4000.0, 5000.0, 6000.0],
-            "seed": [1, 2, 3, 4, 5]}
-    sweep = SweepRunner().run_grid(base, grid)
+WARM_BASE = default_flood_spec(duration=2.0, attack_pps=5000.0).with_overrides({
+    "engine.mode": "train", "sample_occupancy": False,
+    "topology.params.extra_good_hosts": 1,
+    "defense.params.non_cooperating": ["B_host"]})
+WARM_GRID = {"defense.backend": ["aitf", "pushback", "ingress-dpf", "manual",
+                                 "none"],
+             "workloads.1.params.rate_pps": [500.0, 1000.0, 1500.0, 2000.0,
+                                             3000.0, 4000.0, 5000.0, 6000.0],
+             "seed": [1, 2, 3, 4, 5]}
+
+
+@pytest.fixture(scope="module")
+def warm_grid_dir(tmp_path_factory):
+    """A cold coordinator pass over a 200-cell grid shaped like the
+    ``sweep_warm`` bench workload (5 defenses x 8 rates x 5 seeds, train
+    engine, 2 s): its queue directory and its sweep."""
+    cluster_dir = str(tmp_path_factory.mktemp("warm_grid"))
+    return cluster_dir, SweepCoordinator(cluster_dir).run_grid(WARM_BASE,
+                                                               WARM_GRID)
+
+
+def test_the_sweep_document_is_stdlibs_text_in_a_call_per_container(
+        warm_grid_dir):
+    _, sweep = warm_grid_dir
     document = sweep.to_dict()
     assert len(document["cells"]) == 200
 
@@ -219,3 +255,27 @@ def test_the_sweep_document_is_stdlibs_text_in_a_call_per_container():
           f"containers, {counts['scalars']} float/bool/None values; "
           f"Python call events: document_json {calls}, stdlib {stdlib_calls}")
     assert calls <= counts["containers"] + counts["scalars"], (calls, counts)
+
+
+def test_a_resumed_sweep_splices_each_cached_result_without_encoding_it(
+        warm_grid_dir):
+    """Every cell of the resumed pass is a cache hit, and its result goes
+    into the document as the text the cache holds: ``_write_json`` is
+    called for the document's head and for each cell's dict, overrides
+    and result, and never for a value inside a result."""
+    cluster_dir, cold = warm_grid_dir
+    warm = SweepCoordinator(cluster_dir).run_grid(WARM_BASE, WARM_GRID,
+                                                  resume=True)
+    assert warm.provenance["cache"] == {"hits": 200, "misses": 0}
+    text, writes = write_json_calls(warm.to_json)
+    assert text == cold.to_json()
+    document = warm.to_dict()
+    _, head = write_json_calls(document_json, {**document, "cells": []})
+    _, encoded = write_json_calls(document_json, document)
+    cells = len(document["cells"])
+    # A cell's dict, its overrides and its spliced result.
+    bound = 3 * cells + head
+    print(f"\nresumed sweep document: _write_json calls {writes}, bound "
+          f"{bound} ({cells} cells, {head} for the head; encoding every "
+          f"result again makes {encoded})")
+    assert writes <= bound, (writes, bound)

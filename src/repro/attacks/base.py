@@ -46,6 +46,8 @@ class TrafficSource:
             raise ValueError("rate_pps must be positive")
         if packet_size <= 0:
             raise ValueError(f"packet_size must be positive, got {packet_size}")
+        if start_time < 0:
+            raise ValueError(f"start_time must be >= 0, got {start_time}")
         if duration is not None and duration < 0:
             raise ValueError(f"duration must be >= 0, got {duration}")
         self.rate_pps = rate_pps

@@ -18,6 +18,12 @@ files.  Each entry carries the result plus a small execution record (which
 worker, how long) that feeds the sweep provenance sidecar without ever
 touching the canonical sweep document.
 
+The result is stored as its :func:`~repro.experiments.spec.document_json`
+text, the text a sweep document splices in as it is, so a cached cell is
+encoded once, when it is computed.  Beside the text sits its SHA-256: an
+entry damaged into different but still valid JSON fails the digest and
+is a miss (logged), and the cell is computed again.
+
 The spec hash says what the experiment *is*; it says nothing about the
 code that ran it.  So every entry is also stamped with a fingerprint of
 the ``repro`` package source, and an entry whose fingerprint does not
@@ -30,16 +36,18 @@ byte-identical-to-serial guarantee).
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 from typing import Any, Dict, List, Optional, Set
 
 from repro.cluster.fsqueue import read_json, write_json_atomic
+from repro.experiments.spec import document_json
 from repro.obs.logsetup import get_logger
 
 logger = get_logger("cluster.cache")
 
 #: Version tag written into cache entries.
-CACHE_SCHEMA = "cell_cache/v1"
+CACHE_SCHEMA = "cell_cache/v2"
 
 _CODE_FINGERPRINT: Optional[str] = None
 
@@ -88,24 +96,36 @@ class CellCache:
         return os.path.join(self.root, key[:2], f"{key}.json")
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The full cache entry for ``key`` (schema, result, execution
-        record), or ``None`` on a miss — including entries computed by a
-        different version of the code, which must not replay."""
+        """The full cache entry for ``key`` (schema, ``result_text`` and
+        its digest, execution record) plus ``result``, the text parsed; or
+        ``None`` on a miss — including entries of another schema, entries
+        computed by a different version of the code, which must not
+        replay, and entries whose text fails its digest."""
         entry = read_json(self.path_for(key))
         if entry is None:
             logger.debug("cell cache miss %s", key[:12])
             return None
-        if entry.get("code") != code_fingerprint():
-            logger.debug("cell cache stale %s (code fingerprint changed)",
-                         key[:12])
+        if entry.get("schema") != CACHE_SCHEMA \
+                or entry.get("code") != code_fingerprint():
+            logger.debug("cell cache stale %s (schema or code fingerprint "
+                         "changed)", key[:12])
+            return None
+        text = entry.get("result_text")
+        if not isinstance(text, str) or entry.get("result_sha256") != \
+                hashlib.sha256(text.encode("utf-8")).hexdigest():
+            logger.warning("cell cache entry %s fails its digest; "
+                           "computing the cell again", key[:12])
             return None
         logger.debug("cell cache hit %s", key[:12])
+        entry["result"] = json.loads(text)
         return entry
 
     def put(self, key: str, result: Dict[str, Any], *,
-            worker: str = "", wall_seconds: float = 0.0) -> None:
+            worker: str = "", wall_seconds: float = 0.0) -> str:
         """Publish a result under ``key`` (atomic; last writer wins, and
-        racing writers computed identical results by construction)."""
+        racing writers computed identical results by construction) and
+        return its :func:`document_json` text, the text stored."""
+        text = document_json(result)
         if key[:2] not in self._prefixes:
             os.makedirs(os.path.join(self.root, key[:2]), exist_ok=True)
             self._prefixes.add(key[:2])
@@ -115,8 +135,10 @@ class CellCache:
             "code": code_fingerprint(),
             "worker": worker,
             "wall_seconds": wall_seconds,
-            "result": result,
+            "result_text": text,
+            "result_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
         }, self.tmp_dir)
+        return text
 
     def keys(self) -> List[str]:
         """Every cached spec hash (mainly for tests and inspection)."""

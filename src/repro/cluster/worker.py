@@ -72,9 +72,9 @@ class _DaemonResolver(CellResolver):
     dropped once it is in the cache instead of piling up for the life of
     the process."""
 
-    def _resolve(self, position: int, result: Dict[str, Any],
+    def _resolve(self, position: int, result: Dict[str, Any], text: str,
                  *record: Any) -> None:
-        super()._resolve(position, None, *record)
+        super()._resolve(position, None, None, *record)
 
 
 class _RunLease:

@@ -593,13 +593,30 @@ def document_json(value: Any) -> str:
     container and hands exact ``str`` / ``int`` / finite ``float`` items
     straight to C.  The text is byte-identical to stdlib's for every
     JSON-native value (subclasses, enums, non-str keys, ``NaN`` and
-    ``±Infinity`` included, pinned in ``tests/test_properties.py``); any
+    ``±Infinity`` included, pinned in ``tests/test_properties.py``); an
+    :class:`EncodedJSON` is spliced in as the text it carries, and any
     other type raises stdlib's ``TypeError``.  A cyclic value raises
     ``RecursionError``, not stdlib's ``ValueError``.
     """
     parts: List[str] = []
     _write_json(value, parts, "\n")
     return "".join(parts)
+
+
+class EncodedJSON:
+    """A value already encoded by :func:`document_json`, to be spliced into
+    a larger document instead of encoded again.
+
+    The text is re-indented to the depth it lands at, by prefixing every
+    line break with that depth's indent; every line break in it is
+    structural (a JSON string escapes its own), so the result is the text
+    of the original value at that depth, byte for byte.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
 
 
 def _write_json(value: Any, parts: List[str], newline: str) -> None:
@@ -662,6 +679,8 @@ def _write_json(value: Any, parts: List[str], newline: str) -> None:
             else:
                 _write_json(item, parts, inner)
         append(newline + "}")
+    elif type(value) is EncodedJSON:
+        parts.append(value.text.replace("\n", newline))
     else:
         raise TypeError(f"Object of type {value.__class__.__name__} "
                         f"is not JSON serializable")

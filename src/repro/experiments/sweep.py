@@ -37,7 +37,7 @@ from functools import cached_property
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.spec import ExperimentSpec, document_json, spec_hash
+from repro.experiments.spec import EncodedJSON, ExperimentSpec, document_json, spec_hash
 from repro.obs.logsetup import get_logger
 
 logger = get_logger("experiments.sweep")
@@ -197,7 +197,10 @@ class SweepResult:
 
     base_spec: Dict[str, Any]
     grid: Dict[str, List[Any]]
-    cells: List[Dict[str, Any]] = field(default_factory=list)
+    cells: List[Dict[str, Any]]
+    #: Each cell's result as :func:`document_json` text, in cell order:
+    #: what :meth:`to_json` splices in instead of encoding it again.
+    result_texts: List[str]
     provenance: Dict[str, Any] = field(default_factory=dict)
     schema: str = SWEEP_SCHEMA
 
@@ -211,8 +214,13 @@ class SweepResult:
         }
 
     def to_json(self) -> str:
-        """The sweep document as JSON text (:func:`document_json`)."""
-        return document_json(self.to_dict())
+        """The sweep document as JSON text: :func:`document_json` of
+        :meth:`to_dict`, each cell's result spliced from its text."""
+        document = self.to_dict()
+        document["cells"] = [{**cell, "result": EncodedJSON(text)}
+                             for cell, text in zip(self.cells,
+                                                   self.result_texts)]
+        return document_json(document)
 
     def write(self, path: str) -> None:
         """Write the canonical sweep document to a JSON file."""
@@ -253,6 +261,10 @@ class CellResolver:
     is resolved, the merged document with its provenance record
     (:meth:`sweep_result`).  Progress and provenance never touch results,
     which always merge in grid order.
+
+    Each result is encoded once, when it is resolved: :meth:`publish`
+    writes it with :func:`document_json`, and a cache hit comes with the
+    text it was stored as.  The merged document splices those texts.
     """
 
     def __init__(self, cells: Sequence[Mapping[str, Any]], *, cache: Any = None,
@@ -263,6 +275,8 @@ class CellResolver:
         self.progress = progress
         self.worker = worker
         self.results: List[Optional[Dict[str, Any]]] = [None] * len(cells)
+        #: Each result's :func:`document_json` text, beside it.
+        self.texts: List[Optional[str]] = [None] * len(cells)
         #: Per-cell provenance records; ``None`` marks an unresolved cell.
         self.records: List[Optional[Dict[str, Any]]] = [None] * len(cells)
 
@@ -279,10 +293,11 @@ class CellResolver:
         if self.cache is None:
             return False
         entry = self.cache.get(self.cells[position]["spec_hash"])
-        if entry is None or "result" not in entry:
+        if entry is None:
             return False
-        self._resolve(position, entry["result"], entry.get("wall_seconds", 0.0),
-                      entry.get("worker", ""), cached)
+        self._resolve(position, entry["result"], entry["result_text"],
+                      entry.get("wall_seconds", 0.0), entry.get("worker", ""),
+                      cached)
         return True
 
     def execute(self, position: int) -> None:
@@ -292,15 +307,18 @@ class CellResolver:
     def publish(self, position: int, result: Dict[str, Any],
                 wall_seconds: float) -> None:
         """Record a freshly computed result (and persist it, given a cache)."""
-        if self.cache is not None:
-            self.cache.put(self.cells[position]["spec_hash"], result,
-                           worker=self.worker, wall_seconds=wall_seconds)
-        self._resolve(position, result, wall_seconds, self.worker, False)
+        if self.cache is None:
+            text = document_json(result)
+        else:
+            text = self.cache.put(self.cells[position]["spec_hash"], result,
+                                  worker=self.worker, wall_seconds=wall_seconds)
+        self._resolve(position, result, text, wall_seconds, self.worker, False)
 
-    def _resolve(self, position: int, result: Dict[str, Any],
+    def _resolve(self, position: int, result: Dict[str, Any], text: str,
                  wall_seconds: float, worker: str, cached: bool) -> None:
         cell = self.cells[position]
         self.results[position] = result
+        self.texts[position] = text
         record = {"index": cell["index"], "spec_hash": cell["spec_hash"],
                   "seed": cell["seed"], "wall_seconds": wall_seconds,
                   "worker": worker, "cached": cached}
@@ -319,6 +337,7 @@ class CellResolver:
             base_spec=base_spec,
             grid=grid,
             cells=merge_cell_documents(self.cells, self.results),
+            result_texts=list(self.texts),
             provenance={
                 **provenance,
                 "root_seed": base_spec.get("seed"),

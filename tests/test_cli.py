@@ -653,14 +653,21 @@ class TestSpecErrors:
         with pytest.raises(KeyError, match="a bug"):
             main(["run", "--duration", "1"])
 
-    def test_negative_workload_start_is_refused(self):
-        """A negative start would run the clock backwards; the tick process
-        refuses it before the run starts and no result is printed."""
-        completed = _repro("--json", "run", "--duration", "2",
-                           "--set", "workloads.1.params.start=-1")
+    @pytest.mark.parametrize("assignments", [
+        ["workloads.1.params.start=-1"],
+        ["workloads.0.params.poisson=true", "workloads.0.params.start=-1"],
+    ], ids=["flood", "poisson"])
+    def test_negative_workload_start_is_refused(self, assignments):
+        """A negative start would run the clock backwards; the traffic
+        source refuses it, naming its own parameter, before the run starts
+        and no result is printed."""
+        argv = ["--json", "run", "--duration", "2"]
+        for assignment in assignments:
+            argv += ["--set", assignment]
+        completed = _repro(*argv)
         assert completed.returncode != 0
         assert completed.stdout == ""
-        assert "start_delay must be >= 0, got -1.0" in completed.stderr
+        assert "start_time must be >= 0, got -1.0" in completed.stderr
 
     @pytest.mark.parametrize("cluster", [False, True], ids=["local", "cluster"])
     def test_sweep_unknown_backend_axis_is_refused_before_any_cell_runs(

@@ -503,6 +503,43 @@ class TestWorkerAndCoordinator:
         assert resumed.to_json() == serial.to_json()
         assert resumed.provenance["cache"] == {"hits": 0, "misses": 3}
 
+    def test_an_entry_edited_into_other_valid_json_fails_its_digest(
+            self, tmp_path):
+        from repro.experiments.spec import document_json
+
+        base = default_flood_spec(duration=1.0)
+        serial = SweepRunner(workers=1).run_grid(base, tiny_grid())
+        coordinator = SweepCoordinator(str(tmp_path))
+        coordinator.run_grid(base, tiny_grid())
+        # One entry's result loses a key: still valid JSON, still an entry
+        # of this schema and this code, but no longer the text it stored.
+        cache = coordinator.cache
+        key = cache.keys()[0]
+        entry = read_json(cache.path_for(key))
+        result = json.loads(entry["result_text"])
+        del result["legit_delivery_ratio"]
+        entry["result_text"] = document_json(result)
+        with open(cache.path_for(key), "w") as handle:
+            json.dump(entry, handle)
+        warnings = []
+        handler = logging.Handler()
+        handler.emit = lambda record: warnings.append(record.getMessage())
+        cache_log = logging.getLogger("repro.cluster.cache")
+        cache_log.addHandler(handler)
+        try:
+            assert cache.get(key) is None
+        finally:
+            cache_log.removeHandler(handler)
+        assert [w for w in warnings if "fails its digest" in w] == [
+            f"cell cache entry {key[:12]} fails its digest; computing the "
+            "cell again"]
+        resumed = SweepCoordinator(str(tmp_path)).run_grid(base, tiny_grid(),
+                                                           resume=True)
+        assert resumed.provenance["cache"] == {"hits": 1, "misses": 1}
+        assert resumed.to_json() == serial.to_json()
+        # The recomputed cell was published again, whole.
+        assert "legit_delivery_ratio" in cache.get(key)["result"]
+
     def test_resume_with_a_different_grid_is_rejected(self, tmp_path):
         base = default_flood_spec(duration=1.0)
         coordinator = SweepCoordinator(str(tmp_path))

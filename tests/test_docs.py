@@ -10,6 +10,7 @@ fails CI.
 import argparse
 import ast
 import glob
+import json
 import os
 import re
 import runpy
@@ -147,27 +148,49 @@ class TestRegistryDocs:
 
 
 def _parameter_tables(cli_md):
-    """``{heading: documented parameter names}`` for every ``#### ...``
-    heading under "Component parameters" in docs/cli.md."""
+    """``{heading: {parameter name: default column text}}`` for every
+    ``#### ...`` heading under "Component parameters" in docs/cli.md."""
     section = cli_md.split("\n### Component parameters\n", 1)[1]
     section = re.split(r"\n##?#? ", section, maxsplit=1)[0]
     tables = {}
     for block in section.split("\n#### ")[1:]:
         heading, _, body = block.partition("\n")
-        tables[heading.strip()] = set(re.findall(r"^\| `([^`]+)` \|", body, re.M))
+        tables[heading.strip()] = dict(
+            re.findall(r"^\| `([^`]+)` \| ([^|]*?) \|", body, re.M))
     return tables
 
 
+def _documented_default(text):
+    """A default column's value: a backticked word is a string, anything
+    else is a JSON literal (``null``, ``false``, ``[]``, ``10e6``)."""
+    if text.startswith("`") and text.endswith("`"):
+        return text[1:-1]
+    return json.loads(text)
+
+
+def _same_default(documented, declared):
+    """Equal (a tuple as the JSON list it is written as), and a bool only
+    where the other is one (``1 == True``)."""
+    if isinstance(declared, tuple):
+        declared = list(declared)
+    return documented == declared \
+        and isinstance(documented, bool) == isinstance(declared, bool)
+
+
 def _declared_parameters():
-    """``(heading, declared names)`` for every registry entry and ``aitf``."""
-    from repro.experiments.spec import AITF_PARAMETERS
+    """``(heading, {name: default})`` for every registry entry and
+    ``aitf``."""
+    from dataclasses import fields
+
+    from repro.core.config import AITFConfig
 
     for slot, registry in (("topology", TOPOLOGIES), ("defense", DEFENSES),
                            ("workload", WORKLOADS), ("collector", COLLECTORS)):
         for name in registry.names():
-            yield pytest.param(f"{slot} `{name}`", registry.parameters(name),
+            yield pytest.param(f"{slot} `{name}`", registry.defaults(name),
                                id=f"{slot}-{name}")
-    yield pytest.param("`aitf`", AITF_PARAMETERS, id="aitf")
+    yield pytest.param("`aitf`", {field.name: field.default
+                                  for field in fields(AITFConfig)}, id="aitf")
 
 
 class TestComponentParameterDocs:
@@ -176,7 +199,26 @@ class TestComponentParameterDocs:
             self, heading, declared, cli_md):
         tables = _parameter_tables(cli_md)
         assert heading in tables, f"docs/cli.md has no '#### {heading}' table"
-        assert tables[heading] == set(declared)
+        assert set(tables[heading]) == set(declared)
+
+    @pytest.mark.parametrize("heading, declared", _declared_parameters())
+    def test_entry_table_shows_the_declared_defaults(
+            self, heading, declared, cli_md):
+        documented = _parameter_tables(cli_md).get(heading, {})
+        wrong = [f"{name}: documented {text}, declared {declared[name]!r}"
+                 for name, text in sorted(documented.items())
+                 if name in declared
+                 and not _same_default(_documented_default(text),
+                                       declared[name])]
+        assert not wrong, f"docs/cli.md '#### {heading}': " + "; ".join(wrong)
+
+    def test_the_default_column_parses(self):
+        assert _documented_default("10e6") == 10_000_000.0
+        assert _documented_default("`all`") == "all"
+        assert _documented_default("null") is None
+        assert _documented_default("[]") == []
+        assert not _same_default(_documented_default("false"), 0)
+        assert not _same_default(_documented_default("1000"), True)
 
     def test_no_table_for_an_unregistered_entry(self, cli_md):
         headings = {param.values[0] for param in _declared_parameters()}

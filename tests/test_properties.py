@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.metrics import BucketStore, _spread_train_buckets
-from repro.experiments.spec import document_json
+from repro.experiments.spec import EncodedJSON, document_json
 from repro.net.address import IPAddress, Prefix
 from repro.net.flowlabel import FlowLabel
 from repro.net.link import Link
@@ -1429,6 +1429,27 @@ def _stdlib_document(value):
     return json.dumps(value, indent=2, sort_keys=True)
 
 
+def _sub_value_paths(value, path=()):
+    """The path (keys and indices) to ``value`` and to every value in it."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _sub_value_paths(item, path + (key,))
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            yield from _sub_value_paths(item, path + (index,))
+
+
+def _splice_encoded(value, path):
+    """A copy of ``value`` with the value at ``path`` replaced by its
+    pre-encoded text."""
+    if not path:
+        return EncodedJSON(document_json(value))
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _splice_encoded(value[path[0]], path[1:])
+    return copy
+
+
 class TestDocumentJsonProperties:
     """``document_json`` writes every document stdlib's sorted, indented
     encoder would, byte for byte, and refuses what it refuses."""
@@ -1437,6 +1458,17 @@ class TestDocumentJsonProperties:
     @settings(max_examples=300, deadline=None)
     def test_text_equals_stdlib(self, value):
         assert document_json(value) == _stdlib_document(value)
+
+    @given(_json_values, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_pre_encoded_sub_value_splices_to_the_same_text(self, value,
+                                                              data):
+        """Any value, at any depth, replaced by its own ``document_json``
+        text encodes to the original's bytes: a sweep document splices
+        each cell's cached result text this way."""
+        path = data.draw(st.sampled_from(list(_sub_value_paths(value))))
+        assert document_json(_splice_encoded(value, path)) == \
+            document_json(value)
 
     @pytest.mark.parametrize("value", [
         {1, 2}, object(), {(1, 2): 3}, [{"a": [1, {"b": frozenset()}]}],
