@@ -98,17 +98,17 @@ class CellCache:
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The full cache entry for ``key`` (schema, ``result_text`` and
         its digest, execution record) plus ``result``, the text parsed; or
-        ``None`` on a miss — including entries of another schema, entries
-        computed by a different version of the code, which must not
-        replay, and entries whose text fails its digest."""
+        ``None`` on a miss — including entries computed by a different
+        version of the code, which must not replay (a schema change is a
+        code change, so such entries miss here too), and entries whose
+        text fails its digest."""
         entry = read_json(self.path_for(key))
         if entry is None:
             logger.debug("cell cache miss %s", key[:12])
             return None
-        if entry.get("schema") != CACHE_SCHEMA \
-                or entry.get("code") != code_fingerprint():
-            logger.debug("cell cache stale %s (schema or code fingerprint "
-                         "changed)", key[:12])
+        if entry.get("code") != code_fingerprint():
+            logger.debug("cell cache stale %s (code fingerprint changed)",
+                         key[:12])
             return None
         text = entry.get("result_text")
         if not isinstance(text, str) or entry.get("result_sha256") != \

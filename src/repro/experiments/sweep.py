@@ -193,6 +193,12 @@ class SweepResult:
     statistics and per-cell wall-clock are auditable but execution-dependent,
     so they ride in ``provenance`` and are written to a separate sidecar
     (:meth:`write_provenance`), never into the document.
+
+    A :class:`CellResolver` builds every ``SweepResult``, and hands it each
+    cell's result twice: as the dict in ``cells`` (what :meth:`to_dict`
+    returns) and as the text it was encoded to once (what :meth:`to_json`
+    splices in).  The two say the same thing only while ``cells`` is left
+    as merged: read it, do not edit it.
     """
 
     base_spec: Dict[str, Any]
@@ -200,7 +206,7 @@ class SweepResult:
     cells: List[Dict[str, Any]]
     #: Each cell's result as :func:`document_json` text, in cell order:
     #: what :meth:`to_json` splices in instead of encoding it again.
-    result_texts: List[str]
+    _result_texts: List[str] = field(repr=False)
     provenance: Dict[str, Any] = field(default_factory=dict)
     schema: str = SWEEP_SCHEMA
 
@@ -219,7 +225,7 @@ class SweepResult:
         document = self.to_dict()
         document["cells"] = [{**cell, "result": EncodedJSON(text)}
                              for cell, text in zip(self.cells,
-                                                   self.result_texts)]
+                                                   self._result_texts)]
         return document_json(document)
 
     def write(self, path: str) -> None:
@@ -337,7 +343,7 @@ class CellResolver:
             base_spec=base_spec,
             grid=grid,
             cells=merge_cell_documents(self.cells, self.results),
-            result_texts=list(self.texts),
+            _result_texts=list(self.texts),
             provenance={
                 **provenance,
                 "root_seed": base_spec.get("seed"),

@@ -540,6 +540,18 @@ class TestWorkerAndCoordinator:
         # The recomputed cell was published again, whole.
         assert "legit_delivery_ratio" in cache.get(key)["result"]
 
+    def test_the_spliced_document_says_what_to_dict_says(self, tmp_path):
+        # to_json splices each result's text, to_dict hands back the dicts:
+        # with no cache, computed into a cache and read back from it.
+        base = default_flood_spec(duration=1.0)
+        sweeps = [SweepRunner(workers=1).run_grid(base, tiny_grid()),
+                  SweepCoordinator(str(tmp_path)).run_grid(base, tiny_grid()),
+                  SweepCoordinator(str(tmp_path)).run_grid(base, tiny_grid(),
+                                                           resume=True)]
+        assert sweeps[-1].provenance["cache"] == {"hits": 2, "misses": 0}
+        for sweep in sweeps:
+            assert json.loads(sweep.to_json()) == sweep.to_dict()
+
     def test_resume_with_a_different_grid_is_rejected(self, tmp_path):
         base = default_flood_spec(duration=1.0)
         coordinator = SweepCoordinator(str(tmp_path))
