@@ -3,10 +3,12 @@
 Clock-free, like the tracing gate next door — counts, never wall-clock.  A
 coordinator pass over a grid in a scratch directory is wrapped in call
 counters on the file primitives every cluster module goes through
-(``write_json_atomic``, ``read_json``, ``os.listdir``, ``os.rename`` /
-``os.replace`` / ``os.link``), on lease writes (``FileQueue.heartbeat``), on
-``threading.Thread.start`` and ``ClusterWorker.run``, and on
-``expand_grid``:
+(``write_bytes_atomic``, which ``write_json_atomic`` writes through,
+``read_bytes``, which ``read_json`` reads through, ``os.listdir``,
+``os.rename`` / ``os.replace`` / ``os.link``, and the existence probes
+``os.path.exists`` / ``os.stat``), on lease writes
+(``FileQueue.heartbeat``), on ``threading.Thread.start`` and
+``ClusterWorker.run``, and on ``expand_grid``:
 
 * a **cold** pass writes the manifest once, one cache entry per cell and
   one lease per *run* of cells — a worker claims runs sized from its own
@@ -21,7 +23,15 @@ counters on the file primitives every cluster module goes through
 * a **resumed warm** pass writes nothing, expands nothing (the stored
   manifest is compared by identity first and is the authority), and reads
   the manifest plus each cache entry once — the entry read at submit is
-  the one merged.
+  the one merged.  It probes no marker one by one: submit lists the queue
+  once, so the pass makes as many existence probes on a 12-cell grid as
+  on a 4-cell one.
+
+Building the manifest renders each cell's spec twice (``to_dict`` once to
+apply the grid's overrides and the derived seed in one pass, once for the
+record, whose dict the cell's hash reads) and parses it once
+(``from_dict``): the parent of the PR that pinned this rendered it three or
+four times and parsed it once or twice.
 
 The parent of the PR that added this gate sat at three writes per cell, two
 reads per cached cell and one full expansion per resume; the parent of the
@@ -51,12 +61,13 @@ import threading
 
 import pytest
 
-from repro.cluster import ClusterWorker, FileQueue, SweepCoordinator
+from repro.cluster import ClusterWorker, FileQueue, RunManifest, SweepCoordinator
 from repro.cluster import cache as cache_module
 from repro.cluster import fsqueue as fsqueue_module
 from repro.cluster import manifest as manifest_module
 from repro.experiments import default_flood_spec
 from repro.experiments import spec as spec_module
+from repro.experiments.spec import ExperimentSpec
 from repro.experiments import sweep as sweep_module
 from repro.experiments.spec import document_json
 
@@ -72,8 +83,8 @@ class WorkCounters:
     cluster modules imported them to, and to a few methods."""
 
     COUNTED = {
-        "write_json_atomic": (fsqueue_module, cache_module, manifest_module),
-        "read_json": (fsqueue_module, cache_module, manifest_module),
+        "write_bytes_atomic": (fsqueue_module, cache_module),
+        "read_bytes": (fsqueue_module, cache_module),
         "expand_grid": (sweep_module, manifest_module),
     }
     METHODS = {
@@ -84,7 +95,7 @@ class WorkCounters:
 
     def __init__(self, monkeypatch, cluster_dir):
         self.calls = dict.fromkeys(
-            [*self.COUNTED, *self.METHODS, "listdir", "rename"], 0)
+            [*self.COUNTED, *self.METHODS, "listdir", "rename", "probe"], 0)
         for name, modules in self.COUNTED.items():
             for module in modules:
                 if hasattr(module, name):
@@ -101,6 +112,9 @@ class WorkCounters:
             return real_listdir(path)
 
         monkeypatch.setattr(os, "listdir", listdir)
+        for owner, function in ((os.path, "exists"), (os, "stat")):
+            monkeypatch.setattr(owner, function, self._probing(
+                cluster_dir, getattr(owner, function)))
         for function in ("rename", "replace", "link"):
             monkeypatch.setattr(os, function, self._moving(
                 cluster_dir, getattr(os, function)))
@@ -110,6 +124,13 @@ class WorkCounters:
             self.calls[name] += 1
             return function(*args, **kwargs)
         return counted
+
+    def _probing(self, cluster_dir, function):
+        def probed(path, *args, **kwargs):
+            if str(path).startswith(cluster_dir):
+                self.calls["probe"] += 1
+            return function(path, *args, **kwargs)
+        return probed
 
     def _moving(self, cluster_dir, function):
         def moved(source, target, *args, **kwargs):
@@ -140,9 +161,9 @@ def test_cold_and_warm_passes_do_work_in_proportion_to_the_grid(
     # The manifest, a cache entry per cell, a lease per run of cells.
     leases = cold_work["lease"]
     assert leases < cells, cold_work
-    assert cold_work["write_json_atomic"] <= 1 + cells + leases, cold_work
+    assert cold_work["write_bytes_atomic"] <= 1 + cells + leases, cold_work
     # Each marker moves twice (claim, done); each write is one rename/link.
-    assert cold_work["rename"] <= 2 * cells + cold_work["write_json_atomic"], \
+    assert cold_work["rename"] <= 2 * cells + cold_work["write_bytes_atomic"], \
         cold_work
     assert cold_work["thread"] <= cold_work["worker_run"], cold_work
     assert cold_work["expand_grid"] == 1, cold_work
@@ -157,11 +178,48 @@ def test_cold_and_warm_passes_do_work_in_proportion_to_the_grid(
     warm_work = counters.take()
     assert warm.provenance["cache"] == {"hits": cells, "misses": 0}
     assert warm.to_json() == cold.to_json()
-    assert warm_work["write_json_atomic"] == 0, warm_work
+    assert warm_work["write_bytes_atomic"] == 0, warm_work
     assert warm_work["expand_grid"] == 0, warm_work
     # run.json, then each cache entry once (the one that is merged).
-    assert warm_work["read_json"] <= 1 + cells, warm_work
+    assert warm_work["read_bytes"] <= 1 + cells, warm_work
     assert warm_work["listdir"] <= cold_work["listdir"], (warm_work, cold_work)
+
+    run_pass(str(tmp_path / "q4"), GRID_4, resume=True)
+    small_warm_work = counters.take()
+    # Submit decides each marker from one listing of the queue, not from a
+    # probe per cell.
+    assert warm_work["probe"] == small_warm_work["probe"], (warm_work,
+                                                            small_warm_work)
+
+
+@pytest.mark.parametrize("grid, reseed", [
+    (GRID_12, True),
+    ({"defense.backend": ["aitf", "pushback", "ingress-dpf", "manual", "none"],
+      "workloads.1.params.rate_pps": [500.0, 1000.0, 1500.0, 2000.0, 3000.0,
+                                      4000.0, 5000.0, 6000.0]}, True),
+    (GRID_12, False),
+], ids=["seed_axis", "derived_seed", "base_seed"])
+def test_building_the_manifest_renders_each_cell_spec_twice(
+        monkeypatch, grid, reseed):
+    calls = {"to_dict": 0, "from_dict": 0}
+    real_to_dict = ExperimentSpec.to_dict
+    real_from_dict = ExperimentSpec.from_dict.__func__
+
+    def to_dict(self):
+        calls["to_dict"] += 1
+        return real_to_dict(self)
+
+    def from_dict(cls, data):
+        calls["from_dict"] += 1
+        return real_from_dict(cls, data)
+
+    monkeypatch.setattr(ExperimentSpec, "to_dict", to_dict)
+    monkeypatch.setattr(ExperimentSpec, "from_dict", classmethod(from_dict))
+    manifest = RunManifest.build(default_flood_spec(**BASE), grid,
+                                 reseed=reseed)
+    cells = len(manifest)
+    assert calls["to_dict"] <= 2 * cells + 1, (calls, cells)
+    assert calls["from_dict"] == cells, (calls, cells)
 
 
 def test_a_resume_with_another_grid_is_still_refused_without_expanding(

@@ -12,17 +12,26 @@ for free:
 - Two workers racing on the same cell write the same bytes to the same
   key; the ``os.replace`` publish makes the race harmless.
 
-Entries are JSON files fanned out by the first two hex digits
+Entries are files fanned out by the first two hex digits
 (``cache/ab/abcdef….json``) so a directory never collects millions of
-files.  Each entry carries the result plus a small execution record (which
-worker, how long) that feeds the sweep provenance sidecar without ever
-touching the canonical sweep document.
+files.  A ``cell_cache/v3`` entry is two parts:
 
-The result is stored as its :func:`~repro.experiments.spec.document_json`
-text, the text a sweep document splices in as it is, so a cached cell is
-encoded once, when it is computed.  Beside the text sits its SHA-256: an
-entry damaged into different but still valid JSON fails the digest and
-is a miss (logged), and the cell is computed again.
+- a *header*, one line of compact, sorted-key JSON: ``schema``,
+  ``spec_hash``, ``code`` (the fingerprint below), ``worker`` and
+  ``wall_seconds`` (the execution record that feeds the sweep provenance
+  sidecar without ever touching the canonical sweep document) and
+  ``result_sha256``;
+- then, after the header's line break, the *body*: the result's
+  :func:`~repro.experiments.spec.document_json` text as UTF-8 bytes, the
+  text a sweep document splices in as it is, so a cached cell is encoded
+  once, when it is computed.
+
+A hit is one binary read: the header is parsed, the body's bytes are
+hashed as read and compared with ``result_sha256`` (an entry damaged into
+different but still valid JSON fails the digest and is a logged miss),
+and only then is the body parsed.  A header or body that is not a JSON
+object is a logged miss too (``ignoring corrupt JSON file …``).  Either
+way the cell is computed again.
 
 The spec hash says what the experiment *is*; it says nothing about the
 code that ran it.  So every entry is also stamped with a fingerprint of
@@ -40,14 +49,15 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Set
 
-from repro.cluster.fsqueue import read_json, write_json_atomic
+from repro.cluster.fsqueue import (parse_json_object, read_bytes,
+                                  write_bytes_atomic)
 from repro.experiments.spec import document_json
 from repro.obs.logsetup import get_logger
 
 logger = get_logger("cluster.cache")
 
 #: Version tag written into cache entries.
-CACHE_SCHEMA = "cell_cache/v2"
+CACHE_SCHEMA = "cell_cache/v3"
 
 _CODE_FINGERPRINT: Optional[str] = None
 
@@ -96,48 +106,58 @@ class CellCache:
         return os.path.join(self.root, key[:2], f"{key}.json")
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The full cache entry for ``key`` (schema, ``result_text`` and
-        its digest, execution record) plus ``result``, the text parsed; or
+        """The entry's header (schema, digest, execution record) plus
+        ``result_text``, its body, and ``result``, that text parsed; or
         ``None`` on a miss — including entries computed by a different
         version of the code, which must not replay (a schema change is a
-        code change, so such entries miss here too), and entries whose
-        text fails its digest."""
-        entry = read_json(self.path_for(key))
-        if entry is None:
+        code change, so such entries miss here too), entries whose body
+        fails its digest and entries that do not parse."""
+        path = self.path_for(key)
+        data = read_bytes(path)
+        if data is None:
             logger.debug("cell cache miss %s", key[:12])
+            return None
+        header, _, body = data.partition(b"\n")
+        entry = parse_json_object(header, path)
+        if entry is None:
             return None
         if entry.get("code") != code_fingerprint():
             logger.debug("cell cache stale %s (code fingerprint changed)",
                          key[:12])
             return None
-        text = entry.get("result_text")
-        if not isinstance(text, str) or entry.get("result_sha256") != \
-                hashlib.sha256(text.encode("utf-8")).hexdigest():
+        if entry.get("result_sha256") != hashlib.sha256(body).hexdigest():
             logger.warning("cell cache entry %s fails its digest; "
                            "computing the cell again", key[:12])
             return None
+        result = parse_json_object(body, path)
+        if result is None:
+            return None
         logger.debug("cell cache hit %s", key[:12])
-        entry["result"] = json.loads(text)
+        entry["result"] = result
+        entry["result_text"] = body.decode("utf-8")
         return entry
 
     def put(self, key: str, result: Dict[str, Any], *,
             worker: str = "", wall_seconds: float = 0.0) -> str:
         """Publish a result under ``key`` (atomic; last writer wins, and
         racing writers computed identical results by construction) and
-        return its :func:`document_json` text, the text stored."""
+        return its :func:`document_json` text, the entry's body."""
         text = document_json(result)
-        if key[:2] not in self._prefixes:
-            os.makedirs(os.path.join(self.root, key[:2]), exist_ok=True)
-            self._prefixes.add(key[:2])
-        write_json_atomic(self.path_for(key), {
+        body = text.encode("utf-8")
+        header = json.dumps({
             "schema": CACHE_SCHEMA,
             "spec_hash": key,
             "code": code_fingerprint(),
             "worker": worker,
             "wall_seconds": wall_seconds,
-            "result_text": text,
-            "result_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        }, self.tmp_dir)
+            "result_sha256": hashlib.sha256(body).hexdigest(),
+        }, sort_keys=True, separators=(",", ":"))
+        if key[:2] not in self._prefixes:
+            os.makedirs(os.path.join(self.root, key[:2]), exist_ok=True)
+            self._prefixes.add(key[:2])
+        write_bytes_atomic(self.path_for(key),
+                           b"%s\n%s" % (header.encode("utf-8"), body),
+                           self.tmp_dir)
         return text
 
     def keys(self) -> List[str]:

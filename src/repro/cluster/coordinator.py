@@ -93,12 +93,19 @@ class SweepCoordinator:
         self.manifest = manifest
         self._submitted = True
         self.queue.requeue_stale()
+        # One listing of the queue decides which markers to create; put's
+        # create and reopen's rename still settle any race with another
+        # process that moved a marker since.
+        states = self.queue.states()
         resolver = self._resolver()
         for position in range(len(manifest)):
             name = cell_name(position)
+            state = states.get(name)
             if resolver.lookup(position):
-                self.queue.put(name, state="done")
-            elif not self.queue.put(name):
+                if state is None:
+                    self.queue.put(name, state="done")
+            elif state == "done" or (state is None
+                                     and not self.queue.put(name)):
                 # Already queued.  If it sits in done its cache entry has
                 # since been lost or corrupted: run the cell again.
                 self.queue.reopen(name)

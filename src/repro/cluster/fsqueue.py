@@ -45,17 +45,14 @@ logger = get_logger("cluster.fsqueue")
 _STATES = ("pending", "leased", "done")
 
 
-def write_json_atomic(path: str, data: Dict[str, Any], tmp_dir: str, *,
-                      exclusive: bool = False) -> bool:
+def write_bytes_atomic(path: str, data: bytes, tmp_dir: str, *,
+                       exclusive: bool = False) -> bool:
     """Write ``data`` to ``path`` via a same-filesystem temp file + rename.
 
     Readers never observe a half-written file: they see the old file, no
     file, or the complete new one.  ``tmp_dir`` must be on the same
-    filesystem as ``path`` (the queue keeps one inside its root).  The
-    document is encoded in one call to the C encoder (sorted keys, compact
-    separators) before the temp file is opened, so a value JSON cannot
-    encode raises with nothing on disk; a write or rename that fails
-    removes its temp file.
+    filesystem as ``path`` (the queue keeps one inside its root).  A write
+    or rename that fails removes its temp file.
 
     With ``exclusive`` the temp file is hard-linked to ``path`` instead of
     renamed over it, which POSIX makes atomic and refuses if ``path``
@@ -63,14 +60,12 @@ def write_json_atomic(path: str, data: Dict[str, Any], tmp_dir: str, *,
     ``False`` when one was there first.  Otherwise it always returns
     ``True``.
     """
-    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
     tmp_path = os.path.join(
         tmp_dir, f".{os.path.basename(path)}.{os.getpid()}."
                  f"{threading.get_ident()}.{time.monotonic_ns()}")
     try:
-        with open(tmp_path, "w") as handle:
-            handle.write(text)
-            handle.write("\n")
+        with open(tmp_path, "wb") as handle:
+            handle.write(data)
         if not exclusive:
             os.replace(tmp_path, path)
             return True
@@ -89,23 +84,49 @@ def write_json_atomic(path: str, data: Dict[str, Any], tmp_dir: str, *,
         raise
 
 
-def read_json(path: str) -> Optional[Dict[str, Any]]:
-    """Read a JSON object; ``None`` if the file vanished (lost a rename
-    race) or is mid-write by a non-atomic writer (never the queue's own
-    files).  Fail closed on corruption too: bytes that are not UTF-8 and
-    valid JSON that is not an object are reported and read as absent, so
-    the caller recomputes instead of trusting or crashing on them."""
+def write_json_atomic(path: str, data: Dict[str, Any], tmp_dir: str, *,
+                      exclusive: bool = False) -> bool:
+    """Write the JSON object ``data`` (one line: sorted keys, compact
+    separators) through :func:`write_bytes_atomic`.  It is encoded in one
+    call to the C encoder before the temp file is opened, so a value JSON
+    cannot encode raises with nothing on disk."""
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return write_bytes_atomic(path, f"{text}\n".encode("utf-8"), tmp_dir,
+                              exclusive=exclusive)
+
+
+def read_bytes(path: str) -> Optional[bytes]:
+    """The bytes of ``path``, in one read; ``None`` if the file vanished
+    (lost a rename race)."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (FileNotFoundError, json.JSONDecodeError):
+        with open(path, "rb") as handle:
+            return handle.read()
+    except FileNotFoundError:
         return None
-    except UnicodeDecodeError:
-        data = None
-    if not isinstance(data, dict):
+
+
+def parse_json_object(data: bytes, path: str) -> Optional[Dict[str, Any]]:
+    """``data`` (read from ``path``) as a JSON object.  Fail closed: bytes
+    that are not UTF-8, text that is not JSON and JSON that is not an
+    object are reported and read as absent, so the caller recomputes
+    instead of trusting or crashing on them.  Every file the queue and the
+    cache write is published whole (:func:`write_bytes_atomic`), so such
+    bytes are damage, never a write still in progress."""
+    try:
+        value = json.loads(data.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError, json.JSONDecodeError
+        value = None
+    if not isinstance(value, dict):
         logger.warning("ignoring corrupt JSON file %s", path)
         return None
-    return data
+    return value
+
+
+def read_json(path: str) -> Optional[Dict[str, Any]]:
+    """The JSON object in ``path``; ``None`` if the file vanished or is
+    damaged (see :func:`parse_json_object`)."""
+    data = read_bytes(path)
+    return None if data is None else parse_json_object(data, path)
 
 
 class FileQueue:
@@ -148,6 +169,12 @@ class FileQueue:
                 return state
         return None
 
+    def states(self) -> Dict[str, str]:
+        """Every enqueued name's state, from one listing of each state
+        directory (a name that moved between two listings shows its later
+        state, or is missing if it moved back)."""
+        return {name: state for state in _STATES for name in self.names(state)}
+
     # ------------------------------------------------------------------
     # enqueue
     # ------------------------------------------------------------------
@@ -160,8 +187,11 @@ class FileQueue:
         """
         if self.state_of(name) is not None:
             return False
-        with open(self._task_path(state, name), "w"):
-            pass
+        try:
+            with open(self._task_path(state, name), "x"):
+                pass
+        except FileExistsError:
+            return False  # another submitter created it first
         return True
 
     # ------------------------------------------------------------------

@@ -574,7 +574,11 @@ def canonical_spec_json(spec: Union["ExperimentSpec", Mapping[str, Any]]) -> str
     """
     if not isinstance(spec, ExperimentSpec):
         spec = ExperimentSpec.from_dict(spec)
-    return json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
+    return _canonical_text(spec.to_dict())
+
+
+def _canonical_text(data: Mapping[str, Any]) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 _int_repr = int.__repr__
@@ -723,6 +727,14 @@ def spec_hash(spec: Union["ExperimentSpec", Mapping[str, Any]]) -> str:
     and ``PYTHONHASHSEED``.
     """
     return hashlib.sha256(canonical_spec_json(spec).encode("utf-8")).hexdigest()
+
+
+def rendered_spec_hash(data: Mapping[str, Any]) -> str:
+    """:func:`spec_hash` of ``data``, a dict :meth:`ExperimentSpec.to_dict`
+    rendered.  That dict is the canonical form already, so it is hashed as
+    it is, without another round trip through
+    :meth:`ExperimentSpec.from_dict`."""
+    return hashlib.sha256(_canonical_text(data).encode("utf-8")).hexdigest()
 
 
 # ----------------------------------------------------------------------

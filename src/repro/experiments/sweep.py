@@ -37,7 +37,8 @@ from functools import cached_property
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.spec import EncodedJSON, ExperimentSpec, document_json, spec_hash
+from repro.experiments.spec import (EncodedJSON, ExperimentSpec, document_json,
+                                    rendered_spec_hash)
 from repro.obs.logsetup import get_logger
 
 logger = get_logger("experiments.sweep")
@@ -73,10 +74,16 @@ class SweepCell:
     spec: ExperimentSpec
 
     @cached_property
+    def _spec_data(self) -> Dict[str, Any]:
+        """The spec's dict form, rendered once: the record's ``spec`` and
+        what :attr:`spec_hash` hashes (read it, do not edit it)."""
+        return self.spec.to_dict()
+
+    @cached_property
     def spec_hash(self) -> str:
         """Content address of this cell (see
         :func:`repro.experiments.spec.spec_hash`), computed once."""
-        return spec_hash(self.spec)
+        return rendered_spec_hash(self._spec_data)
 
     def to_dict(self) -> Dict[str, Any]:
         """The cell *record*: the one description of a cell that every
@@ -85,7 +92,7 @@ class SweepCell:
             "index": self.index,
             "overrides": dict(self.overrides),
             "seed": self.spec.seed,
-            "spec": self.spec.to_dict(),
+            "spec": self._spec_data,
             "spec_hash": self.spec_hash,
         }
 
@@ -136,11 +143,14 @@ def expand_grid(base: ExperimentSpec, grid: Mapping[str, Sequence[Any]],
         overrides: Dict[str, Any] = {}
         for (key, _), value in zip(axes, combo):
             overrides.update(_axis_overrides(key, value))
-        spec = base.with_overrides(overrides)
+        applied = overrides
         if reseed and "seed" not in overrides:
-            spec = spec.with_overrides(
-                {"seed": derive_cell_seed(base.seed, overrides)})
-        cells.append(SweepCell(index=len(cells), overrides=overrides, spec=spec))
+            # The derived seed goes in the same override pass; the record
+            # keeps the grid's overrides only.
+            applied = {**overrides,
+                       "seed": derive_cell_seed(base.seed, overrides)}
+        cells.append(SweepCell(index=len(cells), overrides=overrides,
+                               spec=base.with_overrides(applied)))
     return cells
 
 

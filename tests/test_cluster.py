@@ -10,6 +10,8 @@ The headline guarantees under test:
 - a second identical submission is 100% cache hits and touches no simulator.
 """
 
+import contextlib
+import hashlib
 import json
 import logging
 import os
@@ -41,6 +43,40 @@ from repro.experiments.sweep import CellResolver
 
 def tiny_grid():
     return {"defense.backend": ["aitf", "none"]}
+
+
+def read_entry(path):
+    """A ``cell_cache/v3`` entry's header (parsed) and body (bytes)."""
+    with open(path, "rb") as handle:
+        header, _, body = handle.read().partition(b"\n")
+    return json.loads(header), body
+
+
+def write_entry(path, header, body):
+    """Write an entry's header and body back as the cache lays them out."""
+    with open(path, "wb") as handle:
+        handle.write(json.dumps(header, sort_keys=True,
+                                separators=(",", ":")).encode("utf-8")
+                     + b"\n" + body)
+
+
+@contextlib.contextmanager
+def warnings_of(logger_name):
+    """Collect the messages one logger emits meanwhile.
+
+    A private handler on the module's own logger: caplog's handler also
+    sits on the root logger, so sharing it counts a record twice whenever
+    "repro" still propagates (run alone) and once when an earlier CLI test
+    switched propagation off (full suite)."""
+    warnings = []
+    handler = logging.Handler()
+    handler.emit = lambda record: warnings.append(record.getMessage())
+    logger = logging.getLogger(logger_name)
+    logger.addHandler(handler)
+    try:
+        yield warnings
+    finally:
+        logger.removeHandler(handler)
 
 
 class TestFileQueue:
@@ -343,14 +379,36 @@ class TestCellCache:
         key = "ab" * 32
         cache.put(key, {"v": 1})
         path = cache.path_for(key)
-        entry = json.loads(open(path).read())
-        assert entry["code"]  # stamped with the running fingerprint
-        entry["code"] = "0" * 64  # ...now pretend an older build wrote it
-        with open(path, "w") as handle:
-            json.dump(entry, handle)
+        header, body = read_entry(path)
+        assert header["code"]  # stamped with the running fingerprint
+        header["code"] = "0" * 64  # ...now pretend an older build wrote it
+        write_entry(path, header, body)
         assert cache.get(key) is None
         cache.put(key, {"v": 2})  # recomputation overwrites the stale entry
         assert cache.get(key)["result"] == {"v": 2}
+
+    def test_an_entry_is_a_header_line_then_the_result_text(self, tmp_path):
+        from repro.cluster.cache import CACHE_SCHEMA, code_fingerprint
+        from repro.experiments.spec import document_json
+
+        cache = CellCache(str(tmp_path))
+        key = "ab" * 32
+        result = {"metric": 1.5, "series": [1, 2]}
+        assert cache.put(key, result, worker="w1", wall_seconds=0.25) == \
+            document_json(result)
+        with open(cache.path_for(key), "rb") as handle:
+            line, _, body = handle.read().partition(b"\n")
+        header = json.loads(line)
+        assert line == json.dumps(header, sort_keys=True,
+                                  separators=(",", ":")).encode("utf-8")
+        assert header == {"schema": CACHE_SCHEMA, "spec_hash": key,
+                          "code": code_fingerprint(), "worker": "w1",
+                          "wall_seconds": 0.25,
+                          "result_sha256": hashlib.sha256(body).hexdigest()}
+        assert body == document_json(result).encode("utf-8")
+        entry = cache.get(key)
+        assert (entry["result"], entry["result_text"]) == (
+            result, document_json(result))
 
     def test_a_failed_put_leaves_no_temp_file_and_no_entry(
             self, tmp_path, monkeypatch):
@@ -515,12 +573,11 @@ class TestWorkerAndCoordinator:
         # of this schema and this code, but no longer the text it stored.
         cache = coordinator.cache
         key = cache.keys()[0]
-        entry = read_json(cache.path_for(key))
-        result = json.loads(entry["result_text"])
+        header, body = read_entry(cache.path_for(key))
+        result = json.loads(body)
         del result["legit_delivery_ratio"]
-        entry["result_text"] = document_json(result)
-        with open(cache.path_for(key), "w") as handle:
-            json.dump(entry, handle)
+        write_entry(cache.path_for(key), header,
+                    document_json(result).encode("utf-8"))
         warnings = []
         handler = logging.Handler()
         handler.emit = lambda record: warnings.append(record.getMessage())
@@ -539,6 +596,29 @@ class TestWorkerAndCoordinator:
         assert resumed.to_json() == serial.to_json()
         # The recomputed cell was published again, whole.
         assert "legit_delivery_ratio" in cache.get(key)["result"]
+
+    @pytest.mark.parametrize("body", [b"{", b"[1, 2]"],
+                             ids=["not_json", "not_an_object"])
+    def test_a_body_that_passes_its_digest_but_is_no_object_is_a_miss(
+            self, tmp_path, body):
+        # The digest says the body is what was written, not that it is a
+        # result: a body that is not a JSON object, with its own digest in
+        # the header, is a logged miss, and the resume recomputes the cell.
+        base = default_flood_spec(duration=1.0)
+        serial = SweepRunner(workers=1).run_grid(base, tiny_grid())
+        coordinator = SweepCoordinator(str(tmp_path))
+        coordinator.run_grid(base, tiny_grid())
+        path = coordinator.cache.path_for(coordinator.cache.keys()[0])
+        header, _ = read_entry(path)
+        header["result_sha256"] = hashlib.sha256(body).hexdigest()
+        write_entry(path, header, body)
+        with warnings_of("repro.cluster.fsqueue") as warnings:
+            assert coordinator.cache.get(header["spec_hash"]) is None
+        assert warnings == [f"ignoring corrupt JSON file {path}"]
+        resumed = SweepCoordinator(str(tmp_path)).run_grid(base, tiny_grid(),
+                                                           resume=True)
+        assert resumed.provenance["cache"] == {"hits": 1, "misses": 1}
+        assert resumed.to_json() == serial.to_json()
 
     def test_the_spliced_document_says_what_to_dict_says(self, tmp_path):
         # to_json splices each result's text, to_dict hands back the dicts:

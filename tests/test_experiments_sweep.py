@@ -215,15 +215,19 @@ class TestOneExecutor:
         from repro.experiments import sweep as sweep_module
 
         calls = []
-        real = spec_module.spec_hash
 
-        def counting(spec):
-            calls.append(spec)
-            return real(spec)
+        def counting(function):
+            def counted(spec):
+                calls.append(spec)
+                return function(spec)
+            return counted
 
-        monkeypatch.setattr(spec_module, "spec_hash", counting)
-        monkeypatch.setattr(sweep_module, "spec_hash", counting)
-        # Progress, provenance, cache lookup and publish all want the hash.
+        monkeypatch.setattr(spec_module, "spec_hash",
+                            counting(spec_module.spec_hash))
+        monkeypatch.setattr(sweep_module, "rendered_spec_hash",
+                            counting(sweep_module.rendered_spec_hash))
+        # Progress, provenance, cache lookup and publish all want the hash;
+        # a cell hashes the spec dict its record renders.
         SweepRunner(progress=lambda info: None,
                     cache=CellCache(str(tmp_path))).run_grid(
             default_flood_spec(duration=1.0), small_grid())

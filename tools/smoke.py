@@ -163,14 +163,38 @@ def resume_after_killing_a_worker(out):
             worker.wait()
 
 
-def resumed_run_is_all_cache_hits_and_left_nothing(out):
-    cells = len(_load(out, "cluster2.json")["cells"])
-    cache = _load(out, "cluster2.provenance.json")["cache"]
-    assert cache == {"hits": cells, "misses": 0}, cache
-    for directory in ("leases", "tasks/leased", "tmp"):
-        left = os.listdir(os.path.join(out, "q", directory))
-        assert not left, f"q/{directory} is not empty: {left}"
-    print(f"{cells}/{cells} cache hits; no lease, leased marker or temp file")
+def resumed_run_left_nothing(name, damaged=0):
+    """The resume that wrote ``name`` hit the cache on every cell but the
+    ``damaged`` ones, and left no lease, leased marker or temp file."""
+    def check(out):
+        cells = len(_load(out, name)["cells"])
+        cache = _load(out, name[:-len(".json")] + ".provenance.json")["cache"]
+        assert cache == {"hits": cells - damaged, "misses": damaged}, cache
+        for directory in ("leases", "tasks/leased", "tmp", "cache/tmp"):
+            left = os.listdir(os.path.join(out, "q", directory))
+            assert not left, f"q/{directory} is not empty: {left}"
+        print(f"{name}: {cells - damaged}/{cells} cache hits; no lease, "
+              "leased marker or temp file")
+    return check
+
+
+def damage_two_cache_entries(out):
+    """Damage the header line of one cache entry and the body of another:
+    the next resume must log both as misses and compute those cells again."""
+    entries = sorted(glob.glob(os.path.join(out, "q", "cache", "??", "*.json")))
+    assert len(entries) >= 2, entries
+    for path, part in zip(entries, ("header", "body")):
+        with open(path, "rb") as handle:
+            entry = handle.read()
+        header, _, body = entry.partition(b"\n")
+        if part == "header":
+            header = header[:len(header) // 2]
+        else:
+            body = body.replace(b"0", b"1", 1)
+        assert header + b"\n" + body != entry, path
+        with open(path, "wb") as handle:
+            handle.write(header + b"\n" + body)
+        print(f"damaged the {part} of {os.path.relpath(path, out)}")
 
 
 def same_bytes(first, second):
@@ -294,7 +318,9 @@ ENTRIES = {
     # of them killed by SIGKILL partway; the resumed merge must equal the
     # serial document and stdlib's text for its contents, and a second
     # resume must be all cache hits, leave no lease, leased marker or temp
-    # file, and splice (from cached result texts alone) the same bytes.
+    # file, and splice (from cached result texts alone) the same bytes.  A
+    # third, after one entry's header and another's body were damaged,
+    # computes exactly those two cells again and writes the same bytes.
     "cluster": [
         f"repro sweep {CLUSTER_GRID} --output serial.json",
         f"repro sweep {CLUSTER_GRID} --cluster q --enqueue-only",
@@ -303,9 +329,14 @@ ENTRIES = {
         is_stdlibs_text("cluster.json"),
         f"repro sweep {CLUSTER_GRID} --cluster q --resume --timeout 300 "
         "--output cluster2.json",
-        resumed_run_is_all_cache_hits_and_left_nothing,
+        resumed_run_left_nothing("cluster2.json"),
         same_bytes("serial.json", "cluster2.json"),
         is_stdlibs_text("cluster2.json"),
+        damage_two_cache_entries,
+        f"repro sweep {CLUSTER_GRID} --cluster q --resume --timeout 300 "
+        "--output cluster3.json",
+        resumed_run_left_nothing("cluster3.json", damaged=2),
+        same_bytes("serial.json", "cluster3.json"),
     ],
     # Search, repair and verify on the committed quick spec.  `repair`
     # exits 1 unless every collapse cell has a verified repair, `verify`
