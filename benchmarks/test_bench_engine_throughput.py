@@ -18,9 +18,12 @@ gates repeats exactly on any host:
   on a packet-engine hierarchy cell must stay under a pinned ceiling: the
   per-hop glue (a call per link, per address hash, per clock read) that a
   refactor can slip back into the hop chain without moving any count
-  above.
+  above.  The same flood with the ``packet`` and ``aitf-control`` channels
+  and metrics on pins what tracing adds: one frame per traced delivery or
+  block.
 """
 
+import dataclasses
 import os
 import sys
 import time
@@ -29,7 +32,8 @@ from collections import Counter
 import pytest
 
 from repro.analysis.report import ResultTable
-from repro.experiments import ExperimentRunner, ExperimentSpec, default_flood_spec
+from repro.experiments import (ExperimentRunner, ExperimentSpec, ObserveSpec,
+                               default_flood_spec)
 
 from benchmarks.conftest import run_once
 from tests.test_hierarchy import base_spec_dict
@@ -182,6 +186,10 @@ def frames_per_packet(spec):
 @pytest.mark.parametrize("make_spec, ceiling", [
     pytest.param(lambda: default_flood_spec(attack_pps=1500.0, duration=10.0,
                                             seed=0), 15.0, id="flood"),
+    pytest.param(lambda: dataclasses.replace(
+        default_flood_spec(attack_pps=1500.0, duration=10.0, seed=0),
+        observe=ObserveSpec(channels=("packet", "aitf-control"),
+                            metrics=True)), 17.0, id="observed_flood"),
     pytest.param(lambda: ExperimentSpec.from_dict(
         base_spec_dict("victim-stub", duration=3.0)), 33.0, id="hierarchy"),
 ])

@@ -24,7 +24,8 @@ wall-clock.  Three things an experiment's set-up must not do again:
   run builds the pipes of the 84 of 7,042 links that carry a packet and the
   agents of the 7 routers a control packet reaches.  Reading a link's
   counters or queue builds nothing either: the bench reads every link
-  direction after every run.  And a pipe that does exist holds no
+  direction after every run.  Nor does observing a run: a tap on a link
+  without pipes waits for them.  And a pipe that does exist holds no
   ``deque`` until it queues a packet (``net/queues.py``).
 
 Nor does an idle router hold state of its own: its routing rows, next
@@ -72,6 +73,7 @@ import pytest
 
 from repro.experiments import (ExperimentRunner, ExperimentSpec,
                                default_flood_spec)
+from repro.net.link import Link
 from repro.router.filter_table import _NO_ENTRIES as SHARED_ENTRIES
 from repro.router.nodes import SHARED_UNTIL_WRITTEN, private_containers
 from repro.router.routing import RoutingTable
@@ -256,6 +258,44 @@ def test_a_hierarchy_builds_pipes_agents_and_seeds_where_they_are_used(
     assert agents.built()
     assert {agent.name for agent in agents.built()} <= reached
     assert len(reached) < 0.01 * len(agents)
+
+
+def test_observing_a_hierarchy_builds_no_link_its_run_does_not_use(
+        monkeypatch):
+    """A tap on a link without pipes is recorded and applied when the
+    pipes are built, so the observed 1,000-AS cell builds the same 56 of
+    1,500 links as the unobserved one, and its trace is the one taps on
+    every link built up front record.  While a tap built the link it
+    tapped, the observed cell built all 1,500."""
+    def run(observe):
+        extra = {"observe": {"channels": ["packet"]}} if observe else {}
+        execution = ExperimentRunner().prepare(
+            train_spec(1000, engine={"mode": "packet"}, **extra))
+        execution.run()
+        links = execution.handle.topology.links
+        return execution, {link.name for link in links_with_pipes(links)}
+
+    _, unobserved = run(observe=False)
+    observed, built = run(observe=True)
+    assert built == unobserved
+    assert 0 < len(built) < 0.1 * len(observed.handle.topology.links)
+
+    tap = Link.tap
+
+    def build_then_tap(link, *wrappers):
+        link.pipe_toward(link.b)
+        tap(link, *wrappers)
+
+    monkeypatch.setattr(Link, "tap", build_then_tap)
+    eager, built_eagerly = run(observe=True)
+    assert len(built_eagerly) == len(eager.handle.topology.links)
+
+    def store(execution):
+        recorder = execution.observer.recorder
+        return list(recorder.times), list(recorder.ids), recorder.bodies
+
+    assert len(observed.observer.recorder) > 10_000
+    assert store(observed) == store(eager)
 
 
 def test_a_figure1_cell_imports_only_the_code_it_runs():

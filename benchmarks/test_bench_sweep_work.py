@@ -15,7 +15,9 @@ counters on the file primitives every cluster module goes through
   cell wall-clock, so there are fewer leases than cells — and nothing else
   (task files are empty markers, nothing describes a cell twice).  Each
   cell's marker moves twice (claim, done) and each write is one rename (or,
-  for a lease published at claim, one link);
+  for a lease published at claim, one link).  It reads the manifest, each
+  cache entry once (the submit's miss; the worker that then claims the
+  cell asks again with one ``stat``) and each lease once, when it drops it;
   each ``ClusterWorker.run`` starts at most one heartbeat thread.  It lists
   directories a number of times that does not depend on the size of the
   grid (claims walk a remembered listing; completion is checked when a
@@ -162,6 +164,8 @@ def test_cold_and_warm_passes_do_work_in_proportion_to_the_grid(
     leases = cold_work["lease"]
     assert leases < cells, cold_work
     assert cold_work["write_bytes_atomic"] <= 1 + cells + leases, cold_work
+    # run.json, each cache entry once (its miss at submit), each lease once.
+    assert cold_work["read_bytes"] <= 1 + cells + leases, cold_work
     # Each marker moves twice (claim, done); each write is one rename/link.
     assert cold_work["rename"] <= 2 * cells + cold_work["write_bytes_atomic"], \
         cold_work

@@ -76,7 +76,8 @@ def _oracle_packet_records(spec):
     """The ``packet`` channel as the callbacks before compact rows built it.
 
     Runs ``spec`` unobserved with the old ``on_packet`` / ``on_block``
-    bodies tapped in: one dict and two formatted addresses per event.
+    bodies called from tap wrappers: one dict and two formatted addresses
+    per event.
     """
     execution = ExperimentRunner().prepare(spec)
     sim = execution.sim
@@ -104,10 +105,34 @@ def _oracle_packet_records(spec):
             "filter_id": filter_ids.setdefault(entry.filter_id,
                                                len(filter_ids) + 1)})
 
+    def wrap_packet(link, sink, deliver):
+        def traced_deliver(packet):
+            on_packet(link, sink, packet)
+            deliver(packet)
+        return traced_deliver
+
+    def wrap_blocks(table, blocks):
+        def traced_blocks(packet):
+            entry = blocks(packet)
+            if entry is not None:
+                on_block(table, entry, packet, 1)
+            return entry
+        return traced_blocks
+
+    def wrap_blocks_train(table, blocks_train):
+        def traced_blocks_train(template, count, interval,
+                                count_checked=True):
+            entry, blocked = blocks_train(template, count, interval,
+                                          count_checked)
+            if entry is not None and blocked:
+                on_block(table, entry, template, blocked)
+            return entry, blocked
+        return traced_blocks_train
+
     for link in execution.handle.topology.links:
-        link.tap(packet_observer=on_packet)
+        link.tap(wrap_packet)
     for router in execution.handle.topology.border_routers():
-        router.filter_table.tap(on_block)
+        router.filter_table.tap(wrap_blocks, wrap_blocks_train)
     execution.run()
     return records
 

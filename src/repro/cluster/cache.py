@@ -49,7 +49,8 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Set
 
-from repro.cluster.fsqueue import (parse_json_object, read_bytes,
+from repro.cluster.fsqueue import (Signature, file_signature,
+                                  parse_json_object, read_bytes,
                                   write_bytes_atomic)
 from repro.experiments.spec import document_json
 from repro.obs.logsetup import get_logger
@@ -100,6 +101,9 @@ class CellCache:
         os.makedirs(self.tmp_dir, exist_ok=True)
         #: Hash-prefix directories this instance has already made.
         self._prefixes: Set[str] = set()
+        #: Keys this instance found missing, stale or damaged, with the
+        #: signature of the file (or no file) that missed.
+        self._misses: Dict[str, Signature] = {}
 
     def path_for(self, key: str) -> str:
         """Where the entry for ``key`` lives (two-digit fan-out)."""
@@ -111,9 +115,27 @@ class CellCache:
         ``None`` on a miss — including entries computed by a different
         version of the code, which must not replay (a schema change is a
         code change, so such entries miss here too), entries whose body
-        fails its digest and entries that do not parse."""
+        fails its digest and entries that do not parse.
+
+        A key this instance already missed is read again only when another
+        process has published to it since: asking twice for an entry that
+        has not changed costs one ``stat``, not a second read and a second
+        warning."""
         path = self.path_for(key)
-        data = read_bytes(path)
+        misses = self._misses
+        if key in misses and file_signature(path) == misses[key]:
+            return None
+        data, signature = read_bytes(path)
+        entry = self._parse(key, path, data)
+        if entry is None:
+            misses[key] = signature
+        else:
+            misses.pop(key, None)
+        return entry
+
+    def _parse(self, key: str, path: str,
+               data: Optional[bytes]) -> Optional[Dict[str, Any]]:
+        """The entry in ``data`` (read from ``path``); ``None`` on a miss."""
         if data is None:
             logger.debug("cell cache miss %s", key[:12])
             return None
@@ -158,6 +180,7 @@ class CellCache:
         write_bytes_atomic(self.path_for(key),
                            b"%s\n%s" % (header.encode("utf-8"), body),
                            self.tmp_dir)
+        self._misses.pop(key, None)
         return text
 
     def keys(self) -> List[str]:

@@ -95,12 +95,31 @@ def write_json_atomic(path: str, data: Dict[str, Any], tmp_dir: str, *,
                               exclusive=exclusive)
 
 
-def read_bytes(path: str) -> Optional[bytes]:
-    """The bytes of ``path``, in one read; ``None`` if the file vanished
-    (lost a rename race)."""
+#: What identifies one published file: ``(inode, size, mtime_ns)``, or
+#: ``None`` for no file.  Every write is a fresh file renamed or linked
+#: into place (:func:`write_bytes_atomic`), so a publish always changes it.
+Signature = Optional[Tuple[int, int, int]]
+
+
+def _signed(stat: os.stat_result) -> Signature:
+    return stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
+def read_bytes(path: str) -> Tuple[Optional[bytes], Signature]:
+    """The bytes of ``path``, in one read, and the signature of the file
+    they came from; ``(None, None)`` if the file vanished (lost a rename
+    race)."""
     try:
         with open(path, "rb") as handle:
-            return handle.read()
+            return handle.read(), _signed(os.fstat(handle.fileno()))
+    except FileNotFoundError:
+        return None, None
+
+
+def file_signature(path: str) -> Signature:
+    """The signature of the file now at ``path``, in one ``stat``."""
+    try:
+        return _signed(os.stat(path))
     except FileNotFoundError:
         return None
 
@@ -125,7 +144,7 @@ def parse_json_object(data: bytes, path: str) -> Optional[Dict[str, Any]]:
 def read_json(path: str) -> Optional[Dict[str, Any]]:
     """The JSON object in ``path``; ``None`` if the file vanished or is
     damaged (see :func:`parse_json_object`)."""
-    data = read_bytes(path)
+    data, _ = read_bytes(path)
     return None if data is None else parse_json_object(data, path)
 
 

@@ -243,7 +243,9 @@ class ClusterWorker:
         resolver = self.resolver
         position = int(name)
         # ``cached=False``: the submitter saw a miss, so whoever filled the
-        # cache since did it as part of this run.
+        # cache since did it as part of this run.  When the submitter was
+        # this process, the cache reads the entry again only if someone
+        # published to it since the submit missed it (``CellCache.get``).
         cached = resolver.lookup(position, cached=False)
         if not cached:
             resolver.execute(position)

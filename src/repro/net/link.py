@@ -55,13 +55,8 @@ class LinkStats:
         return min(1.0, (self.bytes_delivered * 8) / (bandwidth_bps * elapsed))
 
 
-def _observed(observer, link: "Link", sink: PacketSink, deliver):
-    """``deliver`` with ``observer(link, sink, payload)`` called first."""
-    def _traced_deliver(payload) -> None:
-        observer(link, sink, payload)
-        deliver(payload)
-
-    return _traced_deliver
+#: The entry points ``_Pipe._rebind`` may override per instance.
+_ENTRY_POINTS = ("send", "send_train", "_deliver", "_deliver_train")
 
 
 class _Pipe:
@@ -108,15 +103,14 @@ class _Pipe:
         self._fl_q = 0.0      # fluid queue level, bytes
         self._fl_t = 0.0      # time of the last fluid-state update
         self._fl_adm = 0.0    # fair-share admission credit for single packets
-        # Swappable state: train mode (above), admin down and taps.
-        # ``_down_at`` is the simulation time the pipe went down (None while
-        # up).  These three are the whole input of _rebind(), which alone
-        # decides what send / send_train / _deliver* resolve to.
+        # Swappable state: train mode (above), admin down and the link's
+        # taps (``Link._taps``).  ``_down_at`` is the simulation time the
+        # pipe went down (None while up).  These three are the whole input
+        # of _rebind(), which alone decides what send / send_train /
+        # _deliver* resolve to.
         # ``_fl_gen`` invalidates in-flight _fl_release events when a fault
         # resets the fluid state; it stays 0 on fault-free runs.
         self._down_at: Optional[float] = None
-        self._packet_taps: tuple = ()
-        self._train_taps: tuple = ()
         self._fl_gen = 0
 
     @property
@@ -199,43 +193,43 @@ class _Pipe:
         """Derive every swappable entry point from the pipe's state.
 
         The one dispatch point: mode x up/down x tapped.  Only the state
-        setters (``enable_train_mode``, ``set_down``, ``set_up``, ``tap``)
-        call it, never a packet, and an entry point whose state is at its
-        default keeps *no* instance attribute — the class method is reached
-        directly, so an idle, untapped, per-packet pipe pays exactly zero.
+        setters (``enable_train_mode``, ``set_down``, ``set_up`` and
+        ``Link.tap``) call it, never a packet, and an entry point whose
+        state is at its default keeps *no* instance attribute — the class
+        method is reached directly, so an idle, untapped, per-packet pipe
+        pays exactly zero.
+
+        Overrides are set and deleted as plain attributes, never through
+        ``self.__dict__``: reading that materialises the instance dict,
+        after which CPython 3.11+ reads every attribute of the pipe the
+        slow way, on every packet.
         """
-        d = self.__dict__
-        for name in ("send", "send_train", "_deliver", "_deliver_train"):
-            if name in d:
-                del d[name]
+        for name in _ENTRY_POINTS:
+            try:
+                delattr(self, name)
+            except AttributeError:
+                pass
         # From here on ``self.<name>`` is the class's own bound method.
         if self._down_at is not None:
-            d["send"] = self._send_down
-            d["send_train"] = self._send_train_down
+            self.send = self._send_down
+            self.send_train = self._send_train_down
         elif self._train_mode:
-            d["send"] = self._fluid_send_packet
-        # Observers fire at delivery time, before the sink forwards, with
-        # ``(link, sink, packet_or_train)``; a later tap wraps an earlier.
-        for name, taps in (("_deliver", self._packet_taps),
-                           ("_deliver_train", self._train_taps)):
-            if taps:
-                deliver = getattr(self, name)
-                for observer in taps:
-                    deliver = _observed(observer, self._link, self._sink,
-                                        deliver)
-                d[name] = deliver
-
-    def tap(self, packet_observer=None, train_observer=None) -> None:
-        """Observe deliveries on this pipe (the tracing plane's link hook).
-
-        Untapped pipes (every non-observed run) pay exactly zero; see
-        :meth:`_rebind`.
-        """
-        if packet_observer is not None:
-            self._packet_taps += (packet_observer,)
-        if train_observer is not None:
-            self._train_taps += (train_observer,)
-        self._rebind()
+            self.send = self._fluid_send_packet
+        # Taps wrap the delivery entry points (see Link.tap); a later tap
+        # wraps an earlier one.
+        link = self._link
+        sink = self._sink
+        deliver = deliver_train = None
+        for wrap_packet, wrap_train in link._taps:
+            if wrap_packet is not None:
+                deliver = wrap_packet(link, sink, deliver or self._deliver)
+            if wrap_train is not None:
+                deliver_train = wrap_train(
+                    link, sink, deliver_train or self._deliver_train)
+        if deliver is not None:
+            self._deliver = deliver
+        if deliver_train is not None:
+            self._deliver_train = deliver_train
 
     # ------------------------------------------------------------------
     # fault injection: administrative up/down
@@ -517,6 +511,18 @@ class _Pipe:
         self._sink.receive_train(train, self._link)
 
 
+# CPython 3.11+ keeps a pipe's attributes inline, keyed by a table every
+# _Pipe shares, and that table's room for a name first set after
+# ``__init__`` shrinks with each pipe built: a name that no longer fits
+# gives the pipe that sets it (or fails to delete it) an instance dict.
+# The entry points take their places now, on a throwaway pipe, before any
+# other pipe exists.
+_probe = _Pipe.__new__(_Pipe)
+for _name in _ENTRY_POINTS:
+    setattr(_probe, _name, None)
+del _probe, _name
+
+
 class Link:
     """A bidirectional point-to-point link between two nodes."""
 
@@ -550,6 +556,8 @@ class Link:
         self._pipe_to_a: Optional[_Pipe] = None
         self._train_mode = False
         self._up = True
+        #: ``(packet_wrapper, train_wrapper)`` pairs, in tap order.
+        self._taps: tuple = ()
 
     def _pipes(self) -> "_Pipe":
         """Build both directions (once); returns the one toward ``b``."""
@@ -567,9 +575,13 @@ class Link:
             DropTailQueue(capacity, name=f"{self.name}:{b.name}->{a.name}"),
             self,
         )
+        # Either call rebinds the pipe, which applies the recorded taps.
         if self._train_mode:
             pipe_to_b.enable_train_mode()
             self._pipe_to_a.enable_train_mode()
+        elif self._taps:
+            pipe_to_b._rebind()
+            self._pipe_to_a._rebind()
         return pipe_to_b
 
     # ------------------------------------------------------------------
@@ -613,14 +625,25 @@ class Link:
             self._pipe_to_b.enable_train_mode()
             self._pipe_to_a.enable_train_mode()
 
-    def tap(self, packet_observer=None, train_observer=None) -> None:
-        """Observe deliveries in both directions (see :meth:`_Pipe.tap`).
+    def tap(self, packet_wrapper=None, train_wrapper=None) -> None:
+        """Observe deliveries in both directions (the tracing plane's hook).
+
+        ``packet_wrapper(link, sink, deliver)`` returns a pipe's packet
+        delivery entry point: a one-argument callable that observes the
+        packet and then calls ``deliver(packet)``; ``train_wrapper`` does
+        the same for trains.  A wrapper is built once per pipe (and again
+        when a state change rebinds it), not per packet.
 
         Only observed runs call this; a link that is never tapped carries
-        no tracing code on its delivery path at all.
+        no tracing code on its delivery path at all (see
+        :meth:`_Pipe._rebind`).  A link whose pipes are not built yet only
+        records the wrappers, and its pipes start tapped, so observing a
+        run builds no link it does not use.
         """
-        self._pipes().tap(packet_observer, train_observer)
-        self._pipe_to_a.tap(packet_observer, train_observer)
+        self._taps += ((packet_wrapper, train_wrapper),)
+        if self._pipe_to_b is not None:
+            self._pipe_to_b._rebind()
+            self._pipe_to_a._rebind()
 
     # ------------------------------------------------------------------
     # fault injection

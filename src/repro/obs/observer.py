@@ -116,59 +116,108 @@ class ExperimentObserver:
             event_log.subscribe(on_protocol_event)
 
         # --- links: packet / train deliveries ---------------------------
-        # The per-packet callbacks build a flat body of ints, floats and
-        # strings (shapes in repro.obs.trace), look it up in the recorder's
-        # body index and append the time and the body's index; addresses
-        # are formatted and record dicts built only when the trace is read.
+        # Each tap is a wrapper built once per pipe or filter table, with
+        # the link, node and table names bound at install: per event it
+        # builds a flat body of ints, floats and strings (shapes in
+        # repro.obs.trace), looks it up in the recorder's body index,
+        # appends the time and the body's index and calls the wrapped
+        # method — one Python frame of tracing per delivery or block.
+        # Addresses are formatted and record dicts built only when the
+        # trace is read.
         if want_packet or want_train:
             index = recorder.index
             append_time = recorder.times.append
             append_id = recorder.ids.append
             data = PacketKind.DATA
-            on_packet = None
-            on_train = None
+            wrap_packet = None
+            wrap_train = None
             if want_packet:
-                def on_packet(link: Any, sink: Any, packet: Any) -> None:
-                    kind = packet.kind
-                    body_id = index[
-                        PACKET_DELIVER, link.name, sink.name,
-                        packet.src.value, packet.dst.value, packet.size,
-                        None if kind is data else kind.value,
-                        packet.flow_tag]
-                    append_time(sim._now)
-                    append_id(body_id)
+                def wrap_packet(link: Any, sink: Any, deliver: Any) -> Any:
+                    link_name = link.name
+                    sink_name = sink.name
+
+                    def traced_deliver(packet: Any) -> None:
+                        kind = packet.kind
+                        body_id = index[
+                            PACKET_DELIVER, link_name, sink_name,
+                            packet.src.value, packet.dst.value, packet.size,
+                            None if kind is data else kind.value,
+                            packet.flow_tag]
+                        append_time(sim._now)
+                        append_id(body_id)
+                        deliver(packet)
+
+                    return traced_deliver
             if want_train:
                 # A train's count and spacing differ on nearly every train
                 # of a congested run: its body is appended, not looked up.
                 bodies = recorder.bodies
                 append_body = bodies.append
 
-                def on_train(link: Any, sink: Any, train: Any) -> None:
-                    template = train.template
-                    append_body((TRAIN_DELIVER, link.name, sink.name,
-                                 template.src.value, template.dst.value,
-                                 train.count, train.interval, template.size,
-                                 template.flow_tag))
-                    append_time(sim._now)
-                    append_id(len(bodies) - 1)
+                def wrap_train(link: Any, sink: Any, deliver: Any) -> Any:
+                    link_name = link.name
+                    sink_name = sink.name
+
+                    def traced_deliver_train(train: Any) -> None:
+                        template = train.template
+                        append_body((TRAIN_DELIVER, link_name, sink_name,
+                                     template.src.value, template.dst.value,
+                                     train.count, train.interval,
+                                     template.size, template.flow_tag))
+                        append_time(sim._now)
+                        append_id(len(bodies) - 1)
+                        deliver(train)
+
+                    return traced_deliver_train
             for link in execution.handle.topology.links:
-                link.tap(packet_observer=on_packet, train_observer=on_train)
+                link.tap(wrap_packet, wrap_train)
 
             # Filter-table blocks are where the defense bites traffic;
             # record them on the engine-matching channel.
             sole_block = PACKET_BLOCK if want_packet else TRAIN_BLOCK
+            dense_filter = filter_ids.setdefault
 
-            def on_block(table: Any, entry: Any, packet: Any,
-                         count: int) -> None:
-                body_id = index[
-                    TRAIN_BLOCK if count > 1 and want_train else sole_block,
-                    table.name or "", packet.src.value, packet.dst.value,
-                    count, _dense(filter_ids, entry.filter_id)]
-                append_time(sim._now)
-                append_id(body_id)
+            def wrap_blocks(table: Any, blocks: Any) -> Any:
+                table_name = table.name or ""
+
+                def traced_blocks(packet: Any) -> Any:
+                    entry = blocks(packet)
+                    if entry is not None:
+                        body_id = index[
+                            sole_block, table_name, packet.src.value,
+                            packet.dst.value, 1,
+                            dense_filter(entry.filter_id,
+                                         len(filter_ids) + 1)]
+                        append_time(sim._now)
+                        append_id(body_id)
+                    return entry
+
+                return traced_blocks
+
+            def wrap_blocks_train(table: Any, blocks_train: Any) -> Any:
+                table_name = table.name or ""
+
+                def traced_blocks_train(template: Any, count: int,
+                                        interval: float,
+                                        count_checked: bool = True) -> Any:
+                    entry, blocked = blocks_train(template, count, interval,
+                                                  count_checked)
+                    if entry is not None and blocked:
+                        body_id = index[
+                            TRAIN_BLOCK if blocked > 1 and want_train
+                            else sole_block,
+                            table_name, template.src.value,
+                            template.dst.value, blocked,
+                            dense_filter(entry.filter_id,
+                                         len(filter_ids) + 1)]
+                        append_time(sim._now)
+                        append_id(body_id)
+                    return entry, blocked
+
+                return traced_blocks_train
 
             for router in execution.handle.topology.border_routers():
-                router.filter_table.tap(on_block)
+                router.filter_table.tap(wrap_blocks, wrap_blocks_train)
 
         # --- fault injector: fault + routing channels -------------------
         injector = execution.fault_injector

@@ -285,35 +285,23 @@ class FilterTable:
         self._purge_expired()
         return bool(self._entries) and self._index.covering(label) is not None
 
-    def tap(self, on_block: Callable[["FilterTable", FilterEntry, Packet, int], None]) -> None:
+    def tap(self, blocks_wrapper=None, train_wrapper=None) -> None:
         """Observe blocked traffic (the tracing plane's filter hook).
 
-        Wraps the bound packet-path methods on this instance, so untapped
-        tables — every non-observed run — keep the unwrapped hot path with
-        zero added cost.  ``on_block(table, entry, packet, count)`` fires
-        after each block; ``count`` is 1 per-packet or the blocked prefix
-        length of a train.
+        Replaces the bound packet-path methods on this instance, so
+        untapped tables — every non-observed run — keep the unwrapped hot
+        path with zero added cost.  ``blocks_wrapper(table, blocks)``
+        returns the new :meth:`blocks`: a callable with its signature that
+        calls ``blocks`` and observes a non-None entry; ``train_wrapper``
+        does the same for :meth:`blocks_train`.  Each is built once per
+        table; a later tap wraps an earlier one.
         """
-        inner_blocks = self.blocks
-        inner_blocks_train = self.blocks_train
-
-        def blocks(packet: Packet) -> Optional[FilterEntry]:
-            entry = inner_blocks(packet)
-            if entry is not None:
-                on_block(self, entry, packet, 1)
-            return entry
-
-        def blocks_train(template: Packet, count: int, interval: float,
-                         count_checked: bool = True
-                         ) -> Tuple[Optional[FilterEntry], int]:
-            entry, blocked = inner_blocks_train(template, count, interval,
-                                                count_checked)
-            if entry is not None and blocked:
-                on_block(self, entry, template, blocked)
-            return entry, blocked
-
-        self.blocks = blocks  # type: ignore[method-assign]
-        self.blocks_train = blocks_train  # type: ignore[method-assign]
+        if blocks_wrapper is not None:
+            self.blocks = blocks_wrapper(  # type: ignore[method-assign]
+                self, self.blocks)
+        if train_wrapper is not None:
+            self.blocks_train = train_wrapper(  # type: ignore[method-assign]
+                self, self.blocks_train)
 
     # ------------------------------------------------------------------
     # internals
@@ -321,3 +309,11 @@ class FilterTable:
     def _purge_expired(self) -> None:
         if self._index is not None:
             self._index.purge(self._clock)
+
+
+# The names a tap sets take their places in the tables' shared key table
+# before any table exists, so a tapped table keeps its attributes inline
+# (see the same step after ``repro.net.link._Pipe``).
+_probe = FilterTable.__new__(FilterTable)
+_probe.blocks = _probe.blocks_train = None
+del _probe

@@ -176,6 +176,10 @@ class TrainProcess:
         #: once per chunk (and when ``limit_until`` is set), not per tick.
         self._end_at = 0
         self._limit_until: Optional[float] = None
+        #: The callback and args of this generation's heap entries, bound
+        #: once by :meth:`start` rather than on every wakeup.
+        self._wake: Optional[Callable[[int], None]] = None
+        self._wake_args: Tuple[int, ...] = ()
 
     @property
     def limit_until(self) -> Optional[float]:
@@ -218,7 +222,9 @@ class TrainProcess:
             return
         self._running = True
         self._gen += 1
-        self._sim.schedule_fire(self._start_delay, self._wakeup, self._gen)
+        self._wake = self._wakeup
+        self._wake_args = (self._gen,)
+        self._sim.schedule_fire(self._start_delay, self._wake, self._gen)
 
     def stop(self) -> None:
         """Stop firing from the next train boundary on."""
@@ -229,6 +235,8 @@ class TrainProcess:
     def _wakeup(self, gen: int) -> None:
         if gen != self._gen:  # stopped since this wakeup was scheduled
             return
+        # ``(gen,)``, read before the callback can restart the process.
+        wake_args = self._wake_args
         times = self._times
         pos = self._pos
         end = pos + self._max_train
@@ -271,4 +279,5 @@ class TrainProcess:
             # Simulator.fire_at, inlined: the entry is exactly the one that
             # call would push.
             sim = self._sim
-            heappush(sim._heap, (times[end], next(sim._seq), self._wakeup, (gen,)))
+            heappush(sim._heap, (times[end], next(sim._seq), self._wake,
+                                 wake_args))

@@ -431,6 +431,25 @@ class TestCellCache:
         assert os.listdir(cache.tmp_dir) == []
         assert not os.path.exists(cache.path_for(key))
 
+    def test_a_miss_is_read_again_only_after_a_publish(self, tmp_path,
+                                                       monkeypatch):
+        from repro.cluster import cache as cache_module
+
+        reads = []
+        read_bytes = cache_module.read_bytes
+        monkeypatch.setattr(cache_module, "read_bytes",
+                            lambda path: reads.append(path)
+                            or read_bytes(path))
+        reader = CellCache(str(tmp_path))
+        writer = CellCache(str(tmp_path))
+        key = "ab" + "0" * 62
+        assert reader.get(key) is None and reader.get(key) is None
+        assert reads == [reader.path_for(key)]
+        writer.put(key, {"x": 1})
+        assert reader.get(key)["result"] == {"x": 1}
+        assert reader.get(key)["result"] == {"x": 1}
+        assert len(reads) == 3
+
     def test_code_fingerprint_is_stable_within_a_build(self):
         from repro.cluster.cache import code_fingerprint
 
@@ -619,6 +638,60 @@ class TestWorkerAndCoordinator:
                                                            resume=True)
         assert resumed.provenance["cache"] == {"hits": 1, "misses": 1}
         assert resumed.to_json() == serial.to_json()
+
+    def test_a_cold_pass_reads_each_cache_entry_once(self, tmp_path,
+                                                     monkeypatch):
+        # The submit finds every cell missing; the claim loop then executes
+        # them without opening the missing entries a second time.
+        import builtins
+
+        cache_root = os.path.join(str(tmp_path), "cache")
+        reads = []
+        real_open = builtins.open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if "r" in mode and str(file).startswith(cache_root):
+                reads.append(str(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        coordinator = SweepCoordinator(str(tmp_path))
+        sweep = coordinator.run_grid(
+            default_flood_spec(duration=1.0),
+            {"defense.backend": ["aitf", "pushback", "none"]})
+        monkeypatch.undo()
+        assert sweep.provenance["cache"] == {"hits": 0, "misses": 3}
+        cache = coordinator.cache
+        assert sorted(reads) == sorted(cache.path_for(key)
+                                       for key in cache.keys())
+
+    def test_a_resume_over_two_damaged_entries_warns_once_each(
+            self, tmp_path):
+        from repro.experiments.spec import document_json
+
+        base = default_flood_spec(duration=1.0)
+        grid = {"defense.backend": ["aitf", "pushback", "none"]}
+        first = SweepCoordinator(str(tmp_path)).run_grid(base, grid)
+        cache = CellCache(os.path.join(str(tmp_path), "cache"))
+        edited, garbled = cache.keys()[:2]
+        header, body = read_entry(cache.path_for(edited))
+        result = json.loads(body)
+        del result["legit_delivery_ratio"]
+        write_entry(cache.path_for(edited), header,
+                    document_json(result).encode("utf-8"))
+        with open(cache.path_for(garbled), "wb") as handle:
+            handle.write(b"\xff\xfe\x00garbage")
+        with warnings_of("repro.cluster.cache") as cache_warnings, \
+                warnings_of("repro.cluster.fsqueue") as queue_warnings:
+            resumed = SweepCoordinator(str(tmp_path)).run_grid(
+                base, grid, resume=True)
+        assert resumed.to_json() == first.to_json()
+        assert resumed.provenance["cache"] == {"hits": 1, "misses": 2}
+        assert [w for w in cache_warnings if "fails its digest" in w] == [
+            f"cell cache entry {edited[:12]} fails its digest; computing the "
+            "cell again"]
+        assert [w for w in queue_warnings if "corrupt" in w] == [
+            f"ignoring corrupt JSON file {cache.path_for(garbled)}"]
 
     def test_the_spliced_document_says_what_to_dict_says(self, tmp_path):
         # to_json splices each result's text, to_dict hands back the dicts:

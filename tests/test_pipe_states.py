@@ -54,6 +54,17 @@ def _resolved(pipe, name):
     return getattr(entry, "__func__", entry).__name__
 
 
+def _tap(observe):
+    """A tap wrapper factory whose wrapper calls ``observe(payload)`` and
+    then delivers the payload."""
+    def wrap(link, sink, deliver):
+        def tapped(payload):
+            observe(payload)
+            deliver(payload)
+        return tapped
+    return wrap
+
+
 STATES = list(itertools.product((False, True), (False, True), sorted(ADMIN)))
 
 
@@ -81,10 +92,10 @@ def test_every_order_reaches_the_same_pipe(train, tapped, admin):
         for step, call in enumerate(order, start=1):
             if call == "tap":
                 link.tap(
-                    packet_observer=lambda *_: seen.__setitem__(
-                        "packet", seen["packet"] + 1),
-                    train_observer=lambda _l, _s, t: seen.__setitem__(
-                        "train", seen["train"] + t.count))
+                    _tap(lambda _: seen.__setitem__(
+                        "packet", seen["packet"] + 1)),
+                    _tap(lambda t: seen.__setitem__(
+                        "train", seen["train"] + t.count)))
             else:
                 getattr(link, call)()
             offer()
@@ -95,9 +106,8 @@ def test_every_order_reaches_the_same_pipe(train, tapped, admin):
             "send": ("_send_down" if down else
                      "_fluid_send_packet" if train else "send"),
             "send_train": "_send_train_down" if down else "send_train",
-            "_deliver": "_traced_deliver" if tapped else "_deliver",
-            "_deliver_train": ("_traced_deliver" if tapped
-                               else "_deliver_train"),
+            "_deliver": "tapped" if tapped else "_deliver",
+            "_deliver_train": "tapped" if tapped else "_deliver_train",
         }
         for end, sink in ((a, a), (b, b)):
             pipe = link.pipe_toward(end)
@@ -177,8 +187,8 @@ def _set_down_then_send(sim, link, engine, seen):
 
 
 def _tap_then_send(sim, link, engine, seen):
-    link.tap(packet_observer=lambda *_: seen.append(1),
-             train_observer=lambda _l, _s, train: seen.append(train.count))
+    link.tap(_tap(lambda _: seen.append(1)),
+             _tap(lambda train: seen.append(train.count)))
     sim.fire_at(0.25, _offer, sim, link, engine)
 
 
@@ -211,9 +221,9 @@ def _counters(case, engine, eager):
     seen = []
     IDLE_CASES[case](sim, link, engine, seen)
     if not eager:
-        # set_down and tap build the pipes; a recorded mode and reads do not
+        # set_down builds the pipes; a recorded mode, taps and reads do not
         assert (link._pipe_to_b is None) == (case in (
-            "train_mode_then_send_later", "read_then_send"))
+            "train_mode_then_send_later", "tap_then_send", "read_then_send"))
     sim.run()
     return ([(dataclasses.astuple(link.stats_toward(end)),
               dataclasses.astuple(link.queue_toward(end).stats), end.packets)
