@@ -58,8 +58,9 @@ def test_disabled_tracing_leaves_no_hook_and_adds_no_work(mode):
     topology = execution.handle.topology
     for link in topology.links:
         for end in (link.a, link.b):
-            overridden = set(vars(link.pipe_toward(end))) & {
-                "_deliver", "_deliver_train"}
+            pipe = link.pipe_toward(end)
+            assert pipe._sink is end, link.name
+            overridden = set(vars(pipe)) & {"_deliver_train"}
             assert not overridden, (link.name, overridden)
     for router in topology.border_routers():
         tapped = set(vars(router.filter_table)) & {"blocks", "blocks_train"}
@@ -105,11 +106,11 @@ def _oracle_packet_records(spec):
             "filter_id": filter_ids.setdefault(entry.filter_id,
                                                len(filter_ids) + 1)})
 
-    def wrap_packet(link, sink, deliver):
-        def traced_deliver(packet):
+    def wrap_packet(link, sink):
+        def traced_receive(packet, arrived_over):
             on_packet(link, sink, packet)
-            deliver(packet)
-        return traced_deliver
+            sink.receive_packet(packet, arrived_over)
+        return traced_receive
 
     def wrap_blocks(table, blocks):
         def traced_blocks(packet):

@@ -116,6 +116,10 @@ class CompromisedRouterBehaviour:
             self.router.send(forged)
             self.replies_forged += 1
             if self.suppress_query:
+                # Swallowed ahead of the pipeline, which would have counted
+                # the arrival: it still arrived, and was dropped here.
+                link.arrived(self.router, packet)
+                self.router.stats.packets_dropped_suppressed += 1
                 return
         self._original_handler(packet, link, *train_args)
 

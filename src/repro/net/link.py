@@ -4,7 +4,9 @@ A :class:`Link` joins two nodes (anything exposing ``name`` and
 ``receive_packet(packet, link)``) with one independent transmission pipe per
 direction.  Each pipe serializes packets at the configured bandwidth, applies
 the propagation delay, and drops on queue overflow — which is exactly how a
-flood saturates the victim's tail circuit.
+flood saturates the victim's tail circuit.  A delivery event calls the
+receiver itself, and the receiver counts the arrival on the pipe
+(:meth:`Link.arrived`).
 
 Congestion is therefore an emergent property of the simulation, not a modeled
 abstraction: the benchmarks that show legitimate goodput collapsing under
@@ -14,7 +16,7 @@ attack (experiment E11) rely on nothing more than these pipes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from heapq import heappush
 from typing import Optional, Protocol as TypingProtocol
 
@@ -30,7 +32,8 @@ class PacketSink(TypingProtocol):
     name: str
 
     def receive_packet(self, packet: Packet, link: "Link") -> None:
-        """Handle a packet arriving over ``link``."""
+        """Handle a packet arriving over ``link``, counting it with
+        ``link.arrived(self, packet)`` (the nodes inline that count)."""
         ...  # pragma: no cover - protocol definition
 
 
@@ -55,8 +58,64 @@ class LinkStats:
         return min(1.0, (self.bytes_delivered * 8) / (bandwidth_bps * elapsed))
 
 
+class _LiveLinkStats(LinkStats):
+    """A pipe's :class:`LinkStats`, read live off its counters.
+
+    The pipe counts in ``_counts`` what it sends other than across an idle
+    queue, and what it drops; each receiver counts its arrivals there too.
+    A packet that crossed the idle queue is recorded once, on the queue
+    (see :class:`~repro.net.queues.DropTailQueue`), so ``packets_sent``
+    and ``busy_time`` are worked out here, when read.
+    """
+
+    __slots__ = ("_pipe",)
+
+    def __init__(self, pipe: "_Pipe") -> None:
+        self._pipe = pipe
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LinkStats):
+            return NotImplemented
+        return all(getattr(self, f.name) == getattr(other, f.name)
+                   for f in fields(LinkStats))
+
+    @property
+    def packets_sent(self) -> int:
+        pipe = self._pipe
+        return pipe._counts.packets_sent + pipe._queue._passed
+
+    @property
+    def busy_time(self) -> float:
+        # Every byte the serializer started on: the idle crossings and the
+        # queue's admissions, less what a flush discarded or still waits.
+        pipe = self._pipe
+        queue = pipe._queue
+        own = queue._own
+        started = (queue._bytes_passed + own.bytes_enqueued
+                   - own.bytes_flushed - queue._bytes)
+        return (started * 8) / pipe._bandwidth
+
+    packets_delivered = property(
+        lambda self: self._pipe._counts.packets_delivered)
+    packets_dropped = property(lambda self: self._pipe._counts.packets_dropped)
+    packets_dropped_down = property(
+        lambda self: self._pipe._counts.packets_dropped_down)
+    bytes_delivered = property(lambda self: self._pipe._counts.bytes_delivered)
+
+
+class _Tap:
+    """What a tapped pipe delivers to: the sink's name, and the tap's
+    wrapper as the ``receive_packet`` a delivery event calls."""
+
+    __slots__ = ("name", "receive_packet")
+
+    def __init__(self, name: str, receive_packet) -> None:
+        self.name = name
+        self.receive_packet = receive_packet
+
+
 #: The entry points ``_Pipe._rebind`` may override per instance.
-_ENTRY_POINTS = ("send", "send_train", "_deliver", "_deliver_train")
+_ENTRY_POINTS = ("send", "send_train", "_deliver_train")
 
 
 class _Pipe:
@@ -67,6 +126,11 @@ class _Pipe:
     packets are actually waiting.  An uncongested hop therefore costs one
     simulator event per packet instead of two, and both event kinds ride
     the fire-and-forget scheduling path (no cancellable event objects).
+
+    A delivery event is ``(time, seq, sink.receive_packet, (packet,
+    link))``: it calls the receiver directly, and the receiver counts the
+    arrival (:meth:`Link.arrived`).  ``receive_packet`` is read when the
+    packet is sent, so one replaced on the sink's instance takes effect.
     """
 
     def __init__(
@@ -79,6 +143,9 @@ class _Pipe:
         link: "Link",
     ) -> None:
         self._sim = sim
+        self._node = sink
+        #: What a delivery event calls ``receive_packet`` on: the node, or
+        #: the outermost of the link's taps (see :meth:`_rebind`).
         self._sink = sink
         self._bandwidth = bandwidth_bps
         self._delay = delay
@@ -88,9 +155,12 @@ class _Pipe:
         self._busy_until = -1.0
         #: True while a drain wakeup is pending for queued packets.
         self._drain_pending = False
-        self.stats = LinkStats()
+        #: Everything but the idle crossings (which the queue records) and
+        #: ``busy_time``: sends, drops, and the receiver's arrivals.
+        self._counts = LinkStats()
+        self.stats: LinkStats = _LiveLinkStats(self)
         # Idle-path caches: these never change after construction.
-        self._qstats = queue.stats
+        self._qstats = queue._own
         self._cap_bytes = queue.capacity_bytes
         self._zero_packet_cap = queue.capacity_packets == 0
         # Train-mode (fluid) state; inert until enable_train_mode() flips
@@ -107,7 +177,7 @@ class _Pipe:
         # taps (``Link._taps``).  ``_down_at`` is the simulation time the
         # pipe went down (None while up).  These three are the whole input
         # of _rebind(), which alone decides what send / send_train /
-        # _deliver* resolve to.
+        # _deliver_train resolve to and what ``_sink`` is.
         # ``_fl_gen`` invalidates in-flight _fl_release events when a fault
         # resets the fluid state; it stays 0 on fault-free runs.
         self._down_at: Optional[float] = None
@@ -119,8 +189,6 @@ class _Pipe:
 
     def send(self, packet: Packet) -> bool:
         """Offer a packet to this direction; False means it was dropped."""
-        stats = self.stats
-        stats.packets_sent += 1
         sim = self._sim
         now = sim._now
         if self._busy_until <= now and not self._drain_pending:
@@ -128,32 +196,33 @@ class _Pipe:
             # right away.  The drain-pending check matters at the exact
             # serializer-free instant: a packet arriving at t == busy_until
             # while others are still queued must line up behind them, not
-            # overtake on the bypass.  The queue stats still record the
-            # instantaneous pass-through so counters match the eager
-            # enqueue-then-dequeue formulation exactly.
+            # overtake on the bypass.  The packet and its bytes are recorded
+            # once, on the queue; the sent, queue and busy-time counters of
+            # the instantaneous pass-through are worked out when read.
             size = packet.size
-            qstats = self._qstats
+            queue = self._queue
             if size > self._cap_bytes or self._zero_packet_cap:
+                qstats = self._qstats
                 qstats.dropped += 1
                 qstats.bytes_dropped += size
-                stats.packets_dropped += 1
+                counts = self._counts
+                counts.packets_sent += 1
+                counts.packets_dropped += 1
                 return False
-            qstats.enqueued += 1
-            qstats.bytes_enqueued += size
-            qstats.dequeued += 1
-            if qstats.peak_depth_packets < 1:
-                qstats.peak_depth_packets = 1
-            if qstats.peak_depth_bytes < size:
-                qstats.peak_depth_bytes = size
+            queue._passed += 1
+            queue._bytes_passed += size
+            if queue._largest_passed < size:
+                queue._largest_passed = size
             tx_time = (size * 8) / self._bandwidth
-            stats.busy_time += tx_time
             self._busy_until = now + tx_time
             # Simulator.schedule_fire, inlined: the delivery is this hop's
             # one event, and the entry must read exactly what that call
             # would push, ``now + (tx_time + delay)`` included.
-            heappush(sim._heap, (now + (tx_time + self._delay),
-                                 next(sim._seq), self._deliver, (packet,)))
+            heappush(sim._heap, (now + (tx_time + self._delay), next(sim._seq),
+                                 self._sink.receive_packet, (packet, self._link)))
             return True
+        stats = self._counts
+        stats.packets_sent += 1
         queue = self._queue
         # A full data queue must not silence the control channel: AITF
         # messages are rare and tiny, and a router forwards them with
@@ -175,22 +244,17 @@ class _Pipe:
         if packet is None:
             return
         tx_time = (packet.size * 8) / self._bandwidth
-        self.stats.busy_time += tx_time
         sim = self._sim
         self._busy_until = sim._now + tx_time
-        sim.schedule_fire(tx_time + self._delay, self._deliver, packet)
+        sim.schedule_fire(tx_time + self._delay, self._sink.receive_packet,
+                          packet, self._link)
         if not self._queue.is_empty:
             self._drain_pending = True
             sim.schedule_fire(tx_time, self._drain)
 
-    def _deliver(self, packet: Packet) -> None:
-        stats = self.stats
-        stats.packets_delivered += 1
-        stats.bytes_delivered += packet.size
-        self._sink.receive_packet(packet, self._link)
-
     def _rebind(self) -> None:
-        """Derive every swappable entry point from the pipe's state.
+        """Derive every swappable entry point, and ``_sink``, from the
+        pipe's state.
 
         The one dispatch point: mode x up/down x tapped.  Only the state
         setters (``enable_train_mode``, ``set_down``, ``set_up`` and
@@ -215,19 +279,18 @@ class _Pipe:
             self.send_train = self._send_train_down
         elif self._train_mode:
             self.send = self._fluid_send_packet
-        # Taps wrap the delivery entry points (see Link.tap); a later tap
-        # wraps an earlier one.
+        # Taps wrap the receiver and the train delivery (see Link.tap); a
+        # later tap wraps an earlier one.
         link = self._link
-        sink = self._sink
-        deliver = deliver_train = None
+        node = sink = self._node
+        deliver_train = None
         for wrap_packet, wrap_train in link._taps:
             if wrap_packet is not None:
-                deliver = wrap_packet(link, sink, deliver or self._deliver)
+                sink = _Tap(node.name, wrap_packet(link, sink))
             if wrap_train is not None:
                 deliver_train = wrap_train(
-                    link, sink, deliver_train or self._deliver_train)
-        if deliver is not None:
-            self._deliver = deliver
+                    link, node, deliver_train or self._deliver_train)
+        self._sink = sink
         if deliver_train is not None:
             self._deliver_train = deliver_train
 
@@ -251,7 +314,7 @@ class _Pipe:
         self._rebind()
         flushed = self._queue.clear()
         if flushed:
-            stats = self.stats
+            stats = self._counts
             stats.packets_dropped += flushed
             stats.packets_dropped_down += flushed
         if self._train_mode:
@@ -273,7 +336,7 @@ class _Pipe:
             self._fl_t = self._sim._now
 
     def _send_down(self, packet: Packet) -> bool:
-        stats = self.stats
+        stats = self._counts
         stats.packets_sent += 1
         stats.packets_dropped += 1
         stats.packets_dropped_down += 1
@@ -281,7 +344,7 @@ class _Pipe:
 
     def _send_train_down(self, train: PacketTrain) -> bool:
         n = train.count
-        stats = self.stats
+        stats = self._counts
         stats.packets_sent += n
         stats.packets_dropped += n
         stats.packets_dropped_down += n
@@ -348,7 +411,7 @@ class _Pipe:
 
     def _fluid_send_packet(self, packet: Packet) -> bool:
         """Train-mode single-packet send: an instantaneous one-packet burst."""
-        stats = self.stats
+        stats = self._counts
         stats.packets_sent += 1
         size = packet.size
         qstats = self._qstats
@@ -400,9 +463,8 @@ class _Pipe:
         if qstats.peak_depth_bytes < depth:
             qstats.peak_depth_bytes = depth
         tx = size / self._srate
-        stats.busy_time += tx
-        sim.schedule_fire(q0 / self._srate + tx + self._delay, self._deliver,
-                          packet)
+        sim.schedule_fire(q0 / self._srate + tx + self._delay,
+                          self._sink.receive_packet, packet, self._link)
         return True
 
     def send_train(self, train: PacketTrain) -> bool:
@@ -412,7 +474,7 @@ class _Pipe:
         size = template.size
         if n == 1:
             return self._fluid_send_packet(template)
-        stats = self.stats
+        stats = self._counts
         stats.packets_sent += n
         qstats = self._qstats
         if size > self._cap_bytes or self._zero_packet_cap:
@@ -479,14 +541,15 @@ class _Pipe:
         if qstats.peak_depth_bytes < size:
             qstats.peak_depth_bytes = size
         tx = size / srate
-        stats.busy_time += accepted * tx
         train.count = accepted
         train.interval = out_interval
         sim.schedule_fire(wait + tx + self._delay, self._deliver_train, train)
         return True
 
     def _deliver_train(self, train: PacketTrain) -> None:
-        stats = self.stats
+        """A train arrives: truncated to what crossed before a fault, then
+        handed to the node, which counts it (:meth:`Link.arrived`)."""
+        stats = self._counts
         down_at = self._down_at
         if down_at is not None:
             # The link failed while this train was in flight.  Packets that
@@ -505,10 +568,7 @@ class _Pipe:
                     stats.packets_dropped += stranded
                     stats.packets_dropped_down += stranded
                     train.count = keep
-        count = train.count
-        stats.packets_delivered += count
-        stats.bytes_delivered += count * train.template.size
-        self._sink.receive_train(train, self._link)
+        self._node.receive_train(train, self._link)
 
 
 # CPython 3.11+ keeps a pipe's attributes inline, keyed by a table every
@@ -612,6 +672,18 @@ class Link:
         """Transmit an aggregated packet train (train-mode experiments only)."""
         return self.pipe_from(sender).send_train(train)
 
+    def arrived(self, node: PacketSink, packet: Packet, count: int = 1) -> None:
+        """Count ``count`` copies of ``packet`` as delivered to ``node`` over
+        this link: the receiver's half of the pipe's ledger, counted once.
+
+        Every sink calls this from ``receive_packet``; the nodes inline it
+        (``router/nodes.py``), and a node's ``packets_received`` is read
+        back as the sum over its incoming pipes.
+        """
+        counts = (self._built_toward(node) or self.pipe_toward(node))._counts
+        counts.packets_delivered += count
+        counts.bytes_delivered += count * packet.size
+
     def enable_train_mode(self) -> None:
         """Switch both directions to fluid (train-aware) serialization.
 
@@ -628,11 +700,14 @@ class Link:
     def tap(self, packet_wrapper=None, train_wrapper=None) -> None:
         """Observe deliveries in both directions (the tracing plane's hook).
 
-        ``packet_wrapper(link, sink, deliver)`` returns a pipe's packet
-        delivery entry point: a one-argument callable that observes the
-        packet and then calls ``deliver(packet)``; ``train_wrapper`` does
-        the same for trains.  A wrapper is built once per pipe (and again
-        when a state change rebinds it), not per packet.
+        ``packet_wrapper(link, sink)`` returns the receiver a pipe's
+        delivery events call: a ``(packet, link)`` callable that observes
+        the packet and then hands it on with ``sink.receive_packet(packet,
+        link)`` (for a later tap, ``sink`` carries the earlier tap's
+        receiver and the node's name).  ``train_wrapper(link, sink,
+        deliver)`` returns a one-argument callable that observes a train
+        and then calls ``deliver(train)``.  A wrapper is built once per pipe
+        (and again when a state change rebinds it), not per packet.
 
         Only observed runs call this; a link that is never tapped carries
         no tracing code on its delivery path at all (see

@@ -9,7 +9,7 @@ bound and per-queue statistics that the goodput experiments read.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Deque, Optional, Tuple, Union
 
 from repro.net.packet import Packet
@@ -73,8 +73,67 @@ class QueueStats:
         return self.bytes_dropped + self.bytes_flushed
 
 
+class _LiveQueueStats(QueueStats):
+    """A queue's :class:`QueueStats`, read live: what the queue counted
+    itself plus the packets that crossed it idle.
+
+    A pipe whose serializer is free hands a packet straight to the wire
+    and records only that packet and its bytes, once, on the queue
+    (``_passed``, ``_bytes_passed``, ``_largest_passed``).  Such a packet
+    was enqueued and dequeued in the same instant, one packet deep, so
+    those counters are worked out here, when read.
+    """
+
+    __slots__ = ("_queue",)
+
+    def __init__(self, queue: "DropTailQueue") -> None:
+        self._queue = queue
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QueueStats):
+            return NotImplemented
+        return all(getattr(self, f.name) == getattr(other, f.name)
+                   for f in fields(QueueStats))
+
+    @property
+    def enqueued(self) -> int:
+        queue = self._queue
+        return queue._own.enqueued + queue._passed
+
+    @property
+    def dequeued(self) -> int:
+        queue = self._queue
+        return queue._own.dequeued + queue._passed
+
+    @property
+    def bytes_enqueued(self) -> int:
+        queue = self._queue
+        return queue._own.bytes_enqueued + queue._bytes_passed
+
+    @property
+    def peak_depth_packets(self) -> int:
+        queue = self._queue
+        return max(queue._own.peak_depth_packets, 1 if queue._passed else 0)
+
+    @property
+    def peak_depth_bytes(self) -> int:
+        queue = self._queue
+        return max(queue._own.peak_depth_bytes, queue._largest_passed)
+
+    # Drops and flushes happen only in the queue.
+    dropped = property(lambda self: self._queue._own.dropped)
+    bytes_dropped = property(lambda self: self._queue._own.bytes_dropped)
+    flushed = property(lambda self: self._queue._own.flushed)
+    bytes_flushed = property(lambda self: self._queue._own.bytes_flushed)
+
+
 class DropTailQueue:
-    """A FIFO queue bounded in bytes (and optionally packets)."""
+    """A FIFO queue bounded in bytes (and optionally packets).
+
+    :attr:`stats` is a live view; the queue writes its own counters to
+    ``_own``, and a pipe records a packet that crossed the queue idle in
+    ``_passed`` / ``_bytes_passed`` / ``_largest_passed``.
+    """
 
     def __init__(
         self,
@@ -87,9 +146,13 @@ class DropTailQueue:
         self.capacity_bytes = capacity_bytes
         self.capacity_packets = capacity_packets
         self.name = name
-        self.stats = QueueStats()
+        self._own = QueueStats()
+        self.stats: QueueStats = _LiveQueueStats(self)
         self._queue: Union[Deque[Packet], Tuple[Packet, ...]] = _EMPTY
         self._bytes = 0
+        self._passed = 0
+        self._bytes_passed = 0
+        self._largest_passed = 0
 
     # ------------------------------------------------------------------
     # state
@@ -122,7 +185,7 @@ class DropTailQueue:
         The overflow test is inlined (rather than calling :meth:`would_drop`)
         because every packet on every link goes through here.
         """
-        stats = self.stats
+        stats = self._own
         size = packet.size
         queue = self._queue
         if (self._bytes + size > self.capacity_bytes
@@ -153,7 +216,7 @@ class DropTailQueue:
         flood suppress the very messages that stop it.  Stats are counted
         exactly like a normal enqueue.
         """
-        stats = self.stats
+        stats = self._own
         size = packet.size
         queue = self._queue
         if queue is _EMPTY:
@@ -175,7 +238,7 @@ class DropTailQueue:
             return None
         packet = self._queue.popleft()
         self._bytes -= packet.size
-        self.stats.dequeued += 1
+        self._own.dequeued += 1
         return packet
 
     def peek(self) -> Optional[Packet]:
@@ -191,8 +254,9 @@ class DropTailQueue:
         do not under-report losses.
         """
         discarded = len(self._queue)
-        self.stats.flushed += discarded
-        self.stats.bytes_flushed += self._bytes
+        own = self._own
+        own.flushed += discarded
+        own.bytes_flushed += self._bytes
         self._queue = _EMPTY
         self._bytes = 0
         return discarded

@@ -132,11 +132,11 @@ class ExperimentObserver:
             wrap_packet = None
             wrap_train = None
             if want_packet:
-                def wrap_packet(link: Any, sink: Any, deliver: Any) -> Any:
+                def wrap_packet(link: Any, sink: Any) -> Any:
                     link_name = link.name
                     sink_name = sink.name
 
-                    def traced_deliver(packet: Any) -> None:
+                    def traced_receive(packet: Any, link: Any) -> None:
                         kind = packet.kind
                         body_id = index[
                             PACKET_DELIVER, link_name, sink_name,
@@ -145,9 +145,9 @@ class ExperimentObserver:
                             packet.flow_tag]
                         append_time(sim._now)
                         append_id(body_id)
-                        deliver(packet)
+                        sink.receive_packet(packet, link)
 
-                    return traced_deliver
+                    return traced_receive
             if want_train:
                 # A train's count and spacing differ on nearly every train
                 # of a congested run: its body is appended, not looked up.

@@ -219,7 +219,11 @@ class FilterTable:
         forwarded.  A border router answers a table without filters itself
         (``packets_checked += 1``, see ``BorderRouter.receive_packet``), and
         so does a host its outbound table (``NetworkNode.send``, which asks
-        :meth:`blocks_train` at interval 0 when the table holds one)."""
+        :meth:`blocks_train` at interval 0 when the table holds one).
+
+        While the table holds no wildcard or prefix label this looks in the
+        packet's exact ``(src, dst)`` bucket itself (:meth:`LabelIndex.match`
+        without the residual scan); otherwise it asks the index."""
         self.packets_checked += 1
         if not self._entries:
             return None
@@ -227,7 +231,18 @@ class FilterTable:
         index = self._index
         if index.next_expiry <= now:
             index.expire(now)
-        best = index.match(packet, now)
+        if index._residual:
+            best = index.match(packet, now)
+        else:
+            best = None
+            bucket = index._exact.get(
+                (packet.src.value << 32) | packet.dst.value)
+            if bucket:
+                for entry in bucket:
+                    if entry.expires_at > now and (
+                            entry.exact_only or entry.label.matches(packet)):
+                        best = entry
+                        break
         if best is not None:
             best.packets_blocked += 1
             best.bytes_blocked += packet.size

@@ -28,10 +28,14 @@ from repro.net.packet import Packet
 class IngressStats:
     """Counters for one ingress-filtering instance."""
 
-    packets_checked: int = 0
     packets_passed: int = 0
     spoofed_detected: int = 0
     spoofed_dropped: int = 0
+
+    @property
+    def packets_checked(self) -> int:
+        """Every checked packet either passed or was detected as spoofed."""
+        return self.packets_passed + self.spoofed_detected
 
 
 #: The policy and the counters of every filter that has no policy: only
@@ -99,9 +103,9 @@ class IngressFilter:
                count: int = 1) -> bool:
         """:meth:`check` against the link's non-empty policy ``prefixes``,
         already looked up (``BorderRouter.receive_packet`` probes the
-        policy itself, once per packet)."""
+        policy and passes a matching source itself, and comes here only for
+        a source that matches none of ``prefixes``)."""
         stats = self.stats
-        stats.packets_checked += count
         src_value = packet.src.value
         for prefix in prefixes:
             if (src_value & prefix._mask) == prefix._network_value:

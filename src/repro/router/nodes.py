@@ -25,7 +25,7 @@ baselines.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (AbstractSet, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple,
                     Union, ValuesView)
 
@@ -59,9 +59,13 @@ _NO_HOOKS: Tuple = ()
 
 @dataclass(slots=True)
 class NodeStats:
-    """Per-node packet counters."""
+    """Per-node packet counters.
 
-    packets_received: int = 0
+    An arrival is counted once, on the pipe it came over (the link's
+    ``packets_delivered`` toward this node), so ``packets_received`` and
+    ``bytes_received`` are read as the sum over the node's incoming pipes.
+    """
+
     packets_forwarded: int = 0
     packets_delivered: int = 0
     packets_originated: int = 0
@@ -70,8 +74,29 @@ class NodeStats:
     packets_dropped_no_route: int = 0
     packets_dropped_disconnected: int = 0
     packets_dropped_ttl: int = 0
-    bytes_received: int = 0
+    #: Arrivals an on-path attacker hooked and swallowed
+    #: (:class:`~repro.attacks.malicious.CompromisedRouterBehaviour`).
+    packets_dropped_suppressed: int = 0
     bytes_delivered: int = 0
+    _node: Optional["NetworkNode"] = field(default=None, repr=False,
+                                           compare=False)
+
+    def _arrivals(self) -> Tuple[int, int]:
+        packets = nbytes = 0
+        node = self._node
+        for link in node.links if node is not None else ():
+            stats = link.stats_toward(node)
+            packets += stats.packets_delivered
+            nbytes += stats.bytes_delivered
+        return packets, nbytes
+
+    @property
+    def packets_received(self) -> int:
+        return self._arrivals()[0]
+
+    @property
+    def bytes_received(self) -> int:
+        return self._arrivals()[1]
 
 
 class NetworkNode:
@@ -85,7 +110,7 @@ class NetworkNode:
         self.network = network or name
         self.links: List[Link] = []
         self.routing = RoutingTable(self.name)
-        self.stats = NodeStats()
+        self.stats = NodeStats(_node=self)
         #: The addresses this node owns, keyed on :attr:`IPAddress.value`:
         #: the receive path asks ``packet.dst.value in`` it, an int probe
         #: that calls no ``IPAddress.__hash__``.
@@ -180,13 +205,17 @@ class NetworkNode:
     def receive_packet(self, packet: Packet, link: Link, count: int = 1,
                        train: Optional[PacketTrain] = None) -> None:
         """Entry point called by links delivering traffic to this node: the
-        receive counters and the disconnection check, then local delivery or
+        arrival count and the disconnection check, then local delivery or
         forwarding.  :class:`BorderRouter` replaces it with its pipeline."""
-        stats = self.stats
-        stats.packets_received += count
-        stats.bytes_received += count * packet.size
+        # Link.arrived, inlined: the pipe's receiver-side counters.
+        pipe = link._pipe_to_b if link.b is self else link._pipe_to_a
+        if pipe is None:
+            pipe = link.pipe_toward(self)
+        counts = pipe._counts
+        counts.packets_delivered += count
+        counts.bytes_delivered += count * packet.size
         if link in self.disconnected_links:
-            stats.packets_dropped_disconnected += count
+            self.stats.packets_dropped_disconnected += count
             return
         if packet.dst.value in self._addresses:
             self.deliver_locally(packet, link, count, train)
@@ -408,11 +437,15 @@ class BorderRouter(NetworkNode):
         # counted with the whole train: it must re-*decide* (a newer filter
         # may block it) without re-*counting*.
         if count_checked:
-            stats = self.stats
-            stats.packets_received += count
-            stats.bytes_received += count * packet.size
+            # Link.arrived, inlined: the pipe's receiver-side counters.
+            pipe = link._pipe_to_b if link.b is self else link._pipe_to_a
+            if pipe is None:
+                pipe = link.pipe_toward(self)
+            counts = pipe._counts
+            counts.packets_delivered += count
+            counts.bytes_delivered += count * packet.size
             if link in self.disconnected_links:
-                stats.packets_dropped_disconnected += count
+                self.stats.packets_dropped_disconnected += count
                 return
         if packet.dst.value in self._addresses:
             self.deliver_locally(packet, link, count, train)
@@ -423,16 +456,24 @@ class BorderRouter(NetworkNode):
             self.forward_packet(packet, link, count, train)
             return
         if count_checked:
-            # IngressFilter.check, with its one policy probe made here: a
-            # router without a policy tests an empty dict, and a policed
-            # link is looked up once per packet.
+            # IngressFilter.check, decided here for a source that passes: a
+            # router without a policy tests an empty dict, a policed link is
+            # looked up once per packet, and only a source matching none of
+            # its prefixes goes to IngressFilter.passes.
             ingress = self.ingress
             allowed = ingress._allowed
             if allowed:
                 prefixes = allowed.get(link)
-                if prefixes and not ingress.passes(packet, prefixes, count):
-                    self.stats.packets_dropped_ingress += count
-                    return
+                if prefixes:
+                    src_value = packet.src.value
+                    for prefix in prefixes:
+                        if (src_value & prefix._mask) == prefix._network_value:
+                            ingress.stats.packets_passed += count
+                            break
+                    else:
+                        if not ingress.passes(packet, prefixes, count):
+                            self.stats.packets_dropped_ingress += count
+                            return
         table = self.filter_table
         if train is None:
             if not table._entries:

@@ -183,17 +183,17 @@ class Simulator:
         try:
             while heap:
                 entry = heappop(heap)
-                target = entry[2]
+                when, _, target, args = entry
                 if target.__class__ is Event:
                     if target.cancelled:
                         continue
                     target = target.callback
-                if entry[0] > horizon:
+                if when > horizon:
                     heapq.heappush(heap, entry)
                     break
-                self._now = entry[0]
+                self._now = when
                 fired += 1
-                target(*entry[3])
+                target(*args)
         finally:
             self._running = False
             self._events_processed += fired

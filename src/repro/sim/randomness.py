@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import zlib
-from functools import cached_property
 from typing import Any, Optional, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
@@ -32,6 +31,9 @@ def stable_seed(*parts: Any) -> int:
 class SeededRandom:
     """A named, forkable wrapper around :class:`random.Random`."""
 
+    # ``_rng`` stays unset until the first draw (see __getattr__).
+    __slots__ = ("_seed", "_name", "_children", "_origin", "_rng")
+
     def __init__(self, seed: int = 0, name: str = "root") -> None:
         self._seed: Optional[int] = int(seed)
         self._name: Optional[str] = name
@@ -49,12 +51,16 @@ class SeededRandom:
         self._name = f"{parent.name}/{name}"
         self._origin = None
 
-    @cached_property
-    def _rng(self) -> random.Random:
-        # Built by the first draw (2.5 kB of state, and most streams never
-        # draw).  Seeds and fork order are fixed at fork time, so no
-        # stream's draws depend on when.
-        return random.Random(self.seed)
+    def __getattr__(self, name: str) -> Any:
+        # Called only when normal lookup fails, so for ``_rng`` only before
+        # the first draw: it is built then (2.5 kB of state, and most
+        # streams never draw) and is a plain slot from then on.  Seeds and
+        # fork order are fixed at fork time, so no stream's draws depend on
+        # when.
+        if name != "_rng":
+            raise AttributeError(name)
+        rng = self._rng = random.Random(self.seed)
+        return rng
 
     @property
     def seed(self) -> int:

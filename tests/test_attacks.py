@@ -293,6 +293,7 @@ class _StampSink:
         self.stamps = []
 
     def receive_packet(self, packet, link, count=1):
+        link.arrived(self, packet, count)
         self.stamps += [(packet.created_at, packet.src.value)] * count
 
     def receive_train(self, train, link):

@@ -185,6 +185,7 @@ class TestLazyLinkSerializer:
                 self.deliveries = []
 
             def receive_packet(self, packet, link):
+                link.arrived(self, packet)
                 self.deliveries.append((packet.flow_tag, round(link.sim.now, 6)))
 
         sim = Simulator()

@@ -200,9 +200,11 @@ class RecordingSink:
         self.trains = []
 
     def receive_packet(self, packet, link):
+        link.arrived(self, packet)
         self.packets.append((packet, link.sim.now))
 
     def receive_train(self, train, link):
+        link.arrived(self, train.template, train.count)
         self.trains.append((train.count, link.sim.now))
 
 

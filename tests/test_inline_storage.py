@@ -29,13 +29,14 @@ from repro.net.link import _Pipe
 from repro.router.filter_table import FilterTable
 from repro.router.nodes import BorderRouter, Host
 from repro.sim.process import TrainProcess
+from repro.sim.randomness import SeededRandom
 
 pytestmark = pytest.mark.skipif(
     sys.version_info < (3, 11),
     reason="CPython 3.10 keeps every instance's attributes in a dict")
 
 CHECKED = (_Pipe, FilterTable, BorderRouter, Host, TrainProcess,
-           TrafficSource, GatewayAgent)
+           TrafficSource, GatewayAgent, SeededRandom)
 
 #: Not walked into: from a class or a function the whole process is
 #: reachable.

@@ -1,11 +1,13 @@
 """Unit tests for drop-tail queues and point-to-point links."""
 
+import dataclasses
+
 import pytest
 
 from repro.net.address import IPAddress
 from repro.net.link import Link
 from repro.net.packet import Packet
-from repro.net.queues import DropTailQueue
+from repro.net.queues import DropTailQueue, QueueStats
 from repro.sim.engine import Simulator
 
 
@@ -25,6 +27,7 @@ class RecordingSink:
         self.received = []
 
     def receive_packet(self, packet, link):
+        link.arrived(self, packet)
         self.received.append(packet)
 
 
@@ -155,6 +158,30 @@ class TestLink:
         stats = link.stats_toward(b)
         assert stats.packets_dropped > 0
         assert stats.packets_delivered + stats.packets_dropped == 10
+
+    def test_live_stats_count_an_idle_crossing_as_enqueue_then_dequeue(self):
+        """The idle bypass records a packet once, on the queue; read back,
+        the counters equal those of a packet enqueued and dequeued at once."""
+        sim = Simulator()
+        a, b = RecordingSink("a"), RecordingSink("b")
+        link = Link(sim, a, b, bandwidth_bps=1_000_000, delay=0.0,
+                    queue_capacity_bytes=3000)
+        for _ in range(5):  # 1 crosses idle, 3 wait, 1 is tail-dropped
+            link.send(make_packet(1000), a)
+        sim.run()
+        sim.fire_at(1.0, link.send, make_packet(1500), a)  # idle again
+        sim.run()
+        stats, queue = link.stats_toward(b), link.queue_toward(b)
+        assert queue._passed == 2 and queue._bytes_passed == 2500
+        assert dataclasses.astuple(queue.stats) == dataclasses.astuple(
+            QueueStats(enqueued=5, dequeued=5, dropped=1, bytes_enqueued=5500,
+                       bytes_dropped=1000, peak_depth_packets=3,
+                       peak_depth_bytes=3000))
+        assert (stats.packets_sent, stats.packets_delivered,
+                stats.packets_dropped, stats.bytes_delivered) == (6, 5, 1, 5500)
+        assert stats.busy_time == pytest.approx(5500 * 8 / 1e6)
+        assert stats is link.pipe_toward(b).stats
+        assert len(b.received) == 5
 
     def test_throughput_respects_bandwidth(self):
         sim = Simulator()

@@ -2,12 +2,14 @@
 
 Two identities, checked at the end of a run on every node and every pipe:
 
-* a node's ``packets_received`` equals what it delivered, forwarded and
-  dropped for each named cause — plus, on the train engine, the packets of
-  a split train whose remainder is still waiting to re-enter the pipeline
+* a node's ``packets_received`` (the sum of its incoming pipes'
+  ``packets_delivered``) equals what it delivered, forwarded and dropped
+  for each named cause — plus, on the train engine, the packets of a split
+  train whose remainder is still waiting to re-enter the pipeline
   (received with the whole train, decided at its own nominal time);
-* a pipe never delivers or drops more than it was sent: ``sent - delivered
-  - dropped`` is what is still queued or on the wire, never negative.
+* a pipe's ledger is exact: ``sent == delivered + dropped + queued + in
+  flight``, where in flight are the heap entries addressed to the pipe's
+  receiver over its link.
 
 The runs cover the five defense backends on Figure 1, a packet-engine
 hierarchy cell, an on-path compromised router that swallows the
@@ -23,7 +25,8 @@ from repro.router.nodes import BorderRouter
 
 from tests.test_hierarchy import base_spec_dict
 
-DROP_CAUSES = ("filter", "ingress", "no_route", "disconnected", "ttl")
+DROP_CAUSES = ("filter", "ingress", "no_route", "disconnected", "ttl",
+               "suppressed")
 
 
 def pending_remainders(sim):
@@ -35,6 +38,19 @@ def pending_remainders(sim):
             node = entry[2].__self__
             pending[node] = pending.get(node, 0) + args[2]
     return pending
+
+
+def in_flight(sim, pipe):
+    """Packets scheduled to arrive over ``pipe``: its receiver's delivery
+    events over its link, and its pending train deliveries."""
+    receiver = pipe._sink.receive_packet
+    flying = 0
+    for _, _, target, args in sim._heap:
+        if len(args) == 2 and args[1] is pipe._link and target == receiver:
+            flying += 1
+        elif target == pipe._deliver_train:
+            flying += args[0].count
+    return flying
 
 
 def unaccounted(execution):
@@ -56,8 +72,11 @@ def unaccounted(execution):
             if pipe is None:
                 continue
             stats = pipe.stats
-            if stats.packets_sent - stats.packets_delivered - stats.packets_dropped < 0:
-                faults.append(f"{link.name}: {stats}")
+            accounted = (stats.packets_delivered + stats.packets_dropped
+                         + len(pipe.queue) + in_flight(execution.sim, pipe))
+            if stats.packets_sent != accounted:
+                faults.append(f"{link.name} -> {pipe._node.name}: sent "
+                              f"{stats.packets_sent}, accounted {accounted}")
     return faults
 
 
@@ -83,11 +102,15 @@ def test_hierarchy_cell_accounts_for_every_packet():
 
 
 def test_compromised_router_accounts_for_every_packet():
-    """The swallowed queries never enter the router's pipeline: its hook
-    sits on the one entry point, ahead of the receive counters."""
+    """The swallowed queries never enter the router's pipeline, whose
+    receive path would count them: its hook sits on the one entry point.
+    Each still arrived over its pipe, and is a named drop at the router."""
     execution = run(default_flood_spec(
         duration=4.0, defense_params={"compromised_routers": ["B_gw2"]}))
-    assert sum(c.replies_forged for c in execution.backend.compromised) > 0
+    compromised = execution.backend.compromised
+    assert [c.suppress_query for c in compromised] == [True]
+    assert sum(c.replies_forged for c in compromised) > 0
+    assert compromised[0].router.stats.packets_dropped_suppressed > 0
     assert unaccounted(execution) == []
 
 

@@ -1,8 +1,9 @@
 """``_Pipe`` state cross product: mode x up/down x tapped.
 
 Three independent features swap a pipe's entry points; ``_Pipe._rebind`` is
-the one place that decides what ``send`` / ``send_train`` / ``_deliver`` /
-``_deliver_train`` resolve to.  Every
+the one place that decides what ``send`` / ``send_train`` /
+``_deliver_train`` resolve to, and what a delivery's receiver (``_sink``)
+is.  Every
 final state is reached here through *every* order of the public calls that
 lead to it (an up pipe both never-downed and cycled down→up), one packet —
 and in train mode one train — is offered after each call, and at the end
@@ -29,9 +30,11 @@ class _Sink:
         self.packets = 0
 
     def receive_packet(self, packet, link):
+        link.arrived(self, packet)
         self.packets += 1
 
     def receive_train(self, train, link):
+        link.arrived(self, train.template, train.count)
         self.packets += train.count
 
 
@@ -55,12 +58,23 @@ def _resolved(pipe, name):
 
 
 def _tap(observe):
-    """A tap wrapper factory whose wrapper calls ``observe(payload)`` and
-    then delivers the payload."""
+    """A train tap wrapper factory whose wrapper calls ``observe(train)``
+    and then delivers the train."""
     def wrap(link, sink, deliver):
         def tapped(payload):
             observe(payload)
             deliver(payload)
+        return tapped
+    return wrap
+
+
+def _packet_tap(observe):
+    """A packet tap wrapper factory whose receiver calls ``observe(packet)``
+    and then hands the packet to the sink."""
+    def wrap(link, sink):
+        def tapped(packet, link):
+            observe(packet)
+            sink.receive_packet(packet, link)
         return tapped
     return wrap
 
@@ -92,7 +106,7 @@ def test_every_order_reaches_the_same_pipe(train, tapped, admin):
         for step, call in enumerate(order, start=1):
             if call == "tap":
                 link.tap(
-                    _tap(lambda _: seen.__setitem__(
+                    _packet_tap(lambda _: seen.__setitem__(
                         "packet", seen["packet"] + 1)),
                     _tap(lambda t: seen.__setitem__(
                         "train", seen["train"] + t.count)))
@@ -106,12 +120,14 @@ def test_every_order_reaches_the_same_pipe(train, tapped, admin):
             "send": ("_send_down" if down else
                      "_fluid_send_packet" if train else "send"),
             "send_train": "_send_train_down" if down else "send_train",
-            "_deliver": "tapped" if tapped else "_deliver",
             "_deliver_train": "tapped" if tapped else "_deliver_train",
         }
         for end, sink in ((a, a), (b, b)):
             pipe = link.pipe_toward(end)
             assert isinstance(pipe, _Pipe)
+            assert _resolved(pipe._sink, "receive_packet") == (
+                "tapped" if tapped else "receive_packet"), order
+            assert (pipe._sink is sink) == (not tapped), order
             for name, function in want.items():
                 assert _resolved(pipe, name) == function, (order, name)
                 # default state keeps no instance attribute at all
@@ -187,7 +203,7 @@ def _set_down_then_send(sim, link, engine, seen):
 
 
 def _tap_then_send(sim, link, engine, seen):
-    link.tap(_tap(lambda _: seen.append(1)),
+    link.tap(_packet_tap(lambda _: seen.append(1)),
              _tap(lambda train: seen.append(train.count)))
     sim.fire_at(0.25, _offer, sim, link, engine)
 

@@ -880,9 +880,11 @@ class _Sink:
         self.packets = 0
 
     def receive_packet(self, packet, link):
+        link.arrived(self, packet)
         self.packets += 1
 
     def receive_train(self, train, link):
+        link.arrived(self, train.template, train.count)
         self.packets += train.count
 
 
@@ -951,6 +953,8 @@ def _run_router_stages(stages, as_train):
     table = router.filter_table
     return {
         "node": router.stats,
+        "received": (router.stats.packets_received,
+                     router.stats.bytes_received),
         "ingress": router.ingress.stats,
         "table": (table.packets_checked, table.packets_blocked),
         "entry": entry and (entry.packets_blocked, entry.bytes_blocked,

@@ -38,14 +38,21 @@ class TestDeterminism:
         """A fleet forks two streams per router and draws from almost none:
         an undrawn stream holds no ``random.Random``; a drawn one is
         ``random.Random(seed)``, draw for draw, whenever it is first used."""
+        def generator(stream):
+            # The slot itself: reading ``stream._rng`` would build it.
+            try:
+                return SeededRandom._rng.__get__(stream)
+            except AttributeError:
+                return None
+
         parent = SeededRandom(9)
         early, late = parent.fork("early"), parent.fork("late")
-        assert "_rng" not in vars(parent)
-        assert "_rng" not in vars(early) and "_rng" not in vars(late)
+        assert generator(parent) is None
+        assert generator(early) is None and generator(late) is None
         reference = random.Random(early.seed)
         assert early.random() == reference.random()
-        assert isinstance(vars(early)["_rng"], random.Random)
-        assert "_rng" not in vars(late) and "_rng" not in vars(parent)
+        assert isinstance(generator(early), random.Random)
+        assert generator(late) is None and generator(parent) is None
         for _ in range(5):
             assert early.randint(0, 10 ** 6) == reference.randint(0, 10 ** 6)
             assert early.expovariate(3.0) == reference.expovariate(3.0)

@@ -59,11 +59,13 @@ class Sink:
         self.sim = None
 
     def receive_packet(self, packet, link):
+        link.arrived(self, packet)
         self.packets.append(packet)
         if self.sim is not None:
             self.arrival_times.append(self.sim.now)
 
     def receive_train(self, train, link):
+        link.arrived(self, train.template, train.count)
         self.trains.append((train.count, train.interval))
         if self.sim is not None:
             self.arrival_times.append(self.sim.now)

@@ -301,7 +301,9 @@ ENTRIES = {
     # per-layer counters), printing the counters reviewers read on every
     # change.  Gates only on a wrong result, never on time.
     "counters": [
-        f"{COUNTERS} fig1_packet --both {DATA_PATH} setup_s",
+        f"{COUNTERS} fig1_packet --both {DATA_PATH} setup_s net.pkts_sent "
+        "net.pkts_delivered net.pkts_dropped router.pkts_checked "
+        "router.pkts_blocked",
         modules_loaded,
         f"{COUNTERS} fleet_train --both {DATA_PATH} setup_s peak_rss_mb "
         "phase.build_s dep.networkx_s py.gc_collections",
