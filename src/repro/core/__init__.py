@@ -7,6 +7,8 @@ of Argyraki & Cheriton:
   contract rates) with the paper's worked-example values as defaults.
 * :class:`FilteringRequest`, :class:`VerificationQuery`,
   :class:`VerificationReply` — the protocol messages (Sections II-C, II-E).
+* :class:`AITFAgent` — what both agents share: one entry point for the
+  messages, the handshake answer, control-packet sending, filter installs.
 * :class:`HostAgent` — end-host behaviour: requesting filters as a victim,
   answering handshake queries, stopping flows as a (cooperative) attacker.
 * :class:`GatewayAgent` — border-router behaviour: victim's-gateway
@@ -27,6 +29,7 @@ from repro.core.gateway_agent import GatewayAgent
 from repro.core.handshake import HandshakeManager
 from repro.core.host_agent import HostAgent
 from repro.core.messages import (
+    AITFAgent,
     DisconnectNotice,
     FilteringRequest,
     RequestRole,
@@ -48,6 +51,7 @@ __all__ = [
     "GatewayAgent",
     "HandshakeManager",
     "HostAgent",
+    "AITFAgent",
     "DisconnectNotice",
     "FilteringRequest",
     "RequestRole",

@@ -83,7 +83,7 @@ class RateBasedDetector:
         self._known_bad_labels: Set[FlowLabel] = set()
         self.detections = 0
 
-        agent.host.on_receive(self.observe)
+        agent.node.on_receive(self.observe)
 
     # ------------------------------------------------------------------
     # packet observation
@@ -97,7 +97,7 @@ class RateBasedDetector:
         train span.
         """
         total_bytes = packet.size if train is None else train.count * packet.size
-        now = self.agent.host.sim.now
+        now = self.agent.node.sim.now
         label = FlowLabel.between(packet.src, packet.dst)
         if label in self._known_bad_labels:
             # Reappearing flow: report immediately (footnote 8 of the
@@ -131,7 +131,7 @@ class RateBasedDetector:
     def _report(self, label: FlowLabel, packet: Packet, now: float) -> None:
         self.detections += 1
         self._known_bad_labels.add(label)
-        self.log.record(now, EventType.ATTACK_DETECTED, self.agent.host.name,
+        self.log.record(now, EventType.ATTACK_DETECTED, self.agent.node.name,
                         label=str(label))
         self.agent.request_filtering(label, sample_packet=packet)
 
@@ -173,7 +173,7 @@ class ExplicitDetector:
         self.detections = 0
         self.redetections = 0
 
-        agent.host.on_receive(self.observe)
+        agent.node.on_receive(self.observe)
 
     def mark_undesired(self, source: IPAddress) -> None:
         """Declare traffic from ``source`` undesired from now on."""
@@ -195,7 +195,7 @@ class ExplicitDetector:
             return
         key = (packet.src.value, packet.dst.value)
         label = FlowLabel.between(packet.src, packet.dst)
-        now = self.agent.host.sim.now
+        now = self.agent.node.sim.now
         last_seen = self._last_seen.get(key)
         self._last_seen[key] = now
         if key in self._reported and self.agent.wants_blocked(label):
@@ -210,7 +210,7 @@ class ExplicitDetector:
             self.redetections += 1
             path = packet.recorded_path
             if self.detection_delay > 0:
-                self.agent.host.sim.call_at(now + self.detection_delay, partial(
+                self.agent.node.sim.call_at(now + self.detection_delay, partial(
                     self.agent.request_filtering, label, attack_path=path,
                     force=True))
             else:
@@ -220,7 +220,7 @@ class ExplicitDetector:
         self.detections += 1
         path = packet.recorded_path
         if self.detection_delay > 0:
-            self.agent.host.sim.call_at(now + self.detection_delay, partial(
+            self.agent.node.sim.call_at(now + self.detection_delay, partial(
                 self.agent.request_filtering, label, attack_path=path))
         else:
             self.agent.request_filtering(label, attack_path=path)

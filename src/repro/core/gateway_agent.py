@@ -37,17 +37,17 @@ from repro.core.directory import NodeDirectory
 from repro.core.events import EventType, ProtocolEventLog
 from repro.core.handshake import HandshakeManager
 from repro.core.messages import (
+    AITFAgent,
     DisconnectNotice,
     FilteringRequest,
     RequestRole,
-    VerificationQuery,
     VerificationReply,
 )
 from repro.net.address import IPAddress, Prefix
 from repro.net.flowlabel import FlowLabel
 from repro.net.link import Link
 from repro.net.packet import Packet, PacketKind
-from repro.router.filter_table import FilterEntry, FilterTableFullError
+from repro.router.filter_table import FilterEntry
 from repro.router.nodes import BorderRouter
 from repro.router.shadow_cache import ShadowCache, ShadowEntry
 from repro.sim.process import Timer
@@ -62,7 +62,6 @@ class VictimGatewayState:
     attack_path: Tuple[str, ...]
     current_round: int
     temp_filter: Optional[FilterEntry] = None
-    shadow: Optional[ShadowEntry] = None
     cooperation_timer: Optional[Timer] = None
     #: The round whose request this gateway's own outbound contract refused
     #: (``_send_request`` returned False): it never left, so no attacker's
@@ -84,7 +83,7 @@ class AttackerGatewayState:
     disconnected: bool = False
 
 
-class GatewayAgent:
+class GatewayAgent(AITFAgent):
     """The AITF protocol engine attached to one :class:`repro.router.BorderRouter`."""
 
     def __init__(
@@ -98,15 +97,12 @@ class GatewayAgent:
         cooperative: bool = True,
         disconnection_enabled: bool = True,
     ) -> None:
-        self.router = router
-        self.config = config
-        self.log = event_log
-        self.directory = directory
+        # A non-cooperative gateway ignores requests that designate it as
+        # the attacker's gateway (the paper's escalation trigger).
+        super().__init__(router, config, event_log, directory,
+                         router.filter_table, cooperative=cooperative)
         self.rng = rng or SeededRandom(stable_seed("gateway", router.name),
                                        name=router.name)
-        #: A non-cooperative gateway ignores requests that designate it as
-        #: the attacker's gateway (the paper's escalation trigger).
-        self.cooperative = cooperative
         #: Whether this gateway exercises its right to disconnect
         #: non-cooperating counterparties.
         self.disconnection_enabled = disconnection_enabled
@@ -116,20 +112,9 @@ class GatewayAgent:
         self._shadow: Optional[ShadowCache] = None
         self._handshake: Optional[HandshakeManager] = None
         self._handshake_rng = self.rng.fork("handshake")
-        #: Labels this gateway itself asked to block (when it plays the
-        #: victim role during escalation it may be queried by the handshake).
-        self.wanted_blocks: Dict[FlowLabel, float] = {}
         self._victim_states: Dict[int, VictimGatewayState] = {}
         self._victim_by_label: Dict[FlowLabel, int] = {}
         self._attacker_states: Dict[int, AttackerGatewayState] = {}
-        # statistics
-        self.requests_received = 0
-        self.requests_policed = 0
-        self.requests_propagated = 0
-        self.escalations_sent = 0
-        self.disconnections = 0
-
-        router.control_handler = self._handle_control
         router.add_forward_observer(self._observe_forwarded)
 
     # ------------------------------------------------------------------
@@ -146,7 +131,7 @@ class GatewayAgent:
         book = self._contracts
         if book is None:
             book = self._contracts = ContractBook(
-                clock=self.router.sim.clock,
+                clock=self.node.sim.clock,
                 default_accept_rate=self.config.default_accept_rate,
                 default_send_rate=self.config.default_send_rate,
             )
@@ -157,7 +142,7 @@ class GatewayAgent:
         """The DRAM log of requests this gateway is still watching for."""
         cache = self._shadow
         if cache is None:
-            router = self.router
+            router = self.node
             cache = self._shadow = ShadowCache(
                 capacity=self.config.shadow_cache_capacity,
                 clock=router.sim.clock,
@@ -171,55 +156,30 @@ class GatewayAgent:
         manager = self._handshake
         if manager is None:
             manager = self._handshake = HandshakeManager(
-                self.router.sim, self._handshake_rng,
+                self.node.sim, self._handshake_rng,
                 timeout=self.config.handshake_timeout)
         return manager
 
     # ------------------------------------------------------------------
-    # public accessors
+    # messages addressed to this gateway
     # ------------------------------------------------------------------
-    @property
-    def sim(self):
-        """The simulator this agent's router runs on."""
-        return self.router.sim
+    def _on_reply(self, reply: VerificationReply) -> None:
+        self.handshake.handle_reply(reply)
 
-    @property
-    def name(self) -> str:
-        """The gateway's node name."""
-        return self.router.name
+    def _on_notice(self, notice: DisconnectNotice, packet: Packet) -> None:
+        self.log.record(self.sim.now, EventType.DISCONNECTION, self.name,
+                        notice.request_id, offender=notice.offender,
+                        notified_by=self.directory.name_of(packet.src),
+                        reason=notice.reason, notice=True)
 
-    def wants_blocked(self, label: FlowLabel) -> bool:
-        """True when this gateway itself requested a block for ``label``."""
-        expiry = self.wanted_blocks.get(label)
-        return expiry is not None and expiry > self.sim.now
-
-    # ------------------------------------------------------------------
-    # control-plane entry point
-    # ------------------------------------------------------------------
-    def _handle_control(self, packet: Packet, link: Optional[Link]) -> None:
-        payload = packet.payload
-        if isinstance(payload, FilteringRequest):
-            self._handle_filtering_request(payload, packet, link)
-        elif isinstance(payload, VerificationQuery):
-            self._answer_query(payload)
-        elif isinstance(payload, VerificationReply):
-            self.handshake.handle_reply(payload)
-        elif isinstance(payload, DisconnectNotice):
-            self.log.record(self.sim.now, EventType.DISCONNECTION, self.name,
-                            payload.request_id, offender=payload.offender,
-                            notified_by=self.directory.name_of(packet.src),
-                            reason=payload.reason, notice=True)
-
-    def _handle_filtering_request(self, request: FilteringRequest,
-                                  packet: Packet, link: Optional[Link]) -> None:
+    def _on_request(self, request: FilteringRequest, packet: Packet,
+                    link: Optional[Link]) -> None:
         now = self.sim.now
-        self.requests_received += 1
         self.log.record(now, EventType.REQUEST_RECEIVED, self.name,
                         request.request_id, role=request.role.value,
                         round=request.round_number, requestor=request.requestor)
         counterparty = self._counterparty_for(link)
         if counterparty is not None and not self.contracts.police_inbound(counterparty):
-            self.requests_policed += 1
             self.log.record(now, EventType.REQUEST_POLICED, self.name,
                             request.request_id, counterparty=counterparty)
             return
@@ -283,7 +243,7 @@ class GatewayAgent:
         if link is None:
             # Locally injected request (e.g. the gateway protecting itself).
             return True
-        neighbor = link.other_end(self.router)
+        neighbor = link.other_end(self.node)
         claimed_source = packet.src if packet is not None else None
 
         # Case 1: a request from one of our own clients, for our own network.
@@ -291,12 +251,12 @@ class GatewayAgent:
             source_is_ours = (
                 claimed_source is not None
                 and (neighbor.owns_address(claimed_source)
-                     or self.router.ingress.validates_source(claimed_source, link))
+                     or self.node.ingress.validates_source(claimed_source, link))
             )
             victim_is_ours = (
-                self.router.serves_address(victim_address)
+                self.node.serves_address(victim_address)
                 or neighbor.owns_address(victim_address)
-                or self.router.routing.next_link(victim_address) is link
+                or self.node.routing.next_link(victim_address) is link
             )
             return source_is_ours and victim_is_ours
 
@@ -311,7 +271,7 @@ class GatewayAgent:
             if self.name in request.attack_path:
                 if neighbor_index <= request.attack_path.index(self.name):
                     return False
-        return self.router.routing.next_link(victim_address) is link
+        return self.node.routing.next_link(victim_address) is link
 
     def _install_temporary_filter(self, state: VictimGatewayState) -> None:
         ttmp = self.config.temporary_filter_timeout
@@ -338,7 +298,6 @@ class GatewayAgent:
             self.log.record(now, EventType.FILTER_INSTALL_FAILED, self.name,
                             state.request.request_id, table="shadow")
             return
-        state.shadow = entry
         self.log.record(now, EventType.SHADOW_LOGGED, self.name,
                         state.request.request_id,
                         duration=self.config.effective_shadow_timeout)
@@ -351,15 +310,16 @@ class GatewayAgent:
             self.log.record(now, EventType.REQUEST_REJECTED, self.name,
                             request.request_id, reason="no attack path available")
             return
+        outbound = request.propagate(
+            role=RequestRole.TO_ATTACKER_GATEWAY,
+            requestor=self.name,
+            attack_path=state.attack_path,
+            round_number=state.current_round,
+        )
         if designated == self.name:
             # This gateway is both the victim's and the attacker's gateway
             # (attacker and victim share a provider): skip the network hop.
-            self._act_as_attacker_gateway(
-                request.propagate(role=RequestRole.TO_ATTACKER_GATEWAY,
-                                  requestor=self.name,
-                                  attack_path=state.attack_path,
-                                  round_number=state.current_round)
-            )
+            self._act_as_attacker_gateway(outbound)
             return
         target_address = self.directory.address_of(designated)
         if target_address is None:
@@ -367,17 +327,10 @@ class GatewayAgent:
                             request.request_id,
                             reason=f"unknown attacker gateway {designated}")
             return
-        outbound = request.propagate(
-            role=RequestRole.TO_ATTACKER_GATEWAY,
-            requestor=self.name,
-            attack_path=state.attack_path,
-            round_number=state.current_round,
-        )
         if not self._send_request(outbound, designated, target_address):
             state.refused_round = state.current_round
             return
         state.refused_round = None
-        self.requests_propagated += 1
         self.log.record(now, EventType.REQUEST_SENT, self.name, request.request_id,
                         role=outbound.role.value, target=designated,
                         round=state.current_round)
@@ -515,7 +468,7 @@ class GatewayAgent:
             # we keep filtering locally instead.
             offender_node = self.directory.get(upstream)
             if (offender_node is not None
-                    and self.router.link_to(offender_node) is not None):
+                    and self.node.link_to(offender_node) is not None):
                 self._disconnect_from(upstream, state.request,
                                       reason="non-cooperating peer gateway")
             state.gave_up = True
@@ -541,7 +494,6 @@ class GatewayAgent:
         # Remember that we want this label blocked so we can answer the
         # handshake query the new attacker's gateway may send us.
         self.wanted_blocks[state.request.label] = now + state.request.timeout
-        self.escalations_sent += 1
         self.log.record(now, EventType.ESCALATION, self.name,
                         state.request.request_id, round=new_round, target=upstream)
 
@@ -564,8 +516,7 @@ class GatewayAgent:
             return
         query = self.handshake.begin(
             request,
-            victim_address,
-            self.router.address,
+            self.node.address,
             on_confirmed=self._attacker_gateway_commit,
             on_failed=self._handshake_failed,
         )
@@ -613,7 +564,6 @@ class GatewayAgent:
         outbound = request.propagate(role=RequestRole.TO_ATTACKER, requestor=self.name)
         if not self._send_request(outbound, attacker_name, attacker_address):
             return
-        self.requests_propagated += 1
         self.log.record(now, EventType.REQUEST_SENT, self.name, request.request_id,
                         role=outbound.role.value, target=attacker_name,
                         round=request.round_number)
@@ -650,14 +600,6 @@ class GatewayAgent:
                         request.request_id, label=str(request.label))
 
     # ==================================================================
-    # Verification queries addressed to this gateway
-    # ==================================================================
-    def _answer_query(self, query: VerificationQuery) -> None:
-        confirmed = self.wants_blocked(query.label)
-        reply = query.matching_reply(confirmed=confirmed, responder=self.router.address)
-        self._send_control(query.querier, PacketKind.VERIFICATION_REPLY, reply)
-
-    # ==================================================================
     # Disconnection
     # ==================================================================
     def _disconnect_from(self, offender: str, request: FilteringRequest,
@@ -669,8 +611,7 @@ class GatewayAgent:
                             request.request_id, offender=offender,
                             reason=reason, link_found=False)
             return
-        self.router.disconnect_link(link)
-        self.disconnections += 1
+        self.node.disconnect_link(link)
         self.log.record(now, EventType.DISCONNECTION, self.name,
                         request.request_id, offender=offender, reason=reason,
                         link_found=True)
@@ -684,9 +625,8 @@ class GatewayAgent:
             offender_node = self.directory.get(offender)
             if offender_node is not None and offender_node.control_handler is not None:
                 offender_node.control_handler(
-                    Packet.control(self.router.address, offender_address,
-                                   PacketKind.DISCONNECT_NOTICE, notice,
-                                   created_at=now),
+                    self._control_packet(offender_address,
+                                         PacketKind.DISCONNECT_NOTICE, notice),
                     None,
                 )
 
@@ -697,7 +637,7 @@ class GatewayAgent:
         """The end-host or peer network a request arrived from/through."""
         if link is None:
             return None
-        neighbor = link.other_end(self.router)
+        neighbor = link.other_end(self.node)
         if isinstance(neighbor, BorderRouter):
             return neighbor.network
         return neighbor.name
@@ -743,18 +683,6 @@ class GatewayAgent:
             return name, address
         return "", None
 
-    def _install_filter(self, request: FilteringRequest, timeout: float,
-                        purpose: str) -> Optional[FilterEntry]:
-        """A wire-speed filter on ``request``'s label, or None (and a logged
-        failure) when the table is full."""
-        try:
-            return self.router.filter_table.install(
-                request.label, timeout, reason=f"{purpose} #{request.request_id}")
-        except FilterTableFullError:
-            self.log.record(self.sim.now, EventType.FILTER_INSTALL_FAILED,
-                            self.name, request.request_id, table="wire-speed")
-            return None
-
     def _blocked_recently(self, entry: Optional[FilterEntry]) -> bool:
         """True when ``entry`` blocked a packet within the cooperation-check
         window: the flow it filters is still arriving."""
@@ -769,9 +697,9 @@ class GatewayAgent:
         with the peer the route points at allows it.
 
         A refusal is logged and returns False; a caller advances its round
-        or counters only on True.
+        or logs the request as sent only on True.
         """
-        link = self.router.routing.next_link(address)
+        link = self.node.routing.next_link(address)
         if (link is not None
                 and not self.contracts.pace_outbound(self._counterparty_for(link))):
             self.log.record(self.sim.now, EventType.REQUEST_POLICED, self.name,
@@ -784,26 +712,13 @@ class GatewayAgent:
     def _link_toward_name(self, name: str) -> Optional[Link]:
         node = self.directory.get(name)
         if node is not None:
-            direct = self.router.link_to(node)
+            direct = self.node.link_to(node)
             if direct is not None:
                 return direct
             if node.addresses:
-                return self.router.routing.next_link(node.address)
+                return self.node.routing.next_link(node.address)
         # Fall back to parsing the name as an address.
         try:
-            return self.router.routing.next_link(IPAddress.parse(name))
+            return self.node.routing.next_link(IPAddress.parse(name))
         except (ValueError, AttributeError):
             return None
-
-    def _send_control(self, destination: IPAddress, kind: PacketKind, payload) -> bool:
-        packet = Packet.control(
-            src=self.router.address,
-            dst=destination,
-            kind=kind,
-            payload=payload,
-            created_at=self.sim.now,
-        )
-        if self.router.owns_address(destination):
-            self.router.deliver_locally(packet, None)
-            return True
-        return self.router.send(packet)

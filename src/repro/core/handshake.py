@@ -36,11 +36,9 @@ class PendingVerification:
 
     request: FilteringRequest
     nonce: int
-    victim: IPAddress
     on_confirmed: Callable[[FilteringRequest], None]
     on_failed: Callable[[FilteringRequest, str], None]
     timer: Timer
-    started_at: float
 
 
 class HandshakeManager:
@@ -53,7 +51,6 @@ class HandshakeManager:
         self.timeout = timeout
         self._pending: Dict[int, PendingVerification] = {}
         # statistics
-        self.queries_sent = 0
         self.confirmed = 0
         self.rejected = 0
         self.timed_out = 0
@@ -76,7 +73,6 @@ class HandshakeManager:
     def begin(
         self,
         request: FilteringRequest,
-        victim: IPAddress,
         querier: IPAddress,
         on_confirmed: Callable[[FilteringRequest], None],
         on_failed: Callable[[FilteringRequest, str], None],
@@ -102,15 +98,12 @@ class HandshakeManager:
         pending = PendingVerification(
             request=request,
             nonce=nonce,
-            victim=victim,
             on_confirmed=on_confirmed,
             on_failed=on_failed,
             timer=timer,
-            started_at=self._sim.now,
         )
         self._pending[request.request_id] = pending
         timer.start(self.timeout)
-        self.queries_sent += 1
         return VerificationQuery(
             label=request.label,
             nonce=nonce,

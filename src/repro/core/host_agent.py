@@ -18,22 +18,17 @@ because it is an attack, not a protocol role.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.config import AITFConfig
 from repro.core.directory import NodeDirectory
 from repro.core.events import EventType, ProtocolEventLog
-from repro.core.messages import (
-    DisconnectNotice,
-    FilteringRequest,
-    RequestRole,
-    VerificationQuery,
-)
+from repro.core.messages import AITFAgent, FilteringRequest, RequestRole
 from repro.net.address import IPAddress
 from repro.net.flowlabel import FlowLabel
 from repro.net.link import Link
 from repro.net.packet import Packet, PacketKind
-from repro.router.filter_table import FilterTable, FilterTableFullError
+from repro.router.filter_table import FilterTable
 from repro.router.nodes import Host
 
 #: Callback a traffic source registers to be told "stop sending flows
@@ -41,8 +36,10 @@ from repro.router.nodes import Host
 StopCallback = Callable[[FlowLabel], bool]
 
 
-class HostAgent:
+class HostAgent(AITFAgent):
     """The AITF protocol engine attached to one :class:`repro.router.Host`."""
+
+    filters_kind = "outbound"
 
     def __init__(
         self,
@@ -54,33 +51,21 @@ class HostAgent:
         cooperative: bool = True,
         outbound_filter_capacity: Optional[int] = None,
     ) -> None:
-        self.host = host
-        self.config = config
-        self.log = event_log
-        self.directory = directory
-        #: A cooperative host honours filtering requests from its gateway.
-        self.cooperative = cooperative
-        #: Labels this host asked to have blocked, with their expiry times;
-        #: used both to answer verification queries and to avoid sending
-        #: duplicate requests for the same flow.
-        self.wanted_blocks: Dict[FlowLabel, float] = {}
+        # The host's own outbound filters (Section IV-D: na = R2·T slots).
+        filters = FilterTable(capacity=outbound_filter_capacity,
+                              clock=host.sim.clock, name=f"{host.name}-outbound")
+        super().__init__(host, config, event_log, directory, filters,
+                         cooperative=cooperative)
         #: Traffic sources that can be told to stop an undesired flow.
         self._stop_callbacks: List[StopCallback] = []
-        #: The host's own outbound filters (Section IV-D: na = R2·T slots).
-        self.outbound_filters = FilterTable(
-            capacity=outbound_filter_capacity,
-            clock=host.sim.clock,
-            name=f"{host.name}-outbound",
-        )
-        # statistics
         self.requests_sent = 0
-        self.requests_received = 0
-        self.queries_answered = 0
         self.flows_stopped = 0
-        self.disconnect_notices = 0
+        host.outbound_filter = filters
 
-        host.control_handler = self._handle_control
-        host.outbound_filter = self.outbound_filters
+    @property
+    def outbound_filters(self) -> FilterTable:
+        """The host's own outbound filters, checked on every packet it sends."""
+        return self.filters
 
     # ------------------------------------------------------------------
     # victim role
@@ -108,7 +93,7 @@ class HostAgent:
         Returns the request that was sent, or None when a request for the
         same label is still outstanding (no point spamming the gateway).
         """
-        now = self.host.sim.now
+        now = self.sim.now
         timeout = timeout if timeout is not None else self.config.filter_timeout
         expiry = self.wanted_blocks.get(label)
         already_outstanding = expiry is not None and expiry > now
@@ -124,37 +109,20 @@ class HostAgent:
             role=RequestRole.TO_VICTIM_GATEWAY,
             attack_path=tuple(attack_path),
             round_number=1,
-            requestor=self.host.name,
-            victim=self.host.address,
+            requestor=self.name,
+            victim=self.node.address,
         )
         gateway_address = self._gateway_address()
         if gateway_address is None:
-            self.log.record(now, EventType.REQUEST_REJECTED, self.host.name,
+            self.log.record(now, EventType.REQUEST_REJECTED, self.name,
                             request.request_id, reason="no gateway")
             return None
-        packet = Packet.control(
-            src=self.host.address,
-            dst=gateway_address,
-            kind=PacketKind.FILTERING_REQUEST,
-            payload=request,
-            created_at=now,
-        )
-        self.host.send(packet)
+        self._send_control(gateway_address, PacketKind.FILTERING_REQUEST, request)
         self.requests_sent += 1
-        self.log.record(now, EventType.REQUEST_SENT, self.host.name,
+        self.log.record(now, EventType.REQUEST_SENT, self.name,
                         request.request_id, role=request.role.value,
                         label=str(label), round=1)
         return request
-
-    def wants_blocked(self, label: FlowLabel) -> bool:
-        """True when this host has an unexpired request out for ``label``."""
-        expiry = self.wanted_blocks.get(label)
-        if expiry is None:
-            return False
-        if expiry <= self.host.sim.now:
-            del self.wanted_blocks[label]
-            return False
-        return True
 
     # ------------------------------------------------------------------
     # attacker role
@@ -163,81 +131,47 @@ class HostAgent:
         """Register a traffic source that can stop flows on request."""
         self._stop_callbacks.append(callback)
 
-    def _stop_flow(self, request: FilteringRequest) -> bool:
-        """Honour a filtering request addressed to this host as the attacker."""
-        now = self.host.sim.now
-        stopped_anything = False
-        for callback in self._stop_callbacks:
-            if callback(request.label):
-                stopped_anything = True
-        try:
-            self.outbound_filters.install(request.label, request.timeout,
-                                          reason=f"request #{request.request_id}")
-        except FilterTableFullError:
-            self.log.record(now, EventType.FILTER_INSTALL_FAILED, self.host.name,
-                            request.request_id, table="outbound")
-            return stopped_anything
-        self.flows_stopped += 1
-        self.log.record(now, EventType.FLOW_STOPPED, self.host.name,
-                        request.request_id, label=str(request.label),
-                        generators_stopped=stopped_anything)
-        return True
-
-    # ------------------------------------------------------------------
-    # control-plane handling
-    # ------------------------------------------------------------------
-    def _handle_control(self, packet: Packet, link: Optional[Link]) -> None:
-        payload = packet.payload
-        if isinstance(payload, VerificationQuery):
-            self._answer_query(payload)
-        elif isinstance(payload, FilteringRequest):
-            self._handle_filtering_request(payload)
-        elif isinstance(payload, DisconnectNotice):
-            self.disconnect_notices += 1
-
-    def _handle_filtering_request(self, request: FilteringRequest) -> None:
-        now = self.host.sim.now
-        self.requests_received += 1
-        self.log.record(now, EventType.REQUEST_RECEIVED, self.host.name,
+    def _on_request(self, request: FilteringRequest, packet: Packet,
+                    link: Optional[Link]) -> None:
+        now = self.sim.now
+        self.log.record(now, EventType.REQUEST_RECEIVED, self.name,
                         request.request_id, role=request.role.value)
         if request.role is not RequestRole.TO_ATTACKER:
             # End-hosts are only ever addressed as attackers; anything else is
             # a misrouted or forged message.
-            self.log.record(now, EventType.REQUEST_REJECTED, self.host.name,
+            self.log.record(now, EventType.REQUEST_REJECTED, self.name,
                             request.request_id, reason="unexpected role at end-host")
             return
         if not self.cooperative:
             # A compromised host ignores the request and accepts the risk of
             # disconnection (Section II-C).
-            self.log.record(now, EventType.REQUEST_REJECTED, self.host.name,
+            self.log.record(now, EventType.REQUEST_REJECTED, self.name,
                             request.request_id, reason="non-cooperative host")
             return
         self._stop_flow(request)
 
-    def _answer_query(self, query: VerificationQuery) -> None:
-        """Answer a 3-way-handshake verification query (Section II-E)."""
-        now = self.host.sim.now
-        confirmed = self.wants_blocked(query.label)
-        reply = query.matching_reply(confirmed=confirmed, responder=self.host.address)
-        packet = Packet.control(
-            src=self.host.address,
-            dst=query.querier,
-            kind=PacketKind.VERIFICATION_REPLY,
-            payload=reply,
-            created_at=now,
-        )
-        self.host.send(packet)
-        self.queries_answered += 1
+    def _stop_flow(self, request: FilteringRequest) -> None:
+        """Honour a filtering request addressed to this host as the attacker."""
+        stopped_anything = False
+        for callback in self._stop_callbacks:
+            if callback(request.label):
+                stopped_anything = True
+        if self._install_filter(request, request.timeout, "request") is None:
+            return
+        self.flows_stopped += 1
+        self.log.record(self.sim.now, EventType.FLOW_STOPPED, self.name,
+                        request.request_id, label=str(request.label),
+                        generators_stopped=stopped_anything)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
     def _gateway_address(self) -> Optional[IPAddress]:
         """The address of this host's gateway (the other end of its access link)."""
-        route = self.host.routing.default_route
+        route = self.node.routing.default_route
         if route is None:
             return None
-        gateway = route.link.other_end(self.host)
+        gateway = route.link.other_end(self.node)
         if not gateway.addresses:
             return None
         return gateway.address

@@ -35,7 +35,7 @@ class TestHandshake:
         manager = HandshakeManager(sim, SeededRandom(1), timeout=1.0)
         recorder = Recorder()
         request = make_request()
-        query = manager.begin(request, VICTIM, GATEWAY,
+        query = manager.begin(request, GATEWAY,
                               recorder.on_confirmed, recorder.on_failed)
         assert query.label == LABEL
         assert query.querier == GATEWAY
@@ -48,7 +48,7 @@ class TestHandshake:
         manager = HandshakeManager(sim, SeededRandom(1), timeout=1.0)
         recorder = Recorder()
         request = make_request()
-        query = manager.begin(request, VICTIM, GATEWAY,
+        query = manager.begin(request, GATEWAY,
                               recorder.on_confirmed, recorder.on_failed)
         reply = query.matching_reply(confirmed=True, responder=VICTIM)
         assert manager.handle_reply(reply)
@@ -61,7 +61,7 @@ class TestHandshake:
         manager = HandshakeManager(sim, SeededRandom(1), timeout=1.0)
         recorder = Recorder()
         request = make_request()
-        query = manager.begin(request, VICTIM, GATEWAY,
+        query = manager.begin(request, GATEWAY,
                               recorder.on_confirmed, recorder.on_failed)
         reply = query.matching_reply(confirmed=False, responder=VICTIM)
         assert manager.handle_reply(reply)
@@ -74,7 +74,7 @@ class TestHandshake:
         manager = HandshakeManager(sim, SeededRandom(1), timeout=1.0)
         recorder = Recorder()
         request = make_request()
-        manager.begin(request, VICTIM, GATEWAY,
+        manager.begin(request, GATEWAY,
                       recorder.on_confirmed, recorder.on_failed)
         forged = VerificationReply(label=LABEL, nonce=999, confirmed=True,
                                    responder=VICTIM, request_id=request.request_id)
@@ -87,7 +87,7 @@ class TestHandshake:
         manager = HandshakeManager(sim, SeededRandom(1), timeout=1.0)
         recorder = Recorder()
         request = make_request()
-        query = manager.begin(request, VICTIM, GATEWAY,
+        query = manager.begin(request, GATEWAY,
                               recorder.on_confirmed, recorder.on_failed)
         forged = VerificationReply(label=FlowLabel.between("9.9.9.9", "10.0.1.1"),
                                    nonce=query.nonce, confirmed=True,
@@ -107,7 +107,7 @@ class TestHandshake:
         manager = HandshakeManager(sim, SeededRandom(1), timeout=0.5)
         recorder = Recorder()
         request = make_request()
-        manager.begin(request, VICTIM, GATEWAY,
+        manager.begin(request, GATEWAY,
                       recorder.on_confirmed, recorder.on_failed)
         sim.run(until=1.0)
         assert len(recorder.failed) == 1
@@ -119,7 +119,7 @@ class TestHandshake:
         manager = HandshakeManager(sim, SeededRandom(1), timeout=0.5)
         recorder = Recorder()
         request = make_request()
-        query = manager.begin(request, VICTIM, GATEWAY,
+        query = manager.begin(request, GATEWAY,
                               recorder.on_confirmed, recorder.on_failed)
         sim.run(until=1.0)
         reply = query.matching_reply(confirmed=True, responder=VICTIM)
@@ -131,9 +131,9 @@ class TestHandshake:
         manager = HandshakeManager(sim, SeededRandom(1), timeout=1.0)
         recorder = Recorder()
         request = make_request()
-        query1 = manager.begin(request, VICTIM, GATEWAY,
+        query1 = manager.begin(request, GATEWAY,
                                recorder.on_confirmed, recorder.on_failed)
-        query2 = manager.begin(request, VICTIM, GATEWAY,
+        query2 = manager.begin(request, GATEWAY,
                                recorder.on_confirmed, recorder.on_failed)
         assert query1.nonce == query2.nonce
         assert manager.pending_count == 1
@@ -143,7 +143,7 @@ class TestHandshake:
         manager = HandshakeManager(sim, SeededRandom(1), timeout=0.5)
         recorder = Recorder()
         request = make_request()
-        manager.begin(request, VICTIM, GATEWAY,
+        manager.begin(request, GATEWAY,
                       recorder.on_confirmed, recorder.on_failed)
         manager.cancel(request.request_id)
         sim.run(until=1.0)
@@ -156,7 +156,7 @@ class TestHandshake:
         recorder = Recorder()
         nonces = set()
         for _ in range(50):
-            query = manager.begin(make_request(), VICTIM, GATEWAY,
+            query = manager.begin(make_request(), GATEWAY,
                                   recorder.on_confirmed, recorder.on_failed)
             nonces.add(query.nonce)
         assert len(nonces) == 50

@@ -135,7 +135,7 @@ class TestCompromisedOnPathRouter:
         installed = [e for e in env.log.of_type(EventType.FILTER_INSTALLED)
                      if e.node == "G_gw1"]
         assert installed, "on-path collusion is expected to succeed (paper, Section III-B)"
-        assert compromised.replies_forged >= 0
+        assert compromised.replies_forged == 1
         compromised.detach()
 
 

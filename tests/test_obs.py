@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -215,6 +216,25 @@ GOLDEN_TRACE_SHA256 = {
     "train": "b0f30af8a5abf30f6aa7b8a9781bc2297f31bafe7597ed310087037958d18a24",
 }
 
+FLOOD_AITF_SPEC = os.path.join(os.path.dirname(__file__), os.pardir,
+                               "examples", "specs", "flood_aitf.json")
+
+#: SHA-256 of the ``aitf-control`` trace of ``examples/specs/flood_aitf.json``
+#: run for 8 s with disconnection on, a 0.5 s attacker grace period and a
+#: 0.8 s temporary filter, per ``defense.params.non_cooperating``.  Computed
+#: before hosts and gateways shared one message path; each reaches a
+#: protocol path the default flood does not: the host stopping its flow
+#: after a confirmed handshake, one escalation ending in disconnection, and
+#: three escalations through non-cooperating gateways.
+GOLDEN_CONTROL_TRACE_SHA256 = {
+    "[]":
+        "818bf83521786fe10ef7ce254781911941a7e436de156695252409797d8ad690",
+    '["B_host","B_gw1"]':
+        "a689c2a33d1cb322b7bf277da67436e6a1c4895257d94b3f00c2e526d45ad0c4",
+    '["B_host","B_gw1","B_gw2","B_gw3"]':
+        "8d39346f12aa40c53d9ad48f6153eb2d6ef950fa05aa3ce2222cb1f434f20c2b",
+}
+
 
 class TestTraceBytes:
     @pytest.mark.parametrize("mode", sorted(GOLDEN_TRACE_SHA256))
@@ -225,6 +245,23 @@ class TestTraceBytes:
                      "--output", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() \
             == GOLDEN_TRACE_SHA256[mode]
+
+    @pytest.mark.parametrize("non_cooperating",
+                             sorted(GOLDEN_CONTROL_TRACE_SHA256))
+    def test_control_plane_trace_matches_the_golden_hash(
+            self, tmp_path, non_cooperating):
+        path = tmp_path / "trace.jsonl"
+        assert main([
+            "--quiet", "trace", "record",
+            "--spec", FLOOD_AITF_SPEC, "--duration", "8",
+            "--channels", "aitf-control",
+            "--set", f"defense.params.non_cooperating={non_cooperating}",
+            "--set", "defense.params.disconnection_enabled=true",
+            "--set", "aitf.attacker_grace_period=0.5",
+            "--set", "aitf.temporary_filter_timeout=0.8",
+            "--output", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() \
+            == GOLDEN_CONTROL_TRACE_SHA256[non_cooperating]
 
     @pytest.mark.parametrize("mode", ["packet", "train"])
     def test_trace_counts_conserve_deliveries_blocks_and_events(self, mode):

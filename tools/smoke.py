@@ -356,7 +356,8 @@ ENTRIES = {
     ],
     # The documents CI keeps from every change: topology summaries, the
     # committed churn / deployment / exhaustion grids with their reports
-    # and figures, and flight-recorder traces on both engines.
+    # and figures, flight-recorder traces on both engines, and the control
+    # plane's record of an escalation that ends in disconnection.
     "artifacts": [
         "repro --json topo --name hierarchy --set autonomous_systems=1000 "
         "> topo-hierarchy.json",
@@ -389,6 +390,13 @@ ENTRIES = {
         "--output trace-packet.jsonl",
         f"repro trace record --spec {SPECS}/flood_aitf.json "
         "--set engine.mode=train --output trace-train.jsonl",
+        f"repro trace record --spec {SPECS}/flood_aitf.json --duration 8 "
+        "--channels aitf-control "
+        "--set 'defense.params.non_cooperating=[\"B_host\",\"B_gw1\"]' "
+        "--set defense.params.disconnection_enabled=true "
+        "--set aitf.attacker_grace_period=0.5 "
+        "--set aitf.temporary_filter_timeout=0.8 "
+        "--output trace-escalation.jsonl",
         "repro trace record --attack-pps 200 --legit-pps 100 --duration 3 "
         "--output parity-packet.jsonl",
         "repro trace record --attack-pps 200 --legit-pps 100 --duration 3 "
