@@ -127,8 +127,8 @@ class _Pipe:
     simulator event per packet instead of two, and both event kinds ride
     the fire-and-forget scheduling path (no cancellable event objects).
 
-    A delivery event is ``(time, seq, sink.receive_packet, (packet,
-    link))``: it calls the receiver directly, and the receiver counts the
+    A delivery event is ``(time, seq, sink.receive_packet, packet,
+    link)``: it calls the receiver directly, and the receiver counts the
     arrival (:meth:`Link.arrived`).  ``receive_packet`` is read when the
     packet is sent, so one replaced on the sink's instance takes effect.
     """
@@ -219,7 +219,7 @@ class _Pipe:
             # one event, and the entry must read exactly what that call
             # would push, ``now + (tx_time + delay)`` included.
             heappush(sim._heap, (now + (tx_time + self._delay), next(sim._seq),
-                                 self._sink.receive_packet, (packet, self._link)))
+                                 self._sink.receive_packet, packet, self._link))
             return True
         stats = self._counts
         stats.packets_sent += 1

@@ -4,11 +4,14 @@ The simulator is a binary heap of timestamped entries and a virtual clock.
 Determinism matters more than raw speed because the benchmarks compare
 protocol variants, so ties are broken by insertion order (the ``seq``
 counter) rather than by object identity — but the fast path is still
-engineered hard: every heap entry is a plain ``(time, seq, callback,
-args)`` tuple compared in C, pushed by :meth:`Simulator.call_at`,
+engineered hard: every heap entry is a plain ``(time, seq, callback, a,
+b)`` tuple compared in C, pushed by :meth:`Simulator.call_at`,
 :meth:`Simulator.schedule_fire` or :meth:`Simulator.fire_at`, with no
-object and no keyword plumbing per event.  The one exception is the entry
-a :class:`~repro.sim.process.Timer` pushes, whose third field is an
+object and no keyword plumbing per event.  ``a`` and ``b`` are the
+callback's arguments, ``_NO_ARG`` in an empty slot; a callback of three
+or more arguments is folded into a :func:`functools.partial` when it is
+pushed.  The one exception is the entry a
+:class:`~repro.sim.process.Timer` pushes, whose third field is an
 :class:`Event` so the timer can cancel it: only the protocol's timers
 (the Ttmp cooperation check, the attacker-gateway grace period, the
 handshake timeout, the on-off phase) ever need that.
@@ -40,6 +43,11 @@ class Event:
 
 _INF = float("inf")
 
+#: The empty argument slot of a heap entry: ``(time, seq, callback, a,
+#: _NO_ARG)`` calls ``callback(a)``, ``(time, seq, callback, _NO_ARG,
+#: _NO_ARG)`` calls ``callback()``.
+_NO_ARG: Any = object()
+
 
 class Simulator:
     """Deterministic discrete-event simulator.
@@ -59,7 +67,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        # Heap entries are (time, seq, callback, args) tuples: tuple
+        # Heap entries are (time, seq, callback, a, b) tuples: tuple
         # comparison runs in C and, with seq unique, never reaches the
         # callback.
         self._heap: List[Tuple[Any, ...]] = []
@@ -117,8 +125,9 @@ class Simulator:
     # scheduling
     # ------------------------------------------------------------------
     def call_at(self, when: float, callback: Callable[..., None],
-                *args: Any) -> None:
-        """Schedule ``callback(*args)`` at absolute time ``when``.
+                a: Any = _NO_ARG, b: Any = _NO_ARG, *more: Any) -> None:
+        """Schedule ``callback(a, b, *more)`` at absolute time ``when``
+        (each argument optional).
 
         The checked form of :meth:`fire_at`, for times that come from a
         spec or a caller rather than from the clock: a time in the past is
@@ -132,22 +141,26 @@ class Simulator:
                     f"cannot schedule event at t={when:.6f}, "
                     f"clock is already at t={self._now:.6f}")
             when = self._now
-        heapq.heappush(self._heap, (when, next(self._seq), callback, args))
+        if more:
+            callback, a, b = partial(callback, a, b, *more), _NO_ARG, _NO_ARG
+        heapq.heappush(self._heap, (when, next(self._seq), callback, a, b))
 
     def schedule_fire(self, delay: float, callback: Callable[..., None],
-                      *args: Any) -> None:
-        """Fire ``callback(*args)`` ``delay`` seconds from now.
+                      a: Any = _NO_ARG, b: Any = _NO_ARG, *more: Any) -> None:
+        """Fire ``callback(a, b, *more)`` ``delay`` seconds from now.
 
         Links use this for serializer and delivery events — the two
         highest-volume event kinds in the simulator; an idle pipe pushes
         this same entry itself (``net/link.py::_Pipe.send``), so the entry's
         shape is known there too.  Callers guarantee ``delay >= 0``.
         """
+        if more:
+            callback, a, b = partial(callback, a, b, *more), _NO_ARG, _NO_ARG
         heapq.heappush(self._heap,
-                       (self._now + delay, next(self._seq), callback, args))
+                       (self._now + delay, next(self._seq), callback, a, b))
 
     def fire_at(self, when: float, callback: Callable[..., None],
-                *args: Any) -> None:
+                a: Any = _NO_ARG, b: Any = _NO_ARG, *more: Any) -> None:
         """Absolute-time :meth:`schedule_fire`.  Callers guarantee ``when >= now``.
 
         The tick process pushes this entry itself for every wake-up after
@@ -156,7 +169,9 @@ class Simulator:
         from ``_seq`` at the same point this call would, so the heap's
         order is the one these calls would have given it.
         """
-        heapq.heappush(self._heap, (when, next(self._seq), callback, args))
+        if more:
+            callback, a, b = partial(callback, a, b, *more), _NO_ARG, _NO_ARG
+        heapq.heappush(self._heap, (when, next(self._seq), callback, a, b))
 
     # ------------------------------------------------------------------
     # running
@@ -168,10 +183,11 @@ class Simulator:
         given.
 
         The work per entry is the pop, the skip of a cancelled timer, the
-        horizon comparison, the clock store and the call; an entry popped
-        past the horizon goes back on the heap, and
-        :attr:`events_processed` advances once, when the loop ends
-        (however it ends, a raising callback included).
+        horizon comparison, the clock store and the call, made with as
+        many arguments as the entry holds; an entry popped past the
+        horizon goes back on the heap, and :attr:`events_processed`
+        advances once, when the loop ends (however it ends, a raising
+        callback included).
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run() call)")
@@ -180,11 +196,23 @@ class Simulator:
         fired = 0
         heappop = heapq.heappop
         heap = self._heap
+        no_arg = _NO_ARG
         try:
-            while heap:
+            # CPython 3.11 specializes a code object's bytecode for the
+            # types it sees only after 8 warm-up counts, and only a function
+            # entry or a JUMP_BACKWARD counts.  ``run`` is entered once per
+            # experiment and ``while heap:`` jumps back with
+            # POP_JUMP_BACKWARD_IF_TRUE, which does not count, so that loop
+            # ran every event on generic bytecode.  Keep the test inside the
+            # body: each iteration then ends in a JUMP_BACKWARD.  For the
+            # same reason the timer test is ``type(target) is Event``, which
+            # specializes, not ``target.__class__``, which does not.
+            while True:
+                if not heap:
+                    break
                 entry = heappop(heap)
-                when, _, target, args = entry
-                if target.__class__ is Event:
+                when, _, target, a, b = entry
+                if type(target) is Event:
                     if target.cancelled:
                         continue
                     target = target.callback
@@ -193,7 +221,14 @@ class Simulator:
                     break
                 self._now = when
                 fired += 1
-                target(*args)
+                # A call with a fixed number of arguments stays in this
+                # frame's eval loop; ``target(*args)`` would re-enter it.
+                if b is not no_arg:
+                    target(a, b)
+                elif a is not no_arg:
+                    target(a)
+                else:
+                    target()
         finally:
             self._running = False
             self._events_processed += fired

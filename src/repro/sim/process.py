@@ -25,7 +25,7 @@ from heapq import heappush
 from itertools import accumulate, repeat
 from typing import Any, Callable, Optional, Sequence, Tuple
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import _NO_ARG, Event, Simulator
 
 
 class Timer:
@@ -98,8 +98,9 @@ class TrainProcess:
     come from a timeline of the exact ``t += interval`` float recurrence,
     computed in C (``itertools.accumulate``) at least ``_TIMELINE_CHUNK``
     ticks at a time and, for trains shorter than that, kept across wakeups:
-    at ``max_train = 1`` a tick costs one heap entry, which the wakeup
-    pushes itself, and no Python-level arithmetic.  The emitted count over
+    at ``max_train = 1`` a tick costs one heap entry, ``(time, seq,
+    wakeup, gen, _NO_ARG)``, which the wakeup pushes itself, and no
+    Python-level arithmetic.  The emitted count over
     any horizon does not depend on ``max_train``.
 
     Four bounds clip a train before ``max_train``, each a bisection of the
@@ -176,10 +177,9 @@ class TrainProcess:
         #: once per chunk (and when ``limit_until`` is set), not per tick.
         self._end_at = 0
         self._limit_until: Optional[float] = None
-        #: The callback and args of this generation's heap entries, bound
-        #: once by :meth:`start` rather than on every wakeup.
+        #: The callback of this generation's heap entries, bound once by
+        #: :meth:`start` rather than on every wakeup.
         self._wake: Optional[Callable[[int], None]] = None
-        self._wake_args: Tuple[int, ...] = ()
 
     @property
     def limit_until(self) -> Optional[float]:
@@ -223,7 +223,6 @@ class TrainProcess:
         self._running = True
         self._gen += 1
         self._wake = self._wakeup
-        self._wake_args = (self._gen,)
         self._sim.schedule_fire(self._start_delay, self._wake, self._gen)
 
     def stop(self) -> None:
@@ -235,8 +234,6 @@ class TrainProcess:
     def _wakeup(self, gen: int) -> None:
         if gen != self._gen:  # stopped since this wakeup was scheduled
             return
-        # ``(gen,)``, read before the callback can restart the process.
-        wake_args = self._wake_args
         times = self._times
         pos = self._pos
         end = pos + self._max_train
@@ -277,7 +274,8 @@ class TrainProcess:
             return
         if self._running:
             # Simulator.fire_at, inlined: the entry is exactly the one that
-            # call would push.
+            # call would push.  ``gen`` is this wakeup's generation, so a
+            # callback that restarted the process leaves this entry stale.
             sim = self._sim
             heappush(sim._heap, (times[end], next(sim._seq), self._wake,
-                                 wake_args))
+                                 gen, _NO_ARG))

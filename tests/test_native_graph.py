@@ -12,6 +12,7 @@ path and which stays as the oracle.
 """
 
 import gc
+import os
 import subprocess
 import sys
 import textwrap
@@ -187,7 +188,7 @@ def test_successful_runs_do_not_import_networkx():
         print("ok")
     """)
     done = subprocess.run([sys.executable, "-c", script], text=True,
-                          capture_output=True, env={"PYTHONPATH": SRC})
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=SRC))
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ok"
 

@@ -17,6 +17,9 @@ verification queries it snoops, and a train-engine cell whose filters
 (2 s lifetime) expire mid-train.
 """
 
+from functools import partial
+from operator import itemgetter
+
 import pytest
 
 from repro.experiments import ExperimentRunner, ExperimentSpec, default_flood_spec
@@ -29,14 +32,21 @@ DROP_CAUSES = ("filter", "ingress", "no_route", "disconnected", "ttl",
                "suppressed")
 
 
+def is_split_remainder(callback):
+    """Whether a heap entry's callback re-delivers a split train's remainder:
+    ``receive_packet(packet, link, count, train, False)``, five arguments,
+    folded into a ``partial`` when the entry was pushed."""
+    return (isinstance(callback, partial) and len(callback.args) == 5
+            and callback.args[4] is False)
+
+
 def pending_remainders(sim):
     """node -> packets of split trains scheduled to re-enter its pipeline."""
     pending = {}
-    for entry in sim._heap:
-        args = entry[3] if len(entry) > 3 else ()
-        if len(args) == 5 and args[4] is False:
-            node = entry[2].__self__
-            pending[node] = pending.get(node, 0) + args[2]
+    for _, _, callback, _, _ in sim._heap:
+        if is_split_remainder(callback):
+            node = callback.func.__self__
+            pending[node] = pending.get(node, 0) + callback.args[2]
     return pending
 
 
@@ -45,11 +55,11 @@ def in_flight(sim, pipe):
     events over its link, and its pending train deliveries."""
     receiver = pipe._sink.receive_packet
     flying = 0
-    for _, _, target, args in sim._heap:
-        if len(args) == 2 and args[1] is pipe._link and target == receiver:
+    for _, _, target, a, b in sim._heap:
+        if b is pipe._link and target == receiver:
             flying += 1
         elif target == pipe._deliver_train:
-            flying += args[0].count
+            flying += a.count
     return flying
 
 
@@ -123,9 +133,10 @@ def test_train_cell_with_split_trains_accounts_for_every_packet():
     splits = []
 
     def watching_fire_at(when, callback, *args):
-        if len(args) == 5 and args[4] is False:
-            splits.append(args[2])
         fire_at(when, callback, *args)
+        pushed = max(sim._heap, key=itemgetter(1))[2]
+        if is_split_remainder(pushed):
+            splits.append(pushed.args[2])
 
     sim.fire_at = watching_fire_at
     execution.run()

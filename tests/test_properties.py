@@ -26,7 +26,7 @@ from repro.router.policer import TokenBucket
 from repro.router.routing import RoutingTable
 from repro.router.shadow_cache import ShadowCache
 from repro.routing_policy import RelationshipMap, valley_free_routes
-from repro.sim.engine import Simulator
+from repro.sim.engine import _NO_ARG, Simulator
 from repro.sim.process import TrainProcess
 from repro.sim.randomness import SeededRandom, stable_seed
 from repro.topology.adjacency import add_edge, remove_edge, shortest_path_tree
@@ -991,14 +991,14 @@ class _SteppedSim:
         self._heap = []
         self._seq = itertools.count()
 
-    def schedule_fire(self, delay, callback, *args):
-        self._heap.append((self._now + delay, next(self._seq), callback, args))
+    def schedule_fire(self, delay, callback, a=_NO_ARG, b=_NO_ARG):
+        self._heap.append((self._now + delay, next(self._seq), callback, a, b))
 
     def pop(self):
         """Take the one pending wakeup and move the clock to it."""
         assert len(self._heap) == 1, self._heap
-        self._now, _, wakeup, args = self._heap.pop()
-        return wakeup, args
+        self._now, _, wakeup, a, b = self._heap.pop()
+        return wakeup, tuple(arg for arg in (a, b) if arg is not _NO_ARG)
 
     @property
     def pending_time(self):

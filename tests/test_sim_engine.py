@@ -1,5 +1,9 @@
 """Unit tests for the discrete-event engine."""
 
+import dis
+import sys
+import types
+
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
@@ -173,6 +177,93 @@ class TestEventsProcessedIsExact:
         assert sim.now == 2.0
         sim.run()
         assert sim.events_processed == len(fired) + 1 == 6
+
+
+class TestArgumentSlots:
+    """An entry holds two argument slots; a callback of three or more
+    arguments is folded into one callable when it is pushed.  Whatever the
+    arity and whichever method pushed it, the callback receives exactly
+    what was passed, in push order at equal times."""
+
+    ARGS = [(), (None,), ("a",), (None, None), (1, None), (None, 2),
+            ("w", "x", "y", "z"), (None, None, None, None)]
+
+    def _push_all(self, sim, when, seen):
+        expected = []
+        for method in ("call_at", "schedule_fire", "fire_at"):
+            for args in self.ARGS:
+                tag = (method, args)
+
+                def record(*received, tag=tag):
+                    seen.append((tag, received))
+
+                # schedule_fire takes a delay; the clock is at 0.
+                getattr(sim, method)(when, record, *args)
+                expected.append((tag, args))
+        return expected
+
+    def test_each_callback_receives_what_was_passed_in_push_order(self):
+        sim, seen = Simulator(), []
+        expected = self._push_all(sim, 1.0, seen)
+        sim.run()
+        assert seen == expected
+        assert sim.events_processed == len(expected) == 24
+
+    def test_arities_interleave_in_time_order(self):
+        sim, seen = Simulator(), []
+        for step, args in enumerate(self.ARGS):
+            sim.fire_at(1.0 - step * 0.1, lambda *got: seen.append(got), *args)
+        sim.run()
+        assert seen == self.ARGS[::-1]
+        assert sim.events_processed == len(self.ARGS)
+
+    def test_cancelled_timer_is_skipped_and_not_counted(self):
+        sim, seen = Simulator(), []
+        timer = Timer(sim, seen.append, "cancelled")
+        timer.start(1.0)
+        sim.fire_at(1.0, seen.append, "kept")
+        timer.cancel()
+        sim.run()
+        assert seen == ["kept"]
+        assert (sim.events_processed, sim.pending_events) == (1, 0)
+
+    def test_cancelled_timer_past_the_horizon_is_dropped(self):
+        sim, seen = Simulator(), []
+        timer = Timer(sim, seen.append, "cancelled")
+        timer.start(5.0)
+        timer.cancel()
+        sim.fire_at(6.0, seen.append, None)
+        assert sim.run(until=2.0) == 2.0
+        # The cancelled entry was popped and dropped; the live one past the
+        # horizon went back on the heap.
+        assert (seen, sim.events_processed, sim.pending_events) == ([], 0, 1)
+        sim.run()
+        assert (seen, sim.events_processed) == ([None], 1)
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython"
+                    or sys.version_info < (3, 11),
+                    reason="adaptive bytecode is CPython 3.11+")
+def test_event_loop_is_specialized_within_one_run():
+    """CPython specializes a code object only after it warms up, and on
+    3.11 only a function entry or a backward jump warms it: a loop whose
+    iterations end in neither runs every event on generic bytecode.  A
+    fresh copy of ``run``, entered once over 1,000 entries, must come out
+    holding specialized instructions (opnames ``dis.opmap`` does not
+    list)."""
+    run = Simulator.run
+    fresh = types.FunctionType(run.__code__.replace(), run.__globals__,
+                               run.__name__, run.__defaults__,
+                               run.__closure__)
+    sim, seen = Simulator(), []
+    for i in range(1000):
+        args = ((), (i,), (i, i))[i % 3]
+        sim.fire_at(i * 1e-3, lambda *got: seen.append(got), *args)
+    fresh(sim)
+    assert len(seen) == sim.events_processed == 1000
+    specialized = {instruction.opname for instruction
+                   in dis.get_instructions(fresh, adaptive=True)} - set(dis.opmap)
+    assert specialized, "Simulator.run ran 1,000 events on generic bytecode"
 
 
 class TestCancelHeavyRunEquivalence:
