@@ -221,11 +221,18 @@ FLOOD_AITF_SPEC = os.path.join(os.path.dirname(__file__), os.pardir,
 
 #: SHA-256 of the ``aitf-control`` trace of ``examples/specs/flood_aitf.json``
 #: run for 8 s with disconnection on, a 0.5 s attacker grace period and a
-#: 0.8 s temporary filter, per ``defense.params.non_cooperating``.  Computed
-#: before hosts and gateways shared one message path; each reaches a
-#: protocol path the default flood does not: the host stopping its flow
-#: after a confirmed handshake, one escalation ending in disconnection, and
-#: three escalations through non-cooperating gateways.
+#: 0.8 s temporary filter, per input.  An input that is a JSON list is the
+#: ``defense.params.non_cooperating`` value; any other is ``PATH=VALUE``
+#: overrides separated by spaces, on the spec's own non-cooperating list
+#: unless it sets one.  The three lists were computed before hosts and
+#: gateways shared one message path; each reaches a protocol path the
+#: default flood does not: the host stopping its flow after a confirmed
+#: handshake, one escalation ending in disconnection, and three escalations
+#: through non-cooperating gateways.  The three overrides were computed
+#: before the gateway became one transition table: four handshake timeouts
+#: and three escalations; a commit without a handshake; 12 policed requests,
+#: 13 shadow hits and the re-send of a round the victim's gateway's own
+#: contract refused.
 GOLDEN_CONTROL_TRACE_SHA256 = {
     "[]":
         "818bf83521786fe10ef7ce254781911941a7e436de156695252409797d8ad690",
@@ -233,7 +240,23 @@ GOLDEN_CONTROL_TRACE_SHA256 = {
         "a689c2a33d1cb322b7bf277da67436e6a1c4895257d94b3f00c2e526d45ad0c4",
     '["B_host","B_gw1","B_gw2","B_gw3"]':
         "8d39346f12aa40c53d9ad48f6153eb2d6ef950fa05aa3ce2222cb1f434f20c2b",
+    "aitf.handshake_timeout=0.001":
+        "14ec3a1aaae00afd820fa744b3167275e16725e417f041d0c522b5ea6da4cb0c",
+    "aitf.verification_enabled=false":
+        "33f0092fef67e90bc28c815a0aec19e23390f02ee97a9e557422df3d5c07ffc6",
+    'aitf.default_send_rate=0.3 '
+    'defense.params.non_cooperating=["B_host","B_gw1","B_gw2","B_gw3"]':
+        "f2611fcad68c050e75a765733769aea7a1d7a3cbed77fedab0c1934fb05896e6",
 }
+
+
+def _control_overrides(golden_input: str) -> list:
+    """The ``--set`` arguments of one ``GOLDEN_CONTROL_TRACE_SHA256`` input."""
+    if golden_input.startswith("["):
+        overrides = [f"defense.params.non_cooperating={golden_input}"]
+    else:
+        overrides = golden_input.split(" ")
+    return [arg for override in overrides for arg in ("--set", override)]
 
 
 class TestTraceBytes:
@@ -246,22 +269,22 @@ class TestTraceBytes:
         assert hashlib.sha256(path.read_bytes()).hexdigest() \
             == GOLDEN_TRACE_SHA256[mode]
 
-    @pytest.mark.parametrize("non_cooperating",
+    @pytest.mark.parametrize("golden_input",
                              sorted(GOLDEN_CONTROL_TRACE_SHA256))
     def test_control_plane_trace_matches_the_golden_hash(
-            self, tmp_path, non_cooperating):
+            self, tmp_path, golden_input):
         path = tmp_path / "trace.jsonl"
         assert main([
             "--quiet", "trace", "record",
             "--spec", FLOOD_AITF_SPEC, "--duration", "8",
             "--channels", "aitf-control",
-            "--set", f"defense.params.non_cooperating={non_cooperating}",
+            *_control_overrides(golden_input),
             "--set", "defense.params.disconnection_enabled=true",
             "--set", "aitf.attacker_grace_period=0.5",
             "--set", "aitf.temporary_filter_timeout=0.8",
             "--output", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() \
-            == GOLDEN_CONTROL_TRACE_SHA256[non_cooperating]
+            == GOLDEN_CONTROL_TRACE_SHA256[golden_input]
 
     @pytest.mark.parametrize("mode", ["packet", "train"])
     def test_trace_counts_conserve_deliveries_blocks_and_events(self, mode):
