@@ -42,7 +42,7 @@ frozen objects are invisible to the latter.
 Nor does a process import code it does not run: the package ``__init__``s
 import nothing their importers do not all need, and a registry entry
 imports its implementation when a spec names it.  A fresh interpreter that
-prepares, runs and serialises a figure-1 AITF cell loads exactly the 52
+prepares, runs and serialises a figure-1 AITF cell loads exactly the 51
 ``repro`` modules pinned below (the parent of the PR that added this gate
 loaded 72: every sweep, observability, baseline, attack, topology and
 fault module), and ``repro --json run`` adds only the CLI and its logger.
@@ -99,7 +99,7 @@ FIGURE1_CELL_MODULES = frozenset({
     "repro.contracts", "repro.contracts.contract",
     "repro.core", "repro.core.config", "repro.core.deployment",
     "repro.core.detection", "repro.core.directory", "repro.core.events",
-    "repro.core.gateway_agent", "repro.core.handshake",
+    "repro.core.gateway_agent",
     "repro.core.host_agent", "repro.core.messages",
     "repro.experiments", "repro.experiments.backends",
     "repro.experiments.collectors", "repro.experiments.registry",

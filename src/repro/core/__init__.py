@@ -11,9 +11,10 @@ of Argyraki & Cheriton:
   messages, the handshake answer, control-packet sending, filter installs.
 * :class:`HostAgent` — end-host behaviour: requesting filters as a victim,
   answering handshake queries, stopping flows as a (cooperative) attacker.
-* :class:`GatewayAgent` — border-router behaviour: victim's-gateway
-  temporary filters + DRAM shadowing + propagation + escalation, and
-  attacker's-gateway verification + filtering + disconnection.
+* :class:`GatewayAgent` — border-router behaviour as one transition table:
+  victim's-gateway temporary filters + DRAM shadowing + propagation +
+  escalation, and attacker's-gateway 3-way handshake + filtering +
+  disconnection.
 * :class:`RateBasedDetector` / :class:`ExplicitDetector` — turning received
   attack packets into filtering requests with a detection delay Td.
 * :func:`deploy_aitf` — attach agents to every node of a built topology.
@@ -26,7 +27,6 @@ from repro.core.detection import ExplicitDetector, RateBasedDetector
 from repro.core.directory import NodeDirectory
 from repro.core.events import EventType, ProtocolEvent, ProtocolEventLog
 from repro.core.gateway_agent import GatewayAgent
-from repro.core.handshake import HandshakeManager
 from repro.core.host_agent import HostAgent
 from repro.core.messages import (
     AITFAgent,
@@ -49,7 +49,6 @@ __all__ = [
     "ProtocolEvent",
     "ProtocolEventLog",
     "GatewayAgent",
-    "HandshakeManager",
     "HostAgent",
     "AITFAgent",
     "DisconnectNotice",

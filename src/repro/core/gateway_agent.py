@@ -1,7 +1,7 @@
 """AITF behaviour of a border router (gateway).
 
-A gateway plays two protocol roles, decided per filtering request by the
-request's type field and the attack path geometry (Section II-C):
+A gateway plays per-request roles, decided by the request's type field and
+the attack path geometry (Section II-C):
 
 **Victim's gateway** — the AITF node closest to the victim.  On a valid
 request it installs a *temporary* wire-speed filter for Ttmp seconds, logs
@@ -17,17 +17,27 @@ disconnection.
 
 **Attacker's gateway** — the AITF node closest to the attacker (for round k,
 the k-th closest).  It first verifies the request with the 3-way handshake
-to the victim (Section II-E), then installs a filter for the full T seconds,
-propagates the request to the attacker, and disconnects the attacker if the
-flow keeps arriving past a grace period.
+(Section II-E: a query carrying the flow label and a fresh nonce to the
+victim, which only nodes on the path can see; it filters only when the reply
+echoes both), then installs a filter for the full T seconds, propagates the
+request to the attacker, and disconnects the attacker if the flow keeps
+arriving past a grace period.  In escalated rounds the attacker is a border
+router, which stops the flow with a filter of its own.
 
-Escalated rounds reuse the same machinery: a request at round k simply
-designates different nodes for each role, so every gateway runs the same
-code regardless of where it sits on the path.
+A request at round k simply designates different nodes for each role, so
+every gateway runs the same code regardless of where it sits on the path:
+one transition table.  A request's state in one role is one
+:class:`RequestState` value; every input (a request in each role, a reply, a
+notice, each deadline's expiry, a shadow hit) goes to
+:meth:`GatewayAgent._step`, which looks ``(role, input)`` up in
+``_TRANSITIONS``.  The handler reads the state, acts and leaves the next
+state in the value.  Deadlines are timers outside it, one per (deadline,
+request), whose expiry is one more input.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -35,52 +45,84 @@ from repro.contracts.contract import ContractBook
 from repro.core.config import AITFConfig
 from repro.core.directory import NodeDirectory
 from repro.core.events import EventType, ProtocolEventLog
-from repro.core.handshake import HandshakeManager
 from repro.core.messages import (
     AITFAgent,
     DisconnectNotice,
     FilteringRequest,
     RequestRole,
+    VerificationQuery,
     VerificationReply,
 )
 from repro.net.address import IPAddress, Prefix
-from repro.net.flowlabel import FlowLabel
 from repro.net.link import Link
 from repro.net.packet import Packet, PacketKind
 from repro.router.filter_table import FilterEntry
 from repro.router.nodes import BorderRouter
-from repro.router.shadow_cache import ShadowCache, ShadowEntry
+from repro.router.shadow_cache import ShadowCache
 from repro.sim.process import Timer
 from repro.sim.randomness import SeededRandom, stable_seed
 
+VICTIM_GATEWAY = RequestRole.TO_VICTIM_GATEWAY
+ATTACKER_GATEWAY = RequestRole.TO_ATTACKER_GATEWAY
+ATTACKER = RequestRole.TO_ATTACKER
+
+
+class Input(enum.Enum):
+    """What steps a request's state: a message, a deadline or a shadow hit."""
+
+    REQUEST = "request"
+    REPLY = "reply"
+    NOTICE = "notice"
+    COOPERATION_CHECK = "cooperation_check"  # the temporary filter ran out
+    GRACE_OVER = "grace_over"  # the attacker's grace period ran out
+    HANDSHAKE_TIMEOUT = "handshake_timeout"
+    SHADOW_HIT = "shadow_hit"
+
+
+class Phase(enum.Enum):
+    """Where a request stands in its role."""
+
+    #: Victim's gateway: protecting the victim, watching for the flow.
+    WATCHING = "watching"
+    #: Victim's gateway: out of rounds; only a repeated request acts.
+    GAVE_UP = "gave_up"
+    #: Attacker's gateway: no verification has succeeded yet.
+    VERIFYING = "verifying"
+    #: Attacker's gateway: verified, filtering for T.
+    FILTERING = "filtering"
+    #: Attacker's gateway: the attacker was disconnected.
+    DISCONNECTED = "disconnected"
+
 
 @dataclass
-class VictimGatewayState:
-    """Per-request state kept while acting as the victim's gateway."""
+class RequestState:
+    """One request's protocol state at one gateway, in one role.
+
+    A plain value: no timer, callback or agent, so it can be copied and
+    compared.  ``request`` is the request that opened the record (the
+    attacker's gateway adopts the one it first verifies).
+    """
 
     request: FilteringRequest
-    attack_path: Tuple[str, ...]
-    current_round: int
-    temp_filter: Optional[FilterEntry] = None
-    cooperation_timer: Optional[Timer] = None
+    phase: Phase
+    #: Victim's gateway: the border routers on the path, attacker's first,
+    #: and the escalation round whose attacker's gateway it asked.
+    attack_path: Tuple[str, ...] = ()
+    current_round: int = 0
+    #: The temporary filter (victim's gateway) or the T filter (attacker's).
+    filter_entry: Optional[FilterEntry] = None
     #: The round whose request this gateway's own outbound contract refused
     #: (``_send_request`` returned False): it never left, so no attacker's
     #: gateway can have reneged on it.  Cleared once a request leaves.
     refused_round: Optional[int] = None
     last_escalation_at: Optional[float] = None
     escalations: int = 0
-    gave_up: bool = False
-
-
-@dataclass
-class AttackerGatewayState:
-    """Per-request state kept while acting as the attacker's gateway."""
-
-    request: FilteringRequest
-    filter_entry: Optional[FilterEntry] = None
-    grace_timer: Optional[Timer] = None
-    attacker_name: str = ""
-    disconnected: bool = False
+    #: Attacker's gateway: the request under verification and the nonce its
+    #: query carried (both None when no verification is pending).
+    verifying: Optional[FilteringRequest] = None
+    nonce: Optional[int] = None
+    #: Attacker's gateway: who was told to stop the flow.
+    attacker: str = ""
 
 
 class GatewayAgent(AITFAgent):
@@ -106,15 +148,15 @@ class GatewayAgent(AITFAgent):
         #: Whether this gateway exercises its right to disconnect
         #: non-cooperating counterparties.
         self.disconnection_enabled = disconnection_enabled
-        # Behind the three properties below.  The rng is drawn here, not
-        # with the manager it seeds: SeededRandom.fork seeds by fork order.
+        # Behind the two properties below.
         self._contracts: Optional[ContractBook] = None
         self._shadow: Optional[ShadowCache] = None
-        self._handshake: Optional[HandshakeManager] = None
+        # Forked here, not on first use: SeededRandom.fork seeds by fork order.
         self._handshake_rng = self.rng.fork("handshake")
-        self._victim_states: Dict[int, VictimGatewayState] = {}
-        self._victim_by_label: Dict[FlowLabel, int] = {}
-        self._attacker_states: Dict[int, AttackerGatewayState] = {}
+        #: Every request's state, by (role, request id), in creation order.
+        self._records: Dict[Tuple[RequestRole, int], RequestState] = {}
+        #: The deadlines, by (input their expiry raises, request id).
+        self._timers: Dict[Tuple[Input, int], Timer] = {}
         router.add_forward_observer(self._observe_forwarded)
 
     # ------------------------------------------------------------------
@@ -150,27 +192,15 @@ class GatewayAgent(AITFAgent):
             )
         return cache
 
-    @property
-    def handshake(self) -> HandshakeManager:
-        """Pending 3-way-handshake verifications."""
-        manager = self._handshake
-        if manager is None:
-            manager = self._handshake = HandshakeManager(
-                self.node.sim, self._handshake_rng,
-                timeout=self.config.handshake_timeout)
-        return manager
-
     # ------------------------------------------------------------------
-    # messages addressed to this gateway
+    # inputs: each one is one step
     # ------------------------------------------------------------------
-    def _on_reply(self, reply: VerificationReply) -> None:
-        self.handshake.handle_reply(reply)
-
-    def _on_notice(self, notice: DisconnectNotice, packet: Packet) -> None:
-        self.log.record(self.sim.now, EventType.DISCONNECTION, self.name,
-                        notice.request_id, offender=notice.offender,
-                        notified_by=self.directory.name_of(packet.src),
-                        reason=notice.reason, notice=True)
+    def _step(self, role: Optional[RequestRole], event: Input,
+              request_id: Optional[int], *args) -> None:
+        """Step the state of request ``request_id`` in ``role`` on one
+        input: the only way protocol state changes."""
+        _TRANSITIONS[role, event](self, self._records.get((role, request_id)),
+                                  *args)
 
     def _on_request(self, request: FilteringRequest, packet: Packet,
                     link: Optional[Link]) -> None:
@@ -183,33 +213,57 @@ class GatewayAgent(AITFAgent):
             self.log.record(now, EventType.REQUEST_POLICED, self.name,
                             request.request_id, counterparty=counterparty)
             return
-        if request.role is RequestRole.TO_VICTIM_GATEWAY:
-            self._act_as_victim_gateway(request, packet, link)
-        elif request.role is RequestRole.TO_ATTACKER_GATEWAY:
-            self._act_as_attacker_gateway(request)
-        elif request.role is RequestRole.TO_ATTACKER:
-            self._act_as_attacker(request)
+        self._step(request.role, Input.REQUEST, request.request_id,
+                   request, packet, link)
+
+    def _on_reply(self, reply: VerificationReply) -> None:
+        self._step(ATTACKER_GATEWAY, Input.REPLY, reply.request_id, reply)
+
+    def _on_notice(self, notice: DisconnectNotice, packet: Packet) -> None:
+        self._step(None, Input.NOTICE, notice.request_id, notice, packet)
+
+    def _observe_forwarded(self, packet: Packet, link: Link, train=None) -> None:
+        """Forward-path hook: catch on-off flows against the shadow cache.
+
+        A train is homogeneous, so one lookup advances the reappearance
+        counter by its full packet count and the reaction (re-protect +
+        escalate, both grace-throttled) fires once per train, exactly as it
+        effectively does once per packet burst in per-packet mode.
+        """
+        cache = self._shadow
+        if cache is None:
+            return
+        entry = cache.match_packet(packet, 1 if train is None else train.count)
+        if entry is None:
+            return
+        # The entry is the label's latest victim's-gateway state's.
+        for (role, request_id), state in reversed(self._records.items()):
+            if role is VICTIM_GATEWAY and state.request.label == entry.label:
+                return self._step(role, Input.SHADOW_HIT, request_id, packet)
+
+    def _arm(self, role: RequestRole, event: Input, request_id: int,
+             delay: float) -> None:
+        """(Re)start the deadline whose expiry raises ``event``."""
+        timer = self._timers.get((event, request_id))
+        if timer is None:
+            timer = self._timers[event, request_id] = Timer(
+                self.sim, self._step, role, event, request_id)
+        timer.restart(delay)
 
     # ==================================================================
     # Victim's-gateway role
     # ==================================================================
-    def _act_as_victim_gateway(self, request: FilteringRequest,
-                               packet: Packet, link: Optional[Link]) -> None:
-        now = self.sim.now
+    def _protect_victim(self, state: Optional[RequestState],
+                        request: FilteringRequest, packet: Packet,
+                        link: Optional[Link]) -> None:
         if not self._verify_victim_side(request, link, packet):
-            self.log.record(now, EventType.REQUEST_REJECTED, self.name,
-                            request.request_id, reason="victim-side verification failed")
+            self._reject(request, "victim-side verification failed")
             return
         attack_path = tuple(request.attack_path)
-        state = self._victim_states.get(request.request_id)
         if state is None:
-            state = VictimGatewayState(
-                request=request,
-                attack_path=attack_path,
-                current_round=request.round_number,
-            )
-            self._victim_states[request.request_id] = state
-            self._victim_by_label[request.label] = request.request_id
+            state = self._records[VICTIM_GATEWAY, request.request_id] = \
+                RequestState(request, Phase.WATCHING, attack_path=attack_path,
+                             current_round=request.round_number)
         else:
             state.attack_path = attack_path or state.attack_path
             state.current_round = max(state.current_round, request.round_number)
@@ -273,21 +327,19 @@ class GatewayAgent(AITFAgent):
                     return False
         return self.node.routing.next_link(victim_address) is link
 
-    def _install_temporary_filter(self, state: VictimGatewayState) -> None:
+    def _install_temporary_filter(self, state: RequestState) -> None:
         ttmp = self.config.temporary_filter_timeout
+        request_id = state.request.request_id
         entry = self._install_filter(state.request, ttmp, "temporary")
         if entry is None:
             return
-        state.temp_filter = entry
+        state.filter_entry = entry
         self.log.record(self.sim.now, EventType.TEMP_FILTER_INSTALLED, self.name,
-                        state.request.request_id, duration=ttmp,
-                        round=state.current_round)
-        if state.cooperation_timer is None:
-            state.cooperation_timer = Timer(
-                self.sim, self._check_cooperation, state.request.request_id)
-        state.cooperation_timer.restart(self.config.effective_escalation_grace)
+                        request_id, duration=ttmp, round=state.current_round)
+        self._arm(VICTIM_GATEWAY, Input.COOPERATION_CHECK, request_id,
+                  self.config.effective_escalation_grace)
 
-    def _log_shadow(self, state: VictimGatewayState) -> None:
+    def _log_shadow(self, state: RequestState) -> None:
         now = self.sim.now
         entry = self.shadow_cache.log(
             state.request.label,
@@ -302,48 +354,40 @@ class GatewayAgent(AITFAgent):
                         state.request.request_id,
                         duration=self.config.effective_shadow_timeout)
 
-    def _propagate_to_attacker_gateway(self, state: VictimGatewayState) -> None:
-        now = self.sim.now
+    def _propagate_to_attacker_gateway(self, state: RequestState) -> None:
         request = state.request
-        designated = self._designated_attacker_gateway(state)
-        if designated is None:
-            self.log.record(now, EventType.REQUEST_REJECTED, self.name,
-                            request.request_id, reason="no attack path available")
-            return
         outbound = request.propagate(
-            role=RequestRole.TO_ATTACKER_GATEWAY,
-            requestor=self.name,
-            attack_path=state.attack_path,
-            round_number=state.current_round,
-        )
+            role=ATTACKER_GATEWAY, requestor=self.name,
+            attack_path=state.attack_path, round_number=state.current_round)
+        designated = outbound.designated_attacker_gateway
+        if designated is None:
+            self._reject(request, "no attack path available")
+            return
         if designated == self.name:
             # This gateway is both the victim's and the attacker's gateway
             # (attacker and victim share a provider): skip the network hop.
-            self._act_as_attacker_gateway(outbound)
+            self._step(ATTACKER_GATEWAY, Input.REQUEST, request.request_id,
+                       outbound, None, None)
             return
         target_address = self.directory.address_of(designated)
         if target_address is None:
-            self.log.record(now, EventType.REQUEST_REJECTED, self.name,
-                            request.request_id,
-                            reason=f"unknown attacker gateway {designated}")
+            self._reject(request, f"unknown attacker gateway {designated}")
             return
         if not self._send_request(outbound, designated, target_address):
             state.refused_round = state.current_round
             return
         state.refused_round = None
-        self.log.record(now, EventType.REQUEST_SENT, self.name, request.request_id,
-                        role=outbound.role.value, target=designated,
-                        round=state.current_round)
+        self.log.record(self.sim.now, EventType.REQUEST_SENT, self.name,
+                        request.request_id, role=outbound.role.value,
+                        target=designated, round=state.current_round)
 
-    def _check_cooperation(self, request_id: int) -> None:
+    def _check_cooperation(self, state: RequestState) -> None:
         """At temporary-filter expiry: did the attacker's gateway take over?"""
-        state = self._victim_states.get(request_id)
-        if state is None or state.gave_up:
+        if state.phase is Phase.GAVE_UP:
             return
-        now = self.sim.now
-        entry = state.temp_filter
-        self.log.record(now, EventType.TEMP_FILTER_EXPIRED, self.name, request_id,
-                        round=state.current_round,
+        entry = state.filter_entry
+        self.log.record(self.sim.now, EventType.TEMP_FILTER_EXPIRED, self.name,
+                        state.request.request_id, round=state.current_round,
                         packets_blocked=entry.packets_blocked if entry else 0)
         if state.refused_round == state.current_round:
             # This round's request never left: re-protect the victim and
@@ -357,49 +401,28 @@ class GatewayAgent(AITFAgent):
         # Otherwise the temporary filter is allowed to lapse; the shadow
         # entry keeps watching for the flow to reappear.
 
-    def _observe_forwarded(self, packet: Packet, link: Link, train=None) -> None:
-        """Forward-path hook: catch on-off flows against the shadow cache.
-
-        A train is homogeneous, so one lookup advances the reappearance
-        counter by its full packet count and the reaction (re-protect +
-        escalate, both grace-throttled) fires once per train, exactly as it
-        effectively does once per packet burst in per-packet mode.
-        """
-        cache = self._shadow
-        if cache is None:
+    def _shadow_hit(self, state: RequestState, packet: Packet) -> None:
+        if state.phase is Phase.GAVE_UP:
             return
-        entry = cache.match_packet(packet, 1 if train is None else train.count)
-        if entry is not None:
-            self._on_shadow_hit(entry, packet)
-
-    def _on_shadow_hit(self, entry: ShadowEntry,
-                       packet: Optional[Packet] = None) -> None:
-        request_id = self._victim_by_label.get(entry.label)
-        if request_id is None:
-            return
-        state = self._victim_states.get(request_id)
-        if state is None or state.gave_up:
-            return
-        now = self.sim.now
-        self.log.record(now, EventType.SHADOW_HIT, self.name, request_id,
-                        round=state.current_round)
-        if packet is not None and self._refresh_attack_path(state, packet):
+        self.log.record(self.sim.now, EventType.SHADOW_HIT, self.name,
+                        state.request.request_id, round=state.current_round)
+        # Re-protect the victim immediately — detection of a reappearing flow
+        # is just a DRAM lookup (Section IV-A.1, footnote 8).
+        if self._refresh_attack_path(state, packet):
             # The flow reappeared over a *different* border-router path —
             # route churn moved it, not an on-off attacker.  The recorded
             # path names a gateway that never saw a filtering request, so
-            # re-protect the victim and re-propagate to the new attacker's
-            # gateway instead of escalating along the stale path.
+            # re-propagate to the new attacker's gateway instead of
+            # escalating along the stale path.
             self._install_temporary_filter(state)
             self._propagate_to_attacker_gateway(state)
             return
-        # Re-protect the victim immediately — detection of a reappearing flow
-        # is just a DRAM lookup (Section IV-A.1, footnote 8) — and escalate,
-        # because the flow coming back proves the attacker-side gateway of the
-        # current round reneged.
+        # The flow coming back proves the attacker-side gateway of the
+        # current round reneged: escalate.
         self._install_temporary_filter(state)
         self._escalate(state)
 
-    def _refresh_attack_path(self, state: VictimGatewayState,
+    def _refresh_attack_path(self, state: RequestState,
                              packet: Packet) -> bool:
         """Reconcile the stored attack path with the packet's route record.
 
@@ -432,7 +455,7 @@ class GatewayAgent(AITFAgent):
         # The new path's gateways never reneged on anything: clear the
         # give-up/escalation history so the protocol restarts cleanly
         # against the gateways that now actually carry the flow.
-        state.gave_up = False
+        state.phase = Phase.WATCHING
         state.escalations = 0
         state.last_escalation_at = self.sim.now
         self.log.record(self.sim.now, EventType.PATH_CHANGED, self.name,
@@ -441,8 +464,8 @@ class GatewayAgent(AITFAgent):
                         round=state.current_round)
         return True
 
-    def _escalate(self, state: VictimGatewayState) -> None:
-        if not self.config.escalation_enabled or state.gave_up:
+    def _escalate(self, state: RequestState) -> None:
+        if not self.config.escalation_enabled:
             return
         now = self.sim.now
         if (state.last_escalation_at is not None
@@ -450,15 +473,19 @@ class GatewayAgent(AITFAgent):
             # Already tried very recently; give the current round a chance.
             return
         if state.escalations >= self.config.max_escalation_rounds:
-            state.gave_up = True
+            state.phase = Phase.GAVE_UP
             return
         path = state.attack_path
         upstream = self._upstream_on_path(path)
-        designated = self._designated_attacker_gateway(state)
         if upstream is None:
-            state.gave_up = True
+            state.phase = Phase.GAVE_UP
             return
-        if upstream == designated:
+        new_round = state.current_round + 1
+        escalated = state.request.propagate(
+            role=VICTIM_GATEWAY, requestor=self.name, attack_path=path,
+            round_number=new_round)
+        # Round k+1's designated attacker is round k's attacker's gateway.
+        if upstream == escalated.designated_attacker:
             # The next AITF node up the path is the non-cooperating gateway
             # itself: when it is a direct neighbor the endgame is
             # disconnection (Section II-D, "G_gw3 disconnects from B_gw3").
@@ -471,22 +498,15 @@ class GatewayAgent(AITFAgent):
                     and self.node.link_to(offender_node) is not None):
                 self._disconnect_from(upstream, state.request,
                                       reason="non-cooperating peer gateway")
-            state.gave_up = True
+            state.phase = Phase.GAVE_UP
             return
         target_address = self.directory.address_of(upstream)
         if target_address is None:
-            state.gave_up = True
+            state.phase = Phase.GAVE_UP
             return
         # Stamped even when pacing refuses the request, so retries stay
         # throttled; the round advances only once the request is sent.
         state.last_escalation_at = now
-        new_round = state.current_round + 1
-        escalated = state.request.propagate(
-            role=RequestRole.TO_VICTIM_GATEWAY,
-            requestor=self.name,
-            attack_path=path,
-            round_number=new_round,
-        )
         if not self._send_request(escalated, upstream, target_address):
             return
         state.current_round = new_round
@@ -500,45 +520,67 @@ class GatewayAgent(AITFAgent):
     # ==================================================================
     # Attacker's-gateway role
     # ==================================================================
-    def _act_as_attacker_gateway(self, request: FilteringRequest) -> None:
-        now = self.sim.now
+    def _verify_request(self, state: Optional[RequestState],
+                        request: FilteringRequest, packet: Optional[Packet],
+                        link: Optional[Link]) -> None:
         if not self.cooperative:
-            self.log.record(now, EventType.REQUEST_REJECTED, self.name,
-                            request.request_id, reason="non-cooperative gateway")
+            self._reject(request, "non-cooperative gateway")
             return
+        if state is None:
+            state = self._records[ATTACKER_GATEWAY, request.request_id] = \
+                RequestState(request, Phase.VERIFYING)
         if not self.config.verification_enabled:
-            self._attacker_gateway_commit(request)
+            self._commit(state, request)
             return
         victim_address = self._victim_address(request)
         if victim_address is None:
-            self.log.record(now, EventType.REQUEST_REJECTED, self.name,
-                            request.request_id, reason="no victim address to verify against")
+            self._reject(request, "no victim address to verify against")
             return
-        query = self.handshake.begin(
-            request,
-            self.node.address,
-            on_confirmed=self._attacker_gateway_commit,
-            on_failed=self._handshake_failed,
-        )
+        if state.nonce is None:
+            # A repeated request re-sends the pending query: a new nonce
+            # would let a late reply to the old one be misread.
+            state.verifying, state.nonce = request, self._handshake_rng.nonce()
+            self._arm(ATTACKER_GATEWAY, Input.HANDSHAKE_TIMEOUT,
+                      request.request_id, self.config.handshake_timeout)
+        query = VerificationQuery(label=request.label, nonce=state.nonce,
+                                  querier=self.node.address,
+                                  request_id=request.request_id)
         self._send_control(victim_address, PacketKind.VERIFICATION_QUERY, query)
-        self.log.record(now, EventType.HANDSHAKE_STARTED, self.name,
+        self.log.record(self.sim.now, EventType.HANDSHAKE_STARTED, self.name,
                         request.request_id, victim=str(victim_address))
+
+    def _settle(self, state: Optional[RequestState],
+                reply: VerificationReply) -> None:
+        """Match a verification reply against the pending query."""
+        if (state is None or state.nonce is None or reply.nonce != state.nonce
+                or reply.label != state.verifying.label):
+            # Stray, stale, forged or corrupted: a pending verification
+            # stays pending until its real reply or its timeout.
+            return
+        request = state.verifying
+        self._timers[Input.HANDSHAKE_TIMEOUT, reply.request_id].cancel()
+        state.verifying = state.nonce = None
+        if reply.confirmed:
+            self._commit(state, request)
+        else:
+            self._handshake_failed(request, "victim denied the request")
+
+    def _handshake_timed_out(self, state: RequestState) -> None:
+        request = state.verifying
+        state.verifying = state.nonce = None
+        self._handshake_failed(request, "verification timed out")
 
     def _handshake_failed(self, request: FilteringRequest, reason: str) -> None:
         self.log.record(self.sim.now, EventType.HANDSHAKE_FAILED, self.name,
                         request.request_id, reason=reason)
 
-    def _attacker_gateway_commit(self, request: FilteringRequest) -> None:
+    def _commit(self, state: RequestState, request: FilteringRequest) -> None:
         """Verification succeeded (or was disabled): block the flow for T."""
         now = self.sim.now
-        if self.handshake.is_pending(request.request_id):
-            self.handshake.cancel(request.request_id)
         self.log.record(now, EventType.HANDSHAKE_CONFIRMED, self.name,
                         request.request_id)
-        state = self._attacker_states.get(request.request_id)
-        if state is None:
-            state = AttackerGatewayState(request=request)
-            self._attacker_states[request.request_id] = state
+        if state.phase is Phase.VERIFYING:
+            state.request, state.phase = request, Phase.FILTERING
         entry = self._install_filter(request, request.timeout, "attacker-gateway")
         if entry is None:
             return
@@ -547,61 +589,61 @@ class GatewayAgent(AITFAgent):
                         request.request_id, duration=request.timeout,
                         round=request.round_number)
         self._propagate_to_attacker(state)
-        if state.grace_timer is None:
-            state.grace_timer = Timer(self.sim, self._check_attacker_compliance,
-                                      request.request_id)
-        state.grace_timer.restart(self.config.attacker_grace_period)
+        self._arm(ATTACKER_GATEWAY, Input.GRACE_OVER, request.request_id,
+                  self.config.attacker_grace_period)
 
-    def _propagate_to_attacker(self, state: AttackerGatewayState) -> None:
-        now = self.sim.now
+    def _propagate_to_attacker(self, state: RequestState) -> None:
         request = state.request
         attacker_name, attacker_address = self._resolve_attacker(request)
         if attacker_address is None:
-            self.log.record(now, EventType.REQUEST_REJECTED, self.name,
-                            request.request_id, reason="cannot resolve attacker")
+            self._reject(request, "cannot resolve attacker")
             return
-        state.attacker_name = attacker_name
-        outbound = request.propagate(role=RequestRole.TO_ATTACKER, requestor=self.name)
+        state.attacker = attacker_name
+        outbound = request.propagate(role=ATTACKER, requestor=self.name)
         if not self._send_request(outbound, attacker_name, attacker_address):
             return
-        self.log.record(now, EventType.REQUEST_SENT, self.name, request.request_id,
-                        role=outbound.role.value, target=attacker_name,
-                        round=request.round_number)
+        self.log.record(self.sim.now, EventType.REQUEST_SENT, self.name,
+                        request.request_id, role=outbound.role.value,
+                        target=attacker_name, round=request.round_number)
 
-    def _check_attacker_compliance(self, request_id: int) -> None:
+    def _check_attacker_compliance(self, state: RequestState) -> None:
         """Grace period over: is the attacker still trying to send the flow?"""
-        state = self._attacker_states.get(request_id)
-        if state is None or state.disconnected:
-            return
-        if not self._blocked_recently(state.filter_entry):
+        if (state.phase is Phase.DISCONNECTED
+                or not self._blocked_recently(state.filter_entry)):
             return
         if not self.disconnection_enabled:
             # Keep filtering for the rest of T; re-check at the next grace period
             # so a later stop is still noticed.
-            if state.grace_timer is not None:
-                state.grace_timer.restart(self.config.attacker_grace_period)
+            self._arm(ATTACKER_GATEWAY, Input.GRACE_OVER,
+                      state.request.request_id, self.config.attacker_grace_period)
             return
-        self._disconnect_from(state.attacker_name or str(state.request.label.src),
+        self._disconnect_from(state.attacker or str(state.request.label.src),
                               state.request, reason="attacker ignored filtering request")
-        state.disconnected = True
+        state.phase = Phase.DISCONNECTED
 
     # ==================================================================
     # Attacker role (escalated rounds designate border routers as attackers)
     # ==================================================================
-    def _act_as_attacker(self, request: FilteringRequest) -> None:
-        now = self.sim.now
+    def _stop_own_flow(self, state: Optional[RequestState], request: FilteringRequest,
+                       packet: Packet, link: Optional[Link]) -> None:
         if not self.cooperative:
-            self.log.record(now, EventType.REQUEST_REJECTED, self.name,
-                            request.request_id, reason="non-cooperative gateway")
+            self._reject(request, "non-cooperative gateway")
             return
         if self._install_filter(request, request.timeout, "stop-own-flow") is None:
             return
-        self.log.record(now, EventType.FLOW_STOPPED, self.name,
+        self.log.record(self.sim.now, EventType.FLOW_STOPPED, self.name,
                         request.request_id, label=str(request.label))
 
     # ==================================================================
     # Disconnection
     # ==================================================================
+    def _noted_disconnection(self, state: Optional[RequestState], notice: DisconnectNotice,
+                             packet: Packet) -> None:
+        self.log.record(self.sim.now, EventType.DISCONNECTION, self.name,
+                        notice.request_id, offender=notice.offender,
+                        notified_by=self.directory.name_of(packet.src),
+                        reason=notice.reason, notice=True)
+
     def _disconnect_from(self, offender: str, request: FilteringRequest,
                          reason: str) -> None:
         now = self.sim.now
@@ -633,6 +675,10 @@ class GatewayAgent(AITFAgent):
     # ==================================================================
     # shared internals
     # ==================================================================
+    def _reject(self, request: FilteringRequest, reason: str) -> None:
+        self.log.record(self.sim.now, EventType.REQUEST_REJECTED, self.name,
+                        request.request_id, reason=reason)
+
     def _counterparty_for(self, link: Optional[Link]) -> Optional[str]:
         """The end-host or peer network a request arrived from/through."""
         if link is None:
@@ -652,21 +698,10 @@ class GatewayAgent(AITFAgent):
             return dst.network
         return None
 
-    def _designated_attacker_gateway(self, state: VictimGatewayState) -> Optional[str]:
-        index = state.current_round - 1
-        if 0 <= index < len(state.attack_path):
-            return state.attack_path[index]
-        return None
-
     def _upstream_on_path(self, path: Tuple[str, ...]) -> Optional[str]:
         """The next border router on the path, one step closer to the attacker."""
-        try:
-            index = path.index(self.name)
-        except ValueError:
-            return None
-        if index == 0:
-            return None
-        return path[index - 1]
+        index = path.index(self.name) if self.name in path else 0
+        return path[index - 1] if index > 0 else None
 
     def _resolve_attacker(self, request: FilteringRequest) -> Tuple[str, Optional[IPAddress]]:
         """Who should be told to stop the flow in this round, and at what address."""
@@ -722,3 +757,19 @@ class GatewayAgent(AITFAgent):
             return self.node.routing.next_link(IPAddress.parse(name))
         except (ValueError, AttributeError):
             return None
+
+
+#: The transition table: the handler of each input in each role.  A handler
+#: takes the request's state (None before the first request in the role
+#: opens it) and the input's own arguments.
+_TRANSITIONS = {
+    (VICTIM_GATEWAY, Input.REQUEST): GatewayAgent._protect_victim,
+    (VICTIM_GATEWAY, Input.COOPERATION_CHECK): GatewayAgent._check_cooperation,
+    (VICTIM_GATEWAY, Input.SHADOW_HIT): GatewayAgent._shadow_hit,
+    (ATTACKER_GATEWAY, Input.REQUEST): GatewayAgent._verify_request,
+    (ATTACKER_GATEWAY, Input.REPLY): GatewayAgent._settle,
+    (ATTACKER_GATEWAY, Input.HANDSHAKE_TIMEOUT): GatewayAgent._handshake_timed_out,
+    (ATTACKER_GATEWAY, Input.GRACE_OVER): GatewayAgent._check_attacker_compliance,
+    (ATTACKER, Input.REQUEST): GatewayAgent._stop_own_flow,
+    (None, Input.NOTICE): GatewayAgent._noted_disconnection,
+}

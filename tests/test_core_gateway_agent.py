@@ -5,6 +5,7 @@ filtering request and the test asserts what each gateway did (temporary
 filter, shadow entry, handshake, propagation, escalation, disconnection).
 """
 
+import copy
 from functools import partial
 
 import pytest
@@ -13,7 +14,8 @@ from repro.attacks.flood import FloodAttack
 from repro.core.config import AITFConfig
 from repro.core.detection import ExplicitDetector
 from repro.core.events import EventType
-from repro.core.messages import FilteringRequest, RequestRole
+from repro.core.gateway_agent import Phase
+from repro.core.messages import FilteringRequest, RequestRole, VerificationReply
 from repro.net.flowlabel import FlowLabel
 from repro.net.packet import Packet, PacketKind
 
@@ -147,6 +149,142 @@ class TestAttackerGatewayRole:
         launch_attack(env)
         env.sim.run(until=5.0)
         assert env.log.count(EventType.DISCONNECTION) == 0
+
+
+class TestHandshake:
+    """The 3-way handshake at the attacker's gateway (Section II-E), driven
+    by the verification replies B_gw1 receives.  The victim G_host keeps
+    the queries it is sent and answers none, so each reply is the test's."""
+
+    def setup_env(self):
+        env = make_deployed_figure1()
+        queries = []
+        env.figure1.g_host.control_handler = \
+            lambda packet, link: queries.append(packet.payload)
+        return env, env.deployment.gateway_agent("B_gw1"), queries
+
+    def request(self, env):
+        figure1 = env.figure1
+        return FilteringRequest(
+            label=FlowLabel.between(figure1.b_host.address, figure1.g_host.address),
+            timeout=10.0, role=RequestRole.TO_ATTACKER_GATEWAY, requestor="G_gw1",
+            victim=figure1.g_host.address, attack_path=figure1.attack_path)
+
+    def deliver(self, env, payload, kind):
+        figure1 = env.figure1
+        figure1.b_gw1.deliver_locally(
+            Packet.control(figure1.g_gw1.address, figure1.b_gw1.address,
+                           kind, payload), None)
+
+    def begin(self, env, agent, request):
+        """Deliver ``request`` and return its attacker's-gateway state."""
+        self.deliver(env, request, PacketKind.FILTERING_REQUEST)
+        return agent._records[RequestRole.TO_ATTACKER_GATEWAY, request.request_id]
+
+    def reply(self, env, request, nonce, confirmed=True, label=None,
+              request_id=None):
+        self.deliver(env, VerificationReply(
+            label=label or request.label, nonce=nonce, confirmed=confirmed,
+            responder=env.figure1.g_host.address,
+            request_id=request.request_id if request_id is None else request_id),
+            PacketKind.VERIFICATION_REPLY)
+
+    def failures(self, env):
+        return [e.details["reason"] for e in env.log.of_type(
+            EventType.HANDSHAKE_FAILED) if e.node == "B_gw1"]
+
+    def test_request_sends_the_victim_a_query_with_a_nonce(self):
+        env, agent, queries = self.setup_env()
+        request = self.request(env)
+        state = self.begin(env, agent, request)
+        assert state.phase is Phase.VERIFYING and state.nonce is not None
+        env.sim.run(until=0.5)
+        (query,) = queries
+        assert (query.label, query.nonce, query.querier, query.request_id) == (
+            request.label, state.nonce, env.figure1.b_gw1.address,
+            request.request_id)
+        assert env.log.count(EventType.HANDSHAKE_STARTED) == 1
+
+    def test_matching_reply_confirms_and_filters(self):
+        env, agent, _ = self.setup_env()
+        request = self.request(env)
+        state = self.begin(env, agent, request)
+        self.reply(env, request, state.nonce)
+        assert state.nonce is None and state.phase is Phase.FILTERING
+        assert env.log.count(EventType.HANDSHAKE_CONFIRMED) == 1
+        assert env.figure1.b_gw1.filter_table.occupancy == 1
+        # The settled verification's deadline never fires.
+        env.sim.run(until=3.0)
+        assert self.failures(env) == []
+
+    @pytest.mark.parametrize("forgery", ["nonce", "label"])
+    def test_wrong_nonce_or_label_leaves_the_verification_pending(self, forgery):
+        env, agent, _ = self.setup_env()
+        request = self.request(env)
+        state = self.begin(env, agent, request)
+        nonce = state.nonce
+        if forgery == "nonce":
+            self.reply(env, request, nonce + 1)
+        else:
+            self.reply(env, request, nonce,
+                       label=FlowLabel.between("9.9.9.9", "10.0.1.1"))
+        assert state.nonce == nonce and state.phase is Phase.VERIFYING
+        assert env.log.count(EventType.HANDSHAKE_CONFIRMED) == 0
+        self.reply(env, request, nonce)
+        assert env.log.count(EventType.HANDSHAKE_CONFIRMED) == 1
+
+    def test_stray_reply_is_ignored(self):
+        env, agent, _ = self.setup_env()
+        request = self.request(env)
+        self.reply(env, request, 1, request_id=999)
+        assert agent._records == {}
+        assert env.log.count(EventType.HANDSHAKE_CONFIRMED) == 0
+        assert self.failures(env) == []
+
+    def test_denial_logs_handshake_failed(self):
+        env, agent, _ = self.setup_env()
+        request = self.request(env)
+        state = self.begin(env, agent, request)
+        self.reply(env, request, state.nonce, confirmed=False)
+        assert self.failures(env) == ["victim denied the request"]
+        assert state.nonce is None
+        assert env.figure1.b_gw1.filter_table.occupancy == 0
+
+    def test_timeout_logs_handshake_failed_and_a_late_reply_is_ignored(self):
+        env, agent, _ = self.setup_env()
+        request = self.request(env)
+        state = self.begin(env, agent, request)
+        nonce = state.nonce
+        env.sim.run(until=env.config.handshake_timeout + 0.5)
+        assert self.failures(env) == ["verification timed out"]
+        assert state.nonce is None
+        self.reply(env, request, nonce)
+        assert env.log.count(EventType.HANDSHAKE_CONFIRMED) == 0
+        assert env.figure1.b_gw1.filter_table.occupancy == 0
+
+    def test_repeated_request_reuses_the_nonce(self):
+        env, agent, queries = self.setup_env()
+        request = self.request(env)
+        nonce = self.begin(env, agent, request).nonce
+        assert self.begin(env, agent, request).nonce == nonce
+        env.sim.run(until=0.5)
+        assert [query.nonce for query in queries] == [nonce, nonce]
+
+    def test_nonces_differ_across_requests(self):
+        env, agent, _ = self.setup_env()
+        nonces = {self.begin(env, agent, self.request(env)).nonce
+                  for _ in range(50)}
+        assert len(nonces) == 50
+
+    def test_a_state_copies_and_compares_equal(self):
+        env, agent, _ = self.setup_env()
+        request = self.request(env)
+        state = self.begin(env, agent, request)
+        self.reply(env, request, state.nonce)
+        twin = copy.copy(state)
+        assert twin == state and twin is not state
+        twin.phase = Phase.DISCONNECTED
+        assert twin != state
 
 
 class TestEscalation:

@@ -64,7 +64,7 @@ class TestVictimRole:
         env = deployed_figure1
         b_gw1_agent = env.deployment.gateway_agent("B_gw1")
         replies = []
-        b_gw1_agent.handshake.handle_reply = lambda reply: replies.append(reply)
+        b_gw1_agent._on_reply = replies.append
         label = FlowLabel.between("10.9.9.9", env.figure1.g_host.address)
         query = VerificationQuery(label=label, nonce=42,
                                   querier=env.figure1.b_gw1.address, request_id=1)

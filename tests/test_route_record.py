@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.detection import ExplicitDetector
 from repro.core.events import EventType
-from repro.core.gateway_agent import VictimGatewayState
+from repro.core.gateway_agent import Phase, RequestState
 from repro.core.messages import FilteringRequest, RequestRole
 from repro.experiments import ExperimentRunner
 from repro.experiments.spec import default_flood_spec
@@ -45,6 +45,12 @@ def recording_requests(agent):
     return calls
 
 
+def victim_records(gateway):
+    """The gateway's request states in the victim's-gateway role."""
+    return [state for (role, _), state in gateway._records.items()
+            if role is RequestRole.TO_VICTIM_GATEWAY]
+
+
 def stamped(src, dst, path):
     packet = Packet.data(src, dst)
     for name in path:
@@ -67,7 +73,7 @@ class TestShimOnFigure1:
         assert sent.details["role"] == RequestRole.TO_ATTACKER_GATEWAY.value
         assert sent.details["target"] == "B_gw1"
         assert sent.details["round"] == 1
-        (state,) = env.deployment.gateway_agent("G_gw1")._victim_states.values()
+        (state,) = victim_records(env.deployment.gateway_agent("G_gw1"))
         assert state.attack_path == PATH
 
     def test_spoofed_source_is_recorded_along_its_true_path(self):
@@ -115,7 +121,7 @@ class TestPartialStamping:
         execution = ExperimentRunner().prepare(spec)
         execution.run()
         gateway = execution.backend.deployment.gateway_agent("G_gw1")
-        paths = {state.attack_path for state in gateway._victim_states.values()}
+        paths = {state.attack_path for state in victim_records(gateway)}
         assert paths == {("G_gw1",)}
 
 
@@ -162,8 +168,8 @@ class TestVictimGatewayReconcilesThePath:
 
     def state(self, path=PATH, current_round=1):
         request = FilteringRequest(label=self.LABEL, timeout=30.0, attack_path=path)
-        return VictimGatewayState(request=request, attack_path=path,
-                                  current_round=current_round)
+        return RequestState(request=request, phase=Phase.WATCHING,
+                            attack_path=path, current_round=current_round)
 
     def refresh(self, gateway_name, state, record):
         env = make_deployed_figure1()
@@ -196,12 +202,12 @@ class TestVictimGatewayReconcilesThePath:
     def test_disagreeing_record_splices_and_restarts_the_rounds(self):
         state = self.state(current_round=4)
         state.escalations = 3
-        state.gave_up = True
+        state.phase = Phase.GAVE_UP
         env, changed = self.refresh("G_gw1", state, ("X_gw1", "G_gw1"))
         assert changed is True
         assert state.attack_path == ("X_gw1", "G_gw1")
         assert state.current_round == 2
-        assert state.gave_up is False
+        assert state.phase is Phase.WATCHING
         assert state.escalations == 0
         assert state.last_escalation_at == env.sim.now
         event = env.log.last(EventType.PATH_CHANGED, node="G_gw1")
